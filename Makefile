@@ -2,12 +2,13 @@
 # change must pass before merging: formatting, vet, a full build, the
 # camelot-lint determinism suite, the entire test suite under the race
 # detector, a short pass over the fault-injection torture suite, a
-# bounded systematic chaos sweep for the commitment protocols, and the
-# Paxos Commit conformance gate.
+# bounded systematic chaos sweep for the commitment protocols, the
+# Paxos Commit conformance gate, a short fuzz of the WAL block decoder,
+# and the benchmark module's own vet and self-tests.
 
 GO ?= go
 
-.PHONY: all build test check fmt vet lint race torture chaos paxos golden bench cluster netem loadgen
+.PHONY: all build test check fmt vet lint race torture chaos paxos fuzz perf golden bench cluster netem loadgen
 
 all: build
 
@@ -64,6 +65,20 @@ paxos:
 	$(GO) run ./cmd/camelot-chaos -points 200 -protocol paxos
 	$(GO) test ./cmd/camelot-cluster -run TestClusterPaxosSmoke
 
+# A short fuzz of recovery's block decoder: arbitrary bytes as the
+# log's final block must never panic and never yield a record whose
+# frame does not check out (the seed corpus alone runs in `make test`).
+fuzz:
+	$(GO) test ./internal/wal -run '^$$' -fuzz FuzzBlockFrames -fuzztime 5s
+
+# cmd/camelot-perf is a module of its own (BENCHMARK.json's contract),
+# so `go build/vet/test ./...` never compile it; its wal.Store wrappers
+# and RealNode/ctl calls are exactly what a change to those surfaces
+# breaks. -short skips the tests that boot a cluster.
+perf:
+	$(GO) -C cmd/camelot-perf vet .
+	$(GO) -C cmd/camelot-perf test -short .
+
 # Regenerate the camelot-trace golden files after an intended change
 # to the event schema or the simulation timeline. Lints first: goldens
 # regenerated from a tree that breaks the determinism rules would bake
@@ -110,5 +125,5 @@ netem:
 		-retry-cap 800ms -max-retry 12000 -json > netem-report.json
 	@echo "wrote netem-report.json"
 
-check: fmt vet build lint race torture chaos paxos
+check: fmt vet build lint race torture chaos paxos fuzz perf
 	@echo "check: OK"

@@ -285,12 +285,17 @@ func (n *RealNode) OutcomeOf(f tid.FamilyID) wire.Outcome {
 }
 
 // LogStats reports the write-ahead log's counters: records appended
-// and device writes actually issued (group commit coalesces many
-// appends into one write). Performance reports charge the commit
-// protocols by these — the paper's log-force budget, measured.
+// and device writes — blocks the store made durable, one write and one
+// fsync each on the file WAL (group commit coalesces many appends into
+// one). Performance reports charge the commit protocols by these — the
+// paper's log-force budget, measured.
 func (n *RealNode) LogStats() (appends, deviceWrites int) {
 	return n.log.Appends(), n.log.DeviceWrites()
 }
+
+// LogErr reports the device error that fail-stopped the write-ahead
+// log, or nil while the log is healthy.
+func (n *RealNode) LogErr() error { return n.log.Err() }
 
 // Close stops the site: transaction manager, log, and socket. The WAL
 // file survives for the next incarnation's Recover.

@@ -64,7 +64,20 @@ type netemReport struct {
 	// typed ErrUnavailable verdicts, each one a hang that didn't happen.
 	Unavailable int          `json:"unavailable_calls"`
 	Emulator    netem.Counts `json:"emulator"`
-	Violations  []string     `json:"violations"`
+	// WALFaults is what each scheduled disk death did, asked of the
+	// site just before the heal; one that never fired is a violation.
+	WALFaults  []walFaultReport `json:"wal_faults,omitempty"`
+	Violations []string         `json:"violations"`
+}
+
+// walFaultReport is one scheduled WAL fault's outcome: how many device
+// writes the site's log completed and the device error that stopped it
+// (empty if the programmed write was never reached).
+type walFaultReport struct {
+	Site         uint32 `json:"site"`
+	FailAppend   int    `json:"fail_append"`
+	DeviceWrites int    `json:"device_writes"`
+	Err          string `json:"err,omitempty"`
 }
 
 func (r *netemReport) print(w *os.File) {
@@ -75,6 +88,9 @@ func (r *netemReport) print(w *os.File) {
 		r.Emulator.Seen, r.Emulator.Dropped, r.Emulator.Cut, r.Emulator.Dupped, r.Emulator.Delayed)
 	fmt.Fprintf(w, "  transport: %d sent, %d received, %d dropped; %d retransmits, %d inquiries\n",
 		r.Sent, r.Recv, r.Dropped, r.Retransmits, r.Inquiries)
+	for _, f := range r.WALFaults {
+		fmt.Fprintf(w, "  wal fault: site %d after %d device writes: %s\n", f.Site, f.DeviceWrites, f.Err)
+	}
 	if len(r.Violations) == 0 {
 		fmt.Fprintf(w, "  oracle: all invariants hold\n")
 		return
@@ -264,9 +280,10 @@ func runNetem(cfg netemConfig) (*netemReport, error) {
 	for _, id := range d.sites {
 		p := d.procs[id]
 		if !p.down && walFail[id] >= 0 && containsFlag(p.extra, "-wal-fail-append") {
-			// A site whose "disk" died fail-stopped its log; give it a
-			// healthy device for the heal by bouncing it without the
-			// fault flag.
+			// A site whose "disk" died fail-stopped its log; confirm
+			// the death, then give it a healthy device for the heal by
+			// bouncing it without the fault flag.
+			d.checkWALFault(id, walFail[id])
 			p.kill()
 		}
 		if p.down {
@@ -354,6 +371,29 @@ func runNetem(cfg netemConfig) (*netemReport, error) {
 		}
 	}
 	return d.rep, nil
+}
+
+// checkWALFault asks a site whose schedule programmed a disk death
+// whether it happened. A fault placed beyond the device writes the
+// storm produces tests nothing, so one that did not fire — or cannot
+// be confirmed — is a violation.
+func (d *netemDriver) checkWALFault(id camelot.SiteID, failAppend int) {
+	f := walFaultReport{Site: uint32(id), FailAppend: failAppend}
+	problem := ""
+	if c := d.client(id); c == nil {
+		problem = "cannot confirm the disk death: site unreachable"
+	} else if st, err := c.TransportStats(); err != nil {
+		problem = fmt.Sprintf("cannot confirm the disk death: %v", err)
+	} else {
+		f.DeviceWrites, f.Err = st.WALDeviceWrites, st.WALErr
+		if st.WALErr == "" {
+			problem = fmt.Sprintf("never reached device write %d (its log completed %d)", failAppend, st.WALDeviceWrites)
+		}
+	}
+	d.rep.WALFaults = append(d.rep.WALFaults, f)
+	if problem != "" {
+		d.rep.Violations = append(d.rep.Violations, fmt.Sprintf("wal fault: site %d: %s", id, problem))
+	}
 }
 
 // nodeFlags assembles a site's extra daemon flags: the backoff cap,

@@ -59,7 +59,7 @@ func main() {
 		server   = flag.String("server", "store", "data server name")
 		retry    = flag.Duration("retry", 50*time.Millisecond, "coordinator retry interval (masks datagram loss)")
 		retryCap = flag.Duration("retry-cap", 0, "cap for the exponential retry backoff (0: 8x the retry interval)")
-		walFail  = flag.Int("wal-fail-append", -1, "fail the Nth WAL block append and every write after it (fault injection; -1: never)")
+		walFail  = flag.Int("wal-fail-append", -1, "fail the Nth WAL device write (one block: every record a force or flush covered) and every write after it (fault injection; -1: never)")
 		protocol = flag.String("protocol", "", "default commit protocol: 2pc, nb, or paxos (empty: per-request flags decide)")
 		shards   = flag.Int("shards", 0, "shard count for the sharded data tier (0: legacy single -server)")
 		sites    = flag.String("sites", "", "comma-separated site ids of the deployment, in placement order (required with -shards)")
@@ -88,7 +88,7 @@ func main() {
 	cfg.RetryBackoffCap = *retryCap
 	cfg.Logf = log.Printf
 	if *walFail >= 0 {
-		// A netem-driven disk fault: the Nth block append fails and the
+		// A netem-driven disk fault: the Nth device write fails and the
 		// log fail-stops, turning this site into the crashed site the
 		// others must resolve around.
 		n := *walFail

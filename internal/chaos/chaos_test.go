@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 )
 
@@ -29,17 +30,18 @@ func TestPilotEnumeratesAllPointClasses(t *testing.T) {
 			t.Errorf("pilot enumerated no %q points", class)
 		}
 	}
-	// Every committed transaction forces a commit record somewhere; the
-	// labels must say so.
+	// Every committed transaction forces a commit record somewhere,
+	// in the same device write as the updates it commits; the labels
+	// must say so, record by record.
 	sawCommit := false
 	for _, p := range r.Points {
-		if p.Class == ClassForce && p.Label == "COMMIT" {
+		if p.Class == ClassForce && strings.HasSuffix(p.Label, "UPDATE+COMMIT") {
 			sawCommit = true
 			break
 		}
 	}
 	if !sawCommit {
-		t.Error("no force point labeled COMMIT")
+		t.Error("no force point labeled with an update and its COMMIT in one block")
 	}
 	for _, o := range r.Outcomes {
 		if o != "committed" {
@@ -70,6 +72,7 @@ func TestSingleFaultRunsSurviveOracle(t *testing.T) {
 		{Class: ClassMsg, Index: 25, Mode: ModePartition, WindowMs: 200},
 		{Class: ClassForce, Site: 1, Index: 3, Mode: ModeCrash},
 		{Class: ClassForce, Site: 2, Index: 2, Mode: ModeTorn},
+		{Class: ClassForce, Site: 1, Index: 2, Mode: ModeTornLast}, // END+UPDATE survive, COMMIT does not
 		{Class: ClassForce, Site: 3, Index: 2, Mode: ModeBitflip},
 		{Class: ClassCkpt, Site: 1, Index: 0, Mode: ModeCrash},
 	}

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
 )
 
@@ -14,6 +15,18 @@ import (
 // bugs are fixed, so every replay must now survive the oracle — a
 // regression would turn one of these green files red with an exact,
 // replayable repro attached.
+//
+// A fault is addressed by counting ("the k-th device write at site 1"),
+// so a change to how the log groups records into blocks moves what an
+// index hits. corpusTargets names, per file, the record or datagram
+// the schedule's note says the fault lands on; the test replays the
+// fault-free pilot and checks the addressed point still carries it.
+var corpusTargets = map[string]string{
+	"family-id-reuse.json":   "COMMIT",
+	"nb-status-amnesia.json": "NB-REPLICATE",
+	"orphaned-join.json":     "*commman.Response 3→1",
+}
+
 func TestCorpusReplaysClean(t *testing.T) {
 	files, err := filepath.Glob(filepath.Join("testdata", "*.json"))
 	if err != nil {
@@ -37,6 +50,7 @@ func TestCorpusReplaysClean(t *testing.T) {
 			if len(s.Faults) == 0 || s.Note == "" {
 				t.Fatal("corpus schedules must carry faults and a provenance note")
 			}
+			checkFaultTarget(t, s, corpusTargets[name])
 			r, err := Run(s)
 			if err != nil {
 				t.Fatal(err)
@@ -58,4 +72,36 @@ func TestCorpusReplaysClean(t *testing.T) {
 			}
 		})
 	}
+}
+
+// checkFaultTarget runs s fault-free and checks that the point its
+// single fault addresses is labeled with want — for a log write, that
+// want is one of the records the block carries.
+func checkFaultTarget(t *testing.T, s Schedule, want string) {
+	t.Helper()
+	if want == "" {
+		t.Fatal("corpus file has no entry in corpusTargets")
+	}
+	if len(s.Faults) != 1 {
+		t.Fatalf("corpus schedule carries %d faults, want 1", len(s.Faults))
+	}
+	f := s.Faults[0]
+	pilot := s
+	pilot.Faults = nil
+	r, err := Run(pilot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range r.Points {
+		if p.Class != f.Class || p.Site != f.Site || p.Index != f.Index {
+			continue
+		}
+		for _, part := range strings.Split(p.Label, "+") {
+			if part == want {
+				return
+			}
+		}
+		t.Fatalf("fault %s lands on %q, which does not carry %s", f, p.Label, want)
+	}
+	t.Fatalf("fault %s addresses no point of the pilot run", f)
 }

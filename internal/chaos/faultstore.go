@@ -20,11 +20,12 @@ type storeFault struct {
 }
 
 // FaultStore wraps one site's wal.Store, counting operations so a
-// Fault's Index addresses "the k-th block write at this site", and
-// injecting the fault there. Every injected append fault leaves the
-// damage at the *tail* of the store and returns ErrInjected, so the
-// force is never acknowledged — the damaged block was, by
-// construction, never promised durable.
+// Fault's Index addresses "the k-th block write at this site" — the
+// k-th device write, one block carrying every record the write
+// covered — and injecting the fault there. Every injected append fault
+// leaves the damage at the *tail* of the store and returns
+// ErrInjected, so the force is never acknowledged — nothing in the
+// damaged block was, by construction, ever promised durable.
 type FaultStore struct {
 	inner wal.Store
 	trip  func() // fires (once) when a fault injects; schedules the crash
@@ -32,7 +33,7 @@ type FaultStore struct {
 	mu        sync.Mutex
 	appends   int
 	truncates int
-	labels    []string // record type of each appended block, for pilot points
+	labels    []string // record types of each appended block, for pilot points
 	onAppend  *storeFault
 	onTrunc   *storeFault
 	tripped   bool
@@ -69,8 +70,15 @@ func (s *FaultStore) Counts() (appends, truncates int) {
 	return s.appends, s.truncates
 }
 
-// Labels returns the record type of every appended block, in order —
-// the pilot's force-point labels.
+// Tripped reports whether the armed fault has injected.
+func (s *FaultStore) Tripped() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.tripped
+}
+
+// Labels returns the record types of every appended block
+// ("UPDATE+PREPARE"), in order — the pilot's force-point labels.
 func (s *FaultStore) Labels() []string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -78,9 +86,14 @@ func (s *FaultStore) Labels() []string {
 }
 
 // Append counts the write and either passes it through or injects the
-// armed fault: ModeCrash appends the full block, ModeTorn only its
-// first half, ModeBitflip the full block with one bit flipped — and
-// all three return ErrInjected so the write is never acknowledged.
+// armed fault — and every fault returns ErrInjected, so the write is
+// never acknowledged. ModeCrash appends the full block. The other
+// modes leave part of the batch behind, which is what a device write
+// carrying several records makes possible: ModeTorn cuts the write
+// inside the block's first record, so nothing of the batch survives;
+// ModeTornLast cuts inside its last record, so all but the last
+// survive; ModeBitflip writes the whole block with one bit flipped
+// inside its middle record, so the records before it survive.
 func (s *FaultStore) Append(block []byte) error {
 	s.mu.Lock()
 	k := s.appends
@@ -96,16 +109,20 @@ func (s *FaultStore) Append(block []byte) error {
 	if !fire {
 		return s.inner.Append(block)
 	}
-	switch f.mode {
-	case ModeTorn:
-		s.inner.Append(block[:len(block)/2]) //nolint:errcheck // damage is the point
-	case ModeBitflip:
-		bad := append([]byte(nil), block...)
-		bad[len(bad)/2] ^= 0x01
-		s.inner.Append(bad) //nolint:errcheck // damage is the point
-	default: // ModeCrash: the block is durable, the ack is not
-		s.inner.Append(block) //nolint:errcheck // ack withheld regardless
+	// frame i spans bounds[i]..bounds[i+1].
+	bounds := append([]int{0}, wal.FrameEnds(block)...)
+	n := len(bounds) - 1
+	switch {
+	case n == 0: // not a log block; no frame to aim at
+	case f.mode == ModeTorn:
+		block = block[:bounds[1]/2]
+	case f.mode == ModeTornLast:
+		block = block[:(bounds[n-1]+bounds[n])/2]
+	case f.mode == ModeBitflip:
+		block = append([]byte(nil), block...)
+		block[(bounds[n/2]+bounds[n/2+1])/2] ^= 0x01
 	}
+	s.inner.Append(block) //nolint:errcheck // damage is the point; the ack is withheld regardless
 	s.trip()
 	return ErrInjected
 }

@@ -41,8 +41,9 @@ func (r *NetemResult) Failed() bool {
 // Simulation limits: OpStop/OpCont freeze a process, which the
 // cooperative kernel cannot express, so they are ignored here (the
 // real driver applies them with signals); a WAL fault is approximated
-// as a crash at the targeted block append — the closest simulated
-// analog of a dying disk.
+// as a crash at the targeted device write — the closest simulated
+// analog of a dying disk — and, as in the real driver, one the run
+// never reaches is reported as a violation.
 func RunNetem(ns netem.Schedule, w Schedule) (*NetemResult, error) {
 	if err := ns.Validate(); err != nil {
 		return nil, err
@@ -74,7 +75,7 @@ func (e *engine) runNetem(ns netem.Schedule) (*NetemResult, error) {
 		return nil, err
 	}
 
-	// WAL faults: kill the site at its targeted block append.
+	// WAL faults: kill the site at its targeted device write.
 	for _, f := range ns.WAL {
 		idx := int(f.Site) - 1
 		if idx < 0 || idx >= len(e.stores) {
@@ -136,6 +137,13 @@ func (e *engine) runNetem(ns netem.Schedule) (*NetemResult, error) {
 		Counts:     em.Counts(),
 		Deadlock:   e.k.Deadlocked(),
 		Violations: violations,
+	}
+	for _, f := range ns.WAL {
+		if !e.stores[f.Site-1].Tripped() {
+			appends, _ := e.stores[f.Site-1].Counts()
+			res.Violations = append(res.Violations, fmt.Sprintf(
+				"wal fault: site %d never reached device write %d (its log completed %d)", f.Site, f.FailAppend, appends))
+		}
 	}
 	for _, tx := range txns {
 		res.Outcomes = append(res.Outcomes, tx.Outcome.String())

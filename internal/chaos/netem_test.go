@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"encoding/json"
+	"strings"
 	"testing"
 
 	"camelot/internal/netem"
@@ -77,13 +78,17 @@ func TestNetemStormSurvivesOracleAllProtocols(t *testing.T) {
 	}
 }
 
-// A WAL fault (dying disk at a targeted append) maps to a crash at
-// that block write; the cluster must recover and stay consistent.
+// A WAL fault (dying disk at a targeted device write) maps to a crash
+// at that block write; the cluster must recover and stay consistent.
+// Site 2 issues one device write per transaction — its update and the
+// previous transaction's lazy COMMIT ride the forced PREPARE — so write
+// 3, counted from zero, is the fourth of six transactions' prepare
+// force. A fault beyond the run's writes is itself a violation.
 func TestNetemWALFaultSurvives(t *testing.T) {
 	ns := netem.Schedule{
 		Version: netem.Version,
 		Seed:    3,
-		WAL:     []netem.WALFault{{Site: 2, FailAppend: 10}},
+		WAL:     []netem.WALFault{{Site: 2, FailAppend: 3}},
 	}
 	w := Schedule{Version: Version, Seed: 2, Sites: 3, Txns: 6}
 	r, err := RunNetem(ns, w)
@@ -92,5 +97,20 @@ func TestNetemWALFaultSurvives(t *testing.T) {
 	}
 	if r.Failed() {
 		t.Fatalf("violations %v deadlock %q", r.Violations, r.Deadlock)
+	}
+}
+
+func TestNetemWALFaultMustFire(t *testing.T) {
+	ns := netem.Schedule{
+		Version: netem.Version,
+		Seed:    3,
+		WAL:     []netem.WALFault{{Site: 2, FailAppend: 1000}},
+	}
+	r, err := RunNetem(ns, Schedule{Version: Version, Seed: 2, Sites: 3, Txns: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(r.Violations) != 1 || !strings.Contains(r.Violations[0], "never reached device write 1000") {
+		t.Fatalf("violations %v, want the unreached WAL fault reported", r.Violations)
 	}
 }

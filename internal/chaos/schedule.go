@@ -21,6 +21,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"strings"
 )
 
 // Version is the repro-file format identifier.
@@ -62,11 +63,18 @@ const (
 	// the site dies (the checkpoint image is already durable —
 	// recovery must tolerate the un-truncated log).
 	ModeCrash = "crash"
-	// ModeTorn writes only half the log block before the site dies —
-	// the classic torn write, which recovery must truncate cleanly.
+	// ModeTorn cuts the log block inside its first record before the
+	// site dies — the classic torn write: nothing of the batch
+	// survives, and recovery must truncate it cleanly.
 	ModeTorn = "torn"
-	// ModeBitflip writes the full log block with one bit flipped (so
-	// its CRC fails) before the site dies.
+	// ModeTornLast cuts the log block inside its last record: every
+	// record of the batch but the last survives, unacknowledged. It is
+	// enumerated only where it differs from ModeTorn — at blocks
+	// carrying more than one record.
+	ModeTornLast = "torn-last"
+	// ModeBitflip writes the full log block with one bit flipped
+	// inside its middle record (so that record's CRC fails and the
+	// records before it survive) before the site dies.
 	ModeBitflip = "bitflip"
 	// ModeDrop silently drops the datagram.
 	ModeDrop = "drop"
@@ -186,7 +194,7 @@ func validFault(f Fault) error {
 	ok := false
 	switch f.Class {
 	case ClassForce:
-		ok = f.Mode == ModeCrash || f.Mode == ModeTorn || f.Mode == ModeBitflip
+		ok = f.Mode == ModeCrash || f.Mode == ModeTorn || f.Mode == ModeTornLast || f.Mode == ModeBitflip
 	case ClassMsg:
 		ok = f.Mode == ModeDrop || f.Mode == ModeCrash || f.Mode == ModePartition ||
 			f.Mode == ModeDup || f.Mode == ModeReorder
@@ -205,8 +213,9 @@ type Point struct {
 	Class string `json:"class"`
 	Site  uint32 `json:"site,omitempty"`
 	Index int    `json:"index"`
-	// Label says what happens there ("COMMIT" for a commit-record log
-	// write, "*wire.Msg 1→2" for a datagram, ...).
+	// Label says what happens there ("UPDATE+COMMIT" for a log write
+	// carrying an update and a commit record, "*wire.Msg 1→2" for a
+	// datagram, ...).
 	Label string `json:"label"`
 }
 
@@ -214,6 +223,9 @@ type Point struct {
 func (p Point) Modes() []string {
 	switch p.Class {
 	case ClassForce:
+		if strings.Contains(p.Label, "+") { // a multi-record block
+			return []string{ModeCrash, ModeTorn, ModeTornLast, ModeBitflip}
+		}
 		return []string{ModeCrash, ModeTorn, ModeBitflip}
 	case ClassMsg:
 		return []string{ModeDrop, ModeCrash, ModePartition, ModeDup, ModeReorder}

@@ -39,7 +39,7 @@ const (
 	OpPeek     = "peek"     // committed value of Key, no transaction
 	OpOutcome  = "outcome"  // this site's resolved outcome for a family
 	OpProbe    = "probe"    // begin/write/abort liveness probe
-	OpStats    = "stats"    // transport counters
+	OpStats    = "stats"    // transport, retry and WAL counters
 	OpWriteKey = "writekey" // write Key=Val routed by the shard map under TID
 	OpReadKey  = "readkey"  // read Key routed by the shard map under TID
 	OpPeekKey  = "peekkey"  // committed value of Key routed by the shard map
@@ -110,6 +110,12 @@ type Stats struct {
 	// in a fault-free run where every answer beats its timer.
 	Retransmits int `json:"retransmits"`
 	Inquiries   int `json:"inquiries"`
+	// WALDeviceWrites counts the blocks the log made durable (fsyncs on
+	// a file WAL); WALErr is the device error that fail-stopped the
+	// log, empty while it is healthy — how a fault driver confirms its
+	// programmed disk death fired.
+	WALDeviceWrites int    `json:"wal_device_writes"`
+	WALErr          string `json:"wal_err,omitempty"`
 }
 
 // maxLine bounds one protocol line; values are small keys and values,
@@ -344,6 +350,10 @@ func (s *Server) handle(req Request) Response {
 		cs := n.TM().Stats()
 		st.Retransmits = cs.Retransmits
 		st.Inquiries = cs.Inquiries
+		_, st.WALDeviceWrites = n.LogStats()
+		if err := n.LogErr(); err != nil {
+			st.WALErr = err.Error()
+		}
 		return Response{OK: true, Stats: st}
 
 	default:

@@ -43,8 +43,8 @@ type Snapshot struct {
 	// MaxLocalFamily is the highest locally allocated family counter
 	// witnessed up to the checkpoint.
 	MaxLocalFamily uint32
-	// Records is how many log records the image absorbs (the
-	// truncation count, cumulative across checkpoints).
+	// Records is how many log records checkpoints have truncated
+	// behind the image, cumulative.
 	Records int
 }
 
@@ -98,6 +98,14 @@ func (ps *PageStore) write(s *Snapshot) {
 	ps.snap = s.clone()
 }
 
+// truncated records that n more log records left the log behind the
+// current image.
+func (ps *PageStore) truncated(n int) {
+	ps.mu.Lock()
+	defer ps.mu.Unlock()
+	ps.snap.Records += n
+}
+
 // Outcome answers, from the durable image alone, how a family the
 // checkpoint absorbed ended. It backs the transaction manager's
 // resolved-outcome memory after TruncateResolved has dropped the
@@ -148,7 +156,10 @@ func (ps *PageStore) AbsorbedFamilies() []tid.FamilyID {
 // Checkpoint materializes the durable log into ps and truncates the
 // absorbed prefix from log. It returns how many records were
 // truncated. Records belonging to unresolved transactions — and
-// everything after the first of them — are retained.
+// everything after the first of them — are retained, and so is the
+// head of a block the cut lands inside: the log drops whole blocks
+// (device writes) only, and recovery re-applies the overlap
+// idempotently.
 func Checkpoint(site tid.SiteID, log *wal.Log, ps *PageStore) (int, error) {
 	recs, err := log.Records()
 	if err != nil {
@@ -221,15 +232,16 @@ func Checkpoint(site tid.SiteID, log *wal.Log, ps *PageStore) (int, error) {
 	if a.MaxLocalFamily > next.MaxLocalFamily {
 		next.MaxLocalFamily = a.MaxLocalFamily
 	}
-	next.Records += cut
 
 	// Durability order: the image must be stable before the log
 	// prefix disappears.
 	ps.write(next)
-	if err := log.Truncate(cut); err != nil {
+	dropped, err := log.Truncate(cut)
+	if err != nil {
 		return 0, fmt.Errorf("diskman: truncate: %w", err)
 	}
-	return cut, nil
+	ps.truncated(dropped)
+	return dropped, nil
 }
 
 // Recover combines the page image with an analysis of the retained

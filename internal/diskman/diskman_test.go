@@ -16,24 +16,52 @@ import (
 
 func top(n uint32) tid.TID { return tid.Top(tid.MakeFamily(1, n)) }
 
-// buildLog writes records into a fresh log over a MemStore and forces
+// buildLog writes records into a fresh log over a MemStore, forcing
+// at every protocol record the way a transaction manager does: each
+// transaction's updates ride in the block of the record that follows
 // them.
 func buildLog(t *testing.T, recs []*wal.Record) *wal.Log {
+	t.Helper()
+	var blocks [][]*wal.Record
+	start := 0
+	for i, r := range recs {
+		if r.Type != wal.RecUpdate {
+			blocks = append(blocks, recs[start:i+1])
+			start = i + 1
+		}
+	}
+	if start < len(recs) {
+		blocks = append(blocks, recs[start:])
+	}
+	log, _ := buildBlocks(t, blocks...)
+	return log
+}
+
+// buildBlocks writes each group of records as one device write (one
+// block) of a fresh log, and returns the log with its store.
+func buildBlocks(t *testing.T, blocks ...[]*wal.Record) (*wal.Log, *wal.MemStore) {
 	t.Helper()
 	k := sim.New(1)
 	store := wal.NewMemStore()
 	var log *wal.Log
 	k.Go("w", func() {
 		log = wal.Open(k, store, wal.Config{})
-		for _, r := range recs {
-			if _, err := log.Append(r); err != nil {
-				t.Errorf("append: %v", err)
+		for _, recs := range blocks {
+			for _, r := range recs {
+				if _, err := log.Append(r); err != nil {
+					t.Errorf("append: %v", err)
+				}
+			}
+			if err := log.ForceAll(); err != nil {
+				t.Errorf("force: %v", err)
 			}
 		}
-		log.ForceAll() //nolint:errcheck
 	})
 	k.Run()
-	return log
+	if store.Len() != len(blocks) {
+		t.Fatalf("store holds %d blocks, want one per force (%d)", store.Len(), len(blocks))
+	}
+	return log, store
 }
 
 func upd(txn tid.TID, key, val string) *wal.Record {
@@ -113,6 +141,61 @@ func TestInDoubtTransactionPinsTruncation(t *testing.T) {
 	}
 	if _, ok := data["srv"]["x"]; ok {
 		t.Error("in-doubt update leaked into recovered image")
+	}
+}
+
+// A cut that lands inside a block is rounded down to the block's
+// start: the image absorbs the whole resolved prefix, the log keeps
+// the block the cut fell in, and recovery — here after a crash, over a
+// freshly opened log — replays the overlap on top of the image without
+// changing it.
+func TestCheckpointCutInsideBlockRoundsDown(t *testing.T) {
+	inDoubt := tid.Top(tid.MakeFamily(9, 5))
+	history := [][]*wal.Record{
+		{upd(top(1), "a", "1"), {Type: wal.RecCommit, TID: top(1)}},
+		{upd(top(2), "a", "2"), {Type: wal.RecCommit, TID: top(2)},
+			{Type: wal.RecUpdate, TID: inDoubt, Server: "srv", Key: "x", New: []byte("v")}},
+		{{Type: wal.RecPrepare, TID: inDoubt, Coordinator: 9}},
+	}
+	log, store := buildBlocks(t, history...)
+	ps := NewPageStore()
+	// The in-doubt family pins the cut at record 4 — the third record
+	// of the second block — so only the first block (2 records) goes.
+	cut, err := Checkpoint(1, log, ps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cut != 2 {
+		t.Fatalf("truncated %d records, want 2 (the whole blocks below the cut at 4)", cut)
+	}
+	if got := ps.Read().Records; got != 2 {
+		t.Errorf("image counts %d truncated records, want 2", got)
+	}
+	if store.Len() != 2 {
+		t.Fatalf("store holds %d blocks after the checkpoint, want 2", store.Len())
+	}
+
+	// Crash: a new log over the same store and image.
+	var a *recman.Analysis
+	var data map[string]map[string][]byte
+	k := sim.New(2)
+	k.Go("recover", func() {
+		relog := wal.Open(k, store, wal.Config{})
+		defer relog.Close()
+		a, data, _, err = Recover(1, relog, ps)
+	})
+	k.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := string(data["srv"]["a"]); got != "2" {
+		t.Errorf("a = %q after replaying the overlap, want the later committed value 2", got)
+	}
+	if _, ok := data["srv"]["x"]; ok {
+		t.Error("in-doubt update leaked into the recovered image")
+	}
+	if len(a.InDoubt) != 1 {
+		t.Errorf("InDoubt = %v, want the prepared family", a.InDoubt)
 	}
 }
 

@@ -129,8 +129,9 @@ func (c *Cluster) snapshot() {
 
 // Counters returns the cluster-wide WAL and transport deltas since
 // StartCluster (or the last snapshot): log records appended, device
-// writes actually issued (group commit batches many appends into
-// one), datagrams sent/received/dropped.
+// writes — blocks made durable, one write and one fsync each, which
+// group commit fills with every record pending when the write is
+// issued — and datagrams sent/received/dropped.
 func (c *Cluster) Counters() (walAppends, walDeviceWrites, sent, recv, dropped int) {
 	for _, n := range c.nodes {
 		a, w := n.LogStats()

@@ -85,8 +85,12 @@ type ProcFault struct {
 }
 
 // WALFault makes one site's stable log fail-stop: its FailAppend-th
-// block append (counted from process start, from zero) returns an
-// error and every later append fails too — the disk died mid-run.
+// device write (counted from process start, from zero) returns an
+// error and every later write fails too — the disk died mid-run. A
+// device write is one block — every record one log force or flush
+// covered — not one record, so a transaction costs a site one to three
+// of them, whatever its write set. A fault the run never reaches is
+// reported as a violation by both drivers.
 type WALFault struct {
 	Site       uint32 `json:"site"`
 	FailAppend int    `json:"fail_append"`

@@ -11,8 +11,10 @@ import (
 var ErrDiskFailed = errors.New("wal: stable store failed")
 
 // FailStore wraps a Store with a programmed write failure: the
-// FailAfter-th Append (counted from zero) and every mutating call
-// after it return ErrDiskFailed — a disk dying mid-run. Reads keep
+// FailAfter-th Append (counted from zero) — the log's FailAfter-th
+// device write, a block carrying every record one force or flush
+// covered — and every mutating call after it return ErrDiskFailed: a
+// disk dying mid-run. Reads keep
 // working, matching a device whose written sectors survive, so
 // recovery tooling can still inspect what made it to the platter. The
 // Log reacts to a failed append by fail-stopping (closing), which is
@@ -32,7 +34,8 @@ type FailStore struct {
 	deadline bool // failAt armed
 }
 
-// NewFailStore wraps inner so that the failAfter-th Append fails.
+// NewFailStore wraps inner so that the failAfter-th Append (device
+// write) fails.
 // Negative failAfter never fails (a transparent wrapper).
 func NewFailStore(inner Store, failAfter int) *FailStore {
 	return &FailStore{inner: inner, failAt: failAfter, deadline: failAfter >= 0}

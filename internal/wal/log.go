@@ -3,6 +3,7 @@ package wal
 import (
 	"errors"
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"camelot/internal/rt"
@@ -21,7 +22,8 @@ type Config struct {
 	// carries any records appended since (§3.5). With it disabled,
 	// each force request issues its own device write, modeling a
 	// system that does one synchronous I/O per committing
-	// transaction.
+	// transaction. Either way a device write is exactly one
+	// Store.Append: every record it covers travels in one block.
 	GroupCommit bool
 	// ForceLatency is the device-write time. The paper charges 15 ms
 	// per log force (Table 2); a raw disk track write was 26.8 ms
@@ -50,15 +52,23 @@ type Log struct {
 	mu   rt.Mutex
 	cond rt.Cond
 
-	buffered []*Record // appended, not yet durable, ascending LSN
+	buffered []pending // appended, not yet durable, ascending LSN
 	oldest   rt.Time   // append time of buffered[0]
 	nextLSN  uint64    // next LSN to assign
 	durable  uint64    // highest durable LSN
 	reqs     []uint64  // pending force targets, FIFO
 	closed   bool
+	err      error // the device error that fail-stopped the log, if one did
 
-	deviceWrites int // number of device writes issued (stats)
 	appends      int
+	deviceWrites atomic.Int64 // Store.Append calls that returned nil
+}
+
+// pending is a buffered record and its encoded size, computed once at
+// Append for both the tracer and the writer's batch buffer.
+type pending struct {
+	rec  *Record
+	size int
 }
 
 // Open starts a log over store. Call Close when done.
@@ -77,6 +87,7 @@ func Open(r rt.Runtime, store Store, cfg Config) *Log {
 // until a force or flush covers it ("this record is logged as late as
 // possible", Figure 1 step 5).
 func (l *Log) Append(rec *Record) (uint64, error) {
+	size := encodedSize(rec) // the LSN is fixed-width, so this can precede its assignment
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
@@ -88,9 +99,9 @@ func (l *Log) Append(rec *Record) (uint64, error) {
 	if len(l.buffered) == 0 {
 		l.oldest = l.r.Now()
 	}
-	l.buffered = append(l.buffered, rec)
+	l.buffered = append(l.buffered, pending{rec, size})
 	if l.cfg.Trace != nil {
-		l.cfg.Trace.LogAppend(l.cfg.Site, rec.TID, rec.Type.String(), len(marshal(rec)))
+		l.cfg.Trace.LogAppend(l.cfg.Site, rec.TID, rec.Type.String(), size)
 	}
 	return rec.LSN, nil
 }
@@ -156,12 +167,29 @@ func (l *Log) Durable() uint64 {
 	return l.durable
 }
 
-// DeviceWrites reports how many device writes the log has issued —
-// the denominator of every throughput analysis in the paper.
-func (l *Log) DeviceWrites() int {
+// DeviceWrites reports how many blocks the log has made durable: the
+// number of Store.Append calls that returned nil, which on a FileStore
+// is the number of fsyncs. It is the denominator of every throughput
+// analysis in the paper.
+func (l *Log) DeviceWrites() int { return int(l.deviceWrites.Load()) }
+
+// Err reports the device error that fail-stopped the log — a refused
+// Store.Append — or nil for a log that is healthy or was closed by its
+// owner.
+func (l *Log) Err() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.deviceWrites
+	return l.err
+}
+
+// appendBlock is the log's only path to Store.Append, so DeviceWrites
+// counts what the device saw and nothing else.
+func (l *Log) appendBlock(b []byte) error {
+	if err := l.store.Append(b); err != nil {
+		return err
+	}
+	l.deviceWrites.Add(1)
+	return nil
 }
 
 // Appends reports how many records have been appended.
@@ -174,15 +202,20 @@ func (l *Log) Appends() int {
 // Records reads back every durable record, in LSN order. Buffered
 // (never-forced) records are absent — exactly what a crash loses.
 //
-// A block that fails its CRC is classified by position. The *final*
-// block is a torn tail: the write was in flight when the site died, so
-// its record was never acknowledged and recovery may safely truncate
-// it (the store is repaired in place, so later appends never sit
-// behind the damage). A corrupt block with good blocks *after* it
-// cannot be a torn write — an append-only log never writes behind its
-// tail — so it is silent media corruption of acknowledged history, and
-// recovery must fail loudly with ErrCorrupt rather than quietly
-// dropping durable records.
+// A block is one device write and may carry many records, each in its
+// own length-prefixed, checksummed frame. A frame that fails its check
+// is classified by the position of its block. In the *final* block it
+// is a torn tail: the write was in flight when the site died, so no
+// force it served was acknowledged. The frames before the damage are
+// kept — each is a whole, checksummed record, and a record nobody was
+// promised is harmless (updates without an outcome are undone, a
+// prepare nobody voted on is resolved by inquiry) — and everything
+// from the damage on is dropped. The store is repaired in place, so
+// later appends never sit behind the damage. A bad frame in a block
+// with good blocks *after* it cannot be a torn write — an append-only
+// log never writes behind its tail — so it is silent media corruption
+// of acknowledged history, and recovery must fail loudly with
+// ErrCorrupt rather than quietly dropping durable records.
 func (l *Log) Records() ([]*Record, error) {
 	blocks, err := l.store.Blocks()
 	if err != nil {
@@ -190,15 +223,12 @@ func (l *Log) Records() ([]*Record, error) {
 	}
 	out := make([]*Record, 0, len(blocks))
 	for i, b := range blocks {
-		rec, recErr := unmarshal(b)
-		if recErr != nil {
-			if i == len(blocks)-1 {
-				// Clean torn tail: truncate and recover.
-				if err := l.store.DropTail(1); err != nil {
-					return nil, fmt.Errorf("wal: dropping torn tail: %w", err)
-				}
-				return out, nil
-			}
+		recs, good, recErr := decodeBlock(b)
+		out = append(out, recs...)
+		if recErr == nil {
+			continue
+		}
+		if i < len(blocks)-1 {
 			lastGood := uint64(0)
 			if len(out) > 0 {
 				lastGood = out[len(out)-1].LSN
@@ -206,15 +236,46 @@ func (l *Log) Records() ([]*Record, error) {
 			return nil, fmt.Errorf("%w: mid-log corruption in block %d (last good LSN %d): %v",
 				ErrCorrupt, i, lastGood, recErr)
 		}
-		out = append(out, rec)
+		if err := l.store.DropTail(1); err != nil {
+			return nil, fmt.Errorf("wal: dropping torn tail: %w", err)
+		}
+		if good > 0 {
+			if err := l.appendBlock(b[:good]); err != nil {
+				return nil, fmt.Errorf("wal: rewriting torn tail's good prefix: %w", err)
+			}
+		}
 	}
 	return out, nil
 }
 
-// Truncate drops the first n durable records; the disk manager calls
-// it after a checkpoint has absorbed them into the page image.
-func (l *Log) Truncate(n int) error {
-	return l.store.Truncate(n)
+// Truncate drops durable records from the front of the log; the disk
+// manager calls it after a checkpoint has absorbed them into the page
+// image. The store drops whole blocks only, so a cut that lands inside
+// a block is rounded down: Truncate drops the longest whole-block
+// prefix holding at most n records and returns how many records that
+// was. Keeping more than asked is safe — replaying a record the image
+// already absorbed is idempotent.
+func (l *Log) Truncate(n int) (int, error) {
+	blocks, err := l.store.Blocks()
+	if err != nil {
+		return 0, err
+	}
+	dropped, whole := 0, 0
+	for _, b := range blocks {
+		frames := len(FrameEnds(b))
+		if dropped+frames > n {
+			break
+		}
+		dropped += frames
+		whole++
+	}
+	if whole == 0 {
+		return 0, nil
+	}
+	if err := l.store.Truncate(whole); err != nil {
+		return 0, err
+	}
+	return dropped, nil
 }
 
 // Close stops the writer and flusher threads and fails all pending
@@ -256,8 +317,9 @@ func (l *Log) writer() {
 			continue // an earlier write already covered this request
 		}
 		// Collect the batch: buffered records with LSN ≤ target.
-		n := 0
-		for n < len(l.buffered) && l.buffered[n].LSN <= target {
+		n, bytes := 0, 0
+		for n < len(l.buffered) && l.buffered[n].rec.LSN <= target {
+			bytes += l.buffered[n].size
 			n++
 		}
 		batch := l.buffered[:n]
@@ -269,19 +331,19 @@ func (l *Log) writer() {
 		if l.cfg.ForceLatency > 0 {
 			l.r.Sleep(l.cfg.ForceLatency)
 		}
-		failed := false
-		bytes := 0
-		for _, rec := range batch {
-			b := marshal(rec)
-			bytes += len(b)
-			if err := l.store.Append(b); err != nil {
-				failed = true
-				break
-			}
+		// One block per device write, sized exactly and dropped after
+		// the write: a preload-sized batch must not stay pinned.
+		block := make([]byte, 0, bytes+frameHeader*n)
+		for _, p := range batch {
+			block = appendFrame(block, p.rec, p.size)
 		}
-		l.cfg.Trace.DeviceWrite(l.cfg.Site, len(batch), bytes)
+		err := l.appendBlock(block)
+		// The tracer counts record bytes, not framing, so its numbers
+		// do not depend on how records were grouped.
+		l.cfg.Trace.DeviceWrite(l.cfg.Site, n, bytes)
 		l.mu.Lock()
-		if failed {
+		if err != nil {
+			l.err = err
 			l.closed = true
 			l.cond.Broadcast()
 			return
@@ -290,7 +352,6 @@ func (l *Log) writer() {
 		if target > l.durable {
 			l.durable = target
 		}
-		l.deviceWrites++
 		l.cond.Broadcast()
 	}
 }

@@ -18,6 +18,18 @@ import (
 
 func testTID(n uint32) tid.TID { return tid.Top(tid.MakeFamily(1, n)) }
 
+// marshal encodes one record as a frame's payload: body ‖ CRC32.
+func marshal(r *Record) []byte { return appendRecord(nil, r) }
+
+// block frames recs the way the log's writer does for one device write.
+func block(recs ...*Record) []byte {
+	var b []byte
+	for _, r := range recs {
+		b = appendFrame(b, r, encodedSize(r))
+	}
+	return b
+}
+
 func TestRecordRoundTrip(t *testing.T) {
 	r := &Record{
 		LSN: 42, Type: RecUpdate, TID: testTID(7),
@@ -273,7 +285,7 @@ func TestFileStoreRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		if err := s.Append(marshal(&Record{LSN: uint64(i + 1), Type: RecCommit, TID: testTID(uint32(i))})); err != nil {
+		if err := s.Append(block(&Record{LSN: uint64(i + 1), Type: RecCommit, TID: testTID(uint32(i))})); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -296,12 +308,12 @@ func TestFileStoreRoundTrip(t *testing.T) {
 	if err != nil || len(blocks) != 5 {
 		t.Fatalf("after reopen: %d blocks, err %v", len(blocks), err)
 	}
-	rec, err := unmarshal(blocks[4])
-	if err != nil || rec.LSN != 5 {
-		t.Fatalf("block 4 = %+v, %v", rec, err)
+	recs, _, err := decodeBlock(blocks[4])
+	if err != nil || len(recs) != 1 || recs[0].LSN != 5 {
+		t.Fatalf("block 4 = %+v, %v", recs, err)
 	}
 	// Appends after reopen must continue the log.
-	if err := s2.Append(marshal(&Record{LSN: 6, Type: RecAbort, TID: testTID(9)})); err != nil {
+	if err := s2.Append(block(&Record{LSN: 6, Type: RecAbort, TID: testTID(9)})); err != nil {
 		t.Fatal(err)
 	}
 	blocks, _ = s2.Blocks()
@@ -330,8 +342,8 @@ func TestRecordsTruncatesTornTail(t *testing.T) {
 	// acknowledged, so recovery truncates it — and repairs the store,
 	// so later appends never sit behind the damage.
 	store := NewMemStore()
-	store.Append(marshal(&Record{LSN: 1, Type: RecCommit, TID: testTID(1)}))
-	full := marshal(&Record{LSN: 2, Type: RecCommit, TID: testTID(2)})
+	store.Append(block(&Record{LSN: 1, Type: RecCommit, TID: testTID(1)}))
+	full := block(&Record{LSN: 2, Type: RecCommit, TID: testTID(2)})
 	store.Append(full[:len(full)/2]) // torn tail
 	recs, err := readRecords(store)
 	if err != nil {
@@ -344,7 +356,7 @@ func TestRecordsTruncatesTornTail(t *testing.T) {
 		t.Errorf("store holds %d blocks after repair, want 1", store.Len())
 	}
 	// The repaired store accepts appends and reads back cleanly.
-	store.Append(marshal(&Record{LSN: 2, Type: RecAbort, TID: testTID(3)}))
+	store.Append(block(&Record{LSN: 2, Type: RecAbort, TID: testTID(3)}))
 	recs, err = readRecords(store)
 	if err != nil || len(recs) != 2 {
 		t.Fatalf("after repair+append: %d records, err %v", len(recs), err)
@@ -355,8 +367,8 @@ func TestRecordsBitFlippedTailTruncated(t *testing.T) {
 	// A final block whose CRC fails (one flipped bit) is
 	// indistinguishable from a torn write and gets the same repair.
 	store := NewMemStore()
-	store.Append(marshal(&Record{LSN: 1, Type: RecCommit, TID: testTID(1)}))
-	bad := marshal(&Record{LSN: 2, Type: RecCommit, TID: testTID(2)})
+	store.Append(block(&Record{LSN: 1, Type: RecCommit, TID: testTID(1)}))
+	bad := block(&Record{LSN: 2, Type: RecCommit, TID: testTID(2)})
 	bad[len(bad)-1] ^= 0x01 // flip a bit inside the CRC itself
 	store.Append(bad)
 	recs, err := readRecords(store)
@@ -376,9 +388,9 @@ func TestRecordsFailsOnMidLogCorruption(t *testing.T) {
 	// write — it is silent corruption of acknowledged history, and
 	// recovery must refuse rather than quietly drop durable records.
 	store := NewMemStore()
-	store.Append(marshal(&Record{LSN: 1, Type: RecCommit, TID: testTID(1)}))
+	store.Append(block(&Record{LSN: 1, Type: RecCommit, TID: testTID(1)}))
 	store.Append([]byte{1, 2, 3}) // damaged, but not the tail
-	store.Append(marshal(&Record{LSN: 3, Type: RecCommit, TID: testTID(3)}))
+	store.Append(block(&Record{LSN: 3, Type: RecCommit, TID: testTID(3)}))
 	_, err := readRecords(store)
 	if !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("Records err = %v, want ErrCorrupt", err)
@@ -397,10 +409,10 @@ func TestRecordsFailsOnBitFlipMidLog(t *testing.T) {
 	// Same refusal when the damage is a single flipped bit in an
 	// interior block's CRC.
 	store := NewMemStore()
-	bad := marshal(&Record{LSN: 1, Type: RecCommit, TID: testTID(1)})
+	bad := block(&Record{LSN: 1, Type: RecCommit, TID: testTID(1)})
 	bad[len(bad)-1] ^= 0x01
 	store.Append(bad)
-	store.Append(marshal(&Record{LSN: 2, Type: RecCommit, TID: testTID(2)}))
+	store.Append(block(&Record{LSN: 2, Type: RecCommit, TID: testTID(2)}))
 	_, err := readRecords(store)
 	if !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("Records err = %v, want ErrCorrupt", err)

@@ -16,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"strings"
 
 	"camelot/internal/tid"
 	"camelot/internal/wire"
@@ -125,11 +126,33 @@ var (
 	ErrCorrupt = errors.New("wal: corrupt record")
 )
 
-// marshal encodes r (LSN included) with a trailing CRC32 so torn or
-// corrupted blocks are detected at recovery.
-func marshal(r *Record) []byte {
-	b := make([]byte, 0, 64)
-	b = binary.BigEndian.AppendUint64(b, r.LSN)
+// frameHeader is the length prefix in front of every record inside a
+// block.
+const frameHeader = 4
+
+// encodedSize is the exact number of bytes appendRecord emits for r:
+// body plus the trailing CRC32, without the frame's length prefix. It is
+// the size the tracer reports, so it must not depend on how records are
+// grouped into blocks.
+func encodedSize(r *Record) int {
+	n := 8 + 1 + 4*8 + // LSN, type, TID, parent
+		4 + len(r.Server) + 4 + len(r.Key) + 4 + len(r.Old) + 4 + len(r.New) +
+		4 + 2 + 4*len(r.Sites) + // coordinator, sites
+		2 + 2 + // quorums
+		2 + 5*len(r.Votes) +
+		4 // CRC32
+	if r.Type.isPaxos() {
+		n += 8 + 2 + 4*len(r.Acceptors)
+	}
+	return n
+}
+
+// appendRecord appends r's encoding (LSN included) to dst: the body
+// followed by its CRC32, so a torn or corrupted record is detected at
+// recovery.
+func appendRecord(dst []byte, r *Record) []byte {
+	start := len(dst)
+	b := binary.BigEndian.AppendUint64(dst, r.LSN)
 	b = append(b, byte(r.Type))
 	b = binary.BigEndian.AppendUint64(b, uint64(r.TID.Family))
 	b = binary.BigEndian.AppendUint64(b, uint64(r.TID.Seq))
@@ -158,10 +181,61 @@ func marshal(r *Record) []byte {
 			b = binary.BigEndian.AppendUint32(b, uint32(s))
 		}
 	}
-	return binary.BigEndian.AppendUint32(b, crc32.ChecksumIEEE(b))
+	return binary.BigEndian.AppendUint32(b, crc32.ChecksumIEEE(b[start:]))
 }
 
-// unmarshal decodes one record block, verifying its CRC.
+// A block is what one device write carries: one or more frames, each
+// [u32 length][record ‖ CRC32], back to back. Stores treat a block as
+// opaque bytes; the framing lives here and nowhere else, so that a
+// write cut short anywhere still yields a whole-frame prefix that
+// recovery can keep.
+
+// appendFrame appends r as one frame; size is encodedSize(r).
+func appendFrame(dst []byte, r *Record, size int) []byte {
+	dst = binary.BigEndian.AppendUint32(dst, uint32(size))
+	return appendRecord(dst, r)
+}
+
+// nextFrame splits the first frame off b, returning its record bytes
+// and what follows. ok is false when b does not hold a whole frame.
+func nextFrame(b []byte) (rec, rest []byte, ok bool) {
+	if len(b) < frameHeader {
+		return nil, b, false
+	}
+	n := int(binary.BigEndian.Uint32(b))
+	if n > len(b)-frameHeader {
+		return nil, b, false
+	}
+	return b[frameHeader : frameHeader+n], b[frameHeader+n:], true
+}
+
+// decodeBlock walks the frames of one block. It returns the records of
+// every frame before the first that fails its length or CRC check,
+// the byte length of that good prefix, and the error that stopped the
+// walk — nil when the whole block decoded. A block with no frame at
+// all is damaged: the log never writes an empty batch.
+func decodeBlock(b []byte) (recs []*Record, good int, _ error) {
+	rest := b
+	for len(rest) > 0 {
+		frame, after, ok := nextFrame(rest)
+		if !ok {
+			return recs, good, fmt.Errorf("%w: truncated frame at byte %d of %d", ErrCorrupt, good, len(b))
+		}
+		r, err := unmarshal(frame)
+		if err != nil {
+			return recs, good, err
+		}
+		recs = append(recs, r)
+		good = len(b) - len(after)
+		rest = after
+	}
+	if len(recs) == 0 {
+		return nil, 0, fmt.Errorf("%w: empty block", ErrCorrupt)
+	}
+	return recs, good, nil
+}
+
+// unmarshal decodes one record (a frame's payload), verifying its CRC.
 func unmarshal(b []byte) (*Record, error) {
 	if len(b) < 4 {
 		return nil, fmt.Errorf("%w: %d bytes", ErrCorrupt, len(b))
@@ -215,19 +289,42 @@ func unmarshal(b []byte) (*Record, error) {
 	return r, nil
 }
 
-// BlockType reports the record type encoded in a marshaled log block
-// ("COMMIT", "UPDATE", ...), or "?" when the block does not decode.
-// Fault-injection tooling uses it to label log-write injection points
-// without re-implementing the codec.
+// BlockType labels an encoded block with the type of every record it
+// carries, in order ("COMMIT", "UPDATE+UPDATE+PREPARE", ...), or "?"
+// when the block does not decode. Fault-injection tooling uses it to
+// name log-write injection points without re-implementing the codec.
 func BlockType(b []byte) string {
-	r, err := unmarshal(b)
+	recs, _, err := decodeBlock(b)
 	if err != nil {
 		return "?"
 	}
-	return r.Type.String()
+	names := make([]string, len(recs))
+	for i, r := range recs {
+		names[i] = r.Type.String()
+	}
+	return strings.Join(names, "+")
 }
 
-func appendString(b []byte, s string) []byte { return appendBytes(b, []byte(s)) }
+// FrameEnds returns the byte offset just past each whole frame of an
+// encoded block, stopping at the first frame whose length runs past
+// the block. Fault-injection tooling uses it to aim a torn write or a
+// bit flip at a chosen record of a multi-record block.
+func FrameEnds(b []byte) []int {
+	var ends []int
+	for rest := b; ; {
+		_, after, ok := nextFrame(rest)
+		if !ok {
+			return ends
+		}
+		ends = append(ends, len(b)-len(after))
+		rest = after
+	}
+}
+
+func appendString(b []byte, s string) []byte {
+	b = binary.BigEndian.AppendUint32(b, uint32(len(s)))
+	return append(b, s...)
+}
 
 func appendBytes(b, p []byte) []byte {
 	b = binary.BigEndian.AppendUint32(b, uint32(len(p)))

@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -9,7 +10,9 @@ import (
 )
 
 // Store is stable storage: once Append returns, the block survives a
-// site crash. Blocks returns every durable block in append order.
+// site crash. Blocks returns every durable block in append order. A
+// block is opaque to the store; the Log fills each with the framed
+// records of one device write (see record.go).
 //
 // MemStore survives *simulated* crashes (the site object is torn down
 // and rebuilt around the same store); FileStore survives real ones.
@@ -95,13 +98,15 @@ func (s *MemStore) Len() int {
 }
 
 // FileStore is a Store over a single append-only file with
-// length-prefixed blocks, fsynced on every Append.
+// length-prefixed blocks. Every Append is one write and one fsync.
 type FileStore struct {
 	mu sync.Mutex
 	f  *os.File
 }
 
 // OpenFileStore opens (creating if necessary) the log file at path.
+// The file is opened O_APPEND, so writes land at its end wherever
+// reads have left the offset.
 func OpenFileStore(path string) (*FileStore, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_APPEND, 0o644)
 	if err != nil {
@@ -110,16 +115,23 @@ func OpenFileStore(path string) (*FileStore, error) {
 	return &FileStore{f: f}, nil
 }
 
-// Append writes block with a length prefix and syncs.
+// appendPrefixed appends block to dst behind its 4-byte length.
+func appendPrefixed(dst, block []byte) []byte {
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(block)))
+	return append(dst, block...)
+}
+
+// Append writes block behind its length prefix in a single write, then
+// syncs: one device write per call.
 func (s *FileStore) Append(block []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(block)))
-	if _, err := s.f.Write(hdr[:]); err != nil {
-		return fmt.Errorf("wal: append: %w", err)
-	}
-	if _, err := s.f.Write(block); err != nil {
+	return s.write(appendPrefixed(make([]byte, 0, 4+len(block)), block))
+}
+
+// write appends buf to the file and syncs. Callers hold s.mu.
+func (s *FileStore) write(buf []byte) error {
+	if _, err := s.f.Write(buf); err != nil {
 		return fmt.Errorf("wal: append: %w", err)
 	}
 	if err := s.f.Sync(); err != nil {
@@ -128,31 +140,70 @@ func (s *FileStore) Append(block []byte) error {
 	return nil
 }
 
-// Blocks re-reads the file from the start. A truncated final block
-// (torn write) is dropped, matching recovery semantics.
+// Blocks re-reads the file from the start. A final block cut short by
+// a torn write — its length prefix promises more bytes than reached
+// the file — is repaired on the spot: the file is cut back to the last
+// whole block and the bytes that did survive are re-appended under an
+// honest length, so the file holds exactly what Blocks returns and
+// later appends never sit behind the tear. The log salvages whole
+// records from that last block and drops the rest.
 func (s *FileStore) Blocks() ([][]byte, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, err := s.f.Seek(0, io.SeekStart); err != nil {
-		return nil, fmt.Errorf("wal: seek: %w", err)
+	fi, err := s.f.Stat()
+	if err != nil {
+		return nil, fmt.Errorf("wal: stat: %w", err)
 	}
-	defer s.f.Seek(0, io.SeekEnd) //nolint:errcheck // best-effort reposition for appends
-	var out [][]byte
-	for {
+	blocks, whole, err := readBlocks(io.NewSectionReader(s.f, 0, fi.Size()), fi.Size())
+	if err != nil || whole == fi.Size() {
+		return blocks, err
+	}
+	tail := blocks[len(blocks)-1]
+	blocks = blocks[:len(blocks)-1]
+	if err := s.f.Truncate(whole); err != nil {
+		return nil, fmt.Errorf("wal: cutting torn tail: %w", err)
+	}
+	if len(tail) == 0 { // torn inside the length prefix: nothing to keep
+		return blocks, s.f.Sync()
+	}
+	if err := s.write(appendPrefixed(nil, tail)); err != nil {
+		return nil, err
+	}
+	return append(blocks, tail), nil
+}
+
+// readBlocks parses size bytes of length-prefixed blocks from r and
+// reports how many of those bytes whole blocks account for. When that
+// is less than size the file ends in a torn block, and the last block
+// returned is whatever of its payload is there. Only running out of
+// bytes is a torn tail; any other read error is the device failing and
+// is returned, never mistaken for the end of the log. A block's length
+// is bounded by the bytes left, so a corrupt prefix cannot demand
+// gigabytes.
+func readBlocks(r io.Reader, size int64) (blocks [][]byte, whole int64, _ error) {
+	br := bufio.NewReaderSize(r, 64<<10)
+	for whole < size {
 		var hdr [4]byte
-		if _, err := io.ReadFull(s.f, hdr[:]); err != nil {
-			if err == io.EOF {
-				return out, nil
-			}
-			return out, nil // torn length prefix: stop at last good block
+		_, err := io.ReadFull(br, hdr[:])
+		if err == io.EOF || err == io.ErrUnexpectedEOF {
+			return append(blocks, nil), whole, nil
 		}
-		n := binary.BigEndian.Uint32(hdr[:])
-		block := make([]byte, n)
-		if _, err := io.ReadFull(s.f, block); err != nil {
-			return out, nil // torn block: drop it
+		if err != nil {
+			return nil, 0, fmt.Errorf("wal: read: %w", err)
 		}
-		out = append(out, block)
+		want := int64(binary.BigEndian.Uint32(hdr[:]))
+		block := make([]byte, min(want, size-whole-4))
+		n, err := io.ReadFull(br, block)
+		if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
+			return nil, 0, fmt.Errorf("wal: read: %w", err)
+		}
+		blocks = append(blocks, block[:n])
+		if int64(n) < want {
+			return blocks, whole, nil
+		}
+		whole += 4 + want
 	}
+	return blocks, whole, nil
 }
 
 // Truncate drops the first n blocks by rewriting the file — the log
@@ -189,25 +240,16 @@ func (s *FileStore) DropTail(n int) error {
 
 // rewrite replaces the file's contents with the given blocks.
 func (s *FileStore) rewrite(blocks [][]byte) error {
+	var buf []byte
+	for _, b := range blocks {
+		buf = appendPrefixed(buf, b)
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err := s.f.Truncate(0); err != nil {
 		return fmt.Errorf("wal: truncate: %w", err)
 	}
-	if _, err := s.f.Seek(0, io.SeekStart); err != nil {
-		return fmt.Errorf("wal: truncate seek: %w", err)
-	}
-	for _, b := range blocks {
-		var hdr [4]byte
-		binary.BigEndian.PutUint32(hdr[:], uint32(len(b)))
-		if _, err := s.f.Write(hdr[:]); err != nil {
-			return fmt.Errorf("wal: truncate rewrite: %w", err)
-		}
-		if _, err := s.f.Write(b); err != nil {
-			return fmt.Errorf("wal: truncate rewrite: %w", err)
-		}
-	}
-	return s.f.Sync()
+	return s.write(buf)
 }
 
 // Close closes the underlying file.
