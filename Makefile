@@ -8,7 +8,7 @@
 
 GO ?= go
 
-.PHONY: all build test check fmt vet lint race torture chaos paxos fuzz perf golden bench cluster netem loadgen
+.PHONY: all build test check fmt vet lint race torture chaos paxos fuzz perf perf-compare golden bench cluster netem loadgen
 
 all: build
 
@@ -79,6 +79,25 @@ perf:
 	$(GO) -C cmd/camelot-perf vet .
 	$(GO) -C cmd/camelot-perf test -short .
 
+# The base-vs-head benchmark gate: export BASE's committed tree into a
+# git-ignored directory, run every workload there and then on the
+# working tree (BENCHMARK.json's run length), and diff the two outputs
+# against BENCHMARK.json's bounds. camelot-perf -compare exits non-zero
+# if any end-to-end metric is "worse", and so does this target. Timings
+# on a shared host drift by more than some bounds between two runs; a
+# "worse" there wants a second look (alternate the order, repeat), not
+# a shrug.
+PERF_DIR = .perf-compare
+perf-compare:
+	@test -n "$(BASE)" || { echo "usage: make perf-compare BASE=<git ref>"; exit 2; }
+	rm -rf $(PERF_DIR)
+	mkdir -p $(PERF_DIR)/base
+	git archive $(BASE) | tar -x -C $(PERF_DIR)/base
+	$(GO) -C $(PERF_DIR)/base/cmd/camelot-perf run . -workload all -seconds 10 > $(PERF_DIR)/base.json
+	$(GO) -C cmd/camelot-perf run . -workload all -seconds 10 > $(PERF_DIR)/head.json
+	$(GO) -C cmd/camelot-perf run . -compare -bench $(CURDIR)/BENCHMARK.json \
+		$(CURDIR)/$(PERF_DIR)/base.json $(CURDIR)/$(PERF_DIR)/head.json
+
 # Regenerate the camelot-trace golden files after an intended change
 # to the event schema or the simulation timeline. Lints first: goldens
 # regenerated from a tree that breaks the determinism rules would bake
@@ -87,19 +106,21 @@ golden: lint
 	$(GO) test ./cmd/camelot-trace -update
 
 # Machine-readable benchmark report for the performance trajectory:
-# every simulated table plus the host-dependent real-runtime (R1) and
-# real-network (R2/R3/R4, including the sharded data tier) experiments.
-# CI archives the file per commit.
+# every simulated table plus the host-dependent real-runtime scaling
+# experiment (R1). Real-network latency is cmd/camelot-perf's job (make
+# perf-compare), saturation is make loadgen's. CI archives the file per
+# commit; the checked-in BENCH_*.json files are history, not outputs.
 bench:
-	$(GO) run ./cmd/camelot-bench -quick -json -realtime -realnet > BENCH_8.json
-	@echo "wrote BENCH_8.json"
+	$(GO) run ./cmd/camelot-bench -quick -json -realtime > bench-report.json
+	@echo "wrote bench-report.json"
 
 # The open-loop load generator (R5, DESIGN.md §13): a seeded arrival
 # schedule at each target rate drives a freshly booted real 3-site
-# cluster per cell over the ctl control plane; latency is measured
-# from each operation's intended arrival time, so queueing delay under
-# overload lands in the percentiles instead of vanishing (coordinated
-# omission). CI archives the camelot-load/v1 report.
+# cluster (one shard per site) per cell over the ctl control plane;
+# latency is measured from each operation's intended arrival time, so
+# queueing delay under overload lands in the percentiles instead of
+# vanishing (coordinated omission). CI archives the camelot-load/v1
+# report.
 loadgen:
 	$(GO) run ./cmd/camelot-bench -loadgen -json -rates 200,500,1000 \
 		-protocols 2pc,nb,paxos -duration 1s -sessions 64 -seed 1 \
@@ -107,8 +128,9 @@ loadgen:
 	@echo "wrote loadgen-report.json"
 
 # A real multi-process cluster on loopback: spawn camelot-node
-# daemons, run the seeded distributed workload with a mid-run SIGKILL
-# and restart, and check the recovery oracle over the control plane.
+# daemons under one shard map (one shard per site), run the seeded
+# keyspace workload with a mid-run SIGKILL and restart, and check the
+# recovery oracle over the control plane.
 cluster:
 	$(GO) run ./cmd/camelot-cluster -nodes 3 -txns 200 -seed 1
 

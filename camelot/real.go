@@ -28,14 +28,11 @@ type RealConfig struct {
 	// WALPath is the on-disk log file; created if absent, replayed by
 	// Recover if not.
 	WALPath string
-	// Servers names the data servers to run. Ignored when ShardMap is
-	// set: the map decides which shard servers this site hosts.
-	Servers []string
-	// ShardMap, if non-nil, makes the site's data tier shard-scoped:
-	// the site hosts one data server per shard the map homes here
-	// (per-shard lock managers and object tables, shared WAL), and the
-	// keyspace methods (WriteKey, ReadKey, PeekKey) route by key. A
-	// one-shard map reduces to the legacy single "store" server.
+	// ShardMap (required) decides the site's data tier: the site hosts
+	// one data server per shard the map homes here (per-shard lock
+	// managers and object tables, shared WAL), and WriteKey, ReadKey and
+	// PeekKey route by key. Every site of a deployment must be given an
+	// equal map.
 	ShardMap *shardmap.Map
 	// Threads is the transaction-manager pool size.
 	Threads int
@@ -66,12 +63,14 @@ type RealConfig struct {
 }
 
 // DefaultRealConfig returns loopback-friendly settings for site id:
-// short retry timers (loopback RTT is microseconds) and group commit.
+// short retry timers (loopback RTT is microseconds), group commit, and
+// the one-shard map that homes the whole keyspace at this site — a
+// lone node; a deployment installs its shared map instead.
 func DefaultRealConfig(id SiteID) RealConfig {
 	return RealConfig{
 		Site:             id,
 		Listen:           "127.0.0.1:0",
-		Servers:          []string{"store"},
+		ShardMap:         shardmap.Default(id),
 		Threads:          5,
 		GroupCommit:      true,
 		FlushInterval:    25 * time.Millisecond,
@@ -96,8 +95,8 @@ type RealNode struct {
 	pages   *diskman.PageStore
 	log     *wal.Log
 	tm      *core.Manager
-	servers map[string]*server.Server
-	set     *server.Set // non-nil when cfg.ShardMap is set
+	set     *server.Set
+	servers map[string]*server.Server // set's shard servers by name
 }
 
 // StartRealNode opens (or creates) the WAL at cfg.WALPath, binds the
@@ -108,6 +107,9 @@ type RealNode struct {
 func StartRealNode(cfg RealConfig) (*RealNode, error) {
 	if cfg.Site == 0 {
 		return nil, fmt.Errorf("camelot: site id 0 is reserved")
+	}
+	if cfg.ShardMap == nil {
+		return nil, fmt.Errorf("camelot: site %d: RealConfig.ShardMap is required (DefaultRealConfig sets a one-site map)", cfg.Site)
 	}
 	r := rt.Real()
 	store, err := wal.OpenFileStore(cfg.WALPath)
@@ -123,12 +125,11 @@ func StartRealNode(cfg RealConfig) (*RealNode, error) {
 		peer.SetLogf(cfg.Logf)
 	}
 	n := &RealNode{
-		cfg:     cfg,
-		r:       r,
-		peer:    peer,
-		store:   store,
-		pages:   diskman.NewPageStore(),
-		servers: make(map[string]*server.Server),
+		cfg:   cfg,
+		r:     r,
+		peer:  peer,
+		store: store,
+		pages: diskman.NewPageStore(),
 	}
 	var st wal.Store = store
 	if cfg.WrapStore != nil {
@@ -149,20 +150,12 @@ func StartRealNode(cfg RealConfig) (*RealNode, error) {
 		RetryBackoffCap:  cfg.RetryBackoffCap,
 	}, n.log, peer)
 	n.tm.SetResolvedBackstop(n.pages.Outcome)
-	if cfg.ShardMap != nil {
-		// Shard servers must exist before Recover: the recovery process
-		// installs replayed state into servers by name.
-		n.set = server.NewSet(r, cfg.Site, cfg.ShardMap, n.tm, n.log, server.Config{
-			LockTimeout: cfg.LockTimeout,
-		})
-		n.servers = n.set.Servers()
-	} else {
-		for _, name := range cfg.Servers {
-			n.servers[name] = server.New(r, name, n.tm, n.log, server.Config{
-				LockTimeout: cfg.LockTimeout,
-			})
-		}
-	}
+	// Shard servers must exist before Recover: the recovery process
+	// installs replayed state into servers by name.
+	n.set = server.NewSet(r, cfg.Site, cfg.ShardMap, n.tm, n.log, server.Config{
+		LockTimeout: cfg.LockTimeout,
+	})
+	n.servers = n.set.Servers()
 	peer.SetHandler(func(d transport.Datagram) {
 		if msg, ok := d.Payload.(*wire.Msg); ok {
 			n.tm.Deliver(msg)
@@ -197,33 +190,12 @@ func (n *RealNode) Peer() *transport.UDPPeer { return n.peer }
 // TM exposes the transaction manager (for statistics).
 func (n *RealNode) TM() *core.Manager { return n.tm }
 
-// Server returns the named local data server, or nil.
+// Server returns the named local shard server, or nil (for
+// statistics; data goes through WriteKey/ReadKey/PeekKey).
 func (n *RealNode) Server(name string) *server.Server { return n.servers[name] }
 
 // Begin starts a top-level transaction coordinated by this site.
 func (n *RealNode) Begin() (TID, error) { return n.tm.Begin() }
-
-// Write writes key at the named local server under transaction t,
-// joining the server (and, transitively, this site's transaction
-// manager) to the family. A distributed transaction is built by
-// calling Write at each participant site for the same t, then
-// AddSites + Commit at the coordinator.
-func (n *RealNode) Write(srv string, t TID, key string, val []byte) error {
-	s := n.servers[srv]
-	if s == nil {
-		return fmt.Errorf("camelot: no server %q at site %d", srv, n.cfg.Site)
-	}
-	return s.Write(t, tid.TID{}, key, val)
-}
-
-// Read reads key at the named local server under transaction t.
-func (n *RealNode) Read(srv string, t TID, key string) ([]byte, error) {
-	s := n.servers[srv]
-	if s == nil {
-		return nil, fmt.Errorf("camelot: no server %q at site %d", srv, n.cfg.Site)
-	}
-	return s.Read(t, tid.TID{}, key)
-}
 
 // AddSites declares remote participant sites to the coordinator; call
 // at the coordinating site before Commit.
@@ -237,45 +209,53 @@ func (n *RealNode) Commit(t TID, opts Options) (wire.Outcome, error) {
 // Abort aborts t.
 func (n *RealNode) Abort(t TID) { n.tm.Abort(t) }
 
-// Peek returns the committed value of key at the named server without
-// a transaction (the oracle's presence check).
-func (n *RealNode) Peek(srv string, key string) ([]byte, bool) {
-	s := n.servers[srv]
-	if s == nil {
-		return nil, false
-	}
-	return s.Peek(key)
-}
-
-// ShardMap returns the site's shard map, or nil when the data tier is
-// unsharded.
+// ShardMap returns the site's shard map.
 func (n *RealNode) ShardMap() *shardmap.Map { return n.cfg.ShardMap }
 
 // WriteKey routes key to its local shard server and writes it under
-// transaction t. Requires a ShardMap; a key this site does not cover
-// fails with server.ErrNoShard or server.ErrWrongSite.
+// transaction t, joining the server (and, transitively, this site's
+// transaction manager) to the family. A distributed transaction is
+// built by calling WriteKey at each key's home site for the same t,
+// then AddSites + Commit at the coordinator. A key this site does not
+// cover fails with ErrNoShard or ErrWrongSite.
 func (n *RealNode) WriteKey(t TID, key string, val []byte) error {
-	if n.set == nil {
-		return fmt.Errorf("camelot: site %d is not sharded", n.cfg.Site)
-	}
 	return n.set.Write(t, tid.TID{}, key, val)
 }
 
 // ReadKey routes key to its local shard server and reads it under t.
 func (n *RealNode) ReadKey(t TID, key string) ([]byte, error) {
-	if n.set == nil {
-		return nil, fmt.Errorf("camelot: site %d is not sharded", n.cfg.Site)
-	}
 	return n.set.Read(t, tid.TID{}, key)
 }
 
 // PeekKey returns the committed value of key from its local shard
-// server without a transaction; the error is the routing verdict.
+// server without a transaction (the oracle's presence check); the
+// error is the routing verdict.
 func (n *RealNode) PeekKey(key string) ([]byte, bool, error) {
-	if n.set == nil {
-		return nil, false, fmt.Errorf("camelot: site %d is not sharded", n.cfg.Site)
-	}
 	return n.set.Peek(key)
+}
+
+// Probe is the oracle's liveness check: begin a fresh transaction,
+// write a key homed here through the ordinary routed path, abort. A
+// leaked lock or a wedged manager turns it into an error. A site the
+// map places no shard on has nothing to write and degrades to
+// begin/abort.
+func (n *RealNode) Probe() error {
+	t, err := n.tm.Begin()
+	if err != nil {
+		return fmt.Errorf("cannot begin after quiesce: %v", err)
+	}
+	defer n.tm.Abort(t)
+	if len(n.servers) == 0 {
+		return nil
+	}
+	key, err := n.cfg.ShardMap.KeyAt("oracle-probe", n.cfg.Site)
+	if err != nil {
+		return err
+	}
+	if err := n.WriteKey(t, key, []byte("x")); err != nil {
+		return fmt.Errorf("probe write blocked (leaked lock?): %v", err)
+	}
+	return nil
 }
 
 // OutcomeOf returns this site's resolved outcome for a family, or
@@ -309,5 +289,5 @@ func (n *RealNode) Close() error {
 	return err
 }
 
-// ServerNames returns the configured data-server names in order.
+// ServerNames returns the local shard servers' names in order.
 func (n *RealNode) ServerNames() []string { return det.SortedKeys(n.servers) }

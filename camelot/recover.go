@@ -1,6 +1,8 @@
 package camelot
 
 import (
+	"fmt"
+
 	"camelot/internal/core"
 	"camelot/internal/det"
 	"camelot/internal/diskman"
@@ -19,8 +21,9 @@ func recoverNode(n *Node) error {
 // freshly reopened log: load the disk manager's page image, redo the
 // retained log tail's committed updates on top of it, reinstall
 // in-doubt updates under re-acquired locks, and resume unresolved
-// commitments. An unreadable log (wal.ErrCorrupt) is returned to the
-// caller, which must keep the site down. Both incarnations of a site
+// commitments. An unreadable log (wal.ErrCorrupt), or one that names a
+// data server this site does not host, is returned to the caller,
+// which must keep the site down. Both incarnations of a site
 // — the simulated Node and the real-network RealNode — recover
 // through this one function, so the fault coverage the chaos explorer
 // builds up against it transfers to real deployments.
@@ -28,6 +31,23 @@ func recoverSite(id tid.SiteID, log *wal.Log, pages *diskman.PageStore, tm *core
 	a, data, _, err := diskman.Recover(id, log, pages)
 	if err != nil {
 		return err
+	}
+
+	// A log naming a server this site does not host was written under
+	// another layout (a different shard map, say). Coming up without
+	// that data, or without its in-doubt locks, would be silent loss:
+	// refuse before touching anything.
+	for _, name := range det.SortedKeys(data) {
+		if servers[name] == nil {
+			return fmt.Errorf("camelot: site %d: log holds committed data for server %q, which this site does not host", id, name)
+		}
+	}
+	for _, d := range a.InDoubt {
+		for _, name := range det.SortedKeys(d.Updates) {
+			if servers[name] == nil {
+				return fmt.Errorf("camelot: site %d: log holds in-doubt updates of %v for server %q, which this site does not host", id, d.TID, name)
+			}
+		}
 	}
 
 	// Never reuse a previous incarnation's family identifiers. The
@@ -56,9 +76,7 @@ func recoverSite(id tid.SiteID, log *wal.Log, pages *diskman.PageStore, tm *core
 	// Install the recovered image (page base + redone tail) into each
 	// server.
 	for _, name := range det.SortedKeys(data) {
-		if srv := servers[name]; srv != nil {
-			srv.Install(data[name])
-		}
+		servers[name].Install(data[name])
 	}
 
 	// Re-apply in-doubt updates under locks and resume the protocol
@@ -67,9 +85,6 @@ func recoverSite(id tid.SiteID, log *wal.Log, pages *diskman.PageStore, tm *core
 		var parts []server.Participant
 		for _, name := range det.SortedKeys(d.Updates) {
 			srv := servers[name]
-			if srv == nil {
-				continue
-			}
 			recs := d.Updates[name]
 			ups := make([]server.RecoveredUpdate, 0, len(recs))
 			for _, r := range recs {

@@ -5,29 +5,29 @@
 //
 // Usage:
 //
-//	camelot-bench [-quick] [-json] [-realtime] [-realnet] [-only <experiment>]
+//	camelot-bench [-quick] [-json] [-realtime] [-only <experiment>]
 //	camelot-bench -loadgen [-rates 200,500,1000] [-duration 2s]
 //	              [-protocols 2pc,nb,paxos] [-sites 3] [-shards 0]
 //	              [-sessions 64] [-dist poisson] [-seed 1] [-json]
 //
 // Experiments: table1 table2 table3 figure1 figure2 figure3 three-way
-// figure4 figure5 rpc multicast contention ablations realtime realnet
+// figure4 figure5 rpc multicast contention ablations realtime
 //
 // -json emits the camelot-bench/v1 machine-readable report instead of
-// text, so successive commits can archive BENCH_*.json files and
-// track a performance trajectory. -realtime appends the host-
-// dependent multi-family scaling experiment (R1), which measures this
-// machine rather than the simulated testbed; -realnet appends the
-// real-network experiments (R2, R3, R4), which run the commitment
-// protocols — including the sharded data tier's cross-shard commits —
-// over actual loopback UDP sockets.
+// text, so successive commits can archive the report and track a
+// performance trajectory. -realtime appends the host-dependent
+// multi-family scaling experiment (R1), which measures this machine
+// rather than the simulated testbed. Real-network latency per protocol
+// and per write-set span is cmd/camelot-perf's job (its dist-* and
+// local-update/wide-2pc workloads), on the real RealNode/ctl/file-WAL
+// stack.
 //
 // -loadgen switches to the open-loop load generator (R5): a seeded
 // arrival schedule at each target rate drives a freshly booted
 // real cluster through the ctl control plane, and latency is measured
 // from each operation's intended arrival time (see DESIGN.md §13).
-// With -json it emits the camelot-load/v1 report instead of the text
-// table.
+// -shards 0 places one shard per site. With -json it emits the
+// camelot-load/v1 report instead of the text table.
 package main
 
 import (
@@ -51,7 +51,7 @@ func runLoadgen(jsonOut bool) {
 	rates := fs.String("rates", "200,500,1000", "comma-separated target rates, ops/second")
 	duration := fs.Duration("duration", 2*time.Second, "scheduled arrival window per cell")
 	sites := fs.Int("sites", 3, "cluster size")
-	shards := fs.Int("shards", 0, "shard count (0 = unsharded store)")
+	shards := fs.Int("shards", 0, "shard count (0 = one shard per site)")
 	sessions := fs.Int("sessions", 64, "concurrent client sessions")
 	dist := fs.String("dist", load.DistPoisson, "arrival distribution: poisson or uniform")
 	seed := fs.Int64("seed", 1, "arrival-schedule seed")
@@ -128,7 +128,6 @@ func main() {
 	quick := flag.Bool("quick", false, "fewer trials; finishes in seconds")
 	jsonOut := flag.Bool("json", false, "emit the camelot-bench/v1 JSON report")
 	realtime := flag.Bool("realtime", false, "include the real-runtime scaling experiment (host-dependent)")
-	realnet := flag.Bool("realnet", false, "include the real-network UDP experiments (host-dependent)")
 	only := flag.String("only", "", "run a single experiment by name")
 	flag.Bool("loadgen", false, "run the open-loop load generator (see -loadgen -help)")
 	flag.Parse()
@@ -144,40 +143,10 @@ func main() {
 	scaling := func() *stats.Table {
 		return exp.RealtimeScaling([]int{1, 2, 4}, 8, 300*time.Millisecond)
 	}
-	realnetTxns := 200
-	if *quick {
-		realnetTxns = 40
-	}
-	realnetTables := func() []*stats.Table {
-		lat, err := exp.RealNetLatency(3, realnetTxns)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "realnet latency:", err)
-			os.Exit(1)
-		}
-		tput, err := exp.RealNetThroughput(3, []int{1, 4, 8}, 300*time.Millisecond)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "realnet throughput:", err)
-			os.Exit(1)
-		}
-		shard, err := exp.RealNetSharded(3, 4, realnetTxns)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "realnet sharded:", err)
-			os.Exit(1)
-		}
-		return []*stats.Table{lat, tput, shard}
-	}
-
 	if *jsonOut {
 		rep := exp.RunAllJSON(*quick)
 		if *realtime {
 			rep.Tables = append(rep.Tables, exp.TableJSON("realtime", scaling()))
-		}
-		if *realnet {
-			ts := realnetTables()
-			rep.Tables = append(rep.Tables,
-				exp.TableJSON("realnet-latency", ts[0]),
-				exp.TableJSON("realnet-throughput", ts[1]),
-				exp.TableJSON("realnet-sharded", ts[2]))
 		}
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
@@ -194,13 +163,6 @@ func main() {
 			fmt.Fprintln(w, "\n== R1: real-runtime family scaling (this host) ==")
 			fmt.Fprintln(w)
 			fmt.Fprintln(w, scaling())
-		}
-		if *realnet {
-			fmt.Fprintln(w, "\n== R2/R3/R4: real-network commitment over loopback UDP (this host) ==")
-			fmt.Fprintln(w)
-			for _, t := range realnetTables() {
-				fmt.Fprintln(w, t)
-			}
 		}
 		return
 	}
@@ -237,10 +199,6 @@ func main() {
 		fmt.Fprintln(w, exp.AblationCommitVariants(paper, trials))
 	case "realtime":
 		fmt.Fprintln(w, scaling())
-	case "realnet":
-		for _, t := range realnetTables() {
-			fmt.Fprintln(w, t)
-		}
 	default:
 		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *only)
 		os.Exit(2)

@@ -1,9 +1,11 @@
 // Command camelot-cluster deploys and torments a real multi-process
 // Camelot cluster: it spawns one camelot-node per site on loopback,
-// drives a seeded distributed-transaction workload through their
-// control ports — two-phase, non-blocking, and Paxos commits,
-// read-only participants, randomized write sets — SIGKILLs a
-// subordinate mid-run (or, with -kill-mid-commit, a coordinator with
+// all under one shard map (-shards shards round-robin over the sites,
+// one per site by default), drives a seeded keyspace workload through
+// their control ports — two-phase, non-blocking, and Paxos commits,
+// write sets straddling shards on distinct sites, hot keys, read-only
+// participants — SIGKILLs a subordinate mid-run (or, with
+// -kill-mid-commit, a coordinator with
 // its own commit in flight), restarts it against its surviving
 // write-ahead log, and then checks the recovery oracle's invariants
 // (atomicity, client view, outcome agreement, liveness) over the
@@ -62,14 +64,14 @@ func main() {
 	flag.IntVar(&cfg.Txns, "txns", 200, "workload transactions")
 	flag.Int64Var(&cfg.Seed, "seed", 1, "workload seed")
 	flag.StringVar(&cfg.NodeBin, "node", "", "camelot-node binary (built with 'go build' when empty)")
-	flag.StringVar(&cfg.Protocol, "protocol", "", "commit protocol for every transaction: 2pc, nb, or paxos (empty: per-txn random mix)")
-	flag.IntVar(&cfg.Shards, "shards", 0, "shard the keyspace into N shards round-robin over the sites and drive a keyspace-aware workload (0: legacy single-server workload)")
+	flag.StringVar(&cfg.Protocol, "protocol", "", "commit protocol for every transaction: 2pc, nb, or paxos (empty: cycle through all three per txn)")
+	flag.IntVar(&cfg.Shards, "shards", 0, "shard the keyspace into N shards round-robin over the sites (0: one shard per site)")
 	flag.BoolVar(&cfg.JSON, "json", false, "emit a JSON report on stdout")
 	flag.BoolVar(&cfg.Bounce, "bounce", true, "after the run, kill and restart every node and re-check durability")
 	flag.BoolVar(&cfg.Kill, "kill", true, "SIGKILL a subordinate mid-run and restart it later")
 	flag.BoolVar(&cfg.KillMidCommit, "kill-mid-commit", false, "make the killed site the coordinator and SIGKILL it during its own commit")
 	flag.DurationVar(&cfg.Retry, "retry", 50*time.Millisecond, "node retry interval")
-	netemFile := flag.String("netem", "", "netem/v1 schedule file: run the network-fault-emulation mode instead of the legacy kill/restart workload")
+	netemFile := flag.String("netem", "", "netem/v1 schedule file: run the network-fault-emulation mode instead of the kill/restart workload")
 	retryCap := flag.Duration("retry-cap", 0, "netem mode: node retry-backoff cap (0: the node default)")
 	opTimeout := flag.Duration("op-timeout", 3*time.Second, "netem mode: per-control-call deadline")
 	maxRetry := flag.Int("max-retry", 0, "netem mode: pinned bound on total retransmits+inquiries; exceeding it is a violation (0: unbounded)")
@@ -127,7 +129,7 @@ type clusterConfig struct {
 	Txns  int
 	Seed  int64
 	// Protocol pins every commit to one protocol ("2pc", "nb",
-	// "paxos"); empty keeps the legacy per-transaction random mix.
+	// "paxos"); empty cycles through all three per transaction.
 	Protocol string
 	NodeBin  string
 	JSON     bool
@@ -140,12 +142,12 @@ type clusterConfig struct {
 	// Paxos Commit exists for.
 	KillMidCommit bool
 	Retry         time.Duration
-	// Shards, when positive, shards the keyspace: every node gets
-	// -shards/-sites, the driver checks map agreement over ctl, and
-	// the workload becomes keyspace-aware — writes routed to shard
-	// home sites, participant sets derived from the shards touched,
-	// uniform keys plus a hot-key skew, verified by the cross-shard
-	// atomicity oracle.
+	// Shards is the shard count of the deployment's map, spread
+	// round-robin over the sites; zero means one shard per site. Every
+	// node gets the same -shards/-sites, the driver checks map
+	// agreement over ctl, and the workload routes each write to its
+	// key's home site, derives the participant set from the shards
+	// touched, and is verified by the cross-shard atomicity oracle.
 	Shards int
 }
 
@@ -166,19 +168,19 @@ type report struct {
 	Dropped    int      `json:"datagrams_dropped"`
 	Oversize   int      `json:"oversize_refusals"`
 	Violations []string `json:"violations"`
-	// Sharded-workload fields; omitted (legacy report unchanged) when
-	// -shards is off.
-	Shards              int `json:"shards,omitempty"`
-	CrossShard          int `json:"cross_shard,omitempty"`
-	CrossShardCommitted int `json:"cross_shard_committed,omitempty"`
+	// The layout, and what the workload made of it. ReadOnlyCommitted
+	// counts committed transactions that carried a read-only
+	// participant (the read-only vote over real UDP).
+	Shards              int `json:"shards"`
+	CrossShard          int `json:"cross_shard"`
+	CrossShardCommitted int `json:"cross_shard_committed"`
+	ReadOnlyCommitted   int `json:"read_only_committed"`
 }
 
 func (r *report) print(w *os.File) {
 	fmt.Fprintf(w, "camelot-cluster: %d nodes, %d txns, seed %d\n", r.Nodes, r.Txns, r.Seed)
-	if r.Shards > 0 {
-		fmt.Fprintf(w, "  sharding: %d shards; %d cross-shard txns, %d committed\n",
-			r.Shards, r.CrossShard, r.CrossShardCommitted)
-	}
+	fmt.Fprintf(w, "  sharding: %d shards; %d cross-shard txns, %d committed; %d committed with a read-only participant\n",
+		r.Shards, r.CrossShard, r.CrossShardCommitted, r.ReadOnlyCommitted)
 	fmt.Fprintf(w, "  outcomes: %d committed, %d aborted, %d unknown, %d skipped\n",
 		r.Committed, r.Aborted, r.Unknown, r.Skipped)
 	fmt.Fprintf(w, "  transport: %d sent, %d received, %d dropped, %d oversize\n",
@@ -314,11 +316,11 @@ func (p *proc) stop() {
 	p.down = true
 }
 
-// nodeBinary returns cfg.NodeBin, building the daemon into dir first
-// when none was supplied.
-func nodeBinary(cfg clusterConfig, dir string) (string, error) {
-	if cfg.NodeBin != "" {
-		return cfg.NodeBin, nil
+// nodeBinary returns the supplied camelot-node binary, building the
+// daemon into dir first when none was.
+func nodeBinary(supplied, dir string) (string, error) {
+	if supplied != "" {
+		return supplied, nil
 	}
 	bin := filepath.Join(dir, "camelot-node")
 	build := exec.Command("go", "build", "-o", bin, "camelot/cmd/camelot-node")
@@ -329,9 +331,50 @@ func nodeBinary(cfg clusterConfig, dir string) (string, error) {
 	return bin, nil
 }
 
+// layout is the deployment every node and the driver agree on: sites
+// 1..nodes, the shard map over them (built driver-side from the same
+// inputs the nodes get), and the daemon flags that make each node
+// build an equal map.
+func layout(nodes, shards int) ([]camelot.SiteID, *shardmap.Map, []string, error) {
+	sites := make([]camelot.SiteID, nodes)
+	idList := make([]string, nodes)
+	for i := range sites {
+		sites[i] = camelot.SiteID(i + 1)
+		idList[i] = fmt.Sprint(i + 1)
+	}
+	m, err := shardmap.New(1, shards, sites)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	return sites, m, []string{"-shards", fmt.Sprint(shards), "-sites", strings.Join(idList, ",")}, nil
+}
+
+// checkShardMaps verifies over ctl that every node routes by the
+// driver's map. A disagreement would corrupt data silently, so it is
+// fatal before any traffic flows.
+func checkShardMaps(sites []camelot.SiteID, procs map[camelot.SiteID]*proc, m *shardmap.Map) error {
+	want, err := m.Marshal()
+	if err != nil {
+		return err
+	}
+	for _, id := range sites {
+		got, err := procs[id].client.ShardMap()
+		if err != nil {
+			return fmt.Errorf("site %d: shard map: %w", id, err)
+		}
+		if !bytes.Equal(got, want) {
+			return fmt.Errorf("site %d shard map disagrees:\n  node:   %s  driver: %s", id, got, want)
+		}
+	}
+	return nil
+}
+
 func runCluster(cfg clusterConfig) (*report, error) {
 	if cfg.Nodes < 2 {
 		return nil, errors.New("need at least 2 nodes")
+	}
+	if cfg.Shards <= 0 {
+		cfg.Shards = cfg.Nodes
 	}
 	dir, err := os.MkdirTemp("", "camelot-cluster-*")
 	if err != nil {
@@ -339,68 +382,35 @@ func runCluster(cfg clusterConfig) (*report, error) {
 	}
 	defer os.RemoveAll(dir)
 
-	bin, err := nodeBinary(cfg, dir)
+	bin, err := nodeBinary(cfg.NodeBin, dir)
 	if err != nil {
 		return nil, err
 	}
-
-	// The sharded deployment's map, built driver-side from the same
-	// inputs the nodes get as flags; agreement is verified over ctl
-	// after boot.
-	var smap *shardmap.Map
-	var extra []string
-	if cfg.Shards > 0 {
-		ids := make([]camelot.SiteID, cfg.Nodes)
-		var idList []string
-		for i := range ids {
-			ids[i] = camelot.SiteID(i + 1)
-			idList = append(idList, fmt.Sprint(i+1))
-		}
-		smap, err = shardmap.New(1, cfg.Shards, ids)
-		if err != nil {
-			return nil, err
-		}
-		extra = []string{"-shards", fmt.Sprint(cfg.Shards), "-sites", strings.Join(idList, ",")}
+	sites, smap, extra, err := layout(cfg.Nodes, cfg.Shards)
+	if err != nil {
+		return nil, err
 	}
 
 	// Boot every site, collect addresses, then tell everyone about
 	// everyone: nodes bind :0 before the full address map can exist,
 	// which is exactly the startup race the transport's handler-less
 	// backlog covers.
-	var sites []camelot.SiteID
 	procs := make(map[camelot.SiteID]*proc)
 	defer func() {
 		for _, p := range procs {
 			p.stop()
 		}
 	}()
-	for i := 1; i <= cfg.Nodes; i++ {
-		id := camelot.SiteID(i)
-		p, err := spawn(bin, id, filepath.Join(dir, fmt.Sprintf("site%d.wal", i)),
+	for _, id := range sites {
+		p, err := spawn(bin, id, filepath.Join(dir, fmt.Sprintf("site%d.wal", id)),
 			"127.0.0.1:0", "127.0.0.1:0", cfg.Retry, extra...)
 		if err != nil {
 			return nil, err
 		}
 		procs[id] = p
-		sites = append(sites, id)
 	}
-	if smap != nil {
-		// Every member must route every key identically; a disagreement
-		// here would corrupt data silently, so it is fatal before any
-		// traffic flows.
-		want, err := smap.Marshal()
-		if err != nil {
-			return nil, err
-		}
-		for _, id := range sites {
-			got, err := procs[id].client.ShardMap()
-			if err != nil {
-				return nil, fmt.Errorf("site %d: shard map: %w", id, err)
-			}
-			if !bytes.Equal(got, want) {
-				return nil, fmt.Errorf("site %d shard map disagrees:\n  node:   %s  driver: %s", id, got, want)
-			}
-		}
+	if err := checkShardMaps(sites, procs, smap); err != nil {
+		return nil, err
 	}
 	peers := make(map[camelot.SiteID]string, len(sites))
 	for id, p := range procs {
@@ -429,26 +439,34 @@ func runCluster(cfg clusterConfig) (*report, error) {
 		Protocol: cfg.Protocol, Killed: int(victim), Violations: []string{},
 		Shards: cfg.Shards}
 
+	exec := &executor{client: func(id camelot.SiteID) *ctl.Client {
+		if procs[id].down {
+			return nil
+		}
+		return procs[id].client
+	}}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	txns := make([]oracle.Txn, cfg.Txns)
 	for i := 0; i < cfg.Txns; i++ {
+		protocol := protocolFor(cfg.Protocol, i)
 		if cfg.Kill && i == killAt {
 			if cfg.KillMidCommit {
-				// The victim coordinates an all-site transaction and is
-				// SIGKILLed with its commit in flight; the survivors
-				// must resolve it — and release its locks — before the
-				// coordinator ever comes back.
-				if smap != nil {
-					txns[i] = runShardTxnKillCoordinator(i, procs, cfg.Protocol, victim, smap)
-					time.Sleep(20 * cfg.Retry)
-					rep.Violations = append(rep.Violations,
-						shardSurvivorsResolved(sites, procs, txns[i])...)
-				} else {
-					txns[i] = runTxnKillCoordinator(i, sites, procs, cfg.Protocol, victim)
-					time.Sleep(20 * cfg.Retry)
-					rep.Violations = append(rep.Violations,
-						survivorsResolved(sites, procs, txns[i])...)
+				// The victim coordinates a transaction with a key on
+				// every placed site and is SIGKILLed with its commit in
+				// flight; the survivors must resolve their shards of it
+				// — and release its locks — before the coordinator ever
+				// comes back.
+				p := planAcross(i, smap, smap.Sites(), victim, protocol)
+				var witnesses []*proc
+				for _, w := range p.tx.Writes {
+					if w.Site != victim {
+						witnesses = append(witnesses, procs[w.Site])
+					}
 				}
+				p.commitVia = killMidCommit(procs[victim], witnesses)
+				txns[i] = exec.run(p)
+				time.Sleep(20 * cfg.Retry)
+				rep.Violations = append(rep.Violations, survivorsResolved(procs, txns[i])...)
 				continue
 			}
 			procs[victim].kill()
@@ -461,26 +479,17 @@ func runCluster(cfg clusterConfig) (*report, error) {
 				return nil, err
 			}
 		}
-		if smap != nil {
-			txns[i] = runShardTxn(rng, i, sites, procs, cfg.Protocol, smap)
-		} else {
-			txns[i] = runTxn(rng, i, sites, procs, cfg.Protocol)
-		}
+		txns[i] = exec.run(planMix(rng, i, smap, txns[:i], protocol))
 	}
+	rep.ReadOnlyCommitted = exec.readOnlyCommitted
 
 	// Quiesce: let outcome retries, presumed-abort inquiries, and ack
 	// fan-ins finish against the healed cluster.
 	time.Sleep(20 * cfg.Retry)
 
-	// Sharded views route presence checks by key (empty server name);
-	// legacy views address the single "store" server.
-	oracleServer := "store"
-	if smap != nil {
-		oracleServer = ""
-	}
 	views := make(map[camelot.SiteID]oracle.SiteView, len(sites))
 	for _, id := range sites {
-		views[id] = &ctl.View{C: procs[id].client, Server: oracleServer}
+		views[id] = &ctl.View{C: procs[id].client}
 	}
 	for _, v := range oracle.CheckViews(sites, views, txns) {
 		rep.Violations = append(rep.Violations, v.String())
@@ -514,7 +523,7 @@ func runCluster(cfg clusterConfig) (*report, error) {
 		// In-doubt survivors resolve by inquiry once everyone is back.
 		time.Sleep(20 * cfg.Retry)
 		for _, id := range sites {
-			views[id] = &ctl.View{C: procs[id].client, Server: oracleServer}
+			views[id] = &ctl.View{C: procs[id].client}
 		}
 		for _, v := range oracle.CheckViews(sites, views, txns) {
 			rep.Violations = append(rep.Violations, "durability: "+v.String())
@@ -542,8 +551,8 @@ func runCluster(cfg clusterConfig) (*report, error) {
 	return rep, nil
 }
 
-// crossShard reports whether a sharded transaction's write set spans
-// more than one home site.
+// crossShard reports whether a transaction's write set spans more
+// than one home site.
 func crossShard(tx oracle.Txn) bool {
 	if len(tx.Writes) == 0 {
 		return false
@@ -554,290 +563,4 @@ func crossShard(tx oracle.Txn) bool {
 		}
 	}
 	return false
-}
-
-// runTxn drives one workload transaction: a random up coordinator, a
-// random write set (the txn's key written at each member), sometimes
-// a read-only participant (exercising the read-only vote), sometimes
-// the non-blocking protocol. Returns the oracle's record of it.
-func runTxn(rng *rand.Rand, i int, sites []camelot.SiteID, procs map[camelot.SiteID]*proc, protocol string) oracle.Txn {
-	key := fmt.Sprintf("txn%04d", i)
-
-	// Draw the schedule before consulting liveness, so the random
-	// sequence for a seed does not depend on timing.
-	coordPick := rng.Intn(len(sites))
-	var writers []camelot.SiteID
-	for _, id := range sites {
-		if rng.Float64() < 0.7 {
-			writers = append(writers, id)
-		}
-	}
-	withReader := rng.Float64() < 0.3
-	readerPick := rng.Intn(len(sites))
-	nonBlocking := rng.Float64() < 0.3
-
-	var up []camelot.SiteID
-	for _, id := range sites {
-		if !procs[id].down {
-			up = append(up, id)
-		}
-	}
-	coord := up[coordPick%len(up)]
-	if len(writers) == 0 {
-		writers = []camelot.SiteID{coord}
-	}
-	hasCoord := false
-	for _, w := range writers {
-		hasCoord = hasCoord || w == coord
-	}
-	if !hasCoord {
-		writers = append(writers, coord)
-	}
-
-	tx := oracle.Txn{Key: key, Outcome: oracle.Skipped, Sites: writers}
-	t, err := procs[coord].client.Begin()
-	if err != nil {
-		return tx
-	}
-	tx.Family = t.Family
-
-	participants := map[camelot.SiteID]bool{}
-	ok := true
-	for _, w := range writers {
-		if procs[w].down {
-			ok = false
-			break
-		}
-		if err := procs[w].client.Write("store", t, key, []byte(fmt.Sprintf("v%d@%d", i, w))); err != nil {
-			ok = false
-			break
-		}
-		participants[w] = true
-	}
-	// A read-only participant joins the family but holds no updates;
-	// its prepare answers with the read-only vote and drops out of
-	// phase two.
-	if ok && withReader {
-		reader := sites[readerPick%len(sites)]
-		if !procs[reader].down && !participants[reader] {
-			if _, err := procs[reader].client.Read("store", t, fmt.Sprintf("txn%04d", i/2)); err == nil {
-				participants[reader] = true
-			}
-		}
-	}
-
-	var remote []camelot.SiteID
-	for _, id := range sites {
-		if participants[id] && id != coord {
-			remote = append(remote, id)
-		}
-	}
-	if !ok {
-		procs[coord].client.Abort(t) //nolint:errcheck // recorded as aborted regardless
-		tx.Outcome = oracle.Aborted
-		return tx
-	}
-	if len(remote) > 0 {
-		if err := procs[coord].client.AddSites(t, remote); err != nil {
-			procs[coord].client.Abort(t) //nolint:errcheck // recorded as aborted regardless
-			tx.Outcome = oracle.Aborted
-			return tx
-		}
-	}
-	if protocol != "" {
-		_, err = procs[coord].client.CommitWith(t, protocol)
-	} else {
-		_, err = procs[coord].client.Commit(t, nonBlocking)
-	}
-	switch {
-	case err == nil:
-		tx.Outcome = oracle.Committed
-	case errors.Is(err, ctl.ErrAborted):
-		tx.Outcome = oracle.Aborted
-	default:
-		tx.Outcome = oracle.Unknown
-	}
-	return tx
-}
-
-// runTxnKillCoordinator drives the mid-commit coordinator kill: coord
-// begins an all-site update transaction, its commit is issued on a
-// separate goroutine, and the process is SIGKILLed a moment later —
-// with the commit protocol somewhere between the first prepare and
-// the last ack. The client's view is Unknown unless the commit call
-// won the race.
-func runTxnKillCoordinator(i int, sites []camelot.SiteID, procs map[camelot.SiteID]*proc,
-	protocol string, coord camelot.SiteID) oracle.Txn {
-
-	key := fmt.Sprintf("txn%04d", i)
-	tx := oracle.Txn{Key: key, Outcome: oracle.Skipped, Sites: sites}
-	t, err := procs[coord].client.Begin()
-	if err != nil {
-		return tx
-	}
-	tx.Family = t.Family
-	var remote []camelot.SiteID
-	for _, id := range sites {
-		if err := procs[id].client.Write("store", t, key, []byte(fmt.Sprintf("v%d@%d", i, id))); err != nil {
-			procs[coord].client.Abort(t) //nolint:errcheck // recorded as aborted regardless
-			tx.Outcome = oracle.Aborted
-			return tx
-		}
-		if id != coord {
-			remote = append(remote, id)
-		}
-	}
-	if err := procs[coord].client.AddSites(t, remote); err != nil {
-		procs[coord].client.Abort(t) //nolint:errcheck // recorded as aborted regardless
-		tx.Outcome = oracle.Aborted
-		return tx
-	}
-
-	var witnesses []*proc
-	for _, id := range sites {
-		if id != coord {
-			witnesses = append(witnesses, procs[id])
-		}
-	}
-	before := settleRecv(witnesses, time.Second)
-	done := make(chan error, 1)
-	go func() {
-		_, err := procs[coord].client.CommitWith(t, protocol)
-		done <- err
-	}()
-	waitCommitUnderway(witnesses, before, time.Second)
-	procs[coord].kill()
-	switch err := <-done; {
-	case err == nil:
-		tx.Outcome = oracle.Committed
-	case errors.Is(err, ctl.ErrAborted):
-		tx.Outcome = oracle.Aborted
-	default:
-		tx.Outcome = oracle.Unknown
-	}
-	return tx
-}
-
-// recvCount reads a node's datagram-receive counter; errors read as
-// zero, which only makes the callers wait out their caps.
-func recvCount(p *proc) int {
-	if s, err := p.client.TransportStats(); err == nil {
-		return s.Recv
-	}
-	return 0
-}
-
-// settleRecv waits until every witness's datagram-receive counter
-// stops moving (two consecutive reads a beat apart agree), then
-// returns the settled counts. Gating the mid-commit kill on counter
-// growth is only sound if stragglers from earlier transactions — lazy
-// acks, retries — cannot supply the growth themselves.
-func settleRecv(witnesses []*proc, cap time.Duration) []int {
-	last := make([]int, len(witnesses))
-	for i, w := range witnesses {
-		last[i] = recvCount(w)
-	}
-	deadline := time.Now().Add(cap)
-	for time.Now().Before(deadline) {
-		time.Sleep(50 * time.Millisecond)
-		stable := true
-		for i, w := range witnesses {
-			if n := recvCount(w); n != last[i] {
-				last[i] = n
-				stable = false
-			}
-		}
-		if stable {
-			break
-		}
-	}
-	return last
-}
-
-// waitCommitUnderway polls the surviving participants' datagram-
-// receive counters until the victim's commit fan-out observably
-// reached every one of them (or the cap expires). Killing the
-// coordinator before the prepares escape would leave the survivors
-// active orphans of a transaction nobody can resolve until the
-// coordinator returns — legitimate commitment semantics, but the
-// survivors-resolve check is only meaningful once commitment actually
-// began everywhere.
-func waitCommitUnderway(witnesses []*proc, before []int, cap time.Duration) {
-	deadline := time.Now().Add(cap)
-	for time.Now().Before(deadline) {
-		grown := true
-		for i, w := range witnesses {
-			if recvCount(w) <= before[i] {
-				grown = false
-				break
-			}
-		}
-		if grown {
-			return
-		}
-	}
-}
-
-// probeLockRetry runs a lock-reacquisition probe, retrying briefly on
-// failure: the survivors resolve the orphaned transaction on their
-// own timers, and under CPU load (a parallel test suite, a busy CI
-// host) resolution can land moments after the kill settles. The
-// coordinator stays down for the whole window, so a success on any
-// attempt still demonstrates non-blocking resolution.
-func probeLockRetry(probe func() error) error {
-	deadline := time.Now().Add(3 * time.Second)
-	for {
-		err := probe()
-		if err == nil || time.Now().After(deadline) {
-			return err
-		}
-		time.Sleep(100 * time.Millisecond)
-	}
-}
-
-// survivorsResolved checks, while the killed coordinator is still
-// down, that every surviving site has resolved its transaction: the
-// key's locks must be re-acquirable (a blocked protocol would leak
-// them) and the survivors must agree on whether the key is present.
-// Violations are returned as strings for the report.
-func survivorsResolved(sites []camelot.SiteID, procs map[camelot.SiteID]*proc, tx oracle.Txn) []string {
-	var out []string
-	present := make(map[camelot.SiteID]bool)
-	var survivors []camelot.SiteID
-	for _, id := range sites {
-		p := procs[id]
-		if p.down {
-			continue
-		}
-		survivors = append(survivors, id)
-		// Re-acquire the transaction's own lock under a throwaway
-		// transaction: if the commit protocol is blocked on the dead
-		// coordinator, this write blocks too.
-		if err := probeLockRetry(func() error {
-			pt, err := p.client.Begin()
-			if err != nil {
-				return fmt.Errorf("begin: %w", err)
-			}
-			defer p.client.Abort(pt) //nolint:errcheck // probe cleanup
-			if err := p.client.Write("store", pt, tx.Key, []byte("probe")); err != nil {
-				return fmt.Errorf("%q still locked: %w", tx.Key, err)
-			}
-			return nil
-		}); err != nil {
-			out = append(out, fmt.Sprintf("non-blocking: site %d: %v with coordinator down", id, err))
-		}
-		_, ok, err := p.client.Peek("store", tx.Key)
-		if err != nil {
-			out = append(out, fmt.Sprintf("non-blocking: site %d: peek: %v", id, err))
-			continue
-		}
-		present[id] = ok
-	}
-	for _, id := range survivors[1:] {
-		if present[id] != present[survivors[0]] {
-			out = append(out, fmt.Sprintf("non-blocking: survivors disagree on %q with coordinator down: site %d=%v, site %d=%v",
-				tx.Key, survivors[0], present[survivors[0]], id, present[id]))
-		}
-	}
-	return out
 }

@@ -5,14 +5,49 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"os/exec"
 	"path/filepath"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
 
 	"camelot/internal/ctl"
 )
+
+// nodeBin returns the camelot-node binary, built once per test
+// binary, and skips the calling test under -short (every caller
+// spawns processes).
+func nodeBin(t *testing.T) string {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("spawns processes; skipped in -short")
+	}
+	bin, err := buildNode()
+	if err != nil {
+		t.Fatalf("building camelot-node: %v", err)
+	}
+	return bin
+}
+
+// nodeBinDir holds the shared build; TestMain removes it.
+var nodeBinDir string
+
+var buildNode = sync.OnceValues(func() (string, error) {
+	dir, err := os.MkdirTemp("", "camelot-node-bin-*")
+	if err != nil {
+		return "", err
+	}
+	nodeBinDir = dir
+	return nodeBinary("", dir)
+})
+
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if nodeBinDir != "" {
+		os.RemoveAll(nodeBinDir) //nolint:errcheck // best-effort cleanup
+	}
+	os.Exit(code)
+}
 
 // TestClusterSmoke deploys a real 3-process cluster on loopback,
 // pushes a seeded workload through it with a mid-run SIGKILL and
@@ -21,16 +56,9 @@ import (
 // acceptance test for the whole real-network path: camelot-node's
 // boot/recover sequence, the control plane, UDP transport between
 // processes, on-disk WAL replay, and the oracle over control
-// connections.
+// connections. It runs the default layout, one shard per site.
 func TestClusterSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("spawns processes; skipped in -short")
-	}
-	bin := filepath.Join(t.TempDir(), "camelot-node")
-	build := exec.Command("go", "build", "-o", bin, "camelot/cmd/camelot-node")
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("building camelot-node: %v\n%s", err, out)
-	}
+	bin := nodeBin(t)
 
 	rep, err := runCluster(clusterConfig{
 		Nodes:   3,
@@ -56,25 +84,24 @@ func TestClusterSmoke(t *testing.T) {
 	if rep.Oversize != 0 {
 		t.Errorf("oversize refusals = %d, want 0", rep.Oversize)
 	}
-	t.Logf("outcomes: %d committed, %d aborted, %d unknown, %d skipped; transport: %d sent, %d recv, %d dropped",
-		rep.Committed, rep.Aborted, rep.Unknown, rep.Skipped, rep.Sent, rep.Recv, rep.Dropped)
+	if rep.CrossShardCommitted == 0 {
+		t.Error("no cross-shard transaction committed; every commit was single-site")
+	}
+	if rep.ReadOnlyCommitted == 0 {
+		t.Error("no committed transaction had a read-only participant; the read-only vote went unexercised")
+	}
+	t.Logf("outcomes: %d committed (%d cross-shard, %d with a read-only participant), %d aborted, %d unknown, %d skipped; transport: %d sent, %d recv, %d dropped",
+		rep.Committed, rep.CrossShardCommitted, rep.ReadOnlyCommitted, rep.Aborted, rep.Unknown, rep.Skipped, rep.Sent, rep.Recv, rep.Dropped)
 }
 
-// TestClusterShardedSmoke is the acceptance test for the sharded data
-// tier on real processes: 4 shards over 3 sites, a keyspace-aware
-// workload whose transactions straddle shards on distinct sites under
+// TestClusterShardedSmoke runs the same workload on an uneven layout —
+// 4 shards over 3 sites, so one site hosts two shard servers behind
+// one WAL: transactions straddle shards on distinct sites under
 // all three commit protocols (the per-txn cycle), a mid-run SIGKILL
 // and restart of one site, and the cross-shard atomicity oracle
 // checked both live and after the full durability bounce.
 func TestClusterShardedSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("spawns processes; skipped in -short")
-	}
-	bin := filepath.Join(t.TempDir(), "camelot-node")
-	build := exec.Command("go", "build", "-o", bin, "camelot/cmd/camelot-node")
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("building camelot-node: %v\n%s", err, out)
-	}
+	bin := nodeBin(t)
 
 	rep, err := runCluster(clusterConfig{
 		Nodes:   3,
@@ -106,18 +133,11 @@ func TestClusterShardedSmoke(t *testing.T) {
 }
 
 // TestClusterShardedMidCommitKill aims the SIGKILL at the coordinator
-// of a cross-shard transaction under the sharded tier: the survivors
-// must resolve their shards (locks re-acquirable, pieces agreeing)
-// while the coordinator is still down.
+// of a cross-shard transaction on the uneven 4-shards-over-3-sites
+// layout: the survivors must resolve their shards (locks
+// re-acquirable, pieces agreeing) while the coordinator is still down.
 func TestClusterShardedMidCommitKill(t *testing.T) {
-	if testing.Short() {
-		t.Skip("spawns processes; skipped in -short")
-	}
-	bin := filepath.Join(t.TempDir(), "camelot-node")
-	build := exec.Command("go", "build", "-o", bin, "camelot/cmd/camelot-node")
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("building camelot-node: %v\n%s", err, out)
-	}
+	bin := nodeBin(t)
 
 	rep, err := runCluster(clusterConfig{
 		Nodes:         3,
@@ -151,14 +171,7 @@ func TestClusterShardedMidCommitKill(t *testing.T) {
 // must find nothing after its WAL-replay restart and the full
 // durability bounce.
 func TestClusterPaxosSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("spawns processes; skipped in -short")
-	}
-	bin := filepath.Join(t.TempDir(), "camelot-node")
-	build := exec.Command("go", "build", "-o", bin, "camelot/cmd/camelot-node")
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("building camelot-node: %v\n%s", err, out)
-	}
+	bin := nodeBin(t)
 
 	rep, err := runCluster(clusterConfig{
 		Nodes:         3,
@@ -195,14 +208,7 @@ func TestClusterPaxosSmoke(t *testing.T) {
 // retransmit+inquiry total must stay under the pinned budget the
 // exponential backoff exists to keep.
 func TestClusterNetemSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("spawns processes; skipped in -short")
-	}
-	bin := filepath.Join(t.TempDir(), "camelot-node")
-	build := exec.Command("go", "build", "-o", bin, "camelot/cmd/camelot-node")
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("building camelot-node: %v\n%s", err, out)
-	}
+	bin := nodeBin(t)
 
 	rep, err := runNetem(netemConfig{
 		ScheduleFile: filepath.Join("testdata", "netem-smoke.json"),
@@ -241,14 +247,7 @@ func TestClusterNetemSmoke(t *testing.T) {
 // must come back as ctl.ErrUnavailable within the deadline rather
 // than hang, and a Reconnect after SIGCONT must restore service.
 func TestClusterFrozenNodeDeadline(t *testing.T) {
-	if testing.Short() {
-		t.Skip("spawns processes; skipped in -short")
-	}
-	bin := filepath.Join(t.TempDir(), "camelot-node")
-	build := exec.Command("go", "build", "-o", bin, "camelot/cmd/camelot-node")
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("building camelot-node: %v\n%s", err, out)
-	}
+	bin := nodeBin(t)
 
 	p, err := spawn(bin, 1, filepath.Join(t.TempDir(), "site1.wal"),
 		"127.0.0.1:0", "127.0.0.1:0", 25*time.Millisecond)

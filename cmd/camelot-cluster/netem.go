@@ -14,6 +14,7 @@ import (
 	"camelot/internal/ctl"
 	"camelot/internal/netem"
 	"camelot/internal/oracle"
+	"camelot/internal/shardmap"
 )
 
 // NetemReportSchema identifies the netem-mode -json output format.
@@ -133,6 +134,8 @@ type netemDriver struct {
 	clock   *runClock
 	proxy   *netem.Proxy
 	sites   []camelot.SiteID
+	smap    *shardmap.Map
+	layout  []string // layout's -shards/-sites flags: every incarnation of every node gets them
 	procs   map[camelot.SiteID]*proc
 	stopped map[camelot.SiteID]bool
 	rep     *netemReport
@@ -170,7 +173,11 @@ func runNetem(cfg netemConfig) (*netemReport, error) {
 		return nil, err
 	}
 	defer os.RemoveAll(dir)
-	bin, err := nodeBinary(clusterConfig{NodeBin: cfg.NodeBin}, dir)
+	bin, err := nodeBinary(cfg.NodeBin, dir)
+	if err != nil {
+		return nil, err
+	}
+	sites, smap, layoutFlags, err := layout(cfg.Nodes, cfg.Nodes)
 	if err != nil {
 		return nil, err
 	}
@@ -180,6 +187,9 @@ func runNetem(cfg netemConfig) (*netemReport, error) {
 		sched:   sched,
 		bin:     bin,
 		clock:   &runClock{},
+		sites:   sites,
+		smap:    smap,
+		layout:  layoutFlags,
 		procs:   make(map[camelot.SiteID]*proc),
 		stopped: make(map[camelot.SiteID]bool),
 		rep: &netemReport{Schema: NetemReportSchema, Nodes: cfg.Nodes, Seed: cfg.Seed,
@@ -199,16 +209,17 @@ func runNetem(cfg netemConfig) (*netemReport, error) {
 	for _, f := range sched.WAL {
 		walFail[camelot.SiteID(f.Site)] = f.FailAppend
 	}
-	for i := 1; i <= cfg.Nodes; i++ {
-		id := camelot.SiteID(i)
-		p, err := spawn(bin, id, filepath.Join(dir, fmt.Sprintf("site%d.wal", i)),
+	for _, id := range d.sites {
+		p, err := spawn(bin, id, filepath.Join(dir, fmt.Sprintf("site%d.wal", id)),
 			"127.0.0.1:0", "127.0.0.1:0", cfg.Retry, d.nodeFlags(id, walFail)...)
 		if err != nil {
 			return nil, err
 		}
 		p.client.SetTimeout(cfg.OpTimeout)
 		d.procs[id] = p
-		d.sites = append(d.sites, id)
+	}
+	if err := checkShardMaps(d.sites, d.procs, smap); err != nil {
+		return nil, err
 	}
 
 	// Interpose the emulator: one proxy pipe per ordered site pair,
@@ -244,20 +255,17 @@ func runNetem(cfg netemConfig) (*netemReport, error) {
 	sort.SliceStable(pending, func(i, j int) bool { return pending[i].AtMs < pending[j].AtMs })
 
 	var txns []oracle.Txn
-	protocols := []string{"2pc", "nb", "paxos"}
+	exec := &executor{client: d.client}
 	d.clock.Start()
 	for i := 0; d.clock.Elapsed() < duration; i++ {
 		for len(pending) > 0 && time.Duration(pending[0].AtMs)*time.Millisecond <= d.clock.Elapsed() {
 			d.applyProcFault(pending[0], proxied)
 			pending = pending[1:]
 		}
-		protocol := cfg.Protocol
-		if protocol == "" {
-			protocol = protocols[i%len(protocols)]
-		}
-		txns = append(txns, d.runTxn(i, protocol))
+		txns = append(txns, exec.run(d.planStorm(i)))
 		time.Sleep(20 * time.Millisecond)
 	}
+	d.rep.Unavailable = exec.unavailable
 	// Faults the workload clock passed while a slow call was in
 	// flight still apply before the heal (a kill at the very end of
 	// the window must still have happened for the heal to undo it).
@@ -312,7 +320,7 @@ func runNetem(cfg netemConfig) (*netemReport, error) {
 
 	views := make(map[camelot.SiteID]oracle.SiteView, len(d.sites))
 	for _, id := range d.sites {
-		views[id] = &ctl.View{C: d.procs[id].client, Server: "store"}
+		views[id] = &ctl.View{C: d.procs[id].client}
 	}
 	for _, v := range oracle.CheckViews(d.sites, views, txns) {
 		d.rep.Violations = append(d.rep.Violations, v.String())
@@ -352,7 +360,7 @@ func runNetem(cfg netemConfig) (*netemReport, error) {
 	}
 	time.Sleep(20 * cfg.Retry)
 	for _, id := range d.sites {
-		views[id] = &ctl.View{C: d.procs[id].client, Server: "store"}
+		views[id] = &ctl.View{C: d.procs[id].client}
 	}
 	for _, v := range oracle.CheckViews(d.sites, views, txns) {
 		d.rep.Violations = append(d.rep.Violations, "durability: "+v.String())
@@ -396,11 +404,12 @@ func (d *netemDriver) checkWALFault(id camelot.SiteID, failAppend int) {
 	}
 }
 
-// nodeFlags assembles a site's extra daemon flags: the backoff cap,
-// plus the failing WAL store when the schedule targets the site (nil
-// walFail — a heal or bounce respawn — always gets a healthy disk).
+// nodeFlags assembles a site's extra daemon flags: the deployment's
+// layout, the backoff cap, plus the failing WAL store when the schedule
+// targets the site (nil walFail — a heal or bounce respawn — always
+// gets a healthy disk).
 func (d *netemDriver) nodeFlags(id camelot.SiteID, walFail map[camelot.SiteID]int) []string {
-	var out []string
+	out := append([]string(nil), d.layout...)
 	if d.cfg.RetryCap > 0 {
 		out = append(out, "-retry-cap", d.cfg.RetryCap.String())
 	}
@@ -479,89 +488,18 @@ func (d *netemDriver) client(id camelot.SiteID) *ctl.Client {
 	return p.client
 }
 
-// runTxn drives one storm-phase transaction: coordinator rotates over
-// the reachable sites, the key is written at every reachable site,
-// and the chosen protocol commits — all under the per-call deadline,
-// so a frozen or dead node costs bounded time, never a hang.
-func (d *netemDriver) runTxn(i int, protocol string) oracle.Txn {
-	key := fmt.Sprintf("txn%04d", i)
-	tx := oracle.Txn{Key: key, Outcome: oracle.Skipped}
-
+// planStorm plans storm-phase transaction i: one key at every site
+// the driver can currently reach, the coordinator rotating over them.
+func (d *netemDriver) planStorm(i int) plan {
 	var avail []camelot.SiteID
 	for _, id := range d.sites {
 		if d.client(id) != nil {
 			avail = append(avail, id)
 		}
 	}
-	if len(avail) == 0 {
-		return tx
+	var coord camelot.SiteID // stays 0, with an empty write set, when nothing is reachable
+	if len(avail) > 0 {
+		coord = avail[i%len(avail)]
 	}
-	coord := avail[i%len(avail)]
-	cc := d.client(coord)
-	if cc == nil {
-		return tx
-	}
-	tx.Sites = avail
-
-	t, err := cc.Begin()
-	if err != nil {
-		d.note(err)
-		return tx
-	}
-	tx.Family = t.Family
-
-	ok := true
-	var remote []camelot.SiteID
-	for _, id := range avail {
-		c := d.client(id)
-		if c == nil {
-			ok = false
-			break
-		}
-		if err := c.Write("store", t, key, []byte(fmt.Sprintf("v%d@%d", i, id))); err != nil {
-			d.note(err)
-			ok = false
-			break
-		}
-		if id != coord {
-			remote = append(remote, id)
-		}
-	}
-	if ok && len(remote) > 0 {
-		if err := cc.AddSites(t, remote); err != nil {
-			d.note(err)
-			ok = false
-		}
-	}
-	if !ok {
-		// The write set is incomplete; abort, best-effort. A deadline
-		// on the abort itself leaves the outcome unknown.
-		if cc := d.client(coord); cc != nil {
-			if err := cc.Abort(t); err == nil {
-				tx.Outcome = oracle.Aborted
-				return tx
-			}
-			d.note(err)
-		}
-		tx.Outcome = oracle.Unknown
-		return tx
-	}
-	_, err = cc.CommitWith(t, protocol)
-	switch {
-	case err == nil:
-		tx.Outcome = oracle.Committed
-	case errors.Is(err, ctl.ErrAborted):
-		tx.Outcome = oracle.Aborted
-	default:
-		d.note(err)
-		tx.Outcome = oracle.Unknown
-	}
-	return tx
-}
-
-// note tallies deadline verdicts for the report.
-func (d *netemDriver) note(err error) {
-	if errors.Is(err, ctl.ErrUnavailable) {
-		d.rep.Unavailable++
-	}
+	return planAcross(i, d.smap, avail, coord, protocolFor(d.cfg.Protocol, i))
 }

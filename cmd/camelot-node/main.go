@@ -1,9 +1,20 @@
 // Command camelot-node runs one real Camelot site as a daemon: the
-// transaction manager and a data server on the ordinary Go runtime,
-// a write-ahead log on disk, transaction-protocol traffic over UDP,
-// and a TCP control port through which a driver (cmd/camelot-cluster,
-// or anything speaking internal/ctl's JSON-line protocol) operates
-// the site.
+// transaction manager and the site's shard servers on the ordinary Go
+// runtime, a write-ahead log on disk, transaction-protocol traffic over
+// UDP, and a TCP control port through which a driver
+// (cmd/camelot-cluster, or anything speaking internal/ctl's JSON-line
+// protocol) operates the site.
+//
+//	camelot-node -site N -wal PATH [-sites 1,2,3 [-shards K]]
+//	             [-listen ADDR] [-control ADDR] [-retry D] [-retry-cap D]
+//
+// -sites lists the deployment's members in placement order; the
+// keyspace is split into -shards shards (default: one per member)
+// placed round-robin over them, and every member given the same two
+// flags builds the same map. Without -sites the node is a deployment of
+// one and homes the whole keyspace itself. Restart a node under the
+// flags it was first started with: recovery refuses a log that names
+// shard servers the current map does not place here.
 //
 // Startup always runs recovery against the WAL — a no-op on a fresh
 // file, a full log replay after a crash — then prints one line:
@@ -56,33 +67,24 @@ func main() {
 		listen   = flag.String("listen", "127.0.0.1:0", "UDP listen address for transaction-protocol datagrams")
 		control  = flag.String("control", "127.0.0.1:0", "TCP listen address for the control plane")
 		walPath  = flag.String("wal", "", "write-ahead log file (required)")
-		server   = flag.String("server", "store", "data server name")
 		retry    = flag.Duration("retry", 50*time.Millisecond, "coordinator retry interval (masks datagram loss)")
 		retryCap = flag.Duration("retry-cap", 0, "cap for the exponential retry backoff (0: 8x the retry interval)")
 		walFail  = flag.Int("wal-fail-append", -1, "fail the Nth WAL device write (one block: every record a force or flush covered) and every write after it (fault injection; -1: never)")
-		protocol = flag.String("protocol", "", "default commit protocol: 2pc, nb, or paxos (empty: per-request flags decide)")
-		shards   = flag.Int("shards", 0, "shard count for the sharded data tier (0: legacy single -server)")
-		sites    = flag.String("sites", "", "comma-separated site ids of the deployment, in placement order (required with -shards)")
+		shards   = flag.Int("shards", 0, "shard count, placed round-robin over -sites (0: one shard per site; needs -sites)")
+		sites    = flag.String("sites", "", "comma-separated site ids of the deployment, in placement order (empty: this site alone)")
 	)
 	flag.Parse()
 	log.SetPrefix(fmt.Sprintf("camelot-node[site%d]: ", *site))
 	log.SetFlags(log.Ltime | log.Lmicroseconds)
 
 	if *site == 0 || *walPath == "" {
-		fmt.Fprintln(os.Stderr, "usage: camelot-node -site N -wal PATH [-listen ADDR] [-control ADDR] [-protocol 2pc|nb|paxos]")
-		os.Exit(2)
-	}
-	switch *protocol {
-	case "", "2pc", "nb", "paxos":
-	default:
-		fmt.Fprintf(os.Stderr, "camelot-node: unknown -protocol %q (want 2pc, nb, or paxos)\n", *protocol)
+		fmt.Fprintln(os.Stderr, "usage: camelot-node -site N -wal PATH [-sites 1,2,3 [-shards K]] [-listen ADDR] [-control ADDR]")
 		os.Exit(2)
 	}
 
 	cfg := camelot.DefaultRealConfig(camelot.SiteID(*site))
 	cfg.Listen = *listen
 	cfg.WALPath = *walPath
-	cfg.Servers = []string{*server}
 	cfg.RetryInterval = *retry
 	cfg.InquireInterval = *retry
 	cfg.RetryBackoffCap = *retryCap
@@ -94,13 +96,17 @@ func main() {
 		n := *walFail
 		cfg.WrapStore = func(s wal.Store) wal.Store { return wal.NewFailStore(s, n) }
 	}
-	if *shards > 0 {
-		// Every member builds the same map from the same flags
-		// (shardmap.New is deterministic); the driver verifies
-		// agreement over ctl before running traffic.
-		ids, err := parseSites(*sites)
-		if err != nil {
-			log.Fatalf("-sites: %v", err)
+	// Every member builds the same map from the same flags
+	// (shardmap.New is deterministic); the driver verifies agreement
+	// over ctl before running traffic. With no -sites the config's
+	// one-site default map stands.
+	ids, err := parseSites(*sites)
+	if err != nil {
+		log.Fatalf("-sites: %v", err)
+	}
+	if len(ids) > 0 || *shards > 0 {
+		if *shards <= 0 {
+			*shards = len(ids)
 		}
 		m, err := shardmap.New(1, *shards, ids)
 		if err != nil {
@@ -125,10 +131,6 @@ func main() {
 	if err != nil {
 		log.Fatalf("control listen: %v", err)
 	}
-	// Set before the READY line publishes the address: no driver can
-	// issue a commit until it has parsed that line.
-	srv.SetDefaultProtocol(*protocol)
-
 	// The driver parses this line; keep its shape stable.
 	fmt.Printf("READY site=%d udp=%s ctl=%s\n", *site, node.Addr(), srv.Addr())
 

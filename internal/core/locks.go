@@ -18,7 +18,7 @@ import (
 // flag) lives behind separate component locks at the bottom of the
 // hierarchy.
 //
-// Lock ordering (see LockOrder and DESIGN.md §3.4):
+// Lock ordering (see DESIGN.md §3.4):
 //
 //	table shard  →  family  →  component (acks, resolved, stats, ids, life)
 //
@@ -46,14 +46,6 @@ const (
 	lockClassIDs      = "ids"
 	lockClassLife     = "life"
 )
-
-// LockOrder returns the manager's lock hierarchy, outermost level
-// first. Locks on the same level are never held simultaneously. The
-// order is registered with cthreads.NewHierarchy in tests so the
-// documented discipline stays executable.
-func LockOrder() []string {
-	return []string{"tranman.table-shard", "tranman.family", "tranman.component"}
-}
 
 // familyShards sizes the family table. A power of two so the shard
 // index is a shift of the mixed key.

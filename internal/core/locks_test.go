@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"camelot/internal/cthreads"
 	"camelot/internal/rt"
 	"camelot/internal/tid"
 	"camelot/internal/trace"
@@ -108,33 +107,6 @@ func TestIndependentFamiliesDoNotContend(t *testing.T) {
 	if got := tr.LockWaits(1)[lockClassFamily]; got != 0 {
 		t.Fatalf("independent families counted %d family-lock waits", got)
 	}
-}
-
-// TestLockOrderRegistersAsHierarchy keeps the documented lock order
-// executable: the levels returned by LockOrder form a valid cthreads
-// hierarchy, and taking them out of order panics.
-func TestLockOrderRegistersAsHierarchy(t *testing.T) {
-	r := rt.Real()
-	order := LockOrder()
-	if len(order) < 2 {
-		t.Fatalf("LockOrder = %v; want at least two levels", order)
-	}
-	h := cthreads.NewHierarchy(r, order...)
-	// Descending through the levels in order is legal.
-	for _, name := range order {
-		h.Acquire("walker", name)
-	}
-	for i := len(order) - 1; i >= 0; i-- {
-		h.Release("walker", order[i])
-	}
-	// Acquiring a higher level while holding a lower one must panic.
-	h.Acquire("violator", order[len(order)-1])
-	defer func() {
-		if recover() == nil {
-			t.Fatal("out-of-order acquisition did not panic")
-		}
-	}()
-	h.Acquire("violator", order[0])
 }
 
 // TestFamilyTableShardSpread guards the shard hash: consecutive

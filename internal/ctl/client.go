@@ -38,9 +38,6 @@ var (
 	// ErrWrongSite reports a key whose home shard is hosted at a
 	// different site than the one addressed.
 	ErrWrongSite = camelot.ErrWrongSite
-	// ErrUnsharded reports a keyspace op against a node running
-	// without a shard map.
-	ErrUnsharded = errors.New("ctl: node runs without a shard map")
 )
 
 // codeError rehydrates a Response's typed error class.
@@ -50,8 +47,6 @@ func codeError(resp Response) error {
 		return fmt.Errorf("%w: %s", ErrNoShard, resp.Err)
 	case CodeWrongSite:
 		return fmt.Errorf("%w: %s", ErrWrongSite, resp.Err)
-	case CodeUnsharded:
-		return fmt.Errorf("%w: %s", ErrUnsharded, resp.Err)
 	}
 	return nil
 }
@@ -251,20 +246,6 @@ func (c *Client) Begin() (camelot.TID, error) {
 	return tid.TID{Family: tid.FamilyID(resp.Family), Seq: tid.Seq(resp.Seq)}, err
 }
 
-// Write writes key=val at the node's named server under t.
-func (c *Client) Write(server string, t camelot.TID, key string, val []byte) error {
-	_, err := c.do(Request{Op: OpWrite, Server: server,
-		Family: uint64(t.Family), Seq: uint64(t.Seq), Key: key, Val: val})
-	return err
-}
-
-// Read reads key at the node's named server under t.
-func (c *Client) Read(server string, t camelot.TID, key string) ([]byte, error) {
-	resp, err := c.do(Request{Op: OpRead, Server: server,
-		Family: uint64(t.Family), Seq: uint64(t.Seq), Key: key})
-	return resp.Val, err
-}
-
 // AddSites declares remote participant sites at the coordinator.
 func (c *Client) AddSites(t camelot.TID, sites []camelot.SiteID) error {
 	ids := make([]uint32, 0, len(sites))
@@ -276,23 +257,14 @@ func (c *Client) AddSites(t camelot.TID, sites []camelot.SiteID) error {
 	return err
 }
 
-// Commit runs the commitment protocol for t at the coordinator. A
-// clean abort returns ErrAborted (wrapped); other errors mean the
-// outcome is unknown to the client.
-func (c *Client) Commit(t camelot.TID, nonBlocking bool) (wire.Outcome, error) {
-	return c.commit(Request{Op: OpCommit,
-		Family: uint64(t.Family), Seq: uint64(t.Seq), NonBlocking: nonBlocking})
-}
-
-// CommitWith runs the commitment protocol under an explicitly named
-// protocol ("2pc", "nb", "paxos"; empty defers to the node's default).
+// CommitWith runs the named commitment protocol ("2pc", "nb", "paxos";
+// empty means "2pc") for t at the coordinator. A clean abort returns
+// ErrAborted (wrapped); an unknown protocol name is refused before the
+// commit starts; other errors mean the outcome is unknown to the
+// client.
 func (c *Client) CommitWith(t camelot.TID, protocol string) (wire.Outcome, error) {
-	return c.commit(Request{Op: OpCommit,
+	resp, err := c.Do(Request{Op: OpCommit,
 		Family: uint64(t.Family), Seq: uint64(t.Seq), Protocol: protocol})
-}
-
-func (c *Client) commit(req Request) (wire.Outcome, error) {
-	resp, err := c.Do(req)
 	if err != nil {
 		return wire.OutcomeUnknown, err
 	}
@@ -309,12 +281,6 @@ func (c *Client) commit(req Request) (wire.Outcome, error) {
 func (c *Client) Abort(t camelot.TID) error {
 	_, err := c.do(Request{Op: OpAbort, Family: uint64(t.Family), Seq: uint64(t.Seq)})
 	return err
-}
-
-// Peek returns the committed value of key at the node's named server.
-func (c *Client) Peek(server, key string) ([]byte, bool, error) {
-	resp, err := c.do(Request{Op: OpPeek, Server: server, Key: key})
-	return resp.Val, resp.Present, err
 }
 
 // WriteKey writes key=val under t, routed by the node's shard map. A
@@ -353,8 +319,8 @@ func (c *Client) Outcome(f tid.FamilyID) (wire.Outcome, error) {
 }
 
 // Probe runs the oracle's liveness probe at the node.
-func (c *Client) Probe(server string) error {
-	_, err := c.do(Request{Op: OpProbe, Server: server})
+func (c *Client) Probe() error {
+	_, err := c.do(Request{Op: OpProbe})
 	return err
 }
 

@@ -1,8 +1,9 @@
 // Package ctl is the control plane of a real Camelot deployment: a
 // newline-delimited JSON request/response protocol over TCP through
 // which a driver process operates a camelot-node — begins
-// transactions, reads and writes data servers, runs commit, and
-// interrogates the site for the recovery oracle's invariants.
+// transactions, reads and writes keys routed by the shard map, runs
+// commit, and interrogates the site for the recovery oracle's
+// invariants.
 //
 // The control plane is deliberately not the transaction protocol:
 // TranMan-to-TranMan traffic rides UDP datagrams (internal/transport)
@@ -31,12 +32,9 @@ const (
 	OpPing     = "ping"     // liveness; echoes the site id
 	OpPeers    = "peers"    // install the site-id -> UDP-address map
 	OpBegin    = "begin"    // begin a transaction coordinated here
-	OpWrite    = "write"    // write Key=Val at the local server under TID
-	OpRead     = "read"     // read Key at the local server under TID
 	OpAddSites = "addsites" // declare remote participants (coordinator)
 	OpCommit   = "commit"   // run the commitment protocol (coordinator)
 	OpAbort    = "abort"    // abort the transaction
-	OpPeek     = "peek"     // committed value of Key, no transaction
 	OpOutcome  = "outcome"  // this site's resolved outcome for a family
 	OpProbe    = "probe"    // begin/write/abort liveness probe
 	OpStats    = "stats"    // transport, retry and WAL counters
@@ -53,25 +51,21 @@ const (
 const (
 	CodeNoShard   = "no-shard"   // key belongs to no placed shard
 	CodeWrongSite = "wrong-site" // key's home shard is hosted elsewhere
-	CodeUnsharded = "unsharded"  // node runs without a shard map
 )
 
 // Request is one control-plane request. TIDs travel as their two
 // integer halves (Family, Seq); peer addresses as a map keyed by the
 // decimal site id (JSON objects cannot have integer keys).
 type Request struct {
-	Op          string            `json:"op"`
-	Server      string            `json:"server,omitempty"`
-	Family      uint64            `json:"family,omitempty"`
-	Seq         uint64            `json:"seq,omitempty"`
-	Key         string            `json:"key,omitempty"`
-	Val         []byte            `json:"val,omitempty"`
-	Sites       []uint32          `json:"sites,omitempty"`
-	Peers       map[string]string `json:"peers,omitempty"`
-	NonBlocking bool              `json:"nonblocking,omitempty"`
-	// Protocol names the commit protocol explicitly ("2pc", "nb",
-	// "paxos"); empty falls back to the node's default, then to the
-	// NonBlocking flag. Only meaningful on OpCommit.
+	Op     string            `json:"op"`
+	Family uint64            `json:"family,omitempty"`
+	Seq    uint64            `json:"seq,omitempty"`
+	Key    string            `json:"key,omitempty"`
+	Val    []byte            `json:"val,omitempty"`
+	Sites  []uint32          `json:"sites,omitempty"`
+	Peers  map[string]string `json:"peers,omitempty"`
+	// Protocol names the commit protocol ("2pc", "nb", "paxos"; empty
+	// means "2pc"). Only meaningful on OpCommit.
 	Protocol string `json:"protocol,omitempty"`
 }
 
@@ -90,7 +84,7 @@ type Response struct {
 	Outcome string `json:"outcome,omitempty"`
 	Stats   *Stats `json:"stats,omitempty"`
 	// Code is the typed error class for keyspace routing rejections
-	// (CodeNoShard, CodeWrongSite, CodeUnsharded); empty otherwise.
+	// (CodeNoShard, CodeWrongSite); empty otherwise.
 	Code string `json:"code,omitempty"`
 	// ShardMap is the node's canonical serialized shard map (OpShardMap).
 	ShardMap []byte `json:"shardmap,omitempty"`
@@ -126,37 +120,25 @@ const maxLine = 1 << 20
 type Server struct {
 	node *camelot.RealNode
 	ln   net.Listener
-	// defaultProtocol applies to commits whose request names none; set
-	// before the address is published (camelot-node's -protocol flag).
-	defaultProtocol string
 
 	mu     sync.Mutex
 	closed bool
 }
 
-// SetDefaultProtocol sets the commit protocol used when a commit
-// request does not name one ("2pc", "nb", "paxos"; empty keeps the
-// per-request NonBlocking flag in charge).
-func (s *Server) SetDefaultProtocol(p string) { s.defaultProtocol = p }
-
-// commitOptions maps a commit request's protocol selection — the
-// request's own, else the server default, else the legacy NonBlocking
-// flag — to commit options. Paxos runs at F=1, matching the chaos
-// explorer's configuration.
-func commitOptions(req Request, def string) camelot.Options {
-	p := req.Protocol
-	if p == "" {
-		p = def
-	}
-	switch p {
-	case "paxos":
-		return camelot.Options{Paxos: true, PaxosF: 1}
+// commitOptions is the real runtime's one mapping from a protocol name
+// to commit options. Paxos runs at F=1, matching the chaos explorer's
+// configuration. A name outside the accepted set is an error, never a
+// silent fallback to some other protocol.
+func commitOptions(protocol string) (camelot.Options, error) {
+	switch protocol {
+	case "", "2pc":
+		return camelot.Options{}, nil
 	case "nb":
-		return camelot.Options{NonBlocking: true}
-	case "2pc":
-		return camelot.Options{}
+		return camelot.Options{NonBlocking: true}, nil
+	case "paxos":
+		return camelot.Options{Paxos: true, PaxosF: 1}, nil
 	}
-	return camelot.Options{NonBlocking: req.NonBlocking}
+	return camelot.Options{}, fmt.Errorf("unknown commit protocol %q (want 2pc, nb, or paxos)", protocol)
 }
 
 // Serve starts a control server for node on addr (e.g.
@@ -243,19 +225,6 @@ func (s *Server) handle(req Request) Response {
 		}
 		return Response{OK: true, Family: uint64(bt.Family), Seq: uint64(bt.Seq)}
 
-	case OpWrite:
-		if err := n.Write(req.Server, t, req.Key, req.Val); err != nil {
-			return Response{Err: err.Error()}
-		}
-		return Response{OK: true}
-
-	case OpRead:
-		val, err := n.Read(req.Server, t, req.Key)
-		if err != nil {
-			return Response{Err: err.Error()}
-		}
-		return Response{OK: true, Val: val, Present: val != nil}
-
 	case OpAddSites:
 		sites := make([]camelot.SiteID, 0, len(req.Sites))
 		for _, id := range req.Sites {
@@ -265,7 +234,13 @@ func (s *Server) handle(req Request) Response {
 		return Response{OK: true}
 
 	case OpCommit:
-		out, err := n.Commit(t, commitOptions(req, s.defaultProtocol))
+		// Refused before the commit starts: the transaction stays
+		// active, and the caller may commit it properly or abort it.
+		opts, err := commitOptions(req.Protocol)
+		if err != nil {
+			return Response{Err: err.Error()}
+		}
+		out, err := n.Commit(t, opts)
 		resp := Response{Outcome: out.String()}
 		if err != nil {
 			resp.Err = err.Error()
@@ -279,66 +254,40 @@ func (s *Server) handle(req Request) Response {
 		n.Abort(t)
 		return Response{OK: true}
 
-	case OpPeek:
-		val, ok := n.Peek(req.Server, req.Key)
-		return Response{OK: true, Val: val, Present: ok}
-
 	case OpOutcome:
 		return Response{OK: true, Outcome: n.OutcomeOf(tid.FamilyID(req.Family)).String()}
 
 	case OpWriteKey:
 		if err := n.WriteKey(t, req.Key, req.Val); err != nil {
-			return routeErrResponse(n, err)
+			return routeErrResponse(err)
 		}
 		return Response{OK: true}
 
 	case OpReadKey:
 		val, err := n.ReadKey(t, req.Key)
 		if err != nil {
-			return routeErrResponse(n, err)
+			return routeErrResponse(err)
 		}
 		return Response{OK: true, Val: val, Present: val != nil}
 
 	case OpPeekKey:
 		val, ok, err := n.PeekKey(req.Key)
 		if err != nil {
-			return routeErrResponse(n, err)
+			return routeErrResponse(err)
 		}
 		return Response{OK: true, Val: val, Present: ok}
 
 	case OpShardMap:
-		m := n.ShardMap()
-		if m == nil {
-			return Response{Err: "node runs without a shard map", Code: CodeUnsharded}
-		}
-		b, err := m.Marshal()
+		b, err := n.ShardMap().Marshal()
 		if err != nil {
 			return Response{Err: err.Error()}
 		}
 		return Response{OK: true, ShardMap: b}
 
 	case OpProbe:
-		pt, err := n.Begin()
-		if err != nil {
-			return Response{Err: fmt.Sprintf("cannot begin after quiesce: %v", err)}
+		if err := n.Probe(); err != nil {
+			return Response{Err: err.Error()}
 		}
-		// An empty server name probes whatever data server the site
-		// hosts; a site the shard map assigns nothing degrades to a
-		// begin/abort liveness check.
-		srv := req.Server
-		if srv == "" {
-			if names := n.ServerNames(); len(names) > 0 {
-				srv = names[0]
-			} else {
-				n.Abort(pt)
-				return Response{OK: true}
-			}
-		}
-		if err := n.Write(srv, pt, "oracle-probe", []byte("x")); err != nil {
-			n.Abort(pt)
-			return Response{Err: fmt.Sprintf("probe write blocked (leaked lock?): %v", err)}
-		}
-		n.Abort(pt)
 		return Response{OK: true}
 
 	case OpStats:
@@ -364,15 +313,13 @@ func (s *Server) handle(req Request) Response {
 // routeErrResponse classifies a keyspace-routing failure into its
 // typed code so the driver rejects loudly instead of retrying or
 // timing out; other errors pass through untyped.
-func routeErrResponse(n *camelot.RealNode, err error) Response {
+func routeErrResponse(err error) Response {
 	resp := Response{Err: err.Error()}
 	switch {
 	case errors.Is(err, camelot.ErrNoShard):
 		resp.Code = CodeNoShard
 	case errors.Is(err, camelot.ErrWrongSite):
 		resp.Code = CodeWrongSite
-	case n.ShardMap() == nil:
-		resp.Code = CodeUnsharded
 	}
 	return resp
 }

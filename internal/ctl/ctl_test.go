@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -40,18 +41,15 @@ func startShardedNode(t *testing.T, site camelot.SiteID, m *shardmap.Map) (*came
 	return n, c
 }
 
-// findKey returns a key under prefix whose home site is want (0 for a
+// keyAt returns a key under prefix whose home site is want (0 for a
 // key on an unplaced shard).
-func findKey(t *testing.T, m *shardmap.Map, prefix string, want camelot.SiteID) string {
+func keyAt(t *testing.T, m *shardmap.Map, prefix string, want camelot.SiteID) string {
 	t.Helper()
-	for i := 0; i < 1000; i++ {
-		k := prefix + "." + string(rune('a'+i%26)) + string(rune('a'+i/26))
-		if m.SiteOf(k) == want {
-			return k
-		}
+	k, err := m.KeyAt(prefix, want)
+	if err != nil {
+		t.Fatal(err)
 	}
-	t.Fatalf("no key under %q homed at site %d", prefix, want)
-	return ""
+	return k
 }
 
 // TestCtlRejectsUncoveredKeyLoudly is the regression test for the
@@ -67,7 +65,7 @@ func TestCtlRejectsUncoveredKeyLoudly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	uncovered := findKey(t, m, "hole", 0)
+	uncovered := keyAt(t, m, "hole", 0)
 
 	start := time.Now()
 	err = c.WriteKey(bt, uncovered, []byte("v"))
@@ -102,7 +100,7 @@ func TestCtlRejectsForeignKeyWithWrongSite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	foreign := findKey(t, m, "far", 2)
+	foreign := keyAt(t, m, "far", 2)
 	if err := c.WriteKey(bt, foreign, []byte("v")); !errors.Is(err, ErrWrongSite) {
 		t.Fatalf("WriteKey(foreign) = %v, want ErrWrongSite", err)
 	}
@@ -111,40 +109,39 @@ func TestCtlRejectsForeignKeyWithWrongSite(t *testing.T) {
 	}
 }
 
-func TestCtlKeyspaceOpsOnUnshardedNode(t *testing.T) {
-	cfg := camelot.DefaultRealConfig(1)
-	cfg.WALPath = filepath.Join(t.TempDir(), "wal")
-	n, err := camelot.StartRealNode(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { n.Close() }) //nolint:errcheck // test teardown
-	if err := n.Recover(); err != nil {
-		t.Fatal(err)
-	}
-	s, err := Serve(n, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { s.Close() }) //nolint:errcheck // test teardown
-	c, err := Dial(s.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { c.Close() }) //nolint:errcheck // test teardown
-
+// TestCtlRefusesUnknownProtocol is the regression test for a commit
+// that names a protocol the node does not know: it used to fall
+// through to two-phase commit and answer OK. The request must be
+// refused with the accepted set named, before the commit starts — the
+// transaction is still active and commits under a real protocol name.
+func TestCtlRefusesUnknownProtocol(t *testing.T) {
+	_, c := startShardedNode(t, 1, shardmap.Default(1))
 	bt, err := c.Begin()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.WriteKey(bt, "k", []byte("v")); !errors.Is(err, ErrUnsharded) {
-		t.Fatalf("WriteKey on unsharded node = %v, want ErrUnsharded", err)
-	}
-	if _, err := c.ShardMap(); !errors.Is(err, ErrUnsharded) {
-		t.Fatalf("ShardMap on unsharded node = %v, want ErrUnsharded", err)
-	}
-	if err := c.Abort(bt); err != nil {
+	if err := c.WriteKey(bt, "k", []byte("v")); err != nil {
 		t.Fatal(err)
+	}
+	_, err = c.CommitWith(bt, "paxso")
+	if err == nil {
+		t.Fatal(`CommitWith("paxso") committed; an unknown protocol must be refused`)
+	}
+	if errors.Is(err, ErrAborted) {
+		t.Fatalf(`CommitWith("paxso") = %v; a refusal is not an abort`, err)
+	}
+	for _, want := range []string{"paxso", "2pc", "nb", "paxos"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("refusal %q does not name %q", err, want)
+		}
+	}
+	// Empty still means two-phase commit, and the refused transaction
+	// was left active, neither committed nor aborted.
+	if _, err := c.CommitWith(bt, ""); err != nil {
+		t.Fatalf(`CommitWith("") after the refusal: %v`, err)
+	}
+	if _, ok, err := c.PeekKey("k"); err != nil || !ok {
+		t.Fatalf("PeekKey after the commit = present %v, err %v", ok, err)
 	}
 }
 
@@ -174,7 +171,7 @@ func TestCtlShardedRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := findKey(t, m, "rt", 1)
+	key := keyAt(t, m, "rt", 1)
 	if err := c.WriteKey(bt, key, []byte("v")); err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +188,7 @@ func TestCtlShardedRoundTrip(t *testing.T) {
 		t.Fatalf("View.HasKey(%q) = %v, %v", key, has, err)
 	}
 	if err := v.Probe(); err != nil {
-		t.Fatalf("View.Probe (empty server): %v", err)
+		t.Fatalf("View.Probe: %v", err)
 	}
 	// ensure tid referenced (TID halves travel through the client).
 	_ = tid.TID{}

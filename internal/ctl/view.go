@@ -11,20 +11,13 @@ import (
 type View struct {
 	// C is the control connection to the node.
 	C *Client
-	// Server is the node's data-server name. Empty means the node is
-	// sharded: presence queries route by key through the shard map
-	// (the caller must ask the key's home site), and the probe runs
-	// against whichever shard server the site hosts.
-	Server string
 }
 
-// HasKey implements oracle.SiteView.
+// HasKey implements oracle.SiteView. Presence queries route by key
+// through the node's shard map, so the caller must ask the key's home
+// site.
 func (v *View) HasKey(key string) (bool, error) {
-	if v.Server == "" {
-		_, ok, err := v.C.PeekKey(key)
-		return ok, err
-	}
-	_, ok, err := v.C.Peek(v.Server, key)
+	_, ok, err := v.C.PeekKey(key)
 	return ok, err
 }
 
@@ -35,5 +28,5 @@ func (v *View) OutcomeOf(f tid.FamilyID) (wire.Outcome, error) {
 
 // Probe implements oracle.SiteView.
 func (v *View) Probe() error {
-	return v.C.Probe(v.Server)
+	return v.C.Probe()
 }

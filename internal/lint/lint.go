@@ -18,9 +18,8 @@
 //     `//lint:ordered <why>` justification;
 //   - walltime:  no wall-clock reads or global math/rand in simulated
 //     packages — virtual clock (rt.Runtime) and seeded sources only;
-//   - rawgo:     no raw `go` statements outside the cthreads/sim
-//     kernel, where a goroutine would escape the cooperative
-//     scheduler;
+//   - rawgo:     no raw `go` statements outside the sim/rt kernel,
+//     where a goroutine would escape the cooperative scheduler;
 //   - tracepair: every wal force in protocol code emits its matching
 //     trace.LogForce, and PhaseBegin/PhaseEnd literals pair up, so
 //     the paper's budget counters cannot silently drift from the

@@ -10,12 +10,12 @@ import (
 // host time, and races the single-threaded simulation — the kernel
 // cannot even see it to include it in deadlock reports.
 //
-// The sim/rt/cthreads kernel packages, which implement the scheduler
+// The sim/rt kernel packages, which implement the scheduler
 // itself, are out of scope. A genuinely host-side goroutine elsewhere
 // (the UDP adapter's read loop) carries `//lint:rawgo <why>`.
 var RawGo = &Analyzer{
 	Name: "rawgo",
-	Doc:  "forbid raw go statements outside the cthreads/sim kernel",
+	Doc:  "forbid raw go statements outside the sim/rt kernel",
 	Run:  runRawGo,
 }
 

@@ -43,7 +43,7 @@ var deterministicPkgs = map[string]bool{
 //     real-runtime adapter) and the host-side binaries under cmd/ and
 //     examples/ may touch the wall clock;
 //   - rawgo covers the same universe minus the scheduler
-//     implementations (internal/sim, internal/rt, internal/cthreads);
+//     implementations (internal/sim, internal/rt);
 //   - tracepair covers the protocol code in internal/core;
 //   - lockorder covers internal/core, where the §3.4 two-level lock
 //     hierarchy (table-shard → family → component) lives;
@@ -60,8 +60,7 @@ func InScope(a *Analyzer, pkgPath string) bool {
 	case RawGo:
 		return inLibrary(pkgPath) &&
 			pkgPath != "camelot/internal/rt" &&
-			pkgPath != "camelot/internal/sim" &&
-			pkgPath != "camelot/internal/cthreads"
+			pkgPath != "camelot/internal/sim"
 	case TracePair, LockOrder, TraceBudget:
 		return pkgPath == "camelot/internal/core"
 	case EnumSwitch:

@@ -44,7 +44,6 @@ func TestScope(t *testing.T) {
 		{lint.WallTime, "camelot/cmd/camelot-trace", false},
 		{lint.RawGo, "camelot/internal/transport", true},
 		{lint.RawGo, "camelot/internal/sim", false}, // the scheduler itself
-		{lint.RawGo, "camelot/internal/cthreads", false},
 		{lint.RawGo, "camelot/examples/demo", false},
 		{lint.TracePair, "camelot/internal/core", true},
 		{lint.TracePair, "camelot/internal/wal", false},

@@ -18,9 +18,8 @@ type ClusterConfig struct {
 	// Sites is the number of in-process RealNodes (real UDP sockets,
 	// real ctl TCP servers, real on-disk WALs under Dir).
 	Sites int
-	// Shards, when positive, runs the sharded data tier: a shard map
-	// of that many shards over the sites, keyspace-routed writes.
-	// Zero runs the single unsharded "store" server per site.
+	// Shards is the shard count of the map spread round-robin over
+	// the sites; zero means one shard per site.
 	Shards int
 	// Dir is where each site's WAL file lives (one subpath per site).
 	Dir string
@@ -58,6 +57,9 @@ func StartCluster(cfg ClusterConfig) (*Cluster, error) {
 	if cfg.CallTimeout <= 0 {
 		cfg.CallTimeout = 5 * time.Second
 	}
+	if cfg.Shards <= 0 {
+		cfg.Shards = cfg.Sites
+	}
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("load: cluster dir: %w", err)
 	}
@@ -66,13 +68,11 @@ func StartCluster(cfg ClusterConfig) (*Cluster, error) {
 	for i := 1; i <= cfg.Sites; i++ {
 		sites = append(sites, camelot.SiteID(i))
 	}
-	if cfg.Shards > 0 {
-		m, err := shardmap.New(1, cfg.Shards, sites)
-		if err != nil {
-			return nil, err
-		}
-		c.smap = m
+	smap, err := shardmap.New(1, cfg.Shards, sites)
+	if err != nil {
+		return nil, err
 	}
+	c.smap = smap
 	for _, id := range sites {
 		ncfg := camelot.DefaultRealConfig(id)
 		ncfg.WALPath = filepath.Join(cfg.Dir, fmt.Sprintf("site%d.wal", id))
@@ -169,17 +169,10 @@ func (c *Cluster) Close() {
 	}
 }
 
-// keyFor mints a fresh key homed at site (any key when unsharded).
-// Keys are unique across the run so the workload measures the commit
-// path, not lock contention; under a shard map the counter walks
-// until the hash lands on the requested site.
-func (c *Cluster) keyFor(site camelot.SiteID) string {
-	for {
-		k := "k" + itoa(int(c.keyCtr.Add(1)))
-		if c.smap == nil || c.smap.SiteOf(k) == site {
-			return k
-		}
-	}
+// keyFor mints a fresh key homed at site. Keys are unique across the
+// run so the workload measures the commit path, not lock contention.
+func (c *Cluster) keyFor(site camelot.SiteID) (string, error) {
+	return c.smap.KeyAt("k"+itoa(int(c.keyCtr.Add(1))), site)
 }
 
 // Txn drives one distributed update through the cluster over ctl:
@@ -230,13 +223,11 @@ func (c *Cluster) Txn(session, seq int, protocol string) error {
 	return nil
 }
 
-// write performs one update at the node behind cl, routed through the
-// shard map when one is installed.
+// write performs one update of a fresh key at the node behind cl.
 func (c *Cluster) write(cl *ctl.Client, nodeIdx int, t camelot.TID) error {
-	site := c.nodes[nodeIdx].ID()
-	key := c.keyFor(site)
-	if c.smap != nil {
-		return cl.WriteKey(t, key, []byte("v"))
+	key, err := c.keyFor(c.nodes[nodeIdx].ID())
+	if err != nil {
+		return err
 	}
-	return cl.Write("store", t, key, []byte("v"))
+	return cl.WriteKey(t, key, []byte("v"))
 }

@@ -106,6 +106,9 @@ func RunBench(cfg BenchConfig) (*Report, error) {
 	if cfg.Dist == "" {
 		cfg.Dist = DistPoisson
 	}
+	if cfg.Shards <= 0 {
+		cfg.Shards = cfg.Sites // StartCluster's default; the report states what ran
+	}
 	rep := &Report{
 		Schema:     Schema,
 		Sites:      cfg.Sites,

@@ -32,6 +32,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"strconv"
 
 	"camelot/internal/tid"
 )
@@ -126,6 +127,22 @@ func (m *Map) Home(s ShardID) tid.SiteID {
 // covers the key (an unplaced shard).
 func (m *Map) SiteOf(key string) tid.SiteID {
 	return m.Home(m.ShardOf(key))
+}
+
+// KeyAt finds a key under prefix whose shard homes at site: the first
+// of "prefix.0", "prefix.1", … to hash there. A pure function of
+// (map, prefix, site), so every driver that plans a write for a site
+// names the same key on every run. A site the map places no shard on
+// has no such key; that is an error after a bounded search, never a
+// spin.
+func (m *Map) KeyAt(prefix string, site tid.SiteID) (string, error) {
+	for c := 0; c < 4096; c++ {
+		k := prefix + "." + strconv.Itoa(c)
+		if m.SiteOf(k) == site {
+			return k, nil
+		}
+	}
+	return "", fmt.Errorf("shardmap: no key under %q homes at site %d (no shard placed there?)", prefix, site)
 }
 
 // ServerOf names shard s's data server. A one-shard map keeps the

@@ -187,6 +187,34 @@ func TestRoute(t *testing.T) {
 	}
 }
 
+// TestKeyAt pins the one "key homed at this site" search every driver
+// shares: the key it returns really homes there, the search is a pure
+// function of its inputs, and a site with no shard is an error after a
+// bounded search rather than a spin.
+func TestKeyAt(t *testing.T) {
+	m := mustNew(t, 1, 4, []tid.SiteID{1, 2, 3})
+	for _, site := range m.Sites() {
+		k, err := m.KeyAt("t0007.x1", site)
+		if err != nil {
+			t.Fatalf("KeyAt(site %d): %v", site, err)
+		}
+		if got := m.SiteOf(k); got != site {
+			t.Errorf("KeyAt(site %d) = %q, which homes at site %d", site, k, got)
+		}
+		if again, _ := m.KeyAt("t0007.x1", site); again != k {
+			t.Errorf("KeyAt(site %d) not deterministic: %q then %q", site, k, again)
+		}
+	}
+	// The candidate order is part of the contract: seeded workloads
+	// name their keys through it.
+	if k, _ := Default(1).KeyAt("p", 1); k != "p.0" {
+		t.Errorf("one-shard KeyAt = %q, want the first candidate p.0", k)
+	}
+	if k, err := mustNew(t, 1, 1, []tid.SiteID{1}).KeyAt("p", 2); err == nil {
+		t.Errorf("KeyAt for a site with no shard = %q, want an error", k)
+	}
+}
+
 func TestServerNaming(t *testing.T) {
 	m := mustNew(t, 1, 4, []tid.SiteID{1, 2})
 	if got := m.ServerOf(3); got != "shard3" {
