@@ -52,17 +52,16 @@ torture:
 # one fault per sampled point, checking the recovery oracle each time.
 # The unbounded sweep is `go run ./cmd/camelot-chaos` (drop -points).
 chaos:
-	$(GO) run ./cmd/camelot-chaos -points 200
-	$(GO) run ./cmd/camelot-chaos -points 200 -nonblocking
+	for p in 2pc nb paxos; do $(GO) run ./cmd/camelot-chaos -points 200 -protocol $$p || exit 1; done
 
 # The Paxos Commit gate (DESIGN.md §10): the budget-conformance suite
-# pinning the Gray–Lamport message/force table, the chaos sweep over
+# pinning the Gray–Lamport message/force table, the chaos tests over
 # acceptor forces and 2b datagrams, the non-blocking-under-any-crash
-# regression, and the real-process coordinator-kill cluster smoke.
+# regression, and the real-process coordinator-kill cluster smoke. The
+# 200-point Paxos sweep itself is `make chaos`'s third iteration.
 paxos:
 	$(GO) test ./camelot -run 'TestProtocolBudgetTable|TestPaxos'
 	$(GO) test ./internal/chaos -run TestPaxos
-	$(GO) run ./cmd/camelot-chaos -points 200 -protocol paxos
 	$(GO) test ./cmd/camelot-cluster -run TestClusterPaxosSmoke
 
 # A short fuzz of recovery's block decoder: arbitrary bytes as the

@@ -154,7 +154,7 @@ func BenchmarkFigure3_NonBlocking(b *testing.B) {
 				var mean float64
 				for i := 0; i < b.N; i++ {
 					res := exp.MeasureLatency(exp.LatencySpec{
-						Subs: subs, Opts: camelot.Options{NonBlocking: true},
+						Subs: subs, Opts: camelot.Options{Protocol: camelot.NonBlocking},
 						ReadOnly: ro, Trials: 8, Params: p, Seed: int64(subs),
 					})
 					mean = res.Total.Mean()

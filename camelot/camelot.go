@@ -69,6 +69,16 @@ var (
 // core.Options for field meanings.
 type Options = core.Options
 
+// Protocol re-exports the commit-protocol enum Options.Protocol takes.
+type Protocol = wire.Protocol
+
+// Commit protocols; the zero Options means TwoPhase.
+const (
+	TwoPhase    = wire.TwoPhase
+	NonBlocking = wire.NonBlocking
+	Paxos       = wire.Paxos
+)
+
 // Config tunes a cluster.
 type Config struct {
 	// Params is the primitive cost model; params.Paper() reproduces

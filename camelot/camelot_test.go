@@ -271,7 +271,7 @@ func TestNonBlockingCommit(t *testing.T) {
 		tx.Write("srv1", "x", []byte("1"))
 		tx.Write("srv2", "y", []byte("2"))
 		tx.Write("srv3", "z", []byte("3"))
-		if err := tx.CommitWith(Options{NonBlocking: true}); err != nil {
+		if err := tx.CommitWith(Options{Protocol: NonBlocking}); err != nil {
 			t.Fatalf("non-blocking commit: %v", err)
 		}
 		k.Sleep(500 * time.Millisecond)
@@ -291,7 +291,7 @@ func TestNonBlockingReadOnly(t *testing.T) {
 		tx, _ := c.Node(1).Begin()
 		tx.Write("srv1", "x", []byte("1"))
 		tx.Read("srv2", "y")
-		if err := tx.CommitWith(Options{NonBlocking: true}); err != nil {
+		if err := tx.CommitWith(Options{Protocol: NonBlocking}); err != nil {
 			t.Fatalf("NB commit: %v", err)
 		}
 		k.Sleep(500 * time.Millisecond)

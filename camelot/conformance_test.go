@@ -139,7 +139,7 @@ func TestDelayedCommitSavesOneForcePerSubordinate(t *testing.T) {
 // subordinate forces one extra record (its replicated intent).
 func TestNonBlockingAddsOneReplicationRound(t *testing.T) {
 	id2pc, tr2pc := commitTraced(t, Options{}, nil, writeAll)
-	idNB, trNB := commitTraced(t, Options{NonBlocking: true}, nil, writeAll)
+	idNB, trNB := commitTraced(t, Options{Protocol: NonBlocking}, nil, writeAll)
 
 	const subs = 2
 	coord2, coordNB := tr2pc.Family(id2pc, 1), trNB.Family(idNB, 1)
@@ -189,7 +189,7 @@ func TestReadOnlySubordinateBudget(t *testing.T) {
 		opts Options
 	}{
 		{"TwoPhase", Options{}},
-		{"NonBlocking", Options{NonBlocking: true}},
+		{"NonBlocking", Options{Protocol: NonBlocking}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			id, tr := commitTraced(t, tc.opts,

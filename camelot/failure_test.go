@@ -88,7 +88,7 @@ func TestNonBlockingSurvivesCoordinatorCrashBeforeReplication(t *testing.T) {
 	runSim(t, fastConfig(), func(k *sim.Kernel, c *Cluster) {
 		// Crash right after the subs prepare (~4ms): no replication
 		// happened, so the survivors form an abort quorum (Qa=2 of 3).
-		crashCoordinatorMidCommit(t, k, c, Options{NonBlocking: true}, 4*time.Millisecond)
+		crashCoordinatorMidCommit(t, k, c, Options{Protocol: NonBlocking}, 4*time.Millisecond)
 		k.Sleep(3 * time.Second)
 		if subHoldsLock(c, 2, "y") || subHoldsLock(c, 3, "z") {
 			t.Fatal("non-blocking subordinates stayed blocked after a single failure")
@@ -109,7 +109,7 @@ func TestNonBlockingSurvivesCoordinatorCrashAfterReplication(t *testing.T) {
 		// Crash after the replication phase has reached the subs
 		// (~8ms with Fast params: prepare 1+1, vote 1, replicate 1+1,
 		// plus forces at 1ms each) but before outcome notifications.
-		crashCoordinatorMidCommit(t, k, c, Options{NonBlocking: true}, 8*time.Millisecond)
+		crashCoordinatorMidCommit(t, k, c, Options{Protocol: NonBlocking}, 8*time.Millisecond)
 		k.Sleep(3 * time.Second)
 		if subHoldsLock(c, 2, "y") || subHoldsLock(c, 3, "z") {
 			t.Fatal("non-blocking subordinates stayed blocked after a single failure")
@@ -130,7 +130,7 @@ func TestNonBlockingBlocksOnTwoFailures(t *testing.T) {
 		// began: the survivor alone (1 of 3) can form neither quorum
 		// (Qc=2, Qa=2) and must block — "all sites may block if there
 		// are two or more failures."
-		crashCoordinatorMidCommit(t, k, c, Options{NonBlocking: true}, 8*time.Millisecond)
+		crashCoordinatorMidCommit(t, k, c, Options{Protocol: NonBlocking}, 8*time.Millisecond)
 		c.Node(3).Crash()
 		k.Sleep(5 * time.Second)
 		if !subHoldsLock(c, 2, "y") {
@@ -219,7 +219,7 @@ func TestPartitionBlocksTwoPhaseThenHeals(t *testing.T) {
 func TestProtocolsCompleteUnderMessageLoss(t *testing.T) {
 	cfg := fastConfig()
 	cfg.LossRate = 0.2
-	for _, opts := range []Options{{}, {NonBlocking: true}} {
+	for _, opts := range []Options{{}, {Protocol: NonBlocking}} {
 		opts := opts
 		runSim(t, cfg, func(k *sim.Kernel, c *Cluster) {
 			for i := 0; i < 10; i++ {

@@ -43,7 +43,7 @@ func TestSimulationLockWaitsAreZero(t *testing.T) {
 				case 0:
 					tx.Commit() //nolint:errcheck
 				case 1:
-					tx.CommitWith(Options{NonBlocking: true}) //nolint:errcheck
+					tx.CommitWith(Options{Protocol: NonBlocking}) //nolint:errcheck
 				default:
 					tx.Abort() //nolint:errcheck
 				}

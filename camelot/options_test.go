@@ -13,7 +13,7 @@ func TestMulticastOptionCommits(t *testing.T) {
 		tx.Write("srv1", "x", []byte("1")) //nolint:errcheck
 		tx.Write("srv2", "y", []byte("2")) //nolint:errcheck
 		tx.Write("srv3", "z", []byte("3")) //nolint:errcheck
-		if err := tx.CommitWith(Options{Multicast: true, NonBlocking: true}); err != nil {
+		if err := tx.CommitWith(Options{Multicast: true, Protocol: NonBlocking}); err != nil {
 			t.Fatalf("multicast NB commit: %v", err)
 		}
 		k.Sleep(500 * time.Millisecond)

@@ -121,7 +121,7 @@ func TestProtocolBudgetTable(t *testing.T) {
 		},
 		// Non-blocking commit: one replication round on top of 2PC.
 		{
-			name: "nb/writeAll", opts: Options{NonBlocking: true}, n: 3, write: writeAll,
+			name: "nb/writeAll", opts: Options{Protocol: NonBlocking}, n: 3, write: writeAll,
 			want: map[SiteID]trace.FamilyCounters{
 				1: {LogAppends: 5, LogForces: 2, MsgsSent: 6, MsgsRecv: 6},
 				2: {LogAppends: 4, LogForces: 2, MsgsSent: 3, MsgsRecv: 3},
@@ -134,7 +134,7 @@ func TestProtocolBudgetTable(t *testing.T) {
 		// Only the coordinator's append count differs (the accepted
 		// record is a fourth, unforced append).
 		{
-			name: "paxos/F=0/writeAll", opts: Options{Paxos: true}, n: 3, write: writeAll,
+			name: "paxos/F=0/writeAll", opts: Options{Protocol: Paxos}, n: 3, write: writeAll,
 			want: map[SiteID]trace.FamilyCounters{
 				1: {LogAppends: 4, LogForces: 1, MsgsSent: 4, MsgsRecv: 4},
 				2: {LogAppends: 3, LogForces: 1, MsgsSent: 2, MsgsRecv: 2},
@@ -142,7 +142,7 @@ func TestProtocolBudgetTable(t *testing.T) {
 			},
 		},
 		{
-			name: "paxos/F=0/readOnly", opts: Options{Paxos: true}, n: 3, ro: true,
+			name: "paxos/F=0/readOnly", opts: Options{Protocol: Paxos}, n: 3, ro: true,
 			want: map[SiteID]trace.FamilyCounters{
 				1: {LogAppends: 4, LogForces: 1, MsgsSent: 3, MsgsRecv: 3},
 				2: {LogAppends: 3, LogForces: 1, MsgsSent: 2, MsgsRecv: 2},
@@ -154,7 +154,7 @@ func TestProtocolBudgetTable(t *testing.T) {
 		// acceptor's batched accepted record) and the 2a/2b fan-out
 		// replaces the single vote datagram.
 		{
-			name: "paxos/F=1/writeAll", opts: Options{Paxos: true, PaxosF: 1}, n: 3, write: writeAll,
+			name: "paxos/F=1/writeAll", opts: Options{Protocol: Paxos, PaxosF: 1}, n: 3, write: writeAll,
 			want: map[SiteID]trace.FamilyCounters{
 				1: {LogAppends: 5, LogForces: 2, MsgsSent: 6, MsgsRecv: 6},
 				2: {LogAppends: 4, LogForces: 2, MsgsSent: 4, MsgsRecv: 4},
@@ -167,7 +167,7 @@ func TestProtocolBudgetTable(t *testing.T) {
 		// prepared records — and the outcome reaches it fire-and-forget,
 		// with no ack owed.
 		{
-			name: "paxos/F=1/readOnly", opts: Options{Paxos: true, PaxosF: 1}, n: 3, ro: true,
+			name: "paxos/F=1/readOnly", opts: Options{Protocol: Paxos, PaxosF: 1}, n: 3, ro: true,
 			want: map[SiteID]trace.FamilyCounters{
 				1: {LogAppends: 5, LogForces: 2, MsgsSent: 6, MsgsRecv: 5},
 				2: {LogAppends: 4, LogForces: 2, MsgsSent: 4, MsgsRecv: 4},
@@ -176,7 +176,7 @@ func TestProtocolBudgetTable(t *testing.T) {
 		},
 		// Paxos Commit, F=2 over five sites: all five host acceptors.
 		{
-			name: "paxos/F=2/writeAll", opts: Options{Paxos: true, PaxosF: 2}, n: 5, write: writeAllN(5),
+			name: "paxos/F=2/writeAll", opts: Options{Protocol: Paxos, PaxosF: 2}, n: 5, write: writeAllN(5),
 			want: map[SiteID]trace.FamilyCounters{
 				1: {LogAppends: 5, LogForces: 2, MsgsSent: 12, MsgsRecv: 12},
 				2: {LogAppends: 4, LogForces: 2, MsgsSent: 6, MsgsRecv: 6},
@@ -217,7 +217,7 @@ func TestPaxosTotalMessagesMatchGrayLamport(t *testing.T) {
 		{0, 3}, {1, 3}, {2, 5},
 	} {
 		t.Run(fmt.Sprintf("F=%d/N=%d", tc.f, tc.n), func(t *testing.T) {
-			id, tr := commitTracedN(t, Options{Paxos: true, PaxosF: tc.f}, tc.n, nil, writeAllN(tc.n))
+			id, tr := commitTracedN(t, Options{Protocol: Paxos, PaxosF: tc.f}, tc.n, nil, writeAllN(tc.n))
 			total := 0
 			for site := SiteID(1); site <= SiteID(tc.n); site++ {
 				total += tr.Family(id, site).MsgsSent
@@ -255,7 +255,7 @@ func TestPaxosF0EqualsTwoPhaseDelayBudget(t *testing.T) {
 				ops = readOnlyOps
 			}
 			id2, tr2 := commitTracedN(t, Options{}, 3, setup, ops)
-			idP, trP := commitTracedN(t, Options{Paxos: true}, 3, setup, ops)
+			idP, trP := commitTracedN(t, Options{Protocol: Paxos}, 3, setup, ops)
 			for site := SiteID(1); site <= 3; site++ {
 				b2, bP := tr2.Family(id2, site), trP.Family(idP, site)
 				if bP.LogForces != b2.LogForces || bP.MsgsSent != b2.MsgsSent || bP.MsgsRecv != b2.MsgsRecv {

@@ -64,7 +64,7 @@ func TestRealtimeConcurrentFamilies(t *testing.T) {
 				case 0:
 					err = tx.Commit()
 				case 1:
-					err = tx.CommitWith(Options{NonBlocking: true})
+					err = tx.CommitWith(Options{Protocol: NonBlocking})
 				default:
 					err = tx.Abort()
 					if err == nil {

@@ -16,7 +16,7 @@ func TestRealtimeClusterEndToEnd(t *testing.T) {
 	}
 
 	// A distributed update under each protocol.
-	for _, opts := range []Options{{}, {NonBlocking: true}} {
+	for _, opts := range []Options{{}, {Protocol: NonBlocking}} {
 		tx, err := c.Node(1).Begin()
 		if err != nil {
 			t.Fatalf("Begin: %v", err)

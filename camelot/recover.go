@@ -9,6 +9,7 @@ import (
 	"camelot/internal/server"
 	"camelot/internal/tid"
 	"camelot/internal/wal"
+	"camelot/internal/wire"
 )
 
 // recoverNode runs the recovery process against the node's freshly
@@ -93,23 +94,25 @@ func recoverSite(id tid.SiteID, log *wal.Log, pages *diskman.PageStore, tm *core
 			srv.Reacquire(d.TID, ups)
 			parts = append(parts, srv)
 		}
-		if d.Paxos {
+		switch d.Protocol {
+		case wire.Paxos:
 			tm.RestorePaxos(d.TID, d.Coordinator, d.Sites, d.Acceptors,
 				d.Promised, d.Accepted, d.AccForced, d.Prepared, parts)
 			continue
+		case wire.NonBlocking:
+			if d.TID.Family.Origin() == id {
+				tm.RestoreNBCoordinator(d.TID, d.Sites, d.CommitQuorum, d.AbortQuorum,
+					d.Replicated, d.Votes, parts)
+				continue
+			}
 		}
-		if d.NonBlocking && d.TID.Family.Origin() == id {
-			tm.RestoreNBCoordinator(d.TID, d.Sites, d.CommitQuorum, d.AbortQuorum,
-				d.Replicated, d.Votes, parts)
-			continue
-		}
-		tm.RestorePreparedSub(d.TID, d.Coordinator, d.NonBlocking, d.Sites,
+		tm.RestorePreparedSub(d.TID, d.Coordinator, d.Protocol, d.Sites,
 			d.CommitQuorum, d.AbortQuorum, d.Replicated, d.Votes, parts)
 	}
 
 	// Re-drive decisions whose acknowledgements never all arrived.
 	for _, res := range a.Resume {
-		tm.RestoreCommittedCoordinator(res.TID, res.UpdateSubs, res.NonBlocking)
+		tm.RestoreCommittedCoordinator(res.TID, res.UpdateSubs, res.Protocol)
 	}
 	return nil
 }

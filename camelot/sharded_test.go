@@ -10,6 +10,7 @@ import (
 	"camelot/internal/server"
 	"camelot/internal/shardmap"
 	"camelot/internal/sim"
+	"camelot/internal/wire"
 )
 
 // runShardedSim executes fn in a deterministic simulation of a
@@ -64,38 +65,30 @@ func crossShardKeys(t *testing.T, m *shardmap.Map, prefix string, sites ...SiteI
 // key's own home site.
 func TestShardedCrossShardCommit(t *testing.T) {
 	runShardedSim(t, func(k *sim.Kernel, c *Cluster, m *shardmap.Map) {
-		protocols := []struct {
-			name string
-			opts Options
-		}{
-			{"2pc", Options{}},
-			{"nb", Options{NonBlocking: true}},
-			{"paxos", Options{Paxos: true, PaxosF: 1}},
-		}
-		for pi, p := range protocols {
-			keys := crossShardKeys(t, m, p.name, 1, 2, 3)
+		for _, proto := range wire.Protocols() {
+			name := proto.String()
+			keys := crossShardKeys(t, m, name, 1, 2, 3)
 			coord := c.Node(m.SiteOf(keys[0]))
 			tx, err := coord.Begin()
 			if err != nil {
-				t.Fatalf("[%s] Begin: %v", p.name, err)
+				t.Fatalf("[%s] Begin: %v", name, err)
 			}
 			for _, key := range keys {
-				if err := tx.WriteKey(key, []byte(p.name)); err != nil {
-					t.Fatalf("[%s] WriteKey(%q): %v", p.name, key, err)
+				if err := tx.WriteKey(key, []byte(name)); err != nil {
+					t.Fatalf("[%s] WriteKey(%q): %v", name, key, err)
 				}
 			}
-			if err := tx.CommitWith(p.opts); err != nil {
-				t.Fatalf("[%s] Commit: %v", p.name, err)
+			if err := tx.CommitWith(Options{Protocol: proto, PaxosF: 1}); err != nil {
+				t.Fatalf("[%s] Commit: %v", name, err)
 			}
 			for _, key := range keys {
 				home := c.Node(m.SiteOf(key))
 				v, ok := home.Server(m.ServerFor(key)).Peek(key)
-				if !ok || !bytes.Equal(v, []byte(p.name)) {
+				if !ok || !bytes.Equal(v, []byte(name)) {
 					t.Fatalf("[%s] after commit, %q = %q (%v) at site %d",
-						p.name, key, v, ok, home.ID())
+						name, key, v, ok, home.ID())
 				}
 			}
-			_ = pi
 		}
 	})
 }

@@ -33,16 +33,16 @@ func TestAtomicityUnderRandomFaults(t *testing.T) {
 		seeds = 4
 	}
 	for seed := 0; seed < seeds; seed++ {
-		for _, nb := range []bool{false, true} {
-			name := fmt.Sprintf("seed=%d/nonblocking=%v", seed, nb)
+		for _, proto := range []Protocol{TwoPhase, NonBlocking} {
+			name := fmt.Sprintf("seed=%d/nonblocking=%v", seed, proto == NonBlocking)
 			t.Run(name, func(t *testing.T) {
-				tortureRun(t, int64(seed), nb)
+				tortureRun(t, int64(seed), proto)
 			})
 		}
 	}
 }
 
-func tortureRun(t *testing.T, seed int64, nonblocking bool) {
+func tortureRun(t *testing.T, seed int64, proto Protocol) {
 	t.Helper()
 	k := sim.New(seed)
 	cfg := fastConfig()
@@ -118,7 +118,7 @@ func tortureRun(t *testing.T, seed int64, nonblocking bool) {
 				outcomes[i] = oAborted
 				continue
 			}
-			err = tx.CommitWith(Options{NonBlocking: nonblocking})
+			err = tx.CommitWith(Options{Protocol: proto})
 			switch {
 			case err == nil:
 				outcomes[i] = oCommitted

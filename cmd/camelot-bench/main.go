@@ -43,11 +43,23 @@ import (
 	"camelot/internal/load"
 	"camelot/internal/params"
 	"camelot/internal/stats"
+	"camelot/internal/wire"
 )
 
 func runLoadgen(jsonOut bool) {
 	fs := flag.NewFlagSet("loadgen", flag.ExitOnError)
-	protocols := fs.String("protocols", "2pc,nb,paxos", "comma-separated commit protocols")
+	protocols := wire.Protocols()
+	fs.Func("protocols", "comma-separated commit protocols (default: every protocol)", func(s string) error {
+		protocols = nil
+		for _, name := range strings.Split(s, ",") {
+			p, err := wire.ParseProtocol(name)
+			if err != nil {
+				return err
+			}
+			protocols = append(protocols, p)
+		}
+		return nil
+	})
 	rates := fs.String("rates", "200,500,1000", "comma-separated target rates, ops/second")
 	duration := fs.Duration("duration", 2*time.Second, "scheduled arrival window per cell")
 	sites := fs.Int("sites", 3, "cluster size")
@@ -75,7 +87,7 @@ func runLoadgen(jsonOut bool) {
 	defer os.RemoveAll(dir) //nolint:errcheck // best-effort cleanup
 
 	cfg := load.BenchConfig{
-		Protocols: strings.Split(*protocols, ","),
+		Protocols: protocols,
 		Rates:     rateList,
 		Duration:  *duration,
 		Sites:     *sites,

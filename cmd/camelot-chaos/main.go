@@ -35,27 +35,26 @@ import (
 
 	"camelot/internal/chaos"
 	"camelot/internal/netem"
+	"camelot/internal/wire"
 )
 
 type options struct {
-	sites       int
-	nonblocking bool
-	protocol    string
-	seed        int64
-	txns        int
-	shards      int
-	points      int
-	repro       string
-	netemFile   string
-	jsonOut     bool
-	verbose     bool
+	sites     int
+	protocol  wire.Protocol
+	seed      int64
+	txns      int
+	shards    int
+	points    int
+	repro     string
+	netemFile string
+	jsonOut   bool
+	verbose   bool
 }
 
 func main() {
 	var opts options
 	flag.IntVar(&opts.sites, "sites", 3, "number of sites (coordinator is site 1)")
-	flag.BoolVar(&opts.nonblocking, "nonblocking", false, "use the non-blocking commitment protocol")
-	flag.StringVar(&opts.protocol, "protocol", "", "commit protocol: 2pc, nb, or paxos (overrides -nonblocking)")
+	flag.TextVar(&opts.protocol, "protocol", wire.TwoPhase, "commit protocol: 2pc, nb, or paxos")
 	flag.Int64Var(&opts.seed, "seed", 1, "simulation seed")
 	flag.IntVar(&opts.txns, "txns", 12, "workload transactions per run")
 	flag.IntVar(&opts.shards, "shards", 0, "shard the keyspace into N shards and sweep the cross-shard workload (0: legacy replicated-key workload)")
@@ -90,19 +89,13 @@ func run(opts options) (out string, failed bool, err error) {
 	if opts.verbose {
 		progress = func(line string) { fmt.Fprintln(os.Stderr, line) }
 	}
-	switch opts.protocol {
-	case "", "2pc", "nb", "paxos":
-	default:
-		return "", false, fmt.Errorf("unknown -protocol %q (want 2pc, nb, or paxos)", opts.protocol)
-	}
 	rep, err := chaos.Sweep(chaos.Options{
-		Sites:       opts.sites,
-		NonBlocking: opts.nonblocking,
-		Protocol:    opts.protocol,
-		Seed:        opts.seed,
-		Txns:        opts.txns,
-		Shards:      opts.shards,
-		MaxPoints:   opts.points,
+		Sites:     opts.sites,
+		Protocol:  opts.protocol,
+		Seed:      opts.seed,
+		Txns:      opts.txns,
+		Shards:    opts.shards,
+		MaxPoints: opts.points,
 	}, progress)
 	if err != nil {
 		return "", false, err
@@ -132,23 +125,27 @@ func replay(opts options) (string, bool, error) {
 	if err != nil {
 		return "", false, err
 	}
-	out := fmt.Sprintf("replay %s: seed %d, %d sites, nonblocking=%v, %d fault(s)\n",
-		opts.repro, s.Seed, s.Sites, s.NonBlocking, len(s.Faults))
+	out := fmt.Sprintf("replay %s: seed %d, %d sites, %v, %d fault(s)\n",
+		opts.repro, s.Seed, s.Sites, s.Protocol, len(s.Faults))
 	for _, f := range s.Faults {
 		out += fmt.Sprintf("  fault  %s\n", f)
 	}
-	out += fmt.Sprintf("  outcomes %v\n", r.Outcomes)
-	if !r.Failed() {
-		out += "  OK: all invariants hold\n"
-		return out, false, nil
+	return out + verdict(r.Outcomes, r.Violations, r.Deadlock), r.Failed(), nil
+}
+
+// verdict renders a replay's client view and what the oracle made of it.
+func verdict(outcomes, violations []string, deadlock string) string {
+	out := fmt.Sprintf("  outcomes %v\n", outcomes)
+	if len(violations) == 0 && deadlock == "" {
+		return out + "  OK: all invariants hold\n"
 	}
-	for _, v := range r.Violations {
+	for _, v := range violations {
 		out += fmt.Sprintf("  VIOLATION %s\n", v)
 	}
-	if r.Deadlock != "" {
-		out += fmt.Sprintf("  DEADLOCK %s\n", r.Deadlock)
+	if deadlock != "" {
+		out += fmt.Sprintf("  DEADLOCK %s\n", deadlock)
 	}
-	return out, true, nil
+	return out
 }
 
 // replayNetem re-runs one netem/v1 fault schedule under the
@@ -185,40 +182,17 @@ func replayNetem(opts options) (string, bool, error) {
 		opts.netemFile, w.Seed, w.Sites, w.Txns)
 	out += fmt.Sprintf("  emulator  seen %d, dropped %d (cut %d), dupped %d, delayed %d\n",
 		r.Counts.Seen, r.Counts.Dropped, r.Counts.Cut, r.Counts.Dupped, r.Counts.Delayed)
-	out += fmt.Sprintf("  outcomes %v\n", r.Outcomes)
-	if !r.Failed() {
-		out += "  OK: all invariants hold\n"
-		return out, false, nil
-	}
-	for _, v := range r.Violations {
-		out += fmt.Sprintf("  VIOLATION %s\n", v)
-	}
-	if r.Deadlock != "" {
-		out += fmt.Sprintf("  DEADLOCK %s\n", r.Deadlock)
-	}
-	return out, true, nil
+	return out + verdict(r.Outcomes, r.Violations, r.Deadlock), r.Failed(), nil
 }
 
 // renderReport formats a sweep report for humans.
 func renderReport(rep *chaos.Report) string {
-	protocol := "two-phase"
-	if rep.NonBlocking {
-		protocol = "non-blocking"
-	}
-	switch rep.Protocol {
-	case "2pc":
-		protocol = "two-phase"
-	case "nb":
-		protocol = "non-blocking"
-	case "paxos":
-		protocol = "paxos F=1"
-	}
 	sharding := ""
 	if rep.Shards > 0 {
 		sharding = fmt.Sprintf(", %d shards", rep.Shards)
 	}
-	out := fmt.Sprintf("chaos sweep: %s, seed %d, %d sites%s, %d txns\n",
-		protocol, rep.Seed, rep.Sites, sharding, rep.Txns)
+	out := fmt.Sprintf("chaos sweep: %v, seed %d, %d sites%s, %d txns\n",
+		rep.Protocol, rep.Seed, rep.Sites, sharding, rep.Txns)
 	out += fmt.Sprintf("  points: %d enumerated, %d explored; %d runs\n",
 		rep.PointsTotal, rep.PointsRun, rep.Runs)
 	if len(rep.Failures) == 0 {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"camelot/internal/chaos"
+	"camelot/internal/wire"
 )
 
 // TestSweepTextReport runs a small bounded sweep end to end through
@@ -18,7 +19,7 @@ func TestSweepTextReport(t *testing.T) {
 	if failed {
 		t.Fatalf("sweep reported failures:\n%s", out)
 	}
-	for _, want := range []string{"chaos sweep: two-phase", "enumerated", "zero invariant violations"} {
+	for _, want := range []string{"chaos sweep: 2pc", "enumerated", "zero invariant violations"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("report missing %q:\n%s", want, out)
 		}
@@ -40,8 +41,13 @@ func TestSweepJSONDeterministic(t *testing.T) {
 	if a != b {
 		t.Error("same options, different -json bytes")
 	}
-	if _, err := chaos.DecodeReport([]byte(a)); err != nil {
-		t.Errorf("-json output does not decode: %v", err)
+	rep, err := chaos.DecodeReport([]byte(a))
+	if err != nil {
+		t.Fatalf("-json output does not decode: %v", err)
+	}
+	// One spelling of the protocol, always present.
+	if rep.Protocol != wire.TwoPhase || !strings.Contains(a, `"protocol": "2pc"`) || strings.Contains(a, "nonblocking") {
+		t.Errorf("report does not name its protocol exactly once:\n%s", a)
 	}
 }
 

@@ -53,6 +53,7 @@ import (
 	"camelot/internal/ctl"
 	"camelot/internal/oracle"
 	"camelot/internal/shardmap"
+	"camelot/internal/wire"
 )
 
 // ReportSchema identifies the -json output format.
@@ -276,13 +277,15 @@ func spawn(bin string, site camelot.SiteID, wal, listen, control string, retry t
 }
 
 // kill SIGKILLs the node — the crash recovery exists for. The WAL
-// file and the addresses survive for the next incarnation.
+// file and the addresses survive for the next incarnation. The signal
+// goes first: Close waits for any call in flight on the client, and a
+// call to a busy or frozen node returns only once the node is dead.
 func (p *proc) kill() {
 	if p.down {
 		return
 	}
-	p.client.Close()     //nolint:errcheck // process is going away
 	p.cmd.Process.Kill() //nolint:errcheck // SIGKILL is the point
+	p.client.Close()     //nolint:errcheck // process is gone
 	p.cmd.Wait()         //nolint:errcheck // reap
 	p.down = true
 }
@@ -372,6 +375,9 @@ func checkShardMaps(sites []camelot.SiteID, procs map[camelot.SiteID]*proc, m *s
 func runCluster(cfg clusterConfig) (*report, error) {
 	if cfg.Nodes < 2 {
 		return nil, errors.New("need at least 2 nodes")
+	}
+	if _, err := wire.ParseProtocol(cfg.Protocol); err != nil {
+		return nil, err // before any node is spawned
 	}
 	if cfg.Shards <= 0 {
 		cfg.Shards = cfg.Nodes

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"camelot/internal/ctl"
+	"camelot/internal/wire"
 )
 
 // nodeBin returns the camelot-node binary, built once per test
@@ -287,6 +288,69 @@ func TestClusterFrozenNodeDeadline(t *testing.T) {
 	}
 	if id, err := p.client.Ping(); err != nil || id != 1 {
 		t.Fatalf("ping after thaw = %v, %v; want site 1", id, err)
+	}
+}
+
+// TestKillDoesNotWaitForCallInFlight pins kill()'s order: the SIGKILL
+// goes out before the client is closed. Close waits for the call in
+// flight, and a call to a frozen node (no deadline set, as in the
+// kill/restart driver) returns only when the node dies — so closing
+// first never reaches the signal, and -kill-mid-commit kills a
+// coordinator only after its commit call has answered.
+func TestKillDoesNotWaitForCallInFlight(t *testing.T) {
+	bin := nodeBin(t)
+
+	p, err := spawn(bin, 1, filepath.Join(t.TempDir(), "site1.wal"),
+		"127.0.0.1:0", "127.0.0.1:0", 25*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.cmd.Process.Kill() //nolint:errcheck // in case kill() never got there
+	if err := p.cmd.Process.Signal(syscall.SIGSTOP); err != nil {
+		t.Fatal(err)
+	}
+	waitStopped(t, p.cmd.Process.Pid)
+
+	pinged := make(chan error, 1)
+	go func() {
+		_, err := p.client.Ping()
+		pinged <- err
+	}()
+	time.Sleep(100 * time.Millisecond) // let the ping take the client and block
+
+	killed := make(chan struct{})
+	go func() { p.kill(); close(killed) }()
+	select {
+	case <-killed:
+	case <-time.After(2 * time.Second):
+		t.Fatal("kill() still waiting after 2s: it closed the client before sending the signal")
+	}
+	select {
+	case err := <-pinged:
+		if !errors.Is(err, ctl.ErrUnavailable) {
+			t.Errorf("ping in flight across the kill = %v, want ErrUnavailable", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Error("ping in flight never returned after the kill")
+	}
+}
+
+// TestUnknownProtocolRefusedBeforeSpawn: a mistyped -protocol used to
+// run the whole workload with every commit refused and exit 0. Both
+// modes must refuse it, naming the accepted set, before any node is
+// spawned — the node binary named here does not exist, so reaching
+// spawn would fail differently.
+func TestUnknownProtocolRefusedBeforeSpawn(t *testing.T) {
+	_, clusterErr := runCluster(clusterConfig{Nodes: 3, Txns: 6, Protocol: "paxso",
+		NodeBin: filepath.Join(t.TempDir(), "no-such-node")})
+	_, netemErr := runNetem(netemConfig{Nodes: 3, Protocol: "paxso",
+		ScheduleFile: "testdata/netem-ci.json",
+		NodeBin:      filepath.Join(t.TempDir(), "no-such-node")})
+	_, want := wire.ParseProtocol("paxso")
+	for mode, err := range map[string]error{"runCluster": clusterErr, "runNetem": netemErr} {
+		if err == nil || err.Error() != want.Error() {
+			t.Errorf("%s with -protocol paxso = %v, want %v", mode, err, want)
+		}
 	}
 }
 

@@ -15,6 +15,7 @@ import (
 	"camelot/internal/netem"
 	"camelot/internal/oracle"
 	"camelot/internal/shardmap"
+	"camelot/internal/wire"
 )
 
 // NetemReportSchema identifies the netem-mode -json output format.
@@ -148,6 +149,9 @@ type netemDriver struct {
 func runNetem(cfg netemConfig) (*netemReport, error) {
 	if cfg.Nodes < 2 {
 		return nil, errors.New("need at least 2 nodes")
+	}
+	if _, err := wire.ParseProtocol(cfg.Protocol); err != nil {
+		return nil, err // before any node is spawned
 	}
 	b, err := os.ReadFile(cfg.ScheduleFile)
 	if err != nil {

@@ -11,20 +11,18 @@ import (
 	"camelot/internal/ctl"
 	"camelot/internal/oracle"
 	"camelot/internal/shardmap"
+	"camelot/internal/wire"
 )
 
-// protocolCycle is the deterministic per-transaction protocol cycle
-// used when no -protocol is pinned: every run exercises commitment
-// under all three protocols.
-var protocolCycle = []string{"2pc", "nb", "paxos"}
-
 // protocolFor returns transaction i's commit protocol: the pinned one,
-// else its turn in the cycle.
+// else its turn in the cycle through every protocol, so an unpinned
+// run exercises commitment under all of them.
 func protocolFor(pinned string, i int) string {
 	if pinned != "" {
 		return pinned
 	}
-	return protocolCycle[i%len(protocolCycle)]
+	cycle := wire.Protocols()
+	return cycle[i%len(cycle)].String()
 }
 
 // plan is one workload transaction before it runs: what to write

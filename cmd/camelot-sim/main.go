@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	camelot-sim [-sites N] [-nonblocking] [-crash coordinator|sub|none]
+//	camelot-sim [-sites N] [-protocol 2pc|nb|paxos] [-crash coordinator|sub|none]
 //	            [-crash-after d] [-partition] [-recover-after d] [-seed n]
 package main
 
@@ -22,7 +22,8 @@ import (
 
 func main() {
 	sites := flag.Int("sites", 3, "number of sites (coordinator + subordinates)")
-	nonblocking := flag.Bool("nonblocking", false, "use the non-blocking commit protocol")
+	protocol := camelot.TwoPhase
+	flag.TextVar(&protocol, "protocol", protocol, "commit protocol: 2pc, nb, or paxos")
 	crash := flag.String("crash", "coordinator", "what to crash mid-commit: coordinator, sub, none")
 	crashAfter := flag.Duration("crash-after", 50*time.Millisecond, "crash delay after commit is issued")
 	partition := flag.Bool("partition", false, "partition instead of crashing")
@@ -52,9 +53,9 @@ func main() {
 				return
 			}
 		}
-		logf("operations done at %d sites; committing (nonblocking=%v)", *sites, *nonblocking)
+		logf("operations done at %d sites; committing (%v)", *sites, protocol)
 		k.Go("commit", func() {
-			err := tx.CommitWith(camelot.Options{NonBlocking: *nonblocking})
+			err := tx.CommitWith(camelot.Options{Protocol: protocol, PaxosF: 1})
 			switch {
 			case err == nil:
 				logf("commit-transaction returned: COMMITTED")

@@ -31,35 +31,17 @@ import (
 )
 
 type options struct {
-	sites       int
-	nonblocking bool
-	protocol    string
-	seed        int64
-	loss        float64
-	jsonOut     bool
-}
-
-// commitOptions maps the selected protocol to per-commit options.
-// Paxos runs at F=1 so the trace shows the replicated acceptor set.
-func (o options) commitOptions() (camelot.Options, error) {
-	switch o.protocol {
-	case "paxos":
-		return camelot.Options{Paxos: true, PaxosF: 1}, nil
-	case "nb":
-		return camelot.Options{NonBlocking: true}, nil
-	case "2pc":
-		return camelot.Options{}, nil
-	case "":
-		return camelot.Options{NonBlocking: o.nonblocking}, nil
-	}
-	return camelot.Options{}, fmt.Errorf("unknown -protocol %q (want 2pc, nb, or paxos)", o.protocol)
+	sites    int
+	protocol camelot.Protocol
+	seed     int64
+	loss     float64
+	jsonOut  bool
 }
 
 func main() {
 	var opts options
 	flag.IntVar(&opts.sites, "sites", 3, "number of sites (coordinator + sites-1 subordinates)")
-	flag.BoolVar(&opts.nonblocking, "nonblocking", false, "use the non-blocking three-phase protocol")
-	flag.StringVar(&opts.protocol, "protocol", "", "commit protocol: 2pc, nb, or paxos (overrides -nonblocking)")
+	flag.TextVar(&opts.protocol, "protocol", camelot.TwoPhase, "commit protocol: 2pc, nb, or paxos")
 	flag.Int64Var(&opts.seed, "seed", 1, "simulation seed (same seed, same timeline)")
 	flag.Float64Var(&opts.loss, "loss", 0, "datagram loss probability: losses force retransmits and inquiries into the timeline and counters")
 	flag.BoolVar(&opts.jsonOut, "json", false, "emit a machine-readable JSON report")
@@ -82,10 +64,8 @@ func run(opts options) (string, error) {
 	if opts.loss < 0 || opts.loss >= 1 {
 		return "", fmt.Errorf("-loss must be in [0, 1), got %g", opts.loss)
 	}
-	copts, err := opts.commitOptions()
-	if err != nil {
-		return "", err
-	}
+	// Paxos runs at F=1 so the trace shows the replicated acceptor set.
+	copts := camelot.Options{Protocol: opts.protocol, PaxosF: 1}
 
 	k := sim.New(opts.seed)
 	cfg := camelot.DefaultConfig()
@@ -144,14 +124,17 @@ func run(opts options) (string, error) {
 	return renderText(opts, c, txid, commit), nil
 }
 
-func protocolName(opts options) string {
-	if opts.protocol == "paxos" {
+// protocolLabel is the report's long name for p; the goldens pin it.
+func protocolLabel(p camelot.Protocol) string {
+	switch p {
+	case camelot.TwoPhase:
+		return "two-phase"
+	case camelot.NonBlocking:
+		return "non-blocking"
+	case camelot.Paxos:
 		return "paxos"
 	}
-	if opts.protocol == "nb" || (opts.protocol == "" && opts.nonblocking) {
-		return "non-blocking"
-	}
-	return "two-phase"
+	return p.String()
 }
 
 func renderText(opts options, c *camelot.Cluster, txid camelot.TID, commit time.Duration) string {
@@ -160,7 +143,7 @@ func renderText(opts options, c *camelot.Cluster, txid camelot.TID, commit time.
 	tr := c.Trace()
 
 	fmt.Fprintf(&sb, "\nTraced commit: %d site(s), %s protocol, seed %d\n",
-		opts.sites, protocolName(opts), opts.seed)
+		opts.sites, protocolLabel(opts.protocol), opts.seed)
 	fmt.Fprintf(&sb, "  transaction %s committed in %.1f ms\n\n", txid, ms(commit))
 
 	sb.WriteString("Event timeline:\n")
@@ -201,7 +184,7 @@ func renderText(opts options, c *camelot.Cluster, txid camelot.TID, commit time.
 // renderJSON emits the machine-readable report; the schema lives in
 // internal/trace (trace.Report) so other tools can decode it.
 func renderJSON(opts options, c *camelot.Cluster, txid camelot.TID, commit time.Duration) (string, error) {
-	rep := c.Trace().BuildReport(opts.sites, protocolName(opts), opts.seed, txid, commit)
+	rep := c.Trace().BuildReport(opts.sites, protocolLabel(opts.protocol), opts.seed, txid, commit)
 	b, err := rep.EncodeJSON()
 	if err != nil {
 		return "", err

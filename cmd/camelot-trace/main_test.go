@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"camelot/camelot"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -20,8 +22,8 @@ func TestJSONGolden(t *testing.T) {
 		opts options
 	}{
 		{"trace-2pc.json", options{sites: 3, seed: 1, jsonOut: true}},
-		{"trace-nb.json", options{sites: 3, nonblocking: true, seed: 1, jsonOut: true}},
-		{"trace-paxos.json", options{sites: 3, protocol: "paxos", seed: 1, jsonOut: true}},
+		{"trace-nb.json", options{sites: 3, protocol: camelot.NonBlocking, seed: 1, jsonOut: true}},
+		{"trace-paxos.json", options{sites: 3, protocol: camelot.Paxos, seed: 1, jsonOut: true}},
 		{"trace-2pc-lossy.json", options{sites: 3, seed: 1, loss: 0.25, jsonOut: true}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -77,17 +79,19 @@ func TestRunRejectsBadSiteCount(t *testing.T) {
 	}
 }
 
-// TestRunRejectsUnknownProtocol covers -protocol validation.
+// TestRunRejectsUnknownProtocol: -protocol names are refused by the
+// flag parser (wire.ParseProtocol); a value outside the enum that
+// reaches run anyway must fail rather than trace some other protocol.
 func TestRunRejectsUnknownProtocol(t *testing.T) {
-	if _, err := run(options{sites: 3, seed: 1, protocol: "3pc"}); err == nil {
-		t.Error("run with -protocol 3pc succeeded, want error")
+	if _, err := run(options{sites: 3, seed: 1, protocol: 9}); err == nil {
+		t.Error("run with protocol 9 succeeded, want error")
 	}
 }
 
 // TestPaxosReplayDeterministic pins replayability itself: two runs of
 // the paxos trace under the same seed must agree byte for byte.
 func TestPaxosReplayDeterministic(t *testing.T) {
-	opts := options{sites: 3, protocol: "paxos", seed: 7, jsonOut: true}
+	opts := options{sites: 3, protocol: camelot.Paxos, seed: 7, jsonOut: true}
 	a, err := run(opts)
 	if err != nil {
 		t.Fatalf("first run: %v", err)

@@ -48,7 +48,7 @@ func main() {
 		must(debit(tx, "branch1", "alice", 100))
 		must(credit(tx, "branch2", "bob", 60))
 		must(credit(tx, "branch3", "carol", 40))
-		must(tx.CommitWith(camelot.Options{NonBlocking: true}))
+		must(tx.CommitWith(camelot.Options{Protocol: camelot.NonBlocking}))
 		fmt.Printf("[%7.1f ms] split 100 alice -> bob+carol (non-blocking commit)\n", ms(k.Now()))
 
 		// Overdraft: the application aborts, and the abort protocol

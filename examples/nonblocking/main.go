@@ -23,7 +23,7 @@ func main() {
 	demo(camelot.Options{}, true)
 	fmt.Println()
 	fmt.Println("--- non-blocking commit: survivors finish without the coordinator ---")
-	demo(camelot.Options{NonBlocking: true}, false)
+	demo(camelot.Options{Protocol: camelot.NonBlocking}, false)
 }
 
 // demo runs a three-site update transaction, crashes the coordinator
@@ -79,7 +79,7 @@ func demo(opts camelot.Options, recoverCoord bool) {
 			fmt.Printf("  [%7.1f ms] coordinator recovered; replaying its log\n", ms(k.Now()))
 			k.Sleep(10 * time.Second)
 			report()
-		} else if opts.NonBlocking {
+		} else if opts.Protocol == camelot.NonBlocking {
 			proms := cluster.Node(2).TM().Stats().Promotions +
 				cluster.Node(3).TM().Stats().Promotions
 			fmt.Printf("  [%7.1f ms] subordinate promotions to coordinator: %d\n",

@@ -61,22 +61,8 @@ func Run(s Schedule) (*Result, error) {
 	if s.Version == "" {
 		s.Version = Version
 	}
-	if s.Version != Version {
-		return nil, fmt.Errorf("chaos: version %q, want %q", s.Version, Version)
-	}
-	if s.Sites < 1 || s.Txns < 1 {
-		return nil, fmt.Errorf("chaos: schedule needs sites and txns")
-	}
-	if !validProtocol(s.Protocol) {
-		return nil, fmt.Errorf("chaos: unknown protocol %q", s.Protocol)
-	}
-	for _, f := range s.Faults {
-		if err := validFault(f); err != nil {
-			return nil, err
-		}
-	}
-	if s.Shards < 0 {
-		return nil, fmt.Errorf("chaos: negative shard count %d", s.Shards)
+	if err := s.validate(); err != nil {
+		return nil, err
 	}
 	e := &engine{sched: s, msgFaults: make(map[int]Fault)}
 	return e.run()
@@ -102,21 +88,6 @@ type engine struct {
 }
 
 func srvName(id camelot.SiteID) string { return fmt.Sprintf("srv%d", id) }
-
-// commitOptions maps the schedule's protocol selection to per-commit
-// options. Paxos runs at F=1, so the sweep's single-site crashes are
-// exactly the faults it must mask.
-func (s Schedule) commitOptions() camelot.Options {
-	switch s.Protocol {
-	case ProtocolPaxos:
-		return camelot.Options{Paxos: true, PaxosF: 1}
-	case ProtocolNB:
-		return camelot.Options{NonBlocking: true}
-	case Protocol2PC:
-		return camelot.Options{}
-	}
-	return camelot.Options{NonBlocking: s.NonBlocking}
-}
 
 // workloadConfig mirrors the functional-test configuration: the fast
 // cost model with short timeouts, so a sweep of hundreds of runs
@@ -196,27 +167,29 @@ func (e *engine) run() (*Result, error) {
 	e.c.Network().SetInjector(e.inject)
 	e.c.Network().SetShaper(e.shape)
 
-	txns := make([]oracle.Txn, s.Txns)
-	var violations []string
-	e.k.Go("chaos-client", func() {
-		if e.smap != nil {
-			e.shardWorkload(txns)
-		} else {
-			e.workload(txns)
-		}
-		violations = e.verify(txns)
-		e.k.Stop()
-	})
-	e.k.RunUntil(10 * time.Minute)
-
-	res := &Result{Schedule: s, Deadlock: e.k.Deadlocked(), Violations: violations}
-	for _, tx := range txns {
-		res.Outcomes = append(res.Outcomes, tx.Outcome.String())
-	}
+	res := &Result{Schedule: s}
+	res.Outcomes, res.Violations, res.Deadlock = e.drive("chaos-client")
 	if len(s.Faults) == 0 {
 		res.Points = e.points()
 	}
 	return res, nil
+}
+
+// drive runs the workload and then the oracle on one client thread,
+// to completion, and returns the client's view of each transaction
+// with the verdict.
+func (e *engine) drive(thread string) (outcomes, violations []string, deadlock string) {
+	txns := make([]oracle.Txn, e.sched.Txns)
+	e.k.Go(thread, func() {
+		e.workload(txns)
+		violations = e.verify(txns)
+		e.k.Stop()
+	})
+	e.k.RunUntil(10 * time.Minute)
+	for _, tx := range txns {
+		outcomes = append(outcomes, tx.Outcome.String())
+	}
+	return outcomes, violations, e.k.Deadlocked()
 }
 
 // inject is the transport hook: it counts every datagram send and
@@ -297,12 +270,22 @@ func (e *engine) crashAndRecover(site camelot.SiteID) {
 }
 
 // workload pushes s.Txns distributed update transactions through site
-// 1, each writing one key at every site, with a checkpoint at a
-// rotating site every fourth transaction. Outcomes land in txns.
+// 1, with a checkpoint at a rotating site every fourth transaction.
+// What transaction i writes is its plan's business; the plan is a pure
+// function of i, so the fault-point enumeration stays deterministic.
+// Outcomes land in txns.
 func (e *engine) workload(txns []oracle.Txn) {
+	plan := e.replicatedPlan
+	if e.smap != nil {
+		plan = e.shardedPlan
+	}
+	// Paxos runs at F=1, so the sweep's single-site crashes are exactly
+	// the faults it must mask.
+	opts := camelot.Options{Protocol: e.sched.Protocol, PaxosF: 1}
 	for i := range txns {
-		key := fmt.Sprintf("k%d", i)
-		txns[i] = oracle.Txn{Key: key, Outcome: oracle.Skipped}
+		var write func(*camelot.Tx) error
+		txns[i], write = plan(i)
+		txns[i].Outcome = oracle.Skipped
 
 		// The coordinator may be mid-restart; retry Begin through it.
 		var tx *camelot.Tx
@@ -319,125 +302,74 @@ func (e *engine) workload(txns []oracle.Txn) {
 		}
 		txns[i].Family = tx.ID().Family
 
-		ok := true
+		if err := write(tx); err != nil {
+			tx.Abort() //nolint:errcheck // outcome recorded as aborted either way
+			txns[i].Outcome = oracle.Aborted
+		} else {
+			err := tx.CommitWith(opts)
+			switch {
+			case err == nil:
+				txns[i].Outcome = oracle.Committed
+			case errors.Is(err, camelot.ErrAborted):
+				txns[i].Outcome = oracle.Aborted
+			default:
+				txns[i].Outcome = oracle.Unknown
+			}
+		}
+
+		if (i+1)%4 == 0 {
+			ck := e.sites[(i/4)%len(e.sites)]
+			if !e.c.Node(ck).Crashed() {
+				e.c.Node(ck).Checkpoint() //nolint:errcheck // injected ckpt faults surface here
+			}
+		}
+		e.k.Sleep(20 * time.Millisecond)
+	}
+}
+
+// replicatedPlan is the named-server workload's transaction i: one key
+// written at every site's server.
+func (e *engine) replicatedPlan(i int) (oracle.Txn, func(*camelot.Tx) error) {
+	key := fmt.Sprintf("k%d", i)
+	return oracle.Txn{Key: key}, func(tx *camelot.Tx) error {
 		for _, id := range e.sites {
 			if err := tx.Write(srvName(id), key, []byte("v")); err != nil {
-				ok = false
-				break
+				return err
 			}
 		}
-		if !ok {
-			tx.Abort() //nolint:errcheck // outcome recorded as aborted either way
-			txns[i].Outcome = oracle.Aborted
-		} else {
-			err := tx.CommitWith(e.sched.commitOptions())
-			switch {
-			case err == nil:
-				txns[i].Outcome = oracle.Committed
-			case errors.Is(err, camelot.ErrAborted):
-				txns[i].Outcome = oracle.Aborted
-			default:
-				txns[i].Outcome = oracle.Unknown
-			}
-		}
-
-		if (i+1)%4 == 0 {
-			ck := e.sites[(i/4)%len(e.sites)]
-			if !e.c.Node(ck).Crashed() {
-				e.c.Node(ck).Checkpoint() //nolint:errcheck // injected ckpt faults surface here
-			}
-		}
-		e.k.Sleep(20 * time.Millisecond)
+		return nil
 	}
 }
 
-// shardKeyAt finds a key under prefix whose shard homes at site, by
-// deterministic candidate search — a pure function of (map, prefix,
-// site), so the sharded workload for a seed is identical every run.
-func shardKeyAt(m *shardmap.Map, prefix string, site camelot.SiteID) (string, bool) {
-	for c := 0; c < 4096; c++ {
-		k := fmt.Sprintf("%s.%d", prefix, c)
-		if m.SiteOf(k) == site {
-			return k, true
-		}
-	}
-	return "", false
-}
-
-// shardWorkload is the keyspace-aware counterpart of workload: each
-// transaction writes one key homed at every placed site — distinct
-// keys on distinct shards, so commitment must be atomic across shards
-// rather than replicas — and every third transaction also touches a
-// rotating shared hot key (the skew). Writes route by key through the
-// shard map; the schedule is a pure function of the txn index, so the
-// fault-point enumeration stays deterministic.
-func (e *engine) shardWorkload(txns []oracle.Txn) {
-	placed := e.smap.Sites()
-	for i := range txns {
-		writes := []oracle.Write{}
-		for j, id := range placed {
-			key, ok := shardKeyAt(e.smap, fmt.Sprintf("k%d.x%d", i, j), id)
-			if !ok {
-				continue
-			}
+// shardedPlan is the keyspace workload's transaction i: one key homed
+// at every placed site — distinct keys on distinct shards, so
+// commitment must be atomic across shards rather than replicas — and,
+// every third transaction, a rotating shared hot key (the skew).
+// Writes route by key through the shard map.
+func (e *engine) shardedPlan(i int) (oracle.Txn, func(*camelot.Tx) error) {
+	writes := []oracle.Write{}
+	for j, id := range e.smap.Sites() {
+		if key, err := e.smap.KeyAt(fmt.Sprintf("k%d.x%d", i, j), id); err == nil {
 			writes = append(writes, oracle.Write{Key: key, Site: id})
 		}
-		if i%3 == 0 {
-			hot := fmt.Sprintf("hot%d", i%5)
-			if home := e.smap.SiteOf(hot); home != 0 {
-				writes = append(writes, oracle.Write{Key: hot, Site: home, Shared: true})
-			}
+	}
+	if i%3 == 0 {
+		hot := fmt.Sprintf("hot%d", i%5)
+		if home := e.smap.SiteOf(hot); home != 0 {
+			writes = append(writes, oracle.Write{Key: hot, Site: home, Shared: true})
 		}
-		txns[i] = oracle.Txn{Outcome: oracle.Skipped, Writes: writes}
-		if len(writes) == 0 {
-			continue
-		}
-		txns[i].Key = writes[0].Key
-
-		// The coordinator may be mid-restart; retry Begin through it.
-		var tx *camelot.Tx
-		for attempt := 0; attempt < 40; attempt++ {
-			var err error
-			if tx, err = e.c.Node(1).Begin(); err == nil {
-				break
-			}
-			tx = nil
-			e.k.Sleep(100 * time.Millisecond)
-		}
-		if tx == nil {
-			continue
-		}
-		txns[i].Family = tx.ID().Family
-
-		ok := true
+	}
+	txn := oracle.Txn{Writes: writes}
+	if len(writes) > 0 {
+		txn.Key = writes[0].Key
+	}
+	return txn, func(tx *camelot.Tx) error {
 		for _, w := range writes {
 			if err := tx.WriteKey(w.Key, []byte("v")); err != nil {
-				ok = false
-				break
+				return err
 			}
 		}
-		if !ok {
-			tx.Abort() //nolint:errcheck // outcome recorded as aborted either way
-			txns[i].Outcome = oracle.Aborted
-		} else {
-			err := tx.CommitWith(e.sched.commitOptions())
-			switch {
-			case err == nil:
-				txns[i].Outcome = oracle.Committed
-			case errors.Is(err, camelot.ErrAborted):
-				txns[i].Outcome = oracle.Aborted
-			default:
-				txns[i].Outcome = oracle.Unknown
-			}
-		}
-
-		if (i+1)%4 == 0 {
-			ck := e.sites[(i/4)%len(e.sites)]
-			if !e.c.Node(ck).Crashed() {
-				e.c.Node(ck).Checkpoint() //nolint:errcheck // injected ckpt faults surface here
-			}
-		}
-		e.k.Sleep(20 * time.Millisecond)
+		return nil
 	}
 }
 

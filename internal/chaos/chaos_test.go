@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"camelot/internal/wire"
 )
 
 // pilot runs the fault-free schedule once and sanity-checks it.
-func pilot(t *testing.T, nb bool) *Result {
+func pilot(t *testing.T) *Result {
 	t.Helper()
-	r, err := Run(Schedule{Version: Version, Seed: 1, Sites: 3, NonBlocking: nb, Txns: 8})
+	r, err := Run(Schedule{Version: Version, Seed: 1, Sites: 3, Txns: 8})
 	if err != nil {
 		t.Fatalf("pilot: %v", err)
 	}
@@ -20,7 +22,7 @@ func pilot(t *testing.T, nb bool) *Result {
 }
 
 func TestPilotEnumeratesAllPointClasses(t *testing.T) {
-	r := pilot(t, false)
+	r := pilot(t)
 	byClass := map[string]int{}
 	for _, p := range r.Points {
 		byClass[p.Class]++
@@ -51,7 +53,7 @@ func TestPilotEnumeratesAllPointClasses(t *testing.T) {
 }
 
 func TestPilotDeterministic(t *testing.T) {
-	a, b := pilot(t, false), pilot(t, false)
+	a, b := pilot(t), pilot(t)
 	if len(a.Points) != len(b.Points) {
 		t.Fatalf("point counts differ: %d vs %d", len(a.Points), len(b.Points))
 	}
@@ -94,18 +96,18 @@ func TestSweepBoundedZeroViolations(t *testing.T) {
 	if testing.Short() {
 		maxPoints = 4
 	}
-	for _, nb := range []bool{false, true} {
-		rep, err := Sweep(Options{Sites: 3, NonBlocking: nb, Seed: 1, Txns: 6, MaxPoints: maxPoints}, nil)
+	for _, proto := range wire.Protocols() {
+		rep, err := Sweep(Options{Sites: 3, Protocol: proto, Seed: 1, Txns: 6, MaxPoints: maxPoints}, nil)
 		if err != nil {
-			t.Fatalf("nonblocking=%v: %v", nb, err)
+			t.Fatalf("%v: %v", proto, err)
 		}
 		if len(rep.Failures) != 0 {
 			enc, _ := EncodeReport(rep)
-			t.Errorf("nonblocking=%v: %d failing schedule(s):\n%s", nb, len(rep.Failures), enc)
+			t.Errorf("%v: %d failing schedule(s):\n%s", proto, len(rep.Failures), enc)
 		}
 		if rep.PointsTotal == 0 || rep.PointsRun == 0 {
-			t.Errorf("nonblocking=%v: no points enumerated (%d) or run (%d)",
-				nb, rep.PointsTotal, rep.PointsRun)
+			t.Errorf("%v: no points enumerated (%d) or run (%d)",
+				proto, rep.PointsTotal, rep.PointsRun)
 		}
 	}
 }

@@ -9,9 +9,9 @@ import "camelot/internal/wire"
 // once injected faults steer the protocol onto its recovery paths,
 // in which case FaultOnly says why.
 type KindCoverage struct {
-	// Pilots lists the protocols (Protocol2PC, ProtocolNB,
-	// ProtocolPaxos) whose fault-free pilot runs send the kind.
-	Pilots []string
+	// Pilots lists the protocols whose fault-free pilot runs send the
+	// kind.
+	Pilots []wire.Protocol
 	// FaultOnly, for kinds with no pilot, explains what has to go
 	// wrong before the kind appears on the wire.
 	FaultOnly string
@@ -26,21 +26,21 @@ type KindCoverage struct {
 // kinds they actually send drift from the Pilots column in either
 // direction.
 var kindCoverage = map[wire.Kind]KindCoverage{
-	wire.KPrepare:   {Pilots: []string{Protocol2PC}},
-	wire.KVote:      {Pilots: []string{Protocol2PC}},
-	wire.KCommit:    {Pilots: []string{Protocol2PC, ProtocolPaxos}},
-	wire.KCommitAck: {Pilots: []string{Protocol2PC}},
+	wire.KPrepare:   {Pilots: []wire.Protocol{wire.TwoPhase}},
+	wire.KVote:      {Pilots: []wire.Protocol{wire.TwoPhase}},
+	wire.KCommit:    {Pilots: []wire.Protocol{wire.TwoPhase, wire.Paxos}},
+	wire.KCommitAck: {Pilots: []wire.Protocol{wire.TwoPhase}},
 	wire.KAbort: {FaultOnly: "under presumed abort a notification is sent only " +
 		"once a fault (lost vote, crashed subordinate) forces an abort decision"},
 	wire.KInquire: {FaultOnly: "inquiries need a blocked or orphaned subordinate, " +
 		"i.e. a coordinator that crashed or went silent mid-protocol"},
 
-	wire.KNBPrepare:      {Pilots: []string{ProtocolNB}},
-	wire.KNBVote:         {Pilots: []string{ProtocolNB}},
-	wire.KNBReplicate:    {Pilots: []string{ProtocolNB}},
-	wire.KNBReplicateAck: {Pilots: []string{ProtocolNB}},
-	wire.KNBOutcome:      {Pilots: []string{ProtocolNB}},
-	wire.KNBOutcomeAck:   {Pilots: []string{ProtocolNB}},
+	wire.KNBPrepare:      {Pilots: []wire.Protocol{wire.NonBlocking}},
+	wire.KNBVote:         {Pilots: []wire.Protocol{wire.NonBlocking}},
+	wire.KNBReplicate:    {Pilots: []wire.Protocol{wire.NonBlocking}},
+	wire.KNBReplicateAck: {Pilots: []wire.Protocol{wire.NonBlocking}},
+	wire.KNBOutcome:      {Pilots: []wire.Protocol{wire.NonBlocking}},
+	wire.KNBOutcomeAck:   {Pilots: []wire.Protocol{wire.NonBlocking}},
 	wire.KNBStatusReq: {FaultOnly: "the promotion status exchange starts only when a " +
 		"subordinate times out and promotes itself; a fault-free run never promotes"},
 	wire.KNBStatusResp: {FaultOnly: "response half of the promotion status exchange; " +
@@ -54,11 +54,11 @@ var kindCoverage = map[wire.Kind]KindCoverage{
 		"flat top-level transactions — the nested paths are exercised by the core suite"},
 	wire.KChildAbort: {FaultOnly: "nested-transaction traffic; see KChildCommit"},
 
-	wire.KPaxosPrepare: {Pilots: []string{ProtocolPaxos}},
+	wire.KPaxosPrepare: {Pilots: []wire.Protocol{wire.Paxos}},
 	wire.KPaxosVote: {FaultOnly: "an RM's explicit No vote short-circuits straight to " +
 		"the leader; fault-free instances vote Yes through the 2a/2b path"},
-	wire.KPaxos2a: {Pilots: []string{ProtocolPaxos}},
-	wire.KPaxos2b: {Pilots: []string{ProtocolPaxos}},
+	wire.KPaxos2a: {Pilots: []wire.Protocol{wire.Paxos}},
+	wire.KPaxos2b: {Pilots: []wire.Protocol{wire.Paxos}},
 	wire.KPaxos1a: {FaultOnly: "acceptor-takeover prepare; a ballot above zero is " +
 		"started only when the leader crashed"},
 	wire.KPaxos1b: {FaultOnly: "promise half of acceptor takeover; see KPaxos1a"},

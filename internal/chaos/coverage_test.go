@@ -1,7 +1,7 @@
 package chaos
 
 import (
-	"sort"
+	"slices"
 	"strings"
 	"testing"
 
@@ -25,7 +25,7 @@ var pilotSeeds = []int64{1, 2, 3, 4}
 // stale claim means the table promises coverage the pilot no longer
 // delivers).
 func TestPilotKindCoverage(t *testing.T) {
-	for _, proto := range []string{Protocol2PC, ProtocolNB, ProtocolPaxos} {
+	for _, proto := range wire.Protocols() {
 		observed := make(map[wire.Kind]bool)
 		for _, seed := range pilotSeeds {
 			res, err := Run(Schedule{Seed: seed, Sites: 3, Txns: 8, Protocol: proto})
@@ -88,11 +88,11 @@ func TestCoverageTableShape(t *testing.T) {
 			t.Errorf("%s: empty coverage row — list its pilots or justify why only faults reach it", k)
 		}
 		for _, p := range c.Pilots {
-			if !validProtocol(p) {
-				t.Errorf("%s: unknown protocol %q in Pilots", k, p)
+			if p.Check() != nil {
+				t.Errorf("%s: unknown protocol %v in Pilots", k, p)
 			}
 		}
-		if !sort.StringsAreSorted(c.Pilots) {
+		if !slices.IsSorted(c.Pilots) {
 			t.Errorf("%s: Pilots %v not sorted", k, c.Pilots)
 		}
 	}

@@ -2,6 +2,8 @@ package chaos
 
 import (
 	"testing"
+
+	"camelot/internal/wire"
 )
 
 // Duplicate delivery and reordering at representative protocol
@@ -15,7 +17,7 @@ func TestDupAndReorderSurviveOracleAllProtocols(t *testing.T) {
 	if testing.Short() {
 		indexes = []int{25, 60}
 	}
-	for _, proto := range []string{Protocol2PC, ProtocolNB, ProtocolPaxos} {
+	for _, proto := range wire.Protocols() {
 		for _, mode := range []string{ModeDup, ModeReorder} {
 			for _, idx := range indexes {
 				s := Schedule{Version: Version, Seed: 1, Sites: 3, Txns: 8,

@@ -6,7 +6,6 @@ import (
 
 	"camelot/camelot"
 	"camelot/internal/netem"
-	"camelot/internal/oracle"
 	"camelot/internal/tid"
 	"camelot/internal/transport"
 )
@@ -51,11 +50,8 @@ func RunNetem(ns netem.Schedule, w Schedule) (*NetemResult, error) {
 	if w.Version == "" {
 		w.Version = Version
 	}
-	if w.Sites < 1 || w.Txns < 1 {
-		return nil, fmt.Errorf("chaos: netem workload needs sites and txns")
-	}
-	if !validProtocol(w.Protocol) {
-		return nil, fmt.Errorf("chaos: unknown protocol %q", w.Protocol)
+	if err := w.validate(); err != nil {
+		return nil, err
 	}
 	if len(w.Faults) > 0 {
 		return nil, fmt.Errorf("chaos: netem replay takes its faults from the netem schedule")
@@ -118,35 +114,15 @@ func (e *engine) runNetem(ns netem.Schedule) (*NetemResult, error) {
 		}
 	}
 
-	txns := make([]oracle.Txn, s.Txns)
-	var violations []string
-	e.k.Go("netem-client", func() {
-		if e.smap != nil {
-			e.shardWorkload(txns)
-		} else {
-			e.workload(txns)
-		}
-		violations = e.verify(txns)
-		e.k.Stop()
-	})
-	e.k.RunUntil(10 * time.Minute)
-
-	res := &NetemResult{
-		Workload:   s,
-		Netem:      ns,
-		Counts:     em.Counts(),
-		Deadlock:   e.k.Deadlocked(),
-		Violations: violations,
-	}
+	res := &NetemResult{Workload: s, Netem: ns}
+	res.Outcomes, res.Violations, res.Deadlock = e.drive("netem-client")
+	res.Counts = em.Counts()
 	for _, f := range ns.WAL {
 		if !e.stores[f.Site-1].Tripped() {
 			appends, _ := e.stores[f.Site-1].Counts()
 			res.Violations = append(res.Violations, fmt.Sprintf(
 				"wal fault: site %d never reached device write %d (its log completed %d)", f.Site, f.FailAppend, appends))
 		}
-	}
-	for _, tx := range txns {
-		res.Outcomes = append(res.Outcomes, tx.Outcome.String())
 	}
 	return res, nil
 }

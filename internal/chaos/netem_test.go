@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"camelot/internal/netem"
+	"camelot/internal/wire"
 )
 
 func netemLossy() netem.Schedule {
@@ -29,7 +30,7 @@ func netemLossy() netem.Schedule {
 // — outcomes, emulator decision counts, everything.
 func TestNetemReplayByteIdentical(t *testing.T) {
 	ns := netemLossy()
-	w := Schedule{Version: Version, Seed: 5, Sites: 3, Txns: 8, Protocol: Protocol2PC}
+	w := Schedule{Version: Version, Seed: 5, Sites: 3, Txns: 8, Protocol: wire.TwoPhase}
 	a, err := RunNetem(ns, w)
 	if err != nil {
 		t.Fatal(err)
@@ -61,7 +62,7 @@ func TestNetemReplayByteIdentical(t *testing.T) {
 // partition, and a mid-run kill+restart — must leave every protocol's
 // invariants intact once the network heals.
 func TestNetemStormSurvivesOracleAllProtocols(t *testing.T) {
-	protos := []string{Protocol2PC, ProtocolNB, ProtocolPaxos}
+	protos := wire.Protocols()
 	if testing.Short() {
 		protos = protos[:1]
 	}

@@ -3,12 +3,14 @@ package chaos
 import (
 	"strings"
 	"testing"
+
+	"camelot/internal/wire"
 )
 
 // paxosPilot runs the fault-free Paxos schedule once.
 func paxosPilot(t *testing.T) *Result {
 	t.Helper()
-	r, err := Run(Schedule{Version: Version, Seed: 1, Sites: 3, Protocol: ProtocolPaxos, Txns: 8})
+	r, err := Run(Schedule{Version: Version, Seed: 1, Sites: 3, Protocol: wire.Paxos, Txns: 8})
 	if err != nil {
 		t.Fatalf("pilot: %v", err)
 	}
@@ -53,14 +55,15 @@ func TestPaxosPilotEnumeratesAcceptorPoints(t *testing.T) {
 }
 
 // TestPaxosSweepBoundedZeroViolations: the seeded single-fault sweep
-// over the Paxos workload must come back clean, like the 2PC and NB
-// sweeps of TestSweepBoundedZeroViolations.
+// over the Paxos workload must come back clean. It is the Paxos
+// iteration of TestSweepBoundedZeroViolations under a name `make
+// paxos` (-run TestPaxos) selects.
 func TestPaxosSweepBoundedZeroViolations(t *testing.T) {
 	maxPoints := 12
 	if testing.Short() {
 		maxPoints = 4
 	}
-	rep, err := Sweep(Options{Sites: 3, Protocol: ProtocolPaxos, Seed: 1, Txns: 6, MaxPoints: maxPoints}, nil)
+	rep, err := Sweep(Options{Sites: 3, Protocol: wire.Paxos, Seed: 1, Txns: 6, MaxPoints: maxPoints}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +104,7 @@ func TestPaxosNonBlockingUnderSingleSiteCrash(t *testing.T) {
 			t.Fatalf("pilot enumerated no Paxos datagram sent by site %s", sender)
 		}
 		s := Schedule{
-			Version: Version, Seed: 1, Sites: 3, Protocol: ProtocolPaxos, Txns: 6,
+			Version: Version, Seed: 1, Sites: 3, Protocol: wire.Paxos, Txns: 6,
 			Faults: []Fault{{Class: ClassMsg, Index: idx, Mode: ModeCrash}},
 		}
 		r, err := Run(s)

@@ -22,27 +22,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"strings"
+
+	"camelot/internal/wire"
 )
 
 // Version is the repro-file format identifier.
 const Version = "chaos/v1"
-
-// Protocol names for Schedule.Protocol.
-const (
-	Protocol2PC   = "2pc"
-	ProtocolNB    = "nb"
-	ProtocolPaxos = "paxos"
-)
-
-// validProtocol accepts the known protocol names and "" (legacy: the
-// NonBlocking flag decides).
-func validProtocol(p string) bool {
-	switch p {
-	case "", Protocol2PC, ProtocolNB, ProtocolPaxos:
-		return true
-	}
-	return false
-}
 
 // Fault classes.
 const (
@@ -128,13 +113,12 @@ type Schedule struct {
 	Seed int64 `json:"seed"`
 	// Sites is the cluster size; the workload's coordinator is site 1.
 	Sites int `json:"sites"`
-	// NonBlocking selects the three-phase protocol.
-	NonBlocking bool `json:"nonblocking"`
-	// Protocol names the commit protocol explicitly: "2pc", "nb", or
-	// "paxos"; empty falls back to the NonBlocking flag (the chaos/v1
-	// encoding predates Paxos Commit, so the field is omitempty and
-	// the existing repro corpus decodes unchanged).
-	Protocol string `json:"protocol,omitempty"`
+	// Protocol is the commit protocol the workload runs, encoded by
+	// name ("2pc", "nb", "paxos") and always present; a file without
+	// it decodes as two-phase commit, and one with an unknown name —
+	// or the `nonblocking` field older chaos/v1 files carried — is
+	// refused.
+	Protocol wire.Protocol `json:"protocol"`
 	// Txns is the number of workload transactions.
 	Txns int `json:"txns"`
 	// Shards, when positive, shards the keyspace into that many shards
@@ -170,24 +154,33 @@ func DecodeSchedule(b []byte) (Schedule, error) {
 	if err := dec.Decode(&s); err != nil {
 		return Schedule{}, fmt.Errorf("chaos: decode schedule: %w", err)
 	}
+	if err := s.validate(); err != nil {
+		return Schedule{}, err
+	}
+	return s, nil
+}
+
+// validate checks what decoding and both runners require of a
+// schedule.
+func (s Schedule) validate() error {
 	if s.Version != Version {
-		return Schedule{}, fmt.Errorf("chaos: version %q, want %q", s.Version, Version)
+		return fmt.Errorf("chaos: version %q, want %q", s.Version, Version)
+	}
+	if err := s.Protocol.Check(); err != nil {
+		return fmt.Errorf("chaos: %w", err)
 	}
 	if s.Sites < 1 || s.Txns < 1 {
-		return Schedule{}, fmt.Errorf("chaos: schedule needs sites and txns")
+		return fmt.Errorf("chaos: schedule needs sites and txns")
 	}
 	if s.Shards < 0 {
-		return Schedule{}, fmt.Errorf("chaos: negative shard count %d", s.Shards)
-	}
-	if !validProtocol(s.Protocol) {
-		return Schedule{}, fmt.Errorf("chaos: unknown protocol %q", s.Protocol)
+		return fmt.Errorf("chaos: negative shard count %d", s.Shards)
 	}
 	for _, f := range s.Faults {
 		if err := validFault(f); err != nil {
-			return Schedule{}, err
+			return err
 		}
 	}
-	return s, nil
+	return nil
 }
 
 func validFault(f Fault) error {

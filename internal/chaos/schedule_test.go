@@ -4,15 +4,17 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"camelot/internal/wire"
 )
 
 func TestScheduleRoundTrip(t *testing.T) {
 	s := Schedule{
-		Version:     Version,
-		Seed:        42,
-		Sites:       3,
-		NonBlocking: true,
-		Txns:        12,
+		Version:  Version,
+		Seed:     42,
+		Sites:    3,
+		Protocol: wire.NonBlocking,
+		Txns:     12,
 		Faults: []Fault{
 			{Class: ClassForce, Site: 2, Index: 7, Mode: ModeTorn},
 			{Class: ClassMsg, Index: 133, Mode: ModePartition, WindowMs: 250},
@@ -34,12 +36,34 @@ func TestScheduleRoundTrip(t *testing.T) {
 	if !bytes.Equal(b, b2) {
 		t.Errorf("re-encode differs:\n%s\nvs\n%s", b, b2)
 	}
+	if got.Protocol != wire.NonBlocking || !bytes.Contains(b, []byte(`"protocol": "nb"`)) {
+		t.Errorf("protocol did not round-trip by name: %v in\n%s", got.Protocol, b)
+	}
+}
+
+// A schedule that names no protocol is two-phase commit, and says so
+// when written back: the field is always encoded.
+func TestScheduleWithoutProtocolIsTwoPhase(t *testing.T) {
+	s, err := DecodeSchedule([]byte(`{"version":"chaos/v1","seed":1,"sites":3,"txns":4,"faults":[]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Protocol != wire.TwoPhase {
+		t.Errorf("protocol = %v, want two-phase", s.Protocol)
+	}
+	if b, _ := s.Encode(); !bytes.Contains(b, []byte(`"protocol": "2pc"`)) {
+		t.Errorf("encoding omits the protocol:\n%s", b)
+	}
 }
 
 func TestDecodeScheduleRejectsBadInput(t *testing.T) {
 	cases := []struct{ name, in string }{
 		{"wrong version", `{"version":"chaos/v2","seed":1,"sites":3,"txns":4,"faults":[]}`},
 		{"unknown field", `{"version":"chaos/v1","seed":1,"sites":3,"txns":4,"faults":[],"extra":1}`},
+		// The field older chaos/v1 files carried: refused, never replayed
+		// under whatever protocol the zero value happens to mean.
+		{"stale nonblocking field", `{"version":"chaos/v1","seed":1,"sites":3,"nonblocking":true,"txns":4,"faults":[]}`},
+		{"unknown protocol", `{"version":"chaos/v1","seed":1,"sites":3,"protocol":"paxso","txns":4,"faults":[]}`},
 		{"no sites", `{"version":"chaos/v1","seed":1,"sites":0,"txns":4,"faults":[]}`},
 		{"bad class", `{"version":"chaos/v1","seed":1,"sites":3,"txns":4,
 			"faults":[{"class":"disk","index":0,"mode":"crash"}]}`},

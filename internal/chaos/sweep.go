@@ -4,17 +4,16 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+
+	"camelot/internal/wire"
 )
 
 // Options parameterizes a sweep.
 type Options struct {
 	// Sites is the cluster size (coordinator is site 1).
 	Sites int
-	// NonBlocking selects the three-phase protocol for the workload.
-	NonBlocking bool
-	// Protocol names the protocol explicitly ("2pc", "nb", "paxos");
-	// empty defers to NonBlocking.
-	Protocol string
+	// Protocol is the commit protocol the workload runs.
+	Protocol wire.Protocol
 	// Seed seeds the kernel; every run of the sweep reuses it.
 	Seed int64
 	// Txns is the workload length.
@@ -39,18 +38,17 @@ type Failure struct {
 // Report is the sweep's full, deterministic account: same options →
 // byte-identical EncodeReport output.
 type Report struct {
-	Version     string    `json:"version"`
-	Seed        int64     `json:"seed"`
-	Sites       int       `json:"sites"`
-	NonBlocking bool      `json:"nonblocking"`
-	Protocol    string    `json:"protocol,omitempty"`
-	Txns        int       `json:"txns"`
-	Shards      int       `json:"shards,omitempty"`
-	PointsTotal int       `json:"points_total"`
-	PointsRun   int       `json:"points_run"`
-	Runs        int       `json:"runs"`
-	Points      []Point   `json:"points,omitempty"`
-	Failures    []Failure `json:"failures"`
+	Version     string        `json:"version"`
+	Seed        int64         `json:"seed"`
+	Sites       int           `json:"sites"`
+	Protocol    wire.Protocol `json:"protocol"`
+	Txns        int           `json:"txns"`
+	Shards      int           `json:"shards,omitempty"`
+	PointsTotal int           `json:"points_total"`
+	PointsRun   int           `json:"points_run"`
+	Runs        int           `json:"runs"`
+	Points      []Point       `json:"points,omitempty"`
+	Failures    []Failure     `json:"failures"`
 }
 
 // EncodeReport serializes the report as indented JSON with a trailing
@@ -86,13 +84,12 @@ func Sweep(opts Options, progress func(string)) (*Report, error) {
 		opts.Txns = 12
 	}
 	base := Schedule{
-		Version:     Version,
-		Seed:        opts.Seed,
-		Sites:       opts.Sites,
-		NonBlocking: opts.NonBlocking,
-		Protocol:    opts.Protocol,
-		Txns:        opts.Txns,
-		Shards:      opts.Shards,
+		Version:  Version,
+		Seed:     opts.Seed,
+		Sites:    opts.Sites,
+		Protocol: opts.Protocol,
+		Txns:     opts.Txns,
+		Shards:   opts.Shards,
 	}
 	say := func(format string, args ...any) {
 		if progress != nil {
@@ -100,8 +97,8 @@ func Sweep(opts Options, progress func(string)) (*Report, error) {
 		}
 	}
 
-	say("pilot: enumerating injection points (seed %d, %d sites, nonblocking=%v)",
-		opts.Seed, opts.Sites, opts.NonBlocking)
+	say("pilot: enumerating injection points (seed %d, %d sites, %v)",
+		opts.Seed, opts.Sites, opts.Protocol)
 	pilot, err := Run(base)
 	if err != nil {
 		return nil, err
@@ -110,7 +107,6 @@ func Sweep(opts Options, progress func(string)) (*Report, error) {
 		Version:     Version,
 		Seed:        opts.Seed,
 		Sites:       opts.Sites,
-		NonBlocking: opts.NonBlocking,
 		Protocol:    opts.Protocol,
 		Txns:        opts.Txns,
 		Shards:      opts.Shards,

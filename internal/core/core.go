@@ -54,11 +54,18 @@ var (
 // Options selects the commitment protocol for one transaction, the
 // experimental knobs of §4.2.
 type Options struct {
-	// NonBlocking selects the three-phase non-blocking protocol of
-	// §3.3 instead of two-phase commit. ("The type of commitment
-	// protocol to execute is specified as an argument to the
-	// commit-transaction call.")
-	NonBlocking bool
+	// Protocol is the commitment protocol to run. ("The type of
+	// commitment protocol to execute is specified as an argument to
+	// the commit-transaction call.") The zero value is two-phase
+	// commit; wire.NonBlocking is the three-phase protocol of §3.3;
+	// wire.Paxos is Paxos Commit (Gray & Lamport, "Consensus on
+	// Transaction Commit"): one Paxos consensus instance per
+	// participant vote, decided by an acceptor set shared across all
+	// instances of the transaction. Its fault-free path uses the
+	// ballot-0 optimization — each participant sends its vote straight
+	// to the acceptors — and one acceptor is co-located with the
+	// coordinator so its phase-2b piggybacks as a local call.
+	Protocol wire.Protocol
 	// ForceSubCommit makes subordinates force their commit records.
 	// False is the delayed-commit optimization: the subordinate drops
 	// its locks before (lazily) writing the commit record.
@@ -73,19 +80,11 @@ type Options struct {
 	// DisableReadOnlyOpt forces read-only sites through the full
 	// update path, for the ablation experiment.
 	DisableReadOnlyOpt bool
-	// Paxos selects Paxos Commit (Gray & Lamport, "Consensus on
-	// Transaction Commit"): one Paxos consensus instance per
-	// participant vote, decided by an acceptor set shared across all
-	// instances of the transaction. The fault-free path uses the
-	// ballot-0 optimization — each participant sends its vote straight
-	// to the acceptors — and one acceptor is co-located with the
-	// coordinator so its phase-2b piggybacks as a local call. At
-	// PaxosF = 0 the protocol degenerates to exactly two-phase
-	// commit's delayed-commit budget.
-	Paxos bool
 	// PaxosF is the number of acceptor failures Paxos Commit
 	// tolerates; the acceptor set has min(2F+1, participants)
-	// members.
+	// members. It is read only when Protocol is wire.Paxos; at
+	// PaxosF = 0 that protocol degenerates to exactly two-phase
+	// commit's delayed-commit budget.
 	PaxosF int
 }
 

@@ -3,6 +3,7 @@ package core_test
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -363,7 +364,7 @@ func TestNonBlockingCommitRecordsAtEverySite(t *testing.T) {
 	h := newHarness(t, 3)
 	h.run(t, func() {
 		txn := h.beginDistributed(t, 2, 3)
-		if _, err := h.sites[1].m.Commit(txn, core.Options{NonBlocking: true}); err != nil {
+		if _, err := h.sites[1].m.Commit(txn, core.Options{Protocol: wire.NonBlocking}); err != nil {
 			t.Fatalf("NB Commit: %v", err)
 		}
 		h.k.Sleep(300 * time.Millisecond)
@@ -385,7 +386,7 @@ func TestNonBlockingAbortOnNoVote(t *testing.T) {
 	h.run(t, func() {
 		h.sites[2].part.vote = wire.VoteNo
 		txn := h.beginDistributed(t, 2, 3)
-		_, err := h.sites[1].m.Commit(txn, core.Options{NonBlocking: true})
+		_, err := h.sites[1].m.Commit(txn, core.Options{Protocol: wire.NonBlocking})
 		if !errors.Is(err, core.ErrAborted) {
 			t.Fatalf("Commit = %v, want ErrAborted", err)
 		}
@@ -398,6 +399,54 @@ func TestNonBlockingAbortOnNoVote(t *testing.T) {
 		}
 		if h.sites[3].part.aborts != 1 {
 			t.Errorf("yes-voting sub aborts = %d, want 1", h.sites[3].part.aborts)
+		}
+	})
+}
+
+// TestCommitWithUnknownProtocolAborts: a Protocol value outside the
+// enum has no implementation to run. Commit must not guess one — no
+// prepare of any flavour leaves the coordinator — and must not leave
+// the transaction hanging either: it is aborted through the ordinary
+// abort protocol, whose ABORT notices are the only datagrams sent.
+func TestCommitWithUnknownProtocolAborts(t *testing.T) {
+	h := newHarness(t, 3)
+	var kinds []wire.Kind
+	h.net.SetInjector(func(from, to tid.SiteID, payload any) bool {
+		if msg, ok := payload.(*wire.Msg); ok {
+			kinds = append(kinds, msg.Kind)
+		}
+		return false
+	})
+	h.run(t, func() {
+		txn := h.beginDistributed(t, 2, 3)
+		out, err := h.sites[1].m.Commit(txn, core.Options{Protocol: 9})
+		if !errors.Is(err, core.ErrAborted) || out != wire.OutcomeAbort {
+			t.Fatalf("Commit = %v, %v; want an abort", out, err)
+		}
+		if !strings.Contains(err.Error(), wire.Protocol(9).String()) {
+			t.Errorf("refusal %q does not name the protocol value", err)
+		}
+		h.k.Sleep(200 * time.Millisecond)
+		for id, s := range h.sites {
+			if s.part.aborts != 1 || s.part.commits != 0 {
+				t.Errorf("site %v: aborts=%d commits=%d, want 1/0", id, s.part.aborts, s.part.commits)
+			}
+		}
+		for _, k := range kinds {
+			if k != wire.KAbort {
+				t.Errorf("sent %v under an unknown protocol; only ABORT notices may go out", k)
+			}
+		}
+
+		// With no remote site to tell, nothing is sent at all.
+		kinds = nil
+		local := h.beginDistributed(t)
+		if _, err := h.sites[1].m.Commit(local, core.Options{Protocol: 9}); !errors.Is(err, core.ErrAborted) {
+			t.Fatalf("local Commit = %v, want an abort", err)
+		}
+		h.k.Sleep(200 * time.Millisecond)
+		if len(kinds) != 0 {
+			t.Errorf("local-only refusal sent %v, want nothing", kinds)
 		}
 	})
 }

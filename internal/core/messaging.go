@@ -140,7 +140,7 @@ func (m *Manager) tick(id tid.FamilyID) {
 		return
 	}
 	switch {
-	case f.opts.Paxos:
+	case f.opts.Protocol == wire.Paxos:
 		// Paxos families never reach the 2PC/NB cases below — in
 		// particular a prepared Paxos subordinate must run acceptor
 		// takeover, not send 2PC inquiries.
@@ -154,7 +154,7 @@ func (m *Manager) tick(id tid.FamilyID) {
 		// because no commit point exists yet.
 		f.attempts++
 		if f.attempts > m.cfg.VoteRetries {
-			if f.opts.NonBlocking {
+			if f.opts.Protocol == wire.NonBlocking {
 				m.nbDecideAbort(f)
 			} else {
 				m.abortFamily(f)
@@ -191,7 +191,7 @@ func (m *Manager) tick(id tid.FamilyID) {
 		// Re-send the outcome to sites that have not acknowledged.
 		m.retryFanout(f, sortedSites(f.acksPending), m.outcomeMsg(f), "outcome")
 		m.reschedule(f, m.cfg.RetryInterval)
-	case f.ph == phPrepared && !f.opts.NonBlocking && !f.coord:
+	case f.ph == phPrepared && f.opts.Protocol != wire.NonBlocking && !f.coord:
 		// Blocked two-phase subordinate: ask the coordinator.
 		m.inquire(f)
 		m.reschedule(f, m.cfg.InquireInterval)
@@ -203,7 +203,7 @@ func (m *Manager) tick(id tid.FamilyID) {
 		// and updates.
 		m.inquire(f)
 		m.reschedule(f, 4*m.cfg.InquireInterval)
-	case (f.ph == phPrepared || f.ph == phReplicated) && f.opts.NonBlocking && !f.coord:
+	case (f.ph == phPrepared || f.ph == phReplicated) && f.opts.Protocol == wire.NonBlocking && !f.coord:
 		// Non-blocking subordinate stalled: become a coordinator
 		// (§3.3 change 2).
 		m.promote(f)
@@ -213,16 +213,17 @@ func (m *Manager) tick(id tid.FamilyID) {
 // prepareMsg builds the phase-one message for f (f's lock held).
 func (m *Manager) prepareMsg(f *family) *wire.Msg {
 	msg := &wire.Msg{TID: tid.Top(f.id), Flags: f.flags()}
-	if f.opts.Paxos {
+	switch f.opts.Protocol {
+	case wire.Paxos:
 		msg.Kind = wire.KPaxosPrepare
 		msg.Sites = f.nbSites
 		msg.Acceptors = f.paxAcceptors
-	} else if f.opts.NonBlocking {
+	case wire.NonBlocking:
 		msg.Kind = wire.KNBPrepare
 		msg.Sites = f.nbSites
 		msg.CommitQuorum = uint16(f.commitQuorum)
 		msg.AbortQuorum = uint16(f.abortQuorum)
-	} else {
+	default:
 		msg.Kind = wire.KPrepare
 	}
 	return msg
@@ -245,7 +246,7 @@ func (m *Manager) replicateMsg(f *family) *wire.Msg {
 // lock held).
 func (m *Manager) outcomeMsg(f *family) *wire.Msg {
 	msg := &wire.Msg{TID: tid.Top(f.id), Flags: f.flags()}
-	if f.opts.NonBlocking {
+	if f.opts.Protocol == wire.NonBlocking {
 		msg.Kind = wire.KNBOutcome
 		if f.ph == phCommitted {
 			msg.Outcome = wire.OutcomeCommit

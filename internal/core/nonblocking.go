@@ -75,7 +75,7 @@ func (m *Manager) onNBVote(msg *wire.Msg) {
 		return
 	}
 	defer m.unlockFamily(f)
-	if !f.coord || f.ph != phPreparing || !f.opts.NonBlocking {
+	if !f.coord || f.ph != phPreparing || f.opts.Protocol != wire.NonBlocking {
 		return
 	}
 	f.votes[msg.From] = msg.Vote
@@ -273,7 +273,7 @@ func (m *Manager) onNBPrepare(msg *wire.Msg) {
 		return
 	}
 	f.opts = optionsFromFlags(msg.Flags)
-	f.opts.NonBlocking = true
+	f.opts.Protocol = wire.NonBlocking
 	f.nbSites = msg.Sites
 	f.commitQuorum = int(msg.CommitQuorum)
 	f.abortQuorum = int(msg.AbortQuorum)
@@ -340,7 +340,7 @@ func (m *Manager) onNBReplicate(msg *wire.Msg) {
 		// read-only and forgot, or never joined): record the intent
 		// anyway — it holds no locks but its log strengthens the
 		// quorum.
-		f.opts.NonBlocking = true
+		f.opts.Protocol = wire.NonBlocking
 	}
 	if f.nbState == wire.NBAbortIntent {
 		// Change 4: a site may not join both quorums.

@@ -56,7 +56,7 @@ func (f *family) paxosIsAcceptor(s tid.SiteID) bool {
 // ensurePaxos marks f as a Paxos family and allocates its acceptor
 // maps (f's lock held).
 func (m *Manager) ensurePaxos(f *family) {
-	f.opts.Paxos = true
+	f.opts.Protocol = wire.Paxos
 	if f.paxAcc == nil {
 		f.paxAcc = make(map[tid.SiteID]wire.PaxosAccepted)
 	}
@@ -428,7 +428,7 @@ func (m *Manager) onPaxosVote(msg *wire.Msg) {
 		return
 	}
 	defer m.unlockFamily(f)
-	if !f.coord || !f.opts.Paxos || f.ph != phPreparing {
+	if !f.coord || f.opts.Protocol != wire.Paxos || f.ph != phPreparing {
 		return
 	}
 	if msg.Vote != wire.VoteNo {
@@ -466,7 +466,7 @@ func (m *Manager) onPaxosPrepare(msg *wire.Msg) {
 		return
 	}
 	opts := optionsFromFlags(msg.Flags)
-	opts.Paxos = true
+	opts.Protocol = wire.Paxos
 	f.opts = opts
 	f.nbSites = msg.Sites
 	f.paxAcceptors = msg.Acceptors
@@ -605,7 +605,7 @@ func (m *Manager) onPaxos2b(msg *wire.Msg) {
 		return
 	}
 	defer m.unlockFamily(f)
-	if !f.opts.Paxos {
+	if f.opts.Protocol != wire.Paxos {
 		return
 	}
 	m.paxosMerge2b(f, msg.From, msg.Ballot, msg.Votes)

@@ -219,7 +219,7 @@ func (m *Manager) onNBAbortIntent(msg *wire.Msg) {
 		var created bool
 		f, created = m.lockOrCreateFamily(msg.TID.Family)
 		if created {
-			f.opts.NonBlocking = true
+			f.opts.Protocol = wire.NonBlocking
 		}
 	}
 	switch {

@@ -13,7 +13,7 @@ import (
 // prepared: it holds its (re-acquired) locks and immediately resumes
 // the protocol that will resolve it — presumed-abort inquiry for
 // two-phase commit, a promotion sweep for the non-blocking protocol.
-func (m *Manager) RestorePreparedSub(t tid.TID, coordinator tid.SiteID, nb bool,
+func (m *Manager) RestorePreparedSub(t tid.TID, coordinator tid.SiteID, proto wire.Protocol,
 	sites []tid.SiteID, commitQuorum, abortQuorum int, replicated bool,
 	votes []wire.SiteVote, parts []server.Participant) {
 
@@ -21,11 +21,11 @@ func (m *Manager) RestorePreparedSub(t tid.TID, coordinator tid.SiteID, nb bool,
 		f, _ := m.lockOrCreateFamily(t.Family)
 		defer m.unlockFamily(f)
 		f.prepared = true
-		f.opts.NonBlocking = nb
+		f.opts.Protocol = proto
 		for _, p := range parts {
 			f.participants[p.Name()] = p
 		}
-		if nb {
+		if proto == wire.NonBlocking {
 			f.nbSites = sites
 			f.commitQuorum = commitQuorum
 			f.abortQuorum = abortQuorum
@@ -98,14 +98,14 @@ func (m *Manager) RestorePaxos(t tid.TID, coordinator tid.SiteID,
 // it must keep re-sending COMMIT until the remaining acks arrive,
 // because "the coordinator must not forget about the transaction
 // before the subordinate writes its own commit record."
-func (m *Manager) RestoreCommittedCoordinator(t tid.TID, updateSubs []tid.SiteID, nb bool) {
+func (m *Manager) RestoreCommittedCoordinator(t tid.TID, updateSubs []tid.SiteID, proto wire.Protocol) {
 	m.queue.Put(func() {
 		f, _ := m.lockOrCreateFamily(t.Family)
 		defer m.unlockFamily(f)
 		f.coord = true
 		f.ph = phCommitted
-		f.opts.NonBlocking = nb
-		if nb {
+		f.opts.Protocol = proto
+		if proto == wire.NonBlocking {
 			f.nbSites = append([]tid.SiteID{m.cfg.Site}, updateSubs...)
 		}
 		for _, s := range updateSubs {
@@ -133,7 +133,7 @@ func (m *Manager) RestoreNBCoordinator(t tid.TID, sites []tid.SiteID,
 		f, _ := m.lockOrCreateFamily(t.Family)
 		defer m.unlockFamily(f)
 		f.coord = true
-		f.opts.NonBlocking = true
+		f.opts.Protocol = wire.NonBlocking
 		f.nbSites = sites
 		f.commitQuorum = commitQuorum
 		f.abortQuorum = abortQuorum

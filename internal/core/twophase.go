@@ -21,6 +21,12 @@ func (m *Manager) Commit(t tid.TID, opts Options) (wire.Outcome, error) {
 	if !t.IsTop() {
 		return m.commitChild(t)
 	}
+	if err := opts.Protocol.Check(); err != nil {
+		// Nothing to run, and guessing would commit under a protocol the
+		// caller did not ask for: abort before any commit message is sent.
+		m.Abort(t) //nolint:errcheck // the refusal below is the answer either way
+		return wire.OutcomeAbort, fmt.Errorf("%w: %s: %v", ErrAborted, t, err)
+	}
 	fut := rt.NewFuture[wire.Outcome](m.r)
 	m.queue.Put(func() { m.commitTop(t, opts, fut) })
 	out, ok := fut.WaitTimeout(m.cfg.RetryInterval * 600)
@@ -105,11 +111,11 @@ func (m *Manager) commitTop(t tid.TID, opts Options, fut *rt.Future[wire.Outcome
 		m.commitLocal(f)
 		return
 	}
-	if opts.Paxos {
+	switch opts.Protocol {
+	case wire.Paxos:
 		m.paxosBeginCommit(f)
 		return
-	}
-	if opts.NonBlocking {
+	case wire.NonBlocking:
 		m.nbBeginCommit(f)
 		return
 	}
@@ -170,7 +176,7 @@ func (m *Manager) onVote(msg *wire.Msg) {
 		return
 	}
 	defer m.unlockFamily(f)
-	if !f.coord || f.ph != phPreparing || f.opts.NonBlocking {
+	if !f.coord || f.ph != phPreparing || f.opts.Protocol == wire.NonBlocking {
 		return
 	}
 	f.votes[msg.From] = msg.Vote
@@ -405,11 +411,11 @@ func (m *Manager) onOutcome2PC(msg *wire.Msg) {
 		}
 		return
 	}
-	if f.coord && !f.opts.Paxos {
+	if f.coord && f.opts.Protocol != wire.Paxos {
 		m.unlockFamily(f)
 		return
 	}
-	if f.opts.Paxos && !f.prepared && !f.coord && f.localVote == wire.VoteReadOnly {
+	if f.opts.Protocol == wire.Paxos && !f.prepared && !f.coord && f.localVote == wire.VoteReadOnly {
 		// Read-only acceptor-hosting Paxos site: the acceptor role kept
 		// the family alive after its ReadOnly vote (locks already
 		// released at vote time), so the outcome only tells it to

@@ -186,7 +186,7 @@ func TestNonBlockingCommitOverRealUDP(t *testing.T) {
 	}
 	mgrs[1].AddSites(txn, []tid.SiteID{2, 3})
 
-	out, err := mgrs[1].Commit(txn, core.Options{NonBlocking: true})
+	out, err := mgrs[1].Commit(txn, core.Options{Protocol: wire.NonBlocking})
 	if err != nil || out != wire.OutcomeCommit {
 		t.Fatalf("NB commit over UDP = %v, %v", out, err)
 	}

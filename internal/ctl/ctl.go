@@ -125,22 +125,6 @@ type Server struct {
 	closed bool
 }
 
-// commitOptions is the real runtime's one mapping from a protocol name
-// to commit options. Paxos runs at F=1, matching the chaos explorer's
-// configuration. A name outside the accepted set is an error, never a
-// silent fallback to some other protocol.
-func commitOptions(protocol string) (camelot.Options, error) {
-	switch protocol {
-	case "", "2pc":
-		return camelot.Options{}, nil
-	case "nb":
-		return camelot.Options{NonBlocking: true}, nil
-	case "paxos":
-		return camelot.Options{Paxos: true, PaxosF: 1}, nil
-	}
-	return camelot.Options{}, fmt.Errorf("unknown commit protocol %q (want 2pc, nb, or paxos)", protocol)
-}
-
 // Serve starts a control server for node on addr (e.g.
 // "127.0.0.1:0") and begins accepting connections.
 func Serve(node *camelot.RealNode, addr string) (*Server, error) {
@@ -234,13 +218,15 @@ func (s *Server) handle(req Request) Response {
 		return Response{OK: true}
 
 	case OpCommit:
-		// Refused before the commit starts: the transaction stays
-		// active, and the caller may commit it properly or abort it.
-		opts, err := commitOptions(req.Protocol)
+		// An unknown name is refused before the commit starts: the
+		// transaction stays active, and the caller may commit it
+		// properly or abort it. Paxos runs at F=1, matching the chaos
+		// explorer's configuration.
+		proto, err := wire.ParseProtocol(req.Protocol)
 		if err != nil {
 			return Response{Err: err.Error()}
 		}
-		out, err := n.Commit(t, opts)
+		out, err := n.Commit(t, camelot.Options{Protocol: proto, PaxosF: 1})
 		resp := Response{Outcome: out.String()}
 		if err != nil {
 			resp.Err = err.Error()

@@ -11,6 +11,7 @@ import (
 	"camelot/camelot"
 	"camelot/internal/shardmap"
 	"camelot/internal/tid"
+	"camelot/internal/wire"
 )
 
 // startShardedNode brings up one in-process RealNode under the given
@@ -130,9 +131,14 @@ func TestCtlRefusesUnknownProtocol(t *testing.T) {
 	if errors.Is(err, ErrAborted) {
 		t.Fatalf(`CommitWith("paxso") = %v; a refusal is not an abort`, err)
 	}
-	for _, want := range []string{"paxso", "2pc", "nb", "paxos"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Errorf("refusal %q does not name %q", err, want)
+	// The one sentence every refusal prints: the bad name and the
+	// accepted set, as wire.ParseProtocol builds it.
+	if _, want := wire.ParseProtocol("paxso"); err.Error() != want.Error() {
+		t.Errorf("refusal = %q, want %q", err, want)
+	}
+	for _, p := range wire.Protocols() {
+		if !strings.Contains(err.Error(), p.String()) {
+			t.Errorf("refusal %q does not name %v", err, p)
 		}
 	}
 	// Empty still means two-phase commit, and the refused transaction

@@ -38,7 +38,7 @@ func TestLatencyReadBelowUpdate(t *testing.T) {
 func TestNonBlockingSlowerButLessThanTwice(t *testing.T) {
 	p := params.Paper()
 	tp := MeasureLatency(LatencySpec{Subs: 1, Trials: 10, Params: p})
-	nb := MeasureLatency(LatencySpec{Subs: 1, Opts: camelot.Options{NonBlocking: true},
+	nb := MeasureLatency(LatencySpec{Subs: 1, Opts: camelot.Options{Protocol: camelot.NonBlocking},
 		Trials: 10, Params: p})
 	// "The cost of non-blocking commitment relative to two-phase
 	// commitment seems somewhat less than twice as high."
@@ -54,7 +54,7 @@ func TestPaxosF0LatencyMatchesTwoPhase(t *testing.T) {
 	// and force pattern; the latencies must agree to within noise.
 	p := params.Paper()
 	tp := MeasureLatency(LatencySpec{Subs: 1, Trials: 10, Params: p})
-	px := MeasureLatency(LatencySpec{Subs: 1, Opts: camelot.Options{Paxos: true},
+	px := MeasureLatency(LatencySpec{Subs: 1, Opts: camelot.Options{Protocol: camelot.Paxos},
 		Trials: 10, Params: p})
 	diff := px.Total.Mean() - tp.Total.Mean()
 	if diff < -5 || diff > 5 {
@@ -68,7 +68,7 @@ func TestPaxosF1BetweenTwoPhaseAndTwice(t *testing.T) {
 	// but, like the non-blocking protocol it replaces, less than twice.
 	p := params.Paper()
 	tp := MeasureLatency(LatencySpec{Subs: 1, Trials: 10, Params: p})
-	px := MeasureLatency(LatencySpec{Subs: 1, Opts: camelot.Options{Paxos: true, PaxosF: 1},
+	px := MeasureLatency(LatencySpec{Subs: 1, Opts: camelot.Options{Protocol: camelot.Paxos, PaxosF: 1},
 		Trials: 10, Params: p})
 	ratio := px.Total.Mean() / tp.Total.Mean()
 	if ratio <= 1.0 || ratio >= 2.0 {
@@ -89,7 +89,7 @@ func TestNonBlockingReadMatchesTwoPhaseRead(t *testing.T) {
 	p := params.Paper()
 	tp := MeasureLatency(LatencySpec{Subs: 1, ReadOnly: true, Trials: 10, Params: p})
 	nb := MeasureLatency(LatencySpec{Subs: 1, ReadOnly: true,
-		Opts: camelot.Options{NonBlocking: true}, Trials: 10, Params: p})
+		Opts: camelot.Options{Protocol: camelot.NonBlocking}, Trials: 10, Params: p})
 	diff := nb.Total.Mean() - tp.Total.Mean()
 	if diff < -3 || diff > 3 {
 		t.Errorf("NB read differs from 2PC read by %.1f ms; the read-only path must be shared", diff)

@@ -172,7 +172,7 @@ func Figure3(p params.Params, trials int) *stats.Table {
 		}
 		for subs := 1; subs <= 3; subs++ {
 			res := MeasureLatency(LatencySpec{
-				Subs: subs, Opts: camelot.Options{NonBlocking: true}, ReadOnly: ro,
+				Subs: subs, Opts: camelot.Options{Protocol: camelot.NonBlocking}, ReadOnly: ro,
 				Trials: trials, Params: p, Seed: int64(10 + subs),
 			})
 			var static analysis.Breakdown

@@ -17,9 +17,9 @@ var ThreeWayVariants = []struct {
 	Opts camelot.Options
 }{
 	{"two-phase", camelot.Options{}},
-	{"paxos F=0", camelot.Options{Paxos: true}},
-	{"paxos F=1", camelot.Options{Paxos: true, PaxosF: 1}},
-	{"non-blocking", camelot.Options{NonBlocking: true}},
+	{"paxos F=0", camelot.Options{Protocol: camelot.Paxos}},
+	{"paxos F=1", camelot.Options{Protocol: camelot.Paxos, PaxosF: 1}},
+	{"non-blocking", camelot.Options{Protocol: camelot.NonBlocking}},
 }
 
 // ThreeWayCommit extends the Figure 2/3 latency experiment to the

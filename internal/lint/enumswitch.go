@@ -3,7 +3,8 @@ package lint
 import "strings"
 
 // EnumSwitch enforces exhaustiveness over the protocol enums
-// (wire.Kind, wire.Vote, wire.Outcome, wire.NBState, wal.RecType).
+// (wire.Kind, wire.Vote, wire.Outcome, wire.NBState, wire.Protocol,
+// wal.RecType).
 // Every protocol added to the repository extends these constant
 // sets, and PR 4–6 each found a real bug in a surface that silently
 // failed to keep up (handler-less datagrams dropped invisibly, the
@@ -19,7 +20,9 @@ import "strings"
 //     zero-value silence at the lookup site.
 //
 // The zero sentinel (KInvalid, VoteInvalid, ...) is exempt: it is
-// the codec's reject marker, not a live member. Deliberately partial
+// the codec's reject marker, not a live member. wire.Protocol's zero
+// member is live — two-phase commit — and the exemption reads there
+// as "two-phase is the default arm". Deliberately partial
 // surfaces carry `//lint:enumswitch <why>` on or above the switch or
 // literal.
 var EnumSwitch = &Analyzer{

@@ -29,8 +29,9 @@
 //     hierarchy runs table-shard → family → component, and an
 //     inversion deadlocks the real runtime;
 //   - enumswitch: every switch or map literal over a protocol enum
-//     (wire.Kind, wire.Vote, wire.Outcome, wire.NBState, wal.RecType)
-//     names all members, or its default fails loudly;
+//     (wire.Kind, wire.Vote, wire.Outcome, wire.NBState,
+//     wire.Protocol, wal.RecType) names all members, or its default
+//     fails loudly;
 //   - tracebudget: wire.Msg literals carry TID or AckTIDs so the
 //     transport can charge each datagram to a family budget, and
 //     transport sends come from functions that stamp the sequence

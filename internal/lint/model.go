@@ -31,7 +31,7 @@ import (
 // match). Adding a protocol enum here puts every switch and map
 // literal over it under exhaustiveness analysis.
 var protocolEnums = map[string][]string{
-	"wire": {"Kind", "Vote", "Outcome", "NBState"},
+	"wire": {"Kind", "Vote", "Outcome", "NBState", "Protocol"},
 	"wal":  {"RecType"},
 }
 

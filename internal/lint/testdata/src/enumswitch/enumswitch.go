@@ -86,6 +86,26 @@ func missingHelperDefault(k wire.Kind) string {
 	}
 }
 
+// A fourth protocol would land in this quiet default and run as
+// two-phase commit; today the member it swallows is Paxos.
+func protocolQuietDefault(p wire.Protocol) string {
+	switch p { // want "switch over wire.Protocol omits Paxos and its default absorbs them silently"
+	case wire.NonBlocking:
+		return "nb-prepare"
+	default:
+		return "prepare"
+	}
+}
+
+func protocolLoudDefault(p wire.Protocol) string {
+	switch p {
+	case wire.TwoPhase:
+		return "two-phase"
+	default:
+		panic(fmt.Sprintf("no label for protocol %d", p))
+	}
+}
+
 var completeNames = map[wire.Kind]string{
 	wire.KPrepare: "PREPARE",
 	wire.KVote:    "VOTE",

@@ -22,3 +22,14 @@ const (
 	VoteYes
 	VoteNo
 )
+
+// Protocol is the commit protocol. Its zero member is live (two-phase
+// commit, the default), and still exempt: an arm for "everything else"
+// is how code spells the default protocol.
+type Protocol uint8
+
+const (
+	TwoPhase Protocol = iota
+	NonBlocking
+	Paxos
+)

@@ -11,6 +11,7 @@ import (
 	"camelot/camelot"
 	"camelot/internal/ctl"
 	"camelot/internal/shardmap"
+	"camelot/internal/wire"
 )
 
 // ClusterConfig describes the real cluster the generator drives.
@@ -177,11 +178,11 @@ func (c *Cluster) keyFor(site camelot.SiteID) (string, error) {
 
 // Txn drives one distributed update through the cluster over ctl:
 // the session's round-robin coordinator plus one remote participant,
-// one write each, committed under the named protocol ("2pc", "nb",
-// "paxos"). A clean abort counts as a completed operation — the
-// protocol answered — so only infrastructure failures (unavailable
-// node, timeout, routing error) surface as errors.
-func (c *Cluster) Txn(session, seq int, protocol string) error {
+// one write each, committed under the given protocol. A clean abort
+// counts as a completed operation — the protocol answered — so only
+// infrastructure failures (unavailable node, timeout, routing error)
+// surface as errors.
+func (c *Cluster) Txn(session, seq int, protocol wire.Protocol) error {
 	n := len(c.nodes)
 	coordIdx := session % n
 	remoteIdx := (coordIdx + 1) % n
@@ -217,7 +218,7 @@ func (c *Cluster) Txn(session, seq int, protocol string) error {
 			return err
 		}
 	}
-	if _, err := coord.CommitWith(t, protocol); err != nil && !errors.Is(err, ctl.ErrAborted) {
+	if _, err := coord.CommitWith(t, protocol.String()); err != nil && !errors.Is(err, ctl.ErrAborted) {
 		return err
 	}
 	return nil

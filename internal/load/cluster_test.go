@@ -1,10 +1,12 @@
 package load
 
 import (
+	"os"
 	"testing"
 	"time"
 
 	"camelot/internal/rt"
+	"camelot/internal/wire"
 )
 
 // TestClusterLoadgenSmoke drives a low-rate open-loop run against a
@@ -36,7 +38,7 @@ func TestClusterLoadgenSmoke(t *testing.T) {
 		Seed:     1,
 	}
 	res, err := Run(rt.Real(), cfg, func(i int) error {
-		return c.Txn(i%sessions, i, "2pc")
+		return c.Txn(i%sessions, i, wire.TwoPhase)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -75,9 +77,30 @@ func TestClusterTxnAllProtocols(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	for _, proto := range []string{"2pc", "nb", "paxos"} {
+	for _, proto := range wire.Protocols() {
 		if err := c.Txn(0, 0, proto); err != nil {
-			t.Fatalf("%s: %v", proto, err)
+			t.Fatalf("%v: %v", proto, err)
 		}
+	}
+}
+
+// TestRunBenchRefusesUnknownProtocol: a protocol no node accepts used
+// to boot a cluster per cell, report rows of goodput 0 and return nil.
+// The sweep must refuse it before the first cluster exists — the good
+// protocol listed first must not have run either.
+func TestRunBenchRefusesUnknownProtocol(t *testing.T) {
+	dir := t.TempDir()
+	rep, err := RunBench(BenchConfig{
+		Protocols: []wire.Protocol{wire.TwoPhase, 9},
+		Rates:     []float64{50},
+		Duration:  100 * time.Millisecond,
+		Sites:     3,
+		Dir:       dir,
+	})
+	if err == nil {
+		t.Fatalf("RunBench with protocol 9 returned a report: %+v", rep)
+	}
+	if entries, _ := os.ReadDir(dir); len(entries) != 0 {
+		t.Errorf("RunBench refused (%v) only after creating %v", err, entries)
 	}
 }

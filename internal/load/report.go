@@ -7,6 +7,7 @@ import (
 
 	"camelot/internal/rt"
 	"camelot/internal/stats"
+	"camelot/internal/wire"
 )
 
 // Schema identifies the report format. Consumers (CI artifacts,
@@ -83,7 +84,7 @@ func (rep *Report) Table() *stats.Table {
 // every target rate, each cell against a freshly booted cluster so no
 // cell inherits another's queues, WAL tail, or retry backlog.
 type BenchConfig struct {
-	Protocols []string
+	Protocols []wire.Protocol
 	Rates     []float64
 	Duration  time.Duration
 	Sites     int
@@ -118,6 +119,13 @@ func RunBench(cfg BenchConfig) (*Report, error) {
 		Seed:       cfg.Seed,
 		DurationMS: float64(cfg.Duration) / float64(time.Millisecond),
 	}
+	// Refuse before the first cluster boots: a protocol no node accepts
+	// would otherwise produce rows of errors and a clean exit.
+	for _, proto := range cfg.Protocols {
+		if err := proto.Check(); err != nil {
+			return nil, fmt.Errorf("load: %w", err)
+		}
+	}
 	for _, proto := range cfg.Protocols {
 		for _, rate := range cfg.Rates {
 			if cfg.Logf != nil {
@@ -133,7 +141,7 @@ func RunBench(cfg BenchConfig) (*Report, error) {
 	return rep, nil
 }
 
-func runCell(r rt.Runtime, cfg BenchConfig, proto string, rate float64) (Row, error) {
+func runCell(r rt.Runtime, cfg BenchConfig, proto wire.Protocol, rate float64) (Row, error) {
 	c, err := StartCluster(ClusterConfig{
 		Sites:    cfg.Sites,
 		Shards:   cfg.Shards,
@@ -160,7 +168,7 @@ func runCell(r rt.Runtime, cfg BenchConfig, proto string, rate float64) (Row, er
 	}
 	wa, ww, sent, recv, dropped := c.Counters()
 	return Row{
-		Protocol:        proto,
+		Protocol:        proto.String(),
 		TargetRate:      rate,
 		Offered:         res.Offered(lcfg),
 		Goodput:         res.Goodput(),

@@ -31,7 +31,7 @@ import (
 type InDoubt struct {
 	TID          tid.TID
 	Coordinator  tid.SiteID
-	NonBlocking  bool
+	Protocol     wire.Protocol // whose records these are; recovery resumes under it
 	Sites        []tid.SiteID
 	CommitQuorum int
 	AbortQuorum  int
@@ -43,7 +43,6 @@ type InDoubt struct {
 	// a read-only participant hosting an acceptor, or a pure
 	// acceptor-role descriptor — is still in doubt, but recovery must
 	// not claim a vote it never forced.
-	Paxos     bool
 	Prepared  bool
 	Acceptors []tid.SiteID
 	Promised  uint64 // max over promise records and accepted-record ballots
@@ -57,9 +56,12 @@ type InDoubt struct {
 // CoordResume describes a coordinator decision that may not have
 // reached every subordinate.
 type CoordResume struct {
-	TID         tid.TID
-	UpdateSubs  []tid.SiteID
-	NonBlocking bool
+	TID        tid.TID
+	UpdateSubs []tid.SiteID
+	// Protocol is the notify path to resume: NonBlocking when a
+	// replication record precedes the COMMIT, else TwoPhase — which
+	// includes Paxos, whose coordinator COMMIT record is 2PC-shaped.
+	Protocol wire.Protocol
 }
 
 // Analysis is the result of scanning one site's log.
@@ -101,7 +103,7 @@ func Analyze(site tid.SiteID, records []*wal.Record) *Analysis {
 	replicated := make(map[tid.TID]*wal.Record)
 	abortIntent := make(map[tid.TID]bool)
 	commitSites := make(map[tid.TID][]tid.SiteID)
-	nbCommit := make(map[tid.TID]bool)
+	commitProtocol := make(map[tid.TID]wire.Protocol)
 	ended := make(map[tid.TID]bool)
 	paxPrepared := make(map[tid.TID]*wal.Record)
 	paxAccepted := make(map[tid.TID]*wal.Record)
@@ -142,7 +144,7 @@ func Analyze(site tid.SiteID, records []*wal.Record) *Analysis {
 			a.Committed[top] = true
 			commitSites[top] = r.Sites
 			if _, wasNB := replicated[top]; wasNB {
-				nbCommit[top] = true
+				commitProtocol[top] = wire.NonBlocking
 			}
 		case wal.RecAbort:
 			if r.TID.IsTop() {
@@ -177,7 +179,7 @@ func Analyze(site tid.SiteID, records []*wal.Record) *Analysis {
 		d.Coordinator = rec.Coordinator
 		if len(rec.Sites) > 0 {
 			d.Sites = rec.Sites
-			d.NonBlocking = true
+			d.Protocol = wire.NonBlocking
 			d.CommitQuorum = int(rec.CommitQuorum)
 			d.AbortQuorum = int(rec.AbortQuorum)
 		}
@@ -193,8 +195,9 @@ func Analyze(site tid.SiteID, records []*wal.Record) *Analysis {
 	for top, rec := range replicated {
 		consider(top, rec, true)
 	}
-	// Paxos records route through their own classifier: consider's
-	// len(Sites)>0 ⇒ NonBlocking heuristic must never see them.
+	// Paxos records route through their own classifier, after
+	// consider: its len(Sites)>0 ⇒ NonBlocking heuristic never sees
+	// them, and Paxos wins for a family both classifiers touched.
 	considerPaxos := func(top tid.TID, rec *wal.Record, preparedHere bool) {
 		if a.Committed[top] || a.Aborted[top] {
 			return
@@ -204,7 +207,7 @@ func Analyze(site tid.SiteID, records []*wal.Record) *Analysis {
 			d = &InDoubt{TID: top, Updates: make(map[string][]*wal.Record)}
 			indoubtSet[top] = d
 		}
-		d.Paxos = true
+		d.Protocol = wire.Paxos
 		if rec.Coordinator != 0 {
 			d.Coordinator = rec.Coordinator
 		}
@@ -297,9 +300,9 @@ func Analyze(site tid.SiteID, records []*wal.Record) *Analysis {
 			continue // local-only: nothing to notify
 		}
 		a.Resume = append(a.Resume, CoordResume{
-			TID:         top,
-			UpdateSubs:  subs,
-			NonBlocking: nbCommit[top],
+			TID:        top,
+			UpdateSubs: subs,
+			Protocol:   commitProtocol[top],
 		})
 	}
 	return a

@@ -81,7 +81,7 @@ func TestPreparedTransactionIsInDoubt(t *testing.T) {
 		t.Fatalf("InDoubt = %v, want 1 entry", a.InDoubt)
 	}
 	d := a.InDoubt[0]
-	if d.TID != txn || d.Coordinator != 9 || d.NonBlocking {
+	if d.TID != txn || d.Coordinator != 9 || d.Protocol != wire.TwoPhase {
 		t.Fatalf("InDoubt = %+v", d)
 	}
 	if len(d.Updates["srv"]) != 1 || d.Updates["srv"][0].Key != "a" {
@@ -123,7 +123,7 @@ func TestNonBlockingInDoubtCarriesQuorumState(t *testing.T) {
 		t.Fatalf("InDoubt = %v", a.InDoubt)
 	}
 	d := a.InDoubt[0]
-	if !d.NonBlocking || !d.Replicated {
+	if d.Protocol != wire.NonBlocking || !d.Replicated {
 		t.Fatalf("InDoubt flags = %+v", d)
 	}
 	if d.CommitQuorum != 2 || d.AbortQuorum != 2 || len(d.Sites) != 3 {
@@ -159,6 +159,37 @@ func TestCoordinatorResumeWithoutEnd(t *testing.T) {
 	r := a.Resume[0]
 	if r.TID != txn || len(r.UpdateSubs) != 2 {
 		t.Fatalf("Resume = %+v", r)
+	}
+}
+
+// TestRecoveryNamesOneProtocol pins the classifier's protocol column:
+// a Paxos participant's records carry a site list, which must not read
+// as non-blocking; and a decision is resumed as non-blocking only when
+// a replication record precedes the COMMIT — a Paxos coordinator's
+// COMMIT is 2PC-shaped and resumes through the two-phase notify path.
+func TestRecoveryNamesOneProtocol(t *testing.T) {
+	sites := []tid.SiteID{1, 2, 9}
+	pax := remoteTop(4)
+	a := Analyze(1, []*wal.Record{
+		{Type: wal.RecPaxosPrepare, TID: pax, Coordinator: 9, Sites: sites, Acceptors: sites},
+	})
+	if len(a.InDoubt) != 1 || a.InDoubt[0].Protocol != wire.Paxos || !a.InDoubt[0].Prepared {
+		t.Fatalf("Paxos in-doubt = %+v", a.InDoubt)
+	}
+
+	nb, paxCoord := top(5), top(6)
+	a = Analyze(1, []*wal.Record{
+		{Type: wal.RecNBReplicate, TID: nb, Sites: sites, CommitQuorum: 2, AbortQuorum: 2},
+		{Type: wal.RecCommit, TID: nb, Sites: []tid.SiteID{2, 9}},
+		{Type: wal.RecPaxosPrepare, TID: paxCoord, Coordinator: 1, Sites: sites, Acceptors: sites},
+		{Type: wal.RecCommit, TID: paxCoord, Sites: []tid.SiteID{2, 9}},
+	})
+	got := map[tid.TID]wire.Protocol{}
+	for _, r := range a.Resume {
+		got[r.TID] = r.Protocol
+	}
+	if len(got) != 2 || got[nb] != wire.NonBlocking || got[paxCoord] != wire.TwoPhase {
+		t.Fatalf("resume protocols = %v, want %v → nb, %v → 2pc", got, nb, paxCoord)
 	}
 }
 
@@ -299,7 +330,7 @@ func TestLogEndingMidFamilyPrepared(t *testing.T) {
 		t.Fatalf("InDoubt = %+v, want exactly the prepared family", a.InDoubt)
 	}
 	d := a.InDoubt[0]
-	if d.TID != top(3) || d.Coordinator != 9 || d.NonBlocking {
+	if d.TID != top(3) || d.Coordinator != 9 || d.Protocol != wire.TwoPhase {
 		t.Fatalf("InDoubt = %+v", d)
 	}
 	if len(d.Updates["srv"]) != 1 || d.Updates["srv"][0].Key != "a" {

@@ -12,7 +12,10 @@
 package wire
 
 import (
+	"fmt"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
 
 	"camelot/internal/tid"
@@ -192,6 +195,75 @@ func (s NBState) String() string {
 		return "ABORTED"
 	}
 	return "UNKNOWN"
+}
+
+// Protocol is the commitment protocol one commit-transaction call
+// runs ("the type of commitment protocol to execute is specified as an
+// argument to the commit-transaction call", §3.3). It is never encoded
+// in a datagram or a log record — message kinds and record types imply
+// it — but every layer that chooses, reports or recovers a protocol
+// names it with this type.
+type Protocol uint8
+
+// Commit protocols. TwoPhase is the zero value, so an Options literal
+// that names no protocol means presumed-abort two-phase commit.
+const (
+	TwoPhase    Protocol = iota // presumed-abort two-phase commit
+	NonBlocking                 // the three-phase non-blocking protocol of §3.3
+	Paxos                       // Paxos Commit (Gray & Lamport)
+)
+
+var protocolNames = [...]string{TwoPhase: "2pc", NonBlocking: "nb", Paxos: "paxos"}
+
+// Protocols enumerates every protocol in value order. Harnesses range
+// over it, not a literal list, so a new protocol is swept in.
+func Protocols() []Protocol {
+	ps := make([]Protocol, len(protocolNames))
+	for i := range ps {
+		ps[i] = Protocol(i)
+	}
+	return ps
+}
+
+// String returns the protocol's name as flags, the ctl line and chaos
+// schedules spell it; a value outside the enum prints as a number that
+// ParseProtocol refuses.
+func (p Protocol) String() string {
+	if int(p) < len(protocolNames) {
+		return protocolNames[p]
+	}
+	return "Protocol(" + strconv.Itoa(int(p)) + ")"
+}
+
+// Check returns nil for a defined protocol and ParseProtocol's refusal
+// for any other value: one sentence, wherever a bad value is caught.
+func (p Protocol) Check() error {
+	_, err := ParseProtocol(p.String())
+	return err
+}
+
+// ParseProtocol is the one mapping from a protocol name to its value.
+// The empty name means two-phase commit; any other unknown name is an
+// error naming the accepted set, never a silent default.
+func ParseProtocol(name string) (Protocol, error) {
+	if name == "" {
+		return TwoPhase, nil
+	}
+	for p, n := range protocolNames {
+		if n == name {
+			return Protocol(p), nil
+		}
+	}
+	return 0, fmt.Errorf("unknown commit protocol %q (want one of %s)", name, strings.Join(protocolNames[:], ", "))
+}
+
+// MarshalText encodes p by name (JSON schedules and reports).
+func (p Protocol) MarshalText() ([]byte, error) { return []byte(p.String()), nil }
+
+// UnmarshalText decodes a name through ParseProtocol.
+func (p *Protocol) UnmarshalText(text []byte) (err error) {
+	*p, err = ParseProtocol(string(text))
+	return err
 }
 
 // Msg is a transaction-manager datagram. A single struct with
