@@ -126,20 +126,22 @@ loadgen:
 		> loadgen-report.json
 	@echo "wrote loadgen-report.json"
 
-# A real multi-process cluster on loopback: spawn camelot-node
-# daemons under one shard map (one shard per site), run the seeded
-# keyspace workload with a mid-run SIGKILL and restart, and check the
-# recovery oracle over the control plane.
+# A real multi-process cluster on loopback — one driver, two fault
+# plans. This is the built-in plan: spawn camelot-node daemons under
+# one shard map (one shard per site), run the seeded keyspace workload
+# with a mid-run SIGKILL and restart, heal, check the recovery oracle
+# over the control plane, bounce every node and check it again.
 cluster:
 	$(GO) run ./cmd/camelot-cluster -nodes 3 -txns 200 -seed 1
 
-# The real-network fault storm (DESIGN.md §12): replay the seeded CI
+# The real-network fault storm (DESIGN.md §12): the same driver and
+# lifecycle as `make cluster`, its other fault plan. The seeded CI
 # netem/v1 schedule — lossy duplicating reordering links, a 30s
 # one-way partition, a mid-run SIGKILL/restart, a SIGSTOP freeze, and
-# a WAL disk death — against a 3-site loopback cluster through the
-# emulator proxies, then heal and check every oracle rule plus the
-# pinned retransmit+inquiry budget (no storm). The JSON report lands
-# in netem-report.json; CI archives it.
+# a WAL disk death — runs against a 3-site loopback cluster through
+# the emulator proxies, then the heal, every oracle rule and the pinned
+# retransmit+inquiry budget (no storm). The JSON report lands in
+# netem-report.json; CI archives it.
 netem:
 	$(GO) run ./cmd/camelot-cluster -nodes 3 -seed 42 \
 		-netem cmd/camelot-cluster/testdata/netem-ci.json \

@@ -10,8 +10,9 @@
 //	              [-protocols 2pc,nb,paxos] [-sites 3] [-shards 0]
 //	              [-sessions 64] [-dist poisson] [-seed 1] [-json]
 //
-// Experiments: table1 table2 table3 figure1 figure2 figure3 three-way
-// figure4 figure5 rpc multicast contention ablations realtime
+// -only takes a name from the experiment index (internal/exp.Index —
+// the names -json gives its tables, plus the prose-only figure1 and
+// formulas) or realtime; an unknown name lists them.
 //
 // -json emits the camelot-bench/v1 machine-readable report instead of
 // text, so successive commits can archive the report and track a
@@ -41,7 +42,6 @@ import (
 
 	"camelot/internal/exp"
 	"camelot/internal/load"
-	"camelot/internal/params"
 	"camelot/internal/stats"
 	"camelot/internal/wire"
 )
@@ -140,16 +140,10 @@ func main() {
 	quick := flag.Bool("quick", false, "fewer trials; finishes in seconds")
 	jsonOut := flag.Bool("json", false, "emit the camelot-bench/v1 JSON report")
 	realtime := flag.Bool("realtime", false, "include the real-runtime scaling experiment (host-dependent)")
-	only := flag.String("only", "", "run a single experiment by name")
+	only := flag.String("only", "", "run a single experiment: "+strings.Join(exp.Names(), ", ")+", or realtime")
 	flag.Bool("loadgen", false, "run the open-loop load generator (see -loadgen -help)")
 	flag.Parse()
 
-	trials := 25
-	if *quick {
-		trials = 8
-	}
-	paper := params.Paper()
-	vax := params.VAX()
 	w := os.Stdout
 
 	scaling := func() *stats.Table {
@@ -169,50 +163,21 @@ func main() {
 		return
 	}
 
-	if *only == "" {
+	switch e, indexed := exp.Find(*only); {
+	case *only == "":
 		exp.RunAll(w, *quick)
 		if *realtime {
 			fmt.Fprintln(w, "\n== R1: real-runtime family scaling (this host) ==")
 			fmt.Fprintln(w)
 			fmt.Fprintln(w, scaling())
 		}
-		return
-	}
-	switch *only {
-	case "table1":
-		fmt.Fprintln(w, exp.Table1())
-	case "table2":
-		fmt.Fprintln(w, exp.Table2(paper))
-	case "table3":
-		b, t := exp.Table3(paper, trials)
-		fmt.Fprintln(w, b)
-		fmt.Fprintln(w, t)
-	case "figure1":
-		fmt.Fprintln(w, exp.Figure1(paper))
-	case "figure2":
-		fmt.Fprintln(w, exp.Figure2(paper, trials))
-	case "figure3":
-		fmt.Fprintln(w, exp.Figure3(paper, trials))
-	case "three-way":
-		fmt.Fprintln(w, exp.ThreeWayCommit(paper, trials))
-	case "figure4":
-		fmt.Fprintln(w, exp.Figure4(vax))
-	case "figure5":
-		fmt.Fprintln(w, exp.Figure5(vax))
-	case "rpc":
-		fmt.Fprintln(w, exp.RPCBreakdown(paper, 10*trials))
-	case "multicast":
-		fmt.Fprintln(w, exp.MulticastVariance(paper, 4*trials))
-	case "contention":
-		fmt.Fprintln(w, exp.LockContention(paper, trials))
-	case "ablations":
-		fmt.Fprintln(w, exp.AblationGroupCommit(vax))
-		fmt.Fprintln(w, exp.AblationReadOnly(paper, trials))
-		fmt.Fprintln(w, exp.AblationCommitVariants(paper, trials))
-	case "realtime":
+	case indexed:
+		e.Print(w, *quick)
+	case *only == "realtime":
 		fmt.Fprintln(w, scaling())
 	default:
-		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *only)
+		fmt.Fprintf(os.Stderr, "unknown experiment %q (want one of %s, realtime)\n",
+			*only, strings.Join(exp.Names(), ", "))
 		os.Exit(2)
 	}
 }

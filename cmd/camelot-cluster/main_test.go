@@ -2,10 +2,12 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"syscall"
 	"testing"
@@ -42,6 +44,32 @@ var buildNode = sync.OnceValues(func() (string, error) {
 	return nodeBinary("", dir)
 })
 
+// decodeReport round-trips a run's report through its -json form and
+// decodes it strictly into the one report type: a field the type does
+// not declare, or a schema other than v2, fails the test. It returns
+// the decoded report and the set of top-level keys the JSON carried.
+func decodeReport(t *testing.T, rep *report) (*report, map[string]json.RawMessage) {
+	t.Helper()
+	b, err := json.Marshal(rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec := json.NewDecoder(bytes.NewReader(b))
+	dec.DisallowUnknownFields()
+	var got report
+	if err := dec.Decode(&got); err != nil {
+		t.Fatalf("report does not decode strictly into the report type: %v", err)
+	}
+	if got.Schema != "camelot-cluster/v2" {
+		t.Errorf("schema = %q, want camelot-cluster/v2", got.Schema)
+	}
+	var keys map[string]json.RawMessage
+	if err := json.Unmarshal(b, &keys); err != nil {
+		t.Fatal(err)
+	}
+	return &got, keys
+}
+
 func TestMain(m *testing.M) {
 	code := m.Run()
 	if nodeBinDir != "" {
@@ -61,13 +89,11 @@ func TestMain(m *testing.M) {
 func TestClusterSmoke(t *testing.T) {
 	bin := nodeBin(t)
 
-	rep, err := runCluster(clusterConfig{
+	rep, err := run(config{
 		Nodes:   3,
 		Txns:    40,
 		Seed:    1,
 		NodeBin: bin,
-		Bounce:  true,
-		Kill:    true,
 		Retry:   25 * time.Millisecond,
 	})
 	if err != nil {
@@ -84,6 +110,26 @@ func TestClusterSmoke(t *testing.T) {
 	}
 	if rep.Oversize != 0 {
 		t.Errorf("oversize refusals = %d, want 0", rep.Oversize)
+	}
+	// One report for every run: no schedule ran, so neither it nor the
+	// emulator's tallies appear, while the retry ledger and the deadline
+	// count — once the netem report's alone — do.
+	got, keys := decodeReport(t, rep)
+	for _, k := range []string{"schedule", "emulator", "wal_faults"} {
+		if _, ok := keys[k]; ok {
+			t.Errorf("report carries %q though no schedule ran", k)
+		}
+	}
+	for _, k := range []string{"retransmits", "inquiries", "unavailable_calls", "killed_site"} {
+		if _, ok := keys[k]; !ok {
+			t.Errorf("report lacks %q", k)
+		}
+	}
+	if got.Unavailable != 0 {
+		t.Errorf("unavailable_calls = %d on a clean loopback, want 0", got.Unavailable)
+	}
+	if got.Killed != 3 {
+		t.Errorf("killed_site = %d, want 3 (the highest site)", got.Killed)
 	}
 	if rep.CrossShardCommitted == 0 {
 		t.Error("no cross-shard transaction committed; every commit was single-site")
@@ -104,14 +150,12 @@ func TestClusterSmoke(t *testing.T) {
 func TestClusterShardedSmoke(t *testing.T) {
 	bin := nodeBin(t)
 
-	rep, err := runCluster(clusterConfig{
+	rep, err := run(config{
 		Nodes:   3,
 		Txns:    40,
 		Seed:    1,
 		Shards:  4,
 		NodeBin: bin,
-		Bounce:  true,
-		Kill:    true,
 		Retry:   25 * time.Millisecond,
 	})
 	if err != nil {
@@ -140,15 +184,13 @@ func TestClusterShardedSmoke(t *testing.T) {
 func TestClusterShardedMidCommitKill(t *testing.T) {
 	bin := nodeBin(t)
 
-	rep, err := runCluster(clusterConfig{
+	rep, err := run(config{
 		Nodes:         3,
 		Txns:          40,
 		Seed:          3,
 		Shards:        4,
 		Protocol:      "paxos",
 		NodeBin:       bin,
-		Bounce:        true,
-		Kill:          true,
 		KillMidCommit: true,
 		Retry:         25 * time.Millisecond,
 	})
@@ -174,14 +216,12 @@ func TestClusterShardedMidCommitKill(t *testing.T) {
 func TestClusterPaxosSmoke(t *testing.T) {
 	bin := nodeBin(t)
 
-	rep, err := runCluster(clusterConfig{
+	rep, err := run(config{
 		Nodes:         3,
 		Txns:          40,
 		Seed:          2,
 		Protocol:      "paxos",
 		NodeBin:       bin,
-		Bounce:        true,
-		Kill:          true,
 		KillMidCommit: true,
 		Retry:         25 * time.Millisecond,
 	})
@@ -201,6 +241,36 @@ func TestClusterPaxosSmoke(t *testing.T) {
 		rep.Committed, rep.Aborted, rep.Unknown, rep.Skipped, rep.Sent, rep.Recv, rep.Dropped)
 }
 
+// TestClusterHealsBeforeOracle pins the heal step on the shortest
+// mid-commit-kill run there is: with one transaction the built-in plan's
+// restart (due at index 0) comes before the kill, so the fault phase
+// ends with the coordinator dead. The driver used to hand that dead
+// site to the oracle — two `view` violations and a `liveness` one on a
+// correct cluster. Every run heals first now: the victim is back and
+// answering its control port before the first oracle pass.
+func TestClusterHealsBeforeOracle(t *testing.T) {
+	bin := nodeBin(t)
+
+	rep, err := run(config{
+		Nodes:         3,
+		Txns:          1,
+		Seed:          1,
+		Protocol:      "paxos",
+		NodeBin:       bin,
+		KillMidCommit: true,
+		Retry:         25 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range rep.Violations {
+		t.Errorf("oracle violation: %s", v)
+	}
+	if rep.Txns != 1 || rep.Killed != 3 {
+		t.Errorf("ran %d txns, killed site %d; want 1 and 3", rep.Txns, rep.Killed)
+	}
+}
+
 // TestClusterNetemSmoke replays the smoke netem/v1 schedule against a
 // real 3-process cluster: lossy, duplicating, reordering, jittery
 // links through the emulator proxies, a one-way partition window, and
@@ -211,15 +281,15 @@ func TestClusterPaxosSmoke(t *testing.T) {
 func TestClusterNetemSmoke(t *testing.T) {
 	bin := nodeBin(t)
 
-	rep, err := runNetem(netemConfig{
-		ScheduleFile: filepath.Join("testdata", "netem-smoke.json"),
-		Nodes:        3,
-		Seed:         1,
-		NodeBin:      bin,
-		Retry:        25 * time.Millisecond,
-		RetryCap:     400 * time.Millisecond,
-		OpTimeout:    2 * time.Second,
-		MaxRetry:     20000,
+	rep, err := run(config{
+		Netem:     filepath.Join("testdata", "netem-smoke.json"),
+		Nodes:     3,
+		Seed:      1,
+		NodeBin:   bin,
+		Retry:     25 * time.Millisecond,
+		RetryCap:  400 * time.Millisecond,
+		OpTimeout: 2 * time.Second,
+		MaxRetry:  20000,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -236,6 +306,16 @@ func TestClusterNetemSmoke(t *testing.T) {
 	if rep.Emulator.Dropped == 0 {
 		t.Error("the lossy schedule dropped nothing; the emulator was inert")
 	}
+	// The same report type as every other run, with what a schedule adds.
+	got, keys := decodeReport(t, rep)
+	for _, k := range []string{"schedule", "emulator"} {
+		if _, ok := keys[k]; !ok {
+			t.Errorf("report lacks %q though a schedule ran", k)
+		}
+	}
+	if got.Schedule == nil || got.Schedule.Seed != 7 || got.Killed != 3 {
+		t.Errorf("report names schedule %+v, killed_site %d; want netem-smoke's (seed 7) and site 3", got.Schedule, got.Killed)
+	}
 	t.Logf("outcomes: %d committed, %d aborted, %d unknown, %d skipped; %d unavailable calls",
 		rep.Committed, rep.Aborted, rep.Unknown, rep.Skipped, rep.Unavailable)
 	t.Logf("emulator: %d seen, %d dropped (%d cut), %d dupped, %d delayed; %d retransmits, %d inquiries",
@@ -251,12 +331,11 @@ func TestClusterFrozenNodeDeadline(t *testing.T) {
 	bin := nodeBin(t)
 
 	p, err := spawn(bin, 1, filepath.Join(t.TempDir(), "site1.wal"),
-		"127.0.0.1:0", "127.0.0.1:0", 25*time.Millisecond)
+		"127.0.0.1:0", "127.0.0.1:0", 25*time.Millisecond, 500*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer p.stop()
-	p.client.SetTimeout(500 * time.Millisecond)
 
 	if _, err := p.client.Ping(); err != nil {
 		t.Fatalf("ping before freeze: %v", err)
@@ -293,15 +372,15 @@ func TestClusterFrozenNodeDeadline(t *testing.T) {
 
 // TestKillDoesNotWaitForCallInFlight pins kill()'s order: the SIGKILL
 // goes out before the client is closed. Close waits for the call in
-// flight, and a call to a frozen node (no deadline set, as in the
-// kill/restart driver) returns only when the node dies — so closing
-// first never reaches the signal, and -kill-mid-commit kills a
-// coordinator only after its commit call has answered.
+// flight, and a call to a frozen node (spawned here with no deadline,
+// the worst case) returns only when the node dies — so closing first
+// never reaches the signal, and -kill-mid-commit kills a coordinator
+// only after its commit call has answered.
 func TestKillDoesNotWaitForCallInFlight(t *testing.T) {
 	bin := nodeBin(t)
 
 	p, err := spawn(bin, 1, filepath.Join(t.TempDir(), "site1.wal"),
-		"127.0.0.1:0", "127.0.0.1:0", 25*time.Millisecond)
+		"127.0.0.1:0", "127.0.0.1:0", 25*time.Millisecond, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,21 +414,28 @@ func TestKillDoesNotWaitForCallInFlight(t *testing.T) {
 	}
 }
 
-// TestUnknownProtocolRefusedBeforeSpawn: a mistyped -protocol used to
-// run the whole workload with every commit refused and exit 0. Both
-// modes must refuse it, naming the accepted set, before any node is
-// spawned — the node binary named here does not exist, so reaching
-// spawn would fail differently.
+// TestUnknownProtocolRefusedBeforeSpawn: what the command line gets
+// wrong is refused before any node is spawned — the node binary named
+// here does not exist, so reaching spawn would fail differently. A
+// mistyped -protocol used to run the whole workload with every commit
+// refused and exit 0; -kill-mid-commit under -netem used to be
+// silently ignored.
 func TestUnknownProtocolRefusedBeforeSpawn(t *testing.T) {
-	_, clusterErr := runCluster(clusterConfig{Nodes: 3, Txns: 6, Protocol: "paxso",
-		NodeBin: filepath.Join(t.TempDir(), "no-such-node")})
-	_, netemErr := runNetem(netemConfig{Nodes: 3, Protocol: "paxso",
-		ScheduleFile: "testdata/netem-ci.json",
-		NodeBin:      filepath.Join(t.TempDir(), "no-such-node")})
-	_, want := wire.ParseProtocol("paxso")
-	for mode, err := range map[string]error{"runCluster": clusterErr, "runNetem": netemErr} {
-		if err == nil || err.Error() != want.Error() {
-			t.Errorf("%s with -protocol paxso = %v, want %v", mode, err, want)
+	noNode := filepath.Join(t.TempDir(), "no-such-node")
+	_, badProtocol := wire.ParseProtocol("paxso")
+	for name, tc := range map[string]struct {
+		cfg  config
+		want string
+	}{
+		"unknown protocol": {config{Nodes: 3, Txns: 6, Protocol: "paxso"}, badProtocol.Error()},
+		"unknown protocol with a schedule": {config{Nodes: 3, Protocol: "paxso",
+			Netem: "testdata/netem-ci.json"}, badProtocol.Error()},
+		"mid-commit kill with a schedule": {config{Nodes: 3, KillMidCommit: true,
+			Netem: "testdata/netem-smoke.json"}, "-kill-mid-commit belongs to the built-in fault plan"},
+	} {
+		tc.cfg.NodeBin = noNode
+		if _, err := run(tc.cfg); err == nil || !strings.HasPrefix(err.Error(), tc.want) {
+			t.Errorf("%s: run = %v, want %q", name, err, tc.want)
 		}
 	}
 }

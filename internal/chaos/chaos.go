@@ -331,7 +331,11 @@ func (e *engine) workload(txns []oracle.Txn) {
 // written at every site's server.
 func (e *engine) replicatedPlan(i int) (oracle.Txn, func(*camelot.Tx) error) {
 	key := fmt.Sprintf("k%d", i)
-	return oracle.Txn{Key: key}, func(tx *camelot.Tx) error {
+	writes := make([]oracle.Write, len(e.sites))
+	for j, id := range e.sites {
+		writes[j] = oracle.Write{Key: key, Site: id}
+	}
+	return oracle.Txn{Writes: writes}, func(tx *camelot.Tx) error {
 		for _, id := range e.sites {
 			if err := tx.Write(srvName(id), key, []byte("v")); err != nil {
 				return err
@@ -359,11 +363,7 @@ func (e *engine) shardedPlan(i int) (oracle.Txn, func(*camelot.Tx) error) {
 			writes = append(writes, oracle.Write{Key: hot, Site: home, Shared: true})
 		}
 	}
-	txn := oracle.Txn{Writes: writes}
-	if len(writes) > 0 {
-		txn.Key = writes[0].Key
-	}
-	return txn, func(tx *camelot.Tx) error {
+	return oracle.Txn{Writes: writes}, func(tx *camelot.Tx) error {
 		for _, w := range writes {
 			if err := tx.WriteKey(w.Key, []byte("v")); err != nil {
 				return err

@@ -62,10 +62,10 @@ func RunNetem(ns netem.Schedule, w Schedule) (*NetemResult, error) {
 		}
 	}
 	e := &engine{sched: w, msgFaults: make(map[int]Fault)}
-	return e.runNetem(ns)
+	return e.replayNetem(ns)
 }
 
-func (e *engine) runNetem(ns netem.Schedule) (*NetemResult, error) {
+func (e *engine) replayNetem(ns netem.Schedule) (*NetemResult, error) {
 	s := e.sched
 	if err := e.build(); err != nil {
 		return nil, err

@@ -1,9 +1,6 @@
 package exp
 
-import (
-	"camelot/internal/params"
-	"camelot/internal/stats"
-)
+import "camelot/internal/stats"
 
 // BenchSchema identifies the machine-readable report layout. Bump the
 // version suffix on any incompatible change so perf-trajectory tooling
@@ -30,35 +27,15 @@ func TableJSON(name string, t *stats.Table) BenchTable {
 	return BenchTable{Name: name, Title: t.Title(), Header: t.Header(), Rows: t.Rows()}
 }
 
-// RunAllJSON runs every table-shaped experiment in the index (the
-// same set RunAll prints, minus the prose-only Figure 1 walkthrough
-// and the static-analysis formulas) and returns the report.
+// RunAllJSON runs every experiment in the index and returns the report
+// of those that produce a table (the prose-only rows — the Figure 1
+// walkthrough, the static-analysis formulas — have none).
 func RunAllJSON(quick bool) *BenchReport {
-	trials := 25
-	if quick {
-		trials = 8
-	}
-	paper := params.Paper()
-	vax := params.VAX()
-
 	rep := &BenchReport{Schema: BenchSchema, Quick: quick}
-	add := func(name string, t *stats.Table) {
-		rep.Tables = append(rep.Tables, TableJSON(name, t))
+	for _, e := range Index {
+		if _, t := e.Run(quick); t != nil {
+			rep.Tables = append(rep.Tables, TableJSON(e.Name, t))
+		}
 	}
-	add("table1", Table1())
-	add("table2", Table2(paper))
-	_, t3 := Table3(paper, trials)
-	add("table3", t3)
-	add("figure2", Figure2(paper, trials))
-	add("figure3", Figure3(paper, trials))
-	add("three-way", ThreeWayCommit(paper, trials))
-	add("figure4", Figure4(vax))
-	add("figure5", Figure5(vax))
-	add("rpc", RPCBreakdown(paper, 10*trials))
-	add("multicast", MulticastVariance(paper, 4*trials))
-	add("contention", LockContention(paper, trials))
-	add("ablation-group-commit", AblationGroupCommit(vax))
-	add("ablation-read-only", AblationReadOnly(paper, trials))
-	add("ablation-commit-variants", AblationCommitVariants(paper, trials))
 	return rep
 }

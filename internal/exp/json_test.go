@@ -38,6 +38,11 @@ func TestBenchReportSchemaGolden(t *testing.T) {
 	for _, tb := range rep.Tables {
 		fmt.Fprintf(&b, "table %s | %s | %s | rows=%d\n",
 			tb.Name, tb.Title, strings.Join(tb.Header, ", "), len(tb.Rows))
+		// BenchTable.Name is documented as the -only name: every table
+		// the report emits must be runnable alone under it.
+		if _, ok := Find(tb.Name); !ok {
+			t.Errorf("report table %q is not an index name (-only would refuse it)", tb.Name)
+		}
 	}
 	got := b.String()
 
@@ -56,5 +61,25 @@ func TestBenchReportSchemaGolden(t *testing.T) {
 	}
 	if got != string(want) {
 		t.Errorf("bench schema drifted from %s:\n--- got ---\n%s--- want ---\n%s", golden, got, want)
+	}
+}
+
+// TestIndexNames pins what camelot-bench -only accepts: the index's
+// names, each once, the prose-only rows included, nothing else.
+func TestIndexNames(t *testing.T) {
+	seen := map[string]bool{}
+	for _, name := range Names() {
+		if seen[name] {
+			t.Errorf("index name %q appears twice", name)
+		}
+		seen[name] = true
+	}
+	for _, name := range []string{"figure1", "formulas", "ablation-group-commit"} {
+		if _, ok := Find(name); !ok {
+			t.Errorf("Find(%q) failed; want an index row", name)
+		}
+	}
+	if _, ok := Find("ablations"); ok {
+		t.Error(`Find("ablations") succeeded; the report has no table of that name`)
 	}
 }

@@ -3,82 +3,133 @@ package exp
 import (
 	"fmt"
 	"io"
+	"strings"
 
 	"camelot/internal/analysis"
 	"camelot/internal/params"
+	"camelot/internal/stats"
 )
 
-// RunAll executes every experiment in the repository's index
-// (DESIGN.md §4) and writes paper-style output to w. quick trims the
-// trial counts so the whole suite finishes in seconds.
-func RunAll(w io.Writer, quick bool) {
-	trials := 25
+// Experiment is one row of the repository's experiment index
+// (DESIGN.md §4).
+type Experiment struct {
+	// Name is the stable key: camelot-bench's -only name and the
+	// table's name in the camelot-bench/v1 report.
+	Name string
+	// Heading is the section line the full text report prints above it.
+	Heading string
+	// Run executes the experiment. quick trims the trial counts so the
+	// whole index finishes in seconds. Prose, when non-empty, is printed
+	// ahead of the table; a prose-only experiment returns a nil table
+	// and has no entry in the machine-readable report.
+	Run func(quick bool) (prose string, table *stats.Table)
+}
+
+// trials is the per-point repetition count of the simulated latency
+// experiments.
+func trials(quick bool) int {
 	if quick {
-		trials = 8
+		return 8
 	}
-	paper := params.Paper()
-	vax := params.VAX()
+	return 25
+}
 
-	section := func(s string) { fmt.Fprintf(w, "\n%s\n\n", s) }
+// table adapts an experiment that is just a table.
+func table(run func(quick bool) *stats.Table) func(bool) (string, *stats.Table) {
+	return func(quick bool) (string, *stats.Table) { return "", run(quick) }
+}
 
-	section("== T1: host primitive benchmarks (paper Table 1) ==")
-	fmt.Fprintln(w, Table1())
+// Index lists every simulated experiment, in report order. The text
+// report, the JSON report and camelot-bench -only are all read off it,
+// so a name one of them knows is a name all of them know.
+var Index = []Experiment{
+	{"table1", "== T1: host primitive benchmarks (paper Table 1) ==",
+		table(func(bool) *stats.Table { return Table1() })},
+	{"table2", "== T2: simulated Camelot primitives (paper Table 2) ==",
+		table(func(bool) *stats.Table { return Table2(params.Paper()) })},
+	{"figure1", "== F1: execution of a transaction (paper Figure 1) ==",
+		func(bool) (string, *stats.Table) { return Figure1(params.Paper()), nil }},
+	{"table3", "== T3: static vs empirical latency (paper Table 3) ==",
+		func(q bool) (string, *stats.Table) { return Table3(params.Paper(), trials(q)) }},
+	{"figure2", "== F2: two-phase commit latency (paper Figure 2) ==",
+		table(func(q bool) *stats.Table { return Figure2(params.Paper(), trials(q)) })},
+	{"figure3", "== F3: non-blocking commit latency (paper Figure 3) ==",
+		table(func(q bool) *stats.Table { return Figure3(params.Paper(), trials(q)) })},
+	{"three-way", "== F6: three-way commit latency (2PC vs Paxos Commit vs NB) ==",
+		table(func(q bool) *stats.Table { return ThreeWayCommit(params.Paper(), trials(q)) })},
+	{"figure4", "== F4: update transaction throughput (paper Figure 4) ==",
+		table(func(bool) *stats.Table { return Figure4(params.VAX()) })},
+	{"figure5", "== F5: read transaction throughput (paper Figure 5) ==",
+		table(func(bool) *stats.Table { return Figure5(params.VAX()) })},
+	{"rpc", "== E1: RPC latency breakdown (paper §4.1) ==",
+		table(func(q bool) *stats.Table { return RPCBreakdown(params.Paper(), 10*trials(q)) })},
+	{"multicast", "== E2: multicast variance (paper §4.2) ==",
+		table(func(q bool) *stats.Table { return MulticastVariance(params.Paper(), 4*trials(q)) })},
+	{"contention", "== E3: lock contention, back-to-back transactions (paper §4.2) ==",
+		table(func(q bool) *stats.Table { return LockContention(params.Paper(), trials(q)) })},
+	{"ablation-group-commit", "== A1: ablation — group commit ==",
+		table(func(bool) *stats.Table { return AblationGroupCommit(params.VAX()) })},
+	{"ablation-read-only", "== A2: ablation — read-only optimization ==",
+		table(func(q bool) *stats.Table { return AblationReadOnly(params.Paper(), trials(q)) })},
+	{"ablation-commit-variants", "== A3: ablation — commit variants ==",
+		table(func(q bool) *stats.Table { return AblationCommitVariants(params.Paper(), trials(q)) })},
+	{"formulas", "== static analysis: full path formulas ==",
+		func(bool) (string, *stats.Table) { return pathFormulas(params.Paper()), nil }},
+}
 
-	section("== T2: simulated Camelot primitives (paper Table 2) ==")
-	fmt.Fprintln(w, Table2(paper))
+// Names lists the index's experiment names, in order.
+func Names() []string {
+	out := make([]string, len(Index))
+	for i, e := range Index {
+		out[i] = e.Name
+	}
+	return out
+}
 
-	section("== F1: execution of a transaction (paper Figure 1) ==")
-	fmt.Fprintln(w, Figure1(paper))
+// Find returns the index row with the given name.
+func Find(name string) (Experiment, bool) {
+	for _, e := range Index {
+		if e.Name == name {
+			return e, true
+		}
+	}
+	return Experiment{}, false
+}
 
-	section("== T3: static vs empirical latency (paper Table 3) ==")
-	breakdowns, t3 := Table3(paper, trials)
-	fmt.Fprintln(w, breakdowns)
-	fmt.Fprintln(w, t3)
+// Print runs the experiment and writes its paper-style output to w.
+func (e Experiment) Print(w io.Writer, quick bool) {
+	prose, t := e.Run(quick)
+	if prose != "" {
+		fmt.Fprintln(w, prose)
+	}
+	if t != nil {
+		fmt.Fprintln(w, t)
+	}
+}
 
-	section("== F2: two-phase commit latency (paper Figure 2) ==")
-	fmt.Fprintln(w, Figure2(paper, trials))
+// RunAll executes every experiment in the index and writes paper-style
+// output to w, each under its section heading.
+func RunAll(w io.Writer, quick bool) {
+	for _, e := range Index {
+		fmt.Fprintf(w, "\n%s\n\n", e.Heading)
+		e.Print(w, quick)
+	}
+}
 
-	section("== F3: non-blocking commit latency (paper Figure 3) ==")
-	fmt.Fprintln(w, Figure3(paper, trials))
-
-	section("== F6: three-way commit latency (2PC vs Paxos Commit vs NB) ==")
-	fmt.Fprintln(w, ThreeWayCommit(paper, trials))
-
-	section("== F4: update transaction throughput (paper Figure 4) ==")
-	fmt.Fprintln(w, Figure4(vax))
-
-	section("== F5: read transaction throughput (paper Figure 5) ==")
-	fmt.Fprintln(w, Figure5(vax))
-
-	section("== E1: RPC latency breakdown (paper §4.1) ==")
-	fmt.Fprintln(w, RPCBreakdown(paper, 10*trials))
-
-	section("== E2: multicast variance (paper §4.2) ==")
-	fmt.Fprintln(w, MulticastVariance(paper, 4*trials))
-
-	section("== E3: lock contention, back-to-back transactions (paper §4.2) ==")
-	fmt.Fprintln(w, LockContention(paper, trials))
-
-	section("== A1: ablation — group commit ==")
-	fmt.Fprintln(w, AblationGroupCommit(vax))
-
-	section("== A2: ablation — read-only optimization ==")
-	fmt.Fprintln(w, AblationReadOnly(paper, trials))
-
-	section("== A3: ablation — commit variants ==")
-	fmt.Fprintln(w, AblationCommitVariants(paper, trials))
-
-	section("== static analysis: full path formulas ==")
+// pathFormulas renders the static analysis's full path formulas.
+func pathFormulas(p params.Params) string {
+	var lines []string
 	for _, b := range []analysis.Breakdown{
-		analysis.LocalUpdateCompletion(paper),
-		analysis.LocalReadCompletion(paper),
-		analysis.TwoPhaseUpdateCompletion(paper, 1),
-		analysis.TwoPhaseUpdateCritical(paper, 1),
-		analysis.TwoPhaseReadCompletion(paper, 1),
-		analysis.NonBlockingUpdateCompletion(paper, 1),
-		analysis.NonBlockingUpdateCritical(paper, 1),
-		analysis.NonBlockingReadCompletion(paper, 1),
+		analysis.LocalUpdateCompletion(p),
+		analysis.LocalReadCompletion(p),
+		analysis.TwoPhaseUpdateCompletion(p, 1),
+		analysis.TwoPhaseUpdateCritical(p, 1),
+		analysis.TwoPhaseReadCompletion(p, 1),
+		analysis.NonBlockingUpdateCompletion(p, 1),
+		analysis.NonBlockingUpdateCritical(p, 1),
+		analysis.NonBlockingReadCompletion(p, 1),
 	} {
-		fmt.Fprintln(w, b)
+		lines = append(lines, b.String())
 	}
+	return strings.Join(lines, "\n")
 }

@@ -3,8 +3,8 @@
 // fault schedule, heals the world, and then asks the oracle whether
 // the cluster honored transactional semantics anyway:
 //
-//   - Atomicity: every transaction's updates are present at all of
-//     the sites it wrote or at none of them.
+//   - Atomicity: every transaction's write set — each key at the site
+//     that holds it — is present in full or not at all.
 //   - Client view: an outcome reported to the client (commit, abort)
 //     agrees with what the sites hold; an unknown outcome — the
 //     coordinator died with the call in flight — may have gone either
@@ -71,33 +71,25 @@ func (o Outcome) String() string {
 
 // Txn describes one workload transaction for the oracle.
 type Txn struct {
-	// Key is the key the transaction wrote at each of its write sites.
-	Key string
 	// Family identifies the transaction; zero when the workload never
 	// got far enough to have one (Skipped before Begin succeeded).
 	Family tid.FamilyID
 	// Outcome is what the client observed.
 	Outcome Outcome
-	// Sites lists the sites the transaction wrote Key at. Nil means
-	// every site in the cluster (the original all-sites workloads);
-	// a workload with read-only participants narrows the atomicity
-	// check to the actual write set.
-	Sites []camelot.SiteID
-	// Writes, when non-nil, is the keyspace write set of a sharded
-	// workload: each key at its home site, checked by the cross-shard
-	// atomicity rule instead of the Key/Sites replication rule. A
-	// sharded transaction writes distinct keys on distinct shards, so
-	// atomicity means the whole write set landed or none of it did.
+	// Writes is the write set: each key at the site that holds it. A
+	// keyspace workload writes distinct keys on distinct shards, a
+	// named-server workload the same key at every site's server; either
+	// way atomicity means the whole set landed or none of it did.
+	// Read-only participants do not appear.
 	Writes []Write
 }
 
-// Write is one key a sharded transaction wrote, at the key's home
-// site per the deployment's shard map.
+// Write is one key a transaction wrote, at one site that holds it.
 type Write struct {
 	// Key is the key written.
 	Key string
-	// Site is the key's home site — the one site whose shard server
-	// holds it.
+	// Site is the site interrogated for it — under a shard map, the
+	// key's home site.
 	Site camelot.SiteID
 	// Shared marks a key other workload transactions also write (hot
 	// keys under skew). Presence cannot attribute a shared key's value
@@ -158,19 +150,22 @@ type Config struct {
 
 // Check runs every invariant against the quiesced in-process cluster
 // and returns the violations found (nil when the run was clean). It
-// is CheckViews over clusterView adapters.
+// is CheckViews over nodeView adapters.
 func Check(c *camelot.Cluster, cfg Config, txns []Txn) []Violation {
 	views := make(map[camelot.SiteID]SiteView, len(cfg.Sites))
 	for _, id := range cfg.Sites {
-		if cfg.ShardMap != nil {
-			server := ""
-			if local := cfg.ShardMap.ShardsAt(id); len(local) > 0 {
-				server = cfg.ShardMap.ServerOf(local[0])
+		v := &nodeView{node: c.Node(id)}
+		if m := cfg.ShardMap; m != nil {
+			v.serverFor = m.ServerFor
+			if local := m.ShardsAt(id); len(local) > 0 {
+				v.probe = m.ServerOf(local[0])
 			}
-			views[id] = &shardedView{node: c.Node(id), m: cfg.ShardMap, server: server}
-			continue
+		} else {
+			name := cfg.ServerOf(id)
+			v.serverFor = func(string) string { return name }
+			v.probe = name
 		}
-		views[id] = &clusterView{node: c.Node(id), server: cfg.ServerOf(id)}
+		views[id] = v
 	}
 	return CheckViews(cfg.Sites, views, txns)
 }
@@ -179,140 +174,75 @@ func Check(c *camelot.Cluster, cfg Config, txns []Txn) []Violation {
 // returns the violations found (nil when the run was clean).
 func CheckViews(sites []camelot.SiteID, views map[camelot.SiteID]SiteView, txns []Txn) []Violation {
 	var out []Violation
-	out = append(out, checkPresence(sites, views, txns)...)
+	out = append(out, checkPresence(views, txns)...)
 	out = append(out, checkAgreement(sites, views, txns)...)
 	out = append(out, checkLiveness(sites, views)...)
 	return out
 }
 
-// writeSites returns the sites whose data servers the transaction
-// wrote: its declared write set, or every site when none was given.
-func writeSites(sites []camelot.SiteID, tx Txn) []camelot.SiteID {
-	if tx.Sites != nil {
-		return tx.Sites
-	}
-	return sites
-}
-
-// checkPresence verifies atomicity and the client's view: each
-// transaction's key is present at all of its write sites or at none,
-// and the count matches the outcome the client observed.
-func checkPresence(sites []camelot.SiteID, views map[camelot.SiteID]SiteView, txns []Txn) []Violation {
+// checkPresence verifies atomicity and the client's view of every
+// transaction: its exclusive writes — each interrogated at its own
+// site — are present all together or not at all, and the tally matches
+// the outcome the client observed. Shared (hot) keys are held only to
+// committed ⇒ present, since another transaction's commit legitimately
+// leaves them present after this one's abort.
+func checkPresence(views map[camelot.SiteID]SiteView, txns []Txn) []Violation {
 	var out []Violation
 	for i, tx := range txns {
-		if tx.Writes != nil {
-			out = append(out, checkWriteSet(i, tx, views)...)
-			continue
-		}
-		present := 0
-		writers := writeSites(sites, tx)
-		for _, id := range writers {
-			v := views[id]
+		exclPresent, exclTotal := 0, 0
+		var missingShared []string
+		for _, w := range tx.Writes {
+			v := views[w.Site]
 			if v == nil {
 				continue
 			}
-			ok, err := v.HasKey(tx.Key)
+			ok, err := v.HasKey(w.Key)
 			if err != nil {
 				out = append(out, Violation{
 					Rule: "view", Txn: i,
-					Detail: fmt.Sprintf("site %d unreachable for key %q: %v", id, tx.Key, err),
+					Detail: fmt.Sprintf("site %d unreachable for key %q: %v", w.Site, w.Key, err),
 				})
 				continue
 			}
+			if w.Shared {
+				if !ok {
+					missingShared = append(missingShared, w.Key)
+				}
+				continue
+			}
+			exclTotal++
 			if ok {
-				present++
+				exclPresent++
 			}
 		}
-		all := len(writers)
-		if present != 0 && present != all {
+		if exclPresent != 0 && exclPresent != exclTotal {
 			out = append(out, Violation{
 				Rule: "atomicity", Txn: i,
-				Detail: fmt.Sprintf("key %q present at %d/%d sites", tx.Key, present, all),
+				Detail: fmt.Sprintf("write set landed at %d/%d of its sites", exclPresent, exclTotal),
 			})
 			continue // the client-view check would only repeat the news
 		}
 		switch tx.Outcome {
 		case Committed:
-			if present != all {
+			if exclPresent != exclTotal {
 				out = append(out, Violation{
 					Rule: "client-view", Txn: i,
-					Detail: fmt.Sprintf("client saw COMMIT but key %q is at %d/%d sites", tx.Key, present, all),
+					Detail: fmt.Sprintf("client saw COMMIT but write set is at %d/%d of its sites", exclPresent, exclTotal),
+				})
+			}
+			if len(missingShared) > 0 {
+				out = append(out, Violation{
+					Rule: "client-view", Txn: i,
+					Detail: fmt.Sprintf("client saw COMMIT but shared keys %v are absent", missingShared),
 				})
 			}
 		case Aborted:
-			if present != 0 {
+			if exclPresent != 0 {
 				out = append(out, Violation{
 					Rule: "client-view", Txn: i,
-					Detail: fmt.Sprintf("client saw ABORT but key %q is at %d/%d sites", tx.Key, present, all),
+					Detail: fmt.Sprintf("client saw ABORT but write set is at %d/%d of its sites", exclPresent, exclTotal),
 				})
 			}
-		}
-	}
-	return out
-}
-
-// checkWriteSet verifies cross-shard atomicity for one sharded
-// transaction: its exclusive writes — distinct keys on the shards it
-// touched, each interrogated at its own home site — are present all
-// together or not at all, and the tally matches the client's view.
-// Shared (hot) keys are held only to committed ⇒ present, since
-// another transaction's commit legitimately leaves them present after
-// this one's abort.
-func checkWriteSet(i int, tx Txn, views map[camelot.SiteID]SiteView) []Violation {
-	var out []Violation
-	exclPresent, exclTotal := 0, 0
-	var missingShared []string
-	for _, w := range tx.Writes {
-		v := views[w.Site]
-		if v == nil {
-			continue
-		}
-		ok, err := v.HasKey(w.Key)
-		if err != nil {
-			out = append(out, Violation{
-				Rule: "view", Txn: i,
-				Detail: fmt.Sprintf("site %d unreachable for key %q: %v", w.Site, w.Key, err),
-			})
-			continue
-		}
-		if w.Shared {
-			if !ok {
-				missingShared = append(missingShared, w.Key)
-			}
-			continue
-		}
-		exclTotal++
-		if ok {
-			exclPresent++
-		}
-	}
-	if exclPresent != 0 && exclPresent != exclTotal {
-		out = append(out, Violation{
-			Rule: "shard-atomicity", Txn: i,
-			Detail: fmt.Sprintf("write set landed on %d/%d shards", exclPresent, exclTotal),
-		})
-		return out // the client-view check would only repeat the news
-	}
-	switch tx.Outcome {
-	case Committed:
-		if exclPresent != exclTotal {
-			out = append(out, Violation{
-				Rule: "client-view", Txn: i,
-				Detail: fmt.Sprintf("client saw COMMIT but write set is on %d/%d shards", exclPresent, exclTotal),
-			})
-		}
-		if len(missingShared) > 0 {
-			out = append(out, Violation{
-				Rule: "client-view", Txn: i,
-				Detail: fmt.Sprintf("client saw COMMIT but shared keys %v are absent", missingShared),
-			})
-		}
-	case Aborted:
-		if exclPresent != 0 {
-			out = append(out, Violation{
-				Rule: "client-view", Txn: i,
-				Detail: fmt.Sprintf("client saw ABORT but write set is on %d/%d shards", exclPresent, exclTotal),
-			})
 		}
 	}
 	return out
@@ -384,14 +314,19 @@ func checkLiveness(sites []camelot.SiteID, views map[camelot.SiteID]SiteView) []
 	return out
 }
 
-// clusterView answers the oracle's questions for one in-process node.
-type clusterView struct {
-	node   *camelot.Node
-	server string
+// nodeView answers the oracle's questions for one in-process node.
+type nodeView struct {
+	node *camelot.Node
+	// serverFor names the data server that holds a key at this site:
+	// the key's home shard under a shard map, else the site's one server.
+	serverFor func(key string) string
+	// probe is the server the liveness probe writes through: the site's
+	// first local shard, or "" (begin/abort only) when it hosts none.
+	probe string
 }
 
-func (v *clusterView) HasKey(key string) (bool, error) {
-	srv := v.node.Server(v.server)
+func (v *nodeView) HasKey(key string) (bool, error) {
+	srv := v.node.Server(v.serverFor(key))
 	if srv == nil {
 		return false, nil
 	}
@@ -399,53 +334,17 @@ func (v *clusterView) HasKey(key string) (bool, error) {
 	return ok, nil
 }
 
-func (v *clusterView) OutcomeOf(f tid.FamilyID) (wire.Outcome, error) {
+func (v *nodeView) OutcomeOf(f tid.FamilyID) (wire.Outcome, error) {
 	return v.node.TM().OutcomeOf(f), nil
 }
 
-func (v *clusterView) Probe() error {
+func (v *nodeView) Probe() error {
 	tx, err := v.node.Begin()
 	if err != nil {
 		return fmt.Errorf("cannot begin after quiesce: %v", err)
 	}
-	if err := tx.Write(v.server, "oracle-probe", []byte("x")); err != nil {
-		tx.Abort() //nolint:errcheck // probe cleanup; the write is the check
-		return fmt.Errorf("probe write blocked (leaked lock?): %v", err)
-	}
-	tx.Abort() //nolint:errcheck // probe cleanup; the write above is the check
-	return nil
-}
-
-// shardedView answers the oracle's questions for one in-process node
-// of a sharded deployment: each key is looked up on its home shard's
-// server, and the liveness probe writes through the site's first
-// local shard (or degrades to begin/abort when the site hosts none).
-type shardedView struct {
-	node   *camelot.Node
-	m      *shardmap.Map
-	server string // first local shard's server; "" when the site hosts none
-}
-
-func (v *shardedView) HasKey(key string) (bool, error) {
-	srv := v.node.Server(v.m.ServerFor(key))
-	if srv == nil {
-		return false, nil
-	}
-	_, ok := srv.Peek(key)
-	return ok, nil
-}
-
-func (v *shardedView) OutcomeOf(f tid.FamilyID) (wire.Outcome, error) {
-	return v.node.TM().OutcomeOf(f), nil
-}
-
-func (v *shardedView) Probe() error {
-	tx, err := v.node.Begin()
-	if err != nil {
-		return fmt.Errorf("cannot begin after quiesce: %v", err)
-	}
-	if v.server != "" {
-		if err := tx.Write(v.server, "oracle-probe", []byte("x")); err != nil {
+	if v.probe != "" {
+		if err := tx.Write(v.probe, "oracle-probe", []byte("x")); err != nil {
 			tx.Abort() //nolint:errcheck // probe cleanup; the write is the check
 			return fmt.Errorf("probe write blocked (leaked lock?): %v", err)
 		}
