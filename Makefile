@@ -57,10 +57,13 @@ chaos:
 # The Paxos Commit gate (DESIGN.md §10): the budget-conformance suite
 # pinning the Gray–Lamport message/force table, the chaos tests over
 # acceptor forces and 2b datagrams, the non-blocking-under-any-crash
-# regression, and the real-process coordinator-kill cluster smoke. The
-# 200-point Paxos sweep itself is `make chaos`'s third iteration.
+# regression, the hazard tests of the co-location folds (core's
+# handler-level ones, chaos's torn combined block and lost 2b), and the
+# real-process coordinator-kill cluster smoke. The 200-point Paxos
+# sweep itself is `make chaos`'s third iteration.
 paxos:
 	$(GO) test ./camelot -run 'TestProtocolBudgetTable|TestPaxos'
+	$(GO) test ./internal/core -run 'TestPaxos|TestFanoutCarriesOwedAcks'
 	$(GO) test ./internal/chaos -run TestPaxos
 	$(GO) test ./cmd/camelot-cluster -run TestClusterPaxosSmoke
 

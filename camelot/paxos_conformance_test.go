@@ -3,15 +3,16 @@ package camelot
 // Conformance tests pinning Paxos Commit's fault-free budgets, beside
 // the 2PC and NB budgets of conformance_test.go. Gray & Lamport's
 // analysis gives the protocol 2F(N+1)+3N+1 messages in the fault-free
-// case and — with the coordinator co-located with one acceptor and
-// acceptors batching all N instances into one accepted record — the
-// same log-force and message-delay budget as two-phase commit when
-// F=0. These tests assert the per-site counts exactly, so any stray
+// case and — with every acceptor co-located with a participant, the
+// vote request carrying the leader's 2a, and acceptors batching all N
+// instances into one accepted record — the same log-force and
+// message-delay budget as two-phase commit when F=0. These tests assert the per-site counts exactly, so any stray
 // datagram or force anywhere in the Paxos stack fails a test rather
 // than quietly shifting a latency curve.
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -151,14 +152,15 @@ func TestProtocolBudgetTable(t *testing.T) {
 		},
 		// Paxos Commit, F=1 over three sites: all three host acceptors.
 		// Each participant pays one extra force (its half of the
-		// acceptor's batched accepted record) and the 2a/2b fan-out
-		// replaces the single vote datagram.
+		// acceptor's batched accepted record); each subordinate's 2a's and
+		// 2b replace its single vote datagram, and the leader's 2a rides
+		// its vote request.
 		{
 			name: "paxos/F=1/writeAll", opts: Options{Protocol: Paxos, PaxosF: 1}, n: 3, write: writeAll,
 			want: map[SiteID]trace.FamilyCounters{
-				1: {LogAppends: 5, LogForces: 2, MsgsSent: 6, MsgsRecv: 6},
-				2: {LogAppends: 4, LogForces: 2, MsgsSent: 4, MsgsRecv: 4},
-				3: {LogAppends: 4, LogForces: 2, MsgsSent: 4, MsgsRecv: 4},
+				1: {LogAppends: 5, LogForces: 2, MsgsSent: 4, MsgsRecv: 6},
+				2: {LogAppends: 4, LogForces: 2, MsgsSent: 4, MsgsRecv: 3},
+				3: {LogAppends: 4, LogForces: 2, MsgsSent: 4, MsgsRecv: 3},
 			},
 		},
 		// Paxos Commit, F=1, read-only mix: the read-only site still
@@ -169,20 +171,31 @@ func TestProtocolBudgetTable(t *testing.T) {
 		{
 			name: "paxos/F=1/readOnly", opts: Options{Protocol: Paxos, PaxosF: 1}, n: 3, ro: true,
 			want: map[SiteID]trace.FamilyCounters{
-				1: {LogAppends: 5, LogForces: 2, MsgsSent: 6, MsgsRecv: 5},
-				2: {LogAppends: 4, LogForces: 2, MsgsSent: 4, MsgsRecv: 4},
-				3: {LogAppends: 1, LogForces: 1, MsgsSent: 3, MsgsRecv: 4},
+				1: {LogAppends: 5, LogForces: 2, MsgsSent: 4, MsgsRecv: 5},
+				2: {LogAppends: 4, LogForces: 2, MsgsSent: 4, MsgsRecv: 3},
+				3: {LogAppends: 1, LogForces: 1, MsgsSent: 3, MsgsRecv: 3},
+			},
+		},
+		// Paxos Commit, F=1 over two sites — the shape the benchmark's
+		// dist-paxos workload runs. The sole subordinate is the last
+		// voter: its prepared and accepted records share one force, and
+		// its 2b is the only datagram its vote costs.
+		{
+			name: "paxos/F=1/twoSites", opts: Options{Protocol: Paxos, PaxosF: 1}, n: 2, write: writeAllN(2),
+			want: map[SiteID]trace.FamilyCounters{
+				1: {LogAppends: 5, LogForces: 2, MsgsSent: 2, MsgsRecv: 2},
+				2: {LogAppends: 4, LogForces: 1, MsgsSent: 2, MsgsRecv: 2},
 			},
 		},
 		// Paxos Commit, F=2 over five sites: all five host acceptors.
 		{
 			name: "paxos/F=2/writeAll", opts: Options{Protocol: Paxos, PaxosF: 2}, n: 5, write: writeAllN(5),
 			want: map[SiteID]trace.FamilyCounters{
-				1: {LogAppends: 5, LogForces: 2, MsgsSent: 12, MsgsRecv: 12},
-				2: {LogAppends: 4, LogForces: 2, MsgsSent: 6, MsgsRecv: 6},
-				3: {LogAppends: 4, LogForces: 2, MsgsSent: 6, MsgsRecv: 6},
-				4: {LogAppends: 4, LogForces: 2, MsgsSent: 6, MsgsRecv: 6},
-				5: {LogAppends: 4, LogForces: 2, MsgsSent: 6, MsgsRecv: 6},
+				1: {LogAppends: 5, LogForces: 2, MsgsSent: 8, MsgsRecv: 12},
+				2: {LogAppends: 4, LogForces: 2, MsgsSent: 6, MsgsRecv: 5},
+				3: {LogAppends: 4, LogForces: 2, MsgsSent: 6, MsgsRecv: 5},
+				4: {LogAppends: 4, LogForces: 2, MsgsSent: 6, MsgsRecv: 5},
+				5: {LogAppends: 4, LogForces: 2, MsgsSent: 6, MsgsRecv: 5},
 			},
 		},
 	}
@@ -205,16 +218,19 @@ func TestProtocolBudgetTable(t *testing.T) {
 }
 
 // TestPaxosTotalMessagesMatchGrayLamport checks the aggregate against
-// the paper's formula. With the co-location optimization the
-// fault-free count is (N-1)(2F+4) + 2F datagrams for an all-update
-// transaction — Gray & Lamport's 2F(N+1)+3N+1 minus the messages that
-// co-location and delayed acks turn into local transitions — which
-// degenerates to 2PC's 4(N-1) at F=0.
+// the paper's formula. With A = min(2F+1, N) acceptors, all hosted by
+// participants, the fault-free count for an all-update transaction is
+// (N-1)(A+3) datagrams — Gray & Lamport's 2F(N+1)+3N+1 minus the
+// messages that co-location and delayed acks turn into local
+// transitions, the leader's A-1 remote 2a's among them — less one more
+// when a subordinate votes last and its 2b stands in for its 2a to the
+// leader, which in a symmetric fault-free run only a sole subordinate
+// does. At F=0 this is 2PC's 4(N-1).
 func TestPaxosTotalMessagesMatchGrayLamport(t *testing.T) {
 	for _, tc := range []struct {
-		f, n int
+		f, n, folds int
 	}{
-		{0, 3}, {1, 3}, {2, 5},
+		{0, 3, 0}, {1, 3, 0}, {2, 5, 0}, {1, 2, 1},
 	} {
 		t.Run(fmt.Sprintf("F=%d/N=%d", tc.f, tc.n), func(t *testing.T) {
 			id, tr := commitTracedN(t, Options{Protocol: Paxos, PaxosF: tc.f}, tc.n, nil, writeAllN(tc.n))
@@ -222,7 +238,8 @@ func TestPaxosTotalMessagesMatchGrayLamport(t *testing.T) {
 			for site := SiteID(1); site <= SiteID(tc.n); site++ {
 				total += tr.Family(id, site).MsgsSent
 			}
-			want := (tc.n-1)*(2*tc.f+4) + 2*tc.f
+			acceptors := min(2*tc.f+1, tc.n)
+			want := (tc.n-1)*(acceptors+3) - tc.folds
 			if total != want {
 				t.Errorf("total datagrams = %d, want %d", total, want)
 			}
@@ -263,5 +280,35 @@ func TestPaxosF0EqualsTwoPhaseDelayBudget(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestPaxosLastVoterForceLicensesIts2b pins the fold's event order at
+// the sole subordinate of a two-site commit: one force, labelled for
+// the prepared record, covers both the prepared and the accepted
+// record, and it is on the timeline before the 2b it licenses — the
+// only datagram the subordinate's vote sends.
+func TestPaxosLastVoterForceLicensesIts2b(t *testing.T) {
+	id, tr := commitTracedN(t, Options{Protocol: Paxos, PaxosF: 1}, 2, nil, writeAllN(2))
+	var forces, votes []trace.Event
+	for _, ev := range tr.Events() {
+		if ev.Site != 2 || ev.TID != id {
+			continue
+		}
+		switch {
+		case ev.Kind == trace.EvLogForce:
+			forces = append(forces, ev)
+		case ev.Kind == trace.EvMsgSend && strings.HasPrefix(ev.Info, "PAXOS-"):
+			votes = append(votes, ev)
+		}
+	}
+	if len(forces) != 1 || forces[0].Info != "PAXOS-PREPARE" {
+		t.Fatalf("subordinate forces = %v, want one PAXOS-PREPARE", forces)
+	}
+	if len(votes) != 1 || votes[0].Info != "PAXOS-2B" || votes[0].Peer != 1 {
+		t.Fatalf("subordinate vote datagrams = %v, want one PAXOS-2B to site1", votes)
+	}
+	if forces[0].Seq > votes[0].Seq {
+		t.Errorf("2b (#%d) left before the force that makes its vote durable (#%d)", votes[0].Seq, forces[0].Seq)
 	}
 }

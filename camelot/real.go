@@ -150,6 +150,11 @@ func StartRealNode(cfg RealConfig) (*RealNode, error) {
 		RetryBackoffCap:  cfg.RetryBackoffCap,
 	}, n.log, peer)
 	n.tm.SetResolvedBackstop(n.pages.Outcome)
+	// A subordinate's lazy commit record can sit two flusher ticks (the
+	// flusher skips records younger than one interval) and its ack one
+	// ack-flusher tick more; only after that is silence a sign of loss,
+	// which RetryInterval then times as it does everywhere else.
+	n.tm.SetAckWait(2*cfg.FlushInterval + cfg.AckFlushInterval + cfg.RetryInterval)
 	// Shard servers must exist before Recover: the recovery process
 	// installs replayed state into servers by name.
 	n.set = server.NewSet(r, cfg.Site, cfg.ShardMap, n.tm, n.log, server.Config{

@@ -2,11 +2,14 @@ package camelot
 
 import (
 	"bytes"
+	"fmt"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"camelot/internal/shardmap"
+	"camelot/internal/wire"
 )
 
 // startReal boots one RealNode on a fresh or existing WAL under m and
@@ -119,5 +122,103 @@ func TestRecoverRejectsUnhostedServer(t *testing.T) {
 	}
 	if v, ok, err := same.PeekKey("k"); err != nil || !ok || !bytes.Equal(v, []byte("v")) {
 		t.Fatalf("PeekKey after recovery = %q, %v, %v", v, ok, err)
+	}
+}
+
+// TestFaultFreeRunNeverRetransmits pins the ack-wait timer to the
+// node's own configuration: with nothing lost, no retry round may
+// fire. Every twentieth commit is followed by an idle gap, so its
+// subordinate commit record has only the log flusher to make it
+// durable and its ack only the ack flusher to carry it — the slowest
+// answer a healthy subordinate gives. A retry timer also fires when
+// the host stalls the process for its whole period, which a loaded
+// test machine does now and then, so a protocol gets three rounds and
+// needs one clean; a timer shorter than the configuration implies
+// fails every round.
+func TestFaultFreeRunNeverRetransmits(t *testing.T) {
+	sites := []SiteID{1, 2}
+	m, err := shardmap.New(1, len(sites), sites)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	var nodes []*RealNode
+	for _, id := range sites {
+		cfg := DefaultRealConfig(id)
+		cfg.WALPath = filepath.Join(dir, fmt.Sprintf("site%d.wal", id))
+		cfg.ShardMap = m
+		n, err := StartRealNode(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer n.Close() //nolint:errcheck // test teardown
+		if err := n.Recover(); err != nil {
+			t.Fatal(err)
+		}
+		nodes = append(nodes, n)
+	}
+	for _, a := range nodes {
+		for _, b := range nodes {
+			if a != b {
+				if err := a.AddPeer(b.ID(), b.Addr()); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	txns := 300
+	if testing.Short() {
+		txns = 60
+	}
+	idle := DefaultRealConfig(1).RetryInterval * 2
+	retransmits := func() int {
+		total := 0
+		for _, n := range nodes {
+			total += n.TM().Stats().Retransmits
+		}
+		return total
+	}
+	// round commits txns two-site transactions under proto and returns
+	// how many datagrams the sites re-sent meanwhile.
+	round := func(proto Protocol, attempt int) int {
+		before := retransmits()
+		for i := 0; i < txns; i++ {
+			tx, err := nodes[0].Begin()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, n := range nodes {
+				key, err := m.KeyAt(fmt.Sprintf("%s.%d.%d", proto, attempt, i), n.ID())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := n.WriteKey(tx, key, []byte("v")); err != nil {
+					t.Fatal(err)
+				}
+			}
+			nodes[0].AddSites(tx, sites[1:])
+			if _, err := nodes[0].Commit(tx, Options{Protocol: proto, PaxosF: 1}); err != nil {
+				t.Fatalf("%s commit %d: %v", proto, i, err)
+			}
+			if i%20 == 19 {
+				time.Sleep(idle)
+			}
+		}
+		time.Sleep(idle)
+		return retransmits() - before
+	}
+	for _, proto := range wire.Protocols() {
+		var seen []int
+		for attempt := 0; attempt < 3; attempt++ {
+			r := round(proto, attempt)
+			if r == 0 {
+				seen = nil
+				break
+			}
+			seen = append(seen, r)
+		}
+		if seen != nil {
+			t.Errorf("%s: %v datagrams retransmitted in three fault-free rounds of %d commits", proto, seen, txns)
+		}
 	}
 }

@@ -116,3 +116,83 @@ func TestPaxosNonBlockingUnderSingleSiteCrash(t *testing.T) {
 		}
 	}
 }
+
+// combinedBlock ends the label of the device write a last voter's fold
+// produces: prepared and accepted records in one block (DESIGN.md §10).
+const combinedBlock = "PAXOS-PREPARE+PAXOS-ACCEPT"
+
+// paxosPairPilot is the fault-free Paxos schedule over two sites, the
+// shape in which the sole subordinate is always the last voter.
+func paxosPairPilot(t *testing.T) (Schedule, *Result) {
+	t.Helper()
+	s := Schedule{Version: Version, Seed: 1, Sites: 2, Protocol: wire.Paxos, Txns: 6}
+	r, err := Run(s)
+	if err != nil {
+		t.Fatalf("pilot: %v", err)
+	}
+	if r.Failed() {
+		t.Fatalf("fault-free two-site paxos pilot failed: %v %v", r.Violations, r.Deadlock)
+	}
+	return s, r
+}
+
+// TestPaxosTornCombinedBlockRecoversPrepared cuts the last voter's
+// combined block between its two records: the prepared record
+// survives, the accepted record does not, and nothing in the block was
+// ever acknowledged. The site must come back as "prepared, not yet
+// accepted" — re-cast its vote or take over — and the oracle must find
+// every transaction atomic and durable. The whole-block crash and the
+// torn first record ride along at the same points.
+func TestPaxosTornCombinedBlockRecoversPrepared(t *testing.T) {
+	s, pilot := paxosPairPilot(t)
+	hit := 0
+	for _, p := range pilot.Points {
+		if p.Class != ClassForce || p.Site != 2 || !strings.HasSuffix(p.Label, combinedBlock) {
+			continue
+		}
+		if hit++; hit > 2 {
+			break
+		}
+		for _, mode := range []string{ModeTornLast, ModeTorn, ModeCrash} {
+			s.Faults = []Fault{{Class: ClassForce, Site: p.Site, Index: p.Index, Mode: mode}}
+			r, err := Run(s)
+			if err != nil {
+				t.Fatalf("%v: %v", s.Faults[0], err)
+			}
+			if r.Failed() {
+				t.Errorf("%v: violations %v deadlock %q", s.Faults[0], r.Violations, r.Deadlock)
+			}
+		}
+	}
+	if hit == 0 {
+		t.Fatal("pilot enumerated no combined prepared+accepted block at site 2: the last-voter fold did not run")
+	}
+}
+
+// TestPaxosLostFolded2bNoViolation drops the last voter's 2b — after
+// the fold, everything the leader would have heard from it — and
+// requires the run to finish clean with the transaction committed: the
+// retried vote request makes the voter re-cast.
+func TestPaxosLostFolded2bNoViolation(t *testing.T) {
+	s, pilot := paxosPairPilot(t)
+	for _, p := range pilot.Points {
+		if p.Class != ClassMsg || p.Label != "PAXOS-2B 2→1" {
+			continue
+		}
+		s.Faults = []Fault{{Class: ClassMsg, Index: p.Index, Mode: ModeDrop}}
+		r, err := Run(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Failed() {
+			t.Errorf("%v: violations %v deadlock %q", s.Faults[0], r.Violations, r.Deadlock)
+		}
+		for i, o := range r.Outcomes {
+			if o != "committed" {
+				t.Errorf("%v: transaction %d %s, want committed", s.Faults[0], i, o)
+			}
+		}
+		return
+	}
+	t.Fatal("pilot enumerated no 2b from site 2 to site 1")
+}

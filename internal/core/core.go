@@ -27,6 +27,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"sync/atomic"
 	"time"
 
 	"camelot/internal/det"
@@ -220,6 +221,11 @@ type Manager struct {
 	resolved         map[tid.FamilyID]wire.Outcome
 	resolvedBackstop func(tid.FamilyID) wire.Outcome
 
+	// ackWait, when longer than RetryInterval, is how long a coordinator
+	// waits for commit-acks before first re-sending the outcome
+	// (SetAckWait).
+	ackWait atomic.Int64
+
 	// lifeMu guards the shutdown flag.
 	lifeMu rt.Mutex
 	closed bool
@@ -317,11 +323,20 @@ type family struct {
 	// late vote request (an empty participant list would otherwise read
 	// as a ReadOnly vote and commit without this site's lost updates).
 	paxAcceptorOnly bool
+	// paxVoting marks a vote request being answered: set before the
+	// family lock is released for the vote round and its force, never
+	// cleared — the request ends in another phase or a forgotten
+	// family. A duplicate request that finds it set is dropped.
+	paxVoting bool
 	// paxGen counts mutations of paxAcc. The acceptor flush snapshots
 	// it before releasing the family lock for the log force; if it
 	// changed while the lock was free, the forced record is stale and
 	// the flush re-runs instead of marking paxAccForced.
 	paxGen uint64
+	// paxFlushing marks an accepted-record force in flight with the
+	// family lock released. A second flush of the same batch stands
+	// down: the first sends the 2b, or re-flushes if paxGen moved.
+	paxFlushing bool
 }
 
 // txn is one transaction within a family.
@@ -388,6 +403,26 @@ func (m *Manager) Stats() Stats {
 	s.ResolvedRetained = len(m.resolved)
 	m.resMu.Unlock()
 	return s
+}
+
+// SetAckWait tells the manager how long a fault-free subordinate may
+// take to acknowledge a commit: its lazily written commit record waits
+// for the log flusher and the ack for the ack flusher, neither of which
+// this manager's own timers describe. A coordinator waits at least
+// that long before it first re-sends an outcome, so the retransmit
+// timer fires on loss and not on the delays the delayed-commit
+// optimization chose. The site assembly derives d from its log and ack
+// flush intervals; unset, the wait is RetryInterval.
+func (m *Manager) SetAckWait(d time.Duration) { m.ackWait.Store(int64(d)) }
+
+// ackWaitInterval is the first arm of the ack-wait timer. It is never
+// on a latency path: the client already has its answer and the locks
+// are dropped.
+func (m *Manager) ackWaitInterval() time.Duration {
+	if d := time.Duration(m.ackWait.Load()); d > m.cfg.RetryInterval {
+		return d
+	}
+	return m.cfg.RetryInterval
 }
 
 // QueueDepth reports requests waiting for a pool thread.

@@ -22,6 +22,7 @@ import (
 type fakePart struct {
 	name    string
 	vote    wire.Vote
+	asked   int
 	commits int
 	aborts  int
 	childC  int
@@ -29,7 +30,7 @@ type fakePart struct {
 }
 
 func (p *fakePart) Name() string                { return p.name }
-func (p *fakePart) Vote(tid.FamilyID) wire.Vote { return p.vote }
+func (p *fakePart) Vote(tid.FamilyID) wire.Vote { p.asked++; return p.vote }
 func (p *fakePart) CommitFamily(tid.FamilyID)   { p.commits++ }
 func (p *fakePart) AbortFamily(tid.FamilyID)    { p.aborts++ }
 func (p *fakePart) CommitChild(c, pa tid.TID)   { p.childC++ }
@@ -47,6 +48,10 @@ type harness struct {
 	k     *sim.Kernel
 	net   *transport.Network
 	sites map[tid.SiteID]*site
+	// wrapStore, if set, interposes on the stable store of sites added
+	// after it; ackFlush, if set, replaces their AckFlushInterval.
+	wrapStore func(wal.Store) wal.Store
+	ackFlush  time.Duration
 }
 
 func newHarness(t *testing.T, n int) *harness {
@@ -64,7 +69,15 @@ func newHarness(t *testing.T, n int) *harness {
 }
 
 func (h *harness) addSite(id tid.SiteID) *site {
-	log := wal.Open(h.k, wal.NewMemStore(), wal.Config{
+	var store wal.Store = wal.NewMemStore()
+	if h.wrapStore != nil {
+		store = h.wrapStore(store)
+	}
+	ackFlush := 10 * time.Millisecond
+	if h.ackFlush > 0 {
+		ackFlush = h.ackFlush
+	}
+	log := wal.Open(h.k, store, wal.Config{
 		GroupCommit: true, ForceLatency: time.Millisecond, FlushInterval: 10 * time.Millisecond,
 	})
 	m := core.New(h.k, core.Config{
@@ -74,7 +87,7 @@ func (h *harness) addSite(id tid.SiteID) *site {
 		RetryInterval:    20 * time.Millisecond,
 		InquireInterval:  30 * time.Millisecond,
 		PromotionTimeout: 50 * time.Millisecond,
-		AckFlushInterval: 10 * time.Millisecond,
+		AckFlushInterval: ackFlush,
 	}, log, h.net)
 	h.net.Register(id, func(d transport.Datagram) {
 		if msg, ok := d.Payload.(*wire.Msg); ok {
@@ -103,7 +116,13 @@ func (h *harness) run(t *testing.T, fn func()) {
 // participant, and registers remote joins at the given sites.
 func (h *harness) beginDistributed(t *testing.T, subs ...tid.SiteID) tid.TID {
 	t.Helper()
-	s1 := h.sites[1]
+	return h.beginAt(t, 1, subs...)
+}
+
+// beginAt is beginDistributed with the coordinator named.
+func (h *harness) beginAt(t *testing.T, coord tid.SiteID, subs ...tid.SiteID) tid.TID {
+	t.Helper()
+	s1 := h.sites[coord]
 	txn, err := s1.m.Begin()
 	if err != nil {
 		t.Fatalf("Begin: %v", err)

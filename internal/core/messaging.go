@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"time"
 
 	"camelot/internal/det"
@@ -35,16 +36,39 @@ func (m *Manager) send(to tid.SiteID, msg *wire.Msg) {
 
 // fanout sends msg to every site in tos — as one multicast or as the
 // serial unicast loop whose per-send jitter the multicast experiment
-// measures.
+// measures. A destination owed delayed commit-acks gets its own copy
+// through send, which attaches them; the rest share one marshalled
+// message.
 func (m *Manager) fanout(tos []tid.SiteID, msg *wire.Msg, multicast bool) {
 	if len(tos) == 0 {
 		return
 	}
 	msg.From = m.cfg.Site
+	var owed []tid.SiteID
 	m.lockAttributed(m.ackMu, lockClassAcks)
 	m.seq++
 	msg.Seq = m.seq
+	for _, to := range tos {
+		if len(m.pendingAcks[to]) > 0 {
+			owed = append(owed, to)
+		}
+	}
 	m.ackMu.Unlock()
+	if len(owed) > 0 {
+		rest := make([]tid.SiteID, 0, len(tos)-len(owed))
+		for _, to := range tos {
+			if slices.Contains(owed, to) {
+				cp := *msg
+				m.send(to, &cp)
+			} else {
+				rest = append(rest, to)
+			}
+		}
+		if len(rest) == 0 {
+			return
+		}
+		tos = rest
+	}
 	if multicast {
 		m.net.Multicast(m.cfg.Site, tos, msg)
 		return
@@ -218,6 +242,11 @@ func (m *Manager) prepareMsg(f *family) *wire.Msg {
 		msg.Kind = wire.KPaxosPrepare
 		msg.Sites = f.nbSites
 		msg.Acceptors = f.paxAcceptors
+		if len(f.paxAcceptors) > 1 {
+			// The request is also the leader's ballot-0 2a to the
+			// acceptors among its recipients (onPaxosPrepare).
+			msg.Votes = []wire.SiteVote{{Site: m.cfg.Site, Vote: f.localVote}}
+		}
 	case wire.NonBlocking:
 		msg.Kind = wire.KNBPrepare
 		msg.Sites = f.nbSites

@@ -221,7 +221,7 @@ func (m *Manager) nbCheckCommitQuorum(f *family) {
 		m.end(f)
 		return
 	}
-	m.schedule(f, m.cfg.RetryInterval)
+	m.schedule(f, m.ackWaitInterval())
 }
 
 // nbDecideAbort aborts before any commit quorum can exist (a No vote

@@ -14,6 +14,13 @@ package core
 // the message and force budgets degenerate to exactly two-phase
 // commit's delayed-commit budget.
 //
+// Every other acceptor is co-located with an RM too, and three folds
+// charge for that only once (DESIGN.md §10, "Co-location folds"): the
+// vote request carries the leader's 2a; an RM-acceptor that votes last
+// forces its prepared and accepted records together and skips the 2a
+// to the leader; and the leader reads a ballot-0 2b as its sender's
+// 2a.
+//
 // Takeover replaces 2PC's blocking inquiry: any prepared participant
 // that stops hearing progress promotes itself to leader, runs phase 1
 // against the acceptors at a ballot above everything it has seen, and
@@ -23,6 +30,7 @@ package core
 // site (including the coordinator) has crashed.
 
 import (
+	"slices"
 	"sort"
 
 	"camelot/internal/det"
@@ -44,13 +52,15 @@ func paxosBallotRound(b uint64) uint32 { return uint32(b >> 32) }
 // paxosQuorum is the acceptor majority.
 func (m *Manager) paxosQuorum(f *family) int { return len(f.paxAcceptors)/2 + 1 }
 
-func (f *family) paxosIsAcceptor(s tid.SiteID) bool {
-	for _, a := range f.paxAcceptors {
-		if a == s {
-			return true
-		}
-	}
-	return false
+func (f *family) paxosIsAcceptor(s tid.SiteID) bool { return slices.Contains(f.paxAcceptors, s) }
+
+// paxosTake records one instance's accepted value in the co-located
+// acceptor's batch, which is then no longer the batch on the log (f's
+// lock held).
+func (f *family) paxosTake(a wire.PaxosAccepted) {
+	f.paxAcc[a.Site] = a
+	f.paxGen++
+	f.paxAccForced = false
 }
 
 // ensurePaxos marks f as a Paxos family and allocates its acceptor
@@ -140,38 +150,45 @@ func (m *Manager) paxosBeginCommit(f *family) {
 
 	f.ph = phPreparing
 	m.tr.PhaseBegin(m.cfg.Site, tid.Top(f.id), "prepare")
+	// The vote request is also the leader's ballot-0 2a (prepareMsg):
+	// every remote acceptor is a participant, so it gets one datagram,
+	// not two. Only the co-located acceptor is left to tell.
 	m.fanout(sortedSites(f.remoteSites), m.prepareMsg(f), f.opts.Multicast)
-	if !m.paxosCastVote(f, f.localVote) {
+	if !m.paxosAccept(f, 0, []wire.SiteVote{{Site: m.cfg.Site, Vote: f.localVote}}) {
 		return
 	}
 	m.schedule(f, m.cfg.RetryInterval)
 }
 
 // paxosCastVote sends this RM's ballot-0 vote to every acceptor — the
-// co-located one by a direct call, the rest as 2a datagrams. The 2a
-// carries the site and acceptor lists so an acceptor that has never
-// heard of the transaction is still self-sufficient. Returns false if
-// the family died during a local acceptor force (lock then released
-// by the caller's own path).
+// co-located one by a direct call, the rest as 2a datagrams. Returns
+// false if the family died during a local acceptor force (lock then
+// released by the caller's own path).
 func (m *Manager) paxosCastVote(f *family, vote wire.Vote) bool {
-	var remotes []tid.SiteID
-	for _, a := range f.paxAcceptors {
-		if a != m.cfg.Site {
-			remotes = append(remotes, a)
-		}
-	}
-	if len(remotes) > 0 {
-		m.fanout(remotes, &wire.Msg{
-			Kind: wire.KPaxos2a, TID: tid.Top(f.id),
-			Votes:     []wire.SiteVote{{Site: m.cfg.Site, Vote: vote}},
-			Sites:     f.nbSites,
-			Acceptors: f.paxAcceptors,
-		}, f.opts.Multicast)
-	}
+	m.paxosSend2a(f, vote, 0)
 	if f.paxosIsAcceptor(m.cfg.Site) {
 		return m.paxosAccept(f, 0, []wire.SiteVote{{Site: m.cfg.Site, Vote: vote}})
 	}
 	return true
+}
+
+// paxosSend2a sends this RM's ballot-0 vote as a 2a datagram to every
+// remote acceptor but except (zero: to all of them). The 2a carries
+// the site and acceptor lists so an acceptor that has never heard of
+// the transaction is still self-sufficient (f's lock held).
+func (m *Manager) paxosSend2a(f *family, vote wire.Vote, except tid.SiteID) {
+	var remotes []tid.SiteID
+	for _, a := range f.paxAcceptors {
+		if a != m.cfg.Site && a != except {
+			remotes = append(remotes, a)
+		}
+	}
+	m.fanout(remotes, &wire.Msg{
+		Kind: wire.KPaxos2a, TID: tid.Top(f.id),
+		Votes:     []wire.SiteVote{{Site: m.cfg.Site, Vote: vote}},
+		Sites:     f.nbSites,
+		Acceptors: f.paxAcceptors,
+	}, f.opts.Multicast)
 }
 
 // paxosAccept runs the acceptor's phase 2b logic for a batch of
@@ -188,9 +205,7 @@ func (m *Manager) paxosAccept(f *family, ballot uint64, votes []wire.SiteVote) b
 		if ok && (ballot < cur.Ballot || (ballot == cur.Ballot && cur.Vote == sv.Vote)) {
 			continue
 		}
-		f.paxAcc[sv.Site] = wire.PaxosAccepted{Site: sv.Site, Ballot: ballot, Vote: sv.Vote}
-		f.paxGen++
-		f.paxAccForced = false
+		f.paxosTake(wire.PaxosAccepted{Site: sv.Site, Ballot: ballot, Vote: sv.Vote})
 	}
 	return m.paxosAcceptorFlush(f)
 }
@@ -211,32 +226,23 @@ func (m *Manager) paxosAcceptorFlush(f *family) bool {
 		}
 	}
 	if !f.paxAccForced {
-		gen := f.paxGen
-		var ballot uint64
-		votes := make([]wire.SiteVote, 0, len(f.nbSites))
-		allRO := true
-		for _, s := range f.nbSites {
-			a := f.paxAcc[s]
-			if a.Ballot > ballot {
-				ballot = a.Ballot
-			}
-			if a.Vote != wire.VoteReadOnly {
-				allRO = false
-			}
-			votes = append(votes, wire.SiteVote{Site: a.Site, Vote: a.Vote})
+		if f.paxFlushing {
+			// The force in flight re-reads the batch when it lands and
+			// sends the 2b, or flushes again if the batch has moved.
+			return true
 		}
-		if !allRO {
-			rec := &wal.Record{
-				Type: wal.RecPaxosAccept, TID: tid.Top(f.id), Ballot: ballot,
-				Sites: f.nbSites, Acceptors: f.paxAcceptors, Votes: votes,
-			}
+		gen := f.paxGen
+		if rec := m.paxosAcceptedRecord(f); rec != nil {
+			f.paxFlushing = true
 			m.unlockFamily(f)
 			lsn, err := m.log.Append(rec)
 			if err == nil {
 				err = m.log.Force(lsn)
 				m.tr.LogForce(m.cfg.Site, rec.TID, rec.Type.String())
 			}
-			if !m.relockFamily(f) {
+			live := m.relockFamily(f)
+			f.paxFlushing = false
+			if !live {
 				return false
 			}
 			if err != nil {
@@ -258,11 +264,10 @@ func (m *Manager) paxosAcceptorFlush(f *family) bool {
 	return true
 }
 
-// paxosSend2b sends this acceptor's batched 2b to the current
-// leader (f's lock held).
-func (m *Manager) paxosSend2b(f *family) {
-	var ballot uint64
-	votes := make([]wire.SiteVote, 0, len(f.nbSites))
+// paxosBatch is the acceptor's complete batch, one value per instance
+// in site order, and the highest ballot among them (f's lock held).
+func paxosBatch(f *family) (ballot uint64, votes []wire.SiteVote) {
+	votes = make([]wire.SiteVote, 0, len(f.nbSites))
 	for _, s := range f.nbSites {
 		a := f.paxAcc[s]
 		if a.Ballot > ballot {
@@ -270,6 +275,33 @@ func (m *Manager) paxosSend2b(f *family) {
 		}
 		votes = append(votes, wire.SiteVote{Site: a.Site, Vote: a.Vote})
 	}
+	return ballot, votes
+}
+
+// paxosAcceptedRecord builds the batched accepted record for f's
+// complete batch, or nil for an all-read-only one, which needs no
+// record (f's lock held).
+func (m *Manager) paxosAcceptedRecord(f *family) *wal.Record {
+	ballot, votes := paxosBatch(f)
+	allRO := true
+	for _, sv := range votes {
+		if sv.Vote != wire.VoteReadOnly {
+			allRO = false
+		}
+	}
+	if allRO {
+		return nil
+	}
+	return &wal.Record{
+		Type: wal.RecPaxosAccept, TID: tid.Top(f.id), Ballot: ballot,
+		Sites: f.nbSites, Acceptors: f.paxAcceptors, Votes: votes,
+	}
+}
+
+// paxosSend2b sends this acceptor's batched 2b to the current
+// leader (f's lock held).
+func (m *Manager) paxosSend2b(f *family) {
+	ballot, votes := paxosBatch(f)
 	leader := m.paxosLeaderSite(ballot, f)
 	if leader == m.cfg.Site {
 		// Co-located acceptor: the 2b is a local merge, not a datagram.
@@ -414,7 +446,7 @@ func (m *Manager) paxosDecide(f *family, commit bool, exclude tid.SiteID) {
 		m.end(f)
 		return
 	}
-	m.schedule(f, m.cfg.RetryInterval)
+	m.schedule(f, m.ackWaitInterval())
 }
 
 // onPaxosVote handles an RM's direct No vote at the leader. A No
@@ -440,6 +472,12 @@ func (m *Manager) onPaxosVote(msg *wire.Msg) {
 
 // onPaxosPrepare handles the leader's vote request at an RM.
 func (m *Manager) onPaxosPrepare(msg *wire.Msg) {
+	if len(msg.Votes) > 0 && slices.Contains(msg.Acceptors, m.cfg.Site) {
+		// The request doubles as the leader's ballot-0 2a. The acceptor
+		// goes first and does not depend on the RM: a site that lost its
+		// RM state still accepts here and answers No below.
+		m.onPaxos2a(msg)
+	}
 	f := m.lockFamily(msg.TID.Family)
 	if f == nil {
 		// No record of joining: we crashed and lost volatile updates.
@@ -453,7 +491,10 @@ func (m *Manager) onPaxosPrepare(msg *wire.Msg) {
 		m.unlockFamily(f)
 		return
 	}
-	if f.ph != phActive {
+	if f.ph != phActive || f.paxVoting {
+		// Resolved, or a duplicate of the request still being answered:
+		// its vote round must not run twice, and its vote is not durable
+		// yet, so there is nothing to re-cast.
 		m.unlockFamily(f)
 		return
 	}
@@ -471,6 +512,7 @@ func (m *Manager) onPaxosPrepare(msg *wire.Msg) {
 	f.nbSites = msg.Sites
 	f.paxAcceptors = msg.Acceptors
 	m.ensurePaxos(f)
+	f.paxVoting = true
 	parts := m.participants(f)
 	m.unlockFamily(f)
 
@@ -512,17 +554,36 @@ func (m *Manager) onPaxosPrepare(msg *wire.Msg) {
 		m.forget(f)
 		m.unlockFamily(f)
 	case wire.VoteYes:
-		// Force the prepared record, then cast Yes to the acceptors.
-		rec := &wal.Record{
+		if !m.relockFamily(f) {
+			m.unlockFamily(f)
+			return
+		}
+		// Force the prepared record, then cast Yes to the acceptors. A
+		// last voter's co-located acceptor completes its batch with this
+		// very vote, so its accepted record rides the same force. Both
+		// are appended under the lock: the log then orders the acceptance
+		// before any promise made while the force is in flight, whose own
+		// force covers it before a 1b can report it.
+		fold := m.paxosLastVoter(f)
+		lsn, err := m.log.Append(&wal.Record{
 			Type: wal.RecPaxosPrepare, TID: msg.TID,
 			Coordinator: msg.From, Sites: msg.Sites, Acceptors: msg.Acceptors,
+		})
+		var gen uint64
+		if fold && err == nil {
+			f.paxosTake(wire.PaxosAccepted{Site: m.cfg.Site, Vote: wire.VoteYes})
+			f.paxFlushing = true
+			gen = f.paxGen
+			lsn, err = m.log.Append(m.paxosAcceptedRecord(f))
 		}
-		lsn, err := m.log.Append(rec)
+		m.unlockFamily(f)
 		if err == nil {
 			err = m.log.Force(lsn)
-			m.tr.LogForce(m.cfg.Site, rec.TID, rec.Type.String())
+			m.tr.LogForce(m.cfg.Site, msg.TID, wal.RecPaxosPrepare.String())
 		}
-		if !m.relockFamily(f) {
+		live := m.relockFamily(f)
+		f.paxFlushing = false
+		if !live {
 			m.unlockFamily(f)
 			return
 		}
@@ -536,13 +597,41 @@ func (m *Manager) onPaxosPrepare(msg *wire.Msg) {
 		f.prepared = true
 		f.localVote = wire.VoteYes
 		m.tr.PhaseBegin(m.cfg.Site, msg.TID, "prepared")
-		if !m.paxosCastVote(f, wire.VoteYes) {
-			m.unlockFamily(f)
-			return
+		if fold {
+			// The 2b tells the leader everything a 2a would (onPaxos2b),
+			// so only the other acceptors need one.
+			if f.paxGen == gen {
+				f.paxAccForced = true
+			}
+			m.paxosSend2a(f, wire.VoteYes, msg.From)
+			live = m.paxosAcceptorFlush(f)
+		} else {
+			live = m.paxosCastVote(f, wire.VoteYes)
 		}
-		m.schedule(f, m.cfg.InquireInterval)
+		if live {
+			m.schedule(f, m.cfg.InquireInterval)
+		}
 		m.unlockFamily(f)
 	}
+}
+
+// paxosLastVoter reports whether this site's Yes is the last value its
+// co-located acceptor is waiting for: it has promised no takeover
+// ballot and holds a ballot-0 value for every other instance (f's lock
+// held).
+func (m *Manager) paxosLastVoter(f *family) bool {
+	if !f.paxosIsAcceptor(m.cfg.Site) || f.paxPromised != 0 {
+		return false
+	}
+	for _, s := range f.nbSites {
+		if s == m.cfg.Site {
+			continue
+		}
+		if a, ok := f.paxAcc[s]; !ok || a.Ballot != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // onPaxos2a handles a proposer's phase 2a at an acceptor: a ballot-0
@@ -607,6 +696,17 @@ func (m *Manager) onPaxos2b(msg *wire.Msg) {
 	defer m.unlockFamily(f)
 	if f.opts.Protocol != wire.Paxos {
 		return
+	}
+	if _, have := f.paxAcc[msg.From]; !have && msg.Ballot == 0 && f.paxosIsAcceptor(m.cfg.Site) {
+		// A ballot-0 2b is its sender's 2a: only RM s proposes at ballot
+		// 0 in instance s, so the value the sender's acceptor reports
+		// for the sender's own instance is the sender's vote. A last
+		// voter sends the leader nothing else (onPaxosPrepare).
+		for _, sv := range msg.Votes {
+			if sv.Site == msg.From && !m.paxosAccept(f, 0, []wire.SiteVote{sv}) {
+				return
+			}
+		}
 	}
 	m.paxosMerge2b(f, msg.From, msg.Ballot, msg.Votes)
 }
@@ -878,30 +978,19 @@ func (m *Manager) paxosTick(f *family) {
 			m.paxosPromote(f)
 			return
 		}
-		var missingRMs []tid.SiteID
+		// The vote request re-carries the leader's 2a, so one datagram
+		// serves an RM whose vote is missing and an acceptor whose 2b is:
+		// a prepared site answers a repeated request by re-casting.
+		var missing []tid.SiteID
 		for _, s := range f.nbSites {
 			if s == m.cfg.Site {
 				continue
 			}
-			if _, ok := f.votes[s]; !ok {
-				missingRMs = append(missingRMs, s)
+			if _, voted := f.votes[s]; !voted || (f.paxosIsAcceptor(s) && !f.pax2b[s]) {
+				missing = append(missing, s)
 			}
 		}
-		m.retryFanout(f, missingRMs, m.prepareMsg(f), "prepare")
-		var missingAcc []tid.SiteID
-		for _, a := range f.paxAcceptors {
-			if a != m.cfg.Site && !f.pax2b[a] {
-				missingAcc = append(missingAcc, a)
-			}
-		}
-		if len(missingAcc) > 0 {
-			m.retryFanout(f, missingAcc, &wire.Msg{
-				Kind: wire.KPaxos2a, TID: tid.Top(f.id),
-				Votes:     []wire.SiteVote{{Site: m.cfg.Site, Vote: f.localVote}},
-				Sites:     f.nbSites,
-				Acceptors: f.paxAcceptors,
-			}, "paxos2a")
-		}
+		m.retryFanout(f, missing, m.prepareMsg(f), "prepare")
 		m.reschedule(f, m.cfg.RetryInterval)
 	case (f.ph == phCommitted || f.ph == phAborted) && len(f.acksPending) > 0:
 		m.retryFanout(f, sortedSites(f.acksPending), m.outcomeMsg(f), "outcome")

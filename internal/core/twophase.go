@@ -249,7 +249,7 @@ func (m *Manager) decideCommit2PC(f *family) {
 		m.end(f)
 		return
 	}
-	m.schedule(f, m.cfg.RetryInterval)
+	m.schedule(f, m.ackWaitInterval())
 }
 
 // onCommitAck handles one commit acknowledgement (standalone or
