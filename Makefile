@@ -8,7 +8,7 @@
 
 GO ?= go
 
-.PHONY: all build test check fmt vet lint race torture chaos paxos fuzz perf perf-compare golden bench cluster netem loadgen
+.PHONY: all build test check fmt vet lint race torture chaos paxos fuzz perf perf-compare frozen golden bench cluster netem loadgen
 
 all: build
 
@@ -99,6 +99,19 @@ perf-compare:
 	$(GO) -C cmd/camelot-perf run . -workload all -seconds 10 > $(PERF_DIR)/head.json
 	$(GO) -C cmd/camelot-perf run . -compare -bench $(CURDIR)/BENCHMARK.json \
 		$(CURDIR)/$(PERF_DIR)/base.json $(CURDIR)/$(PERF_DIR)/head.json
+
+# "The goldens are byte-identical" as a command: fails if any pinned
+# timeline, schema or regression-corpus file differs from BASE — the
+# working tree included, so a regenerated golden is caught before it is
+# committed. With perf-compare it is the pair every PR that claims no
+# gain quotes: this one says the simulated behaviour did not move, that
+# one that the measured numbers did not.
+FROZEN = $(wildcard cmd/camelot-trace/testdata internal/exp/testdata internal/chaos/testdata \
+	internal/trace/testdata internal/load/testdata)
+frozen:
+	@test -n "$(BASE)" || { echo "usage: make frozen BASE=<git ref>"; exit 2; }
+	git diff --exit-code $(BASE) -- $(FROZEN)
+	@echo "frozen: OK ($(FROZEN) identical to $(BASE))"
 
 # Regenerate the camelot-trace golden files after an intended change
 # to the event schema or the simulation timeline. Lints first: goldens

@@ -276,7 +276,7 @@ type family struct {
 	updateSubs  map[tid.SiteID]bool
 	acksPending map[tid.SiteID]bool
 	result      *rt.Future[wire.Outcome]
-	localVote   wire.Vote
+	localVote   wire.Vote // this site's own phase-one vote (either role)
 
 	// Non-blocking state (both roles).
 	nbSites      []tid.SiteID

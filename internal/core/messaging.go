@@ -178,11 +178,7 @@ func (m *Manager) tick(id tid.FamilyID) {
 		// because no commit point exists yet.
 		f.attempts++
 		if f.attempts > m.cfg.VoteRetries {
-			if f.opts.Protocol == wire.NonBlocking {
-				m.nbDecideAbort(f)
-			} else {
-				m.abortFamily(f)
-			}
+			m.abortFamily(f)
 			return
 		}
 		var missing []tid.SiteID
@@ -212,9 +208,7 @@ func (m *Manager) tick(id tid.FamilyID) {
 		m.retryFanout(f, missing, m.replicateMsg(f), "replicate")
 		m.reschedule(f, m.cfg.RetryInterval)
 	case (f.ph == phCommitted || f.ph == phAborted) && len(f.acksPending) > 0:
-		// Re-send the outcome to sites that have not acknowledged.
-		m.retryFanout(f, sortedSites(f.acksPending), m.outcomeMsg(f), "outcome")
-		m.reschedule(f, m.cfg.RetryInterval)
+		m.retryOutcome(f)
 	case f.ph == phPrepared && f.opts.Protocol != wire.NonBlocking && !f.coord:
 		// Blocked two-phase subordinate: ask the coordinator.
 		m.inquire(f)
@@ -234,26 +228,21 @@ func (m *Manager) tick(id tid.FamilyID) {
 	}
 }
 
-// prepareMsg builds the phase-one message for f (f's lock held).
+// prepareMsg builds the phase-one message for f: two-phase commit's
+// bare request plus what the protocol adds to it, which is zero at a
+// family whose protocol adds nothing — change 1's site list and quorum
+// sizes for the replication phase, Paxos's site list and acceptor set
+// (f's lock held). onPrepare copies the same fields back off it.
 func (m *Manager) prepareMsg(f *family) *wire.Msg {
-	msg := &wire.Msg{TID: tid.Top(f.id), Flags: f.flags()}
-	switch f.opts.Protocol {
-	case wire.Paxos:
-		msg.Kind = wire.KPaxosPrepare
-		msg.Sites = f.nbSites
-		msg.Acceptors = f.paxAcceptors
-		if len(f.paxAcceptors) > 1 {
-			// The request is also the leader's ballot-0 2a to the
-			// acceptors among its recipients (onPaxosPrepare).
-			msg.Votes = []wire.SiteVote{{Site: m.cfg.Site, Vote: f.localVote}}
-		}
-	case wire.NonBlocking:
-		msg.Kind = wire.KNBPrepare
-		msg.Sites = f.nbSites
-		msg.CommitQuorum = uint16(f.commitQuorum)
-		msg.AbortQuorum = uint16(f.abortQuorum)
-	default:
-		msg.Kind = wire.KPrepare
+	msg := &wire.Msg{
+		Kind: specs[f.opts.Protocol].prepare, TID: tid.Top(f.id), Flags: f.flags(),
+		Sites: f.nbSites, CommitQuorum: uint16(f.commitQuorum), AbortQuorum: uint16(f.abortQuorum),
+		Acceptors: f.paxAcceptors,
+	}
+	if len(f.paxAcceptors) > 1 {
+		// The request is also the leader's ballot-0 2a to the acceptors
+		// among its recipients (onPrepare).
+		msg.Votes = []wire.SiteVote{{Site: m.cfg.Site, Vote: f.localVote}}
 	}
 	return msg
 }
@@ -316,9 +305,9 @@ func (m *Manager) handle(msg *wire.Msg) {
 
 	switch msg.Kind {
 	case wire.KPrepare:
-		m.onPrepare(msg)
+		m.onPrepare(msg, wire.TwoPhase)
 	case wire.KVote:
-		m.onVote(msg)
+		m.onVote(msg, wire.TwoPhase)
 	case wire.KCommit, wire.KAbort:
 		m.onOutcome2PC(msg)
 	case wire.KCommitAck:
@@ -330,9 +319,9 @@ func (m *Manager) handle(msg *wire.Msg) {
 	case wire.KInquire:
 		m.onInquire(msg)
 	case wire.KNBPrepare:
-		m.onNBPrepare(msg)
+		m.onPrepare(msg, wire.NonBlocking)
 	case wire.KNBVote:
-		m.onNBVote(msg)
+		m.onVote(msg, wire.NonBlocking)
 	case wire.KNBReplicate:
 		m.onNBReplicate(msg)
 	case wire.KNBReplicateAck:
@@ -354,9 +343,9 @@ func (m *Manager) handle(msg *wire.Msg) {
 	case wire.KChildAbort:
 		m.onChildAbort(msg)
 	case wire.KPaxosPrepare:
-		m.onPaxosPrepare(msg)
+		m.onPrepare(msg, wire.Paxos)
 	case wire.KPaxosVote:
-		m.onPaxosVote(msg)
+		m.onVote(msg, wire.Paxos)
 	case wire.KPaxos2a:
 		m.onPaxos2a(msg)
 	case wire.KPaxos2b:

@@ -109,57 +109,6 @@ func paxosAcceptorSet(coord tid.SiteID, sites []tid.SiteID, fF int) []tid.SiteID
 	return out
 }
 
-// paxosBeginCommit starts the commit protocol at the coordinator
-// (f's lock held; localVote is Yes or ReadOnly and there is at least
-// one remote site).
-func (m *Manager) paxosBeginCommit(f *family) {
-	sites := append([]tid.SiteID{m.cfg.Site}, sortedSites(f.remoteSites)...)
-	sort.Slice(sites, func(i, j int) bool { return sites[i] < sites[j] })
-	f.nbSites = sites
-	f.paxAcceptors = paxosAcceptorSet(m.cfg.Site, sites, f.opts.PaxosF)
-	m.ensurePaxos(f)
-	f.votes[m.cfg.Site] = f.localVote
-
-	if len(f.paxAcceptors) > 1 && f.localVote == wire.VoteYes {
-		// Durable own vote before it can be accepted elsewhere. At F=0
-		// the only acceptor is this site, whose batched accepted record
-		// subsumes the vote — eliding the separate force here is what
-		// makes the F=0 budget equal two-phase commit's.
-		rec := &wal.Record{
-			Type: wal.RecPaxosPrepare, TID: tid.Top(f.id),
-			Coordinator: m.cfg.Site, Sites: f.nbSites, Acceptors: f.paxAcceptors,
-		}
-		m.unlockFamily(f)
-		lsn, err := m.log.Append(rec)
-		if err == nil {
-			err = m.log.Force(lsn)
-			m.tr.LogForce(m.cfg.Site, rec.TID, rec.Type.String())
-		}
-		if !m.relockFamily(f) {
-			return
-		}
-		if err != nil {
-			// Fail-stopped log; the vote may or may not be durable, so
-			// leave the outcome undetermined (see commitLocal).
-			return
-		}
-		if f.ph != phActive {
-			return
-		}
-	}
-
-	f.ph = phPreparing
-	m.tr.PhaseBegin(m.cfg.Site, tid.Top(f.id), "prepare")
-	// The vote request is also the leader's ballot-0 2a (prepareMsg):
-	// every remote acceptor is a participant, so it gets one datagram,
-	// not two. Only the co-located acceptor is left to tell.
-	m.fanout(sortedSites(f.remoteSites), m.prepareMsg(f), f.opts.Multicast)
-	if !m.paxosAccept(f, 0, []wire.SiteVote{{Site: m.cfg.Site, Vote: f.localVote}}) {
-		return
-	}
-	m.schedule(f, m.cfg.RetryInterval)
-}
-
 // paxosCastVote sends this RM's ballot-0 vote to every acceptor — the
 // co-located one by a direct call, the rest as 2a datagrams. Returns
 // false if the family died during a local acceptor force (lock then
@@ -234,13 +183,7 @@ func (m *Manager) paxosAcceptorFlush(f *family) bool {
 		gen := f.paxGen
 		if rec := m.paxosAcceptedRecord(f); rec != nil {
 			f.paxFlushing = true
-			m.unlockFamily(f)
-			lsn, err := m.log.Append(rec)
-			if err == nil {
-				err = m.log.Force(lsn)
-				m.tr.LogForce(m.cfg.Site, rec.TID, rec.Type.String())
-			}
-			live := m.relockFamily(f)
+			live, err := m.forceRecord(f, rec)
 			f.paxFlushing = false
 			if !live {
 				return false
@@ -372,38 +315,23 @@ func (m *Manager) paxosCheckDecide(f *family) {
 // point is the acceptor quorum itself — recovery re-derives it from
 // the acceptors — so the leader's own commit record is written
 // lazily, like a 2PC subordinate's under delayed commit. The outcome
-// phase then reuses the 2PC machinery verbatim: KCommit/KAbort
-// notifications, delayed subordinate commit records, batched acks.
-// Called with f's lock held; exclude (if nonzero) already knows the
-// abort outcome.
+// phase is then the skeleton's (decideCommit, decideAbort), on 2PC's
+// message kinds: KCommit/KAbort notifications, delayed subordinate
+// commit records, batched acks. Called with f's lock held; exclude (if
+// nonzero) already knows the abort outcome.
 func (m *Manager) paxosDecide(f *family, commit bool, exclude tid.SiteID) {
-	m.tr.PhaseEnd(m.cfg.Site, tid.Top(f.id), "prepare")
 	f.paxStage = 0
 	if !commit {
-		f.ph = phAborted
-		m.bumpStats(func(s *Stats) { s.Aborted++ })
-		m.log.Append(&wal.Record{Type: wal.RecAbort, TID: tid.Top(f.id)}) //nolint:errcheck // lazy under presumed abort
-		if f.result != nil {
-			f.result.Set(wire.OutcomeAbort)
-		}
 		var notify []tid.SiteID
 		for _, s := range f.nbSites {
 			if s != m.cfg.Site && s != exclude {
 				notify = append(notify, s)
 			}
 		}
-		m.fanout(notify, m.outcomeMsg(f), f.opts.Multicast)
-		m.releaseLocal(f, false)
-		m.forget(f)
+		m.decideAbort(f, notify, false)
 		return
 	}
-
-	//lint:ordered set construction; insertion order is unobservable
-	for s, v := range f.votes {
-		if s != m.cfg.Site && v == wire.VoteYes {
-			f.updateSubs[s] = true
-		}
-	}
+	readOnly := m.tallyVotes(f)
 	// Read-only acceptor hosts stayed alive for their acceptor role;
 	// tell them the outcome fire-and-forget so they can forget too.
 	var roAcceptors []tid.SiteID
@@ -412,207 +340,11 @@ func (m *Manager) paxosDecide(f *family, commit bool, exclude tid.SiteID) {
 			roAcceptors = append(roAcceptors, a)
 		}
 	}
-	if len(f.updateSubs) == 0 && f.votes[m.cfg.Site] == wire.VoteReadOnly && !f.opts.DisableReadOnlyOpt {
-		// Completely read-only: no commit record, no END, no acks.
-		f.ph = phCommitted
-		m.bumpStats(func(s *Stats) { s.Committed++ })
-		if f.result != nil {
-			f.result.Set(wire.OutcomeCommit)
-		}
-		m.fanout(roAcceptors, m.outcomeMsg(f), f.opts.Multicast)
-		m.releaseLocal(f, true)
-		m.forget(f)
+	if readOnly {
+		m.commitAndForget(f, roAcceptors)
 		return
 	}
-	f.ph = phCommitted
-	m.bumpStats(func(s *Stats) { s.Committed++ })
-	m.log.Append(&wal.Record{ //nolint:errcheck // lazy: the quorum is the commit point
-		Type: wal.RecCommit, TID: tid.Top(f.id), Sites: sortedSites(f.updateSubs),
-	})
-	if f.result != nil {
-		f.result.Set(wire.OutcomeCommit)
-	}
-	//lint:ordered set copy; insertion order is unobservable
-	for s := range f.updateSubs {
-		f.acksPending[s] = true
-	}
-	if len(f.acksPending) > 0 {
-		m.tr.PhaseBegin(m.cfg.Site, tid.Top(f.id), "notify")
-	}
-	m.fanout(sortedSites(f.updateSubs), m.outcomeMsg(f), f.opts.Multicast)
-	m.fanout(roAcceptors, m.outcomeMsg(f), f.opts.Multicast)
-	m.releaseLocal(f, true)
-	if len(f.acksPending) == 0 {
-		m.end(f)
-		return
-	}
-	m.schedule(f, m.ackWaitInterval())
-}
-
-// onPaxosVote handles an RM's direct No vote at the leader. A No
-// never reaches the acceptors — the RM is the sole ballot-0 proposer
-// for its instance, so skipping them cannot contradict a chosen
-// value; a takeover leader that finds the instance empty chooses
-// Aborted, agreeing with us.
-func (m *Manager) onPaxosVote(msg *wire.Msg) {
-	f := m.lockFamily(msg.TID.Family)
-	if f == nil {
-		return
-	}
-	defer m.unlockFamily(f)
-	if !f.coord || f.opts.Protocol != wire.Paxos || f.ph != phPreparing {
-		return
-	}
-	if msg.Vote != wire.VoteNo {
-		return
-	}
-	f.votes[msg.From] = wire.VoteNo
-	m.paxosDecide(f, false, msg.From)
-}
-
-// onPaxosPrepare handles the leader's vote request at an RM.
-func (m *Manager) onPaxosPrepare(msg *wire.Msg) {
-	if len(msg.Votes) > 0 && slices.Contains(msg.Acceptors, m.cfg.Site) {
-		// The request doubles as the leader's ballot-0 2a. The acceptor
-		// goes first and does not depend on the RM: a site that lost its
-		// RM state still accepts here and answers No below.
-		m.onPaxos2a(msg)
-	}
-	f := m.lockFamily(msg.TID.Family)
-	if f == nil {
-		// No record of joining: we crashed and lost volatile updates.
-		// Voting No direct to the leader is the only safe answer.
-		m.send(msg.From, &wire.Msg{Kind: wire.KPaxosVote, TID: msg.TID, Vote: wire.VoteNo})
-		return
-	}
-	if f.ph == phPrepared {
-		// Duplicate request (our 2a batch was lost somewhere): re-cast.
-		m.paxosCastVote(f, f.localVote)
-		m.unlockFamily(f)
-		return
-	}
-	if f.ph != phActive || f.paxVoting {
-		// Resolved, or a duplicate of the request still being answered:
-		// its vote round must not run twice, and its vote is not durable
-		// yet, so there is nothing to re-cast.
-		m.unlockFamily(f)
-		return
-	}
-	if f.paxAcceptorOnly {
-		// The descriptor exists only because an acceptor message
-		// created it; the RM state is gone. Answer No but keep serving
-		// the acceptor role — do not abort the family.
-		m.send(msg.From, &wire.Msg{Kind: wire.KPaxosVote, TID: msg.TID, Vote: wire.VoteNo})
-		m.unlockFamily(f)
-		return
-	}
-	opts := optionsFromFlags(msg.Flags)
-	opts.Protocol = wire.Paxos
-	f.opts = opts
-	f.nbSites = msg.Sites
-	f.paxAcceptors = msg.Acceptors
-	m.ensurePaxos(f)
-	f.paxVoting = true
-	parts := m.participants(f)
-	m.unlockFamily(f)
-
-	vote := m.voteRound(parts, opts)
-	switch vote {
-	case wire.VoteNo:
-		m.relockFamily(f) // stale descriptors still answer (as in onPrepare)
-		m.send(msg.From, &wire.Msg{Kind: wire.KPaxosVote, TID: msg.TID, Vote: wire.VoteNo})
-		m.localAbort(f)
-		m.unlockFamily(f)
-	case wire.VoteReadOnly:
-		// The read-only vote travels through the acceptors like any
-		// other: sent only to the leader it could be lost with the
-		// leader and a takeover would choose Aborted for this instance
-		// — contradicting a commit the leader may already have
-		// announced.
-		if !m.relockFamily(f) {
-			m.unlockFamily(f)
-			return
-		}
-		f.localVote = wire.VoteReadOnly
-		if f.paxosIsAcceptor(m.cfg.Site) {
-			// Stay alive for the acceptor role; prepared=false marks
-			// that the outcome only tells us to forget.
-			f.ph = phPrepared
-			f.prepared = false
-			if !m.paxosCastVote(f, wire.VoteReadOnly) {
-				m.unlockFamily(f)
-				return
-			}
-			m.releaseLocal(f, true)
-			m.schedule(f, m.cfg.InquireInterval)
-			m.unlockFamily(f)
-			return
-		}
-		f.ph = phCommitted
-		m.paxosCastVote(f, wire.VoteReadOnly)
-		m.releaseLocal(f, true)
-		m.forget(f)
-		m.unlockFamily(f)
-	case wire.VoteYes:
-		if !m.relockFamily(f) {
-			m.unlockFamily(f)
-			return
-		}
-		// Force the prepared record, then cast Yes to the acceptors. A
-		// last voter's co-located acceptor completes its batch with this
-		// very vote, so its accepted record rides the same force. Both
-		// are appended under the lock: the log then orders the acceptance
-		// before any promise made while the force is in flight, whose own
-		// force covers it before a 1b can report it.
-		fold := m.paxosLastVoter(f)
-		lsn, err := m.log.Append(&wal.Record{
-			Type: wal.RecPaxosPrepare, TID: msg.TID,
-			Coordinator: msg.From, Sites: msg.Sites, Acceptors: msg.Acceptors,
-		})
-		var gen uint64
-		if fold && err == nil {
-			f.paxosTake(wire.PaxosAccepted{Site: m.cfg.Site, Vote: wire.VoteYes})
-			f.paxFlushing = true
-			gen = f.paxGen
-			lsn, err = m.log.Append(m.paxosAcceptedRecord(f))
-		}
-		m.unlockFamily(f)
-		if err == nil {
-			err = m.log.Force(lsn)
-			m.tr.LogForce(m.cfg.Site, msg.TID, wal.RecPaxosPrepare.String())
-		}
-		live := m.relockFamily(f)
-		f.paxFlushing = false
-		if !live {
-			m.unlockFamily(f)
-			return
-		}
-		if err != nil {
-			m.send(msg.From, &wire.Msg{Kind: wire.KPaxosVote, TID: msg.TID, Vote: wire.VoteNo})
-			m.localAbort(f)
-			m.unlockFamily(f)
-			return
-		}
-		f.ph = phPrepared
-		f.prepared = true
-		f.localVote = wire.VoteYes
-		m.tr.PhaseBegin(m.cfg.Site, msg.TID, "prepared")
-		if fold {
-			// The 2b tells the leader everything a 2a would (onPaxos2b),
-			// so only the other acceptors need one.
-			if f.paxGen == gen {
-				f.paxAccForced = true
-			}
-			m.paxosSend2a(f, wire.VoteYes, msg.From)
-			live = m.paxosAcceptorFlush(f)
-		} else {
-			live = m.paxosCastVote(f, wire.VoteYes)
-		}
-		if live {
-			m.schedule(f, m.cfg.InquireInterval)
-		}
-		m.unlockFamily(f)
-	}
+	m.decideCommit(f, sortedSites(f.updateSubs), roAcceptors)
 }
 
 // paxosLastVoter reports whether this site's Yes is the last value its
@@ -701,7 +433,7 @@ func (m *Manager) onPaxos2b(msg *wire.Msg) {
 		// A ballot-0 2b is its sender's 2a: only RM s proposes at ballot
 		// 0 in instance s, so the value the sender's acceptor reports
 		// for the sender's own instance is the sender's vote. A last
-		// voter sends the leader nothing else (onPaxosPrepare).
+		// voter sends the leader nothing else (onPrepare).
 		for _, sv := range msg.Votes {
 			if sv.Site == msg.From && !m.paxosAccept(f, 0, []wire.SiteVote{sv}) {
 				return
@@ -782,16 +514,8 @@ func (m *Manager) paxosForcePromise(f *family, b uint64) bool {
 		Type: wal.RecPaxosPromise, TID: tid.Top(f.id), Ballot: b,
 		Sites: f.nbSites, Acceptors: f.paxAcceptors,
 	}
-	m.unlockFamily(f)
-	lsn, err := m.log.Append(rec)
-	if err == nil {
-		err = m.log.Force(lsn)
-		m.tr.LogForce(m.cfg.Site, rec.TID, rec.Type.String())
-	}
-	if !m.relockFamily(f) {
-		return false
-	}
-	return err == nil
+	live, err := m.forceRecord(f, rec)
+	return live && err == nil
 }
 
 // onPaxos1a handles a takeover leader's phase 1a at an acceptor.
@@ -963,8 +687,7 @@ func (m *Manager) paxosTick(f *family) {
 			m.reschedule(f, m.cfg.RetryInterval)
 		default:
 			if (f.ph == phCommitted || f.ph == phAborted) && len(f.acksPending) > 0 {
-				m.retryFanout(f, sortedSites(f.acksPending), m.outcomeMsg(f), "outcome")
-				m.reschedule(f, m.cfg.RetryInterval)
+				m.retryOutcome(f)
 			}
 		}
 	case f.coord && f.ph == phPreparing:
@@ -993,8 +716,7 @@ func (m *Manager) paxosTick(f *family) {
 		m.retryFanout(f, missing, m.prepareMsg(f), "prepare")
 		m.reschedule(f, m.cfg.RetryInterval)
 	case (f.ph == phCommitted || f.ph == phAborted) && len(f.acksPending) > 0:
-		m.retryFanout(f, sortedSites(f.acksPending), m.outcomeMsg(f), "outcome")
-		m.reschedule(f, m.cfg.RetryInterval)
+		m.retryOutcome(f)
 	case f.ph == phPrepared && !f.coord:
 		// Prepared participant hearing nothing: re-cast the vote twice
 		// (covers lost 2a/2b datagrams), then take over.

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"camelot/internal/tid"
 	"camelot/internal/wal"
 	"camelot/internal/wire"
@@ -37,8 +39,7 @@ func (m *Manager) promotionSweep(f *family) {
 	if f.ph == phCommitted || f.ph == phAborted {
 		// Outcome already driven; keep pushing it to laggards.
 		if len(f.acksPending) > 0 {
-			m.retryFanout(f, sortedSites(f.acksPending), m.outcomeMsg(f), "outcome")
-			m.reschedule(f, m.cfg.RetryInterval)
+			m.retryOutcome(f)
 		}
 		return
 	}
@@ -156,14 +157,8 @@ func (m *Manager) evaluatePromotion(f *family) {
 func (m *Manager) solicitAbortIntents(f *family) {
 	// Write our own abort-intent record first (once).
 	if f.nbState == wire.NBPrepared && !f.abortIntents[m.cfg.Site] {
-		rec := &wal.Record{Type: wal.RecNBAbortIntent, TID: tid.Top(f.id), Sites: f.nbSites}
-		m.unlockFamily(f)
-		lsn, err := m.log.Append(rec)
-		if err == nil {
-			err = m.log.Force(lsn)
-			m.tr.LogForce(m.cfg.Site, rec.TID, rec.Type.String())
-		}
-		if !m.relockFamily(f) {
+		live, err := m.forceRecord(f, &wal.Record{Type: wal.RecNBAbortIntent, TID: tid.Top(f.id), Sites: f.nbSites})
+		if !live {
 			return
 		}
 		if err == nil {
@@ -222,29 +217,20 @@ func (m *Manager) onNBAbortIntent(msg *wire.Msg) {
 			f.opts.Protocol = wire.NonBlocking
 		}
 	}
+	defer m.unlockFamily(f)
 	switch {
 	case f.ph == phAborted || f.nbState == wire.NBAbortIntent:
 		m.send(msg.From, &wire.Msg{Kind: wire.KNBAbortIntentAck, TID: msg.TID})
-		m.unlockFamily(f)
 		return
 	case f.nbState == wire.NBReplicated || f.ph == phCommitted || f.ph == phReplicated:
 		// Already in (or past) the commit quorum: refuse by reporting
 		// state instead of acknowledging.
 		m.send(msg.From, &wire.Msg{Kind: wire.KNBStatusResp, TID: msg.TID,
 			State: wire.NBReplicated, Votes: f.nbVotes, Sites: f.nbSites})
-		m.unlockFamily(f)
 		return
 	}
 	rec := &wal.Record{Type: wal.RecNBAbortIntent, TID: msg.TID, Sites: f.nbSites}
-	m.unlockFamily(f)
-	lsn, err := m.log.Append(rec)
-	if err == nil {
-		err = m.log.Force(lsn)
-		m.tr.LogForce(m.cfg.Site, rec.TID, rec.Type.String())
-	}
-	live := m.relockFamily(f)
-	defer m.unlockFamily(f)
-	if !live || err != nil {
+	if live, err := m.forceRecord(f, rec); !live || err != nil {
 		return
 	}
 	f.nbState = wire.NBAbortIntent
@@ -269,40 +255,19 @@ func (m *Manager) onNBAbortIntentAck(msg *wire.Msg) {
 }
 
 // driveOutcome finishes the transaction as (possibly one of several)
-// coordinator: apply locally, notify every other site, and keep
-// retrying until all acknowledge (f's lock held).
+// coordinator: the skeleton's decision and notify phase, with every
+// other site owed the outcome (f's lock held).
 func (m *Manager) driveOutcome(f *family, outcome wire.Outcome) {
-	commit := outcome == wire.OutcomeCommit
-	if commit {
-		f.ph = phCommitted
-		m.bumpStats(func(s *Stats) { s.Committed++ })
-	} else {
-		f.ph = phAborted
-		m.bumpStats(func(s *Stats) { s.Aborted++ })
-	}
-	recType := wal.RecCommit
-	if !commit {
-		recType = wal.RecAbort
-	}
-	m.log.Append(&wal.Record{Type: recType, TID: tid.Top(f.id)}) //nolint:errcheck // decision is quorum-durable
-	if f.result != nil {
-		if commit {
-			f.result.Set(wire.OutcomeCommit)
-		} else {
-			f.result.Set(wire.OutcomeAbort)
-		}
-	}
-	m.releaseLocal(f, commit)
-	f.acksPending = make(map[tid.SiteID]bool)
+	var others []tid.SiteID
 	for _, s := range f.nbSites {
 		if s != m.cfg.Site {
-			f.acksPending[s] = true
+			others = append(others, s)
 		}
 	}
-	m.fanout(sortedSites(f.acksPending), m.outcomeMsg(f), f.opts.Multicast)
-	if len(f.acksPending) == 0 {
-		m.end(f)
-		return
+	slices.Sort(others)
+	if outcome == wire.OutcomeCommit {
+		m.decideCommit(f, others, nil)
+	} else {
+		m.decideAbort(f, others, true)
 	}
-	m.schedule(f, m.cfg.RetryInterval)
 }

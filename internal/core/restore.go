@@ -112,12 +112,8 @@ func (m *Manager) RestoreCommittedCoordinator(t tid.TID, updateSubs []tid.SiteID
 			f.acksPending[s] = true
 			f.updateSubs[s] = true
 		}
-		if len(f.acksPending) == 0 {
-			m.end(f)
-			return
-		}
 		m.fanout(sortedSites(f.acksPending), m.outcomeMsg(f), false)
-		m.schedule(f, m.cfg.RetryInterval)
+		m.awaitAcks(f, m.cfg.RetryInterval)
 	})
 }
 

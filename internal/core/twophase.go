@@ -111,21 +111,7 @@ func (m *Manager) commitTop(t tid.TID, opts Options, fut *rt.Future[wire.Outcome
 		m.commitLocal(f)
 		return
 	}
-	switch opts.Protocol {
-	case wire.Paxos:
-		m.paxosBeginCommit(f)
-		return
-	case wire.NonBlocking:
-		m.nbBeginCommit(f)
-		return
-	}
-
-	// Distributed two-phase commit, phase one.
-	f.ph = phPreparing
-	f.votes[m.cfg.Site] = local
-	m.tr.PhaseBegin(m.cfg.Site, tid.Top(f.id), "prepare")
-	m.fanout(sortedSites(f.remoteSites), m.prepareMsg(f), opts.Multicast)
-	m.schedule(f, m.cfg.RetryInterval)
+	m.beginCommit(f)
 }
 
 // commitLocal finishes a transaction with no remote participants: the
@@ -133,123 +119,21 @@ func (m *Manager) commitTop(t tid.TID, opts Options, fut *rt.Future[wire.Outcome
 // Called and returns with f's lock held; the lock is released around
 // the force.
 func (m *Manager) commitLocal(f *family) {
-	if f.localVote == wire.VoteReadOnly && !f.opts.DisableReadOnlyOpt {
-		// Read-only: no log writes at all.
-		f.ph = phCommitted
-		m.bumpStats(func(s *Stats) { s.Committed++ })
-		f.result.Set(wire.OutcomeCommit)
-		m.releaseLocal(f, true)
-		m.forget(f)
-		return
-	}
-	rec := &wal.Record{Type: wal.RecCommit, TID: tid.Top(f.id)}
-	m.unlockFamily(f)
-	lsn, err := m.log.Append(rec)
-	if err == nil {
-		err = m.log.Force(lsn)
-		m.tr.LogForce(m.cfg.Site, rec.TID, rec.Type.String())
-	}
-	if !m.relockFamily(f) {
-		return
-	}
-	if err != nil {
-		// The force failed, which means the log has fail-stopped and
-		// this site is going down. The commit record may already be
-		// durable — the write happens before the acknowledgement — so
-		// presuming abort here would lie to a client about a
-		// transaction recovery will replay as committed. Leave the
-		// family unresolved: Close reports it undetermined and
-		// recovery finishes the decision.
-		return
-	}
-	f.ph = phCommitted
-	m.bumpStats(func(s *Stats) { s.Committed++ })
-	f.result.Set(wire.OutcomeCommit)
-	m.releaseLocal(f, true)
-	m.forget(f)
-}
-
-// onVote handles a subordinate's phase-one vote at the coordinator.
-func (m *Manager) onVote(msg *wire.Msg) {
-	f := m.lockFamily(msg.TID.Family)
-	if f == nil {
-		return
-	}
-	defer m.unlockFamily(f)
-	if !f.coord || f.ph != phPreparing || f.opts.Protocol == wire.NonBlocking {
-		return
-	}
-	f.votes[msg.From] = msg.Vote
-	if msg.Vote == wire.VoteNo {
-		m.abortFamily(f)
-		return
-	}
-	//lint:ordered pure membership test; no effect depends on visit order
-	for s := range f.remoteSites {
-		if _, ok := f.votes[s]; !ok {
-			return // still waiting
+	if f.localVote != wire.VoteReadOnly || f.opts.DisableReadOnlyOpt {
+		// Read-only needs no log writes at all; anything else, whatever
+		// protocol was asked for, is this one force.
+		live, err := m.forceRecord(f, &wal.Record{Type: wal.RecCommit, TID: tid.Top(f.id)})
+		if !live || err != nil {
+			// A failed force means the log has fail-stopped and this site
+			// is going down. The commit record may already be durable — the
+			// write happens before the acknowledgement — so presuming abort
+			// here would lie to a client about a transaction recovery will
+			// replay as committed. Leave the family unresolved: Close
+			// reports it undetermined and recovery finishes the decision.
+			return
 		}
 	}
-	m.decideCommit2PC(f)
-}
-
-// decideCommit2PC runs once every site has voted yes or read-only:
-// force the commit record (the commit point), answer the application,
-// then notify update subordinates. Read-only sites are "omitted from
-// the second phase". Called and returns with f's lock held.
-func (m *Manager) decideCommit2PC(f *family) {
-	m.tr.PhaseEnd(m.cfg.Site, tid.Top(f.id), "prepare")
-	//lint:ordered set construction; insertion order is unobservable
-	for s, v := range f.votes {
-		if s != m.cfg.Site && v == wire.VoteYes {
-			f.updateSubs[s] = true
-		}
-	}
-	if len(f.updateSubs) == 0 && f.localVote == wire.VoteReadOnly && !f.opts.DisableReadOnlyOpt {
-		// Completely read-only distributed transaction: "the same
-		// critical path performance as in two-phase commitment" with
-		// no second phase and no log writes.
-		f.ph = phCommitted
-		m.bumpStats(func(s *Stats) { s.Committed++ })
-		f.result.Set(wire.OutcomeCommit)
-		m.releaseLocal(f, true)
-		m.forget(f)
-		return
-	}
-
-	rec := &wal.Record{Type: wal.RecCommit, TID: tid.Top(f.id), Sites: sortedSites(f.updateSubs)}
-	m.unlockFamily(f)
-	lsn, err := m.log.Append(rec)
-	if err == nil {
-		err = m.log.Force(lsn)
-		m.tr.LogForce(m.cfg.Site, rec.TID, rec.Type.String())
-	}
-	if !m.relockFamily(f) {
-		return
-	}
-	if err != nil {
-		// Fail-stopped log, site going down. The commit record may
-		// already be durable, so the outcome is genuinely undetermined
-		// — do not presume abort (see commitLocal).
-		return
-	}
-	f.ph = phCommitted
-	m.bumpStats(func(s *Stats) { s.Committed++ })
-	//lint:ordered set copy; insertion order is unobservable
-	for s := range f.updateSubs {
-		f.acksPending[s] = true
-	}
-	if len(f.acksPending) > 0 {
-		m.tr.PhaseBegin(m.cfg.Site, tid.Top(f.id), "notify")
-	}
-	m.fanout(sortedSites(f.updateSubs), m.outcomeMsg(f), f.opts.Multicast)
-	f.result.Set(wire.OutcomeCommit)
-	m.releaseLocal(f, true)
-	if len(f.acksPending) == 0 {
-		m.end(f)
-		return
-	}
-	m.schedule(f, m.ackWaitInterval())
+	m.commitAndForget(f, nil)
 }
 
 // onCommitAck handles one commit acknowledgement (standalone or
@@ -269,35 +153,6 @@ func (m *Manager) onCommitAck(from tid.SiteID, t tid.TID) {
 	if len(f.acksPending) == 0 {
 		m.end(f)
 	}
-}
-
-// end writes the END record and forgets the family (f's lock held).
-func (m *Manager) end(f *family) {
-	m.tr.PhaseEnd(m.cfg.Site, tid.Top(f.id), "notify")
-	m.log.Append(&wal.Record{Type: wal.RecEnd, TID: tid.Top(f.id)}) //nolint:errcheck // lazy; loss is harmless
-	m.forget(f)
-}
-
-// abortFamily is the coordinator-side abort path (client abort, local
-// or remote No vote, protocol failure). Under presumed abort nothing
-// is forced and no acks are awaited. Called with f's lock held.
-func (m *Manager) abortFamily(f *family) {
-	f.ph = phAborted
-	m.bumpStats(func(s *Stats) { s.Aborted++ })
-	m.tr.PhaseEnd(m.cfg.Site, tid.Top(f.id), "prepare")
-	m.log.Append(&wal.Record{Type: wal.RecAbort, TID: tid.Top(f.id)}) //nolint:errcheck // lazy under presumed abort
-	if f.result != nil {
-		f.result.Set(wire.OutcomeAbort)
-	}
-	var notify []tid.SiteID
-	for _, s := range det.SortedKeys(f.remoteSites) {
-		if f.votes[s] != wire.VoteNo && f.votes[s] != wire.VoteReadOnly {
-			notify = append(notify, s)
-		}
-	}
-	m.fanout(notify, &wire.Msg{Kind: wire.KAbort, TID: tid.Top(f.id)}, f.opts.Multicast)
-	m.releaseLocal(f, false)
-	m.forget(f)
 }
 
 // onInquire answers a blocked subordinate's outcome inquiry. A
@@ -327,77 +182,6 @@ func (m *Manager) onInquire(msg *wire.Msg) {
 }
 
 // --- subordinate side ---
-
-// onPrepare handles phase one at a subordinate.
-func (m *Manager) onPrepare(msg *wire.Msg) {
-	f := m.lockFamily(msg.TID.Family)
-	if f == nil {
-		// No record of the transaction: perhaps we crashed since
-		// joining, losing volatile updates. Voting No is the only
-		// safe answer.
-		m.send(msg.From, &wire.Msg{Kind: wire.KVote, TID: msg.TID, Vote: wire.VoteNo})
-		return
-	}
-	if f.ph == phPrepared {
-		// Duplicate prepare (our vote was lost): answer again.
-		m.send(msg.From, &wire.Msg{Kind: wire.KVote, TID: msg.TID, Vote: wire.VoteYes})
-		m.unlockFamily(f)
-		return
-	}
-	if f.ph != phActive {
-		m.unlockFamily(f)
-		return
-	}
-	f.opts = optionsFromFlags(msg.Flags)
-	parts := m.participants(f)
-	m.unlockFamily(f)
-
-	vote := m.voteRound(parts, f.opts)
-	switch vote {
-	case wire.VoteNo:
-		m.relockFamily(f) // stale descriptors still answer (as before the refactor)
-		m.send(msg.From, &wire.Msg{Kind: wire.KVote, TID: msg.TID, Vote: wire.VoteNo})
-		m.localAbort(f)
-		m.unlockFamily(f)
-	case wire.VoteReadOnly:
-		// Read-only optimization: vote, release, forget; we take no
-		// part in phase two and write no log records.
-		m.relockFamily(f)
-		m.send(msg.From, &wire.Msg{Kind: wire.KVote, TID: msg.TID, Vote: wire.VoteReadOnly})
-		f.ph = phCommitted
-		m.releaseLocal(f, true)
-		m.forget(f)
-		m.unlockFamily(f)
-	case wire.VoteYes:
-		// Force the prepare record, then vote yes.
-		rec := &wal.Record{
-			Type:        wal.RecPrepare,
-			TID:         msg.TID,
-			Coordinator: msg.From,
-		}
-		lsn, err := m.log.Append(rec)
-		if err == nil {
-			err = m.log.Force(lsn)
-			m.tr.LogForce(m.cfg.Site, rec.TID, rec.Type.String())
-		}
-		if !m.relockFamily(f) {
-			m.unlockFamily(f)
-			return
-		}
-		if err != nil {
-			m.send(msg.From, &wire.Msg{Kind: wire.KVote, TID: msg.TID, Vote: wire.VoteNo})
-			m.localAbort(f)
-			m.unlockFamily(f)
-			return
-		}
-		f.ph = phPrepared
-		f.prepared = true
-		m.tr.PhaseBegin(m.cfg.Site, msg.TID, "prepared")
-		m.send(msg.From, &wire.Msg{Kind: wire.KVote, TID: msg.TID, Vote: wire.VoteYes})
-		m.schedule(f, m.cfg.InquireInterval)
-		m.unlockFamily(f)
-	}
-}
 
 // onOutcome2PC handles COMMIT or ABORT at a subordinate.
 func (m *Manager) onOutcome2PC(msg *wire.Msg) {
@@ -442,71 +226,56 @@ func (m *Manager) onOutcome2PC(msg *wire.Msg) {
 	f.opts = opts
 	coordinator := msg.From
 	parts := m.participants(f)
-
-	if !opts.ForceSubCommit {
-		// Delayed-commit optimization: "the subordinate drops its
-		// locks before writing a commit record." The ack waits until
-		// the lazily written record is stable, because the
-		// coordinator must not forget first.
-		f.ph = phCommitted
-		m.tr.PhaseEnd(m.cfg.Site, msg.TID, "prepared")
-		if f.result != nil {
-			// A Paxos coordinator adopting a takeover leader's decision
-			// still owes its client the outcome.
-			f.result.Set(wire.OutcomeCommit)
-		}
-		m.unlockFamily(f)
-		m.applyLocal(parts, f.id, true)
-		lsn, err := m.log.Append(&wal.Record{Type: wal.RecCommit, TID: msg.TID})
-		if m.relockFamily(f) {
-			m.forget(f)
-		}
-		m.unlockFamily(f)
-		if err != nil {
-			return
-		}
-		m.r.Go("commit-ack-wait", func() {
-			if m.log.WaitDurable(lsn) != nil {
-				return
-			}
-			if m.isClosed() {
-				return
-			}
-			if opts.ImmediateAck {
-				m.send(coordinator, &wire.Msg{Kind: wire.KCommitAck, TID: msg.TID})
-			} else {
-				m.queueAck(coordinator, msg.TID)
-			}
-		})
-		return
-	}
-
-	// Unoptimized (and semi-optimized) path: force the commit record,
-	// and only then drop locks and acknowledge.
 	f.ph = phCommitted
 	m.tr.PhaseEnd(m.cfg.Site, msg.TID, "prepared")
-	if f.result != nil {
-		f.result.Set(wire.OutcomeCommit)
-	}
-	m.unlockFamily(f)
-	lsn, err := m.log.Append(&wal.Record{Type: wal.RecCommit, TID: msg.TID})
-	if err == nil {
-		err = m.log.Force(lsn)
-		m.tr.LogForce(m.cfg.Site, msg.TID, wal.RecCommit.String())
-	}
-	m.applyLocal(parts, f.id, true)
-	live := m.relockFamily(f)
-	defer m.unlockFamily(f)
-	if err == nil {
+	// A Paxos coordinator adopting a takeover leader's decision still
+	// owes its client the outcome.
+	f.answer(wire.OutcomeCommit)
+	rec := &wal.Record{Type: wal.RecCommit, TID: msg.TID}
+	ack := func() {
 		if opts.ImmediateAck {
 			m.send(coordinator, &wire.Msg{Kind: wire.KCommitAck, TID: msg.TID})
 		} else {
 			m.queueAck(coordinator, msg.TID)
 		}
 	}
-	if live {
+
+	if opts.ForceSubCommit {
+		// Unoptimized (and semi-optimized) path: force the commit record,
+		// and only then drop locks and acknowledge.
+		_, err := m.forceRecord(f, rec)
+		m.unlockFamily(f)
+		m.applyLocal(parts, f.id, true)
+		if err == nil {
+			ack()
+		}
+		if m.relockFamily(f) {
+			m.forget(f)
+		}
+		m.unlockFamily(f)
+		return
+	}
+
+	// Delayed-commit optimization: "the subordinate drops its locks
+	// before writing a commit record." The ack waits until the lazily
+	// written record is stable, because the coordinator must not forget
+	// first.
+	m.unlockFamily(f)
+	m.applyLocal(parts, f.id, true)
+	lsn, err := m.log.Append(rec)
+	if m.relockFamily(f) {
 		m.forget(f)
 	}
+	m.unlockFamily(f)
+	if err != nil {
+		return
+	}
+	m.r.Go("commit-ack-wait", func() {
+		if m.log.WaitDurable(lsn) != nil || m.isClosed() {
+			return
+		}
+		ack()
+	})
 }
 
 // localAbort aborts the family at this subordinate site (f's lock
@@ -514,9 +283,7 @@ func (m *Manager) onOutcome2PC(msg *wire.Msg) {
 func (m *Manager) localAbort(f *family) {
 	f.ph = phAborted
 	m.bumpStats(func(s *Stats) { s.Aborted++ })
-	if f.result != nil {
-		f.result.Set(wire.OutcomeAbort)
-	}
+	f.answer(wire.OutcomeAbort)
 	m.tr.PhaseEnd(m.cfg.Site, tid.Top(f.id), "prepared")
 	m.log.Append(&wal.Record{Type: wal.RecAbort, TID: tid.Top(f.id)}) //nolint:errcheck // lazy under presumed abort
 	m.releaseLocal(f, false)

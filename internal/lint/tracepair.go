@@ -14,7 +14,11 @@ import (
 //
 //  1. every function that issues a wal force (Log.Force/ForceAll)
 //     must also emit its trace.Collector.LogForce event — otherwise
-//     the budget undercounts and the conformance tests pin a lie;
+//     the budget undercounts and the conformance tests pin a lie.
+//     internal/core keeps one such function, forceRecord, which every
+//     protocol step that needs durability calls; the rule is the
+//     safety net under a second force site, not a checklist for
+//     fourteen copies of the first;
 //  2. every protocol phase literal passed to PhaseBegin must appear
 //     in some PhaseEnd in the same package, and vice versa — an
 //     unpaired begin leaks an open phase (no latency sample), an
