@@ -3,8 +3,9 @@
 # camelot-lint determinism suite, the entire test suite under the race
 # detector, a short pass over the fault-injection torture suite, a
 # bounded systematic chaos sweep for the commitment protocols, the
-# Paxos Commit conformance gate, a short fuzz of the WAL block decoder,
-# and the benchmark module's own vet and self-tests.
+# Paxos Commit conformance gate, a short fuzz of the WAL block decoder
+# and the ctl request line, and the benchmark module's own vet and
+# self-tests.
 
 GO ?= go
 
@@ -60,18 +61,24 @@ chaos:
 # regression, the hazard tests of the co-location folds (core's
 # handler-level ones, chaos's torn combined block and lost 2b), and the
 # real-process coordinator-kill cluster smoke. The 200-point Paxos
-# sweep itself is `make chaos`'s third iteration.
+# sweep itself is `make chaos`'s third iteration. The outcome
+# acknowledgement's path is shared by all three protocols and gated
+# here too: core's ack-path table and promoted-leader regression, and
+# the real-runtime piggybacking and no-retransmit runs.
 paxos:
-	$(GO) test ./camelot -run 'TestProtocolBudgetTable|TestPaxos'
-	$(GO) test ./internal/core -run 'TestPaxos|TestFanoutCarriesOwedAcks'
+	$(GO) test ./camelot -run 'TestProtocolBudgetTable|TestPaxos|TestFaultFreeRunNeverRetransmits|TestBackToBackCommitsPiggybackTheirAcks'
+	$(GO) test ./internal/core -run 'TestPaxos|TestFanoutCarriesOwedAcks|TestAckPath'
 	$(GO) test ./internal/chaos -run TestPaxos
 	$(GO) test ./cmd/camelot-cluster -run TestClusterPaxosSmoke
 
-# A short fuzz of recovery's block decoder: arbitrary bytes as the
-# log's final block must never panic and never yield a record whose
-# frame does not check out (the seed corpus alone runs in `make test`).
+# A short fuzz of the two decoders hostile bytes reach first. Arbitrary
+# bytes as the log's final block must never panic recovery and never
+# yield a record whose frame does not check out; arbitrary bytes as a
+# ctl request line must never panic the control server and always get
+# one line of JSON back (the seed corpora alone run in `make test`).
 fuzz:
 	$(GO) test ./internal/wal -run '^$$' -fuzz FuzzBlockFrames -fuzztime 5s
+	$(GO) test ./internal/ctl -run '^$$' -fuzz FuzzRequestLine -fuzztime 3s
 
 # cmd/camelot-perf is a module of its own (BENCHMARK.json's contract),
 # so `go build/vet/test ./...` never compile it; its wal.Store wrappers

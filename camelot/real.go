@@ -42,14 +42,14 @@ type RealConfig struct {
 	FlushInterval time.Duration
 	// LockTimeout bounds data-server lock waits.
 	LockTimeout time.Duration
-	// RetryInterval, InquireInterval, PromotionTimeout, and
-	// AckFlushInterval tune the transaction manager's timers. These
-	// mask real datagram loss, so keep them well above the network's
-	// round-trip time.
+	// RetryInterval, InquireInterval and PromotionTimeout tune the
+	// transaction manager's timers. These mask real datagram loss, so
+	// keep them well above the network's round-trip time. RetryInterval
+	// is also how long a delayed commit-ack is held for a datagram to ride
+	// on: silence shorter than it is not loss.
 	RetryInterval    time.Duration
 	InquireInterval  time.Duration
 	PromotionTimeout time.Duration
-	AckFlushInterval time.Duration
 	// RetryBackoffCap bounds the exponential backoff retransmits and
 	// inquiries grow into during a partition; zero means 8×
 	// RetryInterval (see core.Config.RetryBackoffCap).
@@ -78,7 +78,6 @@ func DefaultRealConfig(id SiteID) RealConfig {
 		RetryInterval:    50 * time.Millisecond,
 		InquireInterval:  50 * time.Millisecond,
 		PromotionTimeout: 200 * time.Millisecond,
-		AckFlushInterval: 10 * time.Millisecond,
 	}
 }
 
@@ -146,15 +145,15 @@ func StartRealNode(cfg RealConfig) (*RealNode, error) {
 		RetryInterval:    cfg.RetryInterval,
 		InquireInterval:  cfg.InquireInterval,
 		PromotionTimeout: cfg.PromotionTimeout,
-		AckFlushInterval: cfg.AckFlushInterval,
+		AckFlushInterval: cfg.RetryInterval,
 		RetryBackoffCap:  cfg.RetryBackoffCap,
 	}, n.log, peer)
 	n.tm.SetResolvedBackstop(n.pages.Outcome)
 	// A subordinate's lazy commit record can sit two flusher ticks (the
 	// flusher skips records younger than one interval) and its ack one
-	// ack-flusher tick more; only after that is silence a sign of loss,
-	// which RetryInterval then times as it does everywhere else.
-	n.tm.SetAckWait(2*cfg.FlushInterval + cfg.AckFlushInterval + cfg.RetryInterval)
+	// hold more; only after that is silence a sign of loss, which
+	// RetryInterval then times as it does everywhere else.
+	n.tm.SetAckWait(2*cfg.FlushInterval + 2*cfg.RetryInterval)
 	// Shard servers must exist before Recover: the recovery process
 	// installs replayed state into servers by name.
 	n.set = server.NewSet(r, cfg.Site, cfg.ShardMap, n.tm, n.log, server.Config{

@@ -2,12 +2,14 @@ package camelot
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
+	"camelot/internal/core"
 	"camelot/internal/shardmap"
 	"camelot/internal/wire"
 )
@@ -125,19 +127,15 @@ func TestRecoverRejectsUnhostedServer(t *testing.T) {
 	}
 }
 
-// TestFaultFreeRunNeverRetransmits pins the ack-wait timer to the
-// node's own configuration: with nothing lost, no retry round may
-// fire. Every twentieth commit is followed by an idle gap, so its
-// subordinate commit record has only the log flusher to make it
-// durable and its ack only the ack flusher to carry it — the slowest
-// answer a healthy subordinate gives. A retry timer also fires when
-// the host stalls the process for its whole period, which a loaded
-// test machine does now and then, so a protocol gets three rounds and
-// needs one clean; a timer shorter than the configuration implies
-// fails every round.
-func TestFaultFreeRunNeverRetransmits(t *testing.T) {
-	sites := []SiteID{1, 2}
-	m, err := shardmap.New(1, len(sites), sites)
+// realCluster boots sites 1..n as connected RealNodes at
+// DefaultRealConfig under a one-shard-per-site map.
+func realCluster(t *testing.T, n int) ([]*RealNode, *shardmap.Map) {
+	t.Helper()
+	var sites []SiteID
+	for id := SiteID(1); id <= SiteID(n); id++ {
+		sites = append(sites, id)
+	}
+	m, err := shardmap.New(1, n, sites)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,15 +145,15 @@ func TestFaultFreeRunNeverRetransmits(t *testing.T) {
 		cfg := DefaultRealConfig(id)
 		cfg.WALPath = filepath.Join(dir, fmt.Sprintf("site%d.wal", id))
 		cfg.ShardMap = m
-		n, err := StartRealNode(cfg)
+		node, err := StartRealNode(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer n.Close() //nolint:errcheck // test teardown
-		if err := n.Recover(); err != nil {
+		t.Cleanup(func() { node.Close() }) //nolint:errcheck // test teardown
+		if err := node.Recover(); err != nil {
 			t.Fatal(err)
 		}
-		nodes = append(nodes, n)
+		nodes = append(nodes, node)
 	}
 	for _, a := range nodes {
 		for _, b := range nodes {
@@ -166,59 +164,146 @@ func TestFaultFreeRunNeverRetransmits(t *testing.T) {
 			}
 		}
 	}
+	return nodes, m
+}
+
+// writeAtEach begins a transaction at nodes[0] and writes one key,
+// unique to label, at each of nodes.
+func writeAtEach(t *testing.T, m *shardmap.Map, nodes []*RealNode, label string) TID {
+	t.Helper()
+	tx, err := nodes[0].Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range nodes {
+		key, err := m.KeyAt(label, n.ID())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := n.WriteKey(tx, key, []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return tx
+}
+
+// ackTraffic sums over nodes the counters the ack tests read; the
+// other fields stay zero.
+func ackTraffic(nodes []*RealNode) (sum core.Stats) {
+	for _, n := range nodes {
+		s := n.TM().Stats()
+		sum.Retransmits += s.Retransmits
+		sum.AcksStandalone += s.AcksStandalone
+		sum.AcksPiggybacked += s.AcksPiggybacked
+	}
+	return sum
+}
+
+// oneCleanRound runs round up to three times and fails unless one of
+// them returns no complaint. A retry timer also fires, and an ack also
+// misses its ride, when the host stalls the process for the timer's
+// whole period, which a loaded test machine does now and then; a timer
+// shorter than the configuration implies fails every round.
+func oneCleanRound(t *testing.T, what string, round func(attempt int) string) {
+	t.Helper()
+	var seen []string
+	for attempt := 0; attempt < 3; attempt++ {
+		complaint := round(attempt)
+		if complaint == "" {
+			return
+		}
+		seen = append(seen, complaint)
+	}
+	t.Errorf("%s: no clean round in three: %v", what, seen)
+}
+
+// ackWait is how long a DefaultRealConfig coordinator waits for acks
+// before it first re-sends an outcome (StartRealNode): an idle gap this
+// long lets a retry timer that is going to fire, fire.
+func ackWait() time.Duration {
+	cfg := DefaultRealConfig(1)
+	return 2*cfg.FlushInterval + 2*cfg.RetryInterval
+}
+
+// TestFaultFreeRunNeverRetransmits pins the ack-wait timer to the
+// node's own configuration: with nothing lost, no retry round may
+// fire. Every twentieth transaction is followed by an idle gap, so a
+// subordinate's commit record has only the log flusher to make it
+// durable and its ack nothing to ride on — the slowest answer a healthy
+// subordinate gives. The last round aborts under the non-blocking
+// protocol, whose aborts are acknowledged too (change 4): site 3 is
+// named as a participant but never written, so it votes No while site 2
+// votes Yes, hears the abort and owes the ack.
+func TestFaultFreeRunNeverRetransmits(t *testing.T) {
+	nodes, m := realCluster(t, 3)
+	pair := nodes[:2]
 	txns := 300
 	if testing.Short() {
 		txns = 60
 	}
-	idle := DefaultRealConfig(1).RetryInterval * 2
-	retransmits := func() int {
-		total := 0
-		for _, n := range nodes {
-			total += n.TM().Stats().Retransmits
-		}
-		return total
-	}
-	// round commits txns two-site transactions under proto and returns
-	// how many datagrams the sites re-sent meanwhile.
-	round := func(proto Protocol, attempt int) int {
-		before := retransmits()
-		for i := 0; i < txns; i++ {
-			tx, err := nodes[0].Begin()
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, n := range nodes {
-				key, err := m.KeyAt(fmt.Sprintf("%s.%d.%d", proto, attempt, i), n.ID())
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := n.WriteKey(tx, key, []byte("v")); err != nil {
-					t.Fatal(err)
-				}
-			}
-			nodes[0].AddSites(tx, sites[1:])
-			if _, err := nodes[0].Commit(tx, Options{Protocol: proto, PaxosF: 1}); err != nil {
-				t.Fatalf("%s commit %d: %v", proto, i, err)
-			}
+	// run pushes n transactions through commit and reports how many
+	// datagrams the sites re-sent meanwhile.
+	run := func(label string, n int, commit func(tx TID, i int)) string {
+		before := ackTraffic(nodes).Retransmits
+		for i := 0; i < n; i++ {
+			commit(writeAtEach(t, m, pair, fmt.Sprintf("%s.%d", label, i)), i)
 			if i%20 == 19 {
-				time.Sleep(idle)
+				time.Sleep(ackWait())
 			}
 		}
-		time.Sleep(idle)
-		return retransmits() - before
+		time.Sleep(ackWait())
+		if r := ackTraffic(nodes).Retransmits - before; r != 0 {
+			return fmt.Sprintf("%d datagrams retransmitted in %d fault-free transactions", r, n)
+		}
+		return ""
 	}
 	for _, proto := range wire.Protocols() {
-		var seen []int
-		for attempt := 0; attempt < 3; attempt++ {
-			r := round(proto, attempt)
-			if r == 0 {
-				seen = nil
-				break
+		oneCleanRound(t, proto.String(), func(attempt int) string {
+			return run(fmt.Sprintf("%s.%d", proto, attempt), txns, func(tx TID, i int) {
+				nodes[0].AddSites(tx, []SiteID{2})
+				if _, err := nodes[0].Commit(tx, Options{Protocol: proto, PaxosF: 1}); err != nil {
+					t.Fatalf("%s commit %d: %v", proto, i, err)
+				}
+			})
+		})
+	}
+	oneCleanRound(t, "nb abort", func(attempt int) string {
+		return run(fmt.Sprintf("abort.%d", attempt), txns/3, func(tx TID, i int) {
+			nodes[0].AddSites(tx, []SiteID{2, 3})
+			if _, err := nodes[0].Commit(tx, Options{Protocol: NonBlocking}); !errors.Is(err, ErrAborted) {
+				t.Fatalf("nb commit %d with a site that never joined = %v, want ErrAborted", i, err)
 			}
-			seen = append(seen, r)
-		}
-		if seen != nil {
-			t.Errorf("%s: %v datagrams retransmitted in three fault-free rounds of %d commits", proto, seen, txns)
-		}
+		})
+	})
+}
+
+// TestBackToBackCommitsPiggybackTheirAcks: under steady traffic the
+// commit-ack is not traffic. Back-to-back two-site commits always have
+// a next datagram going the ack's way — the next transaction's vote —
+// so under every protocol at most the last few acks of a run travel
+// alone, and holding them that long makes no coordinator re-send.
+func TestBackToBackCommitsPiggybackTheirAcks(t *testing.T) {
+	nodes, m := realCluster(t, 2)
+	const txns = 300
+	for _, proto := range wire.Protocols() {
+		oneCleanRound(t, proto.String(), func(attempt int) string {
+			before := ackTraffic(nodes)
+			for i := 0; i < txns; i++ {
+				tx := writeAtEach(t, m, nodes, fmt.Sprintf("%s.%d.%d", proto, attempt, i))
+				nodes[0].AddSites(tx, []SiteID{2})
+				if _, err := nodes[0].Commit(tx, Options{Protocol: proto, PaxosF: 1}); err != nil {
+					t.Fatalf("%s commit %d: %v", proto, i, err)
+				}
+			}
+			time.Sleep(ackWait())
+			after := ackTraffic(nodes)
+			alone, rode := after.AcksStandalone-before.AcksStandalone, after.AcksPiggybacked-before.AcksPiggybacked
+			resent := after.Retransmits - before.Retransmits
+			if alone+rode != txns || alone*50 > txns || resent != 0 {
+				return fmt.Sprintf("%d acks alone, %d piggybacked, %d datagrams retransmitted in %d commits; want at most 2%% alone and none re-sent",
+					alone, rode, resent, txns)
+			}
+			return ""
+		})
 	}
 }

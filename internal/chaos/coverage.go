@@ -29,7 +29,7 @@ var kindCoverage = map[wire.Kind]KindCoverage{
 	wire.KPrepare:   {Pilots: []wire.Protocol{wire.TwoPhase}},
 	wire.KVote:      {Pilots: []wire.Protocol{wire.TwoPhase}},
 	wire.KCommit:    {Pilots: []wire.Protocol{wire.TwoPhase, wire.Paxos}},
-	wire.KCommitAck: {Pilots: []wire.Protocol{wire.TwoPhase}},
+	wire.KCommitAck: {Pilots: []wire.Protocol{wire.TwoPhase, wire.NonBlocking}},
 	wire.KAbort: {FaultOnly: "under presumed abort a notification is sent only " +
 		"once a fault (lost vote, crashed subordinate) forces an abort decision"},
 	wire.KInquire: {FaultOnly: "inquiries need a blocked or orphaned subordinate, " +
@@ -40,7 +40,6 @@ var kindCoverage = map[wire.Kind]KindCoverage{
 	wire.KNBReplicate:    {Pilots: []wire.Protocol{wire.NonBlocking}},
 	wire.KNBReplicateAck: {Pilots: []wire.Protocol{wire.NonBlocking}},
 	wire.KNBOutcome:      {Pilots: []wire.Protocol{wire.NonBlocking}},
-	wire.KNBOutcomeAck:   {Pilots: []wire.Protocol{wire.NonBlocking}},
 	wire.KNBStatusReq: {FaultOnly: "the promotion status exchange starts only when a " +
 		"subordinate times out and promotes itself; a fault-free run never promotes"},
 	wire.KNBStatusResp: {FaultOnly: "response half of the promotion status exchange; " +

@@ -3,7 +3,9 @@ package chaos
 import (
 	"strings"
 	"testing"
+	"time"
 
+	"camelot/internal/trace"
 	"camelot/internal/wire"
 )
 
@@ -195,4 +197,54 @@ func TestPaxosLostFolded2bNoViolation(t *testing.T) {
 		return
 	}
 	t.Fatal("pilot enumerated no 2b from site 2 to site 1")
+}
+
+// TestPaxosTakeoverLeaderDrainsItsAcks kills the leader as it sends its
+// first COMMIT: the acceptors hold every vote, nobody has the outcome.
+// A survivor takes over, decides and tells the others — the restarted
+// leader among them — and must end the transaction when the last of
+// them has acknowledged. The oracle cannot see a leader that never
+// forgets (its outcome is right, only re-sent forever), so beside the
+// oracle's verdict the trace must show the outcome retries stopped long
+// before the run did.
+func TestPaxosTakeoverLeaderDrainsItsAcks(t *testing.T) {
+	pilot := paxosPilot(t)
+	s := pilot.Schedule
+	for _, p := range pilot.Points {
+		if p.Class == ClassMsg && strings.HasPrefix(p.Label, "COMMIT 1→") {
+			s.Faults = []Fault{{Class: ClassMsg, Index: p.Index, Mode: ModeCrash}}
+			break
+		}
+	}
+	if len(s.Faults) == 0 {
+		t.Fatal("pilot enumerated no COMMIT sent by site 1")
+	}
+	e := &engine{sched: s, msgFaults: make(map[int]Fault)}
+	r, err := e.run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Failed() {
+		t.Errorf("%v: violations %v deadlock %q", s.Faults[0], r.Violations, r.Deadlock)
+	}
+	// The oracle's second pass bounces every site five virtual seconds
+	// before the end, which would restart a stuck notify phase as an
+	// ordinary coordinator's; the five seconds before that are the
+	// settled cluster.
+	settled := e.k.Now() - 10*time.Second
+	takeovers, late := 0, 0
+	for _, ev := range e.c.Trace().Events() {
+		switch {
+		case ev.Kind == trace.EvMsgSend && ev.Info == wire.KPaxos1a.String():
+			takeovers++
+		case ev.Kind == trace.EvRetry && ev.Info == "outcome" && ev.At > settled:
+			late++
+		}
+	}
+	if takeovers == 0 {
+		t.Fatal("no survivor took over: the fault did not land after the acceptor quorum and before the outcome")
+	}
+	if late != 0 {
+		t.Errorf("%d outcome retry rounds in the last ten virtual seconds: a leader is still waiting for acks it was sent", late)
+	}
 }

@@ -497,7 +497,7 @@ func (m *Manager) decideAbort(f *family, notify []tid.SiteID, acked bool) {
 	m.fanout(notify, msg, f.opts.Multicast)
 	m.releaseLocal(f, false)
 	if acked {
-		m.awaitAcks(f, m.cfg.RetryInterval)
+		m.awaitAcks(f, m.ackWaitInterval())
 	} else {
 		m.forget(f)
 	}

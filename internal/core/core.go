@@ -110,9 +110,9 @@ type Config struct {
 	// PromotionTimeout is how long a non-blocking subordinate waits
 	// for protocol progress before promoting itself to coordinator.
 	PromotionTimeout time.Duration
-	// AckFlushInterval bounds how long delayed commit-acks wait for a
-	// datagram to piggyback on before being sent in a batch of their
-	// own.
+	// AckFlushInterval is how long a delayed commit-ack waits for a
+	// datagram to its coordinator to ride on: an ack leaves in a datagram
+	// of its own only after this long with nothing going its way.
 	AckFlushInterval time.Duration
 	// VoteRetries bounds how many times a coordinator re-solicits
 	// missing phase-one votes before deciding abort (a subordinate
@@ -201,10 +201,11 @@ type Manager struct {
 	nextFamily uint32
 	nextChild  uint32
 
-	// ackMu guards the delayed-ack batches and the datagram sequence
-	// counter (every outbound send stamps one).
+	// ackMu guards the delayed-ack batches, one open batch per site owed
+	// acks, and the datagram sequence counter (every outbound send stamps
+	// one).
 	ackMu       rt.Mutex
-	pendingAcks map[tid.SiteID][]tid.TID
+	pendingAcks map[tid.SiteID]*ackBatch
 	seq         uint64
 
 	// resMu guards the resolved-outcome memory: the outcome of every
@@ -358,7 +359,7 @@ func New(r rt.Runtime, cfg Config, log *wal.Log, net transport.Sender) *Manager 
 		net:         net,
 		tr:          cfg.Trace,
 		fams:        newFamilyTable(r),
-		pendingAcks: make(map[tid.SiteID][]tid.TID),
+		pendingAcks: make(map[tid.SiteID]*ackBatch),
 		resolved:    make(map[tid.FamilyID]wire.Outcome),
 	}
 	m.idMu = r.NewMutex()
@@ -370,7 +371,6 @@ func New(r rt.Runtime, cfg Config, log *wal.Log, net transport.Sender) *Manager 
 	for i := 0; i < cfg.Threads; i++ {
 		m.r.Go(fmt.Sprintf("tranman%d-worker%d", cfg.Site, i), m.worker)
 	}
-	m.r.Go(fmt.Sprintf("tranman%d-ackflush", cfg.Site), m.ackFlusher)
 	return m
 }
 
@@ -406,13 +406,13 @@ func (m *Manager) Stats() Stats {
 }
 
 // SetAckWait tells the manager how long a fault-free subordinate may
-// take to acknowledge a commit: its lazily written commit record waits
-// for the log flusher and the ack for the ack flusher, neither of which
-// this manager's own timers describe. A coordinator waits at least
-// that long before it first re-sends an outcome, so the retransmit
-// timer fires on loss and not on the delays the delayed-commit
-// optimization chose. The site assembly derives d from its log and ack
-// flush intervals; unset, the wait is RetryInterval.
+// take to acknowledge an outcome: its lazily written commit record waits
+// for the log flusher and the ack for a ride (AckFlushInterval at most),
+// neither of which this manager's retry timer describes. A coordinator
+// waits at least that long before it first re-sends an outcome, so the
+// retransmit timer fires on loss and not on the delays the
+// delayed-commit optimization chose. The site assembly derives d from
+// its log flush interval and ack hold; unset, the wait is RetryInterval.
 func (m *Manager) SetAckWait(d time.Duration) { m.ackWait.Store(int64(d)) }
 
 // ackWaitInterval is the first arm of the ack-wait timer. It is never

@@ -4,32 +4,44 @@ import (
 	"slices"
 	"time"
 
-	"camelot/internal/det"
+	"camelot/internal/rt"
 	"camelot/internal/tid"
 	"camelot/internal/wire"
 )
 
-// send transmits one datagram, attaching any delayed commit-acks
-// destined for the same site (the piggybacking half of the
-// delayed-commit optimization). Sequence stamping and the ack batch
-// live under the ack component lock; callers may hold a family lock
-// (family → component is the sanctioned order) but no caller may
-// take a family lock while ackMu is held.
+// ackBatch is the delayed commit-acks owed to one site since the batch
+// opened. Its pointer is its identity: the deadline armed at the opening
+// sends this batch and no later one to the same site, and two batches
+// can open at one virtual instant, so no timestamp would tell them
+// apart.
+type ackBatch struct {
+	tids     []tid.TID
+	deadline rt.Timer
+}
+
+// send transmits one datagram. Delayed commit-acks owed to the same
+// site ride it (§3.2's piggybacking), which calls off their deadline.
+// Sequence stamping and the ack batches live under the ack component
+// lock; callers may hold a family lock (family → component is the
+// sanctioned order) but no caller may take a family lock while ackMu
+// is held.
 func (m *Manager) send(to tid.SiteID, msg *wire.Msg) {
 	msg.From = m.cfg.Site
 	msg.To = to
-	var piggybacked int
+	var riding *ackBatch
 	m.lockAttributed(m.ackMu, lockClassAcks)
 	m.seq++
 	msg.Seq = m.seq
-	if acks := m.pendingAcks[to]; len(acks) > 0 && msg.Kind != wire.KCommitAck {
-		msg.AckTIDs = acks
-		delete(m.pendingAcks, to)
-		piggybacked = len(acks)
+	if msg.Kind != wire.KCommitAck {
+		if riding = m.pendingAcks[to]; riding != nil {
+			msg.AckTIDs = riding.tids
+			delete(m.pendingAcks, to)
+		}
 	}
 	m.ackMu.Unlock()
-	if piggybacked > 0 {
-		m.bumpStats(func(s *Stats) { s.AcksPiggybacked += piggybacked })
+	if riding != nil {
+		riding.deadline.Stop()
+		m.bumpStats(func(s *Stats) { s.AcksPiggybacked += len(riding.tids) })
 	}
 	m.net.Send(m.cfg.Site, to, msg)
 }
@@ -49,7 +61,7 @@ func (m *Manager) fanout(tos []tid.SiteID, msg *wire.Msg, multicast bool) {
 	m.seq++
 	msg.Seq = m.seq
 	for _, to := range tos {
-		if len(m.pendingAcks[to]) > 0 {
+		if m.pendingAcks[to] != nil {
 			owed = append(owed, to)
 		}
 	}
@@ -76,46 +88,48 @@ func (m *Manager) fanout(tos []tid.SiteID, msg *wire.Msg, multicast bool) {
 	m.net.SendAll(m.cfg.Site, tos, msg)
 }
 
-// queueAck schedules a delayed commit-ack to coordinator: it rides
-// the next datagram to that site or the next ack flush, whichever
-// comes first.
+// queueAck owes coordinator a delayed commit-ack for t, under every
+// protocol. The ack is cargo: it waits for a datagram going its way
+// (send). The first ack of a batch arms the batch's deadline, so an ack
+// leaves alone only after a full AckFlushInterval with nothing sent to
+// its site — never later, which is the bound a coordinator's ack wait
+// is derived from.
 func (m *Manager) queueAck(coordinator tid.SiteID, t tid.TID) {
 	m.lockAttributed(m.ackMu, lockClassAcks)
-	m.pendingAcks[coordinator] = append(m.pendingAcks[coordinator], t)
+	b := m.pendingAcks[coordinator]
+	if b == nil {
+		b = &ackBatch{}
+		m.pendingAcks[coordinator] = b
+		b.deadline = m.r.After(m.cfg.AckFlushInterval, func() {
+			m.queue.Put(func() { m.flushAcks(coordinator, b) })
+		})
+	}
+	b.tids = append(b.tids, t)
 	m.ackMu.Unlock()
 }
 
-// ackFlusher periodically sends delayed acks that found nothing to
-// piggyback on, as one batched KCommitAck per destination.
-func (m *Manager) ackFlusher() {
-	for {
-		m.r.Sleep(m.cfg.AckFlushInterval)
-		if m.isClosed() {
-			return
-		}
-		// Drain and stamp under the ack lock; transmit after releasing
-		// it so the network layer is never entered with a component
-		// lock held.
-		var batch []*wire.Msg
-		standalone := 0
-		m.lockAttributed(m.ackMu, lockClassAcks)
-		for _, site := range det.SortedKeys(m.pendingAcks) {
-			acks := m.pendingAcks[site]
-			delete(m.pendingAcks, site)
-			standalone += len(acks)
-			msg := &wire.Msg{Kind: wire.KCommitAck, From: m.cfg.Site, To: site, AckTIDs: acks}
-			m.seq++
-			msg.Seq = m.seq
-			batch = append(batch, msg)
-		}
-		m.ackMu.Unlock()
-		if standalone > 0 {
-			m.bumpStats(func(s *Stats) { s.AcksStandalone += standalone })
-		}
-		for _, msg := range batch {
-			m.net.Send(m.cfg.Site, msg.To, msg)
-		}
+// flushAcks is batch b's deadline: if no datagram to the site has taken
+// the batch, it goes as one KCommitAck of its own.
+func (m *Manager) flushAcks(to tid.SiteID, b *ackBatch) {
+	if m.isClosed() {
+		return
 	}
+	m.lockAttributed(m.ackMu, lockClassAcks)
+	if m.pendingAcks[to] != b {
+		m.ackMu.Unlock()
+		return
+	}
+	delete(m.pendingAcks, to)
+	m.ackMu.Unlock()
+	m.bumpStats(func(s *Stats) { s.AcksStandalone += len(b.tids) })
+	m.send(to, &wire.Msg{Kind: wire.KCommitAck, AckTIDs: b.tids})
+}
+
+// ackNow acknowledges t to the site that just re-sent its outcome: the
+// family is already resolved here, so the sender is on its retry timer
+// and the answer must not wait for a ride.
+func (m *Manager) ackNow(to tid.SiteID, t tid.TID) {
+	m.send(to, &wire.Msg{Kind: wire.KCommitAck, TID: t})
 }
 
 // schedule (re)arms the family's single protocol timer; when it
@@ -328,8 +342,6 @@ func (m *Manager) handle(msg *wire.Msg) {
 		m.onNBReplicateAck(msg)
 	case wire.KNBOutcome:
 		m.onNBOutcome(msg)
-	case wire.KNBOutcomeAck:
-		m.onNBOutcomeAck(msg)
 	case wire.KNBStatusReq:
 		m.onNBStatusReq(msg)
 	case wire.KNBStatusResp:

@@ -8,7 +8,7 @@ import (
 
 // This file implements what the non-blocking commitment protocol of
 // §3.3 adds to the commit skeleton (commit.go): the replication phase
-// between the standard two, and its notify phase's own message kinds.
+// between the standard two, and its notify phase's outcome message.
 // Three phases (prepare, replicate, notify), two log forces per site,
 // five messages on the critical path of a one-subordinate update. The
 // five changes to two-phase commit are marked where implemented:
@@ -140,17 +140,19 @@ func (m *Manager) onNBReplicate(msg *wire.Msg) {
 // onNBOutcome applies the notify-phase decision at a subordinate (or
 // at a tardy original coordinator when a promoted subordinate decided
 // first — "having several simultaneous coordinators is possible, but
-// is not a problem").
+// is not a problem"). The acknowledgement (change 4: abort's as well as
+// commit's) is owed once the outcome is recorded, not once it is
+// durable, and travels as every protocol's does (queueAck).
 func (m *Manager) onNBOutcome(msg *wire.Msg) {
 	commit := msg.Outcome == wire.OutcomeCommit
 	f := m.lockFamily(msg.TID.Family)
 	if f == nil {
-		// Already resolved; re-acknowledge so the sender can forget.
-		m.send(msg.From, &wire.Msg{Kind: wire.KNBOutcomeAck, TID: msg.TID})
+		// Already resolved and forgotten: the outcome was re-sent.
+		m.ackNow(msg.From, msg.TID)
 		return
 	}
 	if f.ph == phCommitted || f.ph == phAborted {
-		m.send(msg.From, &wire.Msg{Kind: wire.KNBOutcomeAck, TID: msg.TID})
+		m.ackNow(msg.From, msg.TID)
 		m.unlockFamily(f)
 		return
 	}
@@ -168,25 +170,8 @@ func (m *Manager) onNBOutcome(msg *wire.Msg) {
 	// client.
 	f.answer(out)
 	m.log.Append(&wal.Record{Type: recType, TID: msg.TID}) //nolint:errcheck // lazy
-	m.send(msg.From, &wire.Msg{Kind: wire.KNBOutcomeAck, TID: msg.TID})
+	m.queueAck(msg.From, msg.TID)
 	m.forget(f)
 	m.unlockFamily(f)
 	m.applyLocal(parts, msg.TID.Family, commit)
-}
-
-// onNBOutcomeAck drains the notify phase at whichever coordinator is
-// driving it.
-func (m *Manager) onNBOutcomeAck(msg *wire.Msg) {
-	f := m.lockFamily(msg.TID.Family)
-	if f == nil {
-		return
-	}
-	defer m.unlockFamily(f)
-	if f.ph != phCommitted && f.ph != phAborted {
-		return
-	}
-	delete(f.acksPending, msg.From)
-	if len(f.acksPending) == 0 {
-		m.end(f)
-	}
 }

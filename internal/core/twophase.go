@@ -136,17 +136,20 @@ func (m *Manager) commitLocal(f *family) {
 	m.commitAndForget(f, nil)
 }
 
-// onCommitAck handles one commit acknowledgement (standalone or
-// piggybacked). When the last subordinate's commit record is known
-// stable the coordinator writes an END record and may forget the
-// transaction.
+// onCommitAck handles one outcome acknowledgement, standalone or
+// piggybacked, under every protocol. It counts only at the site driving
+// the family's notify phase — the original coordinator, or a promoted
+// one — and only from a site whose ack is still owed: a duplicate, a
+// stray, or an ack that reaches a subordinate's copy of the family
+// changes nothing. After the last one the site writes an END record
+// and may forget the transaction.
 func (m *Manager) onCommitAck(from tid.SiteID, t tid.TID) {
 	f := m.lockFamily(t.Family)
 	if f == nil {
 		return
 	}
 	defer m.unlockFamily(f)
-	if !f.coord || f.ph != phCommitted {
+	if !f.acksPending[from] {
 		return
 	}
 	delete(f.acksPending, from)
@@ -191,11 +194,17 @@ func (m *Manager) onOutcome2PC(msg *wire.Msg) {
 		// Already resolved and forgotten; the coordinator's COMMIT
 		// was a retry, so its ack was lost: acknowledge again.
 		if commit {
-			m.queueAck(msg.From, msg.TID)
+			m.ackNow(msg.From, msg.TID)
 		}
 		return
 	}
 	if f.coord && f.opts.Protocol != wire.Paxos {
+		m.unlockFamily(f)
+		return
+	}
+	if f.ph == phCommitted && !f.coord && !f.promoted {
+		// A re-sent COMMIT racing the first copy, whose thread has released
+		// the lock to apply the outcome and will acknowledge for both.
 		m.unlockFamily(f)
 		return
 	}

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"strconv"
 	"sync"
@@ -65,7 +66,7 @@ type Client struct {
 
 	mu      sync.Mutex
 	conn    net.Conn
-	br      *bufio.Reader
+	sc      *bufio.Scanner // response lines off conn
 	timeout time.Duration
 	broken  error // sticky transport failure; cleared by Reconnect
 }
@@ -86,7 +87,7 @@ func DialTimeout(addr string, timeout time.Duration) (*Client, error) {
 	return &Client{
 		addr:    addr,
 		conn:    conn,
-		br:      bufio.NewReaderSize(conn, maxLine),
+		sc:      lineScanner(conn),
 		timeout: timeout,
 	}, nil
 }
@@ -114,7 +115,7 @@ func (c *Client) Reconnect() error {
 		c.conn.Close() //nolint:errcheck // already poisoned
 	}
 	c.conn = conn
-	c.br = bufio.NewReaderSize(conn, maxLine)
+	c.sc = lineScanner(conn)
 	c.broken = nil
 	return nil
 }
@@ -138,7 +139,7 @@ func (c *Client) Close() error {
 	defer c.mu.Unlock()
 	conn := c.conn
 	c.conn = nil
-	c.br = nil
+	c.sc = nil
 	c.broken = fmt.Errorf("%w: client closed", ErrUnavailable)
 	if conn == nil {
 		return nil
@@ -180,22 +181,23 @@ func (c *Client) DoTimeout(req Request, timeout time.Duration) (Response, error)
 	if _, err := c.conn.Write(append(b, '\n')); err != nil {
 		return Response{}, c.poison(req.Op, err)
 	}
-	line, err := c.br.ReadSlice('\n')
-	if err != nil {
-		// ErrBufferFull means the node wrote a line longer than the
-		// protocol bound (maxLine, the reader's buffer size). The
-		// remainder of the line is still in the stream, so every
-		// later exchange would read from mid-line: the connection is
-		// desynchronized and must be poisoned, exactly like a
-		// timeout, until Reconnect replaces it. (The old unbounded
-		// ReadBytes never hit this — it grew without limit instead.)
-		if errors.Is(err, bufio.ErrBufferFull) {
+	if !c.sc.Scan() {
+		// Whatever stopped the scan — the peer hung up, the deadline
+		// passed, or the node wrote a line longer than the protocol bound
+		// (maxLine), whose remainder is still in the stream so every later
+		// exchange would read from mid-line — the connection can carry no
+		// further exchange and is poisoned until Reconnect replaces it.
+		err := c.sc.Err()
+		switch {
+		case err == nil:
+			err = io.EOF
+		case errors.Is(err, bufio.ErrTooLong):
 			err = fmt.Errorf("response line exceeds %d bytes: %v", maxLine, err)
 		}
 		return Response{}, c.poison(req.Op, err)
 	}
 	var resp Response
-	if err := json.Unmarshal(line, &resp); err != nil {
+	if err := json.Unmarshal(c.sc.Bytes(), &resp); err != nil {
 		return Response{}, fmt.Errorf("ctl: decode %s: %w", req.Op, err)
 	}
 	return resp, nil

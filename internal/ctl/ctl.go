@@ -18,6 +18,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"strconv"
 	"sync"
@@ -116,6 +117,15 @@ type Stats struct {
 // so a megabyte is generous.
 const maxLine = 1 << 20
 
+// lineScanner reads protocol lines from r, either direction: its buffer
+// starts small — lines are tens of bytes — and grows to maxLine, past
+// which Scan fails with bufio.ErrTooLong.
+func lineScanner(r io.Reader) *bufio.Scanner {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 4096), maxLine)
+	return sc
+}
+
 // Server serves the control protocol for one RealNode.
 type Server struct {
 	node *camelot.RealNode
@@ -163,21 +173,24 @@ func (s *Server) acceptLoop() {
 
 func (s *Server) serveConn(conn net.Conn) {
 	defer conn.Close() //nolint:errcheck // read loop below is the failure signal
-	sc := bufio.NewScanner(conn)
-	sc.Buffer(make([]byte, 4096), maxLine)
+	sc := lineScanner(conn)
 	enc := json.NewEncoder(conn)
 	for sc.Scan() {
-		var req Request
-		var resp Response
-		if err := json.Unmarshal(sc.Bytes(), &req); err != nil {
-			resp = Response{Err: fmt.Sprintf("bad request: %v", err)}
-		} else {
-			resp = s.handle(req)
-		}
+		resp := s.serveLine(sc.Bytes())
 		if err := enc.Encode(&resp); err != nil {
 			return
 		}
 	}
+}
+
+// serveLine answers one request line, whatever bytes it holds: a line
+// that does not decode is answered with an error like any other.
+func (s *Server) serveLine(line []byte) Response {
+	var req Request
+	if err := json.Unmarshal(line, &req); err != nil {
+		return Response{Err: fmt.Sprintf("bad request: %v", err)}
+	}
+	return s.handle(req)
 }
 
 func (s *Server) handle(req Request) Response {

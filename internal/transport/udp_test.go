@@ -170,7 +170,7 @@ func TestEveryKindRoundTripsOverUDP(t *testing.T) {
 	b.SetHandler(got.handle)
 
 	var want []*wire.Msg
-	for k := wire.KPrepare; k <= wire.KChildAbort; k++ {
+	for _, k := range wire.Kinds() {
 		m := &wire.Msg{
 			Kind:         k,
 			TID:          tid.Top(tid.MakeFamily(1, uint32(k))),

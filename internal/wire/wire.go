@@ -35,7 +35,7 @@ const (
 	KVote      // subordinate → coordinator: yes / no / read-only
 	KCommit    // coordinator → subordinate: outcome commit
 	KAbort     // coordinator → subordinate: outcome abort (also abort protocol)
-	KCommitAck // subordinate → coordinator: commit record stable (may be piggybacked)
+	KCommitAck // subordinate → coordinator, every protocol: outcome acknowledged (usually piggybacked)
 
 	// Non-blocking commit.
 	KNBPrepare      // carries full site list and quorum sizes (change 1)
@@ -43,7 +43,7 @@ const (
 	KNBReplicate    // replication phase: commit-intent to force (change 3)
 	KNBReplicateAck // intent forced
 	KNBOutcome      // notify phase: final outcome
-	KNBOutcomeAck   // outcome recorded (lets the coordinator forget, change 4)
+	_               // retired (NB-OUTCOME-ACK); the slot stays so later kinds keep their numbers
 	KNBStatusReq    // promoted coordinator asking where everyone stands (change 2)
 	KNBStatusResp   // site's protocol state
 	KNBAbortIntent  // promoted coordinator soliciting an abort-quorum record
@@ -79,8 +79,7 @@ var kindNames = map[Kind]string{
 	KPrepare: "PREPARE", KVote: "VOTE", KCommit: "COMMIT", KAbort: "ABORT",
 	KCommitAck: "COMMIT-ACK", KNBPrepare: "NB-PREPARE", KNBVote: "NB-VOTE",
 	KNBReplicate: "NB-REPLICATE", KNBReplicateAck: "NB-REPLICATE-ACK",
-	KNBOutcome: "NB-OUTCOME", KNBOutcomeAck: "NB-OUTCOME-ACK",
-	KNBStatusReq: "NB-STATUS-REQ", KNBStatusResp: "NB-STATUS-RESP",
+	KNBOutcome: "NB-OUTCOME", KNBStatusReq: "NB-STATUS-REQ", KNBStatusResp: "NB-STATUS-RESP",
 	KNBAbortIntent: "NB-ABORT-INTENT", KNBAbortIntentAck: "NB-ABORT-INTENT-ACK",
 	KInquire: "INQUIRE", KChildCommit: "CHILD-COMMIT", KChildAbort: "CHILD-ABORT",
 	KPaxosPrepare: "PAXOS-PREPARE", KPaxosVote: "PAXOS-VOTE",
