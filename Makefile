@@ -60,7 +60,9 @@ chaos:
 # acceptor forces and 2b datagrams, the non-blocking-under-any-crash
 # regression, the hazard tests of the co-location folds (core's
 # handler-level ones, chaos's torn combined block and lost 2b), and the
-# real-process coordinator-kill cluster smoke. The 200-point Paxos
+# real-process coordinator-kill cluster smokes — Paxos Commit's and the
+# non-blocking protocol's, the two that claim survivors resolve with
+# the coordinator down. The 200-point Paxos
 # sweep itself is `make chaos`'s third iteration. The outcome
 # acknowledgement's path is shared by all three protocols and gated
 # here too: core's ack-path table and promoted-leader regression, and
@@ -69,7 +71,7 @@ paxos:
 	$(GO) test ./camelot -run 'TestProtocolBudgetTable|TestPaxos|TestFaultFreeRunNeverRetransmits|TestBackToBackCommitsPiggybackTheirAcks'
 	$(GO) test ./internal/core -run 'TestPaxos|TestFanoutCarriesOwedAcks|TestAckPath'
 	$(GO) test ./internal/chaos -run TestPaxos
-	$(GO) test ./cmd/camelot-cluster -run TestClusterPaxosSmoke
+	$(GO) test ./cmd/camelot-cluster -run 'TestClusterPaxosSmoke|TestClusterNBMidCommitKill'
 
 # A short fuzz of the two decoders hostile bytes reach first. Arbitrary
 # bytes as the log's final block must never panic recovery and never
@@ -129,7 +131,7 @@ golden: lint
 
 # Machine-readable benchmark report for the performance trajectory:
 # every simulated table plus the host-dependent real-runtime scaling
-# experiment (R1). Real-network latency is cmd/camelot-perf's job (make
+# experiment (R10). Real-network latency is cmd/camelot-perf's job (make
 # perf-compare), saturation is make loadgen's. CI archives the file per
 # commit; the checked-in BENCH_*.json files are history, not outputs.
 bench:

@@ -17,7 +17,7 @@
 // -json emits the camelot-bench/v1 machine-readable report instead of
 // text, so successive commits can archive the report and track a
 // performance trajectory. -realtime appends the host-dependent
-// multi-family scaling experiment (R1), which measures this machine
+// multi-family scaling experiment (R10), which measures this machine
 // rather than the simulated testbed. Real-network latency per protocol
 // and per write-set span is cmd/camelot-perf's job (its dist-* and
 // local-update/wide-2pc workloads), on the real RealNode/ctl/file-WAL
@@ -167,7 +167,7 @@ func main() {
 	case *only == "":
 		exp.RunAll(w, *quick)
 		if *realtime {
-			fmt.Fprintln(w, "\n== R1: real-runtime family scaling (this host) ==")
+			fmt.Fprintln(w, "\n== R10: real-runtime family scaling (this host) ==")
 			fmt.Fprintln(w)
 			fmt.Fprintln(w, scaling())
 		}

@@ -12,6 +12,8 @@ import (
 
 	"camelot/camelot"
 	"camelot/internal/netem"
+	"camelot/internal/wire"
+	"camelot/internal/workload"
 )
 
 // defaultNetemDuration is the fault-phase length when the schedule
@@ -33,8 +35,8 @@ type experiment struct {
 	// applies once progress reaches its mark and every entry before it
 	// has applied.
 	faults []netem.ProcFault
-	// plan is the planner: transaction i of the workload.
-	plan func(d *driver, i int) plan
+	// planner plans transaction i of the workload.
+	planner func(d *driver, i int) workload.Plan
 	// pace is the pause after each transaction.
 	pace time.Duration
 	// killed is the first site the plan SIGKILLs; zero if none.
@@ -78,8 +80,8 @@ func killRestart(cfg config, victim camelot.SiteID) (*experiment, error) {
 			{Site: uint32(victim), AtMs: killAt, Op: netem.OpKill},
 			{Site: uint32(victim), AtMs: restartAt, Op: netem.OpRestart},
 		},
-		plan: func(d *driver, i int) plan {
-			return planMix(rng, i, d.smap, d.txns, protocolFor(cfg.Protocol, i))
+		planner: func(d *driver, i int) workload.Plan {
+			return workload.Mix(rng, i, d.smap, d.txns, protocolFor(cfg.Protocol, i))
 		},
 		killed: victim,
 	}
@@ -92,23 +94,24 @@ func killRestart(cfg config, victim camelot.SiteID) (*experiment, error) {
 	// resolve their shards of it — and release its locks — before the
 	// plan's restart lets the coordinator back.
 	x.faults = x.faults[1:]
-	mix := x.plan
-	x.plan = func(d *driver, i int) plan {
+	mix := x.planner
+	x.planner = func(d *driver, i int) workload.Plan {
 		if i != killAt {
 			return mix(d, i)
 		}
-		p := planAcross(i, d.smap, d.smap.Sites(), victim, protocolFor(cfg.Protocol, i))
+		p := workload.Across(fmt.Sprintf("t%04d", i), d.smap, d.smap.Sites(), victim, protocolFor(cfg.Protocol, i))
 		var witnesses []*proc
-		for _, w := range p.tx.Writes {
+		for _, w := range p.Tx.Writes {
 			if w.Site != victim {
 				witnesses = append(witnesses, d.procs[w.Site])
 			}
 		}
-		kill := killMidCommit(d.procs[victim], witnesses)
-		p.commitVia = func(commit func() error) error {
-			err := kill(commit)
+		p.CommitVia = func(commit func() error) error {
+			err := killMidCommit(d.procs[victim], witnesses, commit)
 			time.Sleep(20 * cfg.Retry)
-			d.rep.Violations = append(d.rep.Violations, survivorsResolved(d.procs, p.tx)...)
+			violations, notes := survivorsResolved(d.procs, p.Tx, p.Protocol)
+			d.rep.Violations = append(d.rep.Violations, violations...)
+			d.rep.Notes = append(d.rep.Notes, notes...)
 			return err
 		}
 		return p
@@ -133,7 +136,7 @@ func storm(cfg config) (*experiment, error) {
 	x := &experiment{
 		progress: func(_ int, elapsed time.Duration) int { return int(elapsed / time.Millisecond) },
 		end:      sched.DurationMs,
-		plan:     (*driver).planStorm,
+		planner:  (*driver).planStorm,
 		pace:     20 * time.Millisecond,
 		schedule: &sched,
 		walFail:  make(map[camelot.SiteID]int),
@@ -297,7 +300,7 @@ func (d *driver) checkWALFault(id camelot.SiteID, failAppend int) {
 
 // planStorm plans storm-phase transaction i: one key at every site
 // the driver can currently reach, the coordinator rotating over them.
-func (d *driver) planStorm(i int) plan {
+func (d *driver) planStorm(i int) workload.Plan {
 	var avail []camelot.SiteID
 	for _, id := range d.sites {
 		if d.client(id) != nil {
@@ -308,5 +311,17 @@ func (d *driver) planStorm(i int) plan {
 	if len(avail) > 0 {
 		coord = avail[i%len(avail)]
 	}
-	return planAcross(i, d.smap, avail, coord, protocolFor(d.cfg.Protocol, i))
+	return workload.Across(fmt.Sprintf("t%04d", i), d.smap, avail, coord, protocolFor(d.cfg.Protocol, i))
+}
+
+// protocolFor returns transaction i's commit protocol: the pinned one,
+// else its turn in the cycle through every protocol, so an unpinned
+// run exercises commitment under all of them.
+func protocolFor(pinned string, i int) wire.Protocol {
+	if pinned == "" {
+		cycle := wire.Protocols()
+		return cycle[i%len(cycle)]
+	}
+	p, _ := wire.ParseProtocol(pinned) // run refused a name that does not parse
+	return p
 }

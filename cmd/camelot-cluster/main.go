@@ -57,6 +57,7 @@ import (
 	"camelot/internal/oracle"
 	"camelot/internal/shardmap"
 	"camelot/internal/wire"
+	"camelot/internal/workload"
 )
 
 // ReportSchema identifies the -json output format.
@@ -165,6 +166,9 @@ type report struct {
 	// site just before the heal; one that never fired is a violation.
 	WALFaults  []walFaultReport `json:"wal_faults,omitempty"`
 	Violations []string         `json:"violations"`
+	// Notes is what a run observed that its protocol allows: the
+	// mid-commit kill under two-phase commit leaves survivors blocked.
+	Notes []string `json:"notes,omitempty"`
 	// The layout, and what the workload made of it. ReadOnlyCommitted
 	// counts committed transactions that carried a read-only
 	// participant (the read-only vote over real UDP).
@@ -188,6 +192,9 @@ func (r *report) print(w *os.File) {
 		r.Sent, r.Recv, r.Dropped, r.Oversize, r.Retransmits, r.Inquiries)
 	for _, f := range r.WALFaults {
 		fmt.Fprintf(w, "  wal fault: site %d after %d device writes: %s\n", f.Site, f.DeviceWrites, f.Err)
+	}
+	for _, n := range r.Notes {
+		fmt.Fprintf(w, "  note: %s\n", n)
 	}
 	if len(r.Violations) == 0 {
 		fmt.Fprintf(w, "  oracle: all invariants hold\n")
@@ -530,7 +537,7 @@ func (d *driver) revive(phase string) error {
 // reaches its mark — between transactions, never under one.
 func (d *driver) faultPhase() {
 	x := d.x
-	exec := &executor{client: d.client}
+	exec := &workload.Executor{Client: d.client}
 	pending := x.faults
 	x.clock.Start()
 	for i := 0; x.progress(i, x.clock.Elapsed()) < x.end; i++ {
@@ -538,7 +545,8 @@ func (d *driver) faultPhase() {
 			d.applyProcFault(pending[0])
 			pending = pending[1:]
 		}
-		d.txns = append(d.txns, exec.run(x.plan(d, i)))
+		tx, _ := exec.Run(x.planner(d, i)) // the oracle judges the outcome; the error only says why
+		d.txns = append(d.txns, tx)
 		time.Sleep(x.pace)
 	}
 	// What the plan still holds came due under the last transaction (a
@@ -548,8 +556,8 @@ func (d *driver) faultPhase() {
 		d.applyProcFault(f)
 	}
 	d.rep.Txns = len(d.txns)
-	d.rep.Unavailable = exec.unavailable
-	d.rep.ReadOnlyCommitted = exec.readOnlyCommitted
+	d.rep.Unavailable = exec.Unavailable
+	d.rep.ReadOnlyCommitted = exec.ReadOnlyCommitted
 }
 
 // heal undoes whatever the fault plan left behind: frozen processes

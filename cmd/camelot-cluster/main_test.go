@@ -115,7 +115,7 @@ func TestClusterSmoke(t *testing.T) {
 	// emulator's tallies appear, while the retry ledger and the deadline
 	// count — once the netem report's alone — do.
 	got, keys := decodeReport(t, rep)
-	for _, k := range []string{"schedule", "emulator", "wal_faults"} {
+	for _, k := range []string{"schedule", "emulator", "wal_faults", "notes"} {
 		if _, ok := keys[k]; ok {
 			t.Errorf("report carries %q though no schedule ran", k)
 		}
@@ -239,6 +239,72 @@ func TestClusterPaxosSmoke(t *testing.T) {
 	}
 	t.Logf("outcomes: %d committed, %d aborted, %d unknown, %d skipped; transport: %d sent, %d recv, %d dropped",
 		rep.Committed, rep.Aborted, rep.Unknown, rep.Skipped, rep.Sent, rep.Recv, rep.Dropped)
+}
+
+// TestClusterNBMidCommitKill is TestClusterPaxosSmoke's claim for the
+// other protocol that makes it: the coordinator of an all-site
+// non-blocking commit is SIGKILLed with the commit in flight, and the
+// survivors must resolve it — locks free, pieces agreeing — while it is
+// still down. The probe reads each piece under its lock; the one it
+// replaced wrote and peeked, and reported its own write as a
+// disagreement in 5 runs of 11.
+func TestClusterNBMidCommitKill(t *testing.T) {
+	bin := nodeBin(t)
+
+	rep, err := run(config{
+		Nodes:         3,
+		Txns:          2,
+		Seed:          1,
+		Protocol:      "nb",
+		NodeBin:       bin,
+		KillMidCommit: true,
+		Retry:         25 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range rep.Violations {
+		t.Errorf("oracle violation: %s", v)
+	}
+	if len(rep.Notes) != 0 {
+		t.Errorf("notes = %q; the non-blocking protocol has nothing to excuse", rep.Notes)
+	}
+}
+
+// TestCluster2PCMidCommitKillBlocks: the same kill under two-phase
+// commit leaves the prepared survivors blocked on the dead coordinator,
+// which is what 2PC does, not a violation. The run must come back clean
+// with the blocked survivors named in the report's notes, and resolve
+// them once the heal brings the coordinator back.
+func TestCluster2PCMidCommitKillBlocks(t *testing.T) {
+	bin := nodeBin(t)
+
+	rep, err := run(config{
+		Nodes:         3,
+		Txns:          1,
+		Seed:          1,
+		Protocol:      "2pc",
+		NodeBin:       bin,
+		KillMidCommit: true,
+		Retry:         25 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range rep.Violations {
+		t.Errorf("oracle violation: %s", v)
+	}
+	if len(rep.Notes) == 0 {
+		t.Error("no note: the survivors of a 2PC coordinator killed mid-commit were not found blocked")
+	}
+	for _, n := range rep.Notes {
+		if !strings.HasPrefix(n, "blocked, as 2pc is: ") {
+			t.Errorf("note %q does not say blocked", n)
+		}
+	}
+	if _, keys := decodeReport(t, rep); keys["notes"] == nil {
+		t.Error(`report lacks "notes"`)
+	}
 }
 
 // TestClusterHealsBeforeOracle pins the heal step on the shortest

@@ -15,6 +15,7 @@ import (
 	"camelot/internal/transport"
 	"camelot/internal/wal"
 	"camelot/internal/wire"
+	"camelot/internal/workload"
 )
 
 // recoverDelay is how long a crashed site stays down before the
@@ -345,26 +346,18 @@ func (e *engine) replicatedPlan(i int) (oracle.Txn, func(*camelot.Tx) error) {
 	}
 }
 
-// shardedPlan is the keyspace workload's transaction i: one key homed
-// at every placed site — distinct keys on distinct shards, so
+// shardedPlan is the keyspace workload's transaction i: workload.Across
+// over every placed site — distinct keys on distinct shards, so
 // commitment must be atomic across shards rather than replicas — and,
 // every third transaction, a rotating shared hot key (the skew).
 // Writes route by key through the shard map.
 func (e *engine) shardedPlan(i int) (oracle.Txn, func(*camelot.Tx) error) {
-	writes := []oracle.Write{}
-	for j, id := range e.smap.Sites() {
-		if key, err := e.smap.KeyAt(fmt.Sprintf("k%d.x%d", i, j), id); err == nil {
-			writes = append(writes, oracle.Write{Key: key, Site: id})
-		}
-	}
+	p := workload.Across(fmt.Sprintf("k%d", i), e.smap, e.smap.Sites(), 1, e.sched.Protocol)
 	if i%3 == 0 {
-		hot := fmt.Sprintf("hot%d", i%5)
-		if home := e.smap.SiteOf(hot); home != 0 {
-			writes = append(writes, oracle.Write{Key: hot, Site: home, Shared: true})
-		}
+		p.AddShared(e.smap, fmt.Sprintf("hot%d", i%5))
 	}
-	return oracle.Txn{Writes: writes}, func(tx *camelot.Tx) error {
-		for _, w := range writes {
+	return p.Tx, func(tx *camelot.Tx) error {
+		for _, w := range p.Tx.Writes {
 			if err := tx.WriteKey(w.Key, []byte("v")); err != nil {
 				return err
 			}

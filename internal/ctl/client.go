@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"camelot/camelot"
+	"camelot/internal/server"
 	"camelot/internal/tid"
 	"camelot/internal/wire"
 )
@@ -29,16 +30,18 @@ var ErrAborted = camelot.ErrAborted
 // the client once the node is back.
 var ErrUnavailable = errors.New("ctl: node unavailable")
 
-// Typed keyspace-routing errors, mirrored across the control plane
-// from the data tier (Response.Code carries the class; the client
-// rehydrates it so errors.Is works driver-side exactly as it does
-// in-process).
+// Typed keyspace errors, mirrored across the control plane from the
+// data tier (Response.Code carries the class; the client rehydrates it
+// so errors.Is works driver-side exactly as it does in-process).
 var (
 	// ErrNoShard reports a key no shard map entry covers.
 	ErrNoShard = camelot.ErrNoShard
 	// ErrWrongSite reports a key whose home shard is hosted at a
 	// different site than the one addressed.
 	ErrWrongSite = camelot.ErrWrongSite
+	// ErrNoSuchKey reports a read, made under the key's lock, of a key
+	// that has no value.
+	ErrNoSuchKey = server.ErrNoSuchKey
 )
 
 // codeError rehydrates a Response's typed error class.
@@ -48,6 +51,8 @@ func codeError(resp Response) error {
 		return fmt.Errorf("%w: %s", ErrNoShard, resp.Err)
 	case CodeWrongSite:
 		return fmt.Errorf("%w: %s", ErrWrongSite, resp.Err)
+	case CodeNoKey:
+		return fmt.Errorf("%w: %s", ErrNoSuchKey, resp.Err)
 	}
 	return nil
 }
@@ -293,7 +298,9 @@ func (c *Client) WriteKey(t camelot.TID, key string, val []byte) error {
 	return err
 }
 
-// ReadKey reads key under t, routed by the node's shard map.
+// ReadKey reads key under t, routed by the node's shard map. A key
+// with no value fails with ErrNoSuchKey — t holds its shared lock all
+// the same.
 func (c *Client) ReadKey(t camelot.TID, key string) ([]byte, error) {
 	resp, err := c.do(Request{Op: OpReadKey,
 		Family: uint64(t.Family), Seq: uint64(t.Seq), Key: key})

@@ -24,6 +24,7 @@ import (
 	"sync"
 
 	"camelot/camelot"
+	"camelot/internal/server"
 	"camelot/internal/tid"
 	"camelot/internal/wire"
 )
@@ -46,12 +47,14 @@ const (
 )
 
 // Typed error codes carried in Response.Code, so drivers classify
-// routing rejections without parsing error strings. A keyspace
-// request the site can never serve fails immediately with one of
-// these — loudly, instead of timing out.
+// keyspace answers without parsing error strings. A request the site
+// can never serve fails immediately with a routing code — loudly,
+// instead of timing out; a read the site did serve, of a key with no
+// value, answers CodeNoKey.
 const (
 	CodeNoShard   = "no-shard"   // key belongs to no placed shard
 	CodeWrongSite = "wrong-site" // key's home shard is hosted elsewhere
+	CodeNoKey     = "no-key"     // read under its lock, and it has no value
 )
 
 // Request is one control-plane request. TIDs travel as their two
@@ -84,8 +87,8 @@ type Response struct {
 	Present bool   `json:"present,omitempty"`
 	Outcome string `json:"outcome,omitempty"`
 	Stats   *Stats `json:"stats,omitempty"`
-	// Code is the typed error class for keyspace routing rejections
-	// (CodeNoShard, CodeWrongSite); empty otherwise.
+	// Code is the typed error class of a keyspace answer (CodeNoShard,
+	// CodeWrongSite, CodeNoKey); empty otherwise.
 	Code string `json:"code,omitempty"`
 	// ShardMap is the node's canonical serialized shard map (OpShardMap).
 	ShardMap []byte `json:"shardmap,omitempty"`
@@ -267,7 +270,7 @@ func (s *Server) handle(req Request) Response {
 		if err != nil {
 			return routeErrResponse(err)
 		}
-		return Response{OK: true, Val: val, Present: val != nil}
+		return Response{OK: true, Val: val}
 
 	case OpPeekKey:
 		val, ok, err := n.PeekKey(req.Key)
@@ -309,9 +312,10 @@ func (s *Server) handle(req Request) Response {
 	}
 }
 
-// routeErrResponse classifies a keyspace-routing failure into its
-// typed code so the driver rejects loudly instead of retrying or
-// timing out; other errors pass through untyped.
+// routeErrResponse classifies a keyspace failure into its typed code:
+// a routing rejection, so the driver rejects loudly instead of retrying
+// or timing out, or a read of a key with no value, so a prober tells
+// "absent" from "locked"; other errors pass through untyped.
 func routeErrResponse(err error) Response {
 	resp := Response{Err: err.Error()}
 	switch {
@@ -319,6 +323,8 @@ func routeErrResponse(err error) Response {
 		resp.Code = CodeNoShard
 	case errors.Is(err, camelot.ErrWrongSite):
 		resp.Code = CodeWrongSite
+	case errors.Is(err, server.ErrNoSuchKey):
+		resp.Code = CodeNoKey
 	}
 	return resp
 }

@@ -151,6 +151,37 @@ func TestCtlRefusesUnknownProtocol(t *testing.T) {
 	}
 }
 
+// TestCtlReadOfAbsentKeyIsTyped: a read the site served, of a key with
+// no value, comes back as ErrNoSuchKey — the class a prober needs to
+// tell "absent" from "could not take the lock" — and not as either
+// routing error; once the key has a value the same read succeeds.
+func TestCtlReadOfAbsentKeyIsTyped(t *testing.T) {
+	m, err := shardmap.New(2, 4, []camelot.SiteID{1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, c := startShardedNode(t, 1, m)
+	key := keyAt(t, m, "absent", 1)
+
+	bt, err := c.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	val, err := c.ReadKey(bt, key)
+	if !errors.Is(err, ErrNoSuchKey) || errors.Is(err, ErrNoShard) || errors.Is(err, ErrWrongSite) {
+		t.Fatalf("ReadKey(absent) = %q, %v; want ErrNoSuchKey", val, err)
+	}
+	if err := c.WriteKey(bt, key, []byte("v")); err != nil {
+		t.Fatalf("WriteKey under the reader's own lock: %v", err)
+	}
+	if val, err := c.ReadKey(bt, key); err != nil || !bytes.Equal(val, []byte("v")) {
+		t.Fatalf("ReadKey after the write = %q, %v", val, err)
+	}
+	if err := c.Abort(bt); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestCtlShardedRoundTrip drives the happy path over the control
 // plane: shard map agreement, a routed write, commit, and the routed
 // presence check the oracle uses.

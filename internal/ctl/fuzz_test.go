@@ -21,6 +21,7 @@ func FuzzRequestLine(f *testing.F) {
 		`{"op":"begin"}`,
 		`{"op":"writekey","family":4294967297,"seq":1,"key":"k","val":"dg=="}`,
 		`{"op":"readkey","family":4294967297,"key":"k"}`,
+		`{"op":"readkey","family":4294967297,"key":"absent"}`,
 		`{"op":"addsites","family":4294967297,"sites":[1]}`,
 		`{"op":"commit","family":4294967297,"protocol":"paxos"}`,
 		`{"op":"commit","family":4294967297,"protocol":"paxso"}`,

@@ -121,7 +121,7 @@ func MeasureRealtimeScaling(procs, workers int, window time.Duration) RealtimeSc
 // speedup relative to the first measured point.
 func RealtimeScaling(procs []int, workers int, window time.Duration) *stats.Table {
 	t := stats.NewTable(
-		fmt.Sprintf("R1: Real-Runtime Family Scaling (%d workers, %s window)", workers, window),
+		fmt.Sprintf("R10: Real-Runtime Family Scaling (%d workers, %s window)", workers, window),
 		"GOMAXPROCS", "TPS", "speedup")
 	base := 0.0
 	for _, p := range procs {

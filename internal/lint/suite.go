@@ -19,7 +19,8 @@ var ModuleAnalyzers = []*ModuleAnalyzer{KindSurface, RecSurface}
 // deterministicPkgs are the packages whose execution must replay
 // byte-identically under the simulation kernel: the protocol core,
 // the kernel itself, the log, the simulated network, the trace layer,
-// and the public assembly that wires them together. internal/det is
+// the public assembly that wires them together, and the workload
+// planners (a seed names one workload). internal/det is
 // deliberately absent — it is the one sanctioned home for raw map
 // ranges.
 var deterministicPkgs = map[string]bool{
@@ -33,6 +34,7 @@ var deterministicPkgs = map[string]bool{
 	"camelot/internal/oracle":    true,
 	"camelot/internal/shardmap":  true,
 	"camelot/internal/load":      true,
+	"camelot/internal/workload":  true,
 }
 
 // InScope reports whether the analyzer applies to the package. The

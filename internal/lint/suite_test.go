@@ -38,6 +38,7 @@ func TestScope(t *testing.T) {
 		{lint.MapRange, "camelot/internal/sim", true},
 		{lint.MapRange, "camelot/internal/det", false}, // the sanctioned range site
 		{lint.MapRange, "camelot/internal/exp", false},
+		{lint.MapRange, "camelot/internal/workload", true}, // a seed names one workload
 		{lint.WallTime, "camelot/internal/core", true},
 		{lint.WallTime, "camelot/internal/exp", true},
 		{lint.WallTime, "camelot/internal/rt", false}, // the real-runtime adapter

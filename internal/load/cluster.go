@@ -1,17 +1,17 @@
 package load
 
 import (
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
-	"sync/atomic"
+	"strconv"
 	"time"
 
 	"camelot/camelot"
 	"camelot/internal/ctl"
 	"camelot/internal/shardmap"
 	"camelot/internal/wire"
+	"camelot/internal/workload"
 )
 
 // ClusterConfig describes the real cluster the generator drives.
@@ -34,17 +34,15 @@ type ClusterConfig struct {
 
 // Cluster is an N-site in-process deployment with its control plane,
 // plus the client machinery the generator needs: one connection pool
-// per site and a unique-key source honoring the shard map.
+// per site and the shard map operations are planned against.
 type Cluster struct {
-	cfg    ClusterConfig
-	nodes  []*camelot.RealNode
-	ctls   []*ctl.Server
-	pools  []*ctl.Pool
-	smap   *shardmap.Map
-	keyCtr atomic.Int64
+	nodes []*camelot.RealNode
+	ctls  []*ctl.Server
+	pools []*ctl.Pool
+	smap  *shardmap.Map
 
-	// startStats snapshots per-site counters at StartCluster so a
-	// report can charge only this run's work.
+	// Counters' baselines, taken at StartCluster so a report can charge
+	// only this run's work.
 	walAppends0, walWrites0 int
 	sent0, recv0, dropped0  int
 }
@@ -64,7 +62,7 @@ func StartCluster(cfg ClusterConfig) (*Cluster, error) {
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("load: cluster dir: %w", err)
 	}
-	c := &Cluster{cfg: cfg}
+	c := &Cluster{}
 	var sites []camelot.SiteID
 	for i := 1; i <= cfg.Sites; i++ {
 		sites = append(sites, camelot.SiteID(i))
@@ -109,30 +107,16 @@ func StartCluster(cfg ClusterConfig) (*Cluster, error) {
 		c.ctls = append(c.ctls, s)
 		c.pools = append(c.pools, ctl.NewPool(s.Addr(), cfg.CallTimeout, cfg.Sessions))
 	}
-	c.snapshot()
+	// The baselines are still zero, so this reads the boot's own totals.
+	c.walAppends0, c.walWrites0, c.sent0, c.recv0, c.dropped0 = c.Counters()
 	return c, nil
 }
 
-// snapshot records the WAL and transport baselines.
-func (c *Cluster) snapshot() {
-	c.walAppends0, c.walWrites0 = 0, 0
-	c.sent0, c.recv0, c.dropped0 = 0, 0, 0
-	for _, n := range c.nodes {
-		a, w := n.LogStats()
-		c.walAppends0 += a
-		c.walWrites0 += w
-		s, r, d := n.Peer().Stats()
-		c.sent0 += s
-		c.recv0 += r
-		c.dropped0 += d
-	}
-}
-
 // Counters returns the cluster-wide WAL and transport deltas since
-// StartCluster (or the last snapshot): log records appended, device
-// writes — blocks made durable, one write and one fsync each, which
-// group commit fills with every record pending when the write is
-// issued — and datagrams sent/received/dropped.
+// StartCluster: log records appended, device writes — blocks made
+// durable, one write and one fsync each, which group commit fills with
+// every record pending when the write is issued — and datagrams
+// sent/received/dropped.
 func (c *Cluster) Counters() (walAppends, walDeviceWrites, sent, recv, dropped int) {
 	for _, n := range c.nodes {
 		a, w := n.LogStats()
@@ -170,65 +154,42 @@ func (c *Cluster) Close() {
 	}
 }
 
-// keyFor mints a fresh key homed at site. Keys are unique across the
-// run so the workload measures the commit path, not lock contention.
-func (c *Cluster) keyFor(site camelot.SiteID) (string, error) {
-	return c.smap.KeyAt("k"+itoa(int(c.keyCtr.Add(1))), site)
+// Clients returns one operation's client function: a site's connection
+// is taken from its pool on first use (nil if none can be had) and kept
+// until release hands every one taken back.
+func (c *Cluster) Clients() (client func(camelot.SiteID) *ctl.Client, release func()) {
+	held := make([]*ctl.Client, len(c.pools))
+	client = func(id camelot.SiteID) *ctl.Client {
+		i := int(id) - 1
+		if held[i] == nil {
+			held[i], _ = c.pools[i].Get() // a failed Get leaves nil: unreachable
+		}
+		return held[i]
+	}
+	release = func() {
+		for i, cl := range held {
+			c.pools[i].Put(cl)
+		}
+	}
+	return client, release
 }
 
-// Txn drives one distributed update through the cluster over ctl:
-// the session's round-robin coordinator plus one remote participant,
-// one write each, committed under the given protocol. A clean abort
-// counts as a completed operation — the protocol answered — so only
-// infrastructure failures (unavailable node, timeout, routing error)
-// surface as errors.
-func (c *Cluster) Txn(session, seq int, protocol wire.Protocol) error {
-	n := len(c.nodes)
-	coordIdx := session % n
-	remoteIdx := (coordIdx + 1) % n
-
-	coord, err := c.pools[coordIdx].Get()
-	if err != nil {
-		return err
+// Update is one loadgen operation, arrival i of the schedule: a fresh
+// key (unique across the run, so the workload measures the commit path,
+// not lock contention) at the session's round-robin coordinator and at
+// the next site, planned and driven by internal/workload like every
+// other real-cluster transaction. A clean abort is a completed
+// operation — the protocol answered; only what cut the transaction
+// short (unavailable node, timeout, routing error) is an error.
+func (c *Cluster) Update(session, i int, protocol wire.Protocol) error {
+	coord := c.nodes[session%len(c.nodes)].ID()
+	sites := []camelot.SiteID{coord}
+	if next := c.nodes[(session+1)%len(c.nodes)].ID(); next != coord {
+		sites = append(sites, next)
 	}
-	defer c.pools[coordIdx].Put(coord)
-
-	t, err := coord.Begin()
-	if err != nil {
-		return err
-	}
-	if err := c.write(coord, coordIdx, t); err != nil {
-		coord.Abort(t) //nolint:errcheck // already failing
-		return err
-	}
-	if remoteIdx != coordIdx {
-		remote, err := c.pools[remoteIdx].Get()
-		if err != nil {
-			coord.Abort(t) //nolint:errcheck // already failing
-			return err
-		}
-		werr := c.write(remote, remoteIdx, t)
-		c.pools[remoteIdx].Put(remote)
-		if werr != nil {
-			coord.Abort(t) //nolint:errcheck // already failing
-			return werr
-		}
-		if err := coord.AddSites(t, []camelot.SiteID{c.nodes[remoteIdx].ID()}); err != nil {
-			coord.Abort(t) //nolint:errcheck // already failing
-			return err
-		}
-	}
-	if _, err := coord.CommitWith(t, protocol.String()); err != nil && !errors.Is(err, ctl.ErrAborted) {
-		return err
-	}
-	return nil
-}
-
-// write performs one update of a fresh key at the node behind cl.
-func (c *Cluster) write(cl *ctl.Client, nodeIdx int, t camelot.TID) error {
-	key, err := c.keyFor(c.nodes[nodeIdx].ID())
-	if err != nil {
-		return err
-	}
-	return cl.WriteKey(t, key, []byte("v"))
+	client, release := c.Clients()
+	defer release()
+	ex := workload.Executor{Client: client}
+	_, err := ex.Run(workload.Across("k"+strconv.Itoa(i), c.smap, sites, coord, protocol))
+	return err
 }

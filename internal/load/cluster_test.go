@@ -38,7 +38,7 @@ func TestClusterLoadgenSmoke(t *testing.T) {
 		Seed:     1,
 	}
 	res, err := Run(rt.Real(), cfg, func(i int) error {
-		return c.Txn(i%sessions, i, wire.TwoPhase)
+		return c.Update(i%sessions, i, wire.TwoPhase)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -63,24 +63,6 @@ func TestClusterLoadgenSmoke(t *testing.T) {
 	// the session count, far below one dial per operation.
 	if d := c.Dials(); d > 4*sessions {
 		t.Fatalf("pools dialed %d times for %d ops — pooling is not recycling", d, res.Done)
-	}
-}
-
-// TestClusterTxnAllProtocols commits one transaction under each
-// protocol to pin the ctl plumbing per protocol name.
-func TestClusterTxnAllProtocols(t *testing.T) {
-	if testing.Short() {
-		t.Skip("boots a real cluster")
-	}
-	c, err := StartCluster(ClusterConfig{Sites: 3, Dir: t.TempDir(), Sessions: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	for _, proto := range wire.Protocols() {
-		if err := c.Txn(0, 0, proto); err != nil {
-			t.Fatalf("%v: %v", proto, err)
-		}
 	}
 }
 

@@ -17,9 +17,16 @@
 // without bound, which is exactly the honest signal (paper §4.4
 // measures throughput at saturation; our tail tables show the
 // approach to it).
+//
+// Latencies go into Hist — fixed buckets, bounded memory, no allocation
+// however long the run — which is deliberately not merged with
+// internal/stats' Sample: that one keeps every observation for the exact
+// mean ± σ of the golden-pinned simulation tables, which bucketing
+// would move.
 package load
 
 import (
+	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -140,19 +147,5 @@ func Run(r rt.Runtime, cfg Config, op func(index int) error) (*Result, error) {
 // nameSession labels a session thread for traces and deadlock
 // reports without fmt on the spawn path.
 func nameSession(s int) string {
-	return "load-session-" + itoa(s)
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var b [20]byte
-	i := len(b)
-	for n > 0 {
-		i--
-		b[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(b[i:])
+	return "load-session-" + strconv.Itoa(s)
 }

@@ -161,7 +161,7 @@ func runCell(r rt.Runtime, cfg BenchConfig, proto wire.Protocol, rate float64) (
 		Seed:     cfg.Seed,
 	}
 	res, err := Run(r, lcfg, func(i int) error {
-		return c.Txn(i%cfg.Sessions, i, proto)
+		return c.Update(i%cfg.Sessions, i, proto)
 	})
 	if err != nil {
 		return Row{}, err

@@ -2,6 +2,11 @@
 // toolkit used by the experiment harness: sample accumulation,
 // mean/standard deviation (the paper reports both for every latency
 // figure), and percentiles.
+//
+// Sample keeps every observation — the exact mean ± σ the golden-pinned
+// simulation tables print — and is deliberately not merged with
+// internal/load's Hist, which buckets (7 % quantile error) to record
+// an open-loop run of any length in bounded memory.
 package stats
 
 import (
