@@ -66,10 +66,14 @@ chaos:
 # sweep itself is `make chaos`'s third iteration. The outcome
 # acknowledgement's path is shared by all three protocols and gated
 # here too: core's ack-path table and promoted-leader regression, and
-# the real-runtime piggybacking and no-retransmit runs.
+# the real-runtime piggybacking and no-retransmit runs. So is the one
+# table of stalled-family steps every protocol's timers and recovery
+# enter (core's tick/Restore table), with the two non-blocking split
+# decisions it closed: a pledged coordinator replicating, and a pledge
+# forgotten across a restart.
 paxos:
-	$(GO) test ./camelot -run 'TestProtocolBudgetTable|TestPaxos|TestFaultFreeRunNeverRetransmits|TestBackToBackCommitsPiggybackTheirAcks'
-	$(GO) test ./internal/core -run 'TestPaxos|TestFanoutCarriesOwedAcks|TestAckPath'
+	$(GO) test ./camelot -run 'TestProtocolBudgetTable|TestPaxos|TestFaultFreeRunNeverRetransmits|TestBackToBackCommitsPiggybackTheirAcks|TestNBPledgedCoordinatorDoesNotReplicate|TestNBAbortIntentSurvivesRestart'
+	$(GO) test ./internal/core -run 'TestPaxos|TestFanoutCarriesOwedAcks|TestAckPath|TestStalledFamilyStep|TestRestoreFloorAndResolvedOutcomes'
 	$(GO) test ./internal/chaos -run TestPaxos
 	$(GO) test ./cmd/camelot-cluster -run 'TestClusterPaxosSmoke|TestClusterNBMidCommitKill'
 

@@ -6,6 +6,8 @@ import (
 	"time"
 
 	"camelot/internal/sim"
+	"camelot/internal/tid"
+	"camelot/internal/wire"
 )
 
 // These tests exercise the failure behavior that motivates the
@@ -268,6 +270,113 @@ func TestCoordinatorAbortsWhenSubNeverResponds(t *testing.T) {
 		k.Sleep(50 * time.Millisecond)
 		if _, ok := c.Node(1).Server("srv1").Peek("x"); ok {
 			t.Fatal("coordinator kept updates of an aborted transaction")
+		}
+	})
+}
+
+// kindOf names a datagram's protocol kind (KInvalid for RPC traffic).
+func kindOf(payload any) wire.Kind {
+	if msg, ok := payload.(*wire.Msg); ok {
+		return msg.Kind
+	}
+	return wire.KInvalid
+}
+
+// nbSplitAttempt writes one key at each of sites 1–3, installs drop
+// (consulted with the time since installation) until the end of a 2 s
+// fault phase, commits under the non-blocking protocol from site 1,
+// calls during 111 ms into the commit, then heals and lets everything
+// settle. Both scenarios end in an abort quorum that site 2 has acted
+// on, so the only correct answer for the client is ABORT and no site
+// may hold COMMIT.
+func nbSplitAttempt(t *testing.T, drop func(since time.Duration, from, to tid.SiteID, kind wire.Kind) bool,
+	during func(k *sim.Kernel, c *Cluster)) {
+	t.Helper()
+	runSim(t, fastConfig(), func(k *sim.Kernel, c *Cluster) {
+		tx, err := c.Node(1).Begin()
+		if err != nil {
+			t.Fatalf("Begin: %v", err)
+		}
+		for id := SiteID(1); id <= 3; id++ {
+			if err := tx.Write(srvName(id), "k", []byte{byte('0' + id)}); err != nil {
+				t.Fatalf("write at site %d: %v", id, err)
+			}
+		}
+		t0, heal := k.Now(), false
+		c.Network().SetInjector(func(from, to tid.SiteID, payload any) bool {
+			return !heal && drop(k.Now()-t0, from, to, kindOf(payload))
+		})
+		var commitErr error
+		done := false
+		k.Go("commit", func() {
+			commitErr = tx.CommitWith(Options{Protocol: NonBlocking})
+			done = true
+		})
+		k.Sleep(111 * time.Millisecond)
+		if during != nil {
+			during(k, c)
+		}
+		k.Sleep(2 * time.Second)
+		heal = true
+		k.Sleep(5 * time.Second)
+		if !done || !errors.Is(commitErr, ErrAborted) {
+			t.Errorf("client heard done=%v err=%v; site 2 aborted, so only ABORT is right", done, commitErr)
+		}
+		for id := SiteID(1); id <= 3; id++ {
+			if out := c.Node(id).TM().OutcomeOf(tx.ID().Family); out == OutcomeCommit {
+				t.Errorf("site %d resolved COMMIT after an abort quorum decided", id)
+			}
+		}
+	})
+}
+
+// A coordinator still collecting votes may pledge abort to a promoted
+// subordinate: it holds no commit intent yet. Site 2 promotes, forces
+// its pledge and gets site 1's, an abort quorum of two; it aborts, but
+// its outcome to site 1 is lost. Site 3's vote reaches site 1 only
+// after 400 ms, and site 1 must then decide abort where it would
+// replicate — replicating would commit at a quorum of site 3 and
+// itself, and its own pledge put it in the other quorum.
+func TestNBPledgedCoordinatorDoesNotReplicate(t *testing.T) {
+	nbSplitAttempt(t, func(since time.Duration, from, to tid.SiteID, kind wire.Kind) bool {
+		switch {
+		case from == 2 && to == 3:
+			return true
+		case from == 2 && to == 1:
+			return kind == wire.KNBOutcome
+		case from == 3 && to == 1:
+			late := since >= 400*time.Millisecond
+			return !late || (kind != wire.KNBVote && kind != wire.KNBReplicateAck)
+		}
+		return false
+	}, nil)
+}
+
+// Abort-intent amnesia across a restart. Both subordinates promote
+// and pledge, and site 3 decides abort on the quorum {3, 2}; it crashes
+// before its lazy ABORT record is on the log and recovers 5 ms later,
+// with only its prepare and abort-intent records. Recovery must restore
+// the pledge: restored as merely prepared, site 3 re-votes Yes, joins
+// site 1's commit quorum, and the client hears COMMIT while site 2 has
+// aborted.
+func TestNBAbortIntentSurvivesRestart(t *testing.T) {
+	phaseB := false
+	nbSplitAttempt(t, func(_ time.Duration, from, to tid.SiteID, kind wire.Kind) bool {
+		switch {
+		case from == 2 && to == 1:
+			return kind != wire.KNBVote
+		case from == 3 && to == 1:
+			return !phaseB || (kind != wire.KNBVote && kind != wire.KNBReplicateAck)
+		case from == 2 && to == 3:
+			return phaseB || kind == wire.KNBOutcome
+		}
+		return false
+	}, func(k *sim.Kernel, c *Cluster) {
+		c.Node(3).Crash()
+		phaseB = true
+		k.Sleep(5 * time.Millisecond)
+		if err := c.Node(3).Recover(); err != nil {
+			t.Fatalf("site 3 recovery: %v", err)
 		}
 	})
 }

@@ -9,7 +9,6 @@ import (
 	"camelot/internal/server"
 	"camelot/internal/tid"
 	"camelot/internal/wal"
-	"camelot/internal/wire"
 )
 
 // recoverNode runs the recovery process against the node's freshly
@@ -21,11 +20,12 @@ func recoverNode(n *Node) error {
 // recoverSite runs the recovery process for one site against its
 // freshly reopened log: load the disk manager's page image, redo the
 // retained log tail's committed updates on top of it, reinstall
-// in-doubt updates under re-acquired locks, and resume unresolved
-// commitments. An unreadable log (wal.ErrCorrupt), or one that names a
-// data server this site does not host, is returned to the caller,
-// which must keep the site down. Both incarnations of a site
-// — the simulated Node and the real-network RealNode — recover
+// in-doubt updates under re-acquired locks, and hand the analysis to
+// the transaction manager, which resumes unresolved commitments
+// (core.Manager.Restore). An unreadable log (wal.ErrCorrupt), or one
+// that names a data server this site does not host, is returned to
+// the caller, which must keep the site down. Both incarnations of a
+// site — the simulated Node and the real-network RealNode — recover
 // through this one function, so the fault coverage the chaos explorer
 // builds up against it transfers to real deployments.
 func recoverSite(id tid.SiteID, log *wal.Log, pages *diskman.PageStore, tm *core.Manager, servers map[string]*server.Server) error {
@@ -51,39 +51,16 @@ func recoverSite(id tid.SiteID, log *wal.Log, pages *diskman.PageStore, tm *core
 		}
 	}
 
-	// Never reuse a previous incarnation's family identifiers. The
-	// margin covers transactions that left no log records (read-only
-	// or never-forced) in the crashed incarnation.
-	tm.SetFamilyFloor(a.MaxLocalFamily + 1000)
-
-	// Restore the resolved-outcome memory from the retained log tail
-	// only, so status inquiries and presumed-abort inquiries for
-	// pre-crash transactions answer correctly. Outcomes absorbed into
-	// the page image stay out of RAM: the PageStore backstop wired in
-	// start answers for them directly.
-	var committed, aborted []tid.FamilyID
-	//lint:ordered feeds a resolved-outcome set; insertion order is unobservable
-	for t := range a.Committed {
-		committed = append(committed, t.Family)
-	}
-	//lint:ordered feeds a resolved-outcome set; insertion order is unobservable
-	for t := range a.Aborted {
-		if t.IsTop() {
-			aborted = append(aborted, t.Family)
-		}
-	}
-	tm.RestoreResolved(committed, aborted)
-
 	// Install the recovered image (page base + redone tail) into each
 	// server.
 	for _, name := range det.SortedKeys(data) {
 		servers[name].Install(data[name])
 	}
 
-	// Re-apply in-doubt updates under locks and resume the protocol
-	// that will resolve them.
+	// Re-apply in-doubt updates under locks; the servers holding them
+	// are the family's participants when the protocol resumes.
+	parts := make(map[tid.TID][]server.Participant, len(a.InDoubt))
 	for _, d := range a.InDoubt {
-		var parts []server.Participant
 		for _, name := range det.SortedKeys(d.Updates) {
 			srv := servers[name]
 			recs := d.Updates[name]
@@ -92,27 +69,9 @@ func recoverSite(id tid.SiteID, log *wal.Log, pages *diskman.PageStore, tm *core
 				ups = append(ups, server.RecoveredUpdate{Key: r.Key, Old: r.Old, New: r.New})
 			}
 			srv.Reacquire(d.TID, ups)
-			parts = append(parts, srv)
+			parts[d.TID] = append(parts[d.TID], srv)
 		}
-		switch d.Protocol {
-		case wire.Paxos:
-			tm.RestorePaxos(d.TID, d.Coordinator, d.Sites, d.Acceptors,
-				d.Promised, d.Accepted, d.AccForced, d.Prepared, parts)
-			continue
-		case wire.NonBlocking:
-			if d.TID.Family.Origin() == id {
-				tm.RestoreNBCoordinator(d.TID, d.Sites, d.CommitQuorum, d.AbortQuorum,
-					d.Replicated, d.Votes, parts)
-				continue
-			}
-		}
-		tm.RestorePreparedSub(d.TID, d.Coordinator, d.Protocol, d.Sites,
-			d.CommitQuorum, d.AbortQuorum, d.Replicated, d.Votes, parts)
 	}
-
-	// Re-drive decisions whose acknowledgements never all arrived.
-	for _, res := range a.Resume {
-		tm.RestoreCommittedCoordinator(res.TID, res.UpdateSubs, res.Protocol)
-	}
+	tm.Restore(a, parts)
 	return nil
 }

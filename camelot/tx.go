@@ -6,7 +6,6 @@ import (
 	"camelot/internal/commman"
 	"camelot/internal/rt"
 	"camelot/internal/server"
-	"camelot/internal/tid"
 	"camelot/internal/wire"
 )
 
@@ -156,6 +155,3 @@ const (
 	OutcomeCommit  = wire.OutcomeCommit
 	OutcomeAbort   = wire.OutcomeAbort
 )
-
-// ensure tid is referenced for the type aliases above.
-var _ = tid.TID{}

@@ -10,10 +10,16 @@
 //   - the non-blocking three-phase protocol with a replication phase
 //     (§3.3), including subordinate-to-coordinator promotion on
 //     timeout and tolerance of multiple simultaneous coordinators;
-//   - the read-only optimization for both;
+//   - Paxos Commit (Gray & Lamport, "Consensus on Transaction
+//     Commit"): one consensus instance per participant vote over a
+//     shared acceptor set, with acceptor takeover in place of 2PC's
+//     blocking inquiry;
+//   - the read-only optimization for all three;
 //   - the abort protocol, presumed-abort inquiries, and nested
 //     transaction (Moss model) begin/commit/abort with distributed
-//     child resolution.
+//     child resolution;
+//   - recovery's hand-off (Restore): the log analysis taken whole,
+//     each unfinished family resumed through its timer step (tick).
 //
 // The manager is multithreaded exactly as §3.4 prescribes: a fixed
 // pool of threads waits on a single input queue ("have every thread
@@ -382,18 +388,6 @@ func (m *Manager) Deliver(msg *wire.Msg) {
 // Site returns this manager's site id.
 func (m *Manager) Site() tid.SiteID { return m.cfg.Site }
 
-// SetFamilyFloor raises the family counter so newly begun
-// transactions never reuse a previous incarnation's identifiers. The
-// recovery process calls it with the highest counter found in the
-// log (plus a safety margin covering transactions that never logged).
-func (m *Manager) SetFamilyFloor(counter uint32) {
-	m.lockAttributed(m.idMu, lockClassIDs)
-	defer m.idMu.Unlock()
-	if counter > m.nextFamily {
-		m.nextFamily = counter
-	}
-}
-
 // Stats returns a snapshot of protocol counters.
 func (m *Manager) Stats() Stats {
 	m.lockAttributed(m.stMu, lockClassStats)
@@ -612,19 +606,6 @@ func (m *Manager) AddSites(t tid.TID, sites []tid.SiteID) {
 		if tx := fam.txns[t]; tx != nil {
 			tx.sites[s] = true
 		}
-	}
-}
-
-// RestoreResolved repopulates the resolved-outcome memory from the
-// recovery analysis.
-func (m *Manager) RestoreResolved(committed, aborted []tid.FamilyID) {
-	m.lockAttributed(m.resMu, lockClassResolved)
-	defer m.resMu.Unlock()
-	for _, f := range committed {
-		m.resolved[f] = wire.OutcomeCommit
-	}
-	for _, f := range aborted {
-		m.resolved[f] = wire.OutcomeAbort
 	}
 }
 

@@ -167,7 +167,10 @@ func (m *Manager) inquire(f *family) {
 	m.send(f.id.Origin(), &wire.Msg{Kind: wire.KInquire, TID: tid.Top(f.id)})
 }
 
-// tick is the timer-driven retry/timeout path.
+// tick is a stalled family's next step under every protocol: what its
+// fired timer does, and what a family restored after a crash does
+// first (Restore). One table; the protocol decides only where it
+// behaves differently.
 func (m *Manager) tick(id tid.FamilyID) {
 	f := m.lockFamily(id)
 	if f == nil {
@@ -178,26 +181,40 @@ func (m *Manager) tick(id tid.FamilyID) {
 		return
 	}
 	switch {
-	case f.opts.Protocol == wire.Paxos:
-		// Paxos families never reach the 2PC/NB cases below — in
-		// particular a prepared Paxos subordinate must run acceptor
-		// takeover, not send 2PC inquiries.
-		m.paxosTick(f)
+	case f.ph == phCommitted || f.ph == phAborted:
+		// Decided — by the original, a promoted or a restored
+		// coordinator: re-send the outcome to every site still owing an
+		// acknowledgement.
+		if len(f.acksPending) > 0 {
+			m.retryOutcome(f)
+		}
 	case f.promoted:
-		// Promoted coordinator: drive the recovery protocol again.
-		m.promotionSweep(f)
+		// A coordinator by takeover: drive the takeover again.
+		if f.opts.Protocol == wire.Paxos {
+			m.paxosRetryTakeover(f)
+		} else {
+			m.promotionSweep(f)
+		}
 	case f.coord && f.ph == phPreparing:
-		// Re-send prepares to sites that have not voted. A site that
-		// never answers is presumed failed; abort is still safe
-		// because no commit point exists yet.
+		// Re-send the vote request wherever a vote — or, under Paxos, an
+		// acceptor's 2b — is missing: the request re-carries the leader's
+		// 2a, and a prepared site answers a repeat by re-casting. A site
+		// that never answers is presumed failed.
 		f.attempts++
 		if f.attempts > m.cfg.VoteRetries {
-			m.abortFamily(f)
+			if f.opts.Protocol == wire.Paxos {
+				// No unilateral abort: a full acceptor quorum may already
+				// hold every Yes. Takeover aborts instead, where unseen
+				// instances become Aborted by the quorum's testimony.
+				m.paxosPromote(f)
+			} else {
+				m.abortFamily(f) // still safe: no commit point exists yet
+			}
 			return
 		}
 		var missing []tid.SiteID
 		for _, s := range sortedSites(f.remoteSites) {
-			if _, ok := f.votes[s]; !ok {
+			if _, voted := f.votes[s]; !voted || (f.paxosIsAcceptor(s) && !f.pax2b[s]) {
 				missing = append(missing, s)
 			}
 		}
@@ -221,24 +238,40 @@ func (m *Manager) tick(id tid.FamilyID) {
 		}
 		m.retryFanout(f, missing, m.replicateMsg(f), "replicate")
 		m.reschedule(f, m.cfg.RetryInterval)
-	case (f.ph == phCommitted || f.ph == phAborted) && len(f.acksPending) > 0:
-		m.retryOutcome(f)
-	case f.ph == phPrepared && f.opts.Protocol != wire.NonBlocking && !f.coord:
-		// Blocked two-phase subordinate: ask the coordinator.
-		m.inquire(f)
-		m.reschedule(f, m.cfg.InquireInterval)
+	case f.ph == phPrepared || f.ph == phReplicated:
+		// Prepared and hearing nothing. No coordinator test: a live
+		// coordinator is never prepared, and a restored one resumes as a
+		// participant (restoreInDoubt).
+		switch f.opts.Protocol {
+		case wire.TwoPhase:
+			// Blocked: ask the coordinator, and keep asking.
+			m.inquire(f)
+			m.reschedule(f, m.cfg.InquireInterval)
+		case wire.NonBlocking:
+			m.promote(f) // change 2: become a coordinator
+		case wire.Paxos:
+			// Re-cast the vote twice (covers lost 2a/2b datagrams), then
+			// take over.
+			f.attempts++
+			if f.attempts > 2 {
+				m.paxosPromote(f)
+				return
+			}
+			m.bumpStats(func(s *Stats) { s.Retransmits++ })
+			m.tr.Retry(m.cfg.Site, tid.Top(f.id), "recast", 1)
+			if m.paxosCastVote(f, f.localVote) {
+				m.reschedule(f, m.cfg.InquireInterval)
+			}
+		}
 	case f.ph == phActive && !f.coord:
 		// Orphan check: a remote family still active here long after
-		// joining. If the coordinator is alive and still running the
-		// transaction it ignores the inquiry; if it aborted or never
-		// heard of us, presumed abort answers and releases our locks
-		// and updates.
+		// joining, or a Paxos descriptor serving its acceptor role alone.
+		// If the coordinator is alive and still running the transaction
+		// it ignores the inquiry; if the family is resolved the resolved
+		// memory answers, and if it aborted or never heard of us presumed
+		// abort does, releasing our locks and updates.
 		m.inquire(f)
 		m.reschedule(f, 4*m.cfg.InquireInterval)
-	case (f.ph == phPrepared || f.ph == phReplicated) && f.opts.Protocol == wire.NonBlocking && !f.coord:
-		// Non-blocking subordinate stalled: become a coordinator
-		// (§3.3 change 2).
-		m.promote(f)
 	}
 }
 

@@ -22,6 +22,14 @@ import (
 // need not participate": they are enlisted only if the update sites
 // alone cannot reach the quorum. Called and returns with f's lock held.
 func (m *Manager) nbBeginReplication(f *family) {
+	if f.nbState == wire.NBAbortIntent {
+		// Change 4: this coordinator pledged abort to a promoted site
+		// while still collecting votes, and a site may not join both
+		// quorums. Only the original coordinator starts replication, so
+		// after its pledge no commit quorum can form: decide abort.
+		m.abortFamily(f)
+		return
+	}
 	f.nbVotes = f.nbVotes[:0]
 	for _, s := range f.nbSites {
 		f.nbVotes = append(f.nbVotes, wire.SiteVote{Site: s, Vote: f.votes[s]})

@@ -643,99 +643,45 @@ func (m *Manager) paxosCheck1bQuorum(f *family) {
 	m.paxosCheckDecide(f)
 }
 
-// paxosTick is the retry/timeout path for Paxos families (f's lock
-// held).
-func (m *Manager) paxosTick(f *family) {
-	switch {
-	case f.promoted:
-		f.attempts++
-		if f.paxNack > f.paxBallot {
-			// Outbid: retry at a round above the rival's.
-			m.paxosPromote(f)
-			return
-		}
-		switch f.paxStage {
-		case 1:
-			var missing []tid.SiteID
-			for _, a := range f.paxAcceptors {
-				if a != m.cfg.Site {
-					if _, ok := f.pax1b[a]; !ok {
-						missing = append(missing, a)
-					}
-				}
-			}
-			m.retryFanout(f, missing, &wire.Msg{
-				Kind: wire.KPaxos1a, TID: tid.Top(f.id), Ballot: f.paxBallot,
-				Sites: f.nbSites, Acceptors: f.paxAcceptors,
-			}, "paxos1a")
-			m.reschedule(f, m.cfg.RetryInterval)
-		case 2:
-			chosen := make([]wire.SiteVote, 0, len(f.nbSites))
-			for _, s := range f.nbSites {
-				chosen = append(chosen, wire.SiteVote{Site: s, Vote: f.votes[s]})
-			}
-			var missing []tid.SiteID
-			for _, a := range f.paxAcceptors {
-				if a != m.cfg.Site && !f.pax2b[a] {
+// paxosRetryTakeover is an undecided takeover leader's timer step
+// (f's lock held): outbid, start over at a round above the rival's;
+// otherwise re-send the current stage's message to the acceptors that
+// have not answered it.
+func (m *Manager) paxosRetryTakeover(f *family) {
+	if f.paxNack > f.paxBallot {
+		m.paxosPromote(f)
+		return
+	}
+	switch f.paxStage {
+	case 1:
+		var missing []tid.SiteID
+		for _, a := range f.paxAcceptors {
+			if a != m.cfg.Site {
+				if _, ok := f.pax1b[a]; !ok {
 					missing = append(missing, a)
 				}
 			}
-			m.retryFanout(f, missing, &wire.Msg{
-				Kind: wire.KPaxos2a, TID: tid.Top(f.id), Ballot: f.paxBallot,
-				Votes: chosen, Sites: f.nbSites, Acceptors: f.paxAcceptors,
-			}, "paxos2a")
-			m.reschedule(f, m.cfg.RetryInterval)
-		default:
-			if (f.ph == phCommitted || f.ph == phAborted) && len(f.acksPending) > 0 {
-				m.retryOutcome(f)
-			}
 		}
-	case f.coord && f.ph == phPreparing:
-		f.attempts++
-		if f.attempts > m.cfg.VoteRetries {
-			// Unlike 2PC the coordinator cannot unilaterally abort here:
-			// a full acceptor quorum may already hold every Yes vote, in
-			// which case the commit is chosen. Drive the abort through
-			// Paxos takeover instead, where unseen instances become
-			// Aborted by the quorum's testimony.
-			m.paxosPromote(f)
-			return
-		}
-		// The vote request re-carries the leader's 2a, so one datagram
-		// serves an RM whose vote is missing and an acceptor whose 2b is:
-		// a prepared site answers a repeated request by re-casting.
-		var missing []tid.SiteID
-		for _, s := range f.nbSites {
-			if s == m.cfg.Site {
-				continue
-			}
-			if _, voted := f.votes[s]; !voted || (f.paxosIsAcceptor(s) && !f.pax2b[s]) {
-				missing = append(missing, s)
-			}
-		}
-		m.retryFanout(f, missing, m.prepareMsg(f), "prepare")
+		m.retryFanout(f, missing, &wire.Msg{
+			Kind: wire.KPaxos1a, TID: tid.Top(f.id), Ballot: f.paxBallot,
+			Sites: f.nbSites, Acceptors: f.paxAcceptors,
+		}, "paxos1a")
 		m.reschedule(f, m.cfg.RetryInterval)
-	case (f.ph == phCommitted || f.ph == phAborted) && len(f.acksPending) > 0:
-		m.retryOutcome(f)
-	case f.ph == phPrepared && !f.coord:
-		// Prepared participant hearing nothing: re-cast the vote twice
-		// (covers lost 2a/2b datagrams), then take over.
-		f.attempts++
-		if f.attempts <= 2 {
-			m.bumpStats(func(s *Stats) { s.Retransmits++ })
-			m.tr.Retry(m.cfg.Site, tid.Top(f.id), "recast", 1)
-			if !m.paxosCastVote(f, f.localVote) {
-				return
-			}
-			m.reschedule(f, m.cfg.InquireInterval)
-			return
+	case 2:
+		chosen := make([]wire.SiteVote, 0, len(f.nbSites))
+		for _, s := range f.nbSites {
+			chosen = append(chosen, wire.SiteVote{Site: s, Vote: f.votes[s]})
 		}
-		m.paxosPromote(f)
-	case f.ph == phActive && !f.coord:
-		// Orphan or acceptor-only descriptor: ask the origin; resolved
-		// memory answers for finished transactions and presumed abort
-		// covers never-decided ones.
-		m.inquire(f)
-		m.reschedule(f, 4*m.cfg.InquireInterval)
+		var missing []tid.SiteID
+		for _, a := range f.paxAcceptors {
+			if a != m.cfg.Site && !f.pax2b[a] {
+				missing = append(missing, a)
+			}
+		}
+		m.retryFanout(f, missing, &wire.Msg{
+			Kind: wire.KPaxos2a, TID: tid.Top(f.id), Ballot: f.paxBallot,
+			Votes: chosen, Sites: f.nbSites, Acceptors: f.paxAcceptors,
+		}, "paxos2a")
+		m.reschedule(f, m.cfg.RetryInterval)
 	}
 }

@@ -33,16 +33,9 @@ func (m *Manager) promote(f *family) {
 	m.promotionSweep(f)
 }
 
-// promotionSweep (re)broadcasts the status inquiry and re-arms the
-// retry timer (f's lock held).
+// promotionSweep (re)broadcasts the status inquiry of an undecided
+// promoted coordinator and re-arms the retry timer (f's lock held).
 func (m *Manager) promotionSweep(f *family) {
-	if f.ph == phCommitted || f.ph == phAborted {
-		// Outcome already driven; keep pushing it to laggards.
-		if len(f.acksPending) > 0 {
-			m.retryOutcome(f)
-		}
-		return
-	}
 	var others []tid.SiteID
 	for _, s := range f.nbSites {
 		if s != m.cfg.Site {

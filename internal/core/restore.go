@@ -1,149 +1,121 @@
 package core
 
 import (
+	"camelot/internal/recman"
 	"camelot/internal/server"
 	"camelot/internal/tid"
 	"camelot/internal/wire"
 )
 
-// Restore entry points used by the recovery process (internal/recman)
-// to rebuild transaction-manager state from the log after a crash.
+// familyFloorMargin is how far above the log's highest family counter
+// a restarted manager begins: it covers transactions that left no log
+// record (read-only, or never forced) in the crashed incarnation.
+const familyFloorMargin = 1000
 
-// RestorePreparedSub recreates a subordinate that crashed while
-// prepared: it holds its (re-acquired) locks and immediately resumes
-// the protocol that will resolve it — presumed-abort inquiry for
-// two-phase commit, a promotion sweep for the non-blocking protocol.
-func (m *Manager) RestorePreparedSub(t tid.TID, coordinator tid.SiteID, proto wire.Protocol,
-	sites []tid.SiteID, commitQuorum, abortQuorum int, replicated bool,
-	votes []wire.SiteVote, parts []server.Participant) {
+// Restore is the one way back in after a crash: it takes the recovery
+// process's analysis of this site's log (recman.Analyze) whole, with
+// the participants whose in-doubt updates the data tier has already
+// re-applied under re-acquired locks, keyed by in-doubt TID.
+//
+// New families begin above every identifier the log names — reusing
+// one would let a new transaction's ABORT record doom a previous
+// incarnation's committed updates. The resolved-outcome memory is
+// refilled from the retained log tail only, so status and
+// presumed-abort inquiries about pre-crash transactions answer
+// correctly; outcomes absorbed into a checkpoint image stay out of RAM,
+// answered by the resolved backstop. Each unfinished family is rebuilt
+// from its durable state, and then its first step is the one its fired
+// timer would take (tick): recovery is a timer that has already fired.
+func (m *Manager) Restore(a *recman.Analysis, parts map[tid.TID][]server.Participant) {
+	m.lockAttributed(m.idMu, lockClassIDs)
+	m.nextFamily = max(m.nextFamily, a.MaxLocalFamily+familyFloorMargin)
+	m.idMu.Unlock()
 
+	m.lockAttributed(m.resMu, lockClassResolved)
+	//lint:ordered fills a resolved-outcome set; insertion order is unobservable
+	for t := range a.Committed {
+		m.resolved[t.Family] = wire.OutcomeCommit
+	}
+	//lint:ordered fills a resolved-outcome set; insertion order is unobservable
+	for t := range a.Aborted {
+		if t.IsTop() {
+			m.resolved[t.Family] = wire.OutcomeAbort
+		}
+	}
+	m.resMu.Unlock()
+
+	for _, d := range a.InDoubt {
+		m.resume(d.TID, func(f *family) { m.restoreInDoubt(f, d, parts[d.TID]) })
+	}
+	for _, r := range a.Resume {
+		m.resume(r.TID, func(f *family) { restoreCoordinator(f, r) })
+	}
+}
+
+// resume rebuilds one family on a pool thread and hands it to tick.
+func (m *Manager) resume(t tid.TID, rebuild func(*family)) {
 	m.queue.Put(func() {
 		f, _ := m.lockOrCreateFamily(t.Family)
-		defer m.unlockFamily(f)
-		f.prepared = true
-		f.opts.Protocol = proto
-		for _, p := range parts {
-			f.participants[p.Name()] = p
-		}
-		if proto == wire.NonBlocking {
-			f.nbSites = sites
-			f.commitQuorum = commitQuorum
-			f.abortQuorum = abortQuorum
-			f.nbVotes = votes
-			if replicated {
-				f.ph = phReplicated
-				f.nbState = wire.NBReplicated
-			} else {
-				f.ph = phPrepared
-				f.nbState = wire.NBPrepared
-			}
-			// Resume by promotion: the coordinator may be long gone.
-			m.promote(f)
-			return
-		}
-		f.ph = phPrepared
-		// Two-phase commit blocks here until the coordinator answers:
-		// ask immediately and keep asking.
-		m.bumpStats(func(s *Stats) { s.Inquiries++ })
-		m.send(coordinator, &wire.Msg{Kind: wire.KInquire, TID: tid.Top(f.id)})
-		m.schedule(f, m.cfg.InquireInterval)
+		rebuild(f)
+		m.unlockFamily(f)
+		m.tick(t.Family)
 	})
 }
 
-// RestorePaxos recreates a Paxos Commit participant (and its
-// co-hosted acceptor role, if any) that crashed without a durable
-// outcome. Whether the site was the original coordinator does not
-// matter — the commit point lives at the acceptors, so every restored
-// site resumes as an ordinary participant: one that forced its own
-// prepared record re-casts its vote and, failing progress, drives a
-// takeover; one holding only acceptor state serves that role and
-// inquires at the origin, where the resolved memory or presumed abort
-// answers.
-func (m *Manager) RestorePaxos(t tid.TID, coordinator tid.SiteID,
-	sites, acceptors []tid.SiteID, promised uint64,
-	accepted []wire.PaxosAccepted, accForced, prepared bool,
-	parts []server.Participant) {
-
-	m.queue.Put(func() {
-		f, _ := m.lockOrCreateFamily(t.Family)
-		defer m.unlockFamily(f)
+// restoreInDoubt rebuilds a family this site prepared for and never
+// saw resolved (f's lock held). Every field of d lands here; a field a
+// protocol does not use is zero in its records. The coordinator d names,
+// if any, is the family's origin under every protocol, which is where
+// tick's inquiries go. An in-doubt family resumes as a participant — the
+// original coordinator too, since the decision now rests with a quorum
+// or with presumed abort — so tick finds it prepared (inquire, promote,
+// or re-cast then take over) or, for a Paxos site holding acceptor
+// state alone, active.
+func (m *Manager) restoreInDoubt(f *family, d recman.InDoubt, parts []server.Participant) {
+	for _, p := range parts {
+		f.participants[p.Name()] = p
+	}
+	f.opts.Protocol = d.Protocol
+	f.nbSites, f.commitQuorum, f.abortQuorum, f.nbVotes = d.Sites, d.CommitQuorum, d.AbortQuorum, d.Votes
+	f.paxAcceptors, f.paxPromised, f.paxAccForced = d.Acceptors, d.Promised, d.AccForced
+	if d.Protocol == wire.Paxos {
 		m.ensurePaxos(f)
-		f.nbSites = sites
-		f.paxAcceptors = acceptors
-		f.paxPromised = promised
-		f.paxAccForced = accForced
-		for _, a := range accepted {
+		for _, a := range d.Accepted {
 			f.paxAcc[a.Site] = a
 		}
-		for _, p := range parts {
-			f.participants[p.Name()] = p
-		}
-		if prepared {
-			f.prepared = true
-			f.localVote = wire.VoteYes
-			f.ph = phPrepared
-		} else {
-			// No vote of our own was ever durable: volatile RM state is
-			// gone, so a late vote request must hear No (see
-			// paxAcceptorOnly) while the acceptor role keeps answering.
+		if !d.Prepared {
+			// No vote of its own was ever durable: volatile RM state is
+			// gone, so a late vote request must hear No while the acceptor
+			// role keeps answering.
 			f.paxAcceptorOnly = true
-			f.ph = phActive
+			return
 		}
-		m.schedule(f, m.cfg.InquireInterval)
-	})
+	}
+	f.prepared, f.localVote, f.ph = true, wire.VoteYes, phPrepared
+	switch {
+	case d.Replicated:
+		f.ph, f.nbState = phReplicated, wire.NBReplicated
+	case d.AbortIntent:
+		// Change 4: the pledge outlives the crash. The site may not now
+		// join the commit quorum, and its promotion counts the pledge
+		// rather than forcing another.
+		f.nbState = wire.NBAbortIntent
+	case d.Protocol == wire.NonBlocking:
+		f.nbState = wire.NBPrepared
+	}
 }
 
-// RestoreCommittedCoordinator recreates a coordinator that crashed
-// after its commit point but before every subordinate acknowledged:
-// it must keep re-sending COMMIT until the remaining acks arrive,
-// because "the coordinator must not forget about the transaction
-// before the subordinate writes its own commit record."
-func (m *Manager) RestoreCommittedCoordinator(t tid.TID, updateSubs []tid.SiteID, proto wire.Protocol) {
-	m.queue.Put(func() {
-		f, _ := m.lockOrCreateFamily(t.Family)
-		defer m.unlockFamily(f)
-		f.coord = true
-		f.ph = phCommitted
-		f.opts.Protocol = proto
-		if proto == wire.NonBlocking {
-			f.nbSites = append([]tid.SiteID{m.cfg.Site}, updateSubs...)
-		}
-		for _, s := range updateSubs {
-			f.acksPending[s] = true
-			f.updateSubs[s] = true
-		}
-		m.fanout(sortedSites(f.acksPending), m.outcomeMsg(f), false)
-		m.awaitAcks(f, m.cfg.RetryInterval)
-	})
-}
-
-// RestoreNBCoordinator recreates a non-blocking coordinator that
-// crashed mid-protocol (prepared or replicated, no outcome). Rather
-// than guess where phase one stood, it resumes through the promotion
-// path, which is safe from any state.
-func (m *Manager) RestoreNBCoordinator(t tid.TID, sites []tid.SiteID,
-	commitQuorum, abortQuorum int, replicated bool, votes []wire.SiteVote,
-	parts []server.Participant) {
-
-	m.queue.Put(func() {
-		f, _ := m.lockOrCreateFamily(t.Family)
-		defer m.unlockFamily(f)
-		f.coord = true
-		f.opts.Protocol = wire.NonBlocking
-		f.nbSites = sites
-		f.commitQuorum = commitQuorum
-		f.abortQuorum = abortQuorum
-		f.nbVotes = votes
-		for _, p := range parts {
-			f.participants[p.Name()] = p
-		}
-		if replicated {
-			f.ph = phReplicated
-			f.nbState = wire.NBReplicated
-		} else {
-			f.ph = phPrepared
-			f.nbState = wire.NBPrepared
-		}
-		m.promote(f)
-	})
+// restoreCoordinator rebuilds a coordinator whose decision is durable
+// but not acknowledged everywhere (f's lock held): "the coordinator
+// must not forget about the transaction before the subordinate writes
+// its own commit record", so it owes every update subordinate the
+// outcome again.
+func restoreCoordinator(f *family, r recman.CoordResume) {
+	f.coord = true
+	f.ph = phCommitted
+	f.opts.Protocol = r.Protocol
+	for _, s := range r.UpdateSubs {
+		f.acksPending[s] = true
+		f.updateSubs[s] = true
+	}
 }

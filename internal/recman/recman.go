@@ -3,7 +3,8 @@
 // interrupted transactions" (paper §2), and it rebuilds the
 // transaction-manager state needed to finish in-doubt commitments —
 // presumed-abort inquiry for two-phase commit, quorum resolution for
-// the non-blocking protocol.
+// the non-blocking protocol, acceptor takeover for Paxos Commit. The
+// transaction manager takes the analysis whole (core.Manager.Restore).
 //
 // Recovery is a single analysis pass over the durable log in LSN
 // order:
@@ -12,7 +13,8 @@
 //     subtrees) are redone into the servers' recovered state;
 //   - updates of aborted or never-resolved families are discarded —
 //     presumed abort means no record implies abort;
-//   - prepared or intent-replicated transactions without an outcome
+//   - prepared or intent-replicated transactions without an outcome —
+//     and, under Paxos Commit, families with durable acceptor state —
 //     are in doubt: their updates are re-applied under re-acquired
 //     locks and handed to the transaction manager for resolution;
 //   - a coordinator's COMMIT record without a matching END means
@@ -21,6 +23,9 @@
 package recman
 
 import (
+	"cmp"
+	"slices"
+
 	"camelot/internal/tid"
 	"camelot/internal/wal"
 	"camelot/internal/wire"
@@ -305,6 +310,10 @@ func Analyze(site tid.SiteID, records []*wal.Record) *Analysis {
 			Protocol:   commitProtocol[top],
 		})
 	}
+	// Both lists were filled in map order; the transaction manager
+	// resumes families in list order, which a replay must repeat.
+	slices.SortFunc(a.InDoubt, func(x, y InDoubt) int { return cmp.Compare(x.TID.Family, y.TID.Family) })
+	slices.SortFunc(a.Resume, func(x, y CoordResume) int { return cmp.Compare(x.TID.Family, y.TID.Family) })
 	return a
 }
 
