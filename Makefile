@@ -3,8 +3,8 @@
 # camelot-lint determinism suite, the entire test suite under the race
 # detector, a short pass over the fault-injection torture suite, a
 # bounded systematic chaos sweep for the commitment protocols, the
-# Paxos Commit conformance gate, a short fuzz of the WAL block decoder
-# and the ctl request line, and the benchmark module's own vet and
+# Paxos Commit conformance gate, a short fuzz of every parser hostile
+# or hand-written bytes reach, and the benchmark module's own vet and
 # self-tests.
 
 GO ?= go
@@ -77,14 +77,21 @@ paxos:
 	$(GO) test ./internal/chaos -run TestPaxos
 	$(GO) test ./cmd/camelot-cluster -run 'TestClusterPaxosSmoke|TestClusterNBMidCommitKill'
 
-# A short fuzz of the two decoders hostile bytes reach first. Arbitrary
-# bytes as the log's final block must never panic recovery and never
-# yield a record whose frame does not check out; arbitrary bytes as a
-# ctl request line must never panic the control server and always get
-# one line of JSON back (the seed corpora alone run in `make test`).
+# A short fuzz of the decoders hostile or hand-written bytes reach.
+# Arbitrary bytes as the log's final block must never panic recovery
+# and never yield a record whose frame does not check out; arbitrary
+# bytes as a ctl request line must never panic the control server and
+# always get one line of JSON back. The fault and layout parsers —
+# chaos/v1 and netem/v1 schedules, the shardmap/v1 map — must never
+# panic, and whatever they accept must re-encode and decode to an
+# equal value; they are seeded from the checked-in schedules. (The seed
+# corpora alone run in `make test`.)
 fuzz:
 	$(GO) test ./internal/wal -run '^$$' -fuzz FuzzBlockFrames -fuzztime 5s
 	$(GO) test ./internal/ctl -run '^$$' -fuzz FuzzRequestLine -fuzztime 3s
+	$(GO) test ./internal/chaos -run '^$$' -fuzz FuzzDecodeSchedule -fuzztime 3s
+	$(GO) test ./internal/netem -run '^$$' -fuzz FuzzDecodeSchedule -fuzztime 3s
+	$(GO) test ./internal/shardmap -run '^$$' -fuzz FuzzUnmarshal -fuzztime 3s
 
 # cmd/camelot-perf is a module of its own (BENCHMARK.json's contract),
 # so `go build/vet/test ./...` never compile it; its wal.Store wrappers
@@ -169,10 +176,15 @@ cluster:
 # one-way partition, a mid-run SIGKILL/restart, a SIGSTOP freeze, and
 # a WAL disk death — runs against a 3-site loopback cluster through
 # the emulator proxies, then the heal, every oracle rule and the pinned
-# retransmit+inquiry budget (no storm). The JSON report lands in
+# retransmit+inquiry budget (no storm). The driver and every node run
+# under the race detector, so the storm doubles as the race pass over
+# the real runtime's fault paths. The JSON report lands in
 # netem-report.json; CI archives it.
+NETEM_NODE = $(CURDIR)/.netem/camelot-node
 netem:
-	$(GO) run ./cmd/camelot-cluster -nodes 3 -seed 42 \
+	mkdir -p $(dir $(NETEM_NODE))
+	$(GO) build -race -o $(NETEM_NODE) ./cmd/camelot-node
+	$(GO) run -race ./cmd/camelot-cluster -nodes 3 -seed 42 -node $(NETEM_NODE) \
 		-netem cmd/camelot-cluster/testdata/netem-ci.json \
 		-retry-cap 800ms -max-retry 12000 -json > netem-report.json
 	@echo "wrote netem-report.json"

@@ -7,6 +7,7 @@ import (
 
 	"camelot/internal/sim"
 	"camelot/internal/tid"
+	"camelot/internal/transport"
 	"camelot/internal/wire"
 )
 
@@ -303,8 +304,8 @@ func nbSplitAttempt(t *testing.T, drop func(since time.Duration, from, to tid.Si
 			}
 		}
 		t0, heal := k.Now(), false
-		c.Network().SetInjector(func(from, to tid.SiteID, payload any) bool {
-			return !heal && drop(k.Now()-t0, from, to, kindOf(payload))
+		c.Network().SetShaper(func(from, to tid.SiteID, payload any, _ bool) transport.Shape {
+			return transport.Shape{Drop: !heal && drop(k.Now()-t0, from, to, kindOf(payload))}
 		})
 		var commitErr error
 		done := false

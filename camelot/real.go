@@ -55,7 +55,8 @@ type RealConfig struct {
 	// RetryInterval (see core.Config.RetryBackoffCap).
 	RetryBackoffCap time.Duration
 	// WrapStore, if non-nil, wraps the node's stable log store —
-	// fault-injection hooks (wal.FailStore) interpose here.
+	// fault injection interposes here: camelot-node -wal-fail-append
+	// installs a wal.FaultStore whose lost mode drops one device write.
 	WrapStore func(s wal.Store) wal.Store
 	// Logf, if non-nil, receives diagnostics (unmaskable transport
 	// losses such as oversize messages).

@@ -69,7 +69,7 @@ func main() {
 		walPath  = flag.String("wal", "", "write-ahead log file (required)")
 		retry    = flag.Duration("retry", 50*time.Millisecond, "coordinator retry interval (masks datagram loss)")
 		retryCap = flag.Duration("retry-cap", 0, "cap for the exponential retry backoff (0: 8x the retry interval)")
-		walFail  = flag.Int("wal-fail-append", -1, "fail the Nth WAL device write (one block: every record a force or flush covered) and every write after it (fault injection; -1: never)")
+		walFail  = flag.Int("wal-fail-append", -1, "lose the Nth WAL device write (one block: every record a force or flush covered; counted from zero): wal.FaultStore's lost mode, after which the log fail-stops (fault injection; -1: never)")
 		shards   = flag.Int("shards", 0, "shard count, placed round-robin over -sites (0: one shard per site; needs -sites)")
 		sites    = flag.String("sites", "", "comma-separated site ids of the deployment, in placement order (empty: this site alone)")
 	)
@@ -94,7 +94,11 @@ func main() {
 		// log fail-stops, turning this site into the crashed site the
 		// others must resolve around.
 		n := *walFail
-		cfg.WrapStore = func(s wal.Store) wal.Store { return wal.NewFailStore(s, n) }
+		cfg.WrapStore = func(s wal.Store) wal.Store {
+			fs := wal.NewFaultStore(s, nil)
+			fs.ArmAppend(n, wal.DamageLost)
+			return fs
+		}
 	}
 	// Every member builds the same map from the same flags
 	// (shardmap.New is deterministic); the driver verifies agreement

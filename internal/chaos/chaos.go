@@ -77,12 +77,11 @@ type engine struct {
 	k      *sim.Kernel
 	c      *camelot.Cluster
 	sites  []camelot.SiteID
-	smap   *shardmap.Map // nil unless the schedule shards the keyspace
-	stores []*FaultStore // parallel to sites
+	smap   *shardmap.Map     // nil unless the schedule shards the keyspace
+	stores []*wal.FaultStore // parallel to sites
 
 	mu        sync.Mutex
 	msgCount  int
-	curMsg    int      // index inject assigned to the datagram in flight
 	msgLabels []string // pilot labels, one per counted datagram
 	msgFaults map[int]Fault
 	recovery  []string // recovery failures, reported as violations
@@ -117,7 +116,7 @@ func (e *engine) build() error {
 	e.k = sim.New(s.Seed)
 	cfg := workloadConfig()
 	cfg.WrapStore = func(site camelot.SiteID, inner wal.Store) wal.Store {
-		fs := NewFaultStore(inner, func() { e.crashAndRecover(site) })
+		fs := wal.NewFaultStore(inner, func() { e.crashAndRecover(site) })
 		e.stores = append(e.stores, fs)
 		return fs
 	}
@@ -159,14 +158,16 @@ func (e *engine) run() (*Result, error) {
 			if idx < 0 || idx >= len(e.stores) {
 				return nil, fmt.Errorf("chaos: fault site %d out of range", f.Site)
 			}
-			ff := f
-			e.stores[idx].Arm(&ff)
+			if f.Class == ClassCkpt {
+				e.stores[idx].ArmTruncate(f.Index)
+			} else {
+				e.stores[idx].ArmAppend(f.Index, damages[f.Mode])
+			}
 		case ClassMsg:
 			e.msgFaults[f.Index] = f
 		}
 	}
-	e.c.Network().SetInjector(e.inject)
-	e.c.Network().SetShaper(e.shape)
+	e.c.Network().SetShaper(e.inject)
 
 	res := &Result{Schedule: s}
 	res.Outcomes, res.Violations, res.Deadlock = e.drive("chaos-client")
@@ -193,28 +194,37 @@ func (e *engine) drive(thread string) (outcomes, violations []string, deadlock s
 	return outcomes, violations, e.k.Deadlocked()
 }
 
+// damages maps the force-fault modes onto the store's damage modes.
+var damages = map[string]wal.Damage{
+	ModeCrash:    wal.DamageCrash,
+	ModeTorn:     wal.DamageTorn,
+	ModeTornLast: wal.DamageTornLast,
+	ModeBitflip:  wal.DamageBitflip,
+}
+
 // inject is the transport hook: it counts every datagram send and
 // fires any msg fault addressed to the current count. It runs with
-// the network lock held, so side effects are scheduled via After.
-func (e *engine) inject(from, to tid.SiteID, payload any) bool {
+// the network lock held, so side effects are scheduled via After. A
+// reliable datagram honours only a drop, so dup and reorder faults
+// aimed at one do nothing.
+func (e *engine) inject(from, to tid.SiteID, payload any, _ bool) transport.Shape {
 	e.mu.Lock()
 	k := e.msgCount
 	e.msgCount++
-	e.curMsg = k
 	if len(e.sched.Faults) == 0 {
 		e.msgLabels = append(e.msgLabels, fmt.Sprintf("%s %d→%d", payloadLabel(payload), from, to))
 	}
 	f, hit := e.msgFaults[k]
 	e.mu.Unlock()
 	if !hit {
-		return false
+		return transport.Shape{}
 	}
 	switch f.Mode {
 	case ModeDrop:
-		return true
+		return transport.Shape{Drop: true}
 	case ModeCrash:
 		e.crashAndRecover(from)
-		return true // the datagram dies with its sender
+		return transport.Shape{Drop: true} // the datagram dies with its sender
 	case ModePartition:
 		window := time.Duration(f.WindowMs) * time.Millisecond
 		if window <= 0 {
@@ -223,24 +233,7 @@ func (e *engine) inject(from, to tid.SiteID, payload any) bool {
 		a, b := from, to
 		e.k.After(0, func() { e.c.Network().SetPartition(a, b, true) })
 		e.k.After(window, func() { e.c.Network().SetPartition(a, b, false) })
-		return false // the cut catches it at delivery time
-	}
-	return false
-}
-
-// shape is the transport's traffic-shaping hook, carrying the msg
-// fault modes the boolean injector cannot express (duplication,
-// reorder-by-delay). It keys off the index inject just assigned: the
-// network consults injector then shaper for the same datagram under
-// its lock, so curMsg always names the datagram being shaped.
-func (e *engine) shape(from, to tid.SiteID, payload any) transport.Shape {
-	e.mu.Lock()
-	f, hit := e.msgFaults[e.curMsg]
-	e.mu.Unlock()
-	if !hit {
-		return transport.Shape{}
-	}
-	switch f.Mode {
+		return transport.Shape{} // the cut catches it at delivery time
 	case ModeDup:
 		return transport.Shape{Dup: 1}
 	case ModeReorder:
@@ -372,10 +365,9 @@ func (e *engine) shardedPlan(i int) (oracle.Txn, func(*camelot.Tx) error) {
 // genuinely durable, not just cached in volatile state.
 func (e *engine) verify(txns []oracle.Txn) []string {
 	// Heal: no more injections, no loss, no cuts, everyone up.
-	e.c.Network().SetInjector(nil)
 	e.c.Network().SetShaper(nil)
 	for _, fs := range e.stores {
-		fs.Arm(nil)
+		fs.Disarm()
 	}
 	e.c.Network().SetLossRate(0)
 	for i, a := range e.sites {

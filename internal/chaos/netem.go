@@ -8,6 +8,7 @@ import (
 	"camelot/internal/netem"
 	"camelot/internal/tid"
 	"camelot/internal/transport"
+	"camelot/internal/wal"
 )
 
 // NetemResult is one netem-schedule replay's verdict: the workload
@@ -39,10 +40,13 @@ func (r *NetemResult) Failed() bool {
 //
 // Simulation limits: OpStop/OpCont freeze a process, which the
 // cooperative kernel cannot express, so they are ignored here (the
-// real driver applies them with signals); a WAL fault is approximated
-// as a crash at the targeted device write — the closest simulated
-// analog of a dying disk — and, as in the real driver, one the run
-// never reaches is reported as a violation.
+// real driver applies them with signals). A WAL fault arms the same
+// wal.FaultStore the real node runs, with one difference: here the
+// targeted device write lands whole (DamageCrash) and the site
+// crashes, while the real node loses the write (DamageLost) and its
+// log fail-stops. Either way the force is never acknowledged and the
+// site goes down; as in the real driver, a WAL fault the run never
+// reaches is reported as a violation.
 func RunNetem(ns netem.Schedule, w Schedule) (*NetemResult, error) {
 	if err := ns.Validate(); err != nil {
 		return nil, err
@@ -77,14 +81,17 @@ func (e *engine) replayNetem(ns netem.Schedule) (*NetemResult, error) {
 		if idx < 0 || idx >= len(e.stores) {
 			return nil, fmt.Errorf("chaos: wal fault site %d out of range", f.Site)
 		}
-		ff := Fault{Class: ClassForce, Site: f.Site, Index: f.FailAppend, Mode: ModeCrash}
-		e.stores[idx].Arm(&ff)
+		e.stores[idx].ArmAppend(f.FailAppend, wal.DamageCrash)
 	}
 
-	// Link rules and partition windows ride the transport's shaper,
-	// ruled by the emulator on the kernel's clock.
+	// Link rules and partition windows ride the transport's fault hook,
+	// ruled by the emulator on the kernel's clock. netem models datagram
+	// links, so the emulator never sees reliable (RPC) traffic.
 	em := netem.NewEmulator(ns, func() time.Duration { return time.Duration(e.k.Now()) })
-	e.c.Network().SetShaper(func(from, to tid.SiteID, payload any) transport.Shape {
+	e.c.Network().SetShaper(func(from, to tid.SiteID, _ any, reliable bool) transport.Shape {
+		if reliable {
+			return transport.Shape{}
+		}
 		d := em.Decide(uint32(from), uint32(to))
 		return transport.Shape{Drop: d.Drop, Dup: d.Dup, Delay: d.Delay}
 	})

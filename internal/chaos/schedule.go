@@ -175,10 +175,21 @@ func (s Schedule) validate() error {
 	if s.Shards < 0 {
 		return fmt.Errorf("chaos: negative shard count %d", s.Shards)
 	}
+	// A site's store holds one armed fault per operation: a second force
+	// (or ckpt) fault for one site would silently replace the first.
+	slots := make(map[Fault]bool)
 	for _, f := range s.Faults {
 		if err := validFault(f); err != nil {
 			return err
 		}
+		if f.Class == ClassMsg {
+			continue
+		}
+		slot := Fault{Class: f.Class, Site: f.Site}
+		if slots[slot] {
+			return fmt.Errorf("chaos: second %s fault at site %d: a site's store holds one", f.Class, f.Site)
+		}
+		slots[slot] = true
 	}
 	return nil
 }

@@ -2,6 +2,9 @@ package chaos
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -79,6 +82,27 @@ func TestDecodeScheduleRejectsBadInput(t *testing.T) {
 	}
 }
 
+// A site's store holds one armed fault per operation, so a second
+// force (or ckpt) fault for one site — which the store would silently
+// drop — is refused. One of each per site, and msg faults, stay fine.
+func TestDecodeScheduleRejectsSecondStoreFault(t *testing.T) {
+	const head = `{"version":"chaos/v1","seed":1,"sites":3,"txns":4,"faults":[`
+	ok := head + `{"class":"force","site":1,"index":0,"mode":"crash"},
+		{"class":"ckpt","site":1,"index":0,"mode":"crash"},
+		{"class":"force","site":2,"index":3,"mode":"torn"},
+		{"class":"msg","index":0,"mode":"drop"},{"class":"msg","index":1,"mode":"dup"}]}`
+	if _, err := DecodeSchedule([]byte(ok)); err != nil {
+		t.Fatalf("one store fault per site and op refused: %v", err)
+	}
+	for _, class := range []string{ClassForce, ClassCkpt} {
+		in := head + `{"class":"` + class + `","site":2,"index":0,"mode":"crash"},
+			{"class":"` + class + `","site":2,"index":5,"mode":"crash"}]}`
+		if _, err := DecodeSchedule([]byte(in)); err == nil {
+			t.Errorf("two %s faults at site 2 decoded without error", class)
+		}
+	}
+}
+
 func TestFaultStrings(t *testing.T) {
 	got := Fault{Class: ClassForce, Site: 2, Index: 7, Mode: ModeTorn}.String()
 	if !strings.Contains(got, "site2") || !strings.Contains(got, "torn") {
@@ -88,4 +112,59 @@ func TestFaultStrings(t *testing.T) {
 	if !strings.Contains(got, "partition") || !strings.Contains(got, "100ms") {
 		t.Errorf("Fault.String() = %q", got)
 	}
+}
+
+func TestTornLastEnumeratedOnlyForMultiRecordBlocks(t *testing.T) {
+	has := func(p Point) bool {
+		for _, m := range p.Modes() {
+			if m == ModeTornLast {
+				return true
+			}
+		}
+		return false
+	}
+	if has(Point{Class: ClassForce, Label: "COMMIT"}) {
+		t.Error("torn-last enumerated for a single-record block, where it repeats torn")
+	}
+	if !has(Point{Class: ClassForce, Label: "UPDATE+COMMIT"}) {
+		t.Error("torn-last not enumerated for a multi-record block")
+	}
+	if err := validFault(Fault{Class: ClassMsg, Index: 0, Mode: ModeTornLast}); err == nil {
+		t.Error("torn-last accepted for a datagram fault")
+	}
+}
+
+// FuzzDecodeSchedule feeds arbitrary bytes to the chaos/v1 parser,
+// seeded from the regression corpus (every file of which must decode).
+// It must never panic, and a schedule it accepts must re-encode and
+// decode to an equal schedule.
+func FuzzDecodeSchedule(f *testing.F) {
+	files, _ := filepath.Glob("testdata/*.json")
+	for _, name := range files {
+		b, err := os.ReadFile(name)
+		if err != nil {
+			f.Fatal(err)
+		}
+		if _, err := DecodeSchedule(b); err != nil {
+			f.Fatalf("%s: %v", name, err)
+		}
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, in []byte) {
+		s, err := DecodeSchedule(in)
+		if err != nil {
+			return
+		}
+		b, err := s.Encode()
+		if err != nil {
+			t.Fatalf("accepted schedule does not encode: %v", err)
+		}
+		again, err := DecodeSchedule(b)
+		if err != nil {
+			t.Fatalf("re-encoded schedule refused: %v\n%s", err, b)
+		}
+		if !reflect.DeepEqual(s, again) {
+			t.Fatalf("round trip changed the schedule: %+v vs %+v", s, again)
+		}
+	})
 }

@@ -8,6 +8,7 @@ import (
 
 	"camelot/internal/core"
 	"camelot/internal/tid"
+	"camelot/internal/transport"
 	"camelot/internal/wal"
 	"camelot/internal/wire"
 )
@@ -147,11 +148,11 @@ func TestAckPath(t *testing.T) {
 				msg *wire.Msg
 			}
 			var left []departure
-			h.net.SetInjector(func(from, to tid.SiteID, payload any) bool {
+			h.net.SetShaper(func(from, to tid.SiteID, payload any, _ bool) transport.Shape {
 				if msg, ok := payload.(*wire.Msg); ok && msg.Kind == wire.KCommitAck {
 					left = append(left, departure{h.k.Now(), msg})
 				}
-				return false
+				return transport.Shape{Drop: false}
 			})
 			h.run(t, func() {
 				// Open the batch 60 ms into a 100 ms period, where a
@@ -294,10 +295,10 @@ func TestAckPath(t *testing.T) {
 // promoted site ends the transaction and stops re-sending the outcome.
 func TestPaxosPromotedLeaderDrainsItsAcks(t *testing.T) {
 	h := newHarness(t, 3)
-	h.net.SetInjector(func(from, to tid.SiteID, payload any) bool {
+	h.net.SetShaper(func(from, to tid.SiteID, payload any, _ bool) transport.Shape {
 		// The leader never hears its acceptors, so it never decides.
 		msg, ok := payload.(*wire.Msg)
-		return ok && msg.Kind == wire.KPaxos2b && to == 1
+		return transport.Shape{Drop: ok && msg.Kind == wire.KPaxos2b && to == 1}
 	})
 	retransmits := func() int {
 		return h.sites[2].m.Stats().Retransmits + h.sites[3].m.Stats().Retransmits

@@ -7,6 +7,7 @@ import (
 
 	"camelot/internal/core"
 	"camelot/internal/tid"
+	"camelot/internal/transport"
 	"camelot/internal/wal"
 	"camelot/internal/wire"
 )
@@ -249,8 +250,8 @@ func TestVoteOfAnotherProtocolsKindIsDropped(t *testing.T) {
 			t.Run(fmt.Sprintf("%v family, %v", p, kind), func(t *testing.T) {
 				h := newHarness(t, 3)
 				cut := true
-				h.net.SetInjector(func(from, to tid.SiteID, payload any) bool {
-					return cut && (from == 1 || to == 1)
+				h.net.SetShaper(func(from, to tid.SiteID, payload any, _ bool) transport.Shape {
+					return transport.Shape{Drop: cut && (from == 1 || to == 1)}
 				})
 				h.run(t, func() {
 					txn := h.beginDistributed(t, 2, 3)

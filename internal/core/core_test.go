@@ -430,11 +430,11 @@ func TestNonBlockingAbortOnNoVote(t *testing.T) {
 func TestCommitWithUnknownProtocolAborts(t *testing.T) {
 	h := newHarness(t, 3)
 	var kinds []wire.Kind
-	h.net.SetInjector(func(from, to tid.SiteID, payload any) bool {
+	h.net.SetShaper(func(from, to tid.SiteID, payload any, _ bool) transport.Shape {
 		if msg, ok := payload.(*wire.Msg); ok {
 			kinds = append(kinds, msg.Kind)
 		}
-		return false
+		return transport.Shape{Drop: false}
 	})
 	h.run(t, func() {
 		txn := h.beginDistributed(t, 2, 3)

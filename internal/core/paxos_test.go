@@ -279,12 +279,12 @@ func TestPaxosTakeoverBallotDisablesFold(t *testing.T) {
 func TestPaxosLostFolded2bIsRecast(t *testing.T) {
 	h := newHarness(t, 2)
 	dropped := false
-	h.net.SetInjector(func(from, to tid.SiteID, payload any) bool {
+	h.net.SetShaper(func(from, to tid.SiteID, payload any, _ bool) transport.Shape {
 		if msg, ok := payload.(*wire.Msg); ok && msg.Kind == wire.KPaxos2b && !dropped {
 			dropped = true
-			return true
+			return transport.Shape{Drop: true}
 		}
-		return false
+		return transport.Shape{Drop: false}
 	})
 	h.run(t, func() {
 		txn := h.beginDistributed(t, 2)

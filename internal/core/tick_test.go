@@ -52,11 +52,11 @@ func newStepRig() *stepRig {
 		RetryInterval: 20 * time.Millisecond, InquireInterval: 30 * time.Millisecond,
 		PromotionTimeout: 50 * time.Millisecond, AckFlushInterval: 10 * time.Millisecond,
 	}, log, net)
-	net.SetInjector(func(from, to tid.SiteID, payload any) bool {
+	net.SetShaper(func(from, to tid.SiteID, payload any, _ bool) transport.Shape {
 		if msg, ok := payload.(*wire.Msg); ok {
 			r.out = append(r.out, sent{msg.Kind, to})
 		}
-		return true
+		return transport.Shape{Drop: true}
 	})
 	return r
 }

@@ -1,7 +1,10 @@
 package netem
 
 import (
+	"bytes"
 	"net"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -71,6 +74,21 @@ func TestDecodeRejectsBadSchedules(t *testing.T) {
 	}
 	if _, err := DecodeSchedule([]byte(`{"version":"netem/v1","seed":1,"bogus":2}`)); err == nil {
 		t.Error("unknown field accepted")
+	}
+}
+
+// A disk dies once: a second WAL fault for one site would silently
+// replace the first in both drivers, so the validator refuses it. One
+// per site stays fine.
+func TestValidateRejectsSecondDiskDeath(t *testing.T) {
+	s := lossy()
+	s.WAL = []WALFault{{Site: 2, FailAppend: 40}, {Site: 3, FailAppend: 7}}
+	if err := s.Validate(); err != nil {
+		t.Fatalf("one death per site refused: %v", err)
+	}
+	s.WAL = append(s.WAL, WALFault{Site: 2, FailAppend: 90})
+	if err := s.Validate(); err == nil || !strings.Contains(err.Error(), "dies once") {
+		t.Errorf("second death at site 2: err = %v, want it refused", err)
 	}
 }
 
@@ -267,4 +285,47 @@ func TestProxySetDstRepoints(t *testing.T) {
 	if err != nil || string(buf[:n]) != "moved" {
 		t.Fatalf("after SetDst: got %q, %v", buf[:n], err)
 	}
+}
+
+// FuzzDecodeSchedule feeds arbitrary bytes to the netem/v1 parser,
+// seeded from every checked-in schedule (each of which must decode).
+// It must never panic, and a schedule it accepts must re-encode and
+// decode to an equal schedule — compared encoded, since an empty list
+// and an absent one are the same schedule.
+func FuzzDecodeSchedule(f *testing.F) {
+	var files []string
+	for _, dir := range []string{"../../cmd/camelot-chaos/testdata", "../../cmd/camelot-cluster/testdata"} {
+		names, _ := filepath.Glob(filepath.Join(dir, "netem-*.json"))
+		files = append(files, names...)
+	}
+	if len(files) == 0 {
+		f.Fatal("no checked-in netem schedules found")
+	}
+	for _, name := range files {
+		b, err := os.ReadFile(name)
+		if err != nil {
+			f.Fatal(err)
+		}
+		if _, err := DecodeSchedule(b); err != nil {
+			f.Fatalf("%s: %v", name, err)
+		}
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, in []byte) {
+		s, err := DecodeSchedule(in)
+		if err != nil {
+			return
+		}
+		b, err := s.Encode()
+		if err != nil {
+			t.Fatalf("accepted schedule does not encode: %v", err)
+		}
+		again, err := DecodeSchedule(b)
+		if err != nil {
+			t.Fatalf("re-encoded schedule refused: %v\n%s", err, b)
+		}
+		if b2, _ := again.Encode(); !bytes.Equal(b, b2) {
+			t.Fatalf("round trip changed the schedule:\n%s\nvs\n%s", b, b2)
+		}
+	})
 }

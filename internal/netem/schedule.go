@@ -85,8 +85,9 @@ type ProcFault struct {
 }
 
 // WALFault makes one site's stable log fail-stop: its FailAppend-th
-// device write (counted from process start, from zero) returns an
-// error and every later write fails too — the disk died mid-run. A
+// device write (counted from process start, from zero) is lost and
+// returns an error, and the log writes nothing after — the disk died
+// mid-run. A disk dies once: a site takes at most one WALFault. A
 // device write is one block — every record one log force or flush
 // covered — not one record, so a transaction costs a site one to three
 // of them, whatever its write set. A fault the run never reaches is
@@ -188,10 +189,15 @@ func (s Schedule) Validate() error {
 			return fmt.Errorf("netem: proc fault %+v: bad site or time", f)
 		}
 	}
+	dies := make(map[uint32]bool)
 	for _, f := range s.WAL {
 		if f.Site == 0 || f.FailAppend < 0 {
 			return fmt.Errorf("netem: wal fault %+v: bad site or index", f)
 		}
+		if dies[f.Site] {
+			return fmt.Errorf("netem: wal fault %+v: a second disk death for site %d (a disk dies once)", f, f.Site)
+		}
+		dies[f.Site] = true
 	}
 	return nil
 }

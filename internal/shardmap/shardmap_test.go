@@ -241,3 +241,42 @@ func TestEqual(t *testing.T) {
 		t.Error("different placements Equal")
 	}
 }
+
+// FuzzUnmarshal feeds arbitrary bytes to the shardmap/v1 parser, seeded
+// with the canonical form of every layout the cluster drivers deploy
+// (the package has no checked-in files). It must never panic, and a
+// map it accepts must marshal and unmarshal to an equal map.
+func FuzzUnmarshal(f *testing.F) {
+	seeds := []*Map{Default(1)}
+	for _, shards := range []int{1, 3, 4} {
+		m, err := New(1, shards, []tid.SiteID{1, 2, 3})
+		if err != nil {
+			f.Fatal(err)
+		}
+		seeds = append(seeds, m)
+	}
+	for _, m := range seeds {
+		b, err := m.Marshal()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, in []byte) {
+		m, err := Unmarshal(in)
+		if err != nil {
+			return
+		}
+		b, err := m.Marshal()
+		if err != nil {
+			t.Fatalf("accepted map does not marshal: %v", err)
+		}
+		again, err := Unmarshal(b)
+		if err != nil {
+			t.Fatalf("marshaled map refused: %v\n%s", err, b)
+		}
+		if !m.Equal(again) {
+			t.Fatalf("round trip changed the map: %+v vs %+v", m, again)
+		}
+	})
+}

@@ -66,38 +66,33 @@ type Config struct {
 	LossRate float64
 }
 
-// Injector is an optional per-datagram fault hook, consulted at send
-// time for every datagram (unreliable and reliable alike). Returning
-// true drops the datagram. The injector runs with the network lock
-// held: it must not call back into the Network or block — schedule
-// side effects (crashes, partitions) through rt.Runtime.After instead.
-// The chaos explorer uses this hook to count send points and to drop
-// exactly the k-th datagram of a fault schedule.
-type Injector func(from, to tid.SiteID, payload any) bool
-
-// Shape is a Shaper's verdict for one unreliable datagram. Drop
-// destroys it; Dup delivers that many extra copies; Delay adds to the
-// one-way latency (of every copy). Reordering falls out of Delay: a
-// delayed datagram arrives after datagrams sent later without delay.
+// Shape is a Shaper's verdict for one datagram. Drop destroys it; Dup
+// delivers that many extra copies; Delay adds to the one-way latency
+// (of every copy). Reordering falls out of Delay: a delayed datagram
+// arrives after datagrams sent later without delay. Reliable (RPC)
+// traffic honours only Drop: a connection neither duplicates nor
+// reorders.
 type Shape struct {
 	Drop  bool
 	Dup   int
 	Delay time.Duration
 }
 
-// Shaper is an optional per-datagram traffic-shaping hook — the
-// Injector's many-valued generalization, carrying the netem/v1 link
-// fault vocabulary (drop, duplicate, delay/reorder) so schedules
-// written for the real network replay identically in the simulation.
-// It is consulted at send time for every unreliable datagram, with
-// the network lock held: it must not call back into the Network or
-// block — schedule side effects through rt.Runtime.After instead.
-// Reliable (RPC) traffic is not shaped; netem models datagram links.
-type Shaper func(from, to tid.SiteID, payload any) Shape
+// Shaper is the network's one per-datagram fault hook. It is consulted
+// at send time for every datagram, reliable or not and before any
+// other fault check — so it sees every send, even from a crashed
+// sender — with the network lock held: it must not call back into the
+// Network or block; schedule side effects (crashes, partitions)
+// through rt.Runtime.After instead. The chaos explorer counts send
+// points and faults exactly the k-th datagram through it; the netem
+// replay carries the netem/v1 link vocabulary (drop, duplicate,
+// delay/reorder) through it, so schedules written for the real network
+// replay identically in the simulation.
+type Shaper func(from, to tid.SiteID, payload any, reliable bool) Shape
 
 // Network connects sites. It is safe for concurrent use from many
 // runtime threads, and its fault switches (SetLossRate, SetDown,
-// SetPartition, SetInjector) may be toggled at any moment mid-run:
+// SetPartition, SetShaper) may be toggled at any moment mid-run:
 // every datagram re-checks the current fault state at send and again
 // at delivery time, and each toggle is recorded as a FaultInject or
 // FaultClear trace event so a failing trace describes its own fault
@@ -112,7 +107,6 @@ type Network struct {
 	down      map[tid.SiteID]bool
 	cut       map[[2]tid.SiteID]bool
 	nextFree  map[tid.SiteID]rt.Time
-	injector  Injector
 	shaper    Shaper
 	sent      int
 	delivered int
@@ -195,10 +189,7 @@ func (n *Network) SendReliable(from, to tid.SiteID, payload any, latency time.Du
 	defer n.mu.Unlock()
 	n.sent++
 	n.tr.MsgSend(from, to, payload)
-	if n.injector != nil && n.injector(from, to, payload) {
-		n.dropped++
-		n.tr.FaultInject(from, to, "drop")
-		n.tr.MsgDrop(from, to, payload)
+	if n.shapeLocked(from, to, payload, true).Drop {
 		return
 	}
 	if n.down[from] {
@@ -279,16 +270,8 @@ func (n *Network) SetPartition(a, b tid.SiteID, broken bool) {
 	}
 }
 
-// SetInjector installs (or, with nil, removes) the per-datagram fault
+// SetShaper installs (or, with nil, removes) the per-datagram fault
 // hook. Safe to toggle mid-run.
-func (n *Network) SetInjector(f Injector) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.injector = f
-}
-
-// SetShaper installs (or, with nil, removes) the per-datagram
-// traffic-shaping hook. Safe to toggle mid-run.
 func (n *Network) SetShaper(f Shaper) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -330,10 +313,8 @@ func (n *Network) jitterLocked() time.Duration {
 func (n *Network) deliverLocked(d Datagram, leave rt.Time) {
 	n.sent++
 	n.tr.MsgSend(d.From, d.To, d.Payload)
-	if n.injector != nil && n.injector(d.From, d.To, d.Payload) {
-		n.dropped++
-		n.tr.FaultInject(d.From, d.To, "drop")
-		n.tr.MsgDrop(d.From, d.To, d.Payload)
+	sh := n.shapeLocked(d.From, d.To, d.Payload, false)
+	if sh.Drop {
 		return
 	}
 	if n.down[d.From] {
@@ -347,22 +328,13 @@ func (n *Network) deliverLocked(d Datagram, leave rt.Time) {
 		return
 	}
 	copies, extra := 1, time.Duration(0)
-	if n.shaper != nil {
-		sh := n.shaper(d.From, d.To, d.Payload)
-		if sh.Drop {
-			n.dropped++
-			n.tr.FaultInject(d.From, d.To, "drop")
-			n.tr.MsgDrop(d.From, d.To, d.Payload)
-			return
-		}
-		if sh.Dup > 0 {
-			copies += sh.Dup
-			n.tr.FaultInject(d.From, d.To, fmt.Sprintf("dup=%d", sh.Dup))
-		}
-		if sh.Delay > 0 {
-			extra = sh.Delay
-			n.tr.FaultInject(d.From, d.To, fmt.Sprintf("delay=%s", sh.Delay))
-		}
+	if sh.Dup > 0 {
+		copies += sh.Dup
+		n.tr.FaultInject(d.From, d.To, fmt.Sprintf("dup=%d", sh.Dup))
+	}
+	if sh.Delay > 0 {
+		extra = sh.Delay
+		n.tr.FaultInject(d.From, d.To, fmt.Sprintf("delay=%s", sh.Delay))
 	}
 	arriveIn := leave - n.r.Now() + n.cfg.Latency + extra
 	for i := 0; i < copies; i++ {
@@ -374,6 +346,21 @@ func (n *Network) deliverLocked(d Datagram, leave rt.Time) {
 		}
 		n.arriveLocked(d, arriveIn)
 	}
+}
+
+// shapeLocked consults the fault hook for one datagram and, if it
+// says drop, records the drop.
+func (n *Network) shapeLocked(from, to tid.SiteID, payload any, reliable bool) Shape {
+	if n.shaper == nil {
+		return Shape{}
+	}
+	sh := n.shaper(from, to, payload, reliable)
+	if sh.Drop {
+		n.dropped++
+		n.tr.FaultInject(from, to, "drop")
+		n.tr.MsgDrop(from, to, payload)
+	}
+	return sh
 }
 
 // arriveLocked schedules one copy's arrival; crash and partition

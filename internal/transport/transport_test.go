@@ -225,32 +225,47 @@ func TestHandlerReplacementOnRecovery(t *testing.T) {
 	}
 }
 
+// Dup applies to datagrams only: a reliable send arrives once. The
+// sent/delivered/dropped ledger balances with the network-made copies,
+// including one lost at a crashed destination.
 func TestShaperDupDeliversExtraCopies(t *testing.T) {
 	k := sim.New(1)
 	n := NewNetwork(k, cfg())
 	var got []Datagram
 	n.Register(2, func(d Datagram) { got = append(got, d) })
-	n.SetShaper(func(from, to tid.SiteID, payload any) Shape {
+	n.SetShaper(func(from, to tid.SiteID, payload any, reliable bool) Shape {
 		return Shape{Dup: 2}
 	})
-	k.Go("main", func() { n.Send(1, 2, "x") })
+	k.Go("main", func() {
+		n.Send(1, 2, "x")
+		n.SendReliable(1, 2, "rpc", time.Millisecond)
+		n.Send(1, 3, "nobody home")
+	})
 	k.Run()
-	if len(got) != 3 {
-		t.Fatalf("delivered %d copies, want 3 (original + 2 dups)", len(got))
+	if len(got) != 4 {
+		t.Fatalf("delivered %d copies, want 4 (original + 2 dups, and the RPC once)", len(got))
 	}
 	sent, delivered, dropped := n.Stats()
-	if sent != 3 || delivered != 3 || dropped != 0 {
-		t.Errorf("stats = (%d,%d,%d), want (3,3,0)", sent, delivered, dropped)
+	if sent != 7 || delivered != 4 || dropped != 3 || sent != delivered+dropped {
+		t.Errorf("stats = (%d,%d,%d), want (7,4,3)", sent, delivered, dropped)
 	}
 }
 
+// Delay applies to datagrams only: a delayed datagram arrives behind a
+// later one, while a reliable send keeps its own latency.
 func TestShaperDelayReordersAgainstLaterSends(t *testing.T) {
 	k := sim.New(1)
 	n := NewNetwork(k, cfg())
 	var order []string
-	n.Register(2, func(d Datagram) { order = append(order, d.Payload.(string)) })
-	n.SetShaper(func(from, to tid.SiteID, payload any) Shape {
-		if payload == "first" {
+	var rpcAt rt.Time
+	n.Register(2, func(d Datagram) {
+		order = append(order, d.Payload.(string))
+		if d.Payload == "rpc" {
+			rpcAt = k.Now()
+		}
+	})
+	n.SetShaper(func(from, to tid.SiteID, payload any, reliable bool) Shape {
+		if payload == "first" || payload == "rpc" {
 			return Shape{Delay: 50 * time.Millisecond}
 		}
 		return Shape{}
@@ -258,27 +273,43 @@ func TestShaperDelayReordersAgainstLaterSends(t *testing.T) {
 	k.Go("main", func() {
 		n.Send(1, 2, "first")
 		n.Send(1, 2, "second")
+		n.SendReliable(1, 2, "rpc", time.Millisecond)
 	})
 	k.Run()
-	if len(order) != 2 || order[0] != "second" || order[1] != "first" {
-		t.Fatalf("arrival order = %v, want [second first]", order)
+	if len(order) != 3 || order[0] != "rpc" || order[1] != "second" || order[2] != "first" {
+		t.Fatalf("arrival order = %v, want [rpc second first]", order)
+	}
+	if rpcAt != rt.Time(time.Millisecond) {
+		t.Errorf("rpc arrived at %v, want its 1ms latency: Delay shapes datagrams only", rpcAt)
 	}
 }
 
+// Drop applies to reliable and unreliable traffic alike, and the hook
+// sees every send — a crashed sender's too — before any other check.
 func TestShaperDropCounts(t *testing.T) {
 	k := sim.New(1)
 	n := NewNetwork(k, cfg())
-	delivered := 0
+	delivered, seen := 0, 0
 	n.Register(2, func(d Datagram) { delivered++ })
-	n.SetShaper(func(from, to tid.SiteID, payload any) Shape {
-		return Shape{Drop: true}
+	n.SetShaper(func(from, to tid.SiteID, payload any, reliable bool) Shape {
+		seen++
+		return Shape{Drop: payload != "from the dead"}
 	})
-	k.Go("main", func() { n.Send(1, 2, "x") })
+	k.Go("main", func() {
+		n.Send(1, 2, "x")
+		n.SendReliable(1, 2, "rpc", time.Millisecond)
+		n.SetDown(3, true)
+		n.Send(3, 2, "from the dead")
+		n.SendReliable(3, 2, "from the dead", time.Millisecond)
+	})
 	k.Run()
 	if delivered != 0 {
-		t.Fatalf("shaped-drop datagram was delivered")
+		t.Fatalf("%d dropped datagrams were delivered", delivered)
 	}
-	if _, _, dropped := n.Stats(); dropped != 1 {
-		t.Errorf("dropped = %d, want 1", dropped)
+	if seen != 4 {
+		t.Errorf("hook saw %d sends, want all 4", seen)
+	}
+	if _, _, dropped := n.Stats(); dropped != 4 {
+		t.Errorf("dropped = %d, want 4", dropped)
 	}
 }

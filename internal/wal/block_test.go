@@ -280,7 +280,9 @@ func TestConcurrentForcersShareOneAppend(t *testing.T) {
 }
 
 func TestFailedAppendIsNotADeviceWrite(t *testing.T) {
-	l := Open(rt.Real(), NewFailStore(NewMemStore(), 1), Config{GroupCommit: true})
+	fs := NewFaultStore(NewMemStore(), nil)
+	fs.ArmAppend(1, DamageLost)
+	l := Open(rt.Real(), fs, Config{GroupCommit: true})
 	defer l.Close()
 	forceBatches(t, l, batch(0))
 	l.Append(&Record{Type: RecCommit, TID: testTID(8)}) //nolint:errcheck // the force below reports the failure
