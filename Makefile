@@ -79,8 +79,10 @@ paxos:
 
 # A short fuzz of the decoders hostile or hand-written bytes reach.
 # Arbitrary bytes as the log's final block must never panic recovery
-# and never yield a record whose frame does not check out; arbitrary
-# bytes as a ctl request line must never panic the control server and
+# and never yield a record whose frame does not check out; a record body
+# sealed with its checksum must never panic the record decoder, and one
+# it accepts must re-encode to the same bytes; arbitrary bytes as a ctl
+# request line must never panic the control server and
 # always get one line of JSON back. The fault and layout parsers —
 # chaos/v1 and netem/v1 schedules, the shardmap/v1 map — must never
 # panic, and whatever they accept must re-encode and decode to an
@@ -88,6 +90,7 @@ paxos:
 # corpora alone run in `make test`.)
 fuzz:
 	$(GO) test ./internal/wal -run '^$$' -fuzz FuzzBlockFrames -fuzztime 5s
+	$(GO) test ./internal/wal -run '^$$' -fuzz FuzzRecord -fuzztime 3s
 	$(GO) test ./internal/ctl -run '^$$' -fuzz FuzzRequestLine -fuzztime 3s
 	$(GO) test ./internal/chaos -run '^$$' -fuzz FuzzDecodeSchedule -fuzztime 3s
 	$(GO) test ./internal/netem -run '^$$' -fuzz FuzzDecodeSchedule -fuzztime 3s

@@ -26,8 +26,6 @@ import (
 // a blocking conn.ReadFromUDP would.
 
 // recvBatchSize is how many datagrams one recvmmsg call may drain.
-// Each slot holds a full-size datagram buffer (wire.MaxDatagram+1 for
-// truncation detection), so the per-peer cost is recvBatchSize×64 KiB.
 const recvBatchSize = 8
 
 // mmsgDisabled latches when the kernel refuses the batched syscalls
@@ -179,6 +177,72 @@ func (p *UDPPeer) sendBatch(tos []tid.SiteID, buf []byte, m *wire.Msg) bool {
 	return true
 }
 
+// recvSlots is the batched reader's receive memory, sized to the
+// traffic rather than to the largest legal datagram: recvBatchSize
+// private heads of slotSize bytes, which the protocols' datagrams fit,
+// and one spill buffer of wire.MaxDatagram+1 bytes. Each slot's iovec
+// pair is its own head followed by the spill's tail (spill[slotSize:]),
+// so any legal datagram still lands whole, and one byte beyond the
+// legal maximum still shows as truncation: 80 KiB a peer, against
+// recvBatchSize×64 KiB for a full-size buffer per slot.
+//
+// The tail is shared. The kernel fills the slots in arrival order, so
+// of the datagrams one call brings that overflow their heads, only the
+// last keeps its tail; an earlier one is dropped and counted like any
+// other loss, and the protocols' retry masks it.
+type recvSlots struct {
+	heads []byte
+	spill []byte
+	iovs  []syscall.Iovec
+	hdrs  []mmsghdr
+}
+
+func newRecvSlots() *recvSlots {
+	s := &recvSlots{
+		heads: make([]byte, recvBatchSize*slotSize),
+		spill: make([]byte, wire.MaxDatagram+1),
+		iovs:  make([]syscall.Iovec, 2*recvBatchSize),
+		hdrs:  make([]mmsghdr, recvBatchSize),
+	}
+	tail := s.spill[slotSize:]
+	for i := range s.hdrs {
+		head, iov := s.head(i), s.iovs[2*i:2*i+2]
+		iov[0].Base = &head[0]
+		iov[0].SetLen(len(head))
+		iov[1].Base = &tail[0]
+		iov[1].SetLen(len(tail))
+		s.hdrs[i].hdr.Iov = &iov[0]
+		s.hdrs[i].hdr.Iovlen = 2
+	}
+	return s
+}
+
+func (s *recvSlots) head(i int) []byte { return s.heads[i*slotSize : (i+1)*slotSize] }
+
+// deliver hands the got datagrams of the last recvmmsg call to p in
+// arrival order. The one overflowing datagram that kept its tail is
+// made whole by copying its head in front of the tail.
+func (s *recvSlots) deliver(p *UDPPeer, got int) {
+	last := -1
+	for i := 0; i < got; i++ {
+		if s.hdrs[i].n > slotSize {
+			last = i
+		}
+	}
+	for i := 0; i < got; i++ {
+		n := int(s.hdrs[i].n)
+		switch {
+		case n <= slotSize:
+			p.deliver(s.head(i)[:n])
+		case i == last:
+			copy(s.spill, s.head(i))
+			p.deliver(s.spill[:n])
+		default:
+			p.drop(0, p.self, nil, "spill overwritten by a later datagram of the same recvmmsg")
+		}
+	}
+}
+
 // readBatch drains the socket with recvmmsg until it closes; it
 // returns true in that case. A kernel that refuses the syscall makes
 // it return false before any datagram is consumed, and the portable
@@ -187,18 +251,7 @@ func (p *UDPPeer) readBatch() bool {
 	if mmsgDisabled.Load() {
 		return false
 	}
-	bufs := make([][]byte, recvBatchSize)
-	iovs := make([]syscall.Iovec, recvBatchSize)
-	hdrs := make([]mmsghdr, recvBatchSize)
-	for i := range bufs {
-		// One byte beyond the legal maximum so truncation is
-		// detectable, exactly as in the portable loop.
-		bufs[i] = make([]byte, wire.MaxDatagram+1)
-		iovs[i].Base = &bufs[i][0]
-		iovs[i].SetLen(len(bufs[i]))
-		hdrs[i].hdr.Iov = &iovs[i]
-		hdrs[i].hdr.Iovlen = 1
-	}
+	s := newRecvSlots()
 	probed := false
 	for {
 		got := 0
@@ -206,7 +259,7 @@ func (p *UDPPeer) readBatch() bool {
 		rerr := p.rc.Read(func(fd uintptr) bool {
 			for {
 				n, _, errno := syscall.Syscall6(syscall.SYS_RECVMMSG, fd,
-					uintptr(unsafe.Pointer(&hdrs[0])), recvBatchSize, 0, 0, 0)
+					uintptr(unsafe.Pointer(&s.hdrs[0])), recvBatchSize, 0, 0, 0)
 				switch errno {
 				case 0:
 					got = int(n)
@@ -232,8 +285,6 @@ func (p *UDPPeer) readBatch() bool {
 			return true
 		}
 		probed = true
-		for i := 0; i < got; i++ {
-			p.deliver(bufs[i][:hdrs[i].n])
-		}
+		s.deliver(p, got)
 	}
 }

@@ -4,6 +4,7 @@ package transport
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"camelot/internal/tid"
@@ -82,5 +83,104 @@ func TestSendBatchDeclinesNonBatchable(t *testing.T) {
 	waitFor(t, "deliverable half of fan-out", func() bool { return got.len() == 1 })
 	if sent, _, dropped := a.Stats(); sent != 1 || dropped != 1 {
 		t.Fatalf("sent %d / dropped %d, want 1 / 1", sent, dropped)
+	}
+}
+
+// sizedMsg builds a commit-ack for family fam whose encoding is
+// exactly n bytes: the fixed header padded out with votes (5 bytes
+// each) until the rest divides by four, then piggybacked acks (16) of
+// fam's own, and participant sites (4).
+func sizedMsg(t *testing.T, n int, fam uint32) *wire.Msg {
+	t.Helper()
+	m := &wire.Msg{Kind: wire.KCommitAck, TID: tid.Top(tid.MakeFamily(1, fam)), From: 1, To: 2}
+	pad := n - wire.EncodedSize(m)
+	for ; pad%4 != 0; pad -= 5 {
+		m.Votes = append(m.Votes, wire.SiteVote{Site: tid.SiteID(len(m.Votes) + 1), Vote: wire.VoteYes})
+	}
+	for ; pad >= 16; pad -= 16 {
+		m.AckTIDs = append(m.AckTIDs, tid.Top(tid.MakeFamily(tid.SiteID(fam), uint32(len(m.AckTIDs)+1))))
+	}
+	for ; pad > 0; pad -= 4 {
+		m.Sites = append(m.Sites, tid.SiteID(len(m.Sites)+1))
+	}
+	if got := wire.EncodedSize(m); got != n {
+		t.Fatalf("built a %d-byte message, want %d", got, n)
+	}
+	return m
+}
+
+// TestSlotBoundarySizes sends datagrams on either side of the
+// receive slot's private room and the largest legal one, one at a
+// time, through both read paths: each arrives whole and field-exact,
+// and nothing is dropped.
+func TestSlotBoundarySizes(t *testing.T) {
+	sizes := []int{slotSize - 1, slotSize, slotSize + 1, 3 * slotSize, wire.MaxDatagram}
+	for _, portable := range []bool{false, true} {
+		t.Run(fmt.Sprintf("portable=%v", portable), func(t *testing.T) {
+			was := mmsgDisabled.Load()
+			if !portable && was {
+				t.Skip("kernel refused sendmmsg/recvmmsg")
+			}
+			mmsgDisabled.Store(portable)
+			defer mmsgDisabled.Store(was)
+			a, b := newTestPeer(t, 1), newTestPeer(t, 2)
+			connect(t, a, b, 1, 2)
+			var got collector
+			b.SetHandler(got.handle)
+			for i, n := range sizes {
+				want := sizedMsg(t, n, uint32(i+1))
+				a.Send(1, 2, want)
+				waitFor(t, fmt.Sprintf("the %d-byte datagram", n), func() bool { return got.len() == i+1 })
+				if m := got.all()[i]; !reflect.DeepEqual(m, want) {
+					t.Fatalf("%d-byte datagram arrived changed", n)
+				}
+			}
+			if _, recv, dropped := b.Stats(); recv != len(sizes) || dropped != 0 {
+				t.Fatalf("received %d / dropped %d, want %d / 0", recv, dropped, len(sizes))
+			}
+		})
+	}
+}
+
+// TestSpillKeepsLastOverflow plays the kernel's side of one recvmmsg
+// call that brings four datagrams — small, overflowing, small,
+// overflowing — into the shared-spill slots. The small ones and the
+// last overflowing one are delivered whole; the first overflowing one
+// lost its tail to the second, so it is a counted, logged drop. The two
+// overflowing ones are the same size and differ only in their acks, so
+// the stale head over the later tail would still decode: a corrupt
+// delivery, not a decode failure, is what the drop prevents.
+func TestSpillKeepsLastOverflow(t *testing.T) {
+	p := newTestPeer(t, 2)
+	var got collector
+	p.SetHandler(got.handle)
+	var logged int
+	p.SetLogf(func(string, ...any) { logged++ })
+
+	batch := []*wire.Msg{
+		sizedMsg(t, 200, 1),
+		sizedMsg(t, 3*slotSize, 2),
+		sizedMsg(t, 300, 3),
+		sizedMsg(t, 3*slotSize, 4),
+	}
+	s := newRecvSlots()
+	for i, m := range batch {
+		b := wire.Marshal(m)
+		copy(s.head(i), b)
+		if len(b) > slotSize {
+			copy(s.spill[slotSize:], b[slotSize:])
+		}
+		s.hdrs[i].n = uint32(len(b))
+	}
+	s.deliver(p, len(batch))
+
+	if want := []*wire.Msg{batch[0], batch[2], batch[3]}; !reflect.DeepEqual(got.all(), want) {
+		t.Fatalf("delivered %d datagrams, want families 1, 3, 4 whole", got.len())
+	}
+	if _, recv, dropped := p.Stats(); recv != 3 || dropped != 1 {
+		t.Fatalf("received %d / dropped %d, want 3 / 1", recv, dropped)
+	}
+	if logged != 1 {
+		t.Fatalf("logged %d drops, want 1", logged)
 	}
 }

@@ -19,6 +19,14 @@ import (
 // arrivals beyond the bound are counted as drops like any other loss.
 const backlogCap = 128
 
+// slotSize is room for every datagram the protocols send short of a
+// very large piggybacked-ack batch: wire's fixed 75-byte header plus a
+// few site ids, votes or ack TIDs (wire.EncodedSize; 2048 bytes hold
+// 123 acks). The send pool's buffers start at it, and the batched
+// reader gives each recvmmsg slot this much room of its own; a larger
+// legal datagram continues into a shared spill buffer.
+const slotSize = 2048
+
 // UDPPeer is a real-network Sender: transaction-manager datagrams are
 // marshaled with the wire codec and carried over UDP, with exactly
 // the delivery guarantees the protocols were built for — none. The
@@ -35,7 +43,7 @@ const backlogCap = 128
 // have grown to the traffic's working size, marshaling a datagram
 // allocates nothing (wire.AppendDatagram into the recycled slice).
 var bufPool = sync.Pool{New: func() any {
-	b := make([]byte, 0, 2048)
+	b := make([]byte, 0, slotSize)
 	return &b
 }}
 

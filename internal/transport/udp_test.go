@@ -3,7 +3,9 @@ package transport
 import (
 	"errors"
 	"fmt"
+	"net"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -238,6 +240,46 @@ func TestFanoutReaddressesPerDestination(t *testing.T) {
 	}
 	if sent, _, _ := coord.Stats(); sent != 2*len(tos) {
 		t.Fatalf("sent = %d, want %d", sent, 2*len(tos))
+	}
+}
+
+// TestReceiveMemoryPerPeer pins what a peer's reader holds live: its
+// receive slots are sized to the traffic (slotSize each, plus one
+// full-size spill), not one largest-legal-datagram buffer per
+// recvmmsg slot, which cost 512 KiB a peer.
+func TestReceiveMemoryPerPeer(t *testing.T) {
+	const peers, limit = 8, 128 << 10
+	src, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer src.Close()
+	ping := wire.Marshal(&wire.Msg{Kind: wire.KPrepare, TID: tid.Top(tid.MakeFamily(1, 1)), From: 1})
+
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	ps := make([]*UDPPeer, peers)
+	for i := range ps {
+		ps[i] = newTestPeer(t, tid.SiteID(i+2))
+		ps[i].SetHandler(func(Datagram) {})
+		addr, err := net.ResolveUDPAddr("udp", ps[i].Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := src.WriteToUDP(ping, addr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// A peer that has received a datagram has allocated its buffers.
+	for i, p := range ps {
+		waitFor(t, fmt.Sprintf("peer %d's first datagram", i), func() bool { _, r, _ := p.Stats(); return r == 1 })
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(ps)
+	if per := (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / peers; per > limit {
+		t.Fatalf("%d KiB live per peer, want at most %d KiB", per>>10, limit>>10)
 	}
 }
 
