@@ -82,16 +82,20 @@ paxos:
 # and never yield a record whose frame does not check out; a record body
 # sealed with its checksum must never panic the record decoder, and one
 # it accepts must re-encode to the same bytes; arbitrary bytes as a ctl
-# request line must never panic the control server and
-# always get one line of JSON back. The fault and layout parsers —
-# chaos/v1 and netem/v1 schedules, the shardmap/v1 map — must never
-# panic, and whatever they accept must re-encode and decode to an
+# request line must never panic the control server, and what the
+# server's own encoder writes back must be one line of valid JSON. The
+# hand-written ctl codec is fuzzed against encoding/json: a line it
+# decodes, encoding/json decodes to the same value, and what it encodes
+# is encoding/json's bytes and decodes back to itself. The fault and
+# layout parsers — chaos/v1 and netem/v1 schedules, the shardmap/v1
+# map — must never panic, and whatever they accept must re-encode and decode to an
 # equal value; they are seeded from the checked-in schedules. (The seed
 # corpora alone run in `make test`.)
 fuzz:
 	$(GO) test ./internal/wal -run '^$$' -fuzz FuzzBlockFrames -fuzztime 5s
 	$(GO) test ./internal/wal -run '^$$' -fuzz FuzzRecord -fuzztime 3s
 	$(GO) test ./internal/ctl -run '^$$' -fuzz FuzzRequestLine -fuzztime 3s
+	$(GO) test ./internal/ctl -run '^$$' -fuzz FuzzCodec -fuzztime 3s
 	$(GO) test ./internal/chaos -run '^$$' -fuzz FuzzDecodeSchedule -fuzztime 3s
 	$(GO) test ./internal/netem -run '^$$' -fuzz FuzzDecodeSchedule -fuzztime 3s
 	$(GO) test ./internal/shardmap -run '^$$' -fuzz FuzzUnmarshal -fuzztime 3s

@@ -275,36 +275,47 @@ func TestClusterNBMidCommitKill(t *testing.T) {
 // commit leaves the prepared survivors blocked on the dead coordinator,
 // which is what 2PC does, not a violation. The run must come back clean
 // with the blocked survivors named in the report's notes, and resolve
-// them once the heal brings the coordinator back.
+// them once the heal brings the coordinator back. The kill races the
+// commit: when it lands after the survivors resolved, the run has no
+// note and no violation, and says nothing either way — such a run is
+// inconclusive and the test runs again, up to three times.
 func TestCluster2PCMidCommitKillBlocks(t *testing.T) {
 	bin := nodeBin(t)
 
-	rep, err := run(config{
-		Nodes:         3,
-		Txns:          1,
-		Seed:          1,
-		Protocol:      "2pc",
-		NodeBin:       bin,
-		KillMidCommit: true,
-		Retry:         25 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range rep.Violations {
-		t.Errorf("oracle violation: %s", v)
-	}
-	if len(rep.Notes) == 0 {
-		t.Error("no note: the survivors of a 2PC coordinator killed mid-commit were not found blocked")
-	}
-	for _, n := range rep.Notes {
-		if !strings.HasPrefix(n, "blocked, as 2pc is: ") {
-			t.Errorf("note %q does not say blocked", n)
+	const runs = 3
+	for i := 1; i <= runs; i++ {
+		rep, err := run(config{
+			Nodes:         3,
+			Txns:          1,
+			Seed:          1,
+			Protocol:      "2pc",
+			NodeBin:       bin,
+			KillMidCommit: true,
+			Retry:         25 * time.Millisecond,
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
+		for _, v := range rep.Violations {
+			t.Errorf("oracle violation: %s", v)
+		}
+		for _, n := range rep.Notes {
+			if !strings.HasPrefix(n, "blocked, as 2pc is: ") {
+				t.Errorf("note %q does not say blocked", n)
+			}
+		}
+		if t.Failed() {
+			return
+		}
+		if len(rep.Notes) > 0 {
+			if _, keys := decodeReport(t, rep); keys["notes"] == nil {
+				t.Error(`report lacks "notes"`)
+			}
+			return
+		}
+		t.Logf("run %d of %d inconclusive: the kill landed after the survivors resolved", i, runs)
 	}
-	if _, keys := decodeReport(t, rep); keys["notes"] == nil {
-		t.Error(`report lacks "notes"`)
-	}
+	t.Errorf("no note in %d runs: the survivors of a 2PC coordinator killed mid-commit were never found blocked", runs)
 }
 
 // TestClusterHealsBeforeOracle pins the heal step on the shortest

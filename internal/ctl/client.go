@@ -2,7 +2,6 @@ package ctl
 
 import (
 	"bufio"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -73,7 +72,8 @@ type Client struct {
 	conn    net.Conn
 	sc      *bufio.Scanner // response lines off conn
 	timeout time.Duration
-	broken  error // sticky transport failure; cleared by Reconnect
+	broken  error  // sticky transport failure; cleared by Reconnect
+	line    []byte // the request line being sent, reused
 }
 
 // Dial connects to a node's control address with no default deadline:
@@ -172,10 +172,7 @@ func (c *Client) DoTimeout(req Request, timeout time.Duration) (Response, error)
 	if timeout == 0 {
 		timeout = c.timeout
 	}
-	b, err := json.Marshal(&req)
-	if err != nil {
-		return Response{}, err
-	}
+	c.line = appendRequest(c.line[:0], &req)
 	if timeout > 0 {
 		deadline := time.Now().Add(timeout) //lint:walltime host-side control-connection deadline; the control plane never runs under the simulation kernel
 		if err := c.conn.SetDeadline(deadline); err != nil {
@@ -183,7 +180,7 @@ func (c *Client) DoTimeout(req Request, timeout time.Duration) (Response, error)
 		}
 		defer c.conn.SetDeadline(time.Time{}) //nolint:errcheck // best-effort reset on a live conn
 	}
-	if _, err := c.conn.Write(append(b, '\n')); err != nil {
+	if _, err := c.conn.Write(c.line); err != nil {
 		return Response{}, c.poison(req.Op, err)
 	}
 	if !c.sc.Scan() {
@@ -202,7 +199,7 @@ func (c *Client) DoTimeout(req Request, timeout time.Duration) (Response, error)
 		return Response{}, c.poison(req.Op, err)
 	}
 	var resp Response
-	if err := json.Unmarshal(c.sc.Bytes(), &resp); err != nil {
+	if err := decodeResponse(c.sc.Bytes(), &resp); err != nil {
 		return Response{}, fmt.Errorf("ctl: decode %s: %w", req.Op, err)
 	}
 	return resp, nil

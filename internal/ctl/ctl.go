@@ -1,9 +1,15 @@
 // Package ctl is the control plane of a real Camelot deployment: a
-// newline-delimited JSON request/response protocol over TCP through
-// which a driver process operates a camelot-node — begins
-// transactions, reads and writes keys routed by the shard map, runs
-// commit, and interrogates the site for the recovery oracle's
-// invariants.
+// request/response protocol over TCP through which a driver process
+// operates a camelot-node — begins transactions, reads and writes keys
+// routed by the shard map, runs commit, and interrogates the site for
+// the recovery oracle's invariants.
+//
+// The wire format is JSON lines, encoded by hand, byte-identical to
+// the standard library's json.Marshal; keys matched exactly, unknown
+// keys refused. One codec (codec.go) serves client and server: each
+// request and response is one object on one line, and reflection-based
+// JSON is too slow for a call the driver makes dozens of times per
+// transaction.
 //
 // The control plane is deliberately not the transaction protocol:
 // TranMan-to-TranMan traffic rides UDP datagrams (internal/transport)
@@ -15,7 +21,6 @@ package ctl
 
 import (
 	"bufio"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -177,10 +182,11 @@ func (s *Server) acceptLoop() {
 func (s *Server) serveConn(conn net.Conn) {
 	defer conn.Close() //nolint:errcheck // read loop below is the failure signal
 	sc := lineScanner(conn)
-	enc := json.NewEncoder(conn)
+	var out []byte // this connection's response line, reused
 	for sc.Scan() {
 		resp := s.serveLine(sc.Bytes())
-		if err := enc.Encode(&resp); err != nil {
+		out = appendResponse(out[:0], &resp)
+		if _, err := conn.Write(out); err != nil {
 			return
 		}
 	}
@@ -190,7 +196,7 @@ func (s *Server) serveConn(conn net.Conn) {
 // that does not decode is answered with an error like any other.
 func (s *Server) serveLine(line []byte) Response {
 	var req Request
-	if err := json.Unmarshal(line, &req); err != nil {
+	if err := decodeRequest(line, &req); err != nil {
 		return Response{Err: fmt.Sprintf("bad request: %v", err)}
 	}
 	return s.handle(req)
