@@ -107,10 +107,10 @@ type Config struct {
 	RPCTimeout time.Duration
 	// LossRate injects datagram loss for fault experiments.
 	LossRate float64
-	// Trace attaches a trace.Collector to the cluster, recording a
-	// structured event timeline and per-site protocol counters; read
-	// them back through Cluster.Trace. Off by default: the
-	// uninstrumented path costs one nil check per hook.
+	// Trace turns on the cluster collector's event timeline, its
+	// per-family counters and its phase latencies; read them back
+	// through Cluster.Trace. The per-site counters are always on. Off
+	// by default: without the timeline a hook is one atomic add.
 	Trace bool
 	// WrapStore, if non-nil, wraps each new node's stable log store.
 	// The chaos explorer uses it to interpose a fault-injecting store
@@ -160,7 +160,11 @@ func NewRealtimeCluster(cfg Config) *Cluster {
 
 // NewCluster creates an empty cluster on the given runtime.
 func NewCluster(r rt.Runtime, cfg Config) *Cluster {
-	c := &Cluster{
+	tr := trace.NewCounters()
+	if cfg.Trace {
+		tr = trace.New(r)
+	}
+	return &Cluster{
 		r:   r,
 		cfg: cfg,
 		net: transport.NewNetwork(r, transport.Config{
@@ -168,19 +172,17 @@ func NewCluster(r rt.Runtime, cfg Config) *Cluster {
 			SendCycle: cfg.Params.SendCycle,
 			Jitter:    cfg.Params.Jitter,
 			LossRate:  cfg.LossRate,
+			Trace:     tr,
 		}),
 		names: commman.NewNames(r),
 		nodes: make(map[SiteID]*Node),
+		tr:    tr,
 	}
-	if cfg.Trace {
-		c.tr = trace.New(r)
-		c.net.SetTrace(c.tr)
-	}
-	return c
 }
 
-// Trace returns the cluster's trace collector, or nil when Config.Trace
-// is off.
+// Trace returns the cluster's collector: every site's counters, and
+// the event timeline when Config.Trace is on. The counters outlive a
+// site's crash, so a recovered site's count goes on from where it was.
 func (c *Cluster) Trace() *trace.Collector { return c.tr }
 
 // Network exposes the transport for fault injection in tests and

@@ -55,9 +55,9 @@ func TestStatsExposedThroughFacade(t *testing.T) {
 		if n.TM().Site() != 1 {
 			t.Errorf("Site() = %v", n.TM().Site())
 		}
-		sent, delivered, _ := c.Network().Stats()
-		_ = sent
-		_ = delivered
+		if sc := c.Trace().Site(1); sc.Begun != st.Begun || sc.Committed != st.Committed {
+			t.Errorf("Stats = %+v is not a view of the site's counters %+v", st, sc)
+		}
 	})
 }
 

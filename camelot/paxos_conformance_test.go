@@ -84,122 +84,137 @@ func writeAllN(n int) func(tx *Tx) error {
 	}
 }
 
-// TestProtocolBudgetTable is the three-protocol budget table:
-// (protocol × F × workload mix) → exact per-site appends, forces and
-// datagrams. The Paxos rows derive from Gray & Lamport with the
-// ballot-0, co-location and batched-accept optimizations applied; the
-// 2PC and NB rows restate the §3.2/§3.3 budgets so the three columns
-// are pinned side by side.
+// budgetRow is one row of the protocol budget table.
+type budgetRow struct {
+	name  string
+	opts  Options
+	n     int                             // cluster size
+	write func(tx *Tx) error              // workload
+	ro    bool                            // readOnlyOps workload (site 3 reads only)
+	want  map[SiteID]trace.FamilyCounters // per-site budget
+}
+
+// budgetTable is the three-protocol budget table: (protocol × F ×
+// workload mix) → exact per-site appends, forces and datagrams. The
+// Paxos rows derive from Gray & Lamport with the ballot-0, co-location
+// and batched-accept optimizations applied; the 2PC and NB rows restate
+// the §3.2/§3.3 budgets so the three columns are pinned side by side.
+// TestProtocolBudgetTable runs every row on the simulator,
+// TestRealBudgetTable some on real nodes.
+var budgetTable = []budgetRow{
+	// Two-phase commit, all sites updating: coordinator forces its
+	// commit record; subordinates force their prepare.
+	{
+		name: "2pc/writeAll", opts: Options{}, n: 3, write: writeAll,
+		want: map[SiteID]trace.FamilyCounters{
+			1: {LogAppends: 3, LogForces: 1, MsgsSent: 4, MsgsRecv: 4},
+			2: {LogAppends: 3, LogForces: 1, MsgsSent: 2, MsgsRecv: 2},
+			3: {LogAppends: 3, LogForces: 1, MsgsSent: 2, MsgsRecv: 2},
+		},
+	},
+	// Two-phase commit, read-only mix: the read-only site answers
+	// one vote and is excluded from phase two.
+	{
+		name: "2pc/readOnly", opts: Options{}, n: 3, ro: true,
+		want: map[SiteID]trace.FamilyCounters{
+			1: {LogAppends: 3, LogForces: 1, MsgsSent: 3, MsgsRecv: 3},
+			2: {LogAppends: 3, LogForces: 1, MsgsSent: 2, MsgsRecv: 2},
+			3: {LogAppends: 0, LogForces: 0, MsgsSent: 1, MsgsRecv: 1},
+		},
+	},
+	// Non-blocking commit: one replication round on top of 2PC.
+	{
+		name: "nb/writeAll", opts: Options{Protocol: NonBlocking}, n: 3, write: writeAll,
+		want: map[SiteID]trace.FamilyCounters{
+			1: {LogAppends: 5, LogForces: 2, MsgsSent: 6, MsgsRecv: 6},
+			2: {LogAppends: 4, LogForces: 2, MsgsSent: 3, MsgsRecv: 3},
+			3: {LogAppends: 4, LogForces: 2, MsgsSent: 3, MsgsRecv: 3},
+		},
+	},
+	// Paxos Commit, F=0: the sole acceptor is the coordinator, whose
+	// batched accepted record doubles as its commit-point force — the
+	// delay budget (forces and datagrams per site) is exactly 2PC's.
+	// Only the coordinator's append count differs (the accepted
+	// record is a fourth, unforced append).
+	{
+		name: "paxos/F=0/writeAll", opts: Options{Protocol: Paxos}, n: 3, write: writeAll,
+		want: map[SiteID]trace.FamilyCounters{
+			1: {LogAppends: 4, LogForces: 1, MsgsSent: 4, MsgsRecv: 4},
+			2: {LogAppends: 3, LogForces: 1, MsgsSent: 2, MsgsRecv: 2},
+			3: {LogAppends: 3, LogForces: 1, MsgsSent: 2, MsgsRecv: 2},
+		},
+	},
+	{
+		name: "paxos/F=0/readOnly", opts: Options{Protocol: Paxos}, n: 3, ro: true,
+		want: map[SiteID]trace.FamilyCounters{
+			1: {LogAppends: 4, LogForces: 1, MsgsSent: 3, MsgsRecv: 3},
+			2: {LogAppends: 3, LogForces: 1, MsgsSent: 2, MsgsRecv: 2},
+			3: {LogAppends: 0, LogForces: 0, MsgsSent: 1, MsgsRecv: 1},
+		},
+	},
+	// Paxos Commit, F=1 over three sites: all three host acceptors.
+	// Each participant pays one extra force (its half of the
+	// acceptor's batched accepted record); each subordinate's 2a's and
+	// 2b replace its single vote datagram, and the leader's 2a rides
+	// its vote request.
+	{
+		name: "paxos/F=1/writeAll", opts: Options{Protocol: Paxos, PaxosF: 1}, n: 3, write: writeAll,
+		want: map[SiteID]trace.FamilyCounters{
+			1: {LogAppends: 5, LogForces: 2, MsgsSent: 4, MsgsRecv: 6},
+			2: {LogAppends: 4, LogForces: 2, MsgsSent: 4, MsgsRecv: 3},
+			3: {LogAppends: 4, LogForces: 2, MsgsSent: 4, MsgsRecv: 3},
+		},
+	},
+	// Paxos Commit, F=1, read-only mix: the read-only site still
+	// hosts an acceptor, so it keeps one force (the accepted batch)
+	// and stays in the message flow, but writes no update or
+	// prepared records — and the outcome reaches it fire-and-forget,
+	// with no ack owed.
+	{
+		name: "paxos/F=1/readOnly", opts: Options{Protocol: Paxos, PaxosF: 1}, n: 3, ro: true,
+		want: map[SiteID]trace.FamilyCounters{
+			1: {LogAppends: 5, LogForces: 2, MsgsSent: 4, MsgsRecv: 5},
+			2: {LogAppends: 4, LogForces: 2, MsgsSent: 4, MsgsRecv: 3},
+			3: {LogAppends: 1, LogForces: 1, MsgsSent: 3, MsgsRecv: 3},
+		},
+	},
+	// Paxos Commit, F=1 over two sites — the shape the benchmark's
+	// dist-paxos workload runs. The sole subordinate is the last
+	// voter: its prepared and accepted records share one force, and
+	// its 2b is the only datagram its vote costs.
+	{
+		name: "paxos/F=1/twoSites", opts: Options{Protocol: Paxos, PaxosF: 1}, n: 2, write: writeAllN(2),
+		want: map[SiteID]trace.FamilyCounters{
+			1: {LogAppends: 5, LogForces: 2, MsgsSent: 2, MsgsRecv: 2},
+			2: {LogAppends: 4, LogForces: 1, MsgsSent: 2, MsgsRecv: 2},
+		},
+	},
+	// Paxos Commit, F=2 over five sites: all five host acceptors.
+	{
+		name: "paxos/F=2/writeAll", opts: Options{Protocol: Paxos, PaxosF: 2}, n: 5, write: writeAllN(5),
+		want: map[SiteID]trace.FamilyCounters{
+			1: {LogAppends: 5, LogForces: 2, MsgsSent: 8, MsgsRecv: 12},
+			2: {LogAppends: 4, LogForces: 2, MsgsSent: 6, MsgsRecv: 5},
+			3: {LogAppends: 4, LogForces: 2, MsgsSent: 6, MsgsRecv: 5},
+			4: {LogAppends: 4, LogForces: 2, MsgsSent: 6, MsgsRecv: 5},
+			5: {LogAppends: 4, LogForces: 2, MsgsSent: 6, MsgsRecv: 5},
+		},
+	},
+}
+
+// budgetRowNamed returns the budget table's row called name.
+func budgetRowNamed(name string) budgetRow {
+	for _, r := range budgetTable {
+		if r.name == name {
+			return r
+		}
+	}
+	panic("no budget row " + name)
+}
+
+// TestProtocolBudgetTable runs the budget table on the simulator.
 func TestProtocolBudgetTable(t *testing.T) {
-	type row struct {
-		name  string
-		opts  Options
-		n     int                             // cluster size
-		write func(tx *Tx) error              // workload
-		ro    bool                            // readOnlyOps workload (site 3 reads only)
-		want  map[SiteID]trace.FamilyCounters // per-site budget
-	}
-	rows := []row{
-		// Two-phase commit, all sites updating: coordinator forces its
-		// commit record; subordinates force their prepare.
-		{
-			name: "2pc/writeAll", opts: Options{}, n: 3, write: writeAll,
-			want: map[SiteID]trace.FamilyCounters{
-				1: {LogAppends: 3, LogForces: 1, MsgsSent: 4, MsgsRecv: 4},
-				2: {LogAppends: 3, LogForces: 1, MsgsSent: 2, MsgsRecv: 2},
-				3: {LogAppends: 3, LogForces: 1, MsgsSent: 2, MsgsRecv: 2},
-			},
-		},
-		// Two-phase commit, read-only mix: the read-only site answers
-		// one vote and is excluded from phase two.
-		{
-			name: "2pc/readOnly", opts: Options{}, n: 3, ro: true,
-			want: map[SiteID]trace.FamilyCounters{
-				1: {LogAppends: 3, LogForces: 1, MsgsSent: 3, MsgsRecv: 3},
-				2: {LogAppends: 3, LogForces: 1, MsgsSent: 2, MsgsRecv: 2},
-				3: {LogAppends: 0, LogForces: 0, MsgsSent: 1, MsgsRecv: 1},
-			},
-		},
-		// Non-blocking commit: one replication round on top of 2PC.
-		{
-			name: "nb/writeAll", opts: Options{Protocol: NonBlocking}, n: 3, write: writeAll,
-			want: map[SiteID]trace.FamilyCounters{
-				1: {LogAppends: 5, LogForces: 2, MsgsSent: 6, MsgsRecv: 6},
-				2: {LogAppends: 4, LogForces: 2, MsgsSent: 3, MsgsRecv: 3},
-				3: {LogAppends: 4, LogForces: 2, MsgsSent: 3, MsgsRecv: 3},
-			},
-		},
-		// Paxos Commit, F=0: the sole acceptor is the coordinator, whose
-		// batched accepted record doubles as its commit-point force — the
-		// delay budget (forces and datagrams per site) is exactly 2PC's.
-		// Only the coordinator's append count differs (the accepted
-		// record is a fourth, unforced append).
-		{
-			name: "paxos/F=0/writeAll", opts: Options{Protocol: Paxos}, n: 3, write: writeAll,
-			want: map[SiteID]trace.FamilyCounters{
-				1: {LogAppends: 4, LogForces: 1, MsgsSent: 4, MsgsRecv: 4},
-				2: {LogAppends: 3, LogForces: 1, MsgsSent: 2, MsgsRecv: 2},
-				3: {LogAppends: 3, LogForces: 1, MsgsSent: 2, MsgsRecv: 2},
-			},
-		},
-		{
-			name: "paxos/F=0/readOnly", opts: Options{Protocol: Paxos}, n: 3, ro: true,
-			want: map[SiteID]trace.FamilyCounters{
-				1: {LogAppends: 4, LogForces: 1, MsgsSent: 3, MsgsRecv: 3},
-				2: {LogAppends: 3, LogForces: 1, MsgsSent: 2, MsgsRecv: 2},
-				3: {LogAppends: 0, LogForces: 0, MsgsSent: 1, MsgsRecv: 1},
-			},
-		},
-		// Paxos Commit, F=1 over three sites: all three host acceptors.
-		// Each participant pays one extra force (its half of the
-		// acceptor's batched accepted record); each subordinate's 2a's and
-		// 2b replace its single vote datagram, and the leader's 2a rides
-		// its vote request.
-		{
-			name: "paxos/F=1/writeAll", opts: Options{Protocol: Paxos, PaxosF: 1}, n: 3, write: writeAll,
-			want: map[SiteID]trace.FamilyCounters{
-				1: {LogAppends: 5, LogForces: 2, MsgsSent: 4, MsgsRecv: 6},
-				2: {LogAppends: 4, LogForces: 2, MsgsSent: 4, MsgsRecv: 3},
-				3: {LogAppends: 4, LogForces: 2, MsgsSent: 4, MsgsRecv: 3},
-			},
-		},
-		// Paxos Commit, F=1, read-only mix: the read-only site still
-		// hosts an acceptor, so it keeps one force (the accepted batch)
-		// and stays in the message flow, but writes no update or
-		// prepared records — and the outcome reaches it fire-and-forget,
-		// with no ack owed.
-		{
-			name: "paxos/F=1/readOnly", opts: Options{Protocol: Paxos, PaxosF: 1}, n: 3, ro: true,
-			want: map[SiteID]trace.FamilyCounters{
-				1: {LogAppends: 5, LogForces: 2, MsgsSent: 4, MsgsRecv: 5},
-				2: {LogAppends: 4, LogForces: 2, MsgsSent: 4, MsgsRecv: 3},
-				3: {LogAppends: 1, LogForces: 1, MsgsSent: 3, MsgsRecv: 3},
-			},
-		},
-		// Paxos Commit, F=1 over two sites — the shape the benchmark's
-		// dist-paxos workload runs. The sole subordinate is the last
-		// voter: its prepared and accepted records share one force, and
-		// its 2b is the only datagram its vote costs.
-		{
-			name: "paxos/F=1/twoSites", opts: Options{Protocol: Paxos, PaxosF: 1}, n: 2, write: writeAllN(2),
-			want: map[SiteID]trace.FamilyCounters{
-				1: {LogAppends: 5, LogForces: 2, MsgsSent: 2, MsgsRecv: 2},
-				2: {LogAppends: 4, LogForces: 1, MsgsSent: 2, MsgsRecv: 2},
-			},
-		},
-		// Paxos Commit, F=2 over five sites: all five host acceptors.
-		{
-			name: "paxos/F=2/writeAll", opts: Options{Protocol: Paxos, PaxosF: 2}, n: 5, write: writeAllN(5),
-			want: map[SiteID]trace.FamilyCounters{
-				1: {LogAppends: 5, LogForces: 2, MsgsSent: 8, MsgsRecv: 12},
-				2: {LogAppends: 4, LogForces: 2, MsgsSent: 6, MsgsRecv: 5},
-				3: {LogAppends: 4, LogForces: 2, MsgsSent: 6, MsgsRecv: 5},
-				4: {LogAppends: 4, LogForces: 2, MsgsSent: 6, MsgsRecv: 5},
-				5: {LogAppends: 4, LogForces: 2, MsgsSent: 6, MsgsRecv: 5},
-			},
-		},
-	}
-	for _, r := range rows {
+	for _, r := range budgetTable {
 		t.Run(r.name, func(t *testing.T) {
 			var (
 				setup func(k *sim.Kernel, cl *Cluster)

@@ -11,6 +11,7 @@ import (
 	"camelot/internal/server"
 	"camelot/internal/shardmap"
 	"camelot/internal/tid"
+	"camelot/internal/trace"
 	"camelot/internal/transport"
 	"camelot/internal/wal"
 	"camelot/internal/wire"
@@ -90,6 +91,7 @@ func DefaultRealConfig(id SiteID) RealConfig {
 type RealNode struct {
 	cfg     RealConfig
 	r       rt.Runtime
+	tr      *trace.Collector // the site's counters; no timeline
 	peer    *transport.UDPPeer
 	store   *wal.FileStore
 	pages   *diskman.PageStore
@@ -116,7 +118,8 @@ func StartRealNode(cfg RealConfig) (*RealNode, error) {
 	if err != nil {
 		return nil, fmt.Errorf("camelot: open wal: %w", err)
 	}
-	peer, err := transport.NewUDPPeer(cfg.Site, cfg.Listen)
+	tr := trace.NewCounters()
+	peer, err := transport.ListenUDP(cfg.Site, cfg.Listen, tr)
 	if err != nil {
 		store.Close() //nolint:errcheck // surfacing the bind error
 		return nil, err
@@ -127,6 +130,7 @@ func StartRealNode(cfg RealConfig) (*RealNode, error) {
 	n := &RealNode{
 		cfg:   cfg,
 		r:     r,
+		tr:    tr,
 		peer:  peer,
 		store: store,
 		pages: diskman.NewPageStore(),
@@ -139,6 +143,7 @@ func StartRealNode(cfg RealConfig) (*RealNode, error) {
 		GroupCommit:   cfg.GroupCommit,
 		FlushInterval: cfg.FlushInterval,
 		Site:          cfg.Site,
+		Trace:         tr,
 	})
 	n.tm = core.New(r, core.Config{
 		Site:             cfg.Site,
@@ -148,6 +153,7 @@ func StartRealNode(cfg RealConfig) (*RealNode, error) {
 		PromotionTimeout: cfg.PromotionTimeout,
 		AckFlushInterval: cfg.RetryInterval,
 		RetryBackoffCap:  cfg.RetryBackoffCap,
+		Trace:            tr,
 	}, n.log, peer)
 	n.tm.SetResolvedBackstop(n.pages.Outcome)
 	// A subordinate's lazy commit record can sit two flusher ticks (the
@@ -275,8 +281,14 @@ func (n *RealNode) OutcomeOf(f tid.FamilyID) wire.Outcome {
 // one). Performance reports charge the commit protocols by these — the
 // paper's log-force budget, measured.
 func (n *RealNode) LogStats() (appends, deviceWrites int) {
-	return n.log.Appends(), n.log.DeviceWrites()
+	sc := n.Counters()
+	return sc.LogAppends, sc.DeviceWrites
 }
+
+// Counters returns a snapshot of the site's counters — log, datagrams,
+// retries, outcomes and acks — the one ledger LogStats, Peer().Stats
+// and TM().Stats are views over.
+func (n *RealNode) Counters() trace.SiteCounters { return n.tr.Site(n.cfg.Site) }
 
 // LogErr reports the device error that fail-stopped the write-ahead
 // log, or nil while the log is healthy.

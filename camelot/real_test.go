@@ -11,6 +11,8 @@ import (
 
 	"camelot/internal/core"
 	"camelot/internal/shardmap"
+	"camelot/internal/trace"
+	"camelot/internal/wal"
 	"camelot/internal/wire"
 )
 
@@ -128,8 +130,9 @@ func TestRecoverRejectsUnhostedServer(t *testing.T) {
 }
 
 // realCluster boots sites 1..n as connected RealNodes at
-// DefaultRealConfig under a one-shard-per-site map.
-func realCluster(t *testing.T, n int) ([]*RealNode, *shardmap.Map) {
+// DefaultRealConfig under a one-shard-per-site map; tweak, if non-nil,
+// adjusts each site's configuration first.
+func realCluster(t *testing.T, n int, tweak func(*RealConfig)) ([]*RealNode, *shardmap.Map) {
 	t.Helper()
 	var sites []SiteID
 	for id := SiteID(1); id <= SiteID(n); id++ {
@@ -145,6 +148,9 @@ func realCluster(t *testing.T, n int) ([]*RealNode, *shardmap.Map) {
 		cfg := DefaultRealConfig(id)
 		cfg.WALPath = filepath.Join(dir, fmt.Sprintf("site%d.wal", id))
 		cfg.ShardMap = m
+		if tweak != nil {
+			tweak(&cfg)
+		}
 		node, err := StartRealNode(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -235,7 +241,7 @@ func ackWait() time.Duration {
 // named as a participant but never written, so it votes No while site 2
 // votes Yes, hears the abort and owes the ack.
 func TestFaultFreeRunNeverRetransmits(t *testing.T) {
-	nodes, m := realCluster(t, 3)
+	nodes, m := realCluster(t, 3, nil)
 	pair := nodes[:2]
 	txns := 300
 	if testing.Short() {
@@ -283,7 +289,7 @@ func TestFaultFreeRunNeverRetransmits(t *testing.T) {
 // so under every protocol at most the last few acks of a run travel
 // alone, and holding them that long makes no coordinator re-send.
 func TestBackToBackCommitsPiggybackTheirAcks(t *testing.T) {
-	nodes, m := realCluster(t, 2)
+	nodes, m := realCluster(t, 2, nil)
 	const txns = 300
 	for _, proto := range wire.Protocols() {
 		oneCleanRound(t, proto.String(), func(attempt int) string {
@@ -304,6 +310,61 @@ func TestBackToBackCommitsPiggybackTheirAcks(t *testing.T) {
 					alone, rode, resent, txns)
 			}
 			return ""
+		})
+	}
+}
+
+// TestRealBudgetTable runs fault-free update rows of the budget table
+// on a three-site loopback cluster of real nodes: one transaction per
+// row, over the row's first n sites, and after the ack hold every
+// site's counter deltas — appends, forces, datagrams sent and
+// received — must equal the row the simulator pins (a site the row
+// leaves out, none). Device writes are left out: group-commit timing
+// decides them.
+//
+// A row is the schedule the simulator's symmetric timing plays, so the
+// rows run here are the ones real timing cannot reorder. The sites log
+// to memory, as the simulator's do: with an fsync per force, the
+// non-blocking coordinator's outcome, sent on the first replication
+// ack, often overtakes the other subordinate mid-force, which then
+// rightly skips its moot ack. The three-site Paxos row is left out:
+// whichever subordinate hears the other's 2a before it votes takes the
+// last-voter fold, one force and one datagram fewer, and on real nodes
+// one usually does. The two-site row's sole subordinate always votes
+// last.
+func TestRealBudgetTable(t *testing.T) {
+	nodes, m := realCluster(t, 3, func(cfg *RealConfig) {
+		cfg.WrapStore = func(wal.Store) wal.Store { return wal.NewMemStore() }
+	})
+	for _, name := range []string{"2pc/writeAll", "nb/writeAll", "paxos/F=1/twoSites"} {
+		row := budgetRowNamed(name)
+		t.Run(name, func(t *testing.T) {
+			oneCleanRound(t, name, func(attempt int) string {
+				before := make([]trace.SiteCounters, len(nodes))
+				for i, n := range nodes {
+					before[i] = n.Counters()
+				}
+				tx := writeAtEach(t, m, nodes[:row.n], fmt.Sprintf("%s.%d", name, attempt))
+				var subs []SiteID
+				for _, n := range nodes[1:row.n] {
+					subs = append(subs, n.ID())
+				}
+				nodes[0].AddSites(tx, subs)
+				if _, err := nodes[0].Commit(tx, row.opts); err != nil {
+					t.Fatalf("commit: %v", err)
+				}
+				time.Sleep(ackWait())
+				var complaints []string
+				for i, n := range nodes {
+					d := n.Counters().Sub(before[i])
+					got := trace.FamilyCounters{LogAppends: d.LogAppends, LogForces: d.LogForces,
+						MsgsSent: d.MsgsSent, MsgsRecv: d.MsgsRecv}
+					if want := row.want[n.ID()]; got != want {
+						complaints = append(complaints, fmt.Sprintf("%v: %+v, want %+v", n.ID(), got, want))
+					}
+				}
+				return strings.Join(complaints, "; ")
+			})
 		})
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"camelot/internal/commman"
 	"camelot/internal/rt"
 	"camelot/internal/server"
+	"camelot/internal/trace"
 	"camelot/internal/wire"
 )
 
@@ -143,7 +144,7 @@ func (tx *Tx) Abort() error {
 func (tx *Tx) chargeLocalOp() {
 	p := tx.node.cluster.cfg.Params
 	rt.Charge(tx.node.cluster.r, tx.node.kernel, p.LocalIPCServer+p.KernelCPU)
-	tx.node.cluster.tr.IPC(tx.node.id)
+	tx.node.cluster.tr.Count(tx.node.id, trace.IPCs, 1)
 }
 
 // Outcome re-exports the protocol outcome type.

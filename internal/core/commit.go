@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"camelot/internal/tid"
+	"camelot/internal/trace"
 	"camelot/internal/wal"
 	"camelot/internal/wire"
 )
@@ -407,7 +408,7 @@ func (m *Manager) tallyVotes(f *family) (readOnly bool) {
 // lock held).
 func (m *Manager) commitAndForget(f *family, tell []tid.SiteID) {
 	f.ph = phCommitted
-	m.bumpStats(func(s *Stats) { s.Committed++ })
+	m.tr.Count(m.cfg.Site, trace.Committed, 1)
 	f.answer(wire.OutcomeCommit)
 	m.fanout(tell, m.outcomeMsg(f), f.opts.Multicast)
 	m.releaseLocal(f, true)
@@ -435,7 +436,7 @@ func (m *Manager) decideCommit(f *family, notify, tell []tid.SiteID) {
 		}
 	}
 	f.ph = phCommitted
-	m.bumpStats(func(s *Stats) { s.Committed++ })
+	m.tr.Count(m.cfg.Site, trace.Committed, 1)
 	if !spec.forcedCommit {
 		m.log.Append(rec) //nolint:errcheck // lazy: the quorum is the commit point
 	}
@@ -482,7 +483,7 @@ func (m *Manager) abortFamily(f *family) {
 func (m *Manager) decideAbort(f *family, notify []tid.SiteID, acked bool) {
 	top := tid.Top(f.id)
 	f.ph = phAborted
-	m.bumpStats(func(s *Stats) { s.Aborted++ })
+	m.tr.Count(m.cfg.Site, trace.Aborted, 1)
 	m.tr.PhaseEnd(m.cfg.Site, top, "prepare")
 	m.tr.PhaseEnd(m.cfg.Site, top, "replicate")
 	m.log.Append(&wal.Record{Type: wal.RecAbort, TID: top}) //nolint:errcheck // lazy under presumed abort

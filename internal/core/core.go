@@ -132,8 +132,10 @@ type Config struct {
 	// InquireInterval). The first round always waits exactly base, so
 	// fault-free runs are unaffected. Zero means 8×RetryInterval.
 	RetryBackoffCap time.Duration
-	// Trace, if non-nil, receives protocol events (forces, phases,
-	// lock drops) and per-transaction counters.
+	// Trace is the site's ledger, which the manager counts its forces,
+	// retries, outcomes and acks into, and the timeline its protocol
+	// events (forces, phases, lock drops) go to if it keeps one; nil
+	// builds a counters-only collector of the manager's own.
 	Trace *trace.Collector
 }
 
@@ -161,7 +163,7 @@ func (c *Config) fillDefaults() {
 	}
 }
 
-// Stats counts protocol activity.
+// Stats counts protocol activity: a view over the site's ledger.
 type Stats struct {
 	Begun      int
 	Committed  int
@@ -236,10 +238,6 @@ type Manager struct {
 	// lifeMu guards the shutdown flag.
 	lifeMu rt.Mutex
 	closed bool
-
-	// stMu guards the protocol counters.
-	stMu  rt.Mutex
-	stats Stats
 }
 
 // phase is a family's position in its commitment protocol at this
@@ -358,6 +356,9 @@ type txn struct {
 // routes inbound *wire.Msg datagrams to Deliver.
 func New(r rt.Runtime, cfg Config, log *wal.Log, net transport.Sender) *Manager {
 	cfg.fillDefaults()
+	if cfg.Trace == nil {
+		cfg.Trace = trace.NewCounters()
+	}
 	m := &Manager{
 		r:           r,
 		cfg:         cfg,
@@ -372,7 +373,6 @@ func New(r rt.Runtime, cfg Config, log *wal.Log, net transport.Sender) *Manager 
 	m.ackMu = r.NewMutex()
 	m.resMu = r.NewMutex()
 	m.lifeMu = r.NewMutex()
-	m.stMu = r.NewMutex()
 	m.queue = rt.NewQueue[func()](r)
 	for i := 0; i < cfg.Threads; i++ {
 		m.r.Go(fmt.Sprintf("tranman%d-worker%d", cfg.Site, i), m.worker)
@@ -390,13 +390,14 @@ func (m *Manager) Site() tid.SiteID { return m.cfg.Site }
 
 // Stats returns a snapshot of protocol counters.
 func (m *Manager) Stats() Stats {
-	m.lockAttributed(m.stMu, lockClassStats)
-	s := m.stats
-	m.stMu.Unlock()
+	sc := m.tr.Site(m.cfg.Site)
 	m.lockAttributed(m.resMu, lockClassResolved)
-	s.ResolvedRetained = len(m.resolved)
+	retained := len(m.resolved)
 	m.resMu.Unlock()
-	return s
+	return Stats{Begun: sc.Begun, Committed: sc.Committed, Aborted: sc.Aborted,
+		Promotions: sc.Promotions, Inquiries: sc.Inquiries, Retransmits: sc.Retransmits,
+		AcksPiggybacked: sc.AcksPiggybacked, AcksStandalone: sc.AcksStandalone,
+		ResolvedRetained: retained}
 }
 
 // SetAckWait tells the manager how long a fault-free subordinate may
@@ -485,7 +486,7 @@ func (m *Manager) chargeCPU() {
 }
 
 func (m *Manager) chargeClientIPC() {
-	m.tr.IPC(m.cfg.Site)
+	m.tr.Count(m.cfg.Site, trace.IPCs, 1)
 	rt.Charge(m.r, m.cfg.Kernel, m.cfg.Params.LocalIPC+m.cfg.Params.KernelCPU)
 }
 
@@ -504,7 +505,7 @@ func (m *Manager) Begin() (tid.TID, error) {
 		fam, _ := m.lockOrCreateFamily(f) // id is fresh: always created
 		fam.coord = true
 		fam.txns[t] = &txn{id: t, sites: make(map[tid.SiteID]bool)}
-		m.bumpStats(func(s *Stats) { s.Begun++ })
+		m.tr.Count(m.cfg.Site, trace.Begun, 1)
 		m.unlockFamily(fam)
 		fut.Set(t)
 	})

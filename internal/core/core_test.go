@@ -11,6 +11,7 @@ import (
 	"camelot/internal/params"
 	"camelot/internal/sim"
 	"camelot/internal/tid"
+	"camelot/internal/trace"
 	"camelot/internal/transport"
 	"camelot/internal/wal"
 	"camelot/internal/wire"
@@ -47,6 +48,7 @@ type site struct {
 type harness struct {
 	k     *sim.Kernel
 	net   *transport.Network
+	netTr *trace.Collector // the network's ledger: every site's datagrams
 	sites map[tid.SiteID]*site
 	// wrapStore, if set, interposes on the stable store of sites added
 	// after it; ackFlush, if set, replaces their AckFlushInterval.
@@ -57,11 +59,8 @@ type harness struct {
 func newHarness(t *testing.T, n int) *harness {
 	t.Helper()
 	k := sim.New(1)
-	h := &harness{
-		k:     k,
-		net:   transport.NewNetwork(k, transport.Config{Latency: time.Millisecond, SendCycle: 10 * time.Microsecond}),
-		sites: make(map[tid.SiteID]*site),
-	}
+	h := &harness{k: k, netTr: trace.NewCounters(), sites: make(map[tid.SiteID]*site)}
+	h.net = transport.NewNetwork(k, transport.Config{Latency: time.Millisecond, SendCycle: 10 * time.Microsecond, Trace: h.netTr})
 	for id := tid.SiteID(1); id <= tid.SiteID(n); id++ {
 		h.addSite(id)
 	}
@@ -97,6 +96,15 @@ func (h *harness) addSite(id tid.SiteID) *site {
 	s := &site{m: m, log: log, part: &fakePart{name: fmt.Sprintf("part%d", id), vote: wire.VoteYes}}
 	h.sites[id] = s
 	return s
+}
+
+// sent counts the datagrams every site has sent so far.
+func (h *harness) sent() int {
+	n := 0
+	for _, s := range h.netTr.Sites() {
+		n += h.netTr.Site(s).MsgsSent
+	}
+	return n
 }
 
 // run executes fn as the simulation body and fails on deadlock.

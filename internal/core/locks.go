@@ -42,7 +42,6 @@ const (
 	lockClassFamily   = "family"
 	lockClassAcks     = "acks"
 	lockClassResolved = "resolved"
-	lockClassStats    = "stats"
 	lockClassIDs      = "ids"
 	lockClassLife     = "life"
 )
@@ -253,13 +252,6 @@ func (m *Manager) isClosed() bool {
 	closed := m.closed
 	m.lifeMu.Unlock()
 	return closed
-}
-
-// bumpStats applies one mutation to the protocol counters.
-func (m *Manager) bumpStats(fn func(*Stats)) {
-	m.lockAttributed(m.stMu, lockClassStats)
-	fn(&m.stats)
-	m.stMu.Unlock()
 }
 
 // setResolved records a finished family's outcome.

@@ -6,6 +6,7 @@ import (
 
 	"camelot/internal/rt"
 	"camelot/internal/tid"
+	"camelot/internal/trace"
 	"camelot/internal/wire"
 )
 
@@ -41,7 +42,7 @@ func (m *Manager) send(to tid.SiteID, msg *wire.Msg) {
 	m.ackMu.Unlock()
 	if riding != nil {
 		riding.deadline.Stop()
-		m.bumpStats(func(s *Stats) { s.AcksPiggybacked += len(riding.tids) })
+		m.tr.Count(m.cfg.Site, trace.AcksPiggybacked, len(riding.tids))
 	}
 	m.net.Send(m.cfg.Site, to, msg)
 }
@@ -121,7 +122,7 @@ func (m *Manager) flushAcks(to tid.SiteID, b *ackBatch) {
 	}
 	delete(m.pendingAcks, to)
 	m.ackMu.Unlock()
-	m.bumpStats(func(s *Stats) { s.AcksStandalone += len(b.tids) })
+	m.tr.Count(m.cfg.Site, trace.AcksStandalone, len(b.tids))
 	m.send(to, &wire.Msg{Kind: wire.KCommitAck, AckTIDs: b.tids})
 }
 
@@ -147,14 +148,13 @@ func (m *Manager) schedule(f *family, d time.Duration) {
 }
 
 // retryFanout re-sends msg to tos as one timer-driven retransmit
-// round, counting the datagrams in Stats.Retransmits and the trace
-// (f's lock held). Fault-free runs never reach it: every answer
-// arrives before the timer fires.
+// round, counted in the ledger's Retransmits (f's lock held).
+// Fault-free runs never reach it: every answer arrives before the
+// timer fires.
 func (m *Manager) retryFanout(f *family, tos []tid.SiteID, msg *wire.Msg, what string) {
 	if len(tos) == 0 {
 		return
 	}
-	m.bumpStats(func(s *Stats) { s.Retransmits += len(tos) })
 	m.tr.Retry(m.cfg.Site, tid.Top(f.id), what, len(tos))
 	m.fanout(tos, msg, f.opts.Multicast)
 }
@@ -162,7 +162,6 @@ func (m *Manager) retryFanout(f *family, tos []tid.SiteID, msg *wire.Msg, what s
 // inquire sends one outcome inquiry for f to the family's origin site
 // (f's lock held).
 func (m *Manager) inquire(f *family) {
-	m.bumpStats(func(s *Stats) { s.Inquiries++ })
 	m.tr.Inquiry(m.cfg.Site, tid.Top(f.id))
 	m.send(f.id.Origin(), &wire.Msg{Kind: wire.KInquire, TID: tid.Top(f.id)})
 }
@@ -257,7 +256,6 @@ func (m *Manager) tick(id tid.FamilyID) {
 				m.paxosPromote(f)
 				return
 			}
-			m.bumpStats(func(s *Stats) { s.Retransmits++ })
 			m.tr.Retry(m.cfg.Site, tid.Top(f.id), "recast", 1)
 			if m.paxosCastVote(f, f.localVote) {
 				m.reschedule(f, m.cfg.InquireInterval)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"camelot/internal/tid"
+	"camelot/internal/trace"
 	"camelot/internal/wal"
 	"camelot/internal/wire"
 )
@@ -172,7 +173,7 @@ func (m *Manager) onNBOutcome(msg *wire.Msg) {
 		f.ph = phCommitted
 	} else {
 		f.ph = phAborted
-		m.bumpStats(func(s *Stats) { s.Aborted++ })
+		m.tr.Count(m.cfg.Site, trace.Aborted, 1)
 	}
 	// We may be a coordinator (original or promoted) with a waiting
 	// client.

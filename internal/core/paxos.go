@@ -35,6 +35,7 @@ import (
 
 	"camelot/internal/det"
 	"camelot/internal/tid"
+	"camelot/internal/trace"
 	"camelot/internal/wal"
 	"camelot/internal/wire"
 )
@@ -450,7 +451,7 @@ func (m *Manager) onPaxos2b(msg *wire.Msg) {
 func (m *Manager) paxosPromote(f *family) {
 	if !f.promoted {
 		f.promoted = true
-		m.bumpStats(func(s *Stats) { s.Promotions++ })
+		m.tr.Count(m.cfg.Site, trace.Promotions, 1)
 	}
 	round := f.paxRound + 1
 	if r := paxosBallotRound(f.paxNack) + 1; r > round {

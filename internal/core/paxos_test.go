@@ -100,15 +100,14 @@ func TestPaxosDuplicatePrepareDuringCombinedForce(t *testing.T) {
 	var txn tid.TID
 	sentDuringForce := -1
 	hook.during = func() {
-		before, _, _ := h.net.Stats()
+		before := h.sent()
 		h.sites[2].m.Deliver(&wire.Msg{
 			Kind: wire.KPaxosPrepare, TID: txn, From: 1, To: 2,
 			Sites: []tid.SiteID{1, 2}, Acceptors: []tid.SiteID{1, 2},
 			Votes: []wire.SiteVote{{Site: 1, Vote: wire.VoteYes}},
 		})
 		h.k.Sleep(5 * time.Millisecond) // the duplicate is handled; the force is still out
-		after, _, _ := h.net.Stats()
-		sentDuringForce = after - before
+		sentDuringForce = h.sent() - before
 	}
 	h.run(t, func() {
 		txn = h.beginDistributed(t, 2)

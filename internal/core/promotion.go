@@ -4,6 +4,7 @@ import (
 	"slices"
 
 	"camelot/internal/tid"
+	"camelot/internal/trace"
 	"camelot/internal/wal"
 	"camelot/internal/wire"
 )
@@ -23,7 +24,7 @@ import (
 func (m *Manager) promote(f *family) {
 	if !f.promoted {
 		f.promoted = true
-		m.bumpStats(func(s *Stats) { s.Promotions++ })
+		m.tr.Count(m.cfg.Site, trace.Promotions, 1)
 		f.statusResp = map[tid.SiteID]wire.NBState{m.cfg.Site: f.nbState}
 		f.abortIntents = make(map[tid.SiteID]bool)
 		if f.nbState == wire.NBAbortIntent {

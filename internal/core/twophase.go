@@ -7,6 +7,7 @@ import (
 	"camelot/internal/rt"
 	"camelot/internal/server"
 	"camelot/internal/tid"
+	"camelot/internal/trace"
 	"camelot/internal/wal"
 	"camelot/internal/wire"
 )
@@ -291,7 +292,7 @@ func (m *Manager) onOutcome2PC(msg *wire.Msg) {
 // held).
 func (m *Manager) localAbort(f *family) {
 	f.ph = phAborted
-	m.bumpStats(func(s *Stats) { s.Aborted++ })
+	m.tr.Count(m.cfg.Site, trace.Aborted, 1)
 	f.answer(wire.OutcomeAbort)
 	m.tr.PhaseEnd(m.cfg.Site, tid.Top(f.id), "prepared")
 	m.log.Append(&wal.Record{Type: wal.RecAbort, TID: tid.Top(f.id)}) //nolint:errcheck // lazy under presumed abort
@@ -312,7 +313,7 @@ func (m *Manager) voteRound(parts []server.Participant, opts Options) wire.Vote 
 	}
 	// Identical parallel operations are assumed to proceed in
 	// parallel (§4.2): one IPC round covers all local servers.
-	m.tr.IPC(m.cfg.Site)
+	m.tr.Count(m.cfg.Site, trace.IPCs, 1)
 	rt.Charge(m.r, m.cfg.Kernel, m.cfg.Params.LocalIPCServer+m.cfg.Params.KernelCPU)
 	combined := wire.VoteReadOnly
 	for _, p := range parts {

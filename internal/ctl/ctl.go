@@ -299,15 +299,12 @@ func (s *Server) handle(req Request) Response {
 		return Response{OK: true}
 
 	case OpStats:
-		sent, recv, dropped := n.Peer().Stats()
-		st := &Stats{Sent: sent, Recv: recv, Dropped: dropped, Oversize: n.Peer().Oversize()}
+		sc := n.Counters()
+		st := &Stats{Sent: sc.MsgsSent, Recv: sc.MsgsRecv, Dropped: sc.MsgsDropped, Oversize: sc.Oversize,
+			Retransmits: sc.Retransmits, Inquiries: sc.Inquiries, WALDeviceWrites: sc.DeviceWrites}
 		if err := n.Peer().Err(); err != nil {
 			st.Err = err.Error()
 		}
-		cs := n.TM().Stats()
-		st.Retransmits = cs.Retransmits
-		st.Inquiries = cs.Inquiries
-		_, st.WALDeviceWrites = n.LogStats()
 		if err := n.LogErr(); err != nil {
 			st.WALErr = err.Error()
 		}

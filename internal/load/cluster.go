@@ -10,6 +10,7 @@ import (
 	"camelot/camelot"
 	"camelot/internal/ctl"
 	"camelot/internal/shardmap"
+	"camelot/internal/trace"
 	"camelot/internal/wire"
 	"camelot/internal/workload"
 )
@@ -41,10 +42,9 @@ type Cluster struct {
 	pools []*ctl.Pool
 	smap  *shardmap.Map
 
-	// Counters' baselines, taken at StartCluster so a report can charge
-	// only this run's work.
-	walAppends0, walWrites0 int
-	sent0, recv0, dropped0  int
+	// base is the sites' summed counters at StartCluster, so a report
+	// charges only this run's work.
+	base trace.SiteCounters
 }
 
 // StartCluster boots the deployment: every site recovered, fully
@@ -107,28 +107,22 @@ func StartCluster(cfg ClusterConfig) (*Cluster, error) {
 		c.ctls = append(c.ctls, s)
 		c.pools = append(c.pools, ctl.NewPool(s.Addr(), cfg.CallTimeout, cfg.Sessions))
 	}
-	// The baselines are still zero, so this reads the boot's own totals.
-	c.walAppends0, c.walWrites0, c.sent0, c.recv0, c.dropped0 = c.Counters()
+	// The baseline is still zero, so this reads the boot's own totals.
+	c.base = c.Counters()
 	return c, nil
 }
 
-// Counters returns the cluster-wide WAL and transport deltas since
-// StartCluster: log records appended, device writes — blocks made
-// durable, one write and one fsync each, which group commit fills with
-// every record pending when the write is issued — and datagrams
-// sent/received/dropped.
-func (c *Cluster) Counters() (walAppends, walDeviceWrites, sent, recv, dropped int) {
+// Counters returns the sites' summed counters since StartCluster: log
+// records appended, device writes — blocks made durable, one write and
+// one fsync each, which group commit fills with every record pending
+// when the write is issued — datagrams sent/received/dropped, and the
+// rest of the ledger.
+func (c *Cluster) Counters() trace.SiteCounters {
+	var sum trace.SiteCounters
 	for _, n := range c.nodes {
-		a, w := n.LogStats()
-		walAppends += a
-		walDeviceWrites += w
-		s, r, d := n.Peer().Stats()
-		sent += s
-		recv += r
-		dropped += d
+		sum = sum.Add(n.Counters())
 	}
-	return walAppends - c.walAppends0, walDeviceWrites - c.walWrites0,
-		sent - c.sent0, recv - c.recv0, dropped - c.dropped0
+	return sum.Sub(c.base)
 }
 
 // Dials sums the pools' dial counts — the generator's check that

@@ -52,12 +52,12 @@ func TestClusterLoadgenSmoke(t *testing.T) {
 	if res.Hist.Count() == 0 || res.Hist.Percentile(50) <= 0 {
 		t.Fatal("no latencies recorded")
 	}
-	appends, writes, sent, recv, _ := c.Counters()
-	if appends == 0 || writes == 0 {
-		t.Fatalf("WAL counters did not move: appends=%d deviceWrites=%d", appends, writes)
+	sc := c.Counters()
+	if sc.LogAppends == 0 || sc.DeviceWrites == 0 {
+		t.Fatalf("WAL counters did not move: appends=%d deviceWrites=%d", sc.LogAppends, sc.DeviceWrites)
 	}
-	if sent == 0 || recv == 0 {
-		t.Fatalf("transport counters did not move: sent=%d recv=%d", sent, recv)
+	if sc.MsgsSent == 0 || sc.MsgsRecv == 0 {
+		t.Fatalf("transport counters did not move: sent=%d recv=%d", sc.MsgsSent, sc.MsgsRecv)
 	}
 	// Pooling: 2 pools touched per txn, so the dial count must be near
 	// the session count, far below one dial per operation.

@@ -166,7 +166,7 @@ func runCell(r rt.Runtime, cfg BenchConfig, proto wire.Protocol, rate float64) (
 	if err != nil {
 		return Row{}, err
 	}
-	wa, ww, sent, recv, dropped := c.Counters()
+	sc := c.Counters()
 	return Row{
 		Protocol:        proto.String(),
 		TargetRate:      rate,
@@ -179,11 +179,11 @@ func runCell(r rt.Runtime, cfg BenchConfig, proto wire.Protocol, rate float64) (
 		P99us:           us(res.Hist.Percentile(99)),
 		P999us:          us(res.Hist.Percentile(99.9)),
 		MaxUs:           us(res.Hist.Max()),
-		WALAppends:      wa,
-		WALDeviceWrites: ww,
-		Sent:            sent,
-		Recv:            recv,
-		Dropped:         dropped,
+		WALAppends:      sc.LogAppends,
+		WALDeviceWrites: sc.DeviceWrites,
+		Sent:            sc.MsgsSent,
+		Recv:            sc.MsgsRecv,
+		Dropped:         sc.MsgsDropped,
 		Dials:           c.Dials(),
 	}, nil
 }

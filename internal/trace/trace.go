@@ -1,7 +1,10 @@
-// Package trace is the commit-protocol observability layer: a
-// per-cluster Collector that records structured events (log forces,
-// datagrams, protocol phases, lock drops, crashes) with virtual
-// timestamps, plus cheap per-site and per-transaction counters.
+// Package trace is the commit-protocol observability layer. A
+// Collector keeps every site's ledger of primitives — log appends,
+// forces and device writes, datagrams, retransmits and inquiries, and
+// the transaction manager's own tallies — and, when built with New,
+// a structured event timeline (log forces, datagrams, protocol
+// phases, lock drops, crashes) with virtual timestamps, per-family
+// counters and phase latencies.
 //
 // The paper argues that transaction-management performance is
 // dominated by countable primitives — log forces, datagrams, IPCs per
@@ -11,16 +14,23 @@
 // records and exchanges only one round of messages"). The Collector
 // makes those budgets observable so conformance tests can pin them.
 //
-// Every instrumented component holds a *Collector that may be nil;
-// all methods are nil-safe, so the uninstrumented path costs one
-// pointer check. Within a simulation the Collector performs no
-// runtime primitives except reading the clock, so enabling tracing
-// never perturbs virtual time.
+// Counters are always on, the timeline is opt-in. Every instrumented
+// component holds a Collector — a constructor given none builds a
+// counters-only one (NewCounters) — and the ledger is the one place a
+// primitive is counted, on the simulator and the real runtime alike:
+// each component's statistics accessor is a view over it. A count is
+// one atomic add, with no lock and no allocation, so it stays on in a
+// real node; the timeline, the per-family counters and the phase
+// latencies cost a lock and an event each, and a counters-only
+// Collector records none of them. Within a simulation the Collector
+// performs no runtime primitives except reading the clock, so
+// enabling the timeline never perturbs virtual time.
 package trace
 
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"camelot/internal/det"
@@ -139,17 +149,22 @@ type TxPayload interface {
 	TraceTID() tid.TID
 }
 
-// SiteCounters aggregates one site's primitive activity.
+// SiteCounters is a snapshot of one site's ledger.
 type SiteCounters struct {
 	LogAppends   int `json:"log_appends"`   // records buffered
 	LogForces    int `json:"log_forces"`    // protocol-issued synchronous forces
-	DeviceWrites int `json:"device_writes"` // physical log writes
-	BytesWritten int `json:"bytes_written"` // bytes in physical log writes
+	DeviceWrites int `json:"device_writes"` // physical log writes that succeeded
+	BytesWritten int `json:"bytes_written"` // record bytes in those writes
 	MsgsSent     int `json:"msgs_sent"`     // TM datagrams queued
-	MsgsRecv     int `json:"msgs_recv"`     // TM datagrams delivered
-	MsgsDropped  int `json:"msgs_dropped"`  // TM datagrams lost
-	RPCs         int `json:"rpcs"`          // communication-manager datagrams queued
-	IPCs         int `json:"ipcs"`          // local IPC round trips charged
+	MsgsRecv     int `json:"msgs_recv"`     // TM datagrams the site's transport took in
+	// MsgsDropped counts datagrams lost, whatever they carried: a
+	// datagram that did not decode has no payload to classify. A drop
+	// is charged to the site whose transport lost it — the simulated
+	// network decides every loss at the sender, a UDP peer loses
+	// datagrams either way.
+	MsgsDropped int `json:"msgs_dropped"`
+	RPCs        int `json:"rpcs"` // communication-manager datagrams queued
+	IPCs        int `json:"ipcs"` // local IPC round trips charged
 	// Retransmits and Inquiries count the timer-driven recovery
 	// traffic: datagrams re-sent because an answer never came, and
 	// outcome inquiries from blocked subordinates. Fault-free runs
@@ -157,6 +172,94 @@ type SiteCounters struct {
 	// pre-existing goldens) when empty.
 	Retransmits int `json:"retransmits,omitempty"` // timer-driven datagram re-sends
 	Inquiries   int `json:"inquiries,omitempty"`   // outcome inquiries sent
+
+	// The rest are the ledger's views for the components that count
+	// into it — the UDP transport's refused oversize sends, the
+	// transaction manager's tallies — and are kept out of reports.
+	Oversize        int `json:"-"` // sends refused as larger than one datagram (also drops)
+	Begun           int `json:"-"` // top-level transactions begun here
+	Committed       int `json:"-"` // families committed here
+	Aborted         int `json:"-"` // families aborted here
+	Promotions      int `json:"-"` // subordinates promoted to coordinator
+	AcksPiggybacked int `json:"-"` // commit-acks that rode another datagram
+	AcksStandalone  int `json:"-"` // commit-acks sent in a datagram of their own
+}
+
+// Counter names one counter of a site's ledger. The recording methods
+// count the primitives they record; Count bumps the rest.
+type Counter uint8
+
+// Ledger counters, one per SiteCounters field.
+const (
+	LogAppends Counter = iota
+	LogForces
+	DeviceWrites
+	BytesWritten
+	MsgsSent
+	MsgsRecv
+	MsgsDropped
+	RPCs
+	IPCs
+	Retransmits
+	Inquiries
+	Oversize
+	Begun
+	Committed
+	Aborted
+	Promotions
+	AcksPiggybacked
+	AcksStandalone
+	numCounters
+)
+
+// fields maps each counter to its field of a snapshot.
+var fields = [numCounters]func(*SiteCounters) *int{
+	LogAppends:      func(s *SiteCounters) *int { return &s.LogAppends },
+	LogForces:       func(s *SiteCounters) *int { return &s.LogForces },
+	DeviceWrites:    func(s *SiteCounters) *int { return &s.DeviceWrites },
+	BytesWritten:    func(s *SiteCounters) *int { return &s.BytesWritten },
+	MsgsSent:        func(s *SiteCounters) *int { return &s.MsgsSent },
+	MsgsRecv:        func(s *SiteCounters) *int { return &s.MsgsRecv },
+	MsgsDropped:     func(s *SiteCounters) *int { return &s.MsgsDropped },
+	RPCs:            func(s *SiteCounters) *int { return &s.RPCs },
+	IPCs:            func(s *SiteCounters) *int { return &s.IPCs },
+	Retransmits:     func(s *SiteCounters) *int { return &s.Retransmits },
+	Inquiries:       func(s *SiteCounters) *int { return &s.Inquiries },
+	Oversize:        func(s *SiteCounters) *int { return &s.Oversize },
+	Begun:           func(s *SiteCounters) *int { return &s.Begun },
+	Committed:       func(s *SiteCounters) *int { return &s.Committed },
+	Aborted:         func(s *SiteCounters) *int { return &s.Aborted },
+	Promotions:      func(s *SiteCounters) *int { return &s.Promotions },
+	AcksPiggybacked: func(s *SiteCounters) *int { return &s.AcksPiggybacked },
+	AcksStandalone:  func(s *SiteCounters) *int { return &s.AcksStandalone },
+}
+
+// Add returns the counter-wise sum of s and o.
+func (s SiteCounters) Add(o SiteCounters) SiteCounters {
+	for _, f := range fields {
+		*f(&s) += *f(&o)
+	}
+	return s
+}
+
+// Sub returns how much every counter grew from the earlier snapshot o
+// to s.
+func (s SiteCounters) Sub(o SiteCounters) SiteCounters {
+	for _, f := range fields {
+		*f(&s) -= *f(&o)
+	}
+	return s
+}
+
+// ledger is one site's live counters.
+type ledger [numCounters]atomic.Int64
+
+func (l *ledger) snapshot() SiteCounters {
+	var s SiteCounters
+	for k, f := range fields {
+		*f(&s) = int(l[k].Load())
+	}
+	return s
 }
 
 // FamilyCounters aggregates one transaction family's activity at one
@@ -174,16 +277,19 @@ type phaseKey struct {
 	phase string
 }
 
-// Collector accumulates events and counters. Methods are safe for
-// concurrent use and nil-safe: every instrumented call site does
-// exactly one pointer check when tracing is disabled.
+// Collector is the ledger of every site it has seen, plus — when
+// built by New — the event timeline. Methods are safe for concurrent
+// use.
 type Collector struct {
+	// r stamps timeline events; nil for a counters-only collector.
 	r rt.Runtime
+	// sites maps each site to its ledger. The map is copy-on-write, a
+	// new site added under mu, so counting reads it without a lock.
+	sites atomic.Pointer[map[tid.SiteID]*ledger]
 
 	mu       sync.Mutex
 	seq      uint64
 	events   []Event
-	sites    map[tid.SiteID]*SiteCounters
 	families map[tid.FamilyID]map[tid.SiteID]*FamilyCounters
 	open     map[phaseKey]time.Duration
 	phaseLat map[string]*stats.Sample
@@ -197,34 +303,70 @@ type Collector struct {
 	lockWaits map[tid.SiteID]map[string]int
 }
 
-// New returns an empty collector reading timestamps from r.
+// New returns an empty collector that records the event timeline,
+// stamped from r, besides the ledger.
 func New(r rt.Runtime) *Collector {
-	return &Collector{
-		r:         r,
-		sites:     make(map[tid.SiteID]*SiteCounters),
-		families:  make(map[tid.FamilyID]map[tid.SiteID]*FamilyCounters),
-		open:      make(map[phaseKey]time.Duration),
-		phaseLat:  make(map[string]*stats.Sample),
-		lockWaits: make(map[tid.SiteID]map[string]int),
-	}
+	c := NewCounters()
+	c.r = r
+	return c
 }
 
-// record appends one event under the lock and returns it for counter
-// updates. Callers hold c.mu.
+// NewCounters returns an empty counters-only collector: the ledger
+// and lock-wait counts, no timeline.
+func NewCounters() *Collector {
+	c := &Collector{}
+	c.resetLocked()
+	return c
+}
+
+func (c *Collector) resetLocked() {
+	c.sites.Store(&map[tid.SiteID]*ledger{})
+	c.seq = 0
+	c.events = nil
+	c.families = make(map[tid.FamilyID]map[tid.SiteID]*FamilyCounters)
+	c.open = make(map[phaseKey]time.Duration)
+	c.phaseLat = make(map[string]*stats.Sample)
+	c.lockWaits = make(map[tid.SiteID]map[string]int)
+}
+
+// ledger returns site's ledger, adding it on first use.
+func (c *Collector) ledger(site tid.SiteID) *ledger {
+	if l := (*c.sites.Load())[site]; l != nil {
+		return l
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	old := *c.sites.Load()
+	if l := old[site]; l != nil {
+		return l
+	}
+	m := make(map[tid.SiteID]*ledger, len(old)+1)
+	//lint:ordered map copy; insertion order is unobservable
+	for s, l := range old {
+		m[s] = l
+	}
+	l := new(ledger)
+	m[site] = l
+	c.sites.Store(&m)
+	return l
+}
+
+// timeline takes the lock for a timeline update, or reports false on
+// a counters-only collector. A caller that got true unlocks c.mu.
+func (c *Collector) timeline() bool {
+	if c.r == nil {
+		return false
+	}
+	c.mu.Lock()
+	return true
+}
+
+// recordLocked appends one event to the timeline. Callers hold c.mu.
 func (c *Collector) recordLocked(ev Event) {
 	c.seq++
 	ev.Seq = c.seq
 	ev.At = c.r.Now()
 	c.events = append(c.events, ev)
-}
-
-func (c *Collector) siteLocked(s tid.SiteID) *SiteCounters {
-	sc := c.sites[s]
-	if sc == nil {
-		sc = &SiteCounters{}
-		c.sites[s] = sc
-	}
-	return sc
 }
 
 func (c *Collector) familyLocked(f tid.FamilyID, s tid.SiteID) *FamilyCounters {
@@ -241,17 +383,23 @@ func (c *Collector) familyLocked(f tid.FamilyID, s tid.SiteID) *FamilyCounters {
 	return fc
 }
 
-// --- recording (all nil-safe) ---
+// --- recording ---
+
+// Count adds n to one of site's counters. It records no event: it is
+// for the tallies with no timeline landmark of their own (IPCs, the
+// transaction manager's outcomes and acks, oversize refusals).
+func (c *Collector) Count(site tid.SiteID, k Counter, n int) {
+	c.ledger(site)[k].Add(int64(n))
+}
 
 // LogAppend records one record buffered into site's log.
 func (c *Collector) LogAppend(site tid.SiteID, t tid.TID, recType string, bytes int) {
-	if c == nil {
+	c.Count(site, LogAppends, 1)
+	if !c.timeline() {
 		return
 	}
-	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.recordLocked(Event{Kind: EvLogAppend, Site: site, TID: t, Info: recType, Bytes: bytes})
-	c.siteLocked(site).LogAppends++
 	if !t.IsZero() {
 		c.familyLocked(t.Family, site).LogAppends++
 	}
@@ -262,42 +410,34 @@ func (c *Collector) LogAppend(site tid.SiteID, t tid.TID, recType string, bytes 
 // force per site"), independent of how group commit coalesces the
 // underlying device writes.
 func (c *Collector) LogForce(site tid.SiteID, t tid.TID, recType string) {
-	if c == nil {
+	c.Count(site, LogForces, 1)
+	if !c.timeline() {
 		return
 	}
-	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.recordLocked(Event{Kind: EvLogForce, Site: site, TID: t, Info: recType})
-	c.siteLocked(site).LogForces++
 	if !t.IsZero() {
 		c.familyLocked(t.Family, site).LogForces++
 	}
 }
 
-// DeviceWrite records one physical log write covering records
-// totalling bytes.
+// DeviceWrite records one physical log write, which the device
+// accepted, covering records totalling bytes. A refused write is no
+// device write and is not recorded.
 func (c *Collector) DeviceWrite(site tid.SiteID, records, bytes int) {
-	if c == nil {
+	l := c.ledger(site)
+	l[DeviceWrites].Add(1)
+	l[BytesWritten].Add(int64(bytes))
+	if !c.timeline() {
 		return
 	}
-	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.recordLocked(Event{Kind: EvDeviceWrite, Site: site,
 		Info: fmt.Sprintf("%d rec", records), Bytes: bytes})
-	sc := c.siteLocked(site)
-	sc.DeviceWrites++
-	sc.BytesWritten += bytes
 }
 
 // LogFlush records the background flusher forcing the log tail.
-func (c *Collector) LogFlush(site tid.SiteID) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.recordLocked(Event{Kind: EvLogFlush, Site: site})
-}
+func (c *Collector) LogFlush(site tid.SiteID) { c.event(Event{Kind: EvLogFlush, Site: site}) }
 
 // MsgSend records a datagram queued at from. payload classification:
 // TxPayload updates the family counters, bare Payload only the site's
@@ -306,50 +446,43 @@ func (c *Collector) MsgSend(from, to tid.SiteID, payload any) {
 	c.msgEvent(EvMsgSend, from, to, payload)
 }
 
-// MsgRecv records a datagram delivered at to.
+// MsgRecv records a datagram taken in by to's transport.
 func (c *Collector) MsgRecv(to, from tid.SiteID, payload any) {
 	c.msgEvent(EvMsgRecv, to, from, payload)
 }
 
-// MsgDrop records a datagram lost between from and to.
-func (c *Collector) MsgDrop(from, to tid.SiteID, payload any) {
-	c.msgEvent(EvMsgDrop, from, to, payload)
+// MsgDrop records a datagram lost by site's transport; peer is the
+// other end. payload may be nil: a datagram that did not decode.
+func (c *Collector) MsgDrop(site, peer tid.SiteID, payload any) {
+	c.msgEvent(EvMsgDrop, site, peer, payload)
 }
 
 func (c *Collector) msgEvent(kind Kind, site, peer tid.SiteID, payload any) {
-	if c == nil {
+	tp, tm := payload.(TxPayload)
+	l := c.ledger(site)
+	switch {
+	case kind == EvMsgDrop:
+		l[MsgsDropped].Add(1)
+	case kind == EvMsgSend && tm:
+		l[MsgsSent].Add(1)
+	case kind == EvMsgSend:
+		l[RPCs].Add(1)
+	case tm:
+		l[MsgsRecv].Add(1)
+	}
+	if !c.timeline() {
 		return
 	}
+	defer c.mu.Unlock()
 	var t tid.TID
 	info := fmt.Sprintf("%T", payload)
-	tm := false
 	if p, ok := payload.(Payload); ok {
 		info = p.TraceKind()
-		if tp, ok := payload.(TxPayload); ok {
-			t = tp.TraceTID()
-			tm = true
-		}
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	if tm {
+		t = tp.TraceTID()
+	}
 	c.recordLocked(Event{Kind: kind, Site: site, Peer: peer, TID: t, Info: info})
-	sc := c.siteLocked(site)
-	switch kind {
-	case EvMsgSend:
-		if tm {
-			sc.MsgsSent++
-		} else {
-			sc.RPCs++
-		}
-	case EvMsgRecv:
-		if tm {
-			sc.MsgsRecv++
-		}
-	case EvMsgDrop:
-		if tm {
-			sc.MsgsDropped++
-		}
-	}
 	if tm && !t.IsZero() {
 		fc := c.familyLocked(t.Family, site)
 		switch kind {
@@ -364,10 +497,9 @@ func (c *Collector) msgEvent(kind Kind, site, peer tid.SiteID, payload any) {
 // PhaseBegin records that site entered the named protocol phase for
 // t and opens a latency measurement.
 func (c *Collector) PhaseBegin(site tid.SiteID, t tid.TID, phase string) {
-	if c == nil {
+	if !c.timeline() {
 		return
 	}
-	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.recordLocked(Event{Kind: EvPhaseBegin, Site: site, TID: t, Info: phase})
 	c.open[phaseKey{site, t.Family, phase}] = c.r.Now()
@@ -377,10 +509,9 @@ func (c *Collector) PhaseBegin(site tid.SiteID, t tid.TID, phase string) {
 // latency sample. A PhaseEnd with no matching open PhaseBegin is a
 // no-op, so shared completion paths may call it unconditionally.
 func (c *Collector) PhaseEnd(site tid.SiteID, t tid.TID, phase string) {
-	if c == nil {
+	if !c.timeline() {
 		return
 	}
-	c.mu.Lock()
 	defer c.mu.Unlock()
 	key := phaseKey{site, t.Family, phase}
 	begin, ok := c.open[key]
@@ -399,58 +530,31 @@ func (c *Collector) PhaseEnd(site tid.SiteID, t tid.TID, phase string) {
 
 // LockDrop records that site told its servers to release t's locks.
 func (c *Collector) LockDrop(site tid.SiteID, t tid.TID) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.recordLocked(Event{Kind: EvLockDrop, Site: site, TID: t})
-}
-
-// IPC counts one local IPC round trip at site (no timeline event:
-// IPCs are budget counters, not timeline landmarks).
-func (c *Collector) IPC(site tid.SiteID) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.siteLocked(site).IPCs++
+	c.event(Event{Kind: EvLockDrop, Site: site, TID: t})
 }
 
 // Retry records one timer-driven retransmit round at site: n datagrams
 // of the named flavor re-sent because no answer arrived. It bumps the
 // site's Retransmits counter by n; fault-free runs record none.
 func (c *Collector) Retry(site tid.SiteID, t tid.TID, what string, n int) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.siteLocked(site).Retransmits += n
-	c.recordLocked(Event{Kind: EvRetry, Site: site, TID: t, Info: what})
+	c.Count(site, Retransmits, n)
+	c.event(Event{Kind: EvRetry, Site: site, TID: t, Info: what})
 }
 
 // Inquiry records one outcome inquiry sent from a blocked subordinate
 // at site to the family's coordinator.
 func (c *Collector) Inquiry(site tid.SiteID, t tid.TID) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.siteLocked(site).Inquiries++
-	c.recordLocked(Event{Kind: EvRetry, Site: site, TID: t, Info: "inquire"})
+	c.Count(site, Inquiries, 1)
+	c.event(Event{Kind: EvRetry, Site: site, TID: t, Info: "inquire"})
 }
 
 // Backoff records a retry timer re-armed with a backed-off delay
 // (strictly above the base interval). No counter: every backoff
 // accompanies a Retry/Inquiry that is already counted.
 func (c *Collector) Backoff(site tid.SiteID, t tid.TID, d time.Duration) {
-	if c == nil {
+	if !c.timeline() {
 		return
 	}
-	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.recordLocked(Event{Kind: EvBackoff, Site: site, TID: t, Info: fmt.Sprintf("delay=%s", d)})
 }
@@ -462,9 +566,6 @@ func (c *Collector) Backoff(site tid.SiteID, t tid.TID, d time.Duration) {
 // runtime an event per wait would perturb the very contention being
 // measured.
 func (c *Collector) LockWait(site tid.SiteID, class string) {
-	if c == nil {
-		return
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	m := c.lockWaits[site]
@@ -482,22 +583,12 @@ func (c *Collector) LockWait(site tid.SiteID, class string) {
 // FaultClear this makes failing traces self-describing: the timeline
 // itself records which faults were active when.
 func (c *Collector) FaultInject(site, peer tid.SiteID, desc string) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.recordLocked(Event{Kind: EvFaultInject, Site: site, Peer: peer, Info: desc})
+	c.event(Event{Kind: EvFaultInject, Site: site, Peer: peer, Info: desc})
 }
 
 // FaultClear records a previously injected fault being switched off.
 func (c *Collector) FaultClear(site, peer tid.SiteID, desc string) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.recordLocked(Event{Kind: EvFaultClear, Site: site, Peer: peer, Info: desc})
+	c.event(Event{Kind: EvFaultClear, Site: site, Peer: peer, Info: desc})
 }
 
 // Checkpoint records the disk manager materializing the durable log
@@ -506,63 +597,40 @@ func (c *Collector) FaultClear(site, peer tid.SiteID, desc string) {
 // just after one recovers from the image, a crash during one must
 // tolerate the image/log overlap — so the timeline marks them.
 func (c *Collector) Checkpoint(site tid.SiteID, records int) {
-	if c == nil {
+	if !c.timeline() {
 		return
 	}
-	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.recordLocked(Event{Kind: EvCheckpoint, Site: site, Info: fmt.Sprintf("cut=%d", records)})
 }
 
 // Crash records a site crash.
-func (c *Collector) Crash(site tid.SiteID) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.recordLocked(Event{Kind: EvCrash, Site: site})
-}
+func (c *Collector) Crash(site tid.SiteID) { c.event(Event{Kind: EvCrash, Site: site}) }
 
 // Recover records a site recovery.
-func (c *Collector) Recover(site tid.SiteID) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.recordLocked(Event{Kind: EvRecover, Site: site})
-}
+func (c *Collector) Recover(site tid.SiteID) { c.event(Event{Kind: EvRecover, Site: site}) }
 
 // ThreadSwitch records the simulation kernel resuming a thread. Wire
 // it to sim.Hooks only when scheduling-level detail is wanted — the
 // volume is high.
-func (c *Collector) ThreadSwitch(name string) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.recordLocked(Event{Kind: EvThreadSwitch, Info: name})
-}
+func (c *Collector) ThreadSwitch(name string) { c.event(Event{Kind: EvThreadSwitch, Info: name}) }
 
 // TimerFire records the simulation kernel firing a timer.
-func (c *Collector) TimerFire(name string) {
-	if c == nil {
+func (c *Collector) TimerFire(name string) { c.event(Event{Kind: EvTimerFire, Info: name}) }
+
+// event records one timeline event that counts nothing.
+func (c *Collector) event(ev Event) {
+	if !c.timeline() {
 		return
 	}
-	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.recordLocked(Event{Kind: EvTimerFire, Info: name})
+	c.recordLocked(ev)
 }
 
 // --- reading ---
 
 // Events returns a copy of the timeline in order.
 func (c *Collector) Events() []Event {
-	if c == nil {
-		return nil
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	out := make([]Event, len(c.events))
@@ -570,35 +638,22 @@ func (c *Collector) Events() []Event {
 	return out
 }
 
-// Site returns site's counters (zero value if never seen).
+// Site returns a snapshot of site's ledger (zero value if never seen).
 func (c *Collector) Site(s tid.SiteID) SiteCounters {
-	if c == nil {
-		return SiteCounters{}
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if sc := c.sites[s]; sc != nil {
-		return *sc
+	if l := (*c.sites.Load())[s]; l != nil {
+		return l.snapshot()
 	}
 	return SiteCounters{}
 }
 
 // Sites returns the ids of all sites with recorded activity, sorted.
 func (c *Collector) Sites() []tid.SiteID {
-	if c == nil {
-		return nil
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return det.SortedKeys(c.sites)
+	return det.SortedKeys(*c.sites.Load())
 }
 
 // Family returns t's family counters at site (zero value if never
-// seen).
+// seen, and always on a counters-only collector).
 func (c *Collector) Family(t tid.TID, site tid.SiteID) FamilyCounters {
-	if c == nil {
-		return FamilyCounters{}
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if m := c.families[t.Family]; m != nil {
@@ -611,9 +666,6 @@ func (c *Collector) Family(t tid.TID, site tid.SiteID) FamilyCounters {
 
 // FamilyTotal sums t's family counters across every site.
 func (c *Collector) FamilyTotal(t tid.TID) FamilyCounters {
-	if c == nil {
-		return FamilyCounters{}
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var total FamilyCounters
@@ -630,9 +682,6 @@ func (c *Collector) FamilyTotal(t tid.TID) FamilyCounters {
 // LockWaits returns site's contended-acquisition counts by lock
 // class, as a copy.
 func (c *Collector) LockWaits(site tid.SiteID) map[string]int {
-	if c == nil {
-		return nil
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	src := c.lockWaits[site]
@@ -650,9 +699,6 @@ func (c *Collector) LockWaits(site tid.SiteID) map[string]int {
 // LockWaitTotal sums site's contended acquisitions across all lock
 // classes.
 func (c *Collector) LockWaitTotal(site tid.SiteID) int {
-	if c == nil {
-		return 0
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	total := 0
@@ -666,9 +712,6 @@ func (c *Collector) LockWaitTotal(site tid.SiteID) int {
 // PhaseLatency returns the latency sample for the named phase, or an
 // empty sample. The returned sample is a snapshot copy.
 func (c *Collector) PhaseLatency(phase string) *stats.Sample {
-	if c == nil {
-		return &stats.Sample{}
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if s := c.phaseLat[phase]; s != nil {
@@ -679,9 +722,6 @@ func (c *Collector) PhaseLatency(phase string) *stats.Sample {
 
 // Phases returns the names of all phases with latency samples, sorted.
 func (c *Collector) Phases() []string {
-	if c == nil {
-		return nil
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return det.SortedKeys(c.phaseLat)
@@ -690,16 +730,7 @@ func (c *Collector) Phases() []string {
 // Reset clears events and counters (phase samples included), so one
 // collector can bracket successive experiments.
 func (c *Collector) Reset() {
-	if c == nil {
-		return
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.seq = 0
-	c.events = nil
-	c.sites = make(map[tid.SiteID]*SiteCounters)
-	c.families = make(map[tid.FamilyID]map[tid.SiteID]*FamilyCounters)
-	c.open = make(map[phaseKey]time.Duration)
-	c.phaseLat = make(map[string]*stats.Sample)
-	c.lockWaits = make(map[tid.SiteID]map[string]int)
+	c.resetLocked()
 }

@@ -24,10 +24,11 @@ func (fakeRPC) TraceKind() string { return "FAKE-RPC" }
 
 func testTID() tid.TID { return tid.Top(tid.MakeFamily(1, 1)) }
 
-// TestNilCollectorIsSafe: every recording and reading method must be a
-// no-op on a nil *Collector — that is the whole uninstrumented path.
-func TestNilCollectorIsSafe(t *testing.T) {
-	var c *Collector
+// TestCountersOnlyCollector: a collector without a timeline counts
+// every primitive into the site's ledger exactly as a timeline one
+// does, and records no event, no family counter and no phase.
+func TestCountersOnlyCollector(t *testing.T) {
+	c := NewCounters()
 	id := testTID()
 	c.LogAppend(1, id, "UPDATE", 10)
 	c.LogForce(1, id, "COMMIT")
@@ -35,27 +36,62 @@ func TestNilCollectorIsSafe(t *testing.T) {
 	c.LogFlush(1)
 	c.MsgSend(1, 2, fakeTM{id})
 	c.MsgRecv(2, 1, fakeTM{id})
-	c.MsgDrop(1, 2, fakeTM{id})
+	c.MsgDrop(1, 2, nil)
 	c.PhaseBegin(1, id, "prepare")
 	c.PhaseEnd(1, id, "prepare")
 	c.LockDrop(1, id)
-	c.IPC(1)
+	c.Count(1, IPCs, 1)
+	c.Count(1, AcksPiggybacked, 3)
 	c.Crash(1)
 	c.Recover(1)
 	c.ThreadSwitch("w")
 	c.TimerFire("t")
-	c.Reset()
-	if ev := c.Events(); ev != nil {
-		t.Errorf("nil collector has events: %v", ev)
+	want1 := SiteCounters{LogAppends: 1, LogForces: 1, DeviceWrites: 1, BytesWritten: 100,
+		MsgsSent: 1, MsgsDropped: 1, IPCs: 1, AcksPiggybacked: 3}
+	if got := c.Site(1); got != want1 {
+		t.Errorf("site1 counters = %+v, want %+v", got, want1)
 	}
-	if got := c.Site(1); got != (SiteCounters{}) {
-		t.Errorf("nil collector site counters: %+v", got)
+	if got := c.Site(2); got != (SiteCounters{MsgsRecv: 1}) {
+		t.Errorf("site2 counters = %+v, want one receipt", got)
+	}
+	if ev := c.Events(); len(ev) != 0 {
+		t.Errorf("counters-only collector has events: %v", ev)
 	}
 	if got := c.Family(id, 1); got != (FamilyCounters{}) {
-		t.Errorf("nil collector family counters: %+v", got)
+		t.Errorf("counters-only collector family counters: %+v", got)
 	}
 	if s := c.PhaseLatency("prepare"); s.N() != 0 {
-		t.Errorf("nil collector phase sample n=%d", s.N())
+		t.Errorf("counters-only collector phase sample n=%d", s.N())
+	}
+	c.Reset()
+	if got := c.Site(1); got != (SiteCounters{}) {
+		t.Errorf("Reset left site1 counters %+v", got)
+	}
+}
+
+// TestCountingAllocatesNothing pins the cost of a counter left on in a
+// real node: on a counters-only collector the per-record, per-flush
+// and per-datagram hooks allocate nothing — no event, and no
+// formatted Info string nobody will read.
+func TestCountingAllocatesNothing(t *testing.T) {
+	c := NewCounters()
+	id := testTID()
+	tm := &fakeTM{id}
+	for _, h := range []struct {
+		name string
+		hook func()
+	}{
+		{"LogAppend", func() { c.LogAppend(1, id, "UPDATE", 10) }},
+		{"LogForce", func() { c.LogForce(1, id, "COMMIT") }},
+		{"DeviceWrite", func() { c.DeviceWrite(1, 2, 100) }},
+		{"MsgSend", func() { c.MsgSend(1, 2, tm) }},
+		{"MsgRecv", func() { c.MsgRecv(2, 1, tm) }},
+		{"MsgDrop", func() { c.MsgDrop(1, 2, tm) }},
+		{"Retry", func() { c.Retry(1, id, "prepare", 2) }},
+	} {
+		if n := testing.AllocsPerRun(100, h.hook); n != 0 {
+			t.Errorf("%s allocates %.1f times per call on a counters-only collector", h.name, n)
+		}
 	}
 }
 
@@ -71,7 +107,7 @@ func TestCountersAndEvents(t *testing.T) {
 	c.MsgRecv(2, 1, fakeTM{id})
 	c.MsgDrop(1, 2, fakeTM{id})
 	c.MsgSend(1, 2, fakeRPC{})
-	c.IPC(1)
+	c.Count(1, IPCs, 1)
 
 	s1 := c.Site(1)
 	want1 := SiteCounters{LogAppends: 1, LogForces: 1, DeviceWrites: 1, BytesWritten: 100,

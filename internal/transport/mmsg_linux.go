@@ -160,7 +160,7 @@ func (p *UDPPeer) sendBatch(tos []tid.SiteID, buf []byte, m *wire.Msg) bool {
 	}
 	for i := 0; i < sent; i++ {
 		m.To = s.tos[i]
-		p.sendDone(s.tos[i], m)
+		p.tr.MsgSend(p.self, s.tos[i], m)
 	}
 	if werr != nil || sysErr != 0 {
 		why := "sendmmsg failed"
@@ -171,7 +171,7 @@ func (p *UDPPeer) sendBatch(tos []tid.SiteID, buf []byte, m *wire.Msg) bool {
 		}
 		for i := sent; i < len(s.tos); i++ {
 			m.To = s.tos[i]
-			p.drop(m.From, s.tos[i], m, why)
+			p.drop(s.tos[i], m, why)
 		}
 	}
 	return true
@@ -238,7 +238,7 @@ func (s *recvSlots) deliver(p *UDPPeer, got int) {
 			copy(s.spill, s.head(i))
 			p.deliver(s.spill[:n])
 		default:
-			p.drop(0, p.self, nil, "spill overwritten by a later datagram of the same recvmmsg")
+			p.drop(0, nil, "spill overwritten by a later datagram of the same recvmmsg")
 		}
 	}
 }

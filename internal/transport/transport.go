@@ -64,6 +64,11 @@ type Config struct {
 	Jitter time.Duration
 	// LossRate drops datagrams with this probability (0 ≤ p < 1).
 	LossRate float64
+	// Trace is the ledger the network counts every site's datagrams
+	// into, and the timeline its sends, receipts, drops and fault
+	// toggles go to if it keeps one; nil builds a counters-only
+	// collector of the network's own.
+	Trace *trace.Collector
 }
 
 // Shape is a Shaper's verdict for one datagram. Drop destroys it; Dup
@@ -102,23 +107,24 @@ type Network struct {
 	cfg Config
 	tr  *trace.Collector
 
-	mu        rt.Mutex
-	handlers  map[tid.SiteID]Handler
-	down      map[tid.SiteID]bool
-	cut       map[[2]tid.SiteID]bool
-	nextFree  map[tid.SiteID]rt.Time
-	shaper    Shaper
-	sent      int
-	delivered int
-	dropped   int
+	mu       rt.Mutex
+	handlers map[tid.SiteID]Handler
+	down     map[tid.SiteID]bool
+	cut      map[[2]tid.SiteID]bool
+	nextFree map[tid.SiteID]rt.Time
+	shaper   Shaper
 }
 
 // NewNetwork returns an empty network with the given fault/timing
 // model.
 func NewNetwork(r rt.Runtime, cfg Config) *Network {
+	if cfg.Trace == nil {
+		cfg.Trace = trace.NewCounters()
+	}
 	n := &Network{
 		r:        r,
 		cfg:      cfg,
+		tr:       cfg.Trace,
 		handlers: make(map[tid.SiteID]Handler),
 		down:     make(map[tid.SiteID]bool),
 		cut:      make(map[[2]tid.SiteID]bool),
@@ -127,10 +133,6 @@ func NewNetwork(r rt.Runtime, cfg Config) *Network {
 	n.mu = r.NewMutex()
 	return n
 }
-
-// SetTrace installs the event collector (nil disables tracing). Call
-// it before traffic flows.
-func (n *Network) SetTrace(tr *trace.Collector) { n.tr = tr }
 
 // Register installs the datagram handler for site, replacing any
 // previous one (a recovered site re-registers). Registering clears the
@@ -187,13 +189,11 @@ func (n *Network) SendAll(from tid.SiteID, tos []tid.SiteID, payload any) {
 func (n *Network) SendReliable(from, to tid.SiteID, payload any, latency time.Duration) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.sent++
 	n.tr.MsgSend(from, to, payload)
 	if n.shapeLocked(from, to, payload, true).Drop {
 		return
 	}
 	if n.down[from] {
-		n.dropped++
 		n.tr.MsgDrop(from, to, payload)
 		return
 	}
@@ -203,12 +203,10 @@ func (n *Network) SendReliable(from, to tid.SiteID, payload any, latency time.Du
 		h := n.handlers[d.To]
 		blocked := n.down[d.To] || n.down[d.From] || n.cut[linkKey(d.From, d.To)]
 		if h == nil || blocked {
-			n.dropped++
 			n.tr.MsgDrop(d.From, d.To, d.Payload)
 			n.mu.Unlock()
 			return
 		}
-		n.delivered++
 		n.tr.MsgRecv(d.To, d.From, d.Payload)
 		n.mu.Unlock()
 		h(d)
@@ -278,13 +276,6 @@ func (n *Network) SetShaper(f Shaper) {
 	n.shaper = f
 }
 
-// Stats reports datagrams sent, delivered, and dropped.
-func (n *Network) Stats() (sent, delivered, dropped int) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.sent, n.delivered, n.dropped
-}
-
 // reserveSendLocked serializes sends from one site: each costs a send
 // cycle plus a random scheduling delay, and both push back the
 // sender's next send. It returns the moment the datagram leaves.
@@ -311,19 +302,16 @@ func (n *Network) jitterLocked() time.Duration {
 // partition state are re-checked at delivery time, so a datagram in
 // flight when its destination dies is lost too.
 func (n *Network) deliverLocked(d Datagram, leave rt.Time) {
-	n.sent++
 	n.tr.MsgSend(d.From, d.To, d.Payload)
 	sh := n.shapeLocked(d.From, d.To, d.Payload, false)
 	if sh.Drop {
 		return
 	}
 	if n.down[d.From] {
-		n.dropped++
 		n.tr.MsgDrop(d.From, d.To, d.Payload)
 		return
 	}
 	if n.cfg.LossRate > 0 && n.r.Rand().Float64() < n.cfg.LossRate {
-		n.dropped++
 		n.tr.MsgDrop(d.From, d.To, d.Payload)
 		return
 	}
@@ -341,7 +329,6 @@ func (n *Network) deliverLocked(d Datagram, leave rt.Time) {
 		if i > 0 {
 			// Network-made duplicate: counted as its own send so the
 			// sent/delivered/dropped ledger still balances.
-			n.sent++
 			n.tr.MsgSend(d.From, d.To, d.Payload)
 		}
 		n.arriveLocked(d, arriveIn)
@@ -356,7 +343,6 @@ func (n *Network) shapeLocked(from, to tid.SiteID, payload any, reliable bool) S
 	}
 	sh := n.shaper(from, to, payload, reliable)
 	if sh.Drop {
-		n.dropped++
 		n.tr.FaultInject(from, to, "drop")
 		n.tr.MsgDrop(from, to, payload)
 	}
@@ -371,12 +357,10 @@ func (n *Network) arriveLocked(d Datagram, arriveIn time.Duration) {
 		h := n.handlers[d.To]
 		blocked := n.down[d.To] || n.down[d.From] || n.cut[linkKey(d.From, d.To)]
 		if h == nil || blocked {
-			n.dropped++
 			n.tr.MsgDrop(d.From, d.To, d.Payload)
 			n.mu.Unlock()
 			return
 		}
-		n.delivered++
 		n.tr.MsgRecv(d.To, d.From, d.Payload)
 		n.mu.Unlock()
 		h(d)

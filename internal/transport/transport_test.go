@@ -8,10 +8,20 @@ import (
 	"camelot/internal/sim"
 	"camelot/internal/stats"
 	"camelot/internal/tid"
+	"camelot/internal/trace"
 )
 
 func cfg() Config {
 	return Config{Latency: 10 * time.Millisecond, SendCycle: 1700 * time.Microsecond}
+}
+
+// counted builds a network counting into a ledger the test can read.
+// The tests' bare string payloads are not transaction-manager traffic,
+// so the ledger counts their sends as RPCs and their receipts not at
+// all; drops count whatever they carried.
+func counted(k *sim.Kernel, c Config) (*Network, *trace.Collector) {
+	c.Trace = trace.NewCounters()
+	return NewNetwork(k, c), c.Trace
 }
 
 func TestSendDeliversWithLatency(t *testing.T) {
@@ -181,7 +191,7 @@ func TestLossRateDropsRoughlyThatFraction(t *testing.T) {
 	k := sim.New(1)
 	c := cfg()
 	c.LossRate = 0.3
-	n := NewNetwork(k, c)
+	n, tr := counted(k, c)
 	got := 0
 	n.Register(2, func(d Datagram) { got++ })
 	k.Go("main", func() {
@@ -193,20 +203,18 @@ func TestLossRateDropsRoughlyThatFraction(t *testing.T) {
 	if got < 600 || got > 800 {
 		t.Errorf("delivered %d of 1000 at 30%% loss, want ≈700", got)
 	}
-	sent, delivered, dropped := n.Stats()
-	if sent != 1000 || delivered != got || delivered+dropped != sent {
-		t.Errorf("stats inconsistent: sent=%d delivered=%d dropped=%d", sent, delivered, dropped)
+	if sc := tr.Site(1); sc.RPCs != 1000 || got+sc.MsgsDropped != sc.RPCs {
+		t.Errorf("ledger inconsistent: sent=%d delivered=%d dropped=%d", sc.RPCs, got, sc.MsgsDropped)
 	}
 }
 
 func TestUnregisteredDestinationDrops(t *testing.T) {
 	k := sim.New(1)
-	n := NewNetwork(k, cfg())
+	n, tr := counted(k, cfg())
 	k.Go("main", func() { n.Send(1, 99, "void") })
 	k.Run()
-	_, delivered, dropped := n.Stats()
-	if delivered != 0 || dropped != 1 {
-		t.Errorf("delivered=%d dropped=%d, want 0/1", delivered, dropped)
+	if dropped := tr.Site(1).MsgsDropped; dropped != 1 {
+		t.Errorf("dropped=%d, want 1", dropped)
 	}
 }
 
@@ -230,7 +238,7 @@ func TestHandlerReplacementOnRecovery(t *testing.T) {
 // including one lost at a crashed destination.
 func TestShaperDupDeliversExtraCopies(t *testing.T) {
 	k := sim.New(1)
-	n := NewNetwork(k, cfg())
+	n, tr := counted(k, cfg())
 	var got []Datagram
 	n.Register(2, func(d Datagram) { got = append(got, d) })
 	n.SetShaper(func(from, to tid.SiteID, payload any, reliable bool) Shape {
@@ -245,9 +253,9 @@ func TestShaperDupDeliversExtraCopies(t *testing.T) {
 	if len(got) != 4 {
 		t.Fatalf("delivered %d copies, want 4 (original + 2 dups, and the RPC once)", len(got))
 	}
-	sent, delivered, dropped := n.Stats()
+	sent, delivered, dropped := tr.Site(1).RPCs, len(got), tr.Site(1).MsgsDropped
 	if sent != 7 || delivered != 4 || dropped != 3 || sent != delivered+dropped {
-		t.Errorf("stats = (%d,%d,%d), want (7,4,3)", sent, delivered, dropped)
+		t.Errorf("ledger = (%d,%d,%d), want (7,4,3)", sent, delivered, dropped)
 	}
 }
 
@@ -288,7 +296,7 @@ func TestShaperDelayReordersAgainstLaterSends(t *testing.T) {
 // sees every send — a crashed sender's too — before any other check.
 func TestShaperDropCounts(t *testing.T) {
 	k := sim.New(1)
-	n := NewNetwork(k, cfg())
+	n, tr := counted(k, cfg())
 	delivered, seen := 0, 0
 	n.Register(2, func(d Datagram) { delivered++ })
 	n.SetShaper(func(from, to tid.SiteID, payload any, reliable bool) Shape {
@@ -309,7 +317,7 @@ func TestShaperDropCounts(t *testing.T) {
 	if seen != 4 {
 		t.Errorf("hook saw %d sends, want all 4", seen)
 	}
-	if _, _, dropped := n.Stats(); dropped != 4 {
+	if dropped := tr.Site(1).MsgsDropped + tr.Site(3).MsgsDropped; dropped != 4 {
 		t.Errorf("dropped = %d, want 4", dropped)
 	}
 }

@@ -55,23 +55,32 @@ type UDPPeer struct {
 	conn *net.UDPConn
 	rc   syscall.RawConn
 
-	mu       sync.Mutex
-	peers    map[tid.SiteID]*net.UDPAddr
-	handler  Handler
-	backlog  []Datagram
-	closed   bool
-	sent     int
-	recv     int
-	dropped  int
-	oversize int
-	lastErr  error
-	tr       *trace.Collector
-	logf     func(format string, args ...any)
+	// tr is the site's ledger: every datagram sent, taken in or lost
+	// is counted there and nowhere else.
+	tr *trace.Collector
+
+	mu      sync.Mutex
+	peers   map[tid.SiteID]*net.UDPAddr
+	handler Handler
+	backlog []Datagram
+	closed  bool
+	lastErr error
+	logf    func(format string, args ...any)
 }
 
 // NewUDPPeer binds a UDP socket for site self at listenAddr (for
-// example "127.0.0.1:0") and starts its reader.
+// example "127.0.0.1:0") and starts its reader. It counts into a
+// counters-only ledger of its own.
 func NewUDPPeer(self tid.SiteID, listenAddr string) (*UDPPeer, error) {
+	return ListenUDP(self, listenAddr, nil)
+}
+
+// ListenUDP is NewUDPPeer counting into tr, the site's ledger; nil
+// builds a counters-only one.
+func ListenUDP(self tid.SiteID, listenAddr string, tr *trace.Collector) (*UDPPeer, error) {
+	if tr == nil {
+		tr = trace.NewCounters()
+	}
 	addr, err := net.ResolveUDPAddr("udp", listenAddr)
 	if err != nil {
 		return nil, fmt.Errorf("transport: resolve %q: %w", listenAddr, err)
@@ -89,6 +98,7 @@ func NewUDPPeer(self tid.SiteID, listenAddr string) (*UDPPeer, error) {
 		self:  self,
 		conn:  conn,
 		rc:    rc,
+		tr:    tr,
 		peers: make(map[tid.SiteID]*net.UDPAddr),
 	}
 	//lint:rawgo host-side UDP read loop; this transport never runs under the simulation kernel
@@ -110,14 +120,6 @@ func (p *UDPPeer) AddPeer(id tid.SiteID, addr string) error {
 	defer p.mu.Unlock()
 	p.peers[id] = ua
 	return nil
-}
-
-// SetTrace installs an optional event collector; sends, receives, and
-// drops are recorded on its timeline. Call before traffic flows.
-func (p *UDPPeer) SetTrace(tr *trace.Collector) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.tr = tr
 }
 
 // SetLogf installs an optional diagnostic logger. Datagram loss is
@@ -144,13 +146,13 @@ func (p *UDPPeer) SetHandler(h Handler) {
 }
 
 // Send implements Sender. Non-*wire.Msg payloads and unknown peers
-// are dropped (counted, and reported through the trace collector),
+// are dropped (counted in the ledger),
 // matching datagram semantics; oversize messages additionally record
 // an error retrievable via Err, because no retry can ever mask them.
 func (p *UDPPeer) Send(from, to tid.SiteID, payload any) {
 	msg, ok := payload.(*wire.Msg)
 	if !ok {
-		p.drop(from, to, payload, "non-wire payload")
+		p.drop(to, payload, "non-wire payload")
 		return
 	}
 	// Fill in the addressing the simulated network carries out of
@@ -162,7 +164,7 @@ func (p *UDPPeer) Send(from, to tid.SiteID, payload any) {
 	buf, err := wire.AppendDatagram((*bp)[:0], &m)
 	if err != nil {
 		putBuf(bp)
-		p.oversizeDrop(from, to, &m, err)
+		p.oversizeDrop(to, &m, err)
 		return
 	}
 	p.transmit(to, buf, &m)
@@ -191,7 +193,7 @@ func (p *UDPPeer) fanout(from tid.SiteID, tos []tid.SiteID, payload any) {
 	msg, ok := payload.(*wire.Msg)
 	if !ok {
 		for _, to := range tos {
-			p.drop(from, to, payload, "non-wire payload")
+			p.drop(to, payload, "non-wire payload")
 		}
 		return
 	}
@@ -203,7 +205,7 @@ func (p *UDPPeer) fanout(from tid.SiteID, tos []tid.SiteID, payload any) {
 	if err != nil {
 		putBuf(bp)
 		for _, to := range tos {
-			p.oversizeDrop(from, to, &m, err)
+			p.oversizeDrop(to, &m, err)
 		}
 		return
 	}
@@ -231,41 +233,28 @@ func (p *UDPPeer) transmit(to tid.SiteID, buf []byte, msg *wire.Msg) {
 	closed := p.closed
 	p.mu.Unlock()
 	if addr == nil || closed {
-		p.drop(msg.From, to, msg, "no address for peer")
+		p.drop(to, msg, "no address for peer")
 		return
 	}
 	if _, err := p.conn.WriteToUDP(buf, addr); err != nil {
-		p.drop(msg.From, to, msg, err.Error())
+		p.drop(to, msg, err.Error())
 		return
 	}
-	p.sendDone(to, msg)
+	p.tr.MsgSend(p.self, to, msg)
 }
 
-// sendDone accounts one datagram successfully handed to the kernel,
-// from either the portable write path or the batched syscall path.
-func (p *UDPPeer) sendDone(to tid.SiteID, msg *wire.Msg) {
-	p.mu.Lock()
-	p.sent++
-	tr := p.tr
-	p.mu.Unlock()
-	tr.MsgSend(msg.From, to, msg)
-}
-
-// Stats reports datagrams sent, received, and dropped at this peer.
+// Stats reports datagrams sent, received, and dropped at this peer: a
+// view over the site's ledger. A datagram parked before SetHandler
+// counts as received when it arrives.
 func (p *UDPPeer) Stats() (sent, received, dropped int) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.sent, p.recv, p.dropped
+	sc := p.tr.Site(p.self)
+	return sc.MsgsSent, sc.MsgsRecv, sc.MsgsDropped
 }
 
 // Oversize reports how many sends were refused because the message
 // exceeded wire.MaxDatagram. These are included in the drop count but
-// deserve their own ledger: they are a protocol bug, not weather.
-func (p *UDPPeer) Oversize() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.oversize
-}
+// deserve their own counter: they are a protocol bug, not weather.
+func (p *UDPPeer) Oversize() int { return p.tr.Site(p.self).Oversize }
 
 // Err returns the most recent send error that loss-masking cannot
 // recover from (currently only wire.ErrOversize), or nil.
@@ -283,29 +272,28 @@ func (p *UDPPeer) Close() error {
 	return p.conn.Close()
 }
 
-// drop counts one lost datagram and reports it to the trace timeline.
-func (p *UDPPeer) drop(from, to tid.SiteID, payload any, why string) {
+// drop counts one datagram lost at this site, inbound or outbound;
+// peer is the other end, zero if unknown.
+func (p *UDPPeer) drop(peer tid.SiteID, payload any, why string) {
+	p.tr.MsgDrop(p.self, peer, payload)
 	p.mu.Lock()
-	p.dropped++
-	tr, logf := p.tr, p.logf
+	logf := p.logf
 	p.mu.Unlock()
-	tr.MsgDrop(from, to, payload)
 	if logf != nil {
-		logf("transport: site%d: dropped datagram to site%d: %s", p.self, to, why)
+		logf("transport: site%d: dropped datagram (peer site%d): %s", p.self, peer, why)
 	}
 }
 
 // oversizeDrop is the loud path for a message that can never fit one
 // datagram: counted separately, recorded as a sticky error, and
 // always logged — a silent drop here would be unmaskable loss.
-func (p *UDPPeer) oversizeDrop(from, to tid.SiteID, msg *wire.Msg, err error) {
+func (p *UDPPeer) oversizeDrop(to tid.SiteID, msg *wire.Msg, err error) {
+	p.tr.MsgDrop(p.self, to, msg)
+	p.tr.Count(p.self, trace.Oversize, 1)
 	p.mu.Lock()
-	p.dropped++
-	p.oversize++
 	p.lastErr = err
-	tr, logf := p.tr, p.logf
+	logf := p.logf
 	p.mu.Unlock()
-	tr.MsgDrop(from, to, msg)
 	if logf != nil {
 		logf("transport: site%d: refused send to site%d: %v", p.self, to, err)
 	}
@@ -339,37 +327,33 @@ func (p *UDPPeer) readLoop() {
 // use-after-recycle.
 func (p *UDPPeer) deliver(data []byte) {
 	if len(data) > wire.MaxDatagram {
-		p.drop(0, p.self, nil, "datagram exceeds wire.MaxDatagram")
+		p.drop(0, nil, "datagram exceeds wire.MaxDatagram")
 		return
 	}
 	msg, err := wire.Unmarshal(data)
 	if err != nil {
-		p.drop(0, p.self, nil, fmt.Sprintf("corrupt datagram: %v", err))
+		p.drop(0, nil, fmt.Sprintf("corrupt datagram: %v", err))
 		return
 	}
 	d := Datagram{From: msg.From, To: p.self, Payload: msg}
 	p.mu.Lock()
 	h := p.handler
 	if h == nil {
-		// No handler yet: park the datagram until SetHandler. An
-		// overflowing backlog is loss, and is counted as such —
-		// the old behavior (count as received, deliver to no one)
-		// was a silent-loss bug.
-		if len(p.backlog) < backlogCap {
-			p.backlog = append(p.backlog, d)
-			p.recv++
+		// No handler yet: park the datagram until SetHandler. It is
+		// received now; an overflowing backlog is loss, and is
+		// counted as such.
+		if len(p.backlog) >= backlogCap {
 			p.mu.Unlock()
+			p.drop(msg.From, msg, "no handler and backlog full")
 			return
 		}
-		p.mu.Unlock()
-		p.drop(msg.From, p.self, msg, "no handler and backlog full")
-		return
+		p.backlog = append(p.backlog, d)
 	}
-	p.recv++
-	tr := p.tr
 	p.mu.Unlock()
-	tr.MsgRecv(p.self, msg.From, msg)
-	h(d)
+	p.tr.MsgRecv(p.self, msg.From, msg)
+	if h != nil {
+		h(d)
+	}
 }
 
 // UDPPeer must satisfy Sender.

@@ -20,6 +20,7 @@ import (
 	"camelot/internal/rt"
 	"camelot/internal/sim"
 	"camelot/internal/tid"
+	"camelot/internal/trace"
 	"camelot/internal/wire"
 )
 
@@ -284,7 +285,8 @@ func TestConcurrentForcersShareOneAppend(t *testing.T) {
 func TestFailedAppendIsNotADeviceWrite(t *testing.T) {
 	fs := NewFaultStore(NewMemStore(), nil)
 	fs.ArmAppend(1, DamageLost)
-	l := Open(rt.Real(), fs, Config{GroupCommit: true})
+	tr := trace.New(rt.Real())
+	l := Open(rt.Real(), fs, Config{GroupCommit: true, Trace: tr})
 	defer l.Close()
 	forceBatches(t, l, batch(0))
 	l.Append(&Record{Type: RecCommit, TID: testTID(8)}) //nolint:errcheck // the force below reports the failure
@@ -293,6 +295,16 @@ func TestFailedAppendIsNotADeviceWrite(t *testing.T) {
 	}
 	if l.DeviceWrites() != 1 {
 		t.Errorf("DeviceWrites = %d, want 1: the refused write reached no device", l.DeviceWrites())
+	}
+	writes := 0
+	for _, ev := range tr.Events() {
+		if ev.Kind == trace.EvDeviceWrite {
+			writes++
+		}
+	}
+	if tr.Site(0).DeviceWrites != 1 || writes != 1 {
+		t.Errorf("ledger counts %d device writes and the timeline %d, want 1: the refused write is none",
+			tr.Site(0).DeviceWrites, writes)
 	}
 }
 

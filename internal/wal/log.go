@@ -3,7 +3,6 @@ package wal
 import (
 	"errors"
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"camelot/internal/rt"
@@ -34,9 +33,11 @@ type Config struct {
 	// commit record under the delayed-commit optimization) become
 	// durable without an explicit force.
 	FlushInterval time.Duration
-	// Site identifies this log's site in trace events.
+	// Site identifies this log's site in the ledger and trace events.
 	Site tid.SiteID
-	// Trace, if non-nil, receives append/device-write/flush events.
+	// Trace is the ledger the log counts its appends and device writes
+	// into, and the timeline its flushes go to if it keeps one; nil
+	// builds a counters-only collector of the log's own.
 	Trace *trace.Collector
 }
 
@@ -59,9 +60,6 @@ type Log struct {
 	reqs     []uint64  // pending force targets, FIFO
 	closed   bool
 	err      error // the device error that fail-stopped the log, if one did
-
-	appends      int
-	deviceWrites atomic.Int64 // Store.Append calls that returned nil
 }
 
 // pending is a buffered record and its encoded size, computed once at
@@ -73,6 +71,9 @@ type pending struct {
 
 // Open starts a log over store. Call Close when done.
 func Open(r rt.Runtime, store Store, cfg Config) *Log {
+	if cfg.Trace == nil {
+		cfg.Trace = trace.NewCounters()
+	}
 	l := &Log{r: r, store: store, cfg: cfg, nextLSN: 1}
 	l.mu = r.NewMutex()
 	l.cond = r.NewCond(l.mu)
@@ -95,14 +96,11 @@ func (l *Log) Append(rec *Record) (uint64, error) {
 	}
 	rec.LSN = l.nextLSN
 	l.nextLSN++
-	l.appends++
 	if len(l.buffered) == 0 {
 		l.oldest = l.r.Now()
 	}
 	l.buffered = append(l.buffered, pending{rec, size})
-	if l.cfg.Trace != nil {
-		l.cfg.Trace.LogAppend(l.cfg.Site, rec.TID, rec.Type.String(), size)
-	}
+	l.cfg.Trace.LogAppend(l.cfg.Site, rec.TID, rec.Type.String(), size)
 	return rec.LSN, nil
 }
 
@@ -170,8 +168,8 @@ func (l *Log) Durable() uint64 {
 // DeviceWrites reports how many blocks the log has made durable: the
 // number of Store.Append calls that returned nil, which on a FileStore
 // is the number of fsyncs. It is the denominator of every throughput
-// analysis in the paper.
-func (l *Log) DeviceWrites() int { return int(l.deviceWrites.Load()) }
+// analysis in the paper. It is a view over the site's ledger.
+func (l *Log) DeviceWrites() int { return l.cfg.Trace.Site(l.cfg.Site).DeviceWrites }
 
 // Err reports the device error that fail-stopped the log — a refused
 // Store.Append — or nil for a log that is healthy or was closed by its
@@ -182,22 +180,22 @@ func (l *Log) Err() error {
 	return l.err
 }
 
-// appendBlock is the log's only path to Store.Append, so DeviceWrites
-// counts what the device saw and nothing else.
-func (l *Log) appendBlock(b []byte) error {
+// appendBlock is the log's only path to Store.Append, so the ledger's
+// device writes count what the device accepted and nothing else. The
+// block carries records whose encodings total bytes; the ledger counts
+// record bytes, not framing, so its numbers do not depend on how
+// records were grouped.
+func (l *Log) appendBlock(b []byte, records, bytes int) error {
 	if err := l.store.Append(b); err != nil {
 		return err
 	}
-	l.deviceWrites.Add(1)
+	l.cfg.Trace.DeviceWrite(l.cfg.Site, records, bytes)
 	return nil
 }
 
-// Appends reports how many records have been appended.
-func (l *Log) Appends() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.appends
-}
+// Appends reports how many records have been appended: a view over
+// the site's ledger.
+func (l *Log) Appends() int { return l.cfg.Trace.Site(l.cfg.Site).LogAppends }
 
 // Records reads back every durable record, in LSN order. Buffered
 // (never-forced) records are absent — exactly what a crash loses.
@@ -240,7 +238,7 @@ func (l *Log) Records() ([]*Record, error) {
 			return nil, fmt.Errorf("wal: dropping torn tail: %w", err)
 		}
 		if good > 0 {
-			if err := l.appendBlock(b[:good]); err != nil {
+			if err := l.appendBlock(b[:good], len(recs), good-frameHeader*len(recs)); err != nil {
 				return nil, fmt.Errorf("wal: rewriting torn tail's good prefix: %w", err)
 			}
 		}
@@ -337,10 +335,7 @@ func (l *Log) writer() {
 		for _, p := range batch {
 			block = appendFrame(block, p.rec, p.size)
 		}
-		err := l.appendBlock(block)
-		// The tracer counts record bytes, not framing, so its numbers
-		// do not depend on how records were grouped.
-		l.cfg.Trace.DeviceWrite(l.cfg.Site, n, bytes)
+		err := l.appendBlock(block, n, bytes)
 		l.mu.Lock()
 		if err != nil {
 			l.err = err
