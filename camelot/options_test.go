@@ -52,9 +52,6 @@ func TestStatsExposedThroughFacade(t *testing.T) {
 		if st.Begun != 1 || st.Committed != 1 {
 			t.Errorf("Stats = %+v, want 1 begun / 1 committed", st)
 		}
-		if n.TM().Site() != 1 {
-			t.Errorf("Site() = %v", n.TM().Site())
-		}
 		if sc := c.Trace().Site(1); sc.Begun != st.Begun || sc.Committed != st.Committed {
 			t.Errorf("Stats = %+v is not a view of the site's counters %+v", st, sc)
 		}

@@ -6,8 +6,10 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"camelot/camelot"
+	"camelot/internal/wire"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -134,5 +136,144 @@ func TestLossyTraceShowsRecoveryMachinery(t *testing.T) {
 func TestRunRejectsBadLoss(t *testing.T) {
 	if _, err := run(options{sites: 3, seed: 1, loss: 1.5}); err == nil {
 		t.Error("run with -loss 1.5 succeeded, want error")
+	}
+}
+
+// faultRun simulates opts and returns every site's state after the
+// drain.
+func faultRun(t *testing.T, opts options) []siteState {
+	t.Helper()
+	r, err := simulate(opts)
+	if err != nil {
+		t.Fatalf("simulate: %v", err)
+	}
+	return siteStates(r, opts.sites)
+}
+
+// resolvedAlike fails unless every listed site is up and has resolved
+// the transaction the same way: its write applied everywhere or gone
+// everywhere, no lock left behind, and no definite outcome that says
+// otherwise. An UNKNOWN outcome is a site that resolved and forgot, as
+// presumed abort and outcome truncation allow.
+func resolvedAlike(t *testing.T, states []siteState, sites ...camelot.SiteID) {
+	t.Helper()
+	first := states[sites[0]-1]
+	for _, id := range sites {
+		st := states[id-1]
+		switch {
+		case st.crashed:
+			t.Errorf("site %d: crashed, want it resolved", id)
+		case st.locked:
+			t.Errorf("site %d: still holds the transaction's lock (in doubt)", id)
+		case st.value != first.value:
+			t.Errorf("site %d: write present=%v, site %d: %v", id, st.value, first.site, first.value)
+		case st.outcome == camelot.OutcomeCommit && !st.value,
+			st.outcome == camelot.OutcomeAbort && st.value:
+			t.Errorf("site %d: outcome %s contradicts write present=%v", id, st.outcome, st.value)
+		}
+	}
+}
+
+// TestFault2PCCoordinatorCrashBlocks: with the coordinator down for
+// good, two-phase commit's prepared subordinates cannot decide. They
+// inquire, hold no outcome, and keep the in-doubt write locked.
+func TestFault2PCCoordinatorCrashBlocks(t *testing.T) {
+	states := faultRun(t, options{sites: 3, seed: 1, fault: "crash-coordinator", faultAfter: 50 * time.Millisecond})
+	if !states[0].crashed {
+		t.Error("site 1 is up, want it crashed")
+	}
+	for _, st := range states[1:] {
+		if st.inquiries == 0 {
+			t.Errorf("site %d: no inquiries, want the blocked subordinate to ask", st.site)
+		}
+		if st.outcome != camelot.OutcomeUnknown {
+			t.Errorf("site %d: outcome %s, want none (blocked)", st.site, st.outcome)
+		}
+		if !st.locked {
+			t.Errorf("site %d: the in-doubt write is unlocked, want it held (blocked)", st.site)
+		}
+	}
+}
+
+// TestFaultCoordinatorCrashDoesNotBlock: the non-blocking protocol
+// promotes a survivor, and Paxos Commit at F=1 has one take over; the
+// survivors resolve the same way without the coordinator.
+func TestFaultCoordinatorCrashDoesNotBlock(t *testing.T) {
+	for _, p := range []camelot.Protocol{camelot.NonBlocking, camelot.Paxos} {
+		t.Run(p.String(), func(t *testing.T) {
+			states := faultRun(t, options{sites: 3, protocol: p, seed: 1,
+				fault: "crash-coordinator", faultAfter: 50 * time.Millisecond})
+			if states[1].promotions+states[2].promotions == 0 {
+				t.Error("no survivor promoted itself")
+			}
+			resolvedAlike(t, states, 2, 3)
+		})
+	}
+}
+
+// TestFaultEveryScenarioHeals runs each fault under each protocol,
+// healed: every site ends resolved the same way, whatever the fault —
+// 2PC's blocked subordinates included, once the coordinator recovers.
+func TestFaultEveryScenarioHeals(t *testing.T) {
+	for _, p := range wire.Protocols() {
+		for _, f := range faults[1:] {
+			t.Run(p.String()+"/"+f, func(t *testing.T) {
+				states := faultRun(t, options{sites: 3, protocol: p, seed: 1, fault: f,
+					faultAfter: 50 * time.Millisecond, healAfter: 2 * time.Second})
+				resolvedAlike(t, states, 1, 2, 3)
+			})
+		}
+	}
+}
+
+// TestFaultRunDeterministic: a fault run replays byte for byte under
+// one seed, in both output modes.
+func TestFaultRunDeterministic(t *testing.T) {
+	for _, jsonOut := range []bool{false, true} {
+		opts := options{sites: 3, protocol: camelot.NonBlocking, seed: 7, jsonOut: jsonOut,
+			fault: "isolate-sub", faultAfter: 50 * time.Millisecond, healAfter: time.Second}
+		a, err := run(opts)
+		if err != nil {
+			t.Fatalf("first run: %v", err)
+		}
+		b, err := run(opts)
+		if err != nil {
+			t.Fatalf("second run: %v", err)
+		}
+		if a != b {
+			t.Errorf("json=%v: same seed produced different fault runs", jsonOut)
+		}
+	}
+}
+
+// TestFaultTextReportsSiteState: the text report of a fault run says
+// what the client got back and ends with each site's state.
+func TestFaultTextReportsSiteState(t *testing.T) {
+	out, err := run(options{sites: 3, seed: 1, fault: "crash-coordinator", faultAfter: 50 * time.Millisecond})
+	if err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	for _, want := range []string{
+		"fault: crash-coordinator (site 1) 50.0 ms after the commit call, never healed",
+		"commit-transaction returned",
+		"Site state after the drain:",
+		"  site1   yes\n",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("fault report missing %q", want)
+		}
+	}
+}
+
+// TestRunRejectsBadFault: an unknown -fault name is refused naming
+// the valid ones, and any fault on a one-site cluster is refused, both
+// before anything runs.
+func TestRunRejectsBadFault(t *testing.T) {
+	_, err := run(options{sites: 3, seed: 1, fault: "crash-coord"})
+	if err == nil || !strings.Contains(err.Error(), strings.Join(faults, ", ")) {
+		t.Errorf("run with -fault crash-coord: err = %v, want one naming every fault", err)
+	}
+	if _, err := run(options{sites: 1, seed: 1, fault: "crash-sub"}); err == nil {
+		t.Error("run with -fault crash-sub -sites 1 succeeded, want error")
 	}
 }

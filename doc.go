@@ -8,7 +8,7 @@
 // (simulation kernel, write-ahead log, lock manager, transports,
 // communication manager, recovery) are under internal/. See README.md
 // for the tour, DESIGN.md for the system inventory, and
-// EXPERIMENTS.md for the paper-versus-measured record. The benchmarks
-// in bench_test.go regenerate each table and figure; cmd/camelot-bench
-// prints them in the paper's layout.
+// EXPERIMENTS.md for the paper-versus-measured record.
+// cmd/camelot-bench regenerates each table and figure in the paper's
+// layout.
 package camelotrepro

@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"errors"
+	"math"
 	"reflect"
 	"testing"
 
@@ -31,7 +32,7 @@ func survivors(t *testing.T, mode string) []string {
 			t.Fatal(err)
 		}
 	}
-	if err := log.ForceAll(); !errors.Is(err, wal.ErrClosed) {
+	if err := log.Force(math.MaxUint64); !errors.Is(err, wal.ErrClosed) {
 		t.Fatalf("%s: force = %v, want the log fail-stopped: a faulted write is never acknowledged", mode, err)
 	}
 	if !tripped || !fs.Tripped() {

@@ -129,7 +129,6 @@ type Manager struct {
 	inflight map[uint64]*rt.Future[*Response]
 	nextCall uint64
 	servers  map[string]*server.Server
-	calls    int
 	timeout  time.Duration
 }
 
@@ -169,13 +168,6 @@ func (m *Manager) LocalServer(name string) (*server.Server, bool) {
 	return s, ok
 }
 
-// Calls reports how many remote operations this manager forwarded.
-func (m *Manager) Calls() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.calls
-}
-
 // Call forwards one operation to the named server at dest and blocks
 // for the response. On success it merges the response's site list
 // into the local transaction manager — the spying of §3.1.
@@ -186,7 +178,6 @@ func (m *Manager) Call(dest tid.SiteID, req *Request) ([]byte, error) {
 	req.Call = m.nextCall
 	req.Origin = m.site
 	m.inflight[req.Call] = fut
-	m.calls++
 	m.mu.Unlock()
 
 	// Client-side costs: application→CommMan IPC and CommMan CPU.

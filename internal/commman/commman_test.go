@@ -187,18 +187,6 @@ func TestBreakdownSumsToPaperTotal(t *testing.T) {
 	}
 }
 
-func TestCallsCounter(t *testing.T) {
-	r := newRig(params.Fast())
-	r.run(t, func() {
-		for i := 0; i < 3; i++ {
-			r.client.Call(2, &Request{TID: txn(1), Server: "store", Op: OpWrite, Key: "k", Value: []byte("v")}) //nolint:errcheck
-		}
-		if got := r.client.Calls(); got != 3 {
-			t.Fatalf("Calls() = %d, want 3", got)
-		}
-	})
-}
-
 func TestLocalServerLookup(t *testing.T) {
 	r := newRig(params.Fast())
 	if _, ok := r.server.LocalServer("store"); !ok {

@@ -385,9 +385,6 @@ func (m *Manager) Deliver(msg *wire.Msg) {
 	m.queue.Put(func() { m.handle(msg) })
 }
 
-// Site returns this manager's site id.
-func (m *Manager) Site() tid.SiteID { return m.cfg.Site }
-
 // Stats returns a snapshot of protocol counters.
 func (m *Manager) Stats() Stats {
 	sc := m.tr.Site(m.cfg.Site)

@@ -3,6 +3,7 @@ package core_test
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -149,7 +150,7 @@ func (h *harness) beginAt(t *testing.T, coord tid.SiteID, subs ...tid.SiteID) ti
 
 func countRecords(t *testing.T, log *wal.Log, typ wal.RecType) int {
 	t.Helper()
-	log.ForceAll() //nolint:errcheck
+	log.Force(math.MaxUint64) //nolint:errcheck
 	recs, err := log.Records()
 	if err != nil {
 		t.Fatalf("Records: %v", err)

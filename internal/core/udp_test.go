@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"math"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -105,7 +106,7 @@ func TestTwoPhaseCommitOverRealUDP(t *testing.T) {
 	if p2.commits.Load() != 1 {
 		t.Fatalf("subordinate commits = %d, want 1", p2.commits.Load())
 	}
-	log2.ForceAll() //nolint:errcheck
+	log2.Force(math.MaxUint64) //nolint:errcheck
 	recs, _ := log2.Records()
 	var prepares, commits int
 	for _, rec := range recs {

@@ -60,11 +60,11 @@ func codeError(resp Response) error {
 // Requests on one Client are serialized; use one Client per
 // concurrent stream of work.
 //
-// A Client may carry a default per-call deadline (SetTimeout, or
-// DialTimeout); individual calls override it with DoTimeout. When a
-// call times out the connection is poisoned — a late response would
-// desynchronize the request/response framing — so every subsequent
-// call fails fast with ErrUnavailable until Reconnect succeeds.
+// A Client may carry a default per-call deadline, set by DialTimeout;
+// individual calls override it with DoTimeout. When a call times out
+// the connection is poisoned — a late response would desynchronize
+// the request/response framing — so every subsequent call fails fast
+// with ErrUnavailable until Reconnect succeeds.
 type Client struct {
 	addr string
 
@@ -74,12 +74,6 @@ type Client struct {
 	timeout time.Duration
 	broken  error  // sticky transport failure; cleared by Reconnect
 	line    []byte // the request line being sent, reused
-}
-
-// Dial connects to a node's control address with no default deadline:
-// calls block until the node answers or the connection dies.
-func Dial(addr string) (*Client, error) {
-	return DialTimeout(addr, 0)
 }
 
 // DialTimeout connects with a default per-call deadline (0 keeps
@@ -95,14 +89,6 @@ func DialTimeout(addr string, timeout time.Duration) (*Client, error) {
 		sc:      lineScanner(conn),
 		timeout: timeout,
 	}, nil
-}
-
-// SetTimeout installs the default per-call deadline applied to every
-// exchange that does not override it; 0 removes it.
-func (c *Client) SetTimeout(d time.Duration) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.timeout = d
 }
 
 // Reconnect redials the node and replaces a poisoned connection,

@@ -34,7 +34,7 @@ func startShardedNode(t *testing.T, site camelot.SiteID, m *shardmap.Map) (*came
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { s.Close() }) //nolint:errcheck // test teardown
-	c, err := Dial(s.Addr())
+	c, err := DialTimeout(s.Addr(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

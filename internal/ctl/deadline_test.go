@@ -97,7 +97,7 @@ func TestDeadlineBoundsFrozenNode(t *testing.T) {
 // itself carries one.
 func TestDoTimeoutOverridesDefault(t *testing.T) {
 	addr := silentThenServing(t)
-	c, err := Dial(addr) // no default deadline
+	c, err := DialTimeout(addr, 0) // no default deadline
 	if err != nil {
 		t.Fatal(err)
 	}

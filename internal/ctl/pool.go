@@ -44,9 +44,6 @@ func NewPool(addr string, timeout time.Duration, maxIdle int) *Pool {
 	return &Pool{addr: addr, timeout: timeout, maxIdle: maxIdle}
 }
 
-// Addr returns the node address the pool dials.
-func (p *Pool) Addr() string { return p.addr }
-
 // Get returns a healthy client, reusing an idle one when available
 // and dialing otherwise.
 func (p *Pool) Get() (*Client, error) {

@@ -17,21 +17,3 @@ func TestSortedKeys(t *testing.T) {
 		t.Fatalf("SortedKeys(nil) = %v, want empty", got)
 	}
 }
-
-func TestSortedKeysFunc(t *testing.T) {
-	type key struct{ a, b uint32 }
-	m := map[key]bool{{2, 1}: true, {1, 2}: true, {1, 1}: true}
-	less := func(x, y key) bool {
-		if x.a != y.a {
-			return x.a < y.a
-		}
-		return x.b < y.b
-	}
-	for i := 0; i < 50; i++ {
-		got := SortedKeysFunc(m, less)
-		want := []key{{1, 1}, {1, 2}, {2, 1}}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("SortedKeysFunc = %v, want %v", got, want)
-		}
-	}
-}

@@ -2,6 +2,7 @@ package diskman
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -52,7 +53,7 @@ func buildBlocks(t *testing.T, blocks ...[]*wal.Record) (*wal.Log, *wal.MemStore
 					t.Errorf("append: %v", err)
 				}
 			}
-			if err := log.ForceAll(); err != nil {
+			if err := log.Force(math.MaxUint64); err != nil {
 				t.Errorf("force: %v", err)
 			}
 		}
@@ -222,14 +223,14 @@ func TestDeleteAcrossCheckpoint(t *testing.T) {
 		log = wal.Open(k, wal.NewMemStore(), wal.Config{})
 		log.Append(upd(top(1), "a", "1"))                         //nolint:errcheck
 		log.Append(&wal.Record{Type: wal.RecCommit, TID: top(1)}) //nolint:errcheck
-		log.ForceAll()                                            //nolint:errcheck
+		log.Force(math.MaxUint64)                                 //nolint:errcheck
 		if _, err := Checkpoint(1, log, ps); err != nil {
 			t.Errorf("checkpoint: %v", err)
 		}
 		// Now a committed deletion in the tail.
 		log.Append(upd(top(2), "a", ""))                          //nolint:errcheck // nil New = delete
 		log.Append(&wal.Record{Type: wal.RecCommit, TID: top(2)}) //nolint:errcheck
-		log.ForceAll()                                            //nolint:errcheck
+		log.Force(math.MaxUint64)                                 //nolint:errcheck
 	})
 	k.Run()
 	_, data, _, err := Recover(1, log, ps)
@@ -251,7 +252,7 @@ func TestSuccessiveCheckpointsAccumulate(t *testing.T) {
 		for round := uint32(1); round <= 3; round++ {
 			log.Append(upd(top(round), fmt.Sprintf("k%d", round), "v"))   //nolint:errcheck
 			log.Append(&wal.Record{Type: wal.RecCommit, TID: top(round)}) //nolint:errcheck
-			log.ForceAll()                                                //nolint:errcheck
+			log.Force(math.MaxUint64)                                     //nolint:errcheck
 			if _, err := Checkpoint(1, log, ps); err != nil {
 				t.Errorf("checkpoint %d: %v", round, err)
 			}
@@ -315,7 +316,7 @@ func TestCheckpointEquivalenceProperty(t *testing.T) {
 					log.Append(history[i]) //nolint:errcheck
 					i++
 				}
-				log.ForceAll() //nolint:errcheck
+				log.Force(math.MaxUint64) //nolint:errcheck
 				if rng.Intn(2) == 0 {
 					if _, err := Checkpoint(1, log, ps); err != nil {
 						ok = false

@@ -10,7 +10,7 @@ import "go/types"
 //
 //   - a row in wire's kind registry (the kindNames map literal):
 //     both codec directions consult it — Unmarshal returns ErrBadKind
-//     and MarshalDatagram refuses to encode a kind that is not
+//     and AppendDatagram refuses to encode a kind that is not
 //     registered — so a missing row makes the kind unencodable and
 //     undecodable;
 //   - at least one handler: a case naming the kind in some switch

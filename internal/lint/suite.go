@@ -128,18 +128,6 @@ func (m *Module) Run() ([]Diagnostic, error) {
 	return diags, nil
 }
 
-// RunModule loads the module and runs the full suite — per-package
-// and module analyzers. This is the whole of the driver's work; the
-// suite-cleanliness test calls it too, so `go test` and `make lint`
-// can never disagree about the tree.
-func RunModule(modRoot, modPath string) ([]Diagnostic, error) {
-	mod, err := LoadModule(modRoot, modPath)
-	if err != nil {
-		return nil, err
-	}
-	return mod.Run()
-}
-
 // RunPackages runs the scoped per-package suite over the named
 // packages of the module rooted at modRoot. Module analyzers are
 // deliberately skipped: their absence checks are only meaningful over

@@ -22,10 +22,6 @@ func (m *mgr) forceUncounted(lsn uint64) {
 	_ = m.log.Force(lsn) // want "never emits trace.LogForce"
 }
 
-func (m *mgr) forceAllUncounted() {
-	_ = m.log.ForceAll() // want "never emits trace.LogForce"
-}
-
 func (m *mgr) forceJustified(lsn uint64) {
 	//lint:tracepair idle-flush force; the caller emits the event
 	_ = m.log.Force(lsn)

@@ -5,5 +5,3 @@ package wal
 type Log struct{}
 
 func (*Log) Force(lsn uint64) error { return nil }
-
-func (*Log) ForceAll() error { return nil }

@@ -12,7 +12,7 @@ import (
 // datagrams per commit) against trace counters, so the counters must
 // not be able to drift from the code:
 //
-//  1. every function that issues a wal force (Log.Force/ForceAll)
+//  1. every function that issues a wal force (Log.Force)
 //     must also emit its trace.Collector.LogForce event — otherwise
 //     the budget undercounts and the conformance tests pin a lie.
 //     internal/core keeps one such function, forceRecord, which every
@@ -65,7 +65,7 @@ func runTracePair(pass *Pass) error {
 					return true
 				}
 				switch {
-				case pkgTail(fn, "wal") && (fn.Name() == "Force" || fn.Name() == "ForceAll"):
+				case pkgTail(fn, "wal") && fn.Name() == "Force":
 					forces = append(forces, call)
 				case pkgTail(fn, "trace") && fn.Name() == "LogForce":
 					emitsLogForce = true

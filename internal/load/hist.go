@@ -36,7 +36,6 @@ var histBounds = func() [histBuckets]time.Duration {
 type Hist struct {
 	counts [histBuckets]int64
 	total  int64
-	sum    time.Duration
 	max    time.Duration
 }
 
@@ -65,7 +64,6 @@ func (h *Hist) Add(d time.Duration) {
 	}
 	h.counts[bucketOf(d)]++
 	h.total++
-	h.sum += d
 	if d > h.max {
 		h.max = d
 	}
@@ -77,7 +75,6 @@ func (h *Hist) Merge(o *Hist) {
 		h.counts[i] += c
 	}
 	h.total += o.total
-	h.sum += o.sum
 	if o.max > h.max {
 		h.max = o.max
 	}
@@ -90,14 +87,6 @@ func (h *Hist) Count() int64 { return h.total }
 // quantized: the tail's far end is the one point a histogram should
 // not blur).
 func (h *Hist) Max() time.Duration { return h.max }
-
-// Mean returns the arithmetic mean of the observations.
-func (h *Hist) Mean() time.Duration {
-	if h.total == 0 {
-		return 0
-	}
-	return h.sum / time.Duration(h.total)
-}
 
 // Percentile returns the p-th percentile (0 < p ≤ 100) as the upper
 // bound of the bucket holding that rank — an overestimate by at most

@@ -250,43 +250,6 @@ func TestProxyDupDeliversCopies(t *testing.T) {
 	}
 }
 
-func TestProxySetDstRepoints(t *testing.T) {
-	old, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := Schedule{Version: Version, Seed: 1}
-	p := NewProxy(NewEmulator(s, func() time.Duration { return 0 }))
-	defer p.Close()
-	addr, err := p.Open(1, 2, old.LocalAddr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	old.Close() // the "restarted" site rebinds elsewhere
-	fresh, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fresh.Close()
-	if err := p.SetDst(1, 2, fresh.LocalAddr().String()); err != nil {
-		t.Fatal(err)
-	}
-	send, err := net.Dial("udp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer send.Close()
-	if _, err := send.Write([]byte("moved")); err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]byte, 64)
-	fresh.SetReadDeadline(time.Now().Add(2 * time.Second))
-	n, _, err := fresh.ReadFromUDP(buf)
-	if err != nil || string(buf[:n]) != "moved" {
-		t.Fatalf("after SetDst: got %q, %v", buf[:n], err)
-	}
-}
-
 // FuzzDecodeSchedule feeds arbitrary bytes to the netem/v1 parser,
 // seeded from every checked-in schedule (each of which must decode).
 // It must never panic, and a schedule it accepts must re-encode and

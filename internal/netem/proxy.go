@@ -36,9 +36,7 @@ type pipe struct {
 	p        *Proxy
 	from, to uint32
 	conn     *net.UDPConn
-
-	mu  sync.Mutex
-	dst *net.UDPAddr
+	dst      *net.UDPAddr
 }
 
 // NewProxy builds a proxy ruled by the emulator.
@@ -70,26 +68,6 @@ func (p *Proxy) Open(from, to uint32, dst string) (string, error) {
 	//lint:rawgo host-side UDP forwarding loop; the proxy never runs under the simulation kernel
 	go pi.run()
 	return conn.LocalAddr().String(), nil
-}
-
-// SetDst re-points an open pipe at a new destination address — a site
-// that restarted rebinds on a fresh port, while its peers keep
-// sending to the stable proxy address.
-func (p *Proxy) SetDst(from, to uint32, dst string) error {
-	da, err := net.ResolveUDPAddr("udp", dst)
-	if err != nil {
-		return fmt.Errorf("netem: resolve %q: %w", dst, err)
-	}
-	p.mu.Lock()
-	pi := p.links[[2]uint32{from, to}]
-	p.mu.Unlock()
-	if pi == nil {
-		return fmt.Errorf("netem: no pipe %d->%d", from, to)
-	}
-	pi.mu.Lock()
-	pi.dst = da
-	pi.mu.Unlock()
-	return nil
 }
 
 // Counts reports the emulator's decision tallies.
@@ -133,10 +111,7 @@ func (pi *pipe) run() {
 }
 
 func (pi *pipe) forward(pkt []byte) {
-	pi.mu.Lock()
-	dst := pi.dst
-	pi.mu.Unlock()
 	// Send errors are datagram loss; the protocols' retry machinery is
 	// exactly the thing under test.
-	pi.conn.WriteToUDP(pkt, dst)
+	pi.conn.WriteToUDP(pkt, pi.dst)
 }

@@ -12,9 +12,8 @@ import "time"
 // show, with throughput limited by the message system rather than by
 // any Camelot component.
 type CPU struct {
-	r    Runtime
-	mu   Mutex
-	busy time.Duration
+	r  Runtime
+	mu Mutex
 }
 
 // NewCPU returns an idle serial processor.
@@ -29,16 +28,8 @@ func (c *CPU) Use(d time.Duration) {
 		return
 	}
 	c.mu.Lock()
-	c.busy += d
 	c.r.Sleep(d)
 	c.mu.Unlock()
-}
-
-// Busy reports the total time the processor has been occupied.
-func (c *CPU) Busy() time.Duration {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.busy
 }
 
 // Charge occupies cpu if non-nil, else sleeps on r: the helper every

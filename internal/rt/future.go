@@ -35,16 +35,6 @@ func (f *Future[T]) Set(v T) {
 	f.cond.Broadcast()
 }
 
-// Wait blocks until the future is set and returns the value.
-func (f *Future[T]) Wait() T {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	for !f.set {
-		f.cond.Wait()
-	}
-	return f.val
-}
-
 // WaitTimeout blocks up to d; ok reports whether the value arrived.
 func (f *Future[T]) WaitTimeout(d time.Duration) (T, bool) {
 	timedOut := false
@@ -66,13 +56,6 @@ func (f *Future[T]) WaitTimeout(d time.Duration) (T, bool) {
 		f.cond.Wait()
 	}
 	return f.val, true
-}
-
-// Done reports whether the future has been set, without blocking.
-func (f *Future[T]) Done() bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.set
 }
 
 // WaitGroup counts outstanding work, like sync.WaitGroup but usable

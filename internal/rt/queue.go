@@ -1,13 +1,10 @@
 package rt
 
-import "time"
-
 // Queue is an unbounded FIFO mailbox built on a Runtime's mutex and
 // condition variable. It is the message-delivery primitive shared by
 // the transaction manager's thread pool, the logger, and the
 // transports, in both real and simulated execution.
 type Queue[T any] struct {
-	r      Runtime
 	mu     Mutex
 	cond   Cond
 	items  []T
@@ -16,7 +13,7 @@ type Queue[T any] struct {
 
 // NewQueue returns an empty open queue.
 func NewQueue[T any](r Runtime) *Queue[T] {
-	q := &Queue[T]{r: r}
+	q := &Queue[T]{}
 	q.mu = r.NewMutex()
 	q.cond = r.NewCond(q.mu)
 	return q
@@ -43,44 +40,6 @@ func (q *Queue[T]) Get() (T, bool) {
 		q.cond.Wait()
 	}
 	return q.popLocked()
-}
-
-// GetTimeout is Get with a deadline. The third result distinguishes
-// timeout (false) from closure or delivery (true).
-func (q *Queue[T]) GetTimeout(d time.Duration) (v T, ok bool, delivered bool) {
-	deadline := q.r.Now() + d
-	timedOut := false
-	timer := q.r.After(d, func() {
-		q.mu.Lock()
-		timedOut = true
-		q.cond.Broadcast()
-		q.mu.Unlock()
-	})
-	defer timer.Stop()
-
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	for len(q.items) == 0 && !q.closed {
-		if timedOut || q.r.Now() >= deadline {
-			var zero T
-			return zero, false, false
-		}
-		q.cond.Wait()
-	}
-	v, ok = q.popLocked()
-	return v, ok, true
-}
-
-// TryGet returns immediately with the head item if one is present.
-func (q *Queue[T]) TryGet() (T, bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if len(q.items) == 0 {
-		var zero T
-		return zero, false
-	}
-	v, _ := q.popLocked()
-	return v, true
 }
 
 // Len reports the number of queued items.

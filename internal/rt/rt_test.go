@@ -135,24 +135,6 @@ func TestQueueOnRealRuntime(t *testing.T) {
 	}
 }
 
-func TestQueueGetTimeoutOnRealRuntime(t *testing.T) {
-	r := Real()
-	q := NewQueue[int](r)
-	start := time.Now()
-	_, _, delivered := q.GetTimeout(10 * time.Millisecond)
-	if delivered {
-		t.Fatal("empty queue delivered")
-	}
-	if time.Since(start) < 5*time.Millisecond {
-		t.Fatal("timeout returned too early")
-	}
-	// A put after a timeout still works.
-	q.Put(7)
-	if v, ok := q.TryGet(); !ok || v != 7 {
-		t.Fatalf("TryGet = %d, %v", v, ok)
-	}
-}
-
 func TestFutureOnRealRuntime(t *testing.T) {
 	r := Real()
 	f := NewFuture[int](r)
@@ -164,11 +146,8 @@ func TestFutureOnRealRuntime(t *testing.T) {
 	if v, ok := f.WaitTimeout(5 * time.Second); !ok || v != 42 {
 		t.Fatalf("WaitTimeout = %d, %v", v, ok)
 	}
-	if v := f.Wait(); v != 42 {
-		t.Fatalf("Wait after set = %d", v)
-	}
-	if !f.Done() {
-		t.Fatal("Done() = false after Set")
+	if v, ok := f.WaitTimeout(0); !ok || v != 42 {
+		t.Fatalf("WaitTimeout after set = %d, %v", v, ok)
 	}
 }
 
@@ -213,9 +192,6 @@ func TestCPUSerializesUse(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed < 20*time.Millisecond {
 		t.Fatalf("4×5ms serialized uses finished in %v", elapsed)
-	}
-	if cpu.Busy() != 20*time.Millisecond {
-		t.Fatalf("Busy = %v, want 20ms", cpu.Busy())
 	}
 }
 

@@ -328,8 +328,9 @@ func (s *Server) Reacquire(t tid.TID, updates []RecoveredUpdate) {
 	}
 }
 
-// Peek returns the committed value of key without locking — for
-// tests and examples inspecting state between transactions.
+// Peek returns key's current value without locking — for tests,
+// tools and examples inspecting state between transactions. Writes
+// update in place, so an in-doubt transaction's value shows too.
 func (s *Server) Peek(key string) ([]byte, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -340,19 +341,6 @@ func (s *Server) Peek(key string) ([]byte, bool) {
 	out := make([]byte, len(v))
 	copy(out, v)
 	return out, true
-}
-
-// Snapshot returns a copy of all committed data.
-func (s *Server) Snapshot() map[string][]byte {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(map[string][]byte, len(s.data))
-	for k, v := range s.data {
-		cp := make([]byte, len(v))
-		copy(cp, v)
-		out[k] = cp
-	}
-	return out
 }
 
 // OpCounts reports reads and writes served.

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"errors"
+	"math"
 	"testing"
 	"time"
 
@@ -126,7 +127,7 @@ func TestUpdatesAreLoggedWithOldAndNewValues(t *testing.T) {
 		tx := top(1)
 		f.srv.Write(tx, tid.TID{}, "a", []byte("v1")) //nolint:errcheck
 		f.srv.Write(tx, tid.TID{}, "a", []byte("v2")) //nolint:errcheck
-		f.log.ForceAll()                              //nolint:errcheck
+		f.log.Force(math.MaxUint64)                   //nolint:errcheck
 		recs, _ := f.log.Records()
 		if len(recs) != 2 {
 			t.Fatalf("%d update records, want 2", len(recs))
@@ -326,9 +327,8 @@ func TestSnapshotAndOpCounts(t *testing.T) {
 		f.srv.Write(tx, tid.TID{}, "a", []byte("1")) //nolint:errcheck
 		f.srv.Read(tx, tid.TID{}, "a")               //nolint:errcheck
 		f.srv.CommitFamily(tx.Family)
-		snap := f.srv.Snapshot()
-		if len(snap) != 1 || string(snap["a"]) != "1" {
-			t.Errorf("Snapshot = %v", snap)
+		if v, ok := f.srv.Peek("a"); !ok || string(v) != "1" {
+			t.Errorf("Peek(a) = %q, %v; want 1", v, ok)
 		}
 		r, w := f.srv.OpCounts()
 		if r != 1 || w != 1 {

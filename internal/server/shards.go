@@ -3,6 +3,7 @@ package server
 import (
 	"errors"
 	"fmt"
+	"maps"
 
 	"camelot/internal/rt"
 	"camelot/internal/shardmap"
@@ -34,7 +35,6 @@ type Set struct {
 	m       *shardmap.Map
 	byShard map[shardmap.ShardID]*Server
 	byName  map[string]*Server
-	names   []string // sorted ascending by shard id
 }
 
 // NewSet builds the shard servers assigned to site by m. The servers
@@ -52,13 +52,9 @@ func NewSet(r rt.Runtime, site tid.SiteID, m *shardmap.Map, tm Joiner, log *wal.
 		srv := New(r, name, tm, log, cfg)
 		ss.byShard[sh] = srv
 		ss.byName[name] = srv
-		ss.names = append(ss.names, name)
 	}
 	return ss
 }
-
-// Map returns the shard map the set routes by.
-func (ss *Set) Map() *shardmap.Map { return ss.m }
 
 // route finds the local shard server for key, or the typed routing
 // error explaining why this site cannot serve it.
@@ -104,20 +100,6 @@ func (ss *Set) Peek(key string) ([]byte, bool, error) {
 	return v, ok, nil
 }
 
-// Shard returns the server hosting shard sh here, or nil.
-func (ss *Set) Shard(sh shardmap.ShardID) *Server { return ss.byShard[sh] }
-
 // Servers returns the site's shard servers keyed by server name — the
 // map the recovery process installs state into.
-func (ss *Set) Servers() map[string]*Server {
-	out := make(map[string]*Server, len(ss.byName))
-	for _, name := range ss.names {
-		out[name] = ss.byName[name]
-	}
-	return out
-}
-
-// Names lists the local shard server names in shard order.
-func (ss *Set) Names() []string {
-	return append([]string(nil), ss.names...)
-}
+func (ss *Set) Servers() map[string]*Server { return maps.Clone(ss.byName) }

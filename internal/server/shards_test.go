@@ -47,6 +47,12 @@ func (f *shardFixture) run(t *testing.T, fn func()) {
 	}
 }
 
+// shard returns the server hosting shard sh at the fixture's site, or
+// nil, as the site's recovery process would find it.
+func (f *shardFixture) shard(sh shardmap.ShardID) *Server {
+	return f.set.Servers()[f.m.ServerOf(sh)]
+}
+
 // localKey returns a key homed at site under f.m, searching a
 // deterministic candidate sequence.
 func localKey(t *testing.T, m *shardmap.Map, site tid.SiteID, tag string) string {
@@ -64,19 +70,17 @@ func localKey(t *testing.T, m *shardmap.Map, site tid.SiteID, tag string) string
 func TestSetCreatesAssignedShards(t *testing.T) {
 	f := newShardFixture(t)
 	// 4 shards round-robin over sites {1,2}: shards 0,2 at site 1.
-	names := f.set.Names()
-	if len(names) != 2 || names[0] != "shard0" || names[1] != "shard2" {
-		t.Fatalf("Names() = %v, want [shard0 shard2]", names)
-	}
-	if f.set.Shard(0) == nil || f.set.Shard(2) == nil {
-		t.Fatal("assigned shards missing")
-	}
-	if f.set.Shard(1) != nil || f.set.Shard(3) != nil {
-		t.Fatal("set hosts shards assigned elsewhere")
-	}
 	srvs := f.set.Servers()
-	if len(srvs) != 2 || srvs["shard0"] != f.set.Shard(0) || srvs["shard2"] != f.set.Shard(2) {
-		t.Fatalf("Servers() = %v", srvs)
+	if len(srvs) != 2 || srvs["shard0"] == nil || srvs["shard2"] == nil || srvs["shard0"] == srvs["shard2"] {
+		t.Fatalf("Servers() = %v, want two servers, shard0 and shard2", srvs)
+	}
+	for sh, name := range map[shardmap.ShardID]string{0: "shard0", 2: "shard2"} {
+		if got := f.m.ServerOf(sh); got != name {
+			t.Errorf("ServerOf(%d) = %q, want %q", sh, got, name)
+		}
+		if srvs[name].Name() != name {
+			t.Errorf("server %q calls itself %q", name, srvs[name].Name())
+		}
 	}
 }
 
@@ -94,14 +98,14 @@ func TestSetRoutesByKey(t *testing.T) {
 		}
 		// The write landed on the key's own shard server, not a sibling.
 		sh := f.m.ShardOf(key)
-		if _, ok := f.set.Shard(sh).Peek(key); ok {
+		if _, ok := f.shard(sh).Peek(key); ok {
 			t.Log("uncommitted value visible via Peek (in-place update); expected")
 		}
 		for _, other := range []shardmap.ShardID{0, 2} {
 			if other == sh {
 				continue
 			}
-			if _, ok := f.set.Shard(other).Peek(key); ok {
+			if _, ok := f.shard(other).Peek(key); ok {
 				t.Errorf("key %q leaked onto shard %d", key, other)
 			}
 		}
@@ -187,7 +191,7 @@ func TestSetShardsHaveIndependentLockManagers(t *testing.T) {
 		if err := f.set.Write(t2, tid.TID{}, k1, []byte("v")); err != nil {
 			t.Fatalf("sibling-shard write blocked: %v", err)
 		}
-		if f.set.Shard(f.m.ShardOf(k0)).Locks() == f.set.Shard(f.m.ShardOf(k1)).Locks() {
+		if f.shard(f.m.ShardOf(k0)).Locks() == f.shard(f.m.ShardOf(k1)).Locks() {
 			t.Fatal("shards share one lock manager")
 		}
 	})

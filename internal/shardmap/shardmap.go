@@ -194,31 +194,6 @@ func (m *Map) Sites() []tid.SiteID {
 	return out
 }
 
-// Route groups keys by home site: the participant sites in ascending
-// order and, per site, its keys in input order. Keys on unplaced
-// shards are returned separately so the caller can reject them before
-// touching the cluster.
-func (m *Map) Route(keys []string) (sites []tid.SiteID, bySite map[tid.SiteID][]string, uncovered []string) {
-	bySite = make(map[tid.SiteID][]string)
-	for _, k := range keys {
-		home := m.SiteOf(k)
-		if home == 0 {
-			uncovered = append(uncovered, k)
-			continue
-		}
-		if len(bySite[home]) == 0 {
-			sites = append(sites, home)
-		}
-		bySite[home] = append(bySite[home], k)
-	}
-	for i := 1; i < len(sites); i++ {
-		for j := i; j > 0 && sites[j-1] > sites[j]; j-- {
-			sites[j-1], sites[j] = sites[j], sites[j-1]
-		}
-	}
-	return sites, bySite, uncovered
-}
-
 // wireMap is the serialized form; field order fixes the byte layout.
 type wireMap struct {
 	Schema    string   `json:"schema"`

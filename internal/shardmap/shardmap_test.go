@@ -158,35 +158,6 @@ func TestShardOfSpreads(t *testing.T) {
 	}
 }
 
-func TestRoute(t *testing.T) {
-	m := &Map{Version: 1, Shards: 4, Placement: []tid.SiteID{3, 1, 0, 2}}
-	keys := []string{"a", "b", "c", "d", "e", "f", "g", "h"}
-	sites, bySite, uncovered := m.Route(keys)
-	for i := 1; i < len(sites); i++ {
-		if sites[i-1] >= sites[i] {
-			t.Fatalf("Route sites not ascending: %v", sites)
-		}
-	}
-	seen := 0
-	for _, s := range sites {
-		for _, k := range bySite[s] {
-			if m.SiteOf(k) != s {
-				t.Errorf("key %q grouped at site %v, homes at %v", k, s, m.SiteOf(k))
-			}
-			seen++
-		}
-	}
-	for _, k := range uncovered {
-		if m.SiteOf(k) != 0 {
-			t.Errorf("key %q reported uncovered but homes at %v", k, m.SiteOf(k))
-		}
-		seen++
-	}
-	if seen != len(keys) {
-		t.Errorf("Route accounted for %d of %d keys", seen, len(keys))
-	}
-}
-
 // TestKeyAt pins the one "key homed at this site" search every driver
 // shares: the key it returns really homes there, the search is a pure
 // function of its inputs, and a site with no shard is an error after a

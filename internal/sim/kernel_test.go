@@ -335,31 +335,13 @@ func TestQueueOnSimKernel(t *testing.T) {
 	}
 }
 
-func TestQueueGetTimeout(t *testing.T) {
-	k := New(1)
-	q := rt.NewQueue[int](k)
-	var timedOutAt rt.Time
-	var delivered bool
-	k.Go("consumer", func() {
-		_, _, delivered = q.GetTimeout(10 * time.Millisecond)
-		timedOutAt = k.Now()
-	})
-	k.Run()
-	if delivered {
-		t.Fatal("GetTimeout reported delivery on an empty queue")
-	}
-	if timedOutAt != 10*time.Millisecond {
-		t.Fatalf("timed out at %v, want 10ms", timedOutAt)
-	}
-}
-
 func TestFutureOnSimKernel(t *testing.T) {
 	k := New(1)
 	f := rt.NewFuture[string](k)
 	var got string
 	var when rt.Time
 	k.Go("waiter", func() {
-		got = f.Wait()
+		got, _ = f.WaitTimeout(time.Second)
 		when = k.Now()
 	})
 	k.Go("setter", func() {
@@ -369,7 +351,7 @@ func TestFutureOnSimKernel(t *testing.T) {
 	})
 	k.Run()
 	if got != "done" {
-		t.Fatalf("Wait() = %q, want \"done\"", got)
+		t.Fatalf("WaitTimeout = %q, want \"done\"", got)
 	}
 	if when != 7*time.Millisecond {
 		t.Fatalf("future resolved at %v, want 7ms", when)

@@ -10,7 +10,6 @@
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
 	"time"
@@ -73,20 +72,6 @@ func (s *Sample) StdDev() float64 {
 	return math.Sqrt(sum / float64(n-1))
 }
 
-// Min returns the smallest observation, or 0 for an empty sample.
-func (s *Sample) Min() float64 {
-	if len(s.values) == 0 {
-		return 0
-	}
-	min := s.values[0]
-	for _, v := range s.values[1:] {
-		if v < min {
-			min = v
-		}
-	}
-	return min
-}
-
 // Max returns the largest observation, or 0 for an empty sample.
 func (s *Sample) Max() float64 {
 	if len(s.values) == 0 {
@@ -125,9 +110,4 @@ func (s *Sample) Percentile(p float64) float64 {
 	}
 	frac := rank - float64(lo)
 	return s.values[lo]*(1-frac) + s.values[hi]*frac
-}
-
-// Summary renders "mean ± stddev (n)" in the paper's style.
-func (s *Sample) Summary() string {
-	return fmt.Sprintf("%.1f ms ± %.1f (n=%d)", s.Mean(), s.StdDev(), s.N())
 }

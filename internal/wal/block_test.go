@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -55,8 +56,8 @@ func forceBatches(t *testing.T, l *Log, groups ...[]*Record) {
 				t.Fatalf("Append: %v", err)
 			}
 		}
-		if err := l.ForceAll(); err != nil {
-			t.Fatalf("ForceAll: %v", err)
+		if err := l.Force(math.MaxUint64); err != nil {
+			t.Fatalf("Force: %v", err)
 		}
 	}
 }
@@ -290,7 +291,7 @@ func TestFailedAppendIsNotADeviceWrite(t *testing.T) {
 	defer l.Close()
 	forceBatches(t, l, batch(0))
 	l.Append(&Record{Type: RecCommit, TID: testTID(8)}) //nolint:errcheck // the force below reports the failure
-	if err := l.ForceAll(); !errors.Is(err, ErrClosed) {
+	if err := l.Force(math.MaxUint64); !errors.Is(err, ErrClosed) {
 		t.Fatalf("force over a dead device = %v, want ErrClosed (fail-stop)", err)
 	}
 	if l.DeviceWrites() != 1 {
@@ -493,6 +494,64 @@ func TestDeviceWritesMatchStoreUnderConcurrency(t *testing.T) {
 	for i, r := range recs {
 		if r.LSN != uint64(i+1) {
 			t.Fatalf("record %d has LSN %d: blocks out of order", i, r.LSN)
+		}
+	}
+}
+
+// TestTailRepairSurvivesCrashMidRepair crashes recovery's repair of a
+// torn tail after each file call that changes the file, in turn, then
+// reopens the file as a restarted node would. Every record of a block
+// the repair keeps must still be there: a repair that empties the file
+// before writing back what it keeps loses the whole log to a second
+// crash in between.
+func TestTailRepairSurvivesCrashMidRepair(t *testing.T) {
+	dir := t.TempDir()
+	kept := append(batch(1), batch(4)...)
+	whole := appendPrefixed(appendPrefixed(nil, block(batch(1)...)), block(batch(4)...))
+	final := block(batch(7)...)
+	// A torn write: the file ends inside the final block's second frame.
+	image := appendPrefixed(whole, final)[:len(whole)+4+FrameEnds(final)[1]+2]
+	crash := errors.New("crash")
+	for crashAt := 1; ; crashAt++ {
+		path := filepath.Join(dir, fmt.Sprintf("wal-%d", crashAt))
+		if err := os.WriteFile(path, image, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		store, err := OpenFileStore(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		calls := 0
+		store.afterChange = func() error {
+			if calls++; calls == crashAt {
+				return crash
+			}
+			return nil
+		}
+		_, repairErr := readRecords(store)
+		store.Close()
+		if repairErr != nil && !errors.Is(repairErr, crash) {
+			t.Fatalf("crash at call %d: Records: %v", crashAt, repairErr)
+		}
+
+		reopened, err := OpenFileStore(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs, err := readRecords(reopened)
+		reopened.Close()
+		if err != nil {
+			t.Fatalf("crash at call %d: Records after reopen: %v", crashAt, err)
+		}
+		if len(recs) < len(kept) || !reflect.DeepEqual(recs[:len(kept)], kept) {
+			t.Fatalf("crash at call %d: reopened log holds %d records, want the %d of the kept blocks first",
+				crashAt, len(recs), len(kept))
+		}
+		if repairErr == nil { // the repair ran to the end without reaching the crash
+			if crashAt == 1 {
+				t.Fatal("the repair changed the file no time at all")
+			}
+			return
 		}
 	}
 }

@@ -2,6 +2,7 @@ package wal
 
 import (
 	"errors"
+	"math"
 	"reflect"
 	"testing"
 
@@ -65,7 +66,7 @@ func TestFaultStore(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			err := l.ForceAll()
+			err := l.Force(math.MaxUint64)
 
 			if tc.truncate {
 				if err != nil {
@@ -119,7 +120,7 @@ func TestFailStoreFailsAtProgrammedAppend(t *testing.T) {
 	if _, err := l.Append(&Record{Type: RecCommit, TID: testTID(3)}); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.ForceAll(); !errors.Is(err, ErrClosed) {
+	if err := l.Force(math.MaxUint64); !errors.Is(err, ErrClosed) {
 		t.Fatalf("force of append 2 = %v, want the log fail-stopped", err)
 	}
 	if !fs.Tripped() || !errors.Is(l.Err(), ErrInjected) {

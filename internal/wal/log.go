@@ -105,8 +105,9 @@ func (l *Log) Append(rec *Record) (uint64, error) {
 }
 
 // Force blocks until every record with LSN ≤ lsn is durable, issuing
-// a device write if needed. This is the 15 ms primitive on the
-// critical path of every update commit.
+// a device write if needed; an lsn past the end forces everything
+// appended so far. This is the 15 ms primitive on the critical path of
+// every update commit.
 func (l *Log) Force(lsn uint64) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -130,14 +131,6 @@ func (l *Log) Force(lsn uint64) error {
 	return nil
 }
 
-// ForceAll forces everything appended so far.
-func (l *Log) ForceAll() error {
-	l.mu.Lock()
-	lsn := l.nextLSN - 1
-	l.mu.Unlock()
-	return l.Force(lsn)
-}
-
 // WaitDurable blocks until every record with LSN ≤ lsn is durable but
 // does not demand a device write: durability arrives via someone
 // else's force or the background flusher. The optimized commit
@@ -156,13 +149,6 @@ func (l *Log) WaitDurable(lsn uint64) error {
 		l.cond.Wait()
 	}
 	return nil
-}
-
-// Durable returns the highest durable LSN.
-func (l *Log) Durable() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.durable
 }
 
 // DeviceWrites reports how many blocks the log has made durable: the

@@ -102,6 +102,10 @@ func (s *MemStore) Len() int {
 type FileStore struct {
 	mu sync.Mutex
 	f  *os.File
+	// afterChange, when set, runs after every file call that changes
+	// the file; an error stops the caller there, as a crash would.
+	// Tests set it to crash a repair midway; it is nil otherwise.
+	afterChange func() error
 }
 
 // OpenFileStore opens (creating if necessary) the log file at path.
@@ -134,6 +138,9 @@ func (s *FileStore) write(buf []byte) error {
 	if _, err := s.f.Write(buf); err != nil {
 		return fmt.Errorf("wal: append: %w", err)
 	}
+	if err := s.changed(); err != nil {
+		return err
+	}
 	if err := s.f.Sync(); err != nil {
 		return fmt.Errorf("wal: sync: %w", err)
 	}
@@ -150,6 +157,11 @@ func (s *FileStore) write(buf []byte) error {
 func (s *FileStore) Blocks() ([][]byte, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.blocksLocked()
+}
+
+// blocksLocked is Blocks for a caller that holds s.mu.
+func (s *FileStore) blocksLocked() ([][]byte, error) {
 	fi, err := s.f.Stat()
 	if err != nil {
 		return nil, fmt.Errorf("wal: stat: %w", err)
@@ -162,6 +174,9 @@ func (s *FileStore) Blocks() ([][]byte, error) {
 	blocks = blocks[:len(blocks)-1]
 	if err := s.f.Truncate(whole); err != nil {
 		return nil, fmt.Errorf("wal: cutting torn tail: %w", err)
+	}
+	if err := s.changed(); err != nil {
+		return nil, err
 	}
 	if len(tail) == 0 { // torn inside the length prefix: nothing to keep
 		return blocks, s.f.Sync()
@@ -207,49 +222,71 @@ func readBlocks(r io.Reader, size int64) (blocks [][]byte, whole int64, _ error)
 }
 
 // Truncate drops the first n blocks by rewriting the file — the log
-// is small after a checkpoint, which is the only caller.
+// is small after a checkpoint, which is the only caller, and only the
+// simulator checkpoints (over a MemStore). A crash between the
+// truncate and the write would lose the kept blocks; the segmented log
+// (ROADMAP item 4(b)) replaces the rewrite with unlinking whole
+// segments before a real node checkpoints.
 func (s *FileStore) Truncate(n int) error {
 	if n <= 0 {
 		return nil
 	}
-	blocks, err := s.Blocks()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	blocks, err := s.blocksLocked()
 	if err != nil {
 		return err
 	}
-	if n > len(blocks) {
-		n = len(blocks)
+	var buf []byte
+	for _, b := range blocks[min(n, len(blocks)):] {
+		buf = appendPrefixed(buf, b)
 	}
-	return s.rewrite(blocks[n:])
+	if err := s.f.Truncate(0); err != nil {
+		return fmt.Errorf("wal: truncate: %w", err)
+	}
+	if err := s.changed(); err != nil {
+		return err
+	}
+	return s.write(buf)
 }
 
-// DropTail discards the last n blocks by rewriting the file — torn
-// tails are a single block, so the rewrite is recovery-time only.
+// DropTail discards the last n blocks by cutting the file where the
+// first of them starts: one ftruncate and one fsync, under one hold of
+// s.mu so no append can land between the read and the cut. A crash
+// anywhere inside leaves either the whole file or exactly the kept
+// blocks, never less.
 func (s *FileStore) DropTail(n int) error {
 	if n <= 0 {
 		return nil
 	}
-	blocks, err := s.Blocks()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	blocks, err := s.blocksLocked()
 	if err != nil {
 		return err
 	}
-	if n > len(blocks) {
-		n = len(blocks)
+	var cut int64
+	for _, b := range blocks[:max(0, len(blocks)-n)] {
+		cut += 4 + int64(len(b))
 	}
-	return s.rewrite(blocks[:len(blocks)-n])
+	if err := s.f.Truncate(cut); err != nil {
+		return fmt.Errorf("wal: dropping tail: %w", err)
+	}
+	if err := s.changed(); err != nil {
+		return err
+	}
+	if err := s.f.Sync(); err != nil {
+		return fmt.Errorf("wal: sync: %w", err)
+	}
+	return nil
 }
 
-// rewrite replaces the file's contents with the given blocks.
-func (s *FileStore) rewrite(blocks [][]byte) error {
-	var buf []byte
-	for _, b := range blocks {
-		buf = appendPrefixed(buf, b)
+// changed runs the afterChange hook, if any.
+func (s *FileStore) changed() error {
+	if s.afterChange == nil {
+		return nil
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.f.Truncate(0); err != nil {
-		return fmt.Errorf("wal: truncate: %w", err)
-	}
-	return s.write(buf)
+	return s.afterChange()
 }
 
 // Close closes the underlying file.

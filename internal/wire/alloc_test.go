@@ -113,21 +113,6 @@ func TestUnmarshalIntoReuse(t *testing.T) {
 	}
 }
 
-// TestMsgPool checks GetMsg returns cleared messages even after a
-// populated one is recycled.
-func TestMsgPool(t *testing.T) {
-	m := GetMsg()
-	if err := UnmarshalInto(m, Marshal(bigMsg())); err != nil {
-		t.Fatal(err)
-	}
-	PutMsg(m)
-	m2 := GetMsg()
-	defer PutMsg(m2)
-	if m2.Kind != KInvalid || len(m2.AckTIDs) != 0 || m2.Ballot != 0 {
-		t.Fatalf("pooled msg not cleared: %+v", m2)
-	}
-}
-
 // BenchmarkAppendMarshal pins the send-side hot path. Expect 0 B/op,
 // 0 allocs/op.
 func BenchmarkAppendMarshal(b *testing.B) {
@@ -141,26 +126,24 @@ func BenchmarkAppendMarshal(b *testing.B) {
 	_ = buf
 }
 
-// BenchmarkUnmarshalInto pins the receive-side hot path with pooled
-// Msg scratch. Expect 0 B/op, 0 allocs/op.
+// BenchmarkUnmarshalInto pins the receive-side hot path with Msg
+// scratch the caller owns. Expect 0 B/op, 0 allocs/op.
 func BenchmarkUnmarshalInto(b *testing.B) {
 	data := Marshal(bigMsg())
-	scratch := GetMsg()
-	defer PutMsg(scratch)
-	if err := UnmarshalInto(scratch, data); err != nil {
+	var scratch Msg
+	if err := UnmarshalInto(&scratch, data); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := UnmarshalInto(scratch, data); err != nil {
+		if err := UnmarshalInto(&scratch, data); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// BenchmarkMarshal measures the one-allocation whole-message encode
-// (the non-pooled path the portable transport uses).
+// BenchmarkMarshal measures the one-allocation whole-message encode.
 func BenchmarkMarshal(b *testing.B) {
 	m := bigMsg()
 	b.ReportAllocs()

@@ -105,19 +105,13 @@ func AppendMarshal(dst []byte, m *Msg) []byte {
 	return b
 }
 
-// MarshalDatagram encodes m and enforces the send-side invariants:
-// the kind must be registered (an unregistered kind would be bounced
-// as ErrBadKind by every receiver, i.e. manufactured silent loss) and
-// the encoding must fit one UDP datagram, otherwise ErrOversize with
-// the offending size. Real-network senders must use this instead of
-// Marshal.
-func MarshalDatagram(m *Msg) ([]byte, error) {
-	return AppendDatagram(make([]byte, 0, EncodedSize(m)), m)
-}
-
-// AppendDatagram appends m's encoding to dst under the same send-side
-// invariants as MarshalDatagram. On error dst is returned unextended,
-// so a pooled buffer stays clean for its next use.
+// AppendDatagram appends m's encoding to dst and enforces the
+// send-side invariants: the kind must be registered (an unregistered
+// kind would be bounced as ErrBadKind by every receiver, i.e.
+// manufactured silent loss) and the encoding must fit one UDP
+// datagram, otherwise ErrOversize with the offending size. Real-network
+// senders use this, never AppendMarshal or Marshal. On error dst is
+// returned unextended, so a pooled buffer stays clean for its next use.
 func AppendDatagram(dst []byte, m *Msg) ([]byte, error) {
 	if !m.Kind.Registered() {
 		return dst, fmt.Errorf("%w: %d", ErrBadKind, m.Kind)
@@ -154,7 +148,7 @@ func Unmarshal(data []byte) (*Msg, error) {
 // UnmarshalInto decodes data into m, reusing m's slice capacity
 // instead of allocating fresh backing arrays. It is the
 // zero-allocation form of Unmarshal for callers that own the message
-// lifecycle and recycle Msg scratch (GetMsg/PutMsg, benchmarks): once
+// lifecycle and reuse one Msg as scratch (benchmarks, probes): once
 // the slices have grown to the traffic's working size, decoding
 // allocates nothing. m is fully overwritten; on error its contents
 // are unspecified. Note the lifecycle caveat: a Msg handed to an

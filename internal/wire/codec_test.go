@@ -150,8 +150,8 @@ func TestMarshalDatagramRejectsUnregisteredKind(t *testing.T) {
 	for _, k := range []Kind{KInvalid, Kind(200), Kind(255)} {
 		m := sampleMsg()
 		m.Kind = k
-		if _, err := MarshalDatagram(m); !errors.Is(err, ErrBadKind) {
-			t.Errorf("kind %d: MarshalDatagram err = %v, want ErrBadKind", k, err)
+		if _, err := AppendDatagram(nil, m); !errors.Is(err, ErrBadKind) {
+			t.Errorf("kind %d: AppendDatagram err = %v, want ErrBadKind", k, err)
 		}
 	}
 }

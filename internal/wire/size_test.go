@@ -34,9 +34,9 @@ func maxLegalMsg(t *testing.T) *Msg {
 // sent to be truncated in flight.
 func TestMarshalDatagramPinsLargestLegalMessage(t *testing.T) {
 	m := maxLegalMsg(t)
-	buf, err := MarshalDatagram(m)
+	buf, err := AppendDatagram(nil, m)
 	if err != nil {
-		t.Fatalf("MarshalDatagram at limit: %v", err)
+		t.Fatalf("AppendDatagram at limit: %v", err)
 	}
 	got, err := Unmarshal(buf)
 	if err != nil {
@@ -47,8 +47,8 @@ func TestMarshalDatagramPinsLargestLegalMessage(t *testing.T) {
 	}
 
 	m.Sites = append(m.Sites, 99) // 4 bytes over
-	if _, err := MarshalDatagram(m); !errors.Is(err, ErrOversize) {
-		t.Fatalf("MarshalDatagram over limit = %v, want ErrOversize", err)
+	if _, err := AppendDatagram(nil, m); !errors.Is(err, ErrOversize) {
+		t.Fatalf("AppendDatagram over limit = %v, want ErrOversize", err)
 	}
 }
 

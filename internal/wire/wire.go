@@ -16,7 +16,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 
 	"camelot/internal/tid"
 )
@@ -320,31 +319,13 @@ type Msg struct {
 }
 
 // Reset clears m for reuse, truncating (not freeing) its slices so
-// the backing arrays are reused by the next UnmarshalInto. It is the
-// counterpart of PutMsg's recycling: scalars zero, slice capacity
-// survives.
+// the backing arrays are reused by the next UnmarshalInto: scalars
+// zero, slice capacity survives.
 func (m *Msg) Reset() {
 	sites, votes, acks := m.Sites[:0], m.Votes[:0], m.AckTIDs[:0]
 	acceptors, accepted := m.Acceptors[:0], m.Accepted[:0]
 	*m = Msg{Sites: sites, Votes: votes, AckTIDs: acks,
 		Acceptors: acceptors, Accepted: accepted}
-}
-
-var msgPool = sync.Pool{New: func() any { return &Msg{} }}
-
-// GetMsg returns a cleared Msg from the package pool. Callers that
-// own the full lifecycle of a decoded message — the load generator's
-// reply path, codec benchmarks — pair it with PutMsg to keep decode
-// allocation-free. A Msg handed to an asynchronous consumer (e.g.
-// core.Manager.Deliver, which parks the pointer on a work queue) must
-// NOT be returned to the pool by the producer: the consumer still
-// holds it.
-func GetMsg() *Msg { return msgPool.Get().(*Msg) }
-
-// PutMsg recycles m. The caller must not touch m afterwards.
-func PutMsg(m *Msg) {
-	m.Reset()
-	msgPool.Put(m)
 }
 
 // TraceKind names the message for trace timelines (trace.Payload).
