@@ -29,7 +29,6 @@ import (
 
 	"camelot/internal/commman"
 	"camelot/internal/core"
-	"camelot/internal/det"
 	"camelot/internal/diskman"
 	"camelot/internal/params"
 	"camelot/internal/rt"
@@ -201,7 +200,7 @@ func (c *Cluster) AddNode(id SiteID) *Node {
 	if c.cfg.WrapStore != nil {
 		store = c.cfg.WrapStore(id, store)
 	}
-	n := &Node{cluster: c, id: id, store: store, pages: diskman.NewPageStore()}
+	n := &Node{site: site{id: id, tr: c.tr, store: store, pages: diskman.NewPageStore()}, cluster: c}
 	n.start(nil)
 	c.nodes[id] = n
 	return n
@@ -220,18 +219,12 @@ func (c *Cluster) SetShardMap(m *shardmap.Map) { c.shards = m }
 // ShardMap returns the cluster's shard map, or nil when unsharded.
 func (c *Cluster) ShardMap() *shardmap.Map { return c.shards }
 
-// Node is one Camelot site.
+// Node is one Camelot site on the cluster's runtime and network.
 type Node struct {
+	site
 	cluster *Cluster
-	id      SiteID
-	store   wal.Store
-	pages   *diskman.PageStore
 	kernel  *rt.CPU
-
-	log     *wal.Log
-	tm      *core.Manager
 	comm    *commman.Manager
-	servers map[string]*server.Server
 	crashed bool
 }
 
@@ -241,15 +234,11 @@ func (n *Node) start(keepServers []string) {
 	c := n.cluster
 	n.crashed = false
 	n.kernel = rt.NewCPU(c.r)
-	n.log = wal.Open(c.r, n.store, wal.Config{
+	n.open(c.r, wal.Config{
 		GroupCommit:   c.cfg.GroupCommit,
 		ForceLatency:  c.cfg.Params.LogForce,
 		FlushInterval: c.cfg.LogFlushInterval,
-		Site:          n.id,
-		Trace:         c.tr,
-	})
-	n.tm = core.New(c.r, core.Config{
-		Site:             n.id,
+	}, core.Config{
 		Threads:          c.cfg.Threads,
 		Params:           c.cfg.Params,
 		Kernel:           n.kernel,
@@ -258,11 +247,7 @@ func (n *Node) start(keepServers []string) {
 		PromotionTimeout: c.cfg.PromotionTimeout,
 		AckFlushInterval: c.cfg.AckFlushInterval,
 		RetryBackoffCap:  c.cfg.RetryBackoffCap,
-		Trace:            c.tr,
-	}, n.log, c.net)
-	// Outcomes absorbed into the checkpoint image are truncated from
-	// the TM's resolved memory; the image answers for them instead.
-	n.tm.SetResolvedBackstop(n.pages.Outcome)
+	}, c.net)
 	n.comm = commman.New(c.r, n.id, c.net, c.names, n.tm, c.cfg.Params, n.kernel, c.cfg.RPCTimeout)
 	n.servers = make(map[string]*server.Server)
 	for _, name := range keepServers {
@@ -279,12 +264,6 @@ func (n *Node) start(keepServers []string) {
 		}
 	})
 }
-
-// ID returns the node's site id.
-func (n *Node) ID() SiteID { return n.id }
-
-// TM exposes the transaction manager (for statistics).
-func (n *Node) TM() *core.Manager { return n.tm }
 
 // Log exposes the site log (for statistics).
 func (n *Node) Log() *wal.Log { return n.log }
@@ -323,9 +302,6 @@ func (n *Node) AddShardServers() {
 	}
 }
 
-// Server returns the named local server, or nil.
-func (n *Node) Server(name string) *server.Server { return n.servers[name] }
-
 // Begin starts a top-level transaction coordinated by this node
 // (Figure 1 step 2).
 func (n *Node) Begin() (*Tx, error) {
@@ -349,8 +325,7 @@ func (n *Node) Crash() {
 	n.crashed = true
 	n.cluster.tr.Crash(n.id)
 	n.cluster.net.SetDown(n.id, true)
-	n.tm.Close()
-	n.log.Close()
+	n.stop()
 }
 
 // Recover restarts a crashed node: the recovery process replays the
@@ -363,13 +338,12 @@ func (n *Node) Recover() error {
 		return nil
 	}
 	// Sorted so servers restart in the same order every replay.
-	n.start(det.SortedKeys(n.servers))
-	if err := recoverNode(n); err != nil {
+	n.start(n.ServerNames())
+	if err := n.recover(); err != nil {
 		// Fail stop: a site must not serve traffic from a log it
 		// cannot trust.
 		n.crashed = true
-		n.tm.Close()
-		n.log.Close()
+		n.stop()
 		n.cluster.net.SetDown(n.id, true)
 		return err
 	}
@@ -397,7 +371,7 @@ func (n *Node) Checkpoint() (int, error) {
 	// The image now remembers every absorbed outcome durably; drop
 	// them from the TM's unbounded in-memory map (Stats.ResolvedRetained
 	// measures what stays). Inquiries for truncated families fall
-	// through to the PageStore backstop installed in start.
+	// through to the PageStore backstop site.open installed.
 	n.tm.TruncateResolved(n.pages.AbsorbedFamilies())
 	return cut, nil
 }

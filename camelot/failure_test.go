@@ -8,6 +8,7 @@ import (
 	"camelot/internal/sim"
 	"camelot/internal/tid"
 	"camelot/internal/transport"
+	"camelot/internal/wal"
 	"camelot/internal/wire"
 )
 
@@ -378,6 +379,73 @@ func TestNBAbortIntentSurvivesRestart(t *testing.T) {
 		k.Sleep(5 * time.Millisecond)
 		if err := c.Node(3).Recover(); err != nil {
 			t.Fatalf("site 3 recovery: %v", err)
+		}
+	})
+}
+
+// ackedAnyway is a device that acknowledges every write, damaged or
+// not: the silent media corruption a fault-injected write stands for
+// once later writes have landed behind it.
+type ackedAnyway struct{ wal.Store }
+
+func (s ackedAnyway) Append(block []byte) error {
+	s.Store.Append(block) //nolint:errcheck // the device claims success regardless
+	return nil
+}
+
+// A simulated site whose log holds a damaged block before its tail
+// must fail-stop in Recover: stay crashed, refuse work, stay off the
+// network, and refuse again on a second try — never serve from a log
+// it cannot trust.
+func TestRecoverFailStopsOnMidLogCorruption(t *testing.T) {
+	cfg := fastConfig()
+	cfg.WrapStore = func(id SiteID, s wal.Store) wal.Store {
+		if id != 1 {
+			return s
+		}
+		fs := wal.NewFaultStore(s, nil)
+		fs.ArmAppend(0, wal.DamageBitflip) // the first of two device writes
+		return ackedAnyway{fs}
+	}
+	runSim(t, cfg, func(k *sim.Kernel, c *Cluster) {
+		n := c.Node(1)
+		for _, key := range []string{"a", "b"} {
+			tx, err := n.Begin()
+			if err != nil {
+				t.Fatalf("Begin: %v", err)
+			}
+			if err := tx.Write("srv1", key, []byte("1")); err != nil {
+				t.Fatalf("Write %s: %v", key, err)
+			}
+			if err := tx.Commit(); err != nil {
+				t.Fatalf("Commit %s: %v", key, err)
+			}
+		}
+		if got := c.Trace().Site(1).DeviceWrites; got != 2 {
+			t.Fatalf("site 1 made %d device writes, want 2", got)
+		}
+		n.Crash()
+
+		for attempt := 1; attempt <= 2; attempt++ {
+			err := n.Recover()
+			if !errors.Is(err, wal.ErrCorrupt) {
+				t.Fatalf("Recover #%d = %v, want wal.ErrCorrupt", attempt, err)
+			}
+			if !n.Crashed() {
+				t.Fatalf("after failed Recover #%d the node is up", attempt)
+			}
+			if _, err := n.Begin(); !errors.Is(err, ErrCrashed) {
+				t.Fatalf("Begin after failed Recover #%d = %v, want ErrCrashed", attempt, err)
+			}
+			before, recv := c.Trace().Site(2).MsgsDropped, c.Trace().Site(1).MsgsRecv
+			c.Network().Send(2, 1, &wire.Msg{Kind: wire.KInquire, TID: tid.Top(1), From: 2, To: 1})
+			k.Sleep(time.Second)
+			if got := c.Trace().Site(2).MsgsDropped - before; got != 1 {
+				t.Fatalf("after failed Recover #%d, a datagram to site 1 counted %d drops, want 1", attempt, got)
+			}
+			if got := c.Trace().Site(1).MsgsRecv; got != recv {
+				t.Fatalf("after failed Recover #%d, site 1 received %d datagrams", attempt, got-recv)
+			}
 		}
 	})
 }

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"camelot/internal/core"
-	"camelot/internal/det"
 	"camelot/internal/diskman"
 	"camelot/internal/rt"
 	"camelot/internal/server"
@@ -37,20 +36,16 @@ type RealConfig struct {
 	ShardMap *shardmap.Map
 	// Threads is the transaction-manager pool size.
 	Threads int
-	// GroupCommit enables log batching; FlushInterval bounds how long
-	// lazily written records stay volatile.
-	GroupCommit   bool
-	FlushInterval time.Duration
+	// GroupCommit enables log batching.
+	GroupCommit bool
 	// LockTimeout bounds data-server lock waits.
 	LockTimeout time.Duration
-	// RetryInterval, InquireInterval and PromotionTimeout tune the
-	// transaction manager's timers. These mask real datagram loss, so
-	// keep them well above the network's round-trip time. RetryInterval
-	// is also how long a delayed commit-ack is held for a datagram to ride
-	// on: silence shorter than it is not loss.
-	RetryInterval    time.Duration
-	InquireInterval  time.Duration
-	PromotionTimeout time.Duration
+	// RetryInterval is the transaction manager's retry timer: how often
+	// a coordinator re-sends and a prepared subordinate inquires. It
+	// masks real datagram loss, so keep it well above the network's
+	// round-trip time. It is also how long a delayed commit-ack is held
+	// for a datagram to ride on: silence shorter than it is not loss.
+	RetryInterval time.Duration
 	// RetryBackoffCap bounds the exponential backoff retransmits and
 	// inquiries grow into during a partition; zero means 8×
 	// RetryInterval (see core.Config.RetryBackoffCap).
@@ -70,18 +65,23 @@ type RealConfig struct {
 // lone node; a deployment installs its shared map instead.
 func DefaultRealConfig(id SiteID) RealConfig {
 	return RealConfig{
-		Site:             id,
-		Listen:           "127.0.0.1:0",
-		ShardMap:         shardmap.Default(id),
-		Threads:          5,
-		GroupCommit:      true,
-		FlushInterval:    25 * time.Millisecond,
-		LockTimeout:      2 * time.Second,
-		RetryInterval:    50 * time.Millisecond,
-		InquireInterval:  50 * time.Millisecond,
-		PromotionTimeout: 200 * time.Millisecond,
+		Site:          id,
+		Listen:        "127.0.0.1:0",
+		ShardMap:      shardmap.Default(id),
+		Threads:       5,
+		GroupCommit:   true,
+		LockTimeout:   2 * time.Second,
+		RetryInterval: 50 * time.Millisecond,
 	}
 }
+
+// The real runtime's fixed timers: how long the log flusher lets a
+// lazily written record stay volatile, and how long a non-blocking
+// subordinate waits for progress before promoting itself.
+const (
+	realFlushInterval    = 25 * time.Millisecond
+	realPromotionTimeout = 200 * time.Millisecond
+)
 
 // RealNode is one Camelot site as a real process component: the same
 // transaction manager, data servers, write-ahead log, and recovery
@@ -89,16 +89,11 @@ func DefaultRealConfig(id SiteID) RealConfig {
 // transport and a file-backed log. cmd/camelot-node wraps one in a
 // daemon; tests may also embed several in one process.
 type RealNode struct {
-	cfg     RealConfig
-	r       rt.Runtime
-	tr      *trace.Collector // the site's counters; no timeline
-	peer    *transport.UDPPeer
-	store   *wal.FileStore
-	pages   *diskman.PageStore
-	log     *wal.Log
-	tm      *core.Manager
-	set     *server.Set
-	servers map[string]*server.Server // set's shard servers by name
+	site // its collector keeps counters only, no timeline
+	cfg  RealConfig
+	peer *transport.UDPPeer
+	file *wal.FileStore // under site.store, which may wrap it
+	set  *server.Set    // site.servers is its shard servers by name
 }
 
 // StartRealNode opens (or creates) the WAL at cfg.WALPath, binds the
@@ -114,53 +109,45 @@ func StartRealNode(cfg RealConfig) (*RealNode, error) {
 		return nil, fmt.Errorf("camelot: site %d: RealConfig.ShardMap is required (DefaultRealConfig sets a one-site map)", cfg.Site)
 	}
 	r := rt.Real()
-	store, err := wal.OpenFileStore(cfg.WALPath)
+	file, err := wal.OpenFileStore(cfg.WALPath)
 	if err != nil {
 		return nil, fmt.Errorf("camelot: open wal: %w", err)
 	}
 	tr := trace.NewCounters()
 	peer, err := transport.ListenUDP(cfg.Site, cfg.Listen, tr)
 	if err != nil {
-		store.Close() //nolint:errcheck // surfacing the bind error
+		file.Close() //nolint:errcheck // surfacing the bind error
 		return nil, err
 	}
 	if cfg.Logf != nil {
 		peer.SetLogf(cfg.Logf)
 	}
-	n := &RealNode{
-		cfg:   cfg,
-		r:     r,
-		tr:    tr,
-		peer:  peer,
-		store: store,
-		pages: diskman.NewPageStore(),
-	}
-	var st wal.Store = store
+	var store wal.Store = file
 	if cfg.WrapStore != nil {
-		st = cfg.WrapStore(st)
+		store = cfg.WrapStore(store)
 	}
-	n.log = wal.Open(r, st, wal.Config{
+	n := &RealNode{
+		site: site{id: cfg.Site, tr: tr, store: store, pages: diskman.NewPageStore()},
+		cfg:  cfg,
+		peer: peer,
+		file: file,
+	}
+	n.open(r, wal.Config{
 		GroupCommit:   cfg.GroupCommit,
-		FlushInterval: cfg.FlushInterval,
-		Site:          cfg.Site,
-		Trace:         tr,
-	})
-	n.tm = core.New(r, core.Config{
-		Site:             cfg.Site,
+		FlushInterval: realFlushInterval,
+	}, core.Config{
 		Threads:          cfg.Threads,
 		RetryInterval:    cfg.RetryInterval,
-		InquireInterval:  cfg.InquireInterval,
-		PromotionTimeout: cfg.PromotionTimeout,
+		InquireInterval:  cfg.RetryInterval,
+		PromotionTimeout: realPromotionTimeout,
 		AckFlushInterval: cfg.RetryInterval,
 		RetryBackoffCap:  cfg.RetryBackoffCap,
-		Trace:            tr,
-	}, n.log, peer)
-	n.tm.SetResolvedBackstop(n.pages.Outcome)
+	}, peer)
 	// A subordinate's lazy commit record can sit two flusher ticks (the
 	// flusher skips records younger than one interval) and its ack one
 	// hold more; only after that is silence a sign of loss, which
 	// RetryInterval then times as it does everywhere else.
-	n.tm.SetAckWait(2*cfg.FlushInterval + 2*cfg.RetryInterval)
+	n.tm.SetAckWait(2*realFlushInterval + 2*cfg.RetryInterval)
 	// Shard servers must exist before Recover: the recovery process
 	// installs replayed state into servers by name.
 	n.set = server.NewSet(r, cfg.Site, cfg.ShardMap, n.tm, n.log, server.Config{
@@ -180,12 +167,7 @@ func StartRealNode(cfg RealConfig) (*RealNode, error) {
 // updates are redone into the servers, in-doubt updates reinstalled
 // under locks, and unresolved commitments resumed. Call once at
 // startup, before serving traffic.
-func (n *RealNode) Recover() error {
-	return recoverSite(n.cfg.Site, n.log, n.pages, n.tm, n.servers)
-}
-
-// ID returns the site id.
-func (n *RealNode) ID() SiteID { return n.cfg.Site }
+func (n *RealNode) Recover() error { return n.recover() }
 
 // Addr returns the bound UDP address, for exchanging with peers.
 func (n *RealNode) Addr() string { return n.peer.Addr() }
@@ -197,13 +179,6 @@ func (n *RealNode) AddPeer(id SiteID, addr string) error {
 
 // Peer exposes the transport (for statistics).
 func (n *RealNode) Peer() *transport.UDPPeer { return n.peer }
-
-// TM exposes the transaction manager (for statistics).
-func (n *RealNode) TM() *core.Manager { return n.tm }
-
-// Server returns the named local shard server, or nil (for
-// statistics; data goes through WriteKey/ReadKey/PeekKey).
-func (n *RealNode) Server(name string) *server.Server { return n.servers[name] }
 
 // Begin starts a top-level transaction coordinated by this site.
 func (n *RealNode) Begin() (TID, error) { return n.tm.Begin() }
@@ -259,7 +234,7 @@ func (n *RealNode) Probe() error {
 	if len(n.servers) == 0 {
 		return nil
 	}
-	key, err := n.cfg.ShardMap.KeyAt("oracle-probe", n.cfg.Site)
+	key, err := n.cfg.ShardMap.KeyAt("oracle-probe", n.id)
 	if err != nil {
 		return err
 	}
@@ -267,12 +242,6 @@ func (n *RealNode) Probe() error {
 		return fmt.Errorf("probe write blocked (leaked lock?): %v", err)
 	}
 	return nil
-}
-
-// OutcomeOf returns this site's resolved outcome for a family, or
-// OutcomeUnknown if it holds none.
-func (n *RealNode) OutcomeOf(f tid.FamilyID) wire.Outcome {
-	return n.tm.OutcomeOf(f)
 }
 
 // LogStats reports the write-ahead log's counters: records appended
@@ -288,7 +257,7 @@ func (n *RealNode) LogStats() (appends, deviceWrites int) {
 // Counters returns a snapshot of the site's counters — log, datagrams,
 // retries, outcomes and acks — the one ledger LogStats, Peer().Stats
 // and TM().Stats are views over.
-func (n *RealNode) Counters() trace.SiteCounters { return n.tr.Site(n.cfg.Site) }
+func (n *RealNode) Counters() trace.SiteCounters { return n.tr.Site(n.id) }
 
 // LogErr reports the device error that fail-stopped the write-ahead
 // log, or nil while the log is healthy.
@@ -297,14 +266,10 @@ func (n *RealNode) LogErr() error { return n.log.Err() }
 // Close stops the site: transaction manager, log, and socket. The WAL
 // file survives for the next incarnation's Recover.
 func (n *RealNode) Close() error {
-	n.tm.Close()
-	n.log.Close()
-	err := n.store.Close()
+	n.stop()
+	err := n.file.Close()
 	if cerr := n.peer.Close(); err == nil {
 		err = cerr
 	}
 	return err
 }
-
-// ServerNames returns the local shard servers' names in order.
-func (n *RealNode) ServerNames() []string { return det.SortedKeys(n.servers) }

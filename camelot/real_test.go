@@ -228,7 +228,7 @@ func oneCleanRound(t *testing.T, what string, round func(attempt int) string) {
 // long lets a retry timer that is going to fire, fire.
 func ackWait() time.Duration {
 	cfg := DefaultRealConfig(1)
-	return 2*cfg.FlushInterval + 2*cfg.RetryInterval
+	return 2*realFlushInterval + 2*cfg.RetryInterval
 }
 
 // TestFaultFreeRunNeverRetransmits pins the ack-wait timer to the

@@ -86,7 +86,6 @@ func main() {
 	cfg.Listen = *listen
 	cfg.WALPath = *walPath
 	cfg.RetryInterval = *retry
-	cfg.InquireInterval = *retry
 	cfg.RetryBackoffCap = *retryCap
 	cfg.Logf = log.Printf
 	if *walFail >= 0 {

@@ -251,7 +251,7 @@ func siteStates(r *result, sites int) []siteState {
 			srv := n.Server(fmt.Sprintf("srv%d", id))
 			_, st.value = srv.Peek("k")
 			st.locked = srv.Locks().HoldsAny(r.txid)
-			st.outcome = n.TM().OutcomeOf(r.txid.Family)
+			st.outcome = n.OutcomeOf(r.txid.Family)
 			stats := n.TM().Stats()
 			st.promotions, st.inquiries = stats.Promotions, stats.Inquiries
 		}

@@ -120,11 +120,6 @@ type Config struct {
 	// datagram to its coordinator to ride on: an ack leaves in a datagram
 	// of its own only after this long with nothing going its way.
 	AckFlushInterval time.Duration
-	// VoteRetries bounds how many times a coordinator re-solicits
-	// missing phase-one votes before deciding abort (a subordinate
-	// that never answers is presumed failed, and abort is always safe
-	// before the commit point).
-	VoteRetries int
 	// RetryBackoffCap bounds the exponential backoff applied to
 	// timer-driven retransmits and inquiries: retry round n waits a
 	// jittered interval in [base, min(base<<n, RetryBackoffCap)],
@@ -155,13 +150,16 @@ func (c *Config) fillDefaults() {
 	if c.AckFlushInterval <= 0 {
 		c.AckFlushInterval = 200 * time.Millisecond
 	}
-	if c.VoteRetries <= 0 {
-		c.VoteRetries = 20
-	}
 	if c.RetryBackoffCap <= 0 {
 		c.RetryBackoffCap = 8 * c.RetryInterval
 	}
 }
+
+// voteRetries bounds how many times a coordinator re-solicits missing
+// phase-one votes before deciding abort (a subordinate that never
+// answers is presumed failed, and abort is always safe before the
+// commit point).
+const voteRetries = 20
 
 // Stats counts protocol activity: a view over the site's ledger.
 type Stats struct {

@@ -200,7 +200,7 @@ func (m *Manager) tick(id tid.FamilyID) {
 		// 2a, and a prepared site answers a repeat by re-casting. A site
 		// that never answers is presumed failed.
 		f.attempts++
-		if f.attempts > m.cfg.VoteRetries {
+		if f.attempts > voteRetries {
 			if f.opts.Protocol == wire.Paxos {
 				// No unilateral abort: a full acceptor quorum may already
 				// hold every Yes. Takeover aborts instead, where unseen
@@ -225,7 +225,7 @@ func (m *Manager) tick(id tid.FamilyID) {
 		// targets stop answering, fall back to the promotion
 		// machinery, which decides by quorum.
 		f.attempts++
-		if f.attempts > m.cfg.VoteRetries {
+		if f.attempts > voteRetries {
 			m.promote(f)
 			return
 		}

@@ -110,7 +110,7 @@ func collecting(m *Manager, f *family) {
 	f.votes = map[tid.SiteID]wire.Vote{1: wire.VoteYes, 2: wire.VoteYes}
 }
 
-func gaveUp(m *Manager, f *family) { f.attempts = m.cfg.VoteRetries }
+func gaveUp(m *Manager, f *family) { f.attempts = voteRetries }
 
 func prepared(m *Manager, f *family) {
 	f.ph, f.prepared, f.localVote = phPrepared, true, wire.VoteYes

@@ -60,8 +60,8 @@ func codeError(resp Response) error {
 // Requests on one Client are serialized; use one Client per
 // concurrent stream of work.
 //
-// A Client may carry a default per-call deadline, set by DialTimeout;
-// individual calls override it with DoTimeout. When a call times out
+// A Client may carry a per-call deadline, set by DialTimeout. When a
+// call times out
 // the connection is poisoned — a late response would desynchronize
 // the request/response framing — so every subsequent call fails fast
 // with ErrUnavailable until Reconnect succeeds.
@@ -139,28 +139,18 @@ func (c *Client) Close() error {
 }
 
 // Do performs one request/response exchange under the client's
-// default deadline (if any). A transport failure or timeout (node
-// killed or frozen mid-call, say) is returned as an error wrapping
+// deadline (if any). A transport failure or timeout (node killed or
+// frozen mid-call, say) is returned as an error wrapping
 // ErrUnavailable; a protocol-level failure arrives in Response.Err.
 func (c *Client) Do(req Request) (Response, error) {
-	return c.DoTimeout(req, 0)
-}
-
-// DoTimeout performs one exchange with a per-call deadline override;
-// 0 falls back to the client default, and negative disables the
-// deadline for this call even if a default is set.
-func (c *Client) DoTimeout(req Request, timeout time.Duration) (Response, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.broken != nil {
 		return Response{}, fmt.Errorf("ctl: %s after earlier failure: %w", req.Op, c.broken)
 	}
-	if timeout == 0 {
-		timeout = c.timeout
-	}
 	c.line = appendRequest(c.line[:0], &req)
-	if timeout > 0 {
-		deadline := time.Now().Add(timeout) //lint:walltime host-side control-connection deadline; the control plane never runs under the simulation kernel
+	if c.timeout > 0 {
+		deadline := time.Now().Add(c.timeout) //lint:walltime host-side control-connection deadline; the control plane never runs under the simulation kernel
 		if err := c.conn.SetDeadline(deadline); err != nil {
 			return Response{}, c.poison(req.Op, err)
 		}

@@ -91,25 +91,3 @@ func TestDeadlineBoundsFrozenNode(t *testing.T) {
 		t.Fatalf("site = %d, want 7", site)
 	}
 }
-
-// TestDoTimeoutOverridesDefault pins the per-call override: a client
-// with no default deadline still gets a bounded verdict when the call
-// itself carries one.
-func TestDoTimeoutOverridesDefault(t *testing.T) {
-	addr := silentThenServing(t)
-	c, err := DialTimeout(addr, 0) // no default deadline
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close() //nolint:errcheck // test teardown
-
-	start := time.Now()
-	_, err = c.DoTimeout(Request{Op: OpPing}, 100*time.Millisecond)
-	elapsed := time.Since(start)
-	if !errors.Is(err, ErrUnavailable) {
-		t.Fatalf("DoTimeout = %v, want ErrUnavailable", err)
-	}
-	if elapsed > 2*time.Second {
-		t.Fatalf("override deadline took %v", elapsed)
-	}
-}

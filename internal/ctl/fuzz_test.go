@@ -45,7 +45,6 @@ func FuzzRequestLine(f *testing.F) {
 	cfg.WALPath = filepath.Join(f.TempDir(), "wal")
 	cfg.LockTimeout = 5 * time.Millisecond
 	cfg.RetryInterval = time.Millisecond
-	cfg.InquireInterval = 20 * time.Millisecond
 	n, err := camelot.StartRealNode(cfg)
 	if err != nil {
 		f.Fatal(err)

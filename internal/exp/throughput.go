@@ -21,10 +21,13 @@ type ThroughputSpec struct {
 	GroupCommit bool
 	ReadOnly    bool
 	Params      params.Params
-	Warmup      time.Duration
 	Window      time.Duration
 	Seed        int64
 }
+
+// throughputWarmup is how long each run settles before its window
+// opens; commits before then are not counted.
+const throughputWarmup = 5 * time.Second
 
 // ThroughputResult is one measured point.
 type ThroughputResult struct {
@@ -38,9 +41,6 @@ type ThroughputResult struct {
 // behavior: each pair is a closed loop, so offered load rises with
 // the pair count.
 func MeasureThroughput(spec ThroughputSpec) *ThroughputResult {
-	if spec.Warmup <= 0 {
-		spec.Warmup = 5 * time.Second
-	}
 	if spec.Window <= 0 {
 		spec.Window = 30 * time.Second
 	}
@@ -90,16 +90,16 @@ func MeasureThroughput(spec ThroughputSpec) *ThroughputResult {
 						continue
 					}
 					now := time.Duration(k.Now())
-					if now > spec.Warmup && now <= spec.Warmup+spec.Window {
+					if now > throughputWarmup && now <= throughputWarmup+spec.Window {
 						counted++
 					}
 				}
 			})
 		}
-		k.Sleep(spec.Warmup + spec.Window)
+		k.Sleep(throughputWarmup + spec.Window)
 		k.Stop()
 	})
-	k.RunUntil(spec.Warmup + spec.Window + time.Minute)
+	k.RunUntil(throughputWarmup + spec.Window + time.Minute)
 	res.Committed = counted
 	res.TPS = float64(counted) / spec.Window.Seconds()
 	res.DeviceWrites = n.Log().DeviceWrites()

@@ -25,13 +25,14 @@ type ClusterConfig struct {
 	Shards int
 	// Dir is where each site's WAL file lives (one subpath per site).
 	Dir string
-	// CallTimeout bounds each ctl exchange; expired calls poison
-	// their connection and count as errors. Zero means 5s.
-	CallTimeout time.Duration
 	// Sessions sizes the per-site connection pools' idle bound so a
 	// steady-state run never churns dials.
 	Sessions int
 }
+
+// callTimeout bounds each ctl exchange; expired calls poison their
+// connection and count as errors.
+const callTimeout = 5 * time.Second
 
 // Cluster is an N-site in-process deployment with its control plane,
 // plus the client machinery the generator needs: one connection pool
@@ -52,9 +53,6 @@ type Cluster struct {
 func StartCluster(cfg ClusterConfig) (*Cluster, error) {
 	if cfg.Sites <= 0 {
 		return nil, fmt.Errorf("load: cluster needs at least one site")
-	}
-	if cfg.CallTimeout <= 0 {
-		cfg.CallTimeout = 5 * time.Second
 	}
 	if cfg.Shards <= 0 {
 		cfg.Shards = cfg.Sites
@@ -105,7 +103,7 @@ func StartCluster(cfg ClusterConfig) (*Cluster, error) {
 			return nil, err
 		}
 		c.ctls = append(c.ctls, s)
-		c.pools = append(c.pools, ctl.NewPool(s.Addr(), cfg.CallTimeout, cfg.Sessions))
+		c.pools = append(c.pools, ctl.NewPool(s.Addr(), callTimeout, cfg.Sessions))
 	}
 	// The baseline is still zero, so this reads the boot's own totals.
 	c.base = c.Counters()

@@ -335,7 +335,7 @@ func (v *nodeView) HasKey(key string) (bool, error) {
 }
 
 func (v *nodeView) OutcomeOf(f tid.FamilyID) (wire.Outcome, error) {
-	return v.node.TM().OutcomeOf(f), nil
+	return v.node.OutcomeOf(f), nil
 }
 
 func (v *nodeView) Probe() error {
