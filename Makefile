@@ -128,18 +128,47 @@ perf-compare:
 	$(GO) -C cmd/camelot-perf run . -compare -bench $(CURDIR)/BENCHMARK.json \
 		$(CURDIR)/$(PERF_DIR)/base.json $(CURDIR)/$(PERF_DIR)/head.json
 
-# "The goldens are byte-identical" as a command: fails if any pinned
-# timeline, schema or regression-corpus file differs from BASE — the
+# "The simulator did not move" as a command. First a diff of the
+# pinned timelines, schemas and regression corpora against BASE — the
 # working tree included, so a regenerated golden is caught before it is
-# committed. With perf-compare it is the pair every PR that claims no
+# committed. Then BASE is exported into the git-ignored .frozen/, as
+# perf-compare does, camelot-trace and camelot-chaos are built there
+# and from the working tree, and each FROZEN_RUNS line is run on both
+# and its output (stdout, stderr and exit status) diffed: the text
+# reports carry the per-family budget and phase-latency tables that no
+# golden pins. With perf-compare it is the pair every PR that claims no
 # gain quotes: this one says the simulated behaviour did not move, that
 # one that the measured numbers did not.
 FROZEN = $(wildcard cmd/camelot-trace/testdata internal/exp/testdata internal/chaos/testdata \
-	internal/trace/testdata internal/load/testdata)
+	internal/load/testdata)
+FROZEN_DIR = .frozen
+FROZEN_RUNS = \
+	'camelot-trace -protocol 2pc' \
+	'camelot-trace -protocol nb' \
+	'camelot-trace -protocol paxos' \
+	'camelot-trace -loss 0.25' \
+	'camelot-trace -protocol nb -fault crash-coordinator -heal-after 2s' \
+	'camelot-chaos -points 60 -protocol 2pc' \
+	'camelot-chaos -points 60 -protocol nb' \
+	'camelot-chaos -points 60 -protocol paxos'
 frozen:
 	@test -n "$(BASE)" || { echo "usage: make frozen BASE=<git ref>"; exit 2; }
 	git diff --exit-code $(BASE) -- $(FROZEN)
-	@echo "frozen: OK ($(FROZEN) identical to $(BASE))"
+	rm -rf $(FROZEN_DIR)
+	mkdir -p $(FROZEN_DIR)/base
+	git archive $(BASE) | tar -x -C $(FROZEN_DIR)/base
+	$(GO) -C $(FROZEN_DIR)/base build -o $(CURDIR)/$(FROZEN_DIR)/base-bin/ ./cmd/camelot-trace ./cmd/camelot-chaos
+	$(GO) build -o $(FROZEN_DIR)/head-bin/ ./cmd/camelot-trace ./cmd/camelot-chaos
+	@for run in $(FROZEN_RUNS); do \
+		for side in base head; do \
+			$(FROZEN_DIR)/$$side-bin/$$run > $(FROZEN_DIR)/$$side.out 2>&1; \
+			echo "exit $$?" >> $(FROZEN_DIR)/$$side.out; \
+		done; \
+		diff -u $(FROZEN_DIR)/base.out $(FROZEN_DIR)/head.out || \
+			{ echo "frozen: '$$run' differs from $(BASE)"; exit 1; }; \
+		echo "frozen: '$$run' identical"; \
+	done
+	@echo "frozen: OK ($(FROZEN) and every FROZEN_RUNS output identical to $(BASE))"
 
 # Regenerate the camelot-trace golden files after an intended change
 # to the event schema or the simulation timeline. Lints first: goldens

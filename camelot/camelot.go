@@ -94,22 +94,21 @@ type Config struct {
 	LockTimeout time.Duration
 	// RetryInterval, InquireInterval, PromotionTimeout, and
 	// AckFlushInterval tune the transaction manager's timers.
-	// RetryBackoffCap bounds the exponential backoff retransmits and
-	// inquiries grow into under persistent faults; zero means 8×
-	// RetryInterval (see core.Config.RetryBackoffCap).
+	// Retransmits and inquiries back off to at most 8× RetryInterval
+	// under persistent faults (see core.Config.RetryBackoffCap).
 	RetryInterval    time.Duration
 	InquireInterval  time.Duration
 	PromotionTimeout time.Duration
 	AckFlushInterval time.Duration
-	RetryBackoffCap  time.Duration
 	// RPCTimeout bounds remote operation calls.
 	RPCTimeout time.Duration
 	// LossRate injects datagram loss for fault experiments.
 	LossRate float64
-	// Trace turns on the cluster collector's event timeline, its
-	// per-family counters and its phase latencies; read them back
-	// through Cluster.Trace. The per-site counters are always on. Off
-	// by default: without the timeline a hook is one atomic add.
+	// Trace turns on the cluster collector's event timeline, from
+	// which its per-family budgets and phase latencies are read; read
+	// them back through Cluster.Trace. The per-site counters, lock
+	// waits included, are always on. Off by default: without the
+	// timeline a hook is one atomic add.
 	Trace bool
 	// WrapStore, if non-nil, wraps each new node's stable log store.
 	// The chaos explorer uses it to interpose a fault-injecting store
@@ -246,7 +245,6 @@ func (n *Node) start(keepServers []string) {
 		InquireInterval:  c.cfg.InquireInterval,
 		PromotionTimeout: c.cfg.PromotionTimeout,
 		AckFlushInterval: c.cfg.AckFlushInterval,
-		RetryBackoffCap:  c.cfg.RetryBackoffCap,
 	}, c.net)
 	n.comm = commman.New(c.r, n.id, c.net, c.names, n.tm, c.cfg.Params, n.kernel, c.cfg.RPCTimeout)
 	n.servers = make(map[string]*server.Server)

@@ -54,9 +54,9 @@ func TestSimulationLockWaitsAreZero(t *testing.T) {
 			t.Fatalf("only %d/9 stress transactions finished", done)
 		}
 		for id := SiteID(1); id <= 3; id++ {
-			if got := c.Trace().LockWaitTotal(id); got != 0 {
-				t.Errorf("site %d: LockWaitTotal = %d in simulation, want 0 (waits: %v)",
-					id, got, c.Trace().LockWaits(id))
+			s := c.Trace().Site(id)
+			if got := s.FamilyLockWaits + s.AckLockWaits + s.ResolvedLockWaits + s.IDLockWaits + s.LifeLockWaits; got != 0 {
+				t.Errorf("site %d: %d lock waits in simulation, want 0 (ledger: %+v)", id, got, s)
 			}
 		}
 	})

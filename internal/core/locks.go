@@ -4,6 +4,7 @@ import (
 	"camelot/internal/rt"
 	"camelot/internal/server"
 	"camelot/internal/tid"
+	"camelot/internal/trace"
 	"camelot/internal/wire"
 )
 
@@ -37,13 +38,13 @@ import (
 // acquiring a family lock and retries the lookup, so a stale pointer
 // is never acted on.
 
-// Lock classes reported through trace.Collector.LockWait.
+// Lock classes: the ledger counter each class's waits are counted in.
 const (
-	lockClassFamily   = "family"
-	lockClassAcks     = "acks"
-	lockClassResolved = "resolved"
-	lockClassIDs      = "ids"
-	lockClassLife     = "life"
+	lockClassFamily   = trace.FamilyLockWaits
+	lockClassAcks     = trace.AckLockWaits
+	lockClassResolved = trace.ResolvedLockWaits
+	lockClassIDs      = trace.IDLockWaits
+	lockClassLife     = trace.LifeLockWaits
 )
 
 // familyShards sizes the family table. A power of two so the shard
@@ -132,11 +133,11 @@ func (t *familyTable) snapshot() map[tid.FamilyID]*family {
 // path; in simulation it always succeeds (the cooperative kernel
 // never parks a lock holder), so the counters double as a runtime
 // assertion of the determinism invariant.
-func (m *Manager) lockAttributed(mu rt.Mutex, class string) {
+func (m *Manager) lockAttributed(mu rt.Mutex, class trace.Counter) {
 	if mu.TryLock() {
 		return
 	}
-	m.tr.LockWait(m.cfg.Site, class)
+	m.tr.Count(m.cfg.Site, class, 1)
 	mu.Lock()
 }
 

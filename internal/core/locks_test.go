@@ -35,6 +35,12 @@ func newRealManager(t *testing.T) (*Manager, *trace.Collector) {
 	return m, tr
 }
 
+// lockWaits sums site 1's lock waits over every lock class.
+func lockWaits(tr *trace.Collector) int {
+	s := tr.Site(1)
+	return s.FamilyLockWaits + s.AckLockWaits + s.ResolvedLockWaits + s.IDLockWaits + s.LifeLockWaits
+}
+
 // TestFamilyLockContentionCounted pins the lock-wait instrumentation
 // on the real runtime: a thread that finds a family lock busy counts
 // one wait in the "family" class before blocking.
@@ -45,8 +51,8 @@ func TestFamilyLockContentionCounted(t *testing.T) {
 		t.Fatalf("Begin: %v", err)
 	}
 
-	if got := tr.LockWaitTotal(1); got != 0 {
-		t.Fatalf("LockWaitTotal = %d before any contention", got)
+	if got := lockWaits(tr); got != 0 {
+		t.Fatalf("%d lock waits before any contention", got)
 	}
 
 	// Hold the family's lock from the test, then make a second thread
@@ -62,15 +68,14 @@ func TestFamilyLockContentionCounted(t *testing.T) {
 		close(done)
 	}()
 	deadline := time.Now().Add(5 * time.Second)
-	for tr.LockWaitTotal(1) == 0 && time.Now().Before(deadline) {
+	for lockWaits(tr) == 0 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
 	m.unlockFamily(f)
 	<-done
 
-	if got := tr.LockWaits(1)[lockClassFamily]; got == 0 {
-		t.Fatalf("LockWaits[%q] = 0 after a forced collision; waits = %v",
-			lockClassFamily, tr.LockWaits(1))
+	if got := tr.Site(1); got.FamilyLockWaits == 0 {
+		t.Fatalf("FamilyLockWaits = 0 after a forced collision; site 1 = %+v", got)
 	}
 }
 
@@ -104,7 +109,7 @@ func TestIndependentFamiliesDoNotContend(t *testing.T) {
 		t.Fatal("locking family b blocked while family a was held")
 	}
 	m.unlockFamily(fa)
-	if got := tr.LockWaits(1)[lockClassFamily]; got != 0 {
+	if got := tr.Site(1).FamilyLockWaits; got != 0 {
 		t.Fatalf("independent families counted %d family-lock waits", got)
 	}
 }

@@ -160,11 +160,6 @@ func Analyze(site tid.SiteID, records []*wal.Record) *Analysis {
 			}
 		case wal.RecEnd:
 			ended[r.TID.TopLevel()] = true
-		case wal.RecCheckpoint:
-			// A checkpoint is a scan starting marker, not
-			// per-transaction state; nothing to classify. Named
-			// explicitly so a future stateful checkpoint record cannot
-			// be skipped silently.
 		}
 	}
 

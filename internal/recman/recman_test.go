@@ -277,21 +277,6 @@ func TestEmptyLog(t *testing.T) {
 	}
 }
 
-func TestCheckpointOnlyLog(t *testing.T) {
-	// After a checkpoint truncates everything it absorbed, a crash can
-	// leave the log holding nothing but the checkpoint marker. Restart
-	// must come up clean: no redo, nothing in doubt, nothing to
-	// re-drive — the page image carries the state.
-	recs := []*wal.Record{{Type: wal.RecCheckpoint}}
-	a := Analyze(1, recs)
-	if len(a.Data) != 0 || len(a.InDoubt) != 0 || len(a.Resume) != 0 {
-		t.Fatalf("checkpoint-only log produced work: %+v", a)
-	}
-	if len(a.Committed)+len(a.Aborted) != 0 {
-		t.Fatalf("checkpoint-only log produced outcomes: %+v", a)
-	}
-}
-
 func TestLogEndingMidFamilyActive(t *testing.T) {
 	// The site died while a family was still active: updates logged,
 	// no prepare, no outcome. Presumed abort discards the updates —

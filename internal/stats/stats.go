@@ -33,14 +33,6 @@ func (s *Sample) AddDuration(d time.Duration) {
 	s.Add(float64(d) / float64(time.Millisecond))
 }
 
-// Clone returns an independent copy of the sample, so an accumulator
-// can hand out snapshots while it keeps observing.
-func (s *Sample) Clone() *Sample {
-	out := &Sample{values: make([]float64, len(s.values)), sorted: s.sorted}
-	copy(out.values, s.values)
-	return out
-}
-
 // N returns the number of observations.
 func (s *Sample) N() int { return len(s.values) }
 

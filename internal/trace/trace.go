@@ -1,10 +1,11 @@
 // Package trace is the commit-protocol observability layer. A
 // Collector keeps every site's ledger of primitives — log appends,
 // forces and device writes, datagrams, retransmits and inquiries, and
-// the transaction manager's own tallies — and, when built with New,
-// a structured event timeline (log forces, datagrams, protocol
-// phases, lock drops, crashes) with virtual timestamps, per-family
-// counters and phase latencies.
+// the transaction manager's own tallies and lock waits — and, when
+// built with New, a structured event timeline (log forces, datagrams,
+// protocol phases, lock drops, crashes) with virtual timestamps. The
+// per-family budgets and the phase latencies are views over that
+// timeline.
 //
 // The paper argues that transaction-management performance is
 // dominated by countable primitives — log forces, datagrams, IPCs per
@@ -20,11 +21,10 @@
 // primitive is counted, on the simulator and the real runtime alike:
 // each component's statistics accessor is a view over it. A count is
 // one atomic add, with no lock and no allocation, so it stays on in a
-// real node; the timeline, the per-family counters and the phase
-// latencies cost a lock and an event each, and a counters-only
-// Collector records none of them. Within a simulation the Collector
-// performs no runtime primitives except reading the clock, so
-// enabling the timeline never perturbs virtual time.
+// real node; a timeline event costs a lock and an append, and a
+// counters-only Collector records none. Within a simulation the
+// Collector performs no runtime primitives except reading the clock,
+// so enabling the timeline never perturbs virtual time.
 package trace
 
 import (
@@ -141,9 +141,9 @@ type Payload interface {
 
 // TxPayload additionally attributes the payload to a transaction.
 // Only transaction-manager datagrams implement it; communication-
-// manager RPC traffic is counted per site but not per family, so the
-// per-family message counters measure exactly the commit protocol's
-// datagram budget.
+// manager RPC traffic is counted per site but carries no TID on the
+// timeline, so the per-family message counts measure exactly the
+// commit protocol's datagram budget.
 type TxPayload interface {
 	Payload
 	TraceTID() tid.TID
@@ -183,6 +183,21 @@ type SiteCounters struct {
 	Promotions      int `json:"-"` // subordinates promoted to coordinator
 	AcksPiggybacked int `json:"-"` // commit-acks that rode another datagram
 	AcksStandalone  int `json:"-"` // commit-acks sent in a datagram of their own
+
+	// The lock waits count contended acquisitions of the transaction
+	// manager's locks, one counter per lock class: a TryLock failed
+	// and the caller fell back to a blocking Lock. They have no
+	// timeline event: lock waits are a property of the host runtime,
+	// not of the simulated protocol, and an event per wait would
+	// perturb the contention being measured. The cooperative
+	// simulation kernel never switches threads while a lock is held,
+	// so a nonzero count in simulation means the determinism
+	// invariant broke.
+	FamilyLockWaits   int `json:"-"`
+	AckLockWaits      int `json:"-"`
+	ResolvedLockWaits int `json:"-"`
+	IDLockWaits       int `json:"-"`
+	LifeLockWaits     int `json:"-"`
 }
 
 // Counter names one counter of a site's ledger. The recording methods
@@ -209,6 +224,11 @@ const (
 	Promotions
 	AcksPiggybacked
 	AcksStandalone
+	FamilyLockWaits
+	AckLockWaits
+	ResolvedLockWaits
+	IDLockWaits
+	LifeLockWaits
 	numCounters
 )
 
@@ -232,6 +252,12 @@ var fields = [numCounters]func(*SiteCounters) *int{
 	Promotions:      func(s *SiteCounters) *int { return &s.Promotions },
 	AcksPiggybacked: func(s *SiteCounters) *int { return &s.AcksPiggybacked },
 	AcksStandalone:  func(s *SiteCounters) *int { return &s.AcksStandalone },
+
+	FamilyLockWaits:   func(s *SiteCounters) *int { return &s.FamilyLockWaits },
+	AckLockWaits:      func(s *SiteCounters) *int { return &s.AckLockWaits },
+	ResolvedLockWaits: func(s *SiteCounters) *int { return &s.ResolvedLockWaits },
+	IDLockWaits:       func(s *SiteCounters) *int { return &s.IDLockWaits },
+	LifeLockWaits:     func(s *SiteCounters) *int { return &s.LifeLockWaits },
 }
 
 // Add returns the counter-wise sum of s and o.
@@ -263,7 +289,8 @@ func (l *ledger) snapshot() SiteCounters {
 }
 
 // FamilyCounters aggregates one transaction family's activity at one
-// site — the per-transaction budget the conformance tests pin.
+// site — the per-transaction budget the conformance tests pin. It is
+// read from the timeline.
 type FamilyCounters struct {
 	LogAppends int
 	LogForces  int
@@ -278,8 +305,8 @@ type phaseKey struct {
 }
 
 // Collector is the ledger of every site it has seen, plus — when
-// built by New — the event timeline. Methods are safe for concurrent
-// use.
+// built by New — the event timeline and the phases open on it.
+// Methods are safe for concurrent use.
 type Collector struct {
 	// r stamps timeline events; nil for a counters-only collector.
 	r rt.Runtime
@@ -287,20 +314,12 @@ type Collector struct {
 	// new site added under mu, so counting reads it without a lock.
 	sites atomic.Pointer[map[tid.SiteID]*ledger]
 
-	mu       sync.Mutex
-	seq      uint64
-	events   []Event
-	families map[tid.FamilyID]map[tid.SiteID]*FamilyCounters
-	open     map[phaseKey]time.Duration
-	phaseLat map[string]*stats.Sample
-	// lockWaits counts contended lock acquisitions per site and lock
-	// class. It is a pure counter — no timeline event — because lock
-	// waits are a property of the host runtime, not of the simulated
-	// protocol: in the cooperative simulation kernel no mutex is ever
-	// held across a context switch, so these counters are provably
-	// zero there, and a nonzero reading in simulation means the
-	// determinism invariant was broken.
-	lockWaits map[tid.SiteID]map[string]int
+	mu     sync.Mutex
+	seq    uint64
+	events []Event
+	// open holds the phases begun and not yet ended, so PhaseEnd
+	// records nothing for a phase that is not open.
+	open map[phaseKey]bool
 }
 
 // New returns an empty collector that records the event timeline,
@@ -311,8 +330,8 @@ func New(r rt.Runtime) *Collector {
 	return c
 }
 
-// NewCounters returns an empty counters-only collector: the ledger
-// and lock-wait counts, no timeline.
+// NewCounters returns an empty counters-only collector: the ledger,
+// no timeline.
 func NewCounters() *Collector {
 	c := &Collector{}
 	c.resetLocked()
@@ -323,10 +342,7 @@ func (c *Collector) resetLocked() {
 	c.sites.Store(&map[tid.SiteID]*ledger{})
 	c.seq = 0
 	c.events = nil
-	c.families = make(map[tid.FamilyID]map[tid.SiteID]*FamilyCounters)
-	c.open = make(map[phaseKey]time.Duration)
-	c.phaseLat = make(map[string]*stats.Sample)
-	c.lockWaits = make(map[tid.SiteID]map[string]int)
+	c.open = make(map[phaseKey]bool)
 }
 
 // ledger returns site's ledger, adding it on first use.
@@ -369,25 +385,12 @@ func (c *Collector) recordLocked(ev Event) {
 	c.events = append(c.events, ev)
 }
 
-func (c *Collector) familyLocked(f tid.FamilyID, s tid.SiteID) *FamilyCounters {
-	m := c.families[f]
-	if m == nil {
-		m = make(map[tid.SiteID]*FamilyCounters)
-		c.families[f] = m
-	}
-	fc := m[s]
-	if fc == nil {
-		fc = &FamilyCounters{}
-		m[s] = fc
-	}
-	return fc
-}
-
 // --- recording ---
 
 // Count adds n to one of site's counters. It records no event: it is
 // for the tallies with no timeline landmark of their own (IPCs, the
-// transaction manager's outcomes and acks, oversize refusals).
+// transaction manager's outcomes, acks and lock waits, oversize
+// refusals).
 func (c *Collector) Count(site tid.SiteID, k Counter, n int) {
 	c.ledger(site)[k].Add(int64(n))
 }
@@ -400,9 +403,6 @@ func (c *Collector) LogAppend(site tid.SiteID, t tid.TID, recType string, bytes 
 	}
 	defer c.mu.Unlock()
 	c.recordLocked(Event{Kind: EvLogAppend, Site: site, TID: t, Info: recType, Bytes: bytes})
-	if !t.IsZero() {
-		c.familyLocked(t.Family, site).LogAppends++
-	}
 }
 
 // LogForce records a protocol-issued synchronous force on behalf of
@@ -416,9 +416,6 @@ func (c *Collector) LogForce(site tid.SiteID, t tid.TID, recType string) {
 	}
 	defer c.mu.Unlock()
 	c.recordLocked(Event{Kind: EvLogForce, Site: site, TID: t, Info: recType})
-	if !t.IsZero() {
-		c.familyLocked(t.Family, site).LogForces++
-	}
 }
 
 // DeviceWrite records one physical log write, which the device
@@ -439,9 +436,9 @@ func (c *Collector) DeviceWrite(site tid.SiteID, records, bytes int) {
 // LogFlush records the background flusher forcing the log tail.
 func (c *Collector) LogFlush(site tid.SiteID) { c.event(Event{Kind: EvLogFlush, Site: site}) }
 
-// MsgSend records a datagram queued at from. payload classification:
-// TxPayload updates the family counters, bare Payload only the site's
-// RPC counter.
+// MsgSend records a datagram queued at from. A TxPayload counts as a
+// transaction-manager datagram and its event carries the payload's
+// TID; a bare Payload counts only as an RPC.
 func (c *Collector) MsgSend(from, to tid.SiteID, payload any) {
 	c.msgEvent(EvMsgSend, from, to, payload)
 }
@@ -483,49 +480,33 @@ func (c *Collector) msgEvent(kind Kind, site, peer tid.SiteID, payload any) {
 		t = tp.TraceTID()
 	}
 	c.recordLocked(Event{Kind: kind, Site: site, Peer: peer, TID: t, Info: info})
-	if tm && !t.IsZero() {
-		fc := c.familyLocked(t.Family, site)
-		switch kind {
-		case EvMsgSend:
-			fc.MsgsSent++
-		case EvMsgRecv:
-			fc.MsgsRecv++
-		}
-	}
 }
 
 // PhaseBegin records that site entered the named protocol phase for
-// t and opens a latency measurement.
+// t and opens it. Beginning an open phase again restarts its clock.
 func (c *Collector) PhaseBegin(site tid.SiteID, t tid.TID, phase string) {
 	if !c.timeline() {
 		return
 	}
 	defer c.mu.Unlock()
 	c.recordLocked(Event{Kind: EvPhaseBegin, Site: site, TID: t, Info: phase})
-	c.open[phaseKey{site, t.Family, phase}] = c.r.Now()
+	c.open[phaseKey{site, t.Family, phase}] = true
 }
 
-// PhaseEnd closes the named phase, adding its duration to the phase's
-// latency sample. A PhaseEnd with no matching open PhaseBegin is a
-// no-op, so shared completion paths may call it unconditionally.
+// PhaseEnd closes the named phase. A PhaseEnd with no matching open
+// PhaseBegin records nothing, so shared completion paths may call it
+// unconditionally.
 func (c *Collector) PhaseEnd(site tid.SiteID, t tid.TID, phase string) {
 	if !c.timeline() {
 		return
 	}
 	defer c.mu.Unlock()
 	key := phaseKey{site, t.Family, phase}
-	begin, ok := c.open[key]
-	if !ok {
+	if !c.open[key] {
 		return
 	}
 	delete(c.open, key)
 	c.recordLocked(Event{Kind: EvPhaseEnd, Site: site, TID: t, Info: phase})
-	s := c.phaseLat[phase]
-	if s == nil {
-		s = &stats.Sample{}
-		c.phaseLat[phase] = s
-	}
-	s.AddDuration(c.r.Now() - begin)
 }
 
 // LockDrop records that site told its servers to release t's locks.
@@ -557,23 +538,6 @@ func (c *Collector) Backoff(site tid.SiteID, t tid.TID, d time.Duration) {
 	}
 	defer c.mu.Unlock()
 	c.recordLocked(Event{Kind: EvBackoff, Site: site, TID: t, Info: fmt.Sprintf("delay=%s", d)})
-}
-
-// LockWait counts one contended acquisition of a lock of the given
-// class at site: the caller's TryLock failed and it fell back to a
-// blocking Lock. No timeline event is recorded — in simulation the
-// count must stay zero (the kernel is cooperative), and on the real
-// runtime an event per wait would perturb the very contention being
-// measured.
-func (c *Collector) LockWait(site tid.SiteID, class string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	m := c.lockWaits[site]
-	if m == nil {
-		m = make(map[string]int)
-		c.lockWaits[site] = m
-	}
-	m[class]++
 }
 
 // FaultInject records a fault being switched on: a datagram-loss rate,
@@ -651,84 +615,80 @@ func (c *Collector) Sites() []tid.SiteID {
 	return det.SortedKeys(*c.sites.Load())
 }
 
-// Family returns t's family counters at site (zero value if never
-// seen, and always on a counters-only collector).
+// Family returns t's family counters at site: the log appends and
+// forces, and the datagrams sent and received, whose timeline events
+// carry a TID of t's family (zero value if never seen, and always on a
+// counters-only collector).
 func (c *Collector) Family(t tid.TID, site tid.SiteID) FamilyCounters {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if m := c.families[t.Family]; m != nil {
-		if fc := m[site]; fc != nil {
-			return *fc
-		}
-	}
-	return FamilyCounters{}
+	return c.family(t.Family, func(s tid.SiteID) bool { return s == site })
 }
 
 // FamilyTotal sums t's family counters across every site.
 func (c *Collector) FamilyTotal(t tid.TID) FamilyCounters {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var total FamilyCounters
-	//lint:ordered commutative sum; visit order cannot be observed
-	for _, fc := range c.families[t.Family] {
-		total.LogAppends += fc.LogAppends
-		total.LogForces += fc.LogForces
-		total.MsgsSent += fc.MsgsSent
-		total.MsgsRecv += fc.MsgsRecv
-	}
-	return total
+	return c.family(t.Family, func(tid.SiteID) bool { return true })
 }
 
-// LockWaits returns site's contended-acquisition counts by lock
-// class, as a copy.
-func (c *Collector) LockWaits(site tid.SiteID) map[string]int {
+func (c *Collector) family(f tid.FamilyID, at func(tid.SiteID) bool) FamilyCounters {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	src := c.lockWaits[site]
-	if len(src) == 0 {
-		return nil
+	var fc FamilyCounters
+	for _, ev := range c.events {
+		if ev.TID.IsZero() || ev.TID.Family != f || !at(ev.Site) {
+			continue
+		}
+		switch ev.Kind {
+		case EvLogAppend:
+			fc.LogAppends++
+		case EvLogForce:
+			fc.LogForces++
+		case EvMsgSend:
+			fc.MsgsSent++
+		case EvMsgRecv:
+			fc.MsgsRecv++
+		}
 	}
-	out := make(map[string]int, len(src))
-	//lint:ordered map copy; insertion order is unobservable
-	for k, v := range src {
-		out[k] = v
-	}
-	return out
-}
-
-// LockWaitTotal sums site's contended acquisitions across all lock
-// classes.
-func (c *Collector) LockWaitTotal(site tid.SiteID) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	total := 0
-	//lint:ordered commutative sum; visit order cannot be observed
-	for _, v := range c.lockWaits[site] {
-		total += v
-	}
-	return total
+	return fc
 }
 
 // PhaseLatency returns the latency sample for the named phase, or an
-// empty sample. The returned sample is a snapshot copy.
+// empty sample: one duration per PhaseEnd on the timeline, measured
+// from the latest PhaseBegin of the same site, family and phase.
 func (c *Collector) PhaseLatency(phase string) *stats.Sample {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if s := c.phaseLat[phase]; s != nil {
-		return s.Clone()
+	if s := c.phaseSamples()[phase]; s != nil {
+		return s
 	}
 	return &stats.Sample{}
 }
 
-// Phases returns the names of all phases with latency samples, sorted.
+// Phases returns the names of all phases that have ended, sorted.
 func (c *Collector) Phases() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return det.SortedKeys(c.phaseLat)
+	return det.SortedKeys(c.phaseSamples())
 }
 
-// Reset clears events and counters (phase samples included), so one
-// collector can bracket successive experiments.
+// phaseSamples pairs every PhaseEnd on the timeline with its begin and
+// returns the durations by phase name.
+func (c *Collector) phaseSamples() map[string]*stats.Sample {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	begun := make(map[phaseKey]time.Duration)
+	out := make(map[string]*stats.Sample)
+	for _, ev := range c.events {
+		key := phaseKey{ev.Site, ev.TID.Family, ev.Info}
+		switch ev.Kind {
+		case EvPhaseBegin:
+			begun[key] = ev.At
+		case EvPhaseEnd:
+			if out[ev.Info] == nil {
+				out[ev.Info] = &stats.Sample{}
+			}
+			out[ev.Info].AddDuration(ev.At - begun[key])
+		}
+	}
+	return out
+}
+
+// Reset clears events, counters and open phases, so one collector can
+// bracket successive experiments.
 func (c *Collector) Reset() {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -7,6 +7,7 @@ import (
 
 	"camelot/internal/sim"
 	"camelot/internal/tid"
+	"camelot/internal/wire"
 )
 
 // fakeTM is a TxPayload: a transaction-manager datagram that counts
@@ -42,12 +43,13 @@ func TestCountersOnlyCollector(t *testing.T) {
 	c.LockDrop(1, id)
 	c.Count(1, IPCs, 1)
 	c.Count(1, AcksPiggybacked, 3)
+	c.Count(1, FamilyLockWaits, 1)
 	c.Crash(1)
 	c.Recover(1)
 	c.ThreadSwitch("w")
 	c.TimerFire("t")
 	want1 := SiteCounters{LogAppends: 1, LogForces: 1, DeviceWrites: 1, BytesWritten: 100,
-		MsgsSent: 1, MsgsDropped: 1, IPCs: 1, AcksPiggybacked: 3}
+		MsgsSent: 1, MsgsDropped: 1, IPCs: 1, AcksPiggybacked: 3, FamilyLockWaits: 1}
 	if got := c.Site(1); got != want1 {
 		t.Errorf("site1 counters = %+v, want %+v", got, want1)
 	}
@@ -191,5 +193,80 @@ func TestReset(t *testing.T) {
 	c.LogFlush(1)
 	if evs := c.Events(); len(evs) != 1 || evs[0].Seq != 1 {
 		t.Errorf("after Reset, events = %v", evs)
+	}
+}
+
+// TestViewsOverInterleavedFamilies pins what the per-family budget and
+// phase-latency views answer when two families' primitives interleave
+// on the timeline: each family sees only its own primitives, a pure
+// ack batch is charged to its first ack, a drop counts toward no
+// family, and phases are timed from their latest begin.
+func TestViewsOverInterleavedFamilies(t *testing.T) {
+	k := sim.New(1)
+	c := New(k)
+	a := tid.Top(tid.MakeFamily(1, 1))
+	b := tid.Top(tid.MakeFamily(2, 1))
+	aChild := tid.TID{Family: a.Family, Seq: tid.MakeSeq(1, 7)}
+	k.Go("test", func() {
+		c.PhaseBegin(1, a, "prepare")
+		c.LogAppend(1, a, "UPDATE", 10)
+		c.PhaseBegin(2, b, "prepare")
+		c.LogAppend(2, b, "UPDATE", 10)
+		c.LogAppend(1, aChild, "UPDATE", 10)
+		c.MsgSend(1, 2, &wire.Msg{Kind: wire.KPrepare, TID: a})
+		c.MsgSend(2, 1, &wire.Msg{Kind: wire.KPrepare, TID: b})
+		c.MsgRecv(2, 1, &wire.Msg{Kind: wire.KPrepare, TID: a})
+		c.MsgDrop(1, 2, &wire.Msg{Kind: wire.KPrepare, TID: b}) // b's prepare is lost
+		c.MsgSend(1, 2, fakeRPC{})
+		k.Sleep(5 * time.Millisecond)
+		c.PhaseBegin(1, a, "prepare") // begun again: timed from here
+		c.LogForce(2, a, "PREPARE")
+		c.MsgSend(2, 1, &wire.Msg{Kind: wire.KVote, TID: a})
+		k.Sleep(10 * time.Millisecond)
+		c.PhaseEnd(1, a, "prepare")
+		c.PhaseEnd(1, b, "notify") // never begun: no sample
+		c.LogForce(1, b, "COMMIT")
+		k.Sleep(20 * time.Millisecond)
+		c.PhaseEnd(2, b, "prepare")
+		c.PhaseBegin(2, b, "notify") // never ended: not a phase yet
+		// A pure ack batch: no header TID, charged to its first ack.
+		c.MsgSend(2, 1, &wire.Msg{Kind: wire.KCommitAck, AckTIDs: []tid.TID{b, a}})
+		c.MsgRecv(1, 2, &wire.Msg{Kind: wire.KCommitAck, AckTIDs: []tid.TID{b, a}})
+		k.Stop()
+	})
+	k.RunUntil(time.Second)
+
+	for _, tc := range []struct {
+		name string
+		got  FamilyCounters
+		want FamilyCounters
+	}{
+		{"a@site1", c.Family(a, 1), FamilyCounters{LogAppends: 2, MsgsSent: 1}},
+		{"a@site2", c.Family(a, 2), FamilyCounters{LogForces: 1, MsgsSent: 1, MsgsRecv: 1}},
+		{"a@site3", c.Family(a, 3), FamilyCounters{}},
+		{"a total", c.FamilyTotal(a), FamilyCounters{LogAppends: 2, LogForces: 1, MsgsSent: 2, MsgsRecv: 1}},
+		{"b@site1", c.Family(b, 1), FamilyCounters{LogForces: 1, MsgsRecv: 1}},
+		{"b@site2", c.Family(b, 2), FamilyCounters{LogAppends: 1, MsgsSent: 2}},
+		{"b total", c.FamilyTotal(b), FamilyCounters{LogAppends: 1, LogForces: 1, MsgsSent: 2, MsgsRecv: 1}},
+		{"child is its family", c.Family(aChild, 1), FamilyCounters{LogAppends: 2, MsgsSent: 1}},
+	} {
+		if tc.got != tc.want {
+			t.Errorf("%s = %+v, want %+v", tc.name, tc.got, tc.want)
+		}
+	}
+	if got := c.Site(1).MsgsDropped; got != 1 {
+		t.Errorf("site1 drops = %d, want the one lost prepare", got)
+	}
+
+	if got := c.Phases(); len(got) != 1 || got[0] != "prepare" {
+		t.Errorf("phases = %v, want [prepare]", got)
+	}
+	s := c.PhaseLatency("prepare")
+	if s.N() != 2 || s.Max() != 35 || s.Mean() != 22.5 {
+		t.Errorf("prepare latency n=%d max=%v mean=%v, want two samples, 10ms and 35ms",
+			s.N(), s.Max(), s.Mean())
+	}
+	if n := c.PhaseLatency("notify").N(); n != 0 {
+		t.Errorf("notify latency has %d samples, want none", n)
 	}
 }

@@ -52,7 +52,7 @@ func TestRecordRoundTripProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		r := &Record{
 			LSN:  rng.Uint64(),
-			Type: RecType(1 + rng.Intn(int(RecCheckpoint))),
+			Type: RecType(1 + rng.Intn(int(RecEnd))),
 			TID:  tid.TID{Family: tid.FamilyID(rng.Uint64()), Seq: tid.Seq(rng.Uint64())},
 		}
 		if rng.Intn(2) == 0 {

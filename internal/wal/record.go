@@ -38,11 +38,7 @@ const (
 	RecNBReplicate           // non-blocking replication-phase commit intent
 	RecNBAbortIntent         // non-blocking abort-quorum record
 	RecEnd                   // coordinator may forget: all acks received
-	// RecCheckpoint is the recovery starting point. The checkpoint
-	// writer is still open ROADMAP work, so no production code emits
-	// the record yet — only the recovery tests synthesize it.
-	//lint:recsurface checkpoint writer not built yet; tests synthesize the record
-	RecCheckpoint
+	_                        // retired (CHECKPOINT); the slot stays so later types keep their numbers on disk
 
 	// Paxos Commit records. RecPaxosPrepare is an RM's prepared record
 	// (its Yes vote, durable before the vote leaves the site);
@@ -58,7 +54,7 @@ const (
 var recNames = map[RecType]string{
 	RecUpdate: "UPDATE", RecPrepare: "PREPARE", RecCommit: "COMMIT",
 	RecAbort: "ABORT", RecNBReplicate: "NB-REPLICATE",
-	RecNBAbortIntent: "NB-ABORT-INTENT", RecEnd: "END", RecCheckpoint: "CHECKPOINT",
+	RecNBAbortIntent: "NB-ABORT-INTENT", RecEnd: "END",
 	RecPaxosPrepare: "PAXOS-PREPARE", RecPaxosAccept: "PAXOS-ACCEPT",
 	RecPaxosPromise: "PAXOS-PROMISE",
 }
