@@ -78,7 +78,9 @@ const (
 	Paxos       = wire.Paxos
 )
 
-// Config tunes a cluster.
+// Config tunes a cluster. NewCluster takes it whole, and every node
+// AddNode builds is configured from it; nothing reconfigures a cluster
+// or a node afterwards (the network's fault switches aside).
 type Config struct {
 	// Params is the primitive cost model; params.Paper() reproduces
 	// the paper's testbed, params.Fast() is for functional tests.
@@ -114,6 +116,12 @@ type Config struct {
 	// The chaos explorer uses it to interpose a fault-injecting store
 	// that tears or corrupts the k-th log write of a schedule.
 	WrapStore func(site SiteID, s wal.Store) wal.Store
+	// ShardMap, if non-nil, is the deployment's shard map: AddNode
+	// gives each node the shard servers the map homes there, and the
+	// keyspace API (Tx.WriteKey, Tx.ReadKey) routes by key through it,
+	// as RealConfig.ShardMap does for a real node. Nil clusters are
+	// unsharded; their servers are added by name.
+	ShardMap *shardmap.Map
 }
 
 // DefaultConfig returns a cluster configuration with the paper's
@@ -143,17 +151,6 @@ type Cluster struct {
 	names *commman.Names
 	nodes map[SiteID]*Node
 	tr    *trace.Collector
-	// shards, when set, makes the cluster's keyspace API (Tx.WriteKey,
-	// Tx.ReadKey) route by key; nil clusters are unsharded and
-	// unaffected.
-	shards *shardmap.Map
-}
-
-// NewRealtimeCluster creates a cluster on the ordinary Go runtime —
-// wall-clock time, real goroutines. Experiments use NewCluster with a
-// sim.Kernel instead, for deterministic virtual time.
-func NewRealtimeCluster(cfg Config) *Cluster {
-	return NewCluster(rt.Real(), cfg)
 }
 
 // NewCluster creates an empty cluster on the given runtime.
@@ -187,7 +184,8 @@ func (c *Cluster) Trace() *trace.Collector { return c.tr }
 // experiments.
 func (c *Cluster) Network() *transport.Network { return c.net }
 
-// AddNode creates and starts a site. IDs must be nonzero and unique.
+// AddNode creates and starts a site, with the shard servers
+// Config.ShardMap homes there, if any. IDs must be nonzero and unique.
 func (c *Cluster) AddNode(id SiteID) *Node {
 	if id == 0 {
 		panic("camelot: site id 0 is reserved")
@@ -201,6 +199,11 @@ func (c *Cluster) AddNode(id SiteID) *Node {
 	}
 	n := &Node{site: site{id: id, tr: c.tr, store: store, pages: diskman.NewPageStore()}, cluster: c}
 	n.start(nil)
+	if m := c.cfg.ShardMap; m != nil {
+		for _, sh := range m.ShardsAt(id) {
+			n.AddServer(m.ServerOf(sh))
+		}
+	}
 	c.nodes[id] = n
 	return n
 }
@@ -210,13 +213,8 @@ func (c *Cluster) Node(id SiteID) *Node {
 	return c.nodes[id]
 }
 
-// SetShardMap installs the deployment's shard map, enabling the
-// keyspace API. Call before AddShardServers on any node; every member
-// of a deployment must install an Equal map.
-func (c *Cluster) SetShardMap(m *shardmap.Map) { c.shards = m }
-
 // ShardMap returns the cluster's shard map, or nil when unsharded.
-func (c *Cluster) ShardMap() *shardmap.Map { return c.shards }
+func (c *Cluster) ShardMap() *shardmap.Map { return c.cfg.ShardMap }
 
 // Node is one Camelot site on the cluster's runtime and network.
 type Node struct {
@@ -249,7 +247,7 @@ func (n *Node) start(keepServers []string) {
 	n.comm = commman.New(c.r, n.id, c.net, c.names, n.tm, c.cfg.Params, n.kernel, c.cfg.RPCTimeout)
 	n.servers = make(map[string]*server.Server)
 	for _, name := range keepServers {
-		n.addServer(name)
+		n.AddServer(name)
 	}
 	c.net.Register(n.id, func(d transport.Datagram) {
 		switch p := d.Payload.(type) {
@@ -273,10 +271,6 @@ func (n *Node) Comm() *commman.Manager { return n.comm }
 // AddServer creates a data server on this node, reachable cluster-wide
 // by name.
 func (n *Node) AddServer(name string) *server.Server {
-	return n.addServer(name)
-}
-
-func (n *Node) addServer(name string) *server.Server {
 	s := server.New(n.cluster.r, name, n.tm, n.log, server.Config{
 		LockTimeout: n.cluster.cfg.LockTimeout,
 		Params:      n.cluster.cfg.Params,
@@ -285,19 +279,6 @@ func (n *Node) addServer(name string) *server.Server {
 	n.servers[name] = s
 	n.comm.RegisterServer(s)
 	return s
-}
-
-// AddShardServers creates the data servers the cluster's shard map
-// homes at this node — one per local shard, named by the map, each
-// reachable cluster-wide. Requires SetShardMap first.
-func (n *Node) AddShardServers() {
-	m := n.cluster.shards
-	if m == nil {
-		panic("camelot: AddShardServers before SetShardMap")
-	}
-	for _, sh := range m.ShardsAt(n.id) {
-		n.addServer(m.ServerOf(sh))
-	}
 }
 
 // Begin starts a top-level transaction coordinated by this node

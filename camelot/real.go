@@ -114,13 +114,10 @@ func StartRealNode(cfg RealConfig) (*RealNode, error) {
 		return nil, fmt.Errorf("camelot: open wal: %w", err)
 	}
 	tr := trace.NewCounters()
-	peer, err := transport.ListenUDP(cfg.Site, cfg.Listen, tr)
+	peer, err := transport.ListenUDP(cfg.Site, cfg.Listen, tr, cfg.Logf)
 	if err != nil {
 		file.Close() //nolint:errcheck // surfacing the bind error
 		return nil, err
-	}
-	if cfg.Logf != nil {
-		peer.SetLogf(cfg.Logf)
 	}
 	var store wal.Store = file
 	if cfg.WrapStore != nil {
@@ -141,13 +138,13 @@ func StartRealNode(cfg RealConfig) (*RealNode, error) {
 		InquireInterval:  cfg.RetryInterval,
 		PromotionTimeout: realPromotionTimeout,
 		AckFlushInterval: cfg.RetryInterval,
-		RetryBackoffCap:  cfg.RetryBackoffCap,
+		// A subordinate's lazy commit record can sit two flusher ticks
+		// (the flusher skips records younger than one interval) and its
+		// ack one hold more; only after that is silence a sign of loss,
+		// which RetryInterval then times as it does everywhere else.
+		AckWait:         2*realFlushInterval + 2*cfg.RetryInterval,
+		RetryBackoffCap: cfg.RetryBackoffCap,
 	}, peer)
-	// A subordinate's lazy commit record can sit two flusher ticks (the
-	// flusher skips records younger than one interval) and its ack one
-	// hold more; only after that is silence a sign of loss, which
-	// RetryInterval then times as it does everywhere else.
-	n.tm.SetAckWait(2*realFlushInterval + 2*cfg.RetryInterval)
 	// Shard servers must exist before Recover: the recovery process
 	// installs replayed state into servers by name.
 	n.set = server.NewSet(r, cfg.Site, cfg.ShardMap, n.tm, n.log, server.Config{

@@ -5,6 +5,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"camelot/internal/rt"
 )
 
 // TestRealtimeConcurrentFamilies hammers the per-family locking
@@ -19,7 +21,7 @@ func TestRealtimeConcurrentFamilies(t *testing.T) {
 		t.Skip("stress test")
 	}
 	cfg := fastConfig()
-	c := NewRealtimeCluster(cfg)
+	c := NewCluster(rt.Real(), cfg)
 	for id := SiteID(1); id <= 3; id++ {
 		c.AddNode(id).AddServer(srvName(id))
 	}

@@ -4,13 +4,15 @@ import (
 	"bytes"
 	"testing"
 	"time"
+
+	"camelot/internal/rt"
 )
 
 // TestRealtimeClusterEndToEnd drives the public API on the ordinary
 // Go runtime: true concurrency, wall-clock timers, no simulation.
 func TestRealtimeClusterEndToEnd(t *testing.T) {
 	cfg := fastConfig()
-	c := NewRealtimeCluster(cfg)
+	c := NewCluster(rt.Real(), cfg)
 	for id := SiteID(1); id <= 3; id++ {
 		c.AddNode(id).AddServer(srvName(id))
 	}

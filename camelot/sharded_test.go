@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
@@ -23,10 +25,11 @@ func runShardedSim(t *testing.T, fn func(k *sim.Kernel, c *Cluster, m *shardmap.
 		t.Fatal(err)
 	}
 	k := sim.New(1)
-	c := NewCluster(k, fastConfig())
-	c.SetShardMap(m)
+	cfg := fastConfig()
+	cfg.ShardMap = m
+	c := NewCluster(k, cfg)
 	for id := SiteID(1); id <= 3; id++ {
-		c.AddNode(id).AddShardServers()
+		c.AddNode(id)
 	}
 	k.Go("test", func() {
 		fn(k, c, m)
@@ -180,10 +183,11 @@ func TestShardedUncoveredKeyRejected(t *testing.T) {
 	// A map with holes: shards 1 and 3 unplaced.
 	m := &shardmap.Map{Version: 1, Shards: 4, Placement: []SiteID{1, 0, 2, 0}}
 	k := sim.New(1)
-	c := NewCluster(k, fastConfig())
-	c.SetShardMap(m)
+	cfg := fastConfig()
+	cfg.ShardMap = m
+	c := NewCluster(k, cfg)
 	for id := SiteID(1); id <= 2; id++ {
-		c.AddNode(id).AddShardServers()
+		c.AddNode(id)
 	}
 	var uncovered string
 	for i := 0; i < 1000 && uncovered == ""; i++ {
@@ -252,5 +256,60 @@ func TestShardedCrashRecoverCrossShard(t *testing.T) {
 				t.Fatalf("after bounce, %q = %q (%v) at site %d", key, v, ok, home.ID())
 			}
 		}
+	})
+}
+
+// TestShardServersAgreeAcrossRuntimes checks that both runtimes build a
+// site's data tier from its shard map alone: under one 4-shard, 3-site
+// map, each simulated node built with Config.ShardMap hosts exactly the
+// servers StartRealNode gives the real node for that site from an
+// equal map, and still does after a crash and recovery.
+func TestShardServersAgreeAcrossRuntimes(t *testing.T) {
+	sites := []SiteID{1, 2, 3}
+	realMap, err := shardmap.New(1, 4, sites)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make(map[SiteID][]string, len(sites))
+	hosted := 0
+	for _, id := range sites {
+		cfg := DefaultRealConfig(id)
+		cfg.WALPath = filepath.Join(t.TempDir(), "wal")
+		cfg.ShardMap = realMap
+		n, err := StartRealNode(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[id] = n.ServerNames()
+		hosted += len(want[id])
+		if err := n.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if hosted != int(realMap.Shards) {
+		t.Fatalf("real nodes host %d shard servers, want %d", hosted, realMap.Shards)
+	}
+
+	runShardedSim(t, func(k *sim.Kernel, c *Cluster, m *shardmap.Map) {
+		if !m.Equal(realMap) {
+			t.Fatalf("simulated map %+v differs from the real nodes' %+v", m, realMap)
+		}
+		check := func(when string) {
+			for _, id := range sites {
+				if got := c.Node(id).ServerNames(); !reflect.DeepEqual(got, want[id]) {
+					t.Errorf("%s: simulated site %d hosts %v, real node hosts %v", when, id, got, want[id])
+				}
+			}
+		}
+		check("built")
+		for _, id := range sites {
+			c.Node(id).Crash()
+		}
+		for _, id := range sites {
+			if err := c.Node(id).Recover(); err != nil {
+				t.Fatalf("Recover(%d): %v", id, err)
+			}
+		}
+		check("recovered")
 	})
 }

@@ -32,15 +32,16 @@ type site struct {
 }
 
 // open starts a fresh incarnation's log and transaction manager over
-// the site's store. It fills in each configuration's Site and Trace.
+// the site's store. It fills in each configuration's Site and Trace,
+// and the TM's resolved-outcome backstop: outcomes absorbed into the
+// checkpoint image are truncated from the TM's resolved memory, and
+// the image answers for them instead.
 func (s *site) open(r rt.Runtime, lc wal.Config, tc core.Config, net transport.Sender) {
 	lc.Site, lc.Trace = s.id, s.tr
 	tc.Site, tc.Trace = s.id, s.tr
+	tc.ResolvedBackstop = s.pages.Outcome
 	s.log = wal.Open(r, s.store, lc)
 	s.tm = core.New(r, tc, s.log, net)
-	// Outcomes absorbed into the checkpoint image are truncated from
-	// the TM's resolved memory; the image answers for them instead.
-	s.tm.SetResolvedBackstop(s.pages.Outcome)
 }
 
 // recover runs the recovery process against the freshly opened log:
@@ -54,7 +55,7 @@ func (s *site) open(r rt.Runtime, lc wal.Config, tc core.Config, net transport.S
 // fault coverage the chaos explorer builds up against it transfers to
 // real deployments.
 func (s *site) recover() error {
-	a, data, _, err := diskman.Recover(s.id, s.log, s.pages)
+	a, data, err := diskman.Recover(s.id, s.log, s.pages)
 	if err != nil {
 		return err
 	}

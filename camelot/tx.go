@@ -66,7 +66,7 @@ func (tx *Tx) Write(serverName, key string, value []byte) error {
 // shard map, rejecting keys no shard covers with the data tier's
 // typed error so callers never wait on a lookup that cannot succeed.
 func (tx *Tx) routeKey(key string) (string, error) {
-	m := tx.node.cluster.shards
+	m := tx.node.cluster.cfg.ShardMap
 	if m == nil {
 		return "", fmt.Errorf("camelot: cluster has no shard map; use Write/Read with a server name")
 	}

@@ -120,25 +120,22 @@ func (e *engine) build() error {
 		e.stores = append(e.stores, fs)
 		return fs
 	}
-	e.c = camelot.NewCluster(e.k, cfg)
+	for i := 1; i <= s.Sites; i++ {
+		e.sites = append(e.sites, camelot.SiteID(i))
+	}
 	if s.Shards > 0 {
-		for i := 1; i <= s.Sites; i++ {
-			e.sites = append(e.sites, camelot.SiteID(i))
-		}
 		m, err := shardmap.New(1, s.Shards, e.sites)
 		if err != nil {
 			return fmt.Errorf("chaos: shard map: %w", err)
 		}
 		e.smap = m
-		e.c.SetShardMap(m)
-		for _, id := range e.sites {
-			e.c.AddNode(id).AddShardServers()
-		}
-	} else {
-		for i := 1; i <= s.Sites; i++ {
-			id := camelot.SiteID(i)
-			e.sites = append(e.sites, id)
-			e.c.AddNode(id).AddServer(srvName(id))
+		cfg.ShardMap = m
+	}
+	e.c = camelot.NewCluster(e.k, cfg)
+	for _, id := range e.sites {
+		n := e.c.AddNode(id)
+		if e.smap == nil {
+			n.AddServer(srvName(id))
 		}
 	}
 	return nil

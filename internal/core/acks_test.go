@@ -190,8 +190,9 @@ func TestAckPath(t *testing.T) {
 		t.Run(v.name+"/only an owed ack counts at the coordinator", func(t *testing.T) {
 			h := newHarness(t, 0)
 			h.ackFlush = 2 * time.Second // the subordinates' own acks stay out of the way
+			h.ackWait = time.Minute
 			for id := tid.SiteID(1); id <= 3; id++ {
-				h.addSite(id).m.SetAckWait(time.Minute)
+				h.addSite(id)
 			}
 			h.run(t, func() {
 				owed := []tid.SiteID{2, 3}

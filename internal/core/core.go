@@ -33,7 +33,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sync/atomic"
 	"time"
 
 	"camelot/internal/det"
@@ -95,7 +94,8 @@ type Options struct {
 	PaxosF int
 }
 
-// Config parameterizes a Manager.
+// Config parameterizes a Manager. New takes it whole; nothing
+// reconfigures a manager afterwards.
 type Config struct {
 	// Site is this manager's site identifier; it must be unique in
 	// the network and nonzero.
@@ -120,6 +120,16 @@ type Config struct {
 	// datagram to its coordinator to ride on: an ack leaves in a datagram
 	// of its own only after this long with nothing going its way.
 	AckFlushInterval time.Duration
+	// AckWait is how long a fault-free subordinate may take to
+	// acknowledge an outcome: its lazily written commit record waits
+	// for the log flusher and the ack for a ride (AckFlushInterval at
+	// most), neither of which RetryInterval describes. A coordinator
+	// waits at least that long before it first re-sends an outcome, so
+	// the retransmit timer fires on loss and not on the delays the
+	// delayed-commit optimization chose. The site assembly derives it
+	// from its log flush interval and ack hold; zero, or anything
+	// shorter than RetryInterval, means RetryInterval.
+	AckWait time.Duration
 	// RetryBackoffCap bounds the exponential backoff applied to
 	// timer-driven retransmits and inquiries: retry round n waits a
 	// jittered interval in [base, min(base<<n, RetryBackoffCap)],
@@ -127,6 +137,13 @@ type Config struct {
 	// InquireInterval). The first round always waits exactly base, so
 	// fault-free runs are unaffected. Zero means 8×RetryInterval.
 	RetryBackoffCap time.Duration
+	// ResolvedBackstop, if non-nil, is consulted when a status inquiry
+	// names a family absent from both the family table and the
+	// resolved-outcome memory — the case TruncateResolved creates. The
+	// site assembly points it at the checkpoint image's outcome lists.
+	// It is called without any manager lock held and must be safe for
+	// concurrent use.
+	ResolvedBackstop func(tid.FamilyID) wire.Outcome
 	// Trace is the site's ledger, which the manager counts its forces,
 	// retries, outcomes and acks into, and the timeline its protocol
 	// events (forces, phases, lock drops) go to if it keeps one; nil
@@ -222,16 +239,10 @@ type Manager struct {
 	// quorum for a transaction that committed everywhere. Recovery
 	// repopulates it from the log; checkpointing truncates it
 	// (TruncateResolved) once the checkpoint image absorbs the
-	// outcome, with resolvedBackstop answering for truncated families
-	// from that image.
-	resMu            rt.Mutex
-	resolved         map[tid.FamilyID]wire.Outcome
-	resolvedBackstop func(tid.FamilyID) wire.Outcome
-
-	// ackWait, when longer than RetryInterval, is how long a coordinator
-	// waits for commit-acks before first re-sending the outcome
-	// (SetAckWait).
-	ackWait atomic.Int64
+	// outcome, with Config.ResolvedBackstop answering for truncated
+	// families from that image.
+	resMu    rt.Mutex
+	resolved map[tid.FamilyID]wire.Outcome
 
 	// lifeMu guards the shutdown flag.
 	lifeMu rt.Mutex
@@ -395,22 +406,12 @@ func (m *Manager) Stats() Stats {
 		ResolvedRetained: retained}
 }
 
-// SetAckWait tells the manager how long a fault-free subordinate may
-// take to acknowledge an outcome: its lazily written commit record waits
-// for the log flusher and the ack for a ride (AckFlushInterval at most),
-// neither of which this manager's retry timer describes. A coordinator
-// waits at least that long before it first re-sends an outcome, so the
-// retransmit timer fires on loss and not on the delays the
-// delayed-commit optimization chose. The site assembly derives d from
-// its log flush interval and ack hold; unset, the wait is RetryInterval.
-func (m *Manager) SetAckWait(d time.Duration) { m.ackWait.Store(int64(d)) }
-
 // ackWaitInterval is the first arm of the ack-wait timer. It is never
 // on a latency path: the client already has its answer and the locks
 // are dropped.
 func (m *Manager) ackWaitInterval() time.Duration {
-	if d := time.Duration(m.ackWait.Load()); d > m.cfg.RetryInterval {
-		return d
+	if m.cfg.AckWait > m.cfg.RetryInterval {
+		return m.cfg.AckWait
 	}
 	return m.cfg.RetryInterval
 }
@@ -603,18 +604,6 @@ func (m *Manager) AddSites(t tid.TID, sites []tid.SiteID) {
 			tx.sites[s] = true
 		}
 	}
-}
-
-// SetResolvedBackstop installs a fallback consulted when a status
-// inquiry names a family absent from both the family table and the
-// resolved map — the case TruncateResolved creates. The site assembly
-// points it at the checkpoint image's outcome lists. The backstop is
-// called without any manager lock held and must be safe for
-// concurrent use.
-func (m *Manager) SetResolvedBackstop(fn func(tid.FamilyID) wire.Outcome) {
-	m.lockAttributed(m.resMu, lockClassResolved)
-	m.resolvedBackstop = fn
-	m.resMu.Unlock()
 }
 
 // TruncateResolved drops the in-memory outcome of families wholly

@@ -52,9 +52,11 @@ type harness struct {
 	netTr *trace.Collector // the network's ledger: every site's datagrams
 	sites map[tid.SiteID]*site
 	// wrapStore, if set, interposes on the stable store of sites added
-	// after it; ackFlush, if set, replaces their AckFlushInterval.
+	// after it; ackFlush and ackWait, if set, replace their
+	// AckFlushInterval and AckWait.
 	wrapStore func(wal.Store) wal.Store
 	ackFlush  time.Duration
+	ackWait   time.Duration
 }
 
 func newHarness(t *testing.T, n int) *harness {
@@ -88,6 +90,7 @@ func (h *harness) addSite(id tid.SiteID) *site {
 		InquireInterval:  30 * time.Millisecond,
 		PromotionTimeout: 50 * time.Millisecond,
 		AckFlushInterval: ackFlush,
+		AckWait:          h.ackWait,
 	}, log, h.net)
 	h.net.Register(id, func(d transport.Datagram) {
 		if msg, ok := d.Payload.(*wire.Msg); ok {

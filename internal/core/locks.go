@@ -270,13 +270,12 @@ func (m *Manager) setResolved(id tid.FamilyID, out wire.Outcome) {
 func (m *Manager) resolvedOutcome(id tid.FamilyID) wire.Outcome {
 	m.lockAttributed(m.resMu, lockClassResolved)
 	out, ok := m.resolved[id]
-	backstop := m.resolvedBackstop
 	m.resMu.Unlock()
 	if ok {
 		return out
 	}
-	if backstop != nil {
-		return backstop(id)
+	if m.cfg.ResolvedBackstop != nil {
+		return m.cfg.ResolvedBackstop(id)
 	}
 	return wire.OutcomeUnknown
 }

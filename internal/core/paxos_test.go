@@ -314,10 +314,11 @@ func TestPaxosLostFolded2bIsRecast(t *testing.T) {
 func TestFanoutCarriesOwedAcksExactlyOnce(t *testing.T) {
 	h := newHarness(t, 0)
 	h.ackFlush = time.Second
+	// Wait for the slowed flusher rather than re-send the outcome,
+	// which would have the subordinate acknowledge twice.
+	h.ackWait = 2 * h.ackFlush
 	for id := tid.SiteID(1); id <= 2; id++ {
-		// Wait for the slowed flusher rather than re-send the outcome,
-		// which would have the subordinate acknowledge twice.
-		h.addSite(id).m.SetAckWait(2 * h.ackFlush)
+		h.addSite(id)
 	}
 	const txns = 6
 	h.run(t, func() {

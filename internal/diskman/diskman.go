@@ -248,10 +248,10 @@ func Checkpoint(site tid.SiteID, log *wal.Log, ps *PageStore) (int, error) {
 // log tail: the returned analysis carries the tail's in-doubt and
 // resume work, and the returned data is the image overlaid with the
 // tail's committed effects.
-func Recover(site tid.SiteID, log *wal.Log, ps *PageStore) (*recman.Analysis, map[string]map[string][]byte, *Snapshot, error) {
+func Recover(site tid.SiteID, log *wal.Log, ps *PageStore) (*recman.Analysis, map[string]map[string][]byte, error) {
 	recs, err := log.Records()
 	if err != nil {
-		return nil, nil, nil, fmt.Errorf("diskman: recover read: %w", err)
+		return nil, nil, fmt.Errorf("diskman: recover read: %w", err)
 	}
 	base := ps.Read()
 	a := recman.Analyze(site, recs)
@@ -276,5 +276,5 @@ func Recover(site tid.SiteID, log *wal.Log, ps *PageStore) (*recman.Analysis, ma
 	if base.MaxLocalFamily > a.MaxLocalFamily {
 		a.MaxLocalFamily = base.MaxLocalFamily
 	}
-	return a, data, base, nil
+	return a, data, nil
 }

@@ -130,7 +130,7 @@ func TestInDoubtTransactionPinsTruncation(t *testing.T) {
 	}
 	// Recovery must surface the in-doubt transaction and still see
 	// both committed updates.
-	a, data, _, err := Recover(1, log, ps)
+	a, data, err := Recover(1, log, ps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func TestCheckpointCutInsideBlockRoundsDown(t *testing.T) {
 	k.Go("recover", func() {
 		relog := wal.Open(k, store, wal.Config{})
 		defer relog.Close()
-		a, data, _, err = Recover(1, relog, ps)
+		a, data, err = Recover(1, relog, ps)
 	})
 	k.Run()
 	if err != nil {
@@ -233,7 +233,7 @@ func TestDeleteAcrossCheckpoint(t *testing.T) {
 		log.Force(math.MaxUint64)                                 //nolint:errcheck
 	})
 	k.Run()
-	_, data, _, err := Recover(1, log, ps)
+	_, data, err := Recover(1, log, ps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,7 +324,7 @@ func TestCheckpointEquivalenceProperty(t *testing.T) {
 					}
 				}
 			}
-			_, got, _, err := Recover(1, log, ps)
+			_, got, err := Recover(1, log, ps)
 			if err != nil {
 				ok = false
 				return

@@ -151,11 +151,10 @@ func TestSlotBoundarySizes(t *testing.T) {
 // the stale head over the later tail would still decode: a corrupt
 // delivery, not a decode failure, is what the drop prevents.
 func TestSpillKeepsLastOverflow(t *testing.T) {
-	p := newTestPeer(t, 2)
+	var logged int
+	p := newLoggingPeer(t, 2, func(string, ...any) { logged++ })
 	var got collector
 	p.SetHandler(got.handle)
-	var logged int
-	p.SetLogf(func(string, ...any) { logged++ })
 
 	batch := []*wire.Msg{
 		sizedMsg(t, 200, 1),

@@ -58,6 +58,8 @@ type UDPPeer struct {
 	// tr is the site's ledger: every datagram sent, taken in or lost
 	// is counted there and nowhere else.
 	tr *trace.Collector
+	// logf, if non-nil, reports the losses retry can never mask.
+	logf func(format string, args ...any)
 
 	mu      sync.Mutex
 	peers   map[tid.SiteID]*net.UDPAddr
@@ -65,19 +67,21 @@ type UDPPeer struct {
 	backlog []Datagram
 	closed  bool
 	lastErr error
-	logf    func(format string, args ...any)
 }
 
 // NewUDPPeer binds a UDP socket for site self at listenAddr (for
 // example "127.0.0.1:0") and starts its reader. It counts into a
-// counters-only ledger of its own.
+// counters-only ledger of its own and logs nothing.
 func NewUDPPeer(self tid.SiteID, listenAddr string) (*UDPPeer, error) {
-	return ListenUDP(self, listenAddr, nil)
+	return ListenUDP(self, listenAddr, nil, nil)
 }
 
-// ListenUDP is NewUDPPeer counting into tr, the site's ledger; nil
-// builds a counters-only one.
-func ListenUDP(self tid.SiteID, listenAddr string, tr *trace.Collector) (*UDPPeer, error) {
+// ListenUDP is NewUDPPeer counting into tr, the site's ledger (nil
+// builds a counters-only one), and reporting through logf, which may be
+// nil. Datagram loss is normal and stays quiet, but losses that retry
+// can never mask — oversize messages, corrupt datagrams — go to logf so
+// a deployment does not fail silently.
+func ListenUDP(self tid.SiteID, listenAddr string, tr *trace.Collector, logf func(format string, args ...any)) (*UDPPeer, error) {
 	if tr == nil {
 		tr = trace.NewCounters()
 	}
@@ -100,6 +104,7 @@ func ListenUDP(self tid.SiteID, listenAddr string, tr *trace.Collector) (*UDPPee
 		rc:    rc,
 		tr:    tr,
 		peers: make(map[tid.SiteID]*net.UDPAddr),
+		logf:  logf,
 	}
 	//lint:rawgo host-side UDP read loop; this transport never runs under the simulation kernel
 	go p.readLoop()
@@ -120,16 +125,6 @@ func (p *UDPPeer) AddPeer(id tid.SiteID, addr string) error {
 	defer p.mu.Unlock()
 	p.peers[id] = ua
 	return nil
-}
-
-// SetLogf installs an optional diagnostic logger. Datagram loss is
-// normal and stays quiet, but losses that retry can never mask —
-// oversize messages, corrupt datagrams — are reported through it so a
-// deployment does not fail silently.
-func (p *UDPPeer) SetLogf(fn func(format string, args ...any)) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.logf = fn
 }
 
 // SetHandler installs the inbound datagram handler and delivers any
@@ -276,11 +271,8 @@ func (p *UDPPeer) Close() error {
 // peer is the other end, zero if unknown.
 func (p *UDPPeer) drop(peer tid.SiteID, payload any, why string) {
 	p.tr.MsgDrop(p.self, peer, payload)
-	p.mu.Lock()
-	logf := p.logf
-	p.mu.Unlock()
-	if logf != nil {
-		logf("transport: site%d: dropped datagram (peer site%d): %s", p.self, peer, why)
+	if p.logf != nil {
+		p.logf("transport: site%d: dropped datagram (peer site%d): %s", p.self, peer, why)
 	}
 }
 
@@ -292,10 +284,9 @@ func (p *UDPPeer) oversizeDrop(to tid.SiteID, msg *wire.Msg, err error) {
 	p.tr.Count(p.self, trace.Oversize, 1)
 	p.mu.Lock()
 	p.lastErr = err
-	logf := p.logf
 	p.mu.Unlock()
-	if logf != nil {
-		logf("transport: site%d: refused send to site%d: %v", p.self, to, err)
+	if p.logf != nil {
+		p.logf("transport: site%d: refused send to site%d: %v", p.self, to, err)
 	}
 }
 

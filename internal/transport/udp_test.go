@@ -17,7 +17,13 @@ import (
 // newTestPeer binds a loopback peer and registers cleanup.
 func newTestPeer(t *testing.T, id tid.SiteID) *UDPPeer {
 	t.Helper()
-	p, err := NewUDPPeer(id, "127.0.0.1:0")
+	return newLoggingPeer(t, id, nil)
+}
+
+// newLoggingPeer is newTestPeer reporting its unmaskable losses to logf.
+func newLoggingPeer(t *testing.T, id tid.SiteID, logf func(string, ...any)) *UDPPeer {
+	t.Helper()
+	p, err := ListenUDP(id, "127.0.0.1:0", nil, logf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +137,8 @@ func TestBacklogOverflowCountsDrops(t *testing.T) {
 // error, not truncated in flight and lost as a mystery corrupt
 // datagram the retry machinery can never mask.
 func TestOversizeSendIsLoud(t *testing.T) {
-	a, b := newTestPeer(t, 1), newTestPeer(t, 2)
+	var logged int
+	a, b := newLoggingPeer(t, 1, func(string, ...any) { logged++ }), newTestPeer(t, 2)
 	connect(t, a, b, 1, 2)
 	var got collector
 	b.SetHandler(got.handle)
@@ -140,8 +147,6 @@ func TestOversizeSendIsLoud(t *testing.T) {
 	for i := 0; i < wire.MaxDatagram/16+1; i++ {
 		huge.AckTIDs = append(huge.AckTIDs, tid.Top(tid.MakeFamily(2, uint32(i+1))))
 	}
-	var logged int
-	a.SetLogf(func(string, ...any) { logged++ })
 	a.Send(1, 2, huge)
 
 	if sent, _, dropped := a.Stats(); sent != 0 || dropped != 1 {

@@ -275,8 +275,10 @@ type Msg struct {
 	Parent tid.TID
 	From   tid.SiteID
 	To     tid.SiteID
-	// Seq is a per-sender sequence number used for duplicate
-	// detection and retry matching.
+	// Seq is a per-sender sequence number. Core stamps it on every
+	// send (send and fanout), and camelot-lint's tracebudget rule
+	// takes that stamp as its witness that a send went through them.
+	// No receiver reads it.
 	Seq uint64
 	// Flags carries the commit-variant options a subordinate must
 	// honor (see the Flag constants).
