@@ -55,7 +55,7 @@ func (s *site) open(r rt.Runtime, lc wal.Config, tc core.Config, net transport.S
 // fault coverage the chaos explorer builds up against it transfers to
 // real deployments.
 func (s *site) recover() error {
-	a, data, err := diskman.Recover(s.id, s.log, s.pages)
+	a, err := diskman.Recover(s.id, s.log, s.pages)
 	if err != nil {
 		return err
 	}
@@ -64,7 +64,7 @@ func (s *site) recover() error {
 	// another layout (a different shard map, say). Coming up without
 	// that data, or without its in-doubt locks, would be silent loss:
 	// refuse before touching anything.
-	for _, name := range det.SortedKeys(data) {
+	for _, name := range det.SortedKeys(a.Data) {
 		if s.servers[name] == nil {
 			return fmt.Errorf("camelot: site %d: log holds committed data for server %q, which this site does not host", s.id, name)
 		}
@@ -79,8 +79,8 @@ func (s *site) recover() error {
 
 	// Install the recovered image (page base + redone tail) into each
 	// server.
-	for _, name := range det.SortedKeys(data) {
-		s.servers[name].Install(data[name])
+	for _, name := range det.SortedKeys(a.Data) {
+		s.servers[name].Install(a.Data[name])
 	}
 
 	// Re-apply in-doubt updates under locks; the servers holding them

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"maps"
+
 	"camelot/internal/recman"
 	"camelot/internal/server"
 	"camelot/internal/tid"
@@ -32,16 +34,7 @@ func (m *Manager) Restore(a *recman.Analysis, parts map[tid.TID][]server.Partici
 	m.idMu.Unlock()
 
 	m.lockAttributed(m.resMu, lockClassResolved)
-	//lint:ordered fills a resolved-outcome set; insertion order is unobservable
-	for t := range a.Committed {
-		m.resolved[t.Family] = wire.OutcomeCommit
-	}
-	//lint:ordered fills a resolved-outcome set; insertion order is unobservable
-	for t := range a.Aborted {
-		if t.IsTop() {
-			m.resolved[t.Family] = wire.OutcomeAbort
-		}
-	}
+	maps.Copy(m.resolved, a.Outcomes)
 	m.resMu.Unlock()
 
 	for _, d := range a.InDoubt {

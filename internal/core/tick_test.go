@@ -351,19 +351,15 @@ func TestStalledFamilyStep(t *testing.T) {
 
 // Restore's manager-wide half: new families begin above every counter
 // the log names, and the resolved-outcome memory answers for the log's
-// top-level outcomes — a nested abort dooms only its subtree.
+// top-level outcomes (recman leaves a nested abort out of them).
 func TestRestoreFloorAndResolvedOutcomes(t *testing.T) {
 	r := newStepRig()
-	committed, aborted, nested := tid.MakeFamily(2, 5), tid.MakeFamily(2, 6), tid.MakeFamily(2, 7)
+	committed, aborted, unknown := tid.MakeFamily(2, 5), tid.MakeFamily(2, 6), tid.MakeFamily(2, 7)
 	r.k.Go("test", func() {
 		defer r.k.Stop()
 		r.m.Restore(&recman.Analysis{
 			MaxLocalFamily: 7,
-			Committed:      map[tid.TID]bool{tid.Top(committed): true},
-			Aborted: map[tid.TID]bool{
-				tid.Top(aborted):                         true,
-				{Family: nested, Seq: tid.MakeSeq(2, 1)}: true,
-			},
+			Outcomes:       map[tid.FamilyID]wire.Outcome{committed: wire.OutcomeCommit, aborted: wire.OutcomeAbort},
 		}, nil)
 		t0, err := r.m.Begin()
 		if err != nil {
@@ -372,7 +368,7 @@ func TestRestoreFloorAndResolvedOutcomes(t *testing.T) {
 			t.Errorf("first family after recovery has counter %d, want %d", got, 7+familyFloorMargin+1)
 		}
 		for f, want := range map[tid.FamilyID]wire.Outcome{
-			committed: wire.OutcomeCommit, aborted: wire.OutcomeAbort, nested: wire.OutcomeUnknown,
+			committed: wire.OutcomeCommit, aborted: wire.OutcomeAbort, unknown: wire.OutcomeUnknown,
 		} {
 			if got := r.m.OutcomeOf(f); got != want {
 				t.Errorf("OutcomeOf(%v) = %v, want %v", f, got, want)

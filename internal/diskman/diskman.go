@@ -5,11 +5,12 @@
 // protocol. Also, it is the only process that can write into the
 // log" (paper §2). In this reproduction the write-ahead discipline
 // and group commit live in internal/wal; this package adds the disk
-// copy of the data segments: a checkpoint materializes every durably
-// *resolved* transaction's effects into the page store, records the
-// outcomes it absorbed, and truncates the log prefix those pages now
-// cover. Recovery then starts from the page image instead of
-// replaying history from the beginning of time.
+// copy of the data segments: a checkpoint has the recovery process
+// redo the durable log onto the page image (recman.Analyze, the one
+// place log and image combine), records the outcomes it absorbed, and
+// truncates the log prefix those pages now cover. Recovery then
+// starts from the page image instead of replaying history from the
+// beginning of time.
 //
 // A checkpoint may only absorb resolved transactions: records of
 // in-doubt transactions (prepared or intent-replicated, outcome
@@ -20,8 +21,11 @@ package diskman
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sync"
 
+	"camelot/internal/det"
 	"camelot/internal/recman"
 	"camelot/internal/tid"
 	"camelot/internal/wal"
@@ -34,39 +38,26 @@ import (
 type Snapshot struct {
 	// Data is the committed image, per server per key.
 	Data map[string]map[string][]byte
-	// Committed and Aborted are the resolved top-level outcomes the
-	// image absorbed — still needed to answer presumed-abort
-	// inquiries and non-blocking status requests for old
-	// transactions.
-	Committed []tid.TID
-	Aborted   []tid.TID
+	// Outcomes are the resolved top-level outcomes the image absorbed,
+	// by family — still needed to answer presumed-abort inquiries and
+	// non-blocking status requests for old transactions.
+	Outcomes map[tid.FamilyID]wire.Outcome
 	// MaxLocalFamily is the highest locally allocated family counter
 	// witnessed up to the checkpoint.
 	MaxLocalFamily uint32
-	// Records is how many log records checkpoints have truncated
-	// behind the image, cumulative.
-	Records int
-}
-
-func emptySnapshot() *Snapshot {
-	return &Snapshot{Data: make(map[string]map[string][]byte)}
 }
 
 // clone deep-copies a snapshot.
 func (s *Snapshot) clone() *Snapshot {
 	out := &Snapshot{
-		Committed:      append([]tid.TID(nil), s.Committed...),
-		Aborted:        append([]tid.TID(nil), s.Aborted...),
-		MaxLocalFamily: s.MaxLocalFamily,
-		Records:        s.Records,
 		Data:           make(map[string]map[string][]byte, len(s.Data)),
+		Outcomes:       maps.Clone(s.Outcomes),
+		MaxLocalFamily: s.MaxLocalFamily,
 	}
 	for srv, kv := range s.Data {
 		m := make(map[string][]byte, len(kv))
 		for k, v := range kv {
-			cp := make([]byte, len(v))
-			copy(cp, v)
-			m[k] = cp
+			m[k] = slices.Clone(v)
 		}
 		out.Data[srv] = m
 	}
@@ -82,7 +73,12 @@ type PageStore struct {
 }
 
 // NewPageStore returns an empty store.
-func NewPageStore() *PageStore { return &PageStore{snap: emptySnapshot()} }
+func NewPageStore() *PageStore {
+	return &PageStore{snap: &Snapshot{
+		Data:     make(map[string]map[string][]byte),
+		Outcomes: make(map[tid.FamilyID]wire.Outcome),
+	}}
+}
 
 // Read returns a copy of the current image.
 func (ps *PageStore) Read() *Snapshot {
@@ -98,14 +94,6 @@ func (ps *PageStore) write(s *Snapshot) {
 	ps.snap = s.clone()
 }
 
-// truncated records that n more log records left the log behind the
-// current image.
-func (ps *PageStore) truncated(n int) {
-	ps.mu.Lock()
-	defer ps.mu.Unlock()
-	ps.snap.Records += n
-}
-
 // Outcome answers, from the durable image alone, how a family the
 // checkpoint absorbed ended. It backs the transaction manager's
 // resolved-outcome memory after TruncateResolved has dropped the
@@ -116,17 +104,7 @@ func (ps *PageStore) truncated(n int) {
 func (ps *PageStore) Outcome(f tid.FamilyID) wire.Outcome {
 	ps.mu.Lock()
 	defer ps.mu.Unlock()
-	for _, t := range ps.snap.Committed {
-		if t.Family == f {
-			return wire.OutcomeCommit
-		}
-	}
-	for _, t := range ps.snap.Aborted {
-		if t.Family == f {
-			return wire.OutcomeAbort
-		}
-	}
-	return wire.OutcomeUnknown
+	return ps.snap.Outcomes[f]
 }
 
 // AbsorbedFamilies lists every family whose outcome the image has
@@ -136,21 +114,7 @@ func (ps *PageStore) Outcome(f tid.FamilyID) wire.Outcome {
 func (ps *PageStore) AbsorbedFamilies() []tid.FamilyID {
 	ps.mu.Lock()
 	defer ps.mu.Unlock()
-	seen := make(map[tid.FamilyID]bool)
-	var out []tid.FamilyID
-	for _, t := range ps.snap.Committed {
-		if !seen[t.Family] {
-			seen[t.Family] = true
-			out = append(out, t.Family)
-		}
-	}
-	for _, t := range ps.snap.Aborted {
-		if !seen[t.Family] {
-			seen[t.Family] = true
-			out = append(out, t.Family)
-		}
-	}
-	return out
+	return det.SortedKeys(ps.snap.Outcomes)
 }
 
 // Checkpoint materializes the durable log into ps and truncates the
@@ -165,8 +129,12 @@ func Checkpoint(site tid.SiteID, log *wal.Log, ps *PageStore) (int, error) {
 	if err != nil {
 		return 0, fmt.Errorf("diskman: checkpoint read: %w", err)
 	}
-	base := ps.Read()
-	a := recman.Analyze(site, recs)
+	// The whole log is redone onto the image (next.Data), not just the
+	// prefix the cut drops: the prefix is strictly older than
+	// everything retained, and records past the cut stay in the log and
+	// are simply re-applied, idempotently, at recovery.
+	next := ps.Read()
+	a := recman.Analyze(site, next.Data, recs)
 
 	// The truncation point: the prefix before the first record of any
 	// unresolved family. Unresolved means no durable outcome yet —
@@ -174,13 +142,9 @@ func Checkpoint(site tid.SiteID, log *wal.Log, ps *PageStore) (int, error) {
 	// coordinator decision whose END has not been logged. Truncating
 	// an active family's updates would lose them if its commit record
 	// arrives later.
-	resolved := func(f tid.FamilyID) bool {
-		top := tid.Top(f)
-		return a.Committed[top] || a.Aborted[top]
-	}
 	pinned := make(map[tid.FamilyID]bool)
 	for _, r := range recs {
-		if !resolved(r.TID.Family) {
+		if _, resolved := a.Outcomes[r.TID.Family]; !resolved {
 			pinned[r.TID.Family] = true
 		}
 	}
@@ -195,43 +159,8 @@ func Checkpoint(site tid.SiteID, log *wal.Log, ps *PageStore) (int, error) {
 		}
 	}
 
-	// Fold the resolved prefix into the image. The prefix is strictly
-	// older than everything retained, so later recovery replay of the
-	// retained tail lands on top of it in the right order. Rather
-	// than re-deriving which updates the prefix contains, fold the
-	// full analysis image — records past the cut stay in the log and
-	// will simply be re-applied idempotently at recovery.
-	next := base.clone()
-	for srv, dead := range a.Deleted {
-		if m := next.Data[srv]; m != nil {
-			for k := range dead {
-				delete(m, k)
-			}
-		}
-	}
-	for srv, kv := range a.Data {
-		m := next.Data[srv]
-		if m == nil {
-			m = make(map[string][]byte)
-			next.Data[srv] = m
-		}
-		for k, v := range kv {
-			cp := make([]byte, len(v))
-			copy(cp, v)
-			m[k] = cp
-		}
-	}
-	for t := range a.Committed {
-		next.Committed = append(next.Committed, t)
-	}
-	for t := range a.Aborted {
-		if t.IsTop() {
-			next.Aborted = append(next.Aborted, t)
-		}
-	}
-	if a.MaxLocalFamily > next.MaxLocalFamily {
-		next.MaxLocalFamily = a.MaxLocalFamily
-	}
+	maps.Copy(next.Outcomes, a.Outcomes)
+	next.MaxLocalFamily = max(next.MaxLocalFamily, a.MaxLocalFamily)
 
 	// Durability order: the image must be stable before the log
 	// prefix disappears.
@@ -240,41 +169,20 @@ func Checkpoint(site tid.SiteID, log *wal.Log, ps *PageStore) (int, error) {
 	if err != nil {
 		return 0, fmt.Errorf("diskman: truncate: %w", err)
 	}
-	ps.truncated(dropped)
 	return dropped, nil
 }
 
-// Recover combines the page image with an analysis of the retained
-// log tail: the returned analysis carries the tail's in-doubt and
-// resume work, and the returned data is the image overlaid with the
-// tail's committed effects.
-func Recover(site tid.SiteID, log *wal.Log, ps *PageStore) (*recman.Analysis, map[string]map[string][]byte, error) {
+// Recover analyzes the retained log tail over the page image: the
+// analysis's Data is the image with the tail's committed effects
+// redone onto it, and it carries the tail's outcomes, in-doubt and
+// resume work. Its family floor covers the image's too.
+func Recover(site tid.SiteID, log *wal.Log, ps *PageStore) (*recman.Analysis, error) {
 	recs, err := log.Records()
 	if err != nil {
-		return nil, nil, fmt.Errorf("diskman: recover read: %w", err)
+		return nil, fmt.Errorf("diskman: recover read: %w", err)
 	}
 	base := ps.Read()
-	a := recman.Analyze(site, recs)
-	data := base.Data
-	for srv, dead := range a.Deleted {
-		if m := data[srv]; m != nil {
-			for k := range dead {
-				delete(m, k)
-			}
-		}
-	}
-	for srv, kv := range a.Data {
-		m := data[srv]
-		if m == nil {
-			m = make(map[string][]byte)
-			data[srv] = m
-		}
-		for k, v := range kv {
-			m[k] = v
-		}
-	}
-	if base.MaxLocalFamily > a.MaxLocalFamily {
-		a.MaxLocalFamily = base.MaxLocalFamily
-	}
-	return a, data, nil
+	a := recman.Analyze(site, base.Data, recs)
+	a.MaxLocalFamily = max(a.MaxLocalFamily, base.MaxLocalFamily)
+	return a, nil
 }

@@ -13,6 +13,7 @@ import (
 	"camelot/internal/sim"
 	"camelot/internal/tid"
 	"camelot/internal/wal"
+	"camelot/internal/wire"
 )
 
 func top(n uint32) tid.TID { return tid.Top(tid.MakeFamily(1, n)) }
@@ -99,8 +100,9 @@ func TestCheckpointAbsorbsResolvedAndTruncates(t *testing.T) {
 	if _, ok := snap.Data["srv"]["b"]; ok {
 		t.Error("aborted update in image")
 	}
-	if len(snap.Committed) != 1 || len(snap.Aborted) != 1 {
-		t.Errorf("outcomes: %d committed, %d aborted", len(snap.Committed), len(snap.Aborted))
+	want := map[tid.FamilyID]wire.Outcome{top(1).Family: wire.OutcomeCommit, top(2).Family: wire.OutcomeAbort}
+	if !reflect.DeepEqual(snap.Outcomes, want) {
+		t.Errorf("outcomes = %v, want %v", snap.Outcomes, want)
 	}
 }
 
@@ -130,13 +132,14 @@ func TestInDoubtTransactionPinsTruncation(t *testing.T) {
 	}
 	// Recovery must surface the in-doubt transaction and still see
 	// both committed updates.
-	a, data, err := Recover(1, log, ps)
+	a, err := Recover(1, log, ps)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(a.InDoubt) != 1 {
 		t.Fatalf("InDoubt = %v", a.InDoubt)
 	}
+	data := a.Data
 	if string(data["srv"]["a"]) != "1" || string(data["srv"]["b"]) != "2" {
 		t.Fatalf("recovered data = %v", data["srv"])
 	}
@@ -169,26 +172,23 @@ func TestCheckpointCutInsideBlockRoundsDown(t *testing.T) {
 	if cut != 2 {
 		t.Fatalf("truncated %d records, want 2 (the whole blocks below the cut at 4)", cut)
 	}
-	if got := ps.Read().Records; got != 2 {
-		t.Errorf("image counts %d truncated records, want 2", got)
-	}
 	if store.Len() != 2 {
 		t.Fatalf("store holds %d blocks after the checkpoint, want 2", store.Len())
 	}
 
 	// Crash: a new log over the same store and image.
 	var a *recman.Analysis
-	var data map[string]map[string][]byte
 	k := sim.New(2)
 	k.Go("recover", func() {
 		relog := wal.Open(k, store, wal.Config{})
 		defer relog.Close()
-		a, data, err = Recover(1, relog, ps)
+		a, err = Recover(1, relog, ps)
 	})
 	k.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
+	data := a.Data
 	if got := string(data["srv"]["a"]); got != "2" {
 		t.Errorf("a = %q after replaying the overlap, want the later committed value 2", got)
 	}
@@ -233,11 +233,11 @@ func TestDeleteAcrossCheckpoint(t *testing.T) {
 		log.Force(math.MaxUint64)                                 //nolint:errcheck
 	})
 	k.Run()
-	_, data, err := Recover(1, log, ps)
+	a, err := Recover(1, log, ps)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := data["srv"]["a"]; ok {
+	if _, ok := a.Data["srv"]["a"]; ok {
 		t.Fatal("key deleted after checkpoint still present in recovered image")
 	}
 }
@@ -247,29 +247,58 @@ func TestSuccessiveCheckpointsAccumulate(t *testing.T) {
 	store := wal.NewMemStore()
 	ps := NewPageStore()
 	var log *wal.Log
+	truncated := 0
 	k.Go("w", func() {
 		log = wal.Open(k, store, wal.Config{})
 		for round := uint32(1); round <= 3; round++ {
 			log.Append(upd(top(round), fmt.Sprintf("k%d", round), "v"))   //nolint:errcheck
 			log.Append(&wal.Record{Type: wal.RecCommit, TID: top(round)}) //nolint:errcheck
 			log.Force(math.MaxUint64)                                     //nolint:errcheck
-			if _, err := Checkpoint(1, log, ps); err != nil {
+			cut, err := Checkpoint(1, log, ps)
+			if err != nil {
 				t.Errorf("checkpoint %d: %v", round, err)
 			}
+			truncated += cut
 		}
 	})
 	k.Run()
 	snap := ps.Read()
-	if snap.Records != 6 {
-		t.Errorf("cumulative Records = %d, want 6", snap.Records)
+	if truncated != 6 {
+		t.Errorf("cumulative truncated records = %d, want 6", truncated)
 	}
 	for round := 1; round <= 3; round++ {
 		if _, ok := snap.Data["srv"][fmt.Sprintf("k%d", round)]; !ok {
 			t.Errorf("k%d missing from image", round)
 		}
 	}
-	if len(snap.Committed) != 3 {
-		t.Errorf("absorbed outcomes = %d, want 3", len(snap.Committed))
+	if len(snap.Outcomes) != 3 {
+		t.Errorf("absorbed outcomes = %d, want 3", len(snap.Outcomes))
+	}
+}
+
+// Checkpoints taken behind an in-doubt pin re-analyze the retained
+// tail each time; the image still holds one outcome per resolved
+// family, however often it is folded in.
+func TestCheckpointsBehindPinKeepOneOutcomePerFamily(t *testing.T) {
+	inDoubt := tid.Top(tid.MakeFamily(9, 5))
+	log := buildLog(t, []*wal.Record{
+		{Type: wal.RecUpdate, TID: inDoubt, Server: "srv", Key: "x", New: []byte("v")},
+		{Type: wal.RecPrepare, TID: inDoubt, Coordinator: 9},
+		upd(top(1), "a", "1"),
+		{Type: wal.RecCommit, TID: top(1)},
+	})
+	ps := NewPageStore()
+	for i := 0; i < 3; i++ {
+		if cut, err := Checkpoint(1, log, ps); err != nil || cut != 0 {
+			t.Fatalf("checkpoint %d: truncated %d, err %v; want nothing past the pin", i, cut, err)
+		}
+	}
+	want := map[tid.FamilyID]wire.Outcome{top(1).Family: wire.OutcomeCommit}
+	if got := ps.Read().Outcomes; !reflect.DeepEqual(got, want) {
+		t.Errorf("image outcomes = %v, want %v", got, want)
+	}
+	if got := ps.AbsorbedFamilies(); !reflect.DeepEqual(got, []tid.FamilyID{top(1).Family}) {
+		t.Errorf("AbsorbedFamilies = %v, want [%v]", got, top(1).Family)
 	}
 }
 
@@ -299,7 +328,7 @@ func TestCheckpointEquivalenceProperty(t *testing.T) {
 		}
 
 		// Reference: full replay.
-		want := recman.Analyze(1, history).Data
+		want := recman.Analyze(1, nil, history).Data
 
 		// Checkpointed path: split the history at random points, with
 		// a checkpoint between segments.
@@ -324,11 +353,12 @@ func TestCheckpointEquivalenceProperty(t *testing.T) {
 					}
 				}
 			}
-			_, got, err := Recover(1, log, ps)
+			a, err := Recover(1, log, ps)
 			if err != nil {
 				ok = false
 				return
 			}
+			got := a.Data
 			// Normalize: empty maps vs missing maps.
 			norm := func(m map[string]map[string][]byte) map[string]string {
 				out := make(map[string]string)

@@ -7,10 +7,11 @@
 // transaction manager takes the analysis whole (core.Manager.Restore).
 //
 // Recovery is a single analysis pass over the durable log in LSN
-// order:
+// order, on top of the disk manager's checkpoint image:
 //
 //   - updates of committed families (excluding aborted nested
-//     subtrees) are redone into the servers' recovered state;
+//     subtrees) are redone onto the image, which becomes the servers'
+//     recovered state;
 //   - updates of aborted or never-resolved families are discarded —
 //     presumed abort means no record implies abort;
 //   - prepared or intent-replicated transactions without an outcome —
@@ -71,19 +72,17 @@ type CoordResume struct {
 
 // Analysis is the result of scanning one site's log.
 type Analysis struct {
-	// Data is the recovered committed state, per server per key.
+	// Data is the recovered committed state, per server per key: the
+	// image Analyze was given with the log's committed updates redone
+	// onto it.
 	Data map[string]map[string][]byte
-	// Deleted marks keys whose most recent committed update was a
-	// deletion (New == nil), so a base image from an earlier
-	// checkpoint can be corrected.
-	Deleted map[string]map[string]bool
 	// InDoubt lists transactions this site must resolve via protocol.
 	InDoubt []InDoubt
 	// Resume lists coordinator decisions to re-drive.
 	Resume []CoordResume
-	// Committed and Aborted are the top-level outcomes found.
-	Committed map[tid.TID]bool
-	Aborted   map[tid.TID]bool
+	// Outcomes are the top-level outcomes the log records, by family.
+	// A nested abort dooms only its subtree and is not among them.
+	Outcomes map[tid.FamilyID]wire.Outcome
 	// MaxLocalFamily is the highest family counter this site ever
 	// allocated, as witnessed by the log. The restarted transaction
 	// manager must begin new families above it: reusing a family
@@ -93,17 +92,19 @@ type Analysis struct {
 }
 
 // Analyze scans records (in LSN order, as wal.Log.Records returns
-// them) for the given site.
-func Analyze(site tid.SiteID, records []*wal.Record) *Analysis {
-	a := &Analysis{
-		Data:      make(map[string]map[string][]byte),
-		Deleted:   make(map[string]map[string]bool),
-		Committed: make(map[tid.TID]bool),
-		Aborted:   make(map[tid.TID]bool),
+// them) for the given site, redoing committed updates onto image — the
+// checkpoint image the records continue, per server per key. Analyze
+// takes ownership of image and returns it as Data; nil means an empty
+// image.
+func Analyze(site tid.SiteID, image map[string]map[string][]byte, records []*wal.Record) *Analysis {
+	if image == nil {
+		image = make(map[string]map[string][]byte)
 	}
+	a := &Analysis{Data: image, Outcomes: make(map[tid.FamilyID]wire.Outcome)}
 
 	var updates []*wal.Record
 	parentOf := make(map[tid.TID]tid.TID)
+	aborted := make(map[tid.TID]bool) // top-level and nested
 	prepared := make(map[tid.TID]*wal.Record)
 	replicated := make(map[tid.TID]*wal.Record)
 	abortIntent := make(map[tid.TID]bool)
@@ -146,17 +147,16 @@ func Analyze(site tid.SiteID, records []*wal.Record) *Analysis {
 			}
 		case wal.RecCommit:
 			top := r.TID.TopLevel()
-			a.Committed[top] = true
+			a.Outcomes[top.Family] = wire.OutcomeCommit
 			commitSites[top] = r.Sites
 			if _, wasNB := replicated[top]; wasNB {
 				commitProtocol[top] = wire.NonBlocking
 			}
 		case wal.RecAbort:
+			// A nested abort dooms that subtree only.
+			aborted[r.TID] = true
 			if r.TID.IsTop() {
-				a.Aborted[r.TID] = true
-			} else {
-				// A nested abort dooms that subtree only.
-				a.Aborted[r.TID] = true
+				a.Outcomes[r.TID.Family] = wire.OutcomeAbort
 			}
 		case wal.RecEnd:
 			ended[r.TID.TopLevel()] = true
@@ -168,7 +168,7 @@ func Analyze(site tid.SiteID, records []*wal.Record) *Analysis {
 	// by presumption.
 	indoubtSet := make(map[tid.TID]*InDoubt)
 	consider := func(top tid.TID, rec *wal.Record, repl bool) {
-		if a.Committed[top] || a.Aborted[top] {
+		if _, resolved := a.Outcomes[top.Family]; resolved {
 			return
 		}
 		d := indoubtSet[top]
@@ -199,7 +199,7 @@ func Analyze(site tid.SiteID, records []*wal.Record) *Analysis {
 	// consider: its len(Sites)>0 ⇒ NonBlocking heuristic never sees
 	// them, and Paxos wins for a family both classifiers touched.
 	considerPaxos := func(top tid.TID, rec *wal.Record, preparedHere bool) {
-		if a.Committed[top] || a.Aborted[top] {
+		if _, resolved := a.Outcomes[top.Family]; resolved {
 			return
 		}
 		d := indoubtSet[top]
@@ -253,13 +253,14 @@ func Analyze(site tid.SiteID, records []*wal.Record) *Analysis {
 		}
 	}
 
-	// Redo pass: apply winners in LSN order; collect in-doubt updates.
+	// Redo pass: apply winners onto the image in LSN order; collect
+	// in-doubt updates.
 	for _, u := range updates {
 		top := u.TID.TopLevel()
-		if doomedByAncestry(u.TID, parentOf, a.Aborted) {
+		if doomedByAncestry(u.TID, parentOf, aborted) {
 			continue
 		}
-		if a.Committed[top] {
+		if a.Outcomes[top.Family] == wire.OutcomeCommit {
 			m := a.Data[u.Server]
 			if m == nil {
 				m = make(map[string][]byte)
@@ -267,15 +268,8 @@ func Analyze(site tid.SiteID, records []*wal.Record) *Analysis {
 			}
 			if u.New == nil {
 				delete(m, u.Key)
-				if a.Deleted[u.Server] == nil {
-					a.Deleted[u.Server] = make(map[string]bool)
-				}
-				a.Deleted[u.Server][u.Key] = true
 			} else {
 				m[u.Key] = u.New
-				if d := a.Deleted[u.Server]; d != nil {
-					delete(d, u.Key)
-				}
 			}
 			continue
 		}
@@ -291,8 +285,9 @@ func Analyze(site tid.SiteID, records []*wal.Record) *Analysis {
 
 	// Coordinator decisions to re-drive: our own committed families
 	// whose END never made it to the log.
-	for top := range a.Committed {
-		if top.Family.Origin() != site || ended[top] {
+	for f, o := range a.Outcomes {
+		top := tid.Top(f)
+		if o != wire.OutcomeCommit || f.Origin() != site || ended[top] {
 			continue
 		}
 		subs := commitSites[top]

@@ -24,7 +24,7 @@ func TestCommittedUpdatesAreRedone(t *testing.T) {
 		upd(top(1), "b", "", "2"),
 		{Type: wal.RecCommit, TID: top(1)},
 	}
-	a := Analyze(1, recs)
+	a := Analyze(1, nil, recs)
 	if string(a.Data["srv"]["a"]) != "1" || string(a.Data["srv"]["b"]) != "2" {
 		t.Fatalf("Data = %v", a.Data)
 	}
@@ -37,7 +37,7 @@ func TestUncommittedUpdatesArePresumedAborted(t *testing.T) {
 	recs := []*wal.Record{
 		upd(top(1), "a", "", "1"), // no outcome record at all
 	}
-	a := Analyze(1, recs)
+	a := Analyze(1, nil, recs)
 	if len(a.Data["srv"]) != 0 {
 		t.Fatalf("loser's update redone: %v", a.Data)
 	}
@@ -48,12 +48,12 @@ func TestExplicitAbortDiscardsUpdates(t *testing.T) {
 		upd(top(1), "a", "", "1"),
 		{Type: wal.RecAbort, TID: top(1)},
 	}
-	a := Analyze(1, recs)
+	a := Analyze(1, nil, recs)
 	if len(a.Data["srv"]) != 0 {
 		t.Fatalf("aborted update redone: %v", a.Data)
 	}
-	if !a.Aborted[top(1)] {
-		t.Error("abort not recorded")
+	if got := a.Outcomes[top(1).Family]; got != wire.OutcomeAbort {
+		t.Errorf("outcome = %v, want abort", got)
 	}
 }
 
@@ -64,7 +64,7 @@ func TestLastWriterWinsInLSNOrder(t *testing.T) {
 		upd(top(2), "a", "1", "2"),
 		{Type: wal.RecCommit, TID: top(2)},
 	}
-	a := Analyze(1, recs)
+	a := Analyze(1, nil, recs)
 	if string(a.Data["srv"]["a"]) != "2" {
 		t.Fatalf("a = %q, want \"2\"", a.Data["srv"]["a"])
 	}
@@ -76,7 +76,7 @@ func TestPreparedTransactionIsInDoubt(t *testing.T) {
 		upd(txn, "a", "old", "new"),
 		{Type: wal.RecPrepare, TID: txn, Coordinator: 9},
 	}
-	a := Analyze(1, recs)
+	a := Analyze(1, nil, recs)
 	if len(a.InDoubt) != 1 {
 		t.Fatalf("InDoubt = %v, want 1 entry", a.InDoubt)
 	}
@@ -100,7 +100,7 @@ func TestPreparedThenCommittedIsNotInDoubt(t *testing.T) {
 		{Type: wal.RecPrepare, TID: txn, Coordinator: 9},
 		{Type: wal.RecCommit, TID: txn},
 	}
-	a := Analyze(1, recs)
+	a := Analyze(1, nil, recs)
 	if len(a.InDoubt) != 0 {
 		t.Fatalf("resolved transaction still in doubt: %v", a.InDoubt)
 	}
@@ -118,7 +118,7 @@ func TestNonBlockingInDoubtCarriesQuorumState(t *testing.T) {
 		{Type: wal.RecPrepare, TID: txn, Coordinator: 9, Sites: sites, CommitQuorum: 2, AbortQuorum: 2},
 		{Type: wal.RecNBReplicate, TID: txn, Coordinator: 9, Sites: sites, CommitQuorum: 2, AbortQuorum: 2, Votes: votes},
 	}
-	a := Analyze(1, recs)
+	a := Analyze(1, nil, recs)
 	if len(a.InDoubt) != 1 {
 		t.Fatalf("InDoubt = %v", a.InDoubt)
 	}
@@ -140,7 +140,7 @@ func TestAbortIntentRecorded(t *testing.T) {
 		{Type: wal.RecPrepare, TID: txn, Coordinator: 9, Sites: []tid.SiteID{1, 9}, CommitQuorum: 2, AbortQuorum: 1},
 		{Type: wal.RecNBAbortIntent, TID: txn},
 	}
-	a := Analyze(1, recs)
+	a := Analyze(1, nil, recs)
 	if len(a.InDoubt) != 1 || !a.InDoubt[0].AbortIntent {
 		t.Fatalf("abort intent lost: %+v", a.InDoubt)
 	}
@@ -152,7 +152,7 @@ func TestCoordinatorResumeWithoutEnd(t *testing.T) {
 		upd(txn, "a", "", "v"),
 		{Type: wal.RecCommit, TID: txn, Sites: []tid.SiteID{2, 3}},
 	}
-	a := Analyze(1, recs)
+	a := Analyze(1, nil, recs)
 	if len(a.Resume) != 1 {
 		t.Fatalf("Resume = %v, want 1", a.Resume)
 	}
@@ -170,7 +170,7 @@ func TestCoordinatorResumeWithoutEnd(t *testing.T) {
 func TestRecoveryNamesOneProtocol(t *testing.T) {
 	sites := []tid.SiteID{1, 2, 9}
 	pax := remoteTop(4)
-	a := Analyze(1, []*wal.Record{
+	a := Analyze(1, nil, []*wal.Record{
 		{Type: wal.RecPaxosPrepare, TID: pax, Coordinator: 9, Sites: sites, Acceptors: sites},
 	})
 	if len(a.InDoubt) != 1 || a.InDoubt[0].Protocol != wire.Paxos || !a.InDoubt[0].Prepared {
@@ -178,7 +178,7 @@ func TestRecoveryNamesOneProtocol(t *testing.T) {
 	}
 
 	nb, paxCoord := top(5), top(6)
-	a = Analyze(1, []*wal.Record{
+	a = Analyze(1, nil, []*wal.Record{
 		{Type: wal.RecNBReplicate, TID: nb, Sites: sites, CommitQuorum: 2, AbortQuorum: 2},
 		{Type: wal.RecCommit, TID: nb, Sites: []tid.SiteID{2, 9}},
 		{Type: wal.RecPaxosPrepare, TID: paxCoord, Coordinator: 1, Sites: sites, Acceptors: sites},
@@ -199,7 +199,7 @@ func TestCoordinatorNoResumeAfterEnd(t *testing.T) {
 		{Type: wal.RecCommit, TID: txn, Sites: []tid.SiteID{2}},
 		{Type: wal.RecEnd, TID: txn},
 	}
-	a := Analyze(1, recs)
+	a := Analyze(1, nil, recs)
 	if len(a.Resume) != 0 {
 		t.Fatalf("Resume after END: %v", a.Resume)
 	}
@@ -210,7 +210,7 @@ func TestLocalOnlyCommitNeedsNoResume(t *testing.T) {
 		upd(top(1), "a", "", "v"),
 		{Type: wal.RecCommit, TID: top(1)}, // no subordinate sites
 	}
-	a := Analyze(1, recs)
+	a := Analyze(1, nil, recs)
 	if len(a.Resume) != 0 {
 		t.Fatalf("local-only commit scheduled a resume: %v", a.Resume)
 	}
@@ -227,7 +227,7 @@ func TestAbortedChildSubtreeExcluded(t *testing.T) {
 		{Type: wal.RecAbort, TID: child}, // nested abort
 		{Type: wal.RecCommit, TID: parent},
 	}
-	a := Analyze(1, recs)
+	a := Analyze(1, nil, recs)
 	data := a.Data["srv"]
 	if string(data["p"]) != "1" {
 		t.Errorf("parent update lost: %v", data)
@@ -238,6 +238,23 @@ func TestAbortedChildSubtreeExcluded(t *testing.T) {
 	if _, ok := data["g"]; ok {
 		t.Error("aborted child's descendant update redone")
 	}
+	if got := a.Outcomes[parent.Family]; got != wire.OutcomeCommit {
+		t.Errorf("family outcome = %v, want commit: a nested abort dooms only its subtree", got)
+	}
+}
+
+// A nested abort is not the family's outcome: a log whose only abort
+// is nested leaves the family unresolved (presumed abort).
+func TestNestedAbortIsNoOutcome(t *testing.T) {
+	parent := top(1)
+	child := tid.TID{Family: parent.Family, Seq: tid.MakeSeq(1, 1)}
+	a := Analyze(1, nil, []*wal.Record{
+		{Type: wal.RecUpdate, TID: child, Parent: parent, Server: "srv", Key: "c", New: []byte("2")},
+		{Type: wal.RecAbort, TID: child},
+	})
+	if got, ok := a.Outcomes[parent.Family]; ok {
+		t.Fatalf("outcome = %v after a nested abort alone, want none", got)
+	}
 }
 
 func TestCommittedChildIncludedWithFamily(t *testing.T) {
@@ -247,7 +264,7 @@ func TestCommittedChildIncludedWithFamily(t *testing.T) {
 		{Type: wal.RecUpdate, TID: child, Parent: parent, Server: "srv", Key: "c", New: []byte("2")},
 		{Type: wal.RecCommit, TID: parent},
 	}
-	a := Analyze(1, recs)
+	a := Analyze(1, nil, recs)
 	if string(a.Data["srv"]["c"]) != "2" {
 		t.Fatalf("committed child's update not redone: %v", a.Data)
 	}
@@ -261,14 +278,35 @@ func TestDeleteRedo(t *testing.T) {
 		{Type: wal.RecUpdate, TID: top(2), Server: "srv", Key: "a", Old: []byte("v")},
 		{Type: wal.RecCommit, TID: top(2)},
 	}
-	a := Analyze(1, recs)
+	a := Analyze(1, nil, recs)
 	if _, ok := a.Data["srv"]["a"]; ok {
 		t.Fatalf("deleted key present: %v", a.Data)
 	}
 }
 
+// The log continues a checkpoint image: its committed updates land on
+// top of the image, deletions included, and keys it never touches keep
+// the image's value.
+func TestRedoOntoImage(t *testing.T) {
+	image := map[string]map[string][]byte{"srv": {"a": []byte("old"), "b": []byte("keep")}}
+	recs := []*wal.Record{
+		{Type: wal.RecUpdate, TID: top(1), Server: "srv", Key: "a", Old: []byte("old")}, // delete
+		upd(top(1), "c", "", "new"),
+		{Type: wal.RecCommit, TID: top(1)},
+		upd(top(2), "b", "keep", "lost"), // presumed aborted
+	}
+	a := Analyze(1, image, recs)
+	data := a.Data["srv"]
+	if _, ok := data["a"]; ok {
+		t.Errorf("key deleted by the log still in the image: %v", data)
+	}
+	if string(data["b"]) != "keep" || string(data["c"]) != "new" || len(data) != 2 {
+		t.Errorf("Data = %v, want b=keep c=new", data)
+	}
+}
+
 func TestEmptyLog(t *testing.T) {
-	a := Analyze(1, nil)
+	a := Analyze(1, nil, nil)
 	if len(a.Data) != 0 || len(a.InDoubt) != 0 || len(a.Resume) != 0 {
 		t.Fatalf("non-empty analysis of empty log: %+v", a)
 	}
@@ -286,7 +324,7 @@ func TestLogEndingMidFamilyActive(t *testing.T) {
 		upd(top(7), "a", "", "1"),
 		upd(top(7), "b", "", "2"),
 	}
-	a := Analyze(1, recs)
+	a := Analyze(1, nil, recs)
 	if len(a.Data) != 0 {
 		t.Fatalf("presumed-aborted updates redone: %v", a.Data)
 	}
@@ -307,7 +345,7 @@ func TestLogEndingMidFamilyPrepared(t *testing.T) {
 		upd(top(3), "a", "", "1"),
 		{Type: wal.RecPrepare, TID: top(3), Coordinator: 9},
 	}
-	a := Analyze(1, recs)
+	a := Analyze(1, nil, recs)
 	if len(a.Data) != 0 {
 		t.Fatalf("in-doubt updates redone as committed: %v", a.Data)
 	}

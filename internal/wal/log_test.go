@@ -322,6 +322,30 @@ func TestFileStoreRoundTrip(t *testing.T) {
 	}
 }
 
+// A file store refuses to drop its head, which it cannot do
+// crash-safely, and keeps every block; dropping nothing succeeds.
+func TestFileStoreRefusesTruncate(t *testing.T) {
+	s, err := OpenFileStore(filepath.Join(t.TempDir(), "wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for i := 0; i < 3; i++ {
+		if err := s.Append(block(&Record{LSN: uint64(i + 1), Type: RecCommit, TID: testTID(uint32(i))})); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Truncate(0); err != nil {
+		t.Errorf("Truncate(0) = %v, want nil", err)
+	}
+	if err := s.Truncate(2); err == nil {
+		t.Error("Truncate(2) succeeded, want a refusal")
+	}
+	if blocks, err := s.Blocks(); err != nil || len(blocks) != 3 {
+		t.Fatalf("after refused truncate: %d blocks, err %v; want all 3", len(blocks), err)
+	}
+}
+
 // readRecords opens a log over store inside a kernel and calls
 // Records once.
 func readRecords(store Store) ([]*Record, error) {

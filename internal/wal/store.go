@@ -20,7 +20,8 @@ type Store interface {
 	Append(block []byte) error
 	Blocks() ([][]byte, error)
 	// Truncate drops the first n blocks — the prefix a checkpoint has
-	// absorbed into the page image.
+	// absorbed into the page image — or refuses, leaving the store as
+	// it was, where it cannot do so crash-safely.
 	Truncate(n int) error
 	// DropTail discards the last n blocks — recovery's repair of a
 	// torn tail, so that records appended after the repair never sit
@@ -221,33 +222,17 @@ func readBlocks(r io.Reader, size int64) (blocks [][]byte, whole int64, _ error)
 	return blocks, whole, nil
 }
 
-// Truncate drops the first n blocks by rewriting the file — the log
-// is small after a checkpoint, which is the only caller, and only the
-// simulator checkpoints (over a MemStore). A crash between the
-// truncate and the write would lose the kept blocks; the segmented log
-// (ROADMAP item 4(b)) replaces the rewrite with unlinking whole
-// segments before a real node checkpoints.
+// Truncate refuses to drop blocks. A file has no crash-safe way to
+// lose its head in place — rewriting it leaves a window in which a
+// crash loses every kept block — and only the simulator checkpoints
+// (over a MemStore). The segmented log (ROADMAP item 4(b)) brings the
+// safe truncation, unlinking whole segments, before a real node
+// checkpoints.
 func (s *FileStore) Truncate(n int) error {
 	if n <= 0 {
 		return nil
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	blocks, err := s.blocksLocked()
-	if err != nil {
-		return err
-	}
-	var buf []byte
-	for _, b := range blocks[min(n, len(blocks)):] {
-		buf = appendPrefixed(buf, b)
-	}
-	if err := s.f.Truncate(0); err != nil {
-		return fmt.Errorf("wal: truncate: %w", err)
-	}
-	if err := s.changed(); err != nil {
-		return err
-	}
-	return s.write(buf)
+	return fmt.Errorf("wal: file store cannot truncate %d blocks: no crash-safe prefix drop", n)
 }
 
 // DropTail discards the last n blocks by cutting the file where the
