@@ -9,7 +9,7 @@
 
 GO ?= go
 
-.PHONY: all build test check fmt vet lint race torture chaos paxos fuzz perf perf-compare frozen golden bench cluster netem loadgen
+.PHONY: all build test check fmt vet lint race torture chaos paxos fuzz perf perf-compare perf-pairs frozen golden bench cluster netem loadgen
 
 all: build
 
@@ -112,6 +112,16 @@ perf:
 	$(GO) -C cmd/camelot-perf vet .
 	$(GO) -C cmd/camelot-perf test -skip '^TestBudgets$$' .
 
+# perf-export starts perf-compare and perf-pairs: it exports BASE's
+# committed tree into the git-ignored $(PERF_DIR)/base.
+PERF_DIR = .perf-compare
+define perf-export
+	@test -n "$(BASE)" || { echo "usage: make $@ BASE=<git ref>"; exit 2; }
+	rm -rf $(PERF_DIR)
+	mkdir -p $(PERF_DIR)/base
+	git archive $(BASE) | tar -x -C $(PERF_DIR)/base
+endef
+
 # The base-vs-head benchmark gate: export BASE's committed tree into a
 # git-ignored directory, run every workload there and then on the
 # working tree (BENCHMARK.json's run length), and diff the two outputs
@@ -120,16 +130,39 @@ perf:
 # on a shared host drift by more than some bounds between two runs; a
 # "worse" there wants a second look (alternate the order, repeat), not
 # a shrug.
-PERF_DIR = .perf-compare
 perf-compare:
-	@test -n "$(BASE)" || { echo "usage: make perf-compare BASE=<git ref>"; exit 2; }
-	rm -rf $(PERF_DIR)
-	mkdir -p $(PERF_DIR)/base
-	git archive $(BASE) | tar -x -C $(PERF_DIR)/base
+	$(perf-export)
 	$(GO) -C $(PERF_DIR)/base/cmd/camelot-perf run . -workload all -seconds 10 > $(PERF_DIR)/base.json
 	$(GO) -C cmd/camelot-perf run . -workload all -seconds 10 > $(PERF_DIR)/head.json
 	$(GO) -C cmd/camelot-perf run . -compare -bench $(CURDIR)/BENCHMARK.json \
 		$(CURDIR)/$(PERF_DIR)/base.json $(CURDIR)/$(PERF_DIR)/head.json
+
+# Paired base-vs-head runs, the evidence a gain claim needs on a host
+# whose timings drift between runs: BASE is exported as perf-compare
+# does, each side's camelot-perf is built once, and ten pairs of
+# `-workload all -seconds 10` run from each side's own directory, base
+# first in odd pairs and head first in even ones, so drift over the
+# whole run falls on both sides alike. Every output is kept as
+# .perf-compare/pair-NN-{base,head}.json, and each pair's -compare
+# table is printed; a "worse" pair does not stop the run, since the
+# claim is about the pairs taken together.
+perf-pairs:
+	$(perf-export)
+	$(GO) -C $(PERF_DIR)/base/cmd/camelot-perf build -o $(CURDIR)/$(PERF_DIR)/base-perf .
+	$(GO) -C cmd/camelot-perf build -o $(CURDIR)/$(PERF_DIR)/head-perf .
+	@for i in $$(seq 1 10); do \
+		nn=$$(printf %02d $$i); \
+		if [ $$((i % 2)) -eq 1 ]; then order="base head"; else order="head base"; fi; \
+		for side in $$order; do \
+			if [ $$side = base ]; then dir=$(PERF_DIR)/base/cmd/camelot-perf; else dir=cmd/camelot-perf; fi; \
+			echo "perf-pairs: pair $$nn, $$side"; \
+			(cd $$dir && $(CURDIR)/$(PERF_DIR)/$$side-perf -workload all -seconds 10) \
+				> $(PERF_DIR)/pair-$$nn-$$side.json || exit 1; \
+		done; \
+		echo "perf-pairs: pair $$nn, -compare"; \
+		$(PERF_DIR)/head-perf -compare -bench $(CURDIR)/BENCHMARK.json \
+			$(PERF_DIR)/pair-$$nn-base.json $(PERF_DIR)/pair-$$nn-head.json || true; \
+	done
 
 # "The simulator did not move" as a command. First a diff of the
 # pinned timelines, schemas and regression corpora against BASE — the

@@ -348,9 +348,11 @@ func (n *Node) Checkpoint() (int, error) {
 	}
 	n.cluster.tr.Checkpoint(n.id, cut)
 	// The image now remembers every absorbed outcome durably; drop
-	// them from the TM's unbounded in-memory map (Stats.ResolvedRetained
-	// measures what stays). Inquiries for truncated families fall
-	// through to the PageStore backstop site.open installed.
-	n.tm.TruncateResolved(n.pages.AbsorbedFamilies())
+	// them from the TM's resolved memory, which otherwise grows
+	// without bound (Stats.ResolvedRetained measures what stays).
+	// Inquiries for truncated families fall through to the PageStore
+	// backstop site.open installed.
+	absorbed := n.pages.Absorbed()
+	n.tm.TruncateResolved(&absorbed)
 	return cut, nil
 }

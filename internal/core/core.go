@@ -37,6 +37,7 @@ import (
 
 	"camelot/internal/det"
 	"camelot/internal/params"
+	"camelot/internal/recman"
 	"camelot/internal/rt"
 	"camelot/internal/server"
 	"camelot/internal/tid"
@@ -242,7 +243,7 @@ type Manager struct {
 	// outcome, with Config.ResolvedBackstop answering for truncated
 	// families from that image.
 	resMu    rt.Mutex
-	resolved map[tid.FamilyID]wire.Outcome
+	resolved recman.OutcomeTable
 
 	// lifeMu guards the shutdown flag.
 	lifeMu rt.Mutex
@@ -376,7 +377,6 @@ func New(r rt.Runtime, cfg Config, log *wal.Log, net transport.Sender) *Manager 
 		tr:          cfg.Trace,
 		fams:        newFamilyTable(r),
 		pendingAcks: make(map[tid.SiteID]*ackBatch),
-		resolved:    make(map[tid.FamilyID]wire.Outcome),
 	}
 	m.idMu = r.NewMutex()
 	m.ackMu = r.NewMutex()
@@ -398,7 +398,7 @@ func (m *Manager) Deliver(msg *wire.Msg) {
 func (m *Manager) Stats() Stats {
 	sc := m.tr.Site(m.cfg.Site)
 	m.lockAttributed(m.resMu, lockClassResolved)
-	retained := len(m.resolved)
+	retained := m.resolved.Len()
 	m.resMu.Unlock()
 	return Stats{Begun: sc.Begun, Committed: sc.Committed, Aborted: sc.Aborted,
 		Promotions: sc.Promotions, Inquiries: sc.Inquiries, Retransmits: sc.Retransmits,
@@ -611,10 +611,8 @@ func (m *Manager) AddSites(t tid.TID, sites []tid.SiteID) {
 // through the resolved backstop) now answers for them; without this,
 // resolved-outcome memory grows without bound on a long-lived site.
 // Stats.ResolvedRetained observes the effect.
-func (m *Manager) TruncateResolved(absorbed []tid.FamilyID) {
+func (m *Manager) TruncateResolved(absorbed *recman.OutcomeTable) {
 	m.lockAttributed(m.resMu, lockClassResolved)
-	defer m.resMu.Unlock()
-	for _, f := range absorbed {
-		delete(m.resolved, f)
-	}
+	m.resolved.Drop(absorbed)
+	m.resMu.Unlock()
 }

@@ -258,20 +258,20 @@ func (m *Manager) isClosed() bool {
 // setResolved records a finished family's outcome.
 func (m *Manager) setResolved(id tid.FamilyID, out wire.Outcome) {
 	m.lockAttributed(m.resMu, lockClassResolved)
-	m.resolved[id] = out
+	m.resolved.Set(id, out)
 	m.resMu.Unlock()
 }
 
 // resolvedOutcome answers "what happened to this forgotten family?"
-// from the in-memory resolved map, falling back to the checkpoint-
+// from the in-memory resolved table, falling back to the checkpoint-
 // image backstop for families truncated from it (see
 // TruncateResolved). OutcomeUnknown means this site never resolved
 // the family — under presumed abort the caller treats that as abort.
 func (m *Manager) resolvedOutcome(id tid.FamilyID) wire.Outcome {
 	m.lockAttributed(m.resMu, lockClassResolved)
-	out, ok := m.resolved[id]
+	out := m.resolved.Get(id)
 	m.resMu.Unlock()
-	if ok {
+	if out != wire.OutcomeUnknown {
 		return out
 	}
 	if m.cfg.ResolvedBackstop != nil {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -9,6 +10,7 @@ import (
 	"camelot/internal/trace"
 	"camelot/internal/transport"
 	"camelot/internal/wal"
+	"camelot/internal/wire"
 )
 
 // newRealManager builds a manager on the ordinary Go runtime with a
@@ -126,4 +128,62 @@ func TestFamilyTableShardSpread(t *testing.T) {
 	if len(used) < familyShards/2 {
 		t.Fatalf("64 consecutive families hit only %d/%d shards", len(used), familyShards)
 	}
+}
+
+// liveHeap returns the bytes of live heap after a full collection.
+func liveHeap() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
+// TestResolvedMemoryIsCompact pins what the resolved-outcome memory
+// costs per finished family: a long-lived site that never checkpoints
+// keeps every one. Family counters are allocated consecutively per
+// origin, and then a family costs at most one byte; counters 1,024
+// apart, each alone in its word, cost no more than the same families
+// in a map[tid.FamilyID]wire.Outcome measured in the same run, so the
+// bound holds whichever map layout the toolchain has.
+func TestResolvedMemoryIsCompact(t *testing.T) {
+	const n = 200_000
+	family := func(i int, stride uint32) tid.FamilyID {
+		return tid.MakeFamily(tid.SiteID(i%3+1), uint32(i/3)*stride)
+	}
+	perFamily := func(fill func()) float64 {
+		before := liveHeap()
+		fill()
+		return float64(liveHeap()-before) / n
+	}
+	resolvedCost := func(stride uint32) float64 {
+		m, _ := newRealManager(t)
+		b := perFamily(func() {
+			for i := 0; i < n; i++ {
+				m.setResolved(family(i, stride), wire.OutcomeCommit)
+			}
+		})
+		if got := m.Stats().ResolvedRetained; got != n {
+			t.Fatalf("ResolvedRetained = %d, want %d", got, n)
+		}
+		return b
+	}
+
+	dense := resolvedCost(1)
+	if dense > 1 {
+		t.Errorf("consecutive families retain %.2f B each, want at most 1", dense)
+	}
+	sparse := resolvedCost(1024)
+	var ref map[tid.FamilyID]wire.Outcome
+	mapped := perFamily(func() {
+		ref = make(map[tid.FamilyID]wire.Outcome)
+		for i := 0; i < n; i++ {
+			ref[family(i, 1024)] = wire.OutcomeCommit
+		}
+	})
+	runtime.KeepAlive(ref)
+	if sparse > 1.1*mapped {
+		t.Errorf("families 1,024 apart retain %.1f B each, a map %.1f B: want at most 1.1x", sparse, mapped)
+	}
+	t.Logf("B per family: consecutive %.2f, 1,024 apart %.1f, map %.1f", dense, sparse, mapped)
 }

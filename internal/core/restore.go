@@ -1,8 +1,6 @@
 package core
 
 import (
-	"maps"
-
 	"camelot/internal/recman"
 	"camelot/internal/server"
 	"camelot/internal/tid"
@@ -34,7 +32,7 @@ func (m *Manager) Restore(a *recman.Analysis, parts map[tid.TID][]server.Partici
 	m.idMu.Unlock()
 
 	m.lockAttributed(m.resMu, lockClassResolved)
-	maps.Copy(m.resolved, a.Outcomes)
+	m.resolved.Merge(&a.Outcomes)
 	m.resMu.Unlock()
 
 	for _, d := range a.InDoubt {

@@ -357,10 +357,10 @@ func TestRestoreFloorAndResolvedOutcomes(t *testing.T) {
 	committed, aborted, unknown := tid.MakeFamily(2, 5), tid.MakeFamily(2, 6), tid.MakeFamily(2, 7)
 	r.k.Go("test", func() {
 		defer r.k.Stop()
-		r.m.Restore(&recman.Analysis{
-			MaxLocalFamily: 7,
-			Outcomes:       map[tid.FamilyID]wire.Outcome{committed: wire.OutcomeCommit, aborted: wire.OutcomeAbort},
-		}, nil)
+		a := &recman.Analysis{MaxLocalFamily: 7}
+		a.Outcomes.Set(committed, wire.OutcomeCommit)
+		a.Outcomes.Set(aborted, wire.OutcomeAbort)
+		r.m.Restore(a, nil)
 		t0, err := r.m.Begin()
 		if err != nil {
 			t.Errorf("Begin: %v", err)

@@ -21,11 +21,9 @@ package diskman
 
 import (
 	"fmt"
-	"maps"
 	"slices"
 	"sync"
 
-	"camelot/internal/det"
 	"camelot/internal/recman"
 	"camelot/internal/tid"
 	"camelot/internal/wal"
@@ -41,7 +39,7 @@ type Snapshot struct {
 	// Outcomes are the resolved top-level outcomes the image absorbed,
 	// by family — still needed to answer presumed-abort inquiries and
 	// non-blocking status requests for old transactions.
-	Outcomes map[tid.FamilyID]wire.Outcome
+	Outcomes recman.OutcomeTable
 	// MaxLocalFamily is the highest locally allocated family counter
 	// witnessed up to the checkpoint.
 	MaxLocalFamily uint32
@@ -51,7 +49,7 @@ type Snapshot struct {
 func (s *Snapshot) clone() *Snapshot {
 	out := &Snapshot{
 		Data:           make(map[string]map[string][]byte, len(s.Data)),
-		Outcomes:       maps.Clone(s.Outcomes),
+		Outcomes:       s.Outcomes.Clone(),
 		MaxLocalFamily: s.MaxLocalFamily,
 	}
 	for srv, kv := range s.Data {
@@ -74,10 +72,7 @@ type PageStore struct {
 
 // NewPageStore returns an empty store.
 func NewPageStore() *PageStore {
-	return &PageStore{snap: &Snapshot{
-		Data:     make(map[string]map[string][]byte),
-		Outcomes: make(map[tid.FamilyID]wire.Outcome),
-	}}
+	return &PageStore{snap: &Snapshot{Data: make(map[string]map[string][]byte)}}
 }
 
 // Read returns a copy of the current image.
@@ -104,17 +99,16 @@ func (ps *PageStore) write(s *Snapshot) {
 func (ps *PageStore) Outcome(f tid.FamilyID) wire.Outcome {
 	ps.mu.Lock()
 	defer ps.mu.Unlock()
-	return ps.snap.Outcomes[f]
+	return ps.snap.Outcomes.Get(f)
 }
 
-// AbsorbedFamilies lists every family whose outcome the image has
-// absorbed; the transaction manager may truncate these from its
-// in-memory resolved map, re-answering later inquiries through
-// Outcome.
-func (ps *PageStore) AbsorbedFamilies() []tid.FamilyID {
+// Absorbed returns a copy of the outcomes the image has absorbed; the
+// transaction manager may truncate these families from its in-memory
+// resolved memory, re-answering later inquiries through Outcome.
+func (ps *PageStore) Absorbed() recman.OutcomeTable {
 	ps.mu.Lock()
 	defer ps.mu.Unlock()
-	return det.SortedKeys(ps.snap.Outcomes)
+	return ps.snap.Outcomes.Clone()
 }
 
 // Checkpoint materializes the durable log into ps and truncates the
@@ -144,7 +138,7 @@ func Checkpoint(site tid.SiteID, log *wal.Log, ps *PageStore) (int, error) {
 	// arrives later.
 	pinned := make(map[tid.FamilyID]bool)
 	for _, r := range recs {
-		if _, resolved := a.Outcomes[r.TID.Family]; !resolved {
+		if a.Outcomes.Get(r.TID.Family) == wire.OutcomeUnknown {
 			pinned[r.TID.Family] = true
 		}
 	}
@@ -159,7 +153,7 @@ func Checkpoint(site tid.SiteID, log *wal.Log, ps *PageStore) (int, error) {
 		}
 	}
 
-	maps.Copy(next.Outcomes, a.Outcomes)
+	next.Outcomes.Merge(&a.Outcomes)
 	next.MaxLocalFamily = max(next.MaxLocalFamily, a.MaxLocalFamily)
 
 	// Durability order: the image must be stable before the log

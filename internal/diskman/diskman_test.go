@@ -101,8 +101,8 @@ func TestCheckpointAbsorbsResolvedAndTruncates(t *testing.T) {
 		t.Error("aborted update in image")
 	}
 	want := map[tid.FamilyID]wire.Outcome{top(1).Family: wire.OutcomeCommit, top(2).Family: wire.OutcomeAbort}
-	if !reflect.DeepEqual(snap.Outcomes, want) {
-		t.Errorf("outcomes = %v, want %v", snap.Outcomes, want)
+	if got := outcomesOf(&snap.Outcomes); !reflect.DeepEqual(got, want) {
+		t.Errorf("outcomes = %v, want %v", got, want)
 	}
 }
 
@@ -271,8 +271,8 @@ func TestSuccessiveCheckpointsAccumulate(t *testing.T) {
 			t.Errorf("k%d missing from image", round)
 		}
 	}
-	if len(snap.Outcomes) != 3 {
-		t.Errorf("absorbed outcomes = %d, want 3", len(snap.Outcomes))
+	if got := snap.Outcomes.Len(); got != 3 {
+		t.Errorf("absorbed outcomes = %d, want 3", got)
 	}
 }
 
@@ -294,11 +294,12 @@ func TestCheckpointsBehindPinKeepOneOutcomePerFamily(t *testing.T) {
 		}
 	}
 	want := map[tid.FamilyID]wire.Outcome{top(1).Family: wire.OutcomeCommit}
-	if got := ps.Read().Outcomes; !reflect.DeepEqual(got, want) {
+	if got := outcomesOf(&ps.Read().Outcomes); !reflect.DeepEqual(got, want) {
 		t.Errorf("image outcomes = %v, want %v", got, want)
 	}
-	if got := ps.AbsorbedFamilies(); !reflect.DeepEqual(got, []tid.FamilyID{top(1).Family}) {
-		t.Errorf("AbsorbedFamilies = %v, want [%v]", got, top(1).Family)
+	absorbed := ps.Absorbed()
+	if got := outcomesOf(&absorbed); !reflect.DeepEqual(got, want) {
+		t.Errorf("Absorbed = %v, want %v", got, want)
 	}
 }
 
@@ -377,4 +378,11 @@ func TestCheckpointEquivalenceProperty(t *testing.T) {
 	if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// outcomesOf lists a table's outcomes as a map, for comparison.
+func outcomesOf(t *recman.OutcomeTable) map[tid.FamilyID]wire.Outcome {
+	m := make(map[tid.FamilyID]wire.Outcome)
+	t.Range(func(f tid.FamilyID, o wire.Outcome) { m[f] = o })
+	return m
 }

@@ -82,7 +82,7 @@ type Analysis struct {
 	Resume []CoordResume
 	// Outcomes are the top-level outcomes the log records, by family.
 	// A nested abort dooms only its subtree and is not among them.
-	Outcomes map[tid.FamilyID]wire.Outcome
+	Outcomes OutcomeTable
 	// MaxLocalFamily is the highest family counter this site ever
 	// allocated, as witnessed by the log. The restarted transaction
 	// manager must begin new families above it: reusing a family
@@ -100,7 +100,7 @@ func Analyze(site tid.SiteID, image map[string]map[string][]byte, records []*wal
 	if image == nil {
 		image = make(map[string]map[string][]byte)
 	}
-	a := &Analysis{Data: image, Outcomes: make(map[tid.FamilyID]wire.Outcome)}
+	a := &Analysis{Data: image}
 
 	var updates []*wal.Record
 	parentOf := make(map[tid.TID]tid.TID)
@@ -147,7 +147,7 @@ func Analyze(site tid.SiteID, image map[string]map[string][]byte, records []*wal
 			}
 		case wal.RecCommit:
 			top := r.TID.TopLevel()
-			a.Outcomes[top.Family] = wire.OutcomeCommit
+			a.Outcomes.Set(top.Family, wire.OutcomeCommit)
 			commitSites[top] = r.Sites
 			if _, wasNB := replicated[top]; wasNB {
 				commitProtocol[top] = wire.NonBlocking
@@ -156,7 +156,7 @@ func Analyze(site tid.SiteID, image map[string]map[string][]byte, records []*wal
 			// A nested abort dooms that subtree only.
 			aborted[r.TID] = true
 			if r.TID.IsTop() {
-				a.Outcomes[r.TID.Family] = wire.OutcomeAbort
+				a.Outcomes.Set(r.TID.Family, wire.OutcomeAbort)
 			}
 		case wal.RecEnd:
 			ended[r.TID.TopLevel()] = true
@@ -168,7 +168,7 @@ func Analyze(site tid.SiteID, image map[string]map[string][]byte, records []*wal
 	// by presumption.
 	indoubtSet := make(map[tid.TID]*InDoubt)
 	consider := func(top tid.TID, rec *wal.Record, repl bool) {
-		if _, resolved := a.Outcomes[top.Family]; resolved {
+		if a.Outcomes.Get(top.Family) != wire.OutcomeUnknown {
 			return
 		}
 		d := indoubtSet[top]
@@ -199,7 +199,7 @@ func Analyze(site tid.SiteID, image map[string]map[string][]byte, records []*wal
 	// consider: its len(Sites)>0 ⇒ NonBlocking heuristic never sees
 	// them, and Paxos wins for a family both classifiers touched.
 	considerPaxos := func(top tid.TID, rec *wal.Record, preparedHere bool) {
-		if _, resolved := a.Outcomes[top.Family]; resolved {
+		if a.Outcomes.Get(top.Family) != wire.OutcomeUnknown {
 			return
 		}
 		d := indoubtSet[top]
@@ -260,7 +260,7 @@ func Analyze(site tid.SiteID, image map[string]map[string][]byte, records []*wal
 		if doomedByAncestry(u.TID, parentOf, aborted) {
 			continue
 		}
-		if a.Outcomes[top.Family] == wire.OutcomeCommit {
+		if a.Outcomes.Get(top.Family) == wire.OutcomeCommit {
 			m := a.Data[u.Server]
 			if m == nil {
 				m = make(map[string][]byte)
@@ -284,26 +284,26 @@ func Analyze(site tid.SiteID, image map[string]map[string][]byte, records []*wal
 	}
 
 	// Coordinator decisions to re-drive: our own committed families
-	// whose END never made it to the log.
-	for f, o := range a.Outcomes {
+	// whose END never made it to the log, in family order.
+	a.Outcomes.Range(func(f tid.FamilyID, o wire.Outcome) {
 		top := tid.Top(f)
 		if o != wire.OutcomeCommit || f.Origin() != site || ended[top] {
-			continue
+			return
 		}
 		subs := commitSites[top]
 		if len(subs) == 0 {
-			continue // local-only: nothing to notify
+			return // local-only: nothing to notify
 		}
 		a.Resume = append(a.Resume, CoordResume{
 			TID:        top,
 			UpdateSubs: subs,
 			Protocol:   commitProtocol[top],
 		})
-	}
-	// Both lists were filled in map order; the transaction manager
-	// resumes families in list order, which a replay must repeat.
+	})
+	// The in-doubt list was filled in map order; the transaction
+	// manager resumes families in list order, which a replay must
+	// repeat.
 	slices.SortFunc(a.InDoubt, func(x, y InDoubt) int { return cmp.Compare(x.TID.Family, y.TID.Family) })
-	slices.SortFunc(a.Resume, func(x, y CoordResume) int { return cmp.Compare(x.TID.Family, y.TID.Family) })
 	return a
 }
 

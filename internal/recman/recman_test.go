@@ -52,7 +52,7 @@ func TestExplicitAbortDiscardsUpdates(t *testing.T) {
 	if len(a.Data["srv"]) != 0 {
 		t.Fatalf("aborted update redone: %v", a.Data)
 	}
-	if got := a.Outcomes[top(1).Family]; got != wire.OutcomeAbort {
+	if got := a.Outcomes.Get(top(1).Family); got != wire.OutcomeAbort {
 		t.Errorf("outcome = %v, want abort", got)
 	}
 }
@@ -238,7 +238,7 @@ func TestAbortedChildSubtreeExcluded(t *testing.T) {
 	if _, ok := data["g"]; ok {
 		t.Error("aborted child's descendant update redone")
 	}
-	if got := a.Outcomes[parent.Family]; got != wire.OutcomeCommit {
+	if got := a.Outcomes.Get(parent.Family); got != wire.OutcomeCommit {
 		t.Errorf("family outcome = %v, want commit: a nested abort dooms only its subtree", got)
 	}
 }
@@ -252,7 +252,7 @@ func TestNestedAbortIsNoOutcome(t *testing.T) {
 		{Type: wal.RecUpdate, TID: child, Parent: parent, Server: "srv", Key: "c", New: []byte("2")},
 		{Type: wal.RecAbort, TID: child},
 	})
-	if got, ok := a.Outcomes[parent.Family]; ok {
+	if got := a.Outcomes.Get(parent.Family); got != wire.OutcomeUnknown {
 		t.Fatalf("outcome = %v after a nested abort alone, want none", got)
 	}
 }

@@ -1,13 +1,14 @@
 package rt
 
 // Queue is an unbounded FIFO mailbox built on a Runtime's mutex and
-// condition variable. It is the message-delivery primitive shared by
-// the transaction manager's thread pool, the logger, and the
-// transports, in both real and simulated execution.
+// condition variable. It is the transaction manager's input queue: the
+// thread pool's workers take requests from it, in both real and
+// simulated execution.
 type Queue[T any] struct {
 	mu     Mutex
 	cond   Cond
-	items  []T
+	items  []T // items[head:] are queued
+	head   int
 	closed bool
 }
 
@@ -36,7 +37,7 @@ func (q *Queue[T]) Put(v T) {
 func (q *Queue[T]) Get() (T, bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	for len(q.items) == 0 && !q.closed {
+	for q.head == len(q.items) && !q.closed {
 		q.cond.Wait()
 	}
 	return q.popLocked()
@@ -46,7 +47,7 @@ func (q *Queue[T]) Get() (T, bool) {
 func (q *Queue[T]) Len() int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	return len(q.items)
+	return len(q.items) - q.head
 }
 
 // Close wakes all waiters; subsequent Gets drain remaining items and
@@ -58,15 +59,23 @@ func (q *Queue[T]) Close() {
 	q.cond.Broadcast()
 }
 
+// popLocked takes the head item. Its slot is zeroed so the backing
+// array does not pin delivered items, and the queued items move down
+// to the front only once the head passes half the slice, so draining a
+// backlog costs amortized constant time per item.
 func (q *Queue[T]) popLocked() (T, bool) {
-	if len(q.items) == 0 {
-		var zero T
+	var zero T
+	if q.head == len(q.items) {
 		return zero, false
 	}
-	v := q.items[0]
-	// Shift rather than re-slice so the backing array does not pin
-	// delivered items.
-	copy(q.items, q.items[1:])
-	q.items = q.items[:len(q.items)-1]
+	v := q.items[q.head]
+	q.items[q.head] = zero
+	q.head++
+	if q.head > len(q.items)/2 {
+		n := copy(q.items, q.items[q.head:])
+		clear(q.items[n:])
+		q.items = q.items[:n]
+		q.head = 0
+	}
 	return v, true
 }

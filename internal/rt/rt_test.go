@@ -110,6 +110,9 @@ func TestRealRandConcurrentUse(t *testing.T) {
 	}
 }
 
+// TestQueueOnRealRuntime checks FIFO order on two inputs: a producer
+// goroutine racing the consumer, and bursts of puts and gets that keep
+// a backlog through the queue's compactions.
 func TestQueueOnRealRuntime(t *testing.T) {
 	r := Real()
 	q := NewQueue[int](r)
@@ -119,19 +122,45 @@ func TestQueueOnRealRuntime(t *testing.T) {
 		}
 		q.Close()
 	}()
-	got := 0
+	drainInOrder(t, q, 0, 100)
+
+	q = NewQueue[int](r)
+	next, want := 0, 0
+	for round := 0; round < 200; round++ {
+		for i := 0; i < round%7+1; i++ {
+			q.Put(next)
+			next++
+		}
+		for i := 0; i < round%5+1 && q.Len() > 0; i++ {
+			if v, _ := q.Get(); v != want {
+				t.Fatalf("round %d: got %d, want %d", round, v, want)
+			}
+			want++
+		}
+		if got := q.Len(); got != next-want {
+			t.Fatalf("round %d: Len = %d, want %d", round, got, next-want)
+		}
+	}
+	q.Close()
+	drainInOrder(t, q, want, next)
+}
+
+// drainInOrder gets from q until it reports closed, and fails unless
+// the items were from, from+1, …, to-1.
+func drainInOrder(t *testing.T, q *Queue[int], from, to int) {
+	t.Helper()
 	for {
 		v, ok := q.Get()
 		if !ok {
 			break
 		}
-		if v != got {
-			t.Fatalf("out of order: got %d want %d", v, got)
+		if v != from {
+			t.Fatalf("out of order: got %d want %d", v, from)
 		}
-		got++
+		from++
 	}
-	if got != 100 {
-		t.Fatalf("consumed %d items, want 100", got)
+	if from != to {
+		t.Fatalf("consumed up to %d, want %d", from, to)
 	}
 }
 

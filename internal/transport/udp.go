@@ -27,16 +27,6 @@ const backlogCap = 128
 // legal datagram continues into a shared spill buffer.
 const slotSize = 2048
 
-// UDPPeer is a real-network Sender: transaction-manager datagrams are
-// marshaled with the wire codec and carried over UDP, with exactly
-// the delivery guarantees the protocols were built for — none. The
-// transaction managers' own timeout/retry and idempotent-answer
-// machinery provides the reliability, just as it did over the
-// paper's token ring.
-//
-// A UDPPeer carries only *wire.Msg payloads (the TranMan-to-TranMan
-// traffic of §3.2/§3.3); the communication-manager RPC path is
-// connection-oriented and would ride TCP in a full deployment.
 // bufPool recycles send-side datagram buffers. A buffer crosses into
 // the kernel synchronously inside WriteToUDP/sendmmsg, so it can be
 // recycled as soon as the send call returns; once the pool's buffers
@@ -50,6 +40,16 @@ var bufPool = sync.Pool{New: func() any {
 func getBuf() *[]byte  { return bufPool.Get().(*[]byte) }
 func putBuf(b *[]byte) { bufPool.Put(b) }
 
+// UDPPeer is a real-network Sender: transaction-manager datagrams are
+// marshaled with the wire codec and carried over UDP, with exactly
+// the delivery guarantees the protocols were built for — none. The
+// transaction managers' own timeout/retry and idempotent-answer
+// machinery provides the reliability, just as it did over the
+// paper's token ring.
+//
+// A UDPPeer carries only *wire.Msg payloads (the TranMan-to-TranMan
+// traffic of §3.2/§3.3); the communication-manager RPC path is
+// connection-oriented and would ride TCP in a full deployment.
 type UDPPeer struct {
 	self tid.SiteID
 	conn *net.UDPConn
