@@ -9,7 +9,7 @@
 
 GO ?= go
 
-.PHONY: all build test check fmt vet lint race torture chaos paxos fuzz perf perf-compare perf-pairs frozen golden bench cluster netem loadgen
+.PHONY: all build test check fmt vet lint race torture crashstates chaos paxos fuzz perf perf-compare perf-pairs frozen golden bench cluster netem loadgen
 
 all: build
 
@@ -46,6 +46,16 @@ race:
 # the seed count); the full sweep runs with plain `go test ./camelot`.
 torture:
 	$(GO) test -short -run TestAtomicityUnderRandomFaults ./camelot
+
+# Every crash state a real disk allows the log's file (DESIGN.md §3.6):
+# a group-commit log over a model of the page cache is crashed at each
+# of its file calls, in each subset of its unsynced sectors and
+# truncates, and each state is recovered, restarted and crashed again
+# the same way; every forced record must survive, and recovery must
+# never fail-stop. It prints how many states it walked; `make check`'s
+# race pass walks the same set.
+crashstates:
+	$(GO) test -count=1 -v -run 'TestCrashStates|TestTailRepairSurvivesCrashMidRepair' ./internal/wal
 
 # A bounded systematic fault sweep per commitment protocol: the pilot
 # enumerates every injection point (log writes, datagram sends,

@@ -8,6 +8,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -198,6 +199,169 @@ func TestTornFinalBlockKeepsWholeFramePrefix(t *testing.T) {
 			store.Close()
 		}
 	})
+}
+
+// TestTornAppendAfterSyncedBlocks recovers a file of two synced blocks
+// (six records) followed by what a torn, unsynced third append can
+// leave: the file's new size on disk with none of its data (zeros), a
+// zero hole over the first sector of the block with later sectors
+// landed, or garbage. Each is a torn tail — the damage is in the last
+// block, or in one whose length prefix reads zero with no whole block
+// after it — so all six records come back, and the repaired file takes
+// an append and reopens cleanly.
+func TestTornAppendAfterSyncedBlocks(t *testing.T) {
+	kept := append(batch(1), batch(4)...)
+	synced := appendPrefixed(appendPrefixed(nil, block(batch(1)...)), block(batch(4)...))
+	third := appendPrefixed(nil, block(
+		&Record{LSN: 7, Type: RecUpdate, TID: testTID(8), Server: "srv", Key: "k", New: bytes.Repeat([]byte("v"), 700)},
+		&Record{LSN: 8, Type: RecCommit, TID: testTID(8)},
+	))
+	tails := map[string][]byte{
+		"8 zero bytes":   make([]byte, 8),
+		"516 zero bytes": make([]byte, 516),
+	}
+	for cut := 0; cut <= 32; cut++ {
+		hole := bytes.Clone(third)
+		clear(hole[:4+16*cut])
+		tails[fmt.Sprintf("zero hole of %d bytes", 4+16*cut)] = hole
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 200; i++ {
+		garbage := make([]byte, 1+rng.Intn(600))
+		rng.Read(garbage)
+		tails[fmt.Sprintf("garbage %d", i)] = garbage
+	}
+
+	dir := t.TempDir()
+	next := &Record{LSN: 7, Type: RecAbort, TID: testTID(9)}
+	for name, tail := range tails {
+		path := filepath.Join(dir, "wal")
+		if err := os.WriteFile(path, append(bytes.Clone(synced), tail...), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		store, err := OpenFileStore(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs, err := readRecords(store)
+		if err != nil || !reflect.DeepEqual(recs, kept) {
+			t.Fatalf("%s: recovered %d records, err %v; want the 6 synced ones", name, len(recs), err)
+		}
+		err = store.Append(block(next))
+		store.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		reopened, err := OpenFileStore(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs, err = readRecords(reopened)
+		reopened.Close()
+		if err != nil || !reflect.DeepEqual(recs, append(kept, next)) {
+			t.Fatalf("%s: after repair, append and reopen: %d records, err %v; want 7", name, len(recs), err)
+		}
+	}
+}
+
+// TestDamagedSyncedBlockIsCorruption damages a block of a file of
+// three synced blocks that no single torn append can explain: a
+// flipped bit in the length prefix of a block that is not the last,
+// which misaligns every block after it so that none decodes whole, or
+// a flipped bit in a synced block behind which a torn append left
+// zeros. Recovery must refuse each with ErrCorrupt and write nothing.
+func TestDamagedSyncedBlockIsCorruption(t *testing.T) {
+	var image []byte
+	var starts []int
+	for _, first := range []uint64{1, 4, 7} {
+		starts = append(starts, len(image))
+		image = appendPrefixed(image, block(batch(first)...))
+	}
+	flip := func(at int, bit byte, tail int) []byte {
+		b := append(bytes.Clone(image), make([]byte, tail)...)
+		b[at] ^= bit
+		return b
+	}
+	length := int(binary.BigEndian.Uint32(image[starts[1]:]))
+	set := byte(length & -length) // its lowest set bit
+	unset := byte(^length & (length + 1))
+	crc := func(i int) int { return starts[i] + 4 + FrameEnds(image[starts[i]+4:])[1] - 1 }
+	for name, damaged := range map[string][]byte{
+		"block 1's length shortened":                  flip(starts[1]+3, set, 0),
+		"block 1's length lengthened":                 flip(starts[1]+3, unset, 0),
+		"block 0's second CRC, then 8 zero bytes":     flip(crc(0), 0x01, 8),
+		"block 2's second CRC, then 516 zero bytes":   flip(crc(2), 0x01, 516),
+		"block 1's length shortened, then zero bytes": flip(starts[1]+3, set, 8),
+	} {
+		path := filepath.Join(t.TempDir(), "wal")
+		if err := os.WriteFile(path, damaged, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		store, err := OpenFileStore(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = readRecords(store)
+		store.Close()
+		if !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: Records err = %v, want ErrCorrupt", name, err)
+		}
+		if after, _ := os.ReadFile(path); !bytes.Equal(after, damaged) {
+			t.Errorf("%s: refusing recovery changed the file (%d bytes, was %d)", name, len(after), len(damaged))
+		}
+	}
+}
+
+// TestOpenFileStoreSyncsDirectoryOnCreate: a log file OpenFileStore
+// creates has its directory synced, and so does one still empty — what
+// an open whose directory sync failed leaves, so a retry makes the
+// entry durable — while one holding a block does not.
+func TestOpenFileStoreSyncsDirectoryOnCreate(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "wal")
+	var synced []string
+	open := func(name string, flag int) (file, error) {
+		f, err := os.OpenFile(name, flag, 0o644)
+		if err != nil {
+			return nil, err
+		}
+		return syncSpy{f, &synced}, nil
+	}
+	for _, c := range []struct {
+		name   string
+		append bool
+		want   []string
+	}{
+		{"a missing file", false, []string{dir}},
+		{"an empty file", true, []string{dir}},
+		{"a file holding a block", false, nil},
+	} {
+		synced = nil
+		s, err := openFileStore(path, open)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(synced, c.want) {
+			t.Errorf("opening %s synced %q, want %q", c.name, synced, c.want)
+		}
+		if c.append {
+			if err := s.Append(block(batch(1)...)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		s.Close()
+	}
+}
+
+// syncSpy is an *os.File that notes each Sync by the file's name.
+type syncSpy struct {
+	*os.File
+	synced *[]string
+}
+
+func (s syncSpy) Sync() error {
+	*s.synced = append(*s.synced, s.Name())
+	return s.File.Sync()
 }
 
 func TestDamagedFrameInNonFinalBlockIsCorruption(t *testing.T) {
@@ -494,64 +658,6 @@ func TestDeviceWritesMatchStoreUnderConcurrency(t *testing.T) {
 	for i, r := range recs {
 		if r.LSN != uint64(i+1) {
 			t.Fatalf("record %d has LSN %d: blocks out of order", i, r.LSN)
-		}
-	}
-}
-
-// TestTailRepairSurvivesCrashMidRepair crashes recovery's repair of a
-// torn tail after each file call that changes the file, in turn, then
-// reopens the file as a restarted node would. Every record of a block
-// the repair keeps must still be there: a repair that empties the file
-// before writing back what it keeps loses the whole log to a second
-// crash in between.
-func TestTailRepairSurvivesCrashMidRepair(t *testing.T) {
-	dir := t.TempDir()
-	kept := append(batch(1), batch(4)...)
-	whole := appendPrefixed(appendPrefixed(nil, block(batch(1)...)), block(batch(4)...))
-	final := block(batch(7)...)
-	// A torn write: the file ends inside the final block's second frame.
-	image := appendPrefixed(whole, final)[:len(whole)+4+FrameEnds(final)[1]+2]
-	crash := errors.New("crash")
-	for crashAt := 1; ; crashAt++ {
-		path := filepath.Join(dir, fmt.Sprintf("wal-%d", crashAt))
-		if err := os.WriteFile(path, image, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		store, err := OpenFileStore(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		calls := 0
-		store.afterChange = func() error {
-			if calls++; calls == crashAt {
-				return crash
-			}
-			return nil
-		}
-		_, repairErr := readRecords(store)
-		store.Close()
-		if repairErr != nil && !errors.Is(repairErr, crash) {
-			t.Fatalf("crash at call %d: Records: %v", crashAt, repairErr)
-		}
-
-		reopened, err := OpenFileStore(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		recs, err := readRecords(reopened)
-		reopened.Close()
-		if err != nil {
-			t.Fatalf("crash at call %d: Records after reopen: %v", crashAt, err)
-		}
-		if len(recs) < len(kept) || !reflect.DeepEqual(recs[:len(kept)], kept) {
-			t.Fatalf("crash at call %d: reopened log holds %d records, want the %d of the kept blocks first",
-				crashAt, len(recs), len(kept))
-		}
-		if repairErr == nil { // the repair ran to the end without reaching the crash
-			if crashAt == 1 {
-				t.Fatal("the repair changed the file no time at all")
-			}
-			return
 		}
 	}
 }

@@ -188,18 +188,26 @@ func (l *Log) Appends() int { return l.cfg.Trace.Site(l.cfg.Site).LogAppends }
 //
 // A block is one device write and may carry many records, each in its
 // own length-prefixed, checksummed frame. A frame that fails its check
-// is classified by the position of its block. In the *final* block it
-// is a torn tail: the write was in flight when the site died, so no
-// force it served was acknowledged. The frames before the damage are
-// kept — each is a whole, checksummed record, and a record nobody was
-// promised is harmless (updates without an outcome are undone, a
-// prepare nobody voted on is resolved by inquiry) — and everything
-// from the damage on is dropped. The store is repaired in place, so
-// later appends never sit behind the damage. A bad frame in a block
-// with good blocks *after* it cannot be a torn write — an append-only
-// log never writes behind its tail — so it is silent media corruption
-// of acknowledged history, and recovery must fail loudly with
-// ErrCorrupt rather than quietly dropping durable records.
+// is a torn tail only when one torn append can explain it: each append
+// is one block in one write, followed by a sync, so only the last
+// write can be torn, and a torn write leaves either the final block,
+// or — when the file's new size reached the disk and its data did not
+// — a run of zeros, which reads as blocks whose length prefix is zero.
+// So the damage is a torn tail when its block is the last one, or its
+// length prefix reads zero and no block after it decodes whole. Then
+// no force that write served was acknowledged. The frames before the
+// damage are kept — each is a whole, checksummed record, and a record
+// nobody was promised is harmless (updates without an outcome are
+// undone, a prepare nobody voted on is resolved by inquiry) — and
+// everything from the damage on is dropped: the whole trailing run of
+// blocks goes, and the damaged block's good prefix is re-appended as
+// a block of its own, so later appends never sit behind the damage.
+// Any other damage is in a block that was synced and acknowledged — a
+// flipped bit in a length prefix misaligns every block after it, so
+// that none decodes whole, but its own prefix does not read zero — so
+// it is silent media corruption of acknowledged history, and recovery
+// fails loudly with ErrCorrupt, writing nothing, rather than quietly
+// dropping durable records.
 func (l *Log) Records() ([]*Record, error) {
 	blocks, err := l.store.Blocks()
 	if err != nil {
@@ -212,7 +220,7 @@ func (l *Log) Records() ([]*Record, error) {
 		if recErr == nil {
 			continue
 		}
-		if i < len(blocks)-1 {
+		if i < len(blocks)-1 && (len(b) > 0 || decodesWhole(blocks[i+1:])) {
 			lastGood := uint64(0)
 			if len(out) > 0 {
 				lastGood = out[len(out)-1].LSN
@@ -220,7 +228,7 @@ func (l *Log) Records() ([]*Record, error) {
 			return nil, fmt.Errorf("%w: mid-log corruption in block %d (last good LSN %d): %v",
 				ErrCorrupt, i, lastGood, recErr)
 		}
-		if err := l.store.DropTail(1); err != nil {
+		if err := l.store.DropTail(len(blocks) - i); err != nil {
 			return nil, fmt.Errorf("wal: dropping torn tail: %w", err)
 		}
 		if good > 0 {
@@ -228,8 +236,19 @@ func (l *Log) Records() ([]*Record, error) {
 				return nil, fmt.Errorf("wal: rewriting torn tail's good prefix: %w", err)
 			}
 		}
+		break
 	}
 	return out, nil
+}
+
+// decodesWhole reports whether any of blocks decodes whole.
+func decodesWhole(blocks [][]byte) bool {
+	for _, b := range blocks {
+		if _, _, err := decodeBlock(b); err == nil {
+			return true
+		}
+	}
+	return false
 }
 
 // Truncate drops durable records from the front of the log; the disk

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"sync"
 )
 
@@ -102,22 +103,73 @@ func (s *MemStore) Len() int {
 // length-prefixed blocks. Every Append is one write and one fsync.
 type FileStore struct {
 	mu sync.Mutex
-	f  *os.File
-	// afterChange, when set, runs after every file call that changes
-	// the file; an error stops the caller there, as a crash would.
-	// Tests set it to crash a repair midway; it is nil otherwise.
-	afterChange func() error
+	f  file
+	// torn is the final block the last read found cut short by a torn
+	// write, or nil. The next Append rewrites it first (mendLocked).
+	torn *tornBlock
+}
+
+// tornBlock is a final block whose length prefix promises more bytes
+// than reached the file: where it starts, and what of its payload is
+// there.
+type tornBlock struct {
+	at      int64
+	payload []byte
+}
+
+// file is every call a FileStore makes on its log file: *os.File in
+// production, a model of the page cache in the crash-state tests.
+type file interface {
+	io.Writer
+	io.ReaderAt
+	Stat() (os.FileInfo, error)
+	Truncate(size int64) error
+	Sync() error
+	Close() error
 }
 
 // OpenFileStore opens (creating if necessary) the log file at path.
 // The file is opened O_APPEND, so writes land at its end wherever
-// reads have left the offset.
+// reads have left the offset. An empty file — one it created, or one
+// an open that failed here created — has its directory synced before
+// it returns: a new file's name is not durable until its directory's
+// entry is, and a crash before that loses the whole log, every fsync
+// of the file notwithstanding.
 func OpenFileStore(path string) (*FileStore, error) {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_APPEND, 0o644)
+	return openFileStore(path, func(name string, flag int) (file, error) {
+		return os.OpenFile(name, flag, 0o644)
+	})
+}
+
+// openFileStore is OpenFileStore with every open, the directory's
+// included, made through open.
+func openFileStore(path string, open func(name string, flag int) (file, error)) (*FileStore, error) {
+	f, err := open(path, os.O_RDWR|os.O_CREATE|os.O_APPEND)
 	if err != nil {
 		return nil, fmt.Errorf("wal: open store: %w", err)
 	}
+	fi, err := f.Stat()
+	if err == nil && fi.Size() == 0 {
+		err = syncDir(open, filepath.Dir(path))
+	}
+	if err != nil {
+		f.Close()
+		return nil, fmt.Errorf("wal: open store: %w", err)
+	}
 	return &FileStore{f: f}, nil
+}
+
+// syncDir makes the entries of directory dir durable.
+func syncDir(open func(name string, flag int) (file, error), dir string) error {
+	d, err := open(dir, os.O_RDONLY)
+	if err != nil {
+		return err
+	}
+	if err := d.Sync(); err != nil {
+		d.Close()
+		return err
+	}
+	return d.Close()
 }
 
 // appendPrefixed appends block to dst behind its 4-byte length.
@@ -131,7 +183,32 @@ func appendPrefixed(dst, block []byte) []byte {
 func (s *FileStore) Append(block []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if err := s.mendLocked(); err != nil {
+		return err
+	}
 	return s.write(appendPrefixed(make([]byte, 0, 4+len(block)), block))
+}
+
+// mendLocked rewrites the torn final block the last read found, if
+// any, under an honest length: the file is cut back to where the block
+// starts and the bytes that did survive are re-appended, so the file
+// holds exactly what that read returned and no append sits behind the
+// tear. Callers hold s.mu.
+func (s *FileStore) mendLocked() error {
+	if s.torn == nil {
+		return nil
+	}
+	if err := s.f.Truncate(s.torn.at); err != nil {
+		return fmt.Errorf("wal: cutting torn tail: %w", err)
+	}
+	err := s.f.Sync()
+	if len(s.torn.payload) > 0 { // else torn inside the length prefix: nothing to keep
+		err = s.write(appendPrefixed(nil, s.torn.payload))
+	}
+	if err == nil {
+		s.torn = nil
+	}
+	return err
 }
 
 // write appends buf to the file and syncs. Callers hold s.mu.
@@ -139,22 +216,19 @@ func (s *FileStore) write(buf []byte) error {
 	if _, err := s.f.Write(buf); err != nil {
 		return fmt.Errorf("wal: append: %w", err)
 	}
-	if err := s.changed(); err != nil {
-		return err
-	}
 	if err := s.f.Sync(); err != nil {
 		return fmt.Errorf("wal: sync: %w", err)
 	}
 	return nil
 }
 
-// Blocks re-reads the file from the start. A final block cut short by
-// a torn write — its length prefix promises more bytes than reached
-// the file — is repaired on the spot: the file is cut back to the last
-// whole block and the bytes that did survive are re-appended under an
-// honest length, so the file holds exactly what Blocks returns and
-// later appends never sit behind the tear. The log salvages whole
-// records from that last block and drops the rest.
+// Blocks re-reads the file from the start, and writes nothing: the
+// log decides what damage means before anything on disk changes. A
+// final block cut short by a torn write — its length prefix promises
+// more bytes than reached the file — is returned as whatever of its
+// payload is there. The log salvages whole records from it and drops
+// the rest with DropTail; should it keep the block whole, the next
+// Append first rewrites it under an honest length.
 func (s *FileStore) Blocks() ([][]byte, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -168,24 +242,14 @@ func (s *FileStore) blocksLocked() ([][]byte, error) {
 		return nil, fmt.Errorf("wal: stat: %w", err)
 	}
 	blocks, whole, err := readBlocks(io.NewSectionReader(s.f, 0, fi.Size()), fi.Size())
-	if err != nil || whole == fi.Size() {
-		return blocks, err
-	}
-	tail := blocks[len(blocks)-1]
-	blocks = blocks[:len(blocks)-1]
-	if err := s.f.Truncate(whole); err != nil {
-		return nil, fmt.Errorf("wal: cutting torn tail: %w", err)
-	}
-	if err := s.changed(); err != nil {
+	if err != nil {
 		return nil, err
 	}
-	if len(tail) == 0 { // torn inside the length prefix: nothing to keep
-		return blocks, s.f.Sync()
+	s.torn = nil
+	if whole < fi.Size() {
+		s.torn = &tornBlock{at: whole, payload: blocks[len(blocks)-1]}
 	}
-	if err := s.write(appendPrefixed(nil, tail)); err != nil {
-		return nil, err
-	}
-	return append(blocks, tail), nil
+	return blocks, nil
 }
 
 // readBlocks parses size bytes of length-prefixed blocks from r and
@@ -257,21 +321,11 @@ func (s *FileStore) DropTail(n int) error {
 	if err := s.f.Truncate(cut); err != nil {
 		return fmt.Errorf("wal: dropping tail: %w", err)
 	}
-	if err := s.changed(); err != nil {
-		return err
-	}
 	if err := s.f.Sync(); err != nil {
 		return fmt.Errorf("wal: sync: %w", err)
 	}
+	s.torn = nil // a torn block is the last one: it went with the tail
 	return nil
-}
-
-// changed runs the afterChange hook, if any.
-func (s *FileStore) changed() error {
-	if s.afterChange == nil {
-		return nil
-	}
-	return s.afterChange()
 }
 
 // Close closes the underlying file.
