@@ -81,7 +81,13 @@ chaos:
 # table of stalled-family steps every protocol's timers and recovery
 # enter (core's tick/Restore table), with the two non-blocking split
 # decisions it closed: a pledged coordinator replicating, and a pledge
-# forgotten across a restart.
+# forgotten across a restart. Two-phase commit as Paxos Commit at F=0
+# is gated here as well (DESIGN.md §10): camelot's
+# TestPaxosF0EqualsTwoPhaseDelayBudget diffs both protocols' timelines
+# event for event and allows only its named differences, and chaos's
+# TestPaxosF0ReplaysTwoPhaseSweep replays the full two-phase sweep at
+# F=0 and requires the same oracle verdict; the TestPaxos patterns below
+# select both.
 paxos:
 	$(GO) test ./camelot -run 'TestProtocolBudgetTable|TestRealBudgetTable|TestPaxos|TestFaultFreeRunNeverRetransmits|TestBackToBackCommitsPiggybackTheirAcks|TestNBPledgedCoordinatorDoesNotReplicate|TestNBAbortIntentSurvivesRestart'
 	$(GO) test ./internal/core -run 'TestPaxos|TestFanoutCarriesOwedAcks|TestAckPath|TestStalledFamilyStep|TestRestoreFloorAndResolvedOutcomes'

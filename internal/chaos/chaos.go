@@ -58,21 +58,27 @@ func (r *Result) Failed() bool {
 // Run replays the schedule's seeded workload with its faults injected
 // and checks the recovery oracle. The same schedule always produces
 // the same Result.
-func Run(s Schedule) (*Result, error) {
+func Run(s Schedule) (*Result, error) { return run(s, false) }
+
+// run is Run, with Paxos Commit at F=0 in place of F=1 if paxosF0 is
+// set: the protocol two-phase commit degenerates from, against which
+// the tests replay the two-phase sweep.
+func run(s Schedule, paxosF0 bool) (*Result, error) {
 	if s.Version == "" {
 		s.Version = Version
 	}
 	if err := s.validate(); err != nil {
 		return nil, err
 	}
-	e := &engine{sched: s, msgFaults: make(map[int]Fault)}
+	e := &engine{sched: s, msgFaults: make(map[int]Fault), paxosF0: paxosF0}
 	return e.run()
 }
 
 // engine is the per-run state: the cluster under test, the armed
 // fault hooks, and the injection-point counters.
 type engine struct {
-	sched Schedule
+	sched   Schedule
+	paxosF0 bool // Paxos runs at F=0, not F=1 (run)
 
 	k      *sim.Kernel
 	c      *camelot.Cluster
@@ -273,6 +279,9 @@ func (e *engine) workload(txns []oracle.Txn) {
 	// Paxos runs at F=1, so the sweep's single-site crashes are exactly
 	// the faults it must mask.
 	opts := camelot.Options{Protocol: e.sched.Protocol, PaxosF: 1}
+	if e.paxosF0 {
+		opts.PaxosF = 0
+	}
 	for i := range txns {
 		var write func(*camelot.Tx) error
 		txns[i], write = plan(i)

@@ -1,11 +1,15 @@
 package chaos
 
 import (
+	"runtime"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"camelot/internal/trace"
+	"camelot/internal/wal"
 	"camelot/internal/wire"
 )
 
@@ -247,4 +251,162 @@ func TestPaxosTakeoverLeaderDrainsItsAcks(t *testing.T) {
 	if late != 0 {
 		t.Errorf("%d outcome retry rounds in the last ten virtual seconds: a leader is still waiting for acks it was sent", late)
 	}
+}
+
+// f0Names maps two-phase commit's names to Paxos Commit's at F=0: the
+// table camelot's TestPaxosF0EqualsTwoPhaseDelayBudget maps timelines
+// through, applied here to injection-point labels.
+var f0Names = map[string]string{
+	wire.KPrepare.String(): wire.KPaxosPrepare.String(),
+	wire.KVote.String():    wire.KPaxos2a.String(),
+}
+
+// f0PointName is what a pilot's point names, in F=0's terms: a
+// datagram's kind (mapped) and link; a log write's records, mapped,
+// without the commit decision's — a forced COMMIT under 2PC, a forced
+// PAXOS-ACCEPT and a lazy COMMIT riding a later write under F=0, the
+// named difference "accept is the commit point".
+func f0PointName(p Point) string {
+	switch p.Class {
+	case ClassMsg:
+		kind, link, _ := strings.Cut(p.Label, " ")
+		if to, ok := f0Names[kind]; ok {
+			kind = to
+		}
+		return kind + " " + link
+	case ClassForce:
+		var recs []string
+		for _, r := range strings.Split(p.Label, "+") {
+			if r == wal.RecCommit.String() || r == wal.RecPaxosAccept.String() {
+				continue
+			}
+			if to, ok := f0Names[r]; ok {
+				r = to
+			}
+			recs = append(recs, r)
+		}
+		return strings.Join(recs, "+")
+	}
+	return p.Label
+}
+
+// TestPaxosF0ReplaysTwoPhaseSweep replays the full two-phase sweep —
+// every point and mode `camelot-chaos -protocol 2pc` runs — under
+// Paxos Commit at F=0, each fault at its mapped point, and requires the
+// same oracle verdict: zero violations and no deadlock, on both sides.
+// The clients' outcomes may differ in one way only, named: a
+// transaction two-phase commit commits, F=0 aborts. A prepared
+// subordinate that hears nothing re-casts twice and then takes over,
+// where 2PC's inquires; the takeover chooses Aborted for an instance
+// whose voter is slow (restarting, or behind a cut), while 2PC's
+// coordinator keeps re-asking for that vote and commits when it
+// arrives — and the next transaction, begun that much sooner, may find
+// the slow site still unreachable and abort too. Every other change of
+// outcome fails, and so does this one no longer occurring.
+func TestPaxosF0ReplaysTwoPhaseSweep(t *testing.T) {
+	base := Schedule{Version: Version, Seed: 1, Sites: 3, Txns: 12}
+	f0 := base
+	f0.Protocol = wire.Paxos
+	pilots := make([]*Result, 2)
+	for i, s := range []Schedule{base, f0} {
+		r, err := run(s, i == 1)
+		if err != nil {
+			t.Fatalf("pilot %v: %v", s.Protocol, err)
+		}
+		if r.Failed() {
+			t.Fatalf("pilot %v: violations %v deadlock %q", s.Protocol, r.Violations, r.Deadlock)
+		}
+		pilots[i] = r
+	}
+	type addr struct {
+		class string
+		site  uint32
+		index int
+	}
+	f0Points := map[addr]Point{}
+	for _, q := range pilots[1].Points {
+		f0Points[addr{q.Class, q.Site, q.Index}] = q
+	}
+	// A two-phase point is mapped when the F=0 pilot enumerates a point
+	// at the same class, site and index that names the same thing; the
+	// pilots agree point for point, so none is left unmapped.
+	var faults []Fault
+	var unmapped []string
+	for _, p := range pilots[0].Points {
+		q, ok := f0Points[addr{p.Class, p.Site, p.Index}]
+		if !ok || f0PointName(q) != f0PointName(p) {
+			unmapped = append(unmapped, p.Label)
+			continue
+		}
+		delete(f0Points, addr{p.Class, p.Site, p.Index})
+		for _, mode := range p.Modes() {
+			faults = append(faults, Fault{Class: p.Class, Site: p.Site, Index: p.Index, Mode: mode})
+		}
+	}
+	if len(unmapped) > 0 {
+		t.Errorf("two-phase points with no F=0 counterpart: %q", unmapped)
+	}
+
+	// Each fault once under each protocol; the runs are independent
+	// and deterministic, so they share out over a few workers.
+	results := make([][2]*Result, len(faults))
+	errs := make([]error, len(faults))
+	jobs := make(chan int)
+	var wg sync.WaitGroup
+	for range min(runtime.GOMAXPROCS(0), 4) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range jobs {
+				for side, s := range []Schedule{base, f0} {
+					s.Faults = []Fault{faults[i]}
+					if results[i][side], errs[i] = run(s, side == 1); errs[i] != nil {
+						break
+					}
+				}
+			}
+		}()
+	}
+	for i := range faults {
+		jobs <- i
+	}
+	close(jobs)
+	wg.Wait()
+
+	abortedByTakeover := 0
+	for i, f := range faults {
+		if errs[i] != nil {
+			t.Fatalf("%s: %v", f, errs[i])
+		}
+		r2, rP := results[i][0], results[i][1]
+		if r2.Failed() || rP.Failed() {
+			t.Errorf("%s: 2pc violations %v deadlock %q; paxos F=0 violations %v deadlock %q",
+				f, r2.Violations, r2.Deadlock, rP.Violations, rP.Deadlock)
+		}
+		if slices.Equal(r2.Outcomes, rP.Outcomes) {
+			continue
+		}
+		for j := range r2.Outcomes {
+			if r2.Outcomes[j] != rP.Outcomes[j] && (r2.Outcomes[j] != "committed" || rP.Outcomes[j] != "aborted") {
+				t.Errorf("%s: transaction %d %s under 2pc, %s under paxos F=0: not the named takeover abort",
+					f, j, r2.Outcomes[j], rP.Outcomes[j])
+			}
+		}
+		abortedByTakeover++
+	}
+	if abortedByTakeover == 0 {
+		t.Error("no run aborts under F=0 what 2pc commits: the named takeover abort no longer occurs")
+	}
+	// What the F=0 pilot enumerates beyond the mapped points is not a
+	// fault of the two-phase sweep; it is listed, not replayed.
+	var f0Only []string
+	for _, q := range pilots[1].Points {
+		if _, left := f0Points[addr{q.Class, q.Site, q.Index}]; left {
+			f0Only = append(f0Only, q.Label)
+		}
+	}
+	t.Logf("two-phase points: %d mapped, %d unmapped %q; F=0 points: %d, %d unmapped %q",
+		len(pilots[0].Points)-len(unmapped), len(unmapped), unmapped, len(pilots[1].Points), len(f0Only), f0Only)
+	t.Logf("%d faults under each protocol, %d runs with the pilots; %d runs with a transaction 2pc commits and F=0 aborts",
+		len(faults), 2*len(faults)+2, abortedByTakeover)
 }

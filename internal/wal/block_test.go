@@ -507,15 +507,15 @@ func TestReadBlocksReturnsDeviceErrors(t *testing.T) {
 	for cut := 1; cut < len(image); cut++ {
 		// The device fails after cut bytes with more still to come.
 		r := io.MultiReader(bytes.NewReader(image[:cut]), iotest.ErrReader(errDevice))
-		blocks, _, err := readBlocks(r, int64(len(image)))
+		blocks, _, _, err := readBlocks(r, int64(len(image)))
 		if !errors.Is(err, errDevice) {
 			t.Fatalf("device failing at byte %d: got %d blocks, err %v; want the device's error", cut, len(blocks), err)
 		}
 	}
 	// Running out of bytes, by contrast, is a torn tail, not an error.
-	blocks, whole, err := readBlocks(bytes.NewReader(image[:len(image)-2]), int64(len(image)-2))
-	if err != nil || len(blocks) != 2 || string(blocks[1]) != "seco" || whole != 4+5 {
-		t.Fatalf("short file: blocks %q, %d whole bytes, err %v; want the torn block's surviving bytes behind 9 whole ones", blocks, whole, err)
+	blocks, starts, whole, err := readBlocks(bytes.NewReader(image[:len(image)-2]), int64(len(image)-2))
+	if err != nil || len(blocks) != 2 || string(blocks[1]) != "seco" || whole != 4+5 || len(starts) != 2 || starts[1] != whole {
+		t.Fatalf("short file: blocks %q at %v, %d whole bytes, err %v; want the torn block's surviving bytes behind 9 whole ones", blocks, starts, whole, err)
 	}
 }
 

@@ -36,6 +36,7 @@ type disk struct {
 	pending []call // mutating calls since the last Sync, in order
 	calls   int    // mutating calls attempted
 	crashAt int    // the mutating call that fails; 0: none does
+	read    int    // bytes ReadAt has returned
 }
 
 // call is one unsynced Write (data at off: the file's end, since the
@@ -96,6 +97,7 @@ func (d *disk) ReadAt(p []byte, off int64) (int, error) {
 		return 0, io.EOF
 	}
 	n := copy(p, d.view[off:])
+	d.read += n
 	if n < len(p) {
 		return n, io.EOF
 	}
@@ -278,11 +280,19 @@ func restart(d *disk, next []*wal.Record) []*wal.Record {
 
 // lost reports what recovering state loses of forced: a refusal, a
 // forced record missing from the records read back (in order), or a
-// forced update missing from the redone data. "" is nothing.
+// forced update missing from the redone data. "" is nothing. LSNs that
+// do not strictly increase through the file — a restart numbering its
+// appends from 1 again — count as a loss too: recovery's order and
+// ErrCorrupt's "last good LSN" both lean on them.
 func lost(state []byte, forced []*wal.Record) (what string, refused bool) {
 	recs, a, err := recoverLog(newDisk(state, 0))
 	if err != nil {
 		return fmt.Sprintf("recovery fail-stops: %v", err), true
+	}
+	for i := 1; i < len(recs); i++ {
+		if recs[i].LSN <= recs[i-1].LSN {
+			return fmt.Sprintf("record %d has LSN %d after LSN %d", i, recs[i].LSN, recs[i-1].LSN), false
+		}
 	}
 	kept := 0
 	for _, r := range recs {
@@ -424,6 +434,9 @@ func TestTailRepairSurvivesCrashMidRepair(t *testing.T) {
 		torn := newDisk(image, 0)
 		if restart(torn, txn(9, 8)) == nil || torn.calls <= 2 {
 			t.Fatalf("torn %s: a restart failed or made %d file calls, its commit's two included: it repaired nothing", tear.where, torn.calls)
+		}
+		if torn.read != len(image) {
+			t.Errorf("torn %s: the restart read %d bytes of a %d-byte file; its repair must read each block once", tear.where, torn.read, len(image))
 		}
 		c.state("torn "+tear.where+" of the third block", image, forced[:6], 8)
 	}

@@ -184,7 +184,10 @@ func (l *Log) appendBlock(b []byte, records, bytes int) error {
 func (l *Log) Appends() int { return l.cfg.Trace.Site(l.cfg.Site).LogAppends }
 
 // Records reads back every durable record, in LSN order. Buffered
-// (never-forced) records are absent — exactly what a crash loses.
+// (never-forced) records are absent — exactly what a crash loses. A
+// log reopened over a store that already holds records numbers its
+// next append past the highest LSN read, so LSNs never repeat in the
+// file.
 //
 // A block is one device write and may carry many records, each in its
 // own length-prefixed, checksummed frame. A frame that fails its check
@@ -238,6 +241,11 @@ func (l *Log) Records() ([]*Record, error) {
 		}
 		break
 	}
+	l.mu.Lock()
+	for _, r := range out {
+		l.nextLSN = max(l.nextLSN, r.LSN+1)
+	}
+	l.mu.Unlock()
 	return out, nil
 }
 

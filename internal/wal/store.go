@@ -107,6 +107,9 @@ type FileStore struct {
 	// torn is the final block the last read found cut short by a torn
 	// write, or nil. The next Append rewrites it first (mendLocked).
 	torn *tornBlock
+	// starts is where each block the last read returned begins, or nil
+	// once a write may have moved them: what DropTail cuts at.
+	starts []int64
 }
 
 // tornBlock is a final block whose length prefix promises more bytes
@@ -183,6 +186,7 @@ func appendPrefixed(dst, block []byte) []byte {
 func (s *FileStore) Append(block []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.starts = nil
 	if err := s.mendLocked(); err != nil {
 		return err
 	}
@@ -241,49 +245,50 @@ func (s *FileStore) blocksLocked() ([][]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("wal: stat: %w", err)
 	}
-	blocks, whole, err := readBlocks(io.NewSectionReader(s.f, 0, fi.Size()), fi.Size())
+	blocks, starts, whole, err := readBlocks(io.NewSectionReader(s.f, 0, fi.Size()), fi.Size())
 	if err != nil {
 		return nil, err
 	}
-	s.torn = nil
+	s.starts, s.torn = starts, nil
 	if whole < fi.Size() {
 		s.torn = &tornBlock{at: whole, payload: blocks[len(blocks)-1]}
 	}
 	return blocks, nil
 }
 
-// readBlocks parses size bytes of length-prefixed blocks from r and
-// reports how many of those bytes whole blocks account for. When that
-// is less than size the file ends in a torn block, and the last block
-// returned is whatever of its payload is there. Only running out of
-// bytes is a torn tail; any other read error is the device failing and
-// is returned, never mistaken for the end of the log. A block's length
-// is bounded by the bytes left, so a corrupt prefix cannot demand
-// gigabytes.
-func readBlocks(r io.Reader, size int64) (blocks [][]byte, whole int64, _ error) {
+// readBlocks parses size bytes of length-prefixed blocks from r,
+// reports the offset each begins at, and how many of those bytes whole
+// blocks account for. When that is less than size the file ends in a
+// torn block, and the last block returned is whatever of its payload
+// is there. Only running out of bytes is a torn tail; any other read
+// error is the device failing and is returned, never mistaken for the
+// end of the log. A block's length is bounded by the bytes left, so a
+// corrupt prefix cannot demand gigabytes.
+func readBlocks(r io.Reader, size int64) (blocks [][]byte, starts []int64, whole int64, _ error) {
 	br := bufio.NewReaderSize(r, 64<<10)
 	for whole < size {
+		starts = append(starts, whole)
 		var hdr [4]byte
 		_, err := io.ReadFull(br, hdr[:])
 		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return append(blocks, nil), whole, nil
+			return append(blocks, nil), starts, whole, nil
 		}
 		if err != nil {
-			return nil, 0, fmt.Errorf("wal: read: %w", err)
+			return nil, nil, 0, fmt.Errorf("wal: read: %w", err)
 		}
 		want := int64(binary.BigEndian.Uint32(hdr[:]))
 		block := make([]byte, min(want, size-whole-4))
 		n, err := io.ReadFull(br, block)
 		if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
-			return nil, 0, fmt.Errorf("wal: read: %w", err)
+			return nil, nil, 0, fmt.Errorf("wal: read: %w", err)
 		}
 		blocks = append(blocks, block[:n])
 		if int64(n) < want {
-			return blocks, whole, nil
+			return blocks, starts, whole, nil
 		}
 		whole += 4 + want
 	}
-	return blocks, whole, nil
+	return blocks, starts, whole, nil
 }
 
 // Truncate refuses to drop blocks. A file has no crash-safe way to
@@ -301,7 +306,10 @@ func (s *FileStore) Truncate(n int) error {
 
 // DropTail discards the last n blocks by cutting the file where the
 // first of them starts: one ftruncate and one fsync, under one hold of
-// s.mu so no append can land between the read and the cut. A crash
+// s.mu so no append can land between the read and the cut. The cut is
+// where the last read saw that block begin — the recovery that repairs
+// a torn tail has just read the file, so nothing is read twice — and
+// the file is read again only if a write has happened since. A crash
 // anywhere inside leaves either the whole file or exactly the kept
 // blocks, never less.
 func (s *FileStore) DropTail(n int) error {
@@ -310,20 +318,24 @@ func (s *FileStore) DropTail(n int) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	blocks, err := s.blocksLocked()
-	if err != nil {
-		return err
+	if s.starts == nil {
+		if _, err := s.blocksLocked(); err != nil {
+			return err
+		}
 	}
-	var cut int64
-	for _, b := range blocks[:max(0, len(blocks)-n)] {
-		cut += 4 + int64(len(b))
+	starts, keep := s.starts, max(0, len(s.starts)-n)
+	var cut int64 // an empty file's, or where the first dropped block begins
+	if keep < len(starts) {
+		cut = starts[keep]
 	}
+	s.starts = nil // until the cut has landed
 	if err := s.f.Truncate(cut); err != nil {
 		return fmt.Errorf("wal: dropping tail: %w", err)
 	}
 	if err := s.f.Sync(); err != nil {
 		return fmt.Errorf("wal: sync: %w", err)
 	}
+	s.starts = starts[:keep]
 	s.torn = nil // a torn block is the last one: it went with the tail
 	return nil
 }
