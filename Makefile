@@ -161,7 +161,11 @@ perf-compare:
 # whole run falls on both sides alike. Every output is kept as
 # .perf-compare/pair-NN-{base,head}.json, and each pair's -compare
 # table is printed; a "worse" pair does not stop the run, since the
-# claim is about the pairs taken together.
+# claim is about the pairs taken together. Last, camelot-evidence
+# summarizes the pairs into .perf-compare/evidence.json
+# (camelot-evidence/v1): per workload and end-to-end metric, each
+# side's runs, medians and quartiles, the change, how many pairs read
+# lower, and the verdicts.
 perf-pairs:
 	$(perf-export)
 	$(GO) -C $(PERF_DIR)/base/cmd/camelot-perf build -o $(CURDIR)/$(PERF_DIR)/base-perf .
@@ -179,6 +183,8 @@ perf-pairs:
 		$(PERF_DIR)/head-perf -compare -bench $(CURDIR)/BENCHMARK.json \
 			$(PERF_DIR)/pair-$$nn-base.json $(PERF_DIR)/pair-$$nn-head.json || true; \
 	done
+	$(GO) run ./cmd/camelot-evidence -bench BENCHMARK.json -dir $(PERF_DIR) > $(PERF_DIR)/evidence.json
+	@echo "perf-pairs: wrote $(PERF_DIR)/evidence.json"
 
 # "The simulator did not move" as a command. First a diff of the
 # pinned timelines, schemas and regression corpora against BASE — the

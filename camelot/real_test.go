@@ -79,6 +79,57 @@ func TestDefaultRealConfigServesKeyspace(t *testing.T) {
 	}
 }
 
+// TestRestartKeepsCommittedValues is the regression test for two
+// ways a committed value used to change across a restart, while
+// PeekKey showed it right before. An empty value: the log encoded it
+// like an absent one, so recovery redid the commit as a delete and the
+// key vanished. A writer reusing its buffer between WriteKey and the
+// commit: the log held that buffer until the commit's force, so it
+// made the reused bytes durable instead of the written ones.
+func TestRestartKeepsCommittedValues(t *testing.T) {
+	walPath := filepath.Join(t.TempDir(), "wal")
+	m := shardmap.Default(1)
+	n := startReal(t, walPath, m)
+	if err := n.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	tx, err := n.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := []byte("abc")
+	if err := n.WriteKey(tx, "empty", []byte{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := n.WriteKey(tx, "reused", buf); err != nil {
+		t.Fatal(err)
+	}
+	copy(buf, "xyz")
+	if _, err := n.Commit(tx, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	check := func(when string, n *RealNode) {
+		t.Helper()
+		if v, ok, err := n.PeekKey("empty"); err != nil || !ok || len(v) != 0 {
+			t.Errorf("%s: empty = %q, %v, %v; want present and empty", when, v, ok, err)
+		}
+		if v, ok, err := n.PeekKey("reused"); err != nil || !ok || string(v) != "abc" {
+			t.Errorf("%s: reused = %q, %v, %v; want \"abc\"", when, v, ok, err)
+		}
+	}
+	check("before the restart", n)
+	if err := n.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	re := startReal(t, walPath, m)
+	defer re.Close() //nolint:errcheck // test teardown
+	if err := re.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	check("after the restart", re)
+}
+
 // TestRecoverRejectsUnhostedServer is the regression test for a node
 // restarted under a different shard map: its log names shard servers
 // the new layout does not host, and recovery used to skip them — the

@@ -78,7 +78,7 @@ func (s *site) recover() error {
 	}
 
 	// Install the recovered image (page base + redone tail) into each
-	// server.
+	// server, which adopts its map.
 	for _, name := range det.SortedKeys(a.Data) {
 		s.servers[name].Install(a.Data[name])
 	}
@@ -89,12 +89,7 @@ func (s *site) recover() error {
 	for _, d := range a.InDoubt {
 		for _, name := range det.SortedKeys(d.Updates) {
 			srv := s.servers[name]
-			recs := d.Updates[name]
-			ups := make([]server.RecoveredUpdate, 0, len(recs))
-			for _, r := range recs {
-				ups = append(ups, server.RecoveredUpdate{Key: r.Key, Old: r.Old, New: r.New})
-			}
-			srv.Reacquire(d.TID, ups)
+			srv.Reacquire(d.TID, d.Updates[name])
 			parts[d.TID] = append(parts[d.TID], srv)
 		}
 	}

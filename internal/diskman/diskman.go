@@ -21,7 +21,7 @@ package diskman
 
 import (
 	"fmt"
-	"slices"
+	"maps"
 	"sync"
 
 	"camelot/internal/recman"
@@ -35,7 +35,7 @@ import (
 // records used to carry.
 type Snapshot struct {
 	// Data is the committed image, per server per key.
-	Data map[string]map[string][]byte
+	Data map[string]map[string]string
 	// Outcomes are the resolved top-level outcomes the image absorbed,
 	// by family — still needed to answer presumed-abort inquiries and
 	// non-blocking status requests for old transactions.
@@ -45,19 +45,17 @@ type Snapshot struct {
 	MaxLocalFamily uint32
 }
 
-// clone deep-copies a snapshot.
+// clone copies a snapshot's maps, so that neither copy's owner sees
+// the other's changes; the values are immutable strings and are
+// shared.
 func (s *Snapshot) clone() *Snapshot {
 	out := &Snapshot{
-		Data:           make(map[string]map[string][]byte, len(s.Data)),
+		Data:           make(map[string]map[string]string, len(s.Data)),
 		Outcomes:       s.Outcomes.Clone(),
 		MaxLocalFamily: s.MaxLocalFamily,
 	}
 	for srv, kv := range s.Data {
-		m := make(map[string][]byte, len(kv))
-		for k, v := range kv {
-			m[k] = slices.Clone(v)
-		}
-		out.Data[srv] = m
+		out.Data[srv] = maps.Clone(kv)
 	}
 	return out
 }
@@ -72,7 +70,7 @@ type PageStore struct {
 
 // NewPageStore returns an empty store.
 func NewPageStore() *PageStore {
-	return &PageStore{snap: &Snapshot{Data: make(map[string]map[string][]byte)}}
+	return &PageStore{snap: &Snapshot{Data: make(map[string]map[string]string)}}
 }
 
 // Read returns a copy of the current image.

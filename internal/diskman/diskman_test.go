@@ -106,6 +106,30 @@ func TestCheckpointAbsorbsResolvedAndTruncates(t *testing.T) {
 	}
 }
 
+// TestAnalyzeOverReadLeavesImage pins that PageStore.Read hands out
+// maps of its own: recovery redoes the log onto the image it read
+// (recman.Analyze takes ownership of it), and the stored image, which
+// shares the values, must not see those writes and deletes.
+func TestAnalyzeOverReadLeavesImage(t *testing.T) {
+	log := buildLog(t, []*wal.Record{
+		upd(top(1), "a", "1"),
+		{Type: wal.RecCommit, TID: top(1)},
+	})
+	ps := NewPageStore()
+	if _, err := Checkpoint(1, log, ps); err != nil {
+		t.Fatal(err)
+	}
+	recman.Analyze(1, ps.Read().Data, []*wal.Record{
+		upd(top(2), "a", ""), // a delete
+		upd(top(2), "b", "2"),
+		{Type: wal.RecCommit, TID: top(2)},
+	})
+	want := map[string]map[string]string{"srv": {"a": "1"}}
+	if got := ps.Read().Data; !reflect.DeepEqual(got, want) {
+		t.Fatalf("stored image = %v after Analyze over a read copy, want %v", got, want)
+	}
+}
+
 func TestInDoubtTransactionPinsTruncation(t *testing.T) {
 	log := buildLog(t, []*wal.Record{
 		upd(top(1), "a", "1"),
@@ -361,11 +385,11 @@ func TestCheckpointEquivalenceProperty(t *testing.T) {
 			}
 			got := a.Data
 			// Normalize: empty maps vs missing maps.
-			norm := func(m map[string]map[string][]byte) map[string]string {
+			norm := func(m map[string]map[string]string) map[string]string {
 				out := make(map[string]string)
 				for srv, kv := range m {
 					for key, v := range kv {
-						out[srv+"/"+key] = string(v)
+						out[srv+"/"+key] = v
 					}
 				}
 				return out

@@ -75,7 +75,7 @@ type Analysis struct {
 	// Data is the recovered committed state, per server per key: the
 	// image Analyze was given with the log's committed updates redone
 	// onto it.
-	Data map[string]map[string][]byte
+	Data map[string]map[string]string
 	// InDoubt lists transactions this site must resolve via protocol.
 	InDoubt []InDoubt
 	// Resume lists coordinator decisions to re-drive.
@@ -96,9 +96,9 @@ type Analysis struct {
 // checkpoint image the records continue, per server per key. Analyze
 // takes ownership of image and returns it as Data; nil means an empty
 // image.
-func Analyze(site tid.SiteID, image map[string]map[string][]byte, records []*wal.Record) *Analysis {
+func Analyze(site tid.SiteID, image map[string]map[string]string, records []*wal.Record) *Analysis {
 	if image == nil {
-		image = make(map[string]map[string][]byte)
+		image = make(map[string]map[string]string)
 	}
 	a := &Analysis{Data: image}
 
@@ -263,13 +263,13 @@ func Analyze(site tid.SiteID, image map[string]map[string][]byte, records []*wal
 		if a.Outcomes.Get(top.Family) == wire.OutcomeCommit {
 			m := a.Data[u.Server]
 			if m == nil {
-				m = make(map[string][]byte)
+				m = make(map[string]string)
 				a.Data[u.Server] = m
 			}
 			if u.New == nil {
 				delete(m, u.Key)
 			} else {
-				m[u.Key] = u.New
+				m[u.Key] = string(u.New)
 			}
 			continue
 		}

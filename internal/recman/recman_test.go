@@ -274,13 +274,17 @@ func TestDeleteRedo(t *testing.T) {
 	recs := []*wal.Record{
 		upd(top(1), "a", "", "v"),
 		{Type: wal.RecCommit, TID: top(1)},
-		// A nil New models deletion.
+		// A nil New models deletion; an empty one is a value.
 		{Type: wal.RecUpdate, TID: top(2), Server: "srv", Key: "a", Old: []byte("v")},
+		{Type: wal.RecUpdate, TID: top(2), Server: "srv", Key: "e", New: []byte{}},
 		{Type: wal.RecCommit, TID: top(2)},
 	}
 	a := Analyze(1, nil, recs)
 	if _, ok := a.Data["srv"]["a"]; ok {
 		t.Fatalf("deleted key present: %v", a.Data)
+	}
+	if v, ok := a.Data["srv"]["e"]; !ok || v != "" {
+		t.Fatalf("committed empty value: %q, %v; want present and empty", v, ok)
 	}
 }
 
@@ -288,7 +292,7 @@ func TestDeleteRedo(t *testing.T) {
 // top of the image, deletions included, and keys it never touches keep
 // the image's value.
 func TestRedoOntoImage(t *testing.T) {
-	image := map[string]map[string][]byte{"srv": {"a": []byte("old"), "b": []byte("keep")}}
+	image := map[string]map[string]string{"srv": {"a": "old", "b": "keep"}}
 	recs := []*wal.Record{
 		{Type: wal.RecUpdate, TID: top(1), Server: "srv", Key: "a", Old: []byte("old")}, // delete
 		upd(top(1), "c", "", "new"),

@@ -4,7 +4,10 @@
 // and participates in commitment by joining transactions at its local
 // transaction manager (Figure 1, steps 4–6 and 8–11 of the paper).
 //
-// Objects are byte-string values named by keys. Updates are applied
+// Objects are byte-string values named by keys, held as immutable Go
+// strings: a value is copied on its way in (Write, which also gives
+// the log record bytes of its own) and on its way out (Read, Peek),
+// and never in between. Updates are applied
 // in place under exclusive locks with the old value retained for
 // undo, which together with the write-ahead update records gives the
 // usual steal/no-force recovery discipline.
@@ -83,7 +86,7 @@ type Server struct {
 	cfg   Config
 
 	mu       rt.Mutex
-	data     map[string][]byte
+	data     map[string]string
 	undo     map[tid.FamilyID][]undoEntry
 	joined   map[tid.FamilyID]map[tid.TID]bool
 	parentOf map[tid.TID]tid.TID
@@ -95,7 +98,7 @@ type Server struct {
 type undoEntry struct {
 	t   tid.TID
 	key string
-	old []byte
+	old string
 	had bool // whether the key existed before
 }
 
@@ -110,7 +113,7 @@ func New(r rt.Runtime, name string, tm Joiner, log *wal.Log, cfg Config) *Server
 		log:      log,
 		locks:    lockmgr.New(r),
 		cfg:      cfg,
-		data:     make(map[string][]byte),
+		data:     make(map[string]string),
 		undo:     make(map[tid.FamilyID][]undoEntry),
 		joined:   make(map[tid.FamilyID]map[tid.TID]bool),
 		parentOf: make(map[tid.TID]tid.TID),
@@ -140,9 +143,7 @@ func (s *Server) Read(t, parent tid.TID, key string) ([]byte, error) {
 		return nil, fmt.Errorf("%w: %q", ErrNoSuchKey, key)
 	}
 	s.reads++
-	out := make([]byte, len(v))
-	copy(out, v)
-	return out, nil
+	return []byte(v), nil
 }
 
 // Write sets key to val on behalf of t under an exclusive lock,
@@ -158,22 +159,27 @@ func (s *Server) Write(t, parent tid.TID, key string, val []byte) error {
 	s.chargeCPU()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	old, had := s.data[key]
-	if _, err := s.log.Append(&wal.Record{
+	v := string(val)
+	rec := &wal.Record{
 		Type:   wal.RecUpdate,
 		TID:    t,
 		Parent: s.parentOf[t],
 		Server: s.name,
 		Key:    key,
-		Old:    old,
-		New:    val,
-	}); err != nil {
+		// Bytes of the log's own, never nil (a nil New is a delete to
+		// recovery): the record is encoded only at the family's force,
+		// and the caller may reuse val before then.
+		New: []byte(v),
+	}
+	old, had := s.data[key]
+	if had {
+		rec.Old = []byte(old)
+	}
+	if _, err := s.log.Append(rec); err != nil {
 		return fmt.Errorf("server %s: log update: %w", s.name, err)
 	}
 	s.undo[t.Family] = append(s.undo[t.Family], undoEntry{t: t, key: key, old: old, had: had})
-	cp := make([]byte, len(val))
-	copy(cp, val)
-	s.data[key] = cp
+	s.data[key] = v
 	s.writes++
 	return nil
 }
@@ -281,32 +287,21 @@ func (s *Server) AbortChild(child tid.TID) {
 	s.dropLocks(victims)
 }
 
-// Install replaces the server's committed state; the recovery process
-// calls it after replaying the log.
-func (s *Server) Install(data map[string][]byte) {
+// Install replaces the server's committed state with data, which the
+// server takes ownership of; the recovery process calls it after
+// replaying the log.
+func (s *Server) Install(data map[string]string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.data = make(map[string][]byte, len(data))
-	for k, v := range data {
-		cp := make([]byte, len(v))
-		copy(cp, v)
-		s.data[k] = cp
-	}
-}
-
-// RecoveredUpdate is one in-doubt write reconstructed from the log.
-type RecoveredUpdate struct {
-	Key string
-	Old []byte // nil means the key did not exist before
-	New []byte
+	s.data = data
 }
 
 // Reacquire restores an in-doubt (prepared but unresolved)
-// transaction after a crash: its updates are re-applied, its undo
-// information reinstalled, and its write locks re-taken, so the
-// eventual CommitFamily or AbortFamily behaves exactly as if the
-// crash had not happened.
-func (s *Server) Reacquire(t tid.TID, updates []RecoveredUpdate) {
+// transaction after a crash from its UPDATE records, in log order: its
+// updates are re-applied, its undo information reinstalled, and its
+// write locks re-taken, so the eventual CommitFamily or AbortFamily
+// behaves exactly as if the crash had not happened.
+func (s *Server) Reacquire(t tid.TID, updates []*wal.Record) {
 	s.mu.Lock()
 	s.indoubt[t.Family] = true
 	if s.joined[t.Family] == nil {
@@ -315,11 +310,9 @@ func (s *Server) Reacquire(t tid.TID, updates []RecoveredUpdate) {
 	s.joined[t.Family][t] = true
 	for _, u := range updates {
 		s.undo[t.Family] = append(s.undo[t.Family], undoEntry{
-			t: t, key: u.Key, old: u.Old, had: u.Old != nil,
+			t: t, key: u.Key, old: string(u.Old), had: u.Old != nil,
 		})
-		cp := make([]byte, len(u.New))
-		copy(cp, u.New)
-		s.data[u.Key] = cp
+		s.data[u.Key] = string(u.New)
 	}
 	s.mu.Unlock()
 	for _, u := range updates {
@@ -338,9 +331,7 @@ func (s *Server) Peek(key string) ([]byte, bool) {
 	if !ok {
 		return nil, false
 	}
-	out := make([]byte, len(v))
-	copy(out, v)
-	return out, true
+	return []byte(v), true
 }
 
 // OpCounts reports reads and writes served.

@@ -2,11 +2,15 @@ package server
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
+	"runtime"
 	"testing"
 	"time"
 
+	"camelot/internal/recman"
 	"camelot/internal/sim"
 	"camelot/internal/tid"
 	"camelot/internal/wal"
@@ -265,7 +269,7 @@ func TestInstallReplacesState(t *testing.T) {
 	f := newFixture()
 	f.run(t, func() {
 		f.srv.Write(top(1), tid.TID{}, "junk", []byte("x")) //nolint:errcheck
-		f.srv.Install(map[string][]byte{"a": []byte("1"), "b": []byte("2")})
+		f.srv.Install(map[string]string{"a": "1", "b": "2"})
 		if _, ok := f.srv.Peek("junk"); ok {
 			t.Error("pre-install state survived Install")
 		}
@@ -279,9 +283,9 @@ func TestReacquireRestoresInDoubtState(t *testing.T) {
 	f := newFixture()
 	f.run(t, func() {
 		tx := top(1)
-		f.srv.Reacquire(tx, []RecoveredUpdate{
-			{Key: "a", Old: []byte("old"), New: []byte("new")},
-			{Key: "b", Old: nil, New: []byte("ins")},
+		f.srv.Reacquire(tx, []*wal.Record{
+			{Type: wal.RecUpdate, TID: tx, Server: "srv", Key: "a", Old: []byte("old"), New: []byte("new")},
+			{Type: wal.RecUpdate, TID: tx, Server: "srv", Key: "b", Old: nil, New: []byte("ins")},
 		})
 		// The in-doubt value is applied and locked.
 		if v, _ := f.srv.Peek("a"); string(v) != "new" {
@@ -309,7 +313,7 @@ func TestReacquireThenCommit(t *testing.T) {
 	f := newFixture()
 	f.run(t, func() {
 		tx := top(1)
-		f.srv.Reacquire(tx, []RecoveredUpdate{{Key: "a", New: []byte("v")}})
+		f.srv.Reacquire(tx, []*wal.Record{{Type: wal.RecUpdate, TID: tx, Server: "srv", Key: "a", New: []byte("v")}})
 		f.srv.CommitFamily(tx.Family)
 		if v, _ := f.srv.Peek("a"); string(v) != "v" {
 			t.Errorf("a = %q after in-doubt commit, want \"v\"", v)
@@ -337,16 +341,157 @@ func TestSnapshotAndOpCounts(t *testing.T) {
 	})
 }
 
+// TestReadCopiesDoNotAlias pins the two copies a value takes: Write
+// copies the caller's buffer in, and Read and Peek copy the stored
+// value out, so no caller's slice is the server's storage.
 func TestReadCopiesDoNotAlias(t *testing.T) {
 	f := newFixture()
 	f.run(t, func() {
 		tx := top(1)
-		f.srv.Write(tx, tid.TID{}, "a", []byte("abc")) //nolint:errcheck
+		buf := []byte("abc")
+		f.srv.Write(tx, tid.TID{}, "a", buf) //nolint:errcheck
+		buf[0] = 'W'
+		if v, _ := f.srv.Peek("a"); string(v) != "abc" {
+			t.Errorf("a = %q after the writer changed its buffer, want \"abc\"", v)
+		}
 		got, _ := f.srv.Read(tx, tid.TID{}, "a")
 		got[0] = 'X'
-		again, _ := f.srv.Read(tx, tid.TID{}, "a")
-		if string(again) != "abc" {
-			t.Error("Read returned aliased storage")
+		if again, _ := f.srv.Read(tx, tid.TID{}, "a"); string(again) != "abc" {
+			t.Errorf("a = %q after a reader changed Read's slice: Read returned aliased storage", again)
+		}
+		peeked, _ := f.srv.Peek("a")
+		peeked[0] = 'Y'
+		if again, _ := f.srv.Peek("a"); string(again) != "abc" {
+			t.Errorf("a = %q after a reader changed Peek's slice: Peek returned aliased storage", again)
 		}
 	})
+}
+
+// TestInDoubtAbortRestoresEmptyValue is the regression test for an
+// in-doubt overwrite of an empty value: the log used to encode the
+// present empty Old like an absent one, so the restarted server undid
+// the overwrite as a delete. It runs the whole path: Write logs the
+// update, the log's codec round-trips it, recman finds the family in
+// doubt, and a fresh server reacquires and aborts it.
+func TestInDoubtAbortRestoresEmptyValue(t *testing.T) {
+	f := newFixture()
+	f.run(t, func() {
+		f.srv.Install(map[string]string{"k": ""})
+		tx := top(1)
+		if err := f.srv.Write(tx, tid.TID{}, "k", []byte("x")); err != nil {
+			t.Error(err)
+			return
+		}
+		lsn, err := f.log.Append(&wal.Record{Type: wal.RecPrepare, TID: tx, Coordinator: 2})
+		if err == nil {
+			err = f.log.Force(lsn)
+		}
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		recs, err := f.log.Records()
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		a := recman.Analyze(1, nil, recs)
+		if len(a.InDoubt) != 1 {
+			t.Errorf("in doubt: %v, want the one prepared family", a.InDoubt)
+			return
+		}
+		re := New(f.k, "srv", f.tm, f.log, Config{LockTimeout: 100 * time.Millisecond})
+		re.Install(map[string]string{"k": ""})
+		re.Reacquire(tx, a.InDoubt[0].Updates["srv"])
+		if v, _ := re.Peek("k"); string(v) != "x" {
+			t.Errorf("k = %q in doubt, want \"x\"", v)
+		}
+		re.AbortFamily(tx.Family)
+		if v, ok := re.Peek("k"); !ok || len(v) != 0 {
+			t.Errorf("k = %q, %v after the in-doubt abort; want present and empty", v, ok)
+		}
+	})
+}
+
+func liveHeap() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
+// acceptAll is a Joiner that keeps nothing, so that a long fill
+// retains no per-transaction state outside the server.
+type acceptAll struct{}
+
+func (acceptAll) Join(t, parent tid.TID, p Participant) error { return nil }
+
+// discard is a log device that keeps nothing: the heap a fill leaves
+// behind is the server's.
+type discard struct{}
+
+func (discard) Append([]byte) error       { return nil }
+func (discard) Blocks() ([][]byte, error) { return nil, nil }
+func (discard) Truncate(int) error        { return nil }
+func (discard) DropTail(int) error        { return nil }
+
+// TestObjectTableIsCompact pins what the object table costs per
+// committed object against a map[string][]byte holding the same keys
+// and values. A string header is 16 bytes where a slice header is 24,
+// so each slot of the table is 8 bytes smaller, and at the maps' load
+// factor (at most 7/8) that is at least 8 bytes per object. Both
+// sides allocate the same keys and 64-byte values; the table is
+// filled through Write and CommitFamily, one transaction per object.
+func TestObjectTableIsCompact(t *testing.T) {
+	const n = 100_000
+	key := func(i int) string { return fmt.Sprintf("key/%06d", i) }
+	value := func(i int) []byte {
+		v := make([]byte, 64)
+		binary.BigEndian.PutUint64(v, uint64(i))
+		return v
+	}
+	perEntry := func(fill func()) float64 {
+		before := liveHeap()
+		fill()
+		return (float64(liveHeap()) - float64(before)) / n
+	}
+
+	k := sim.New(1)
+	log := wal.Open(k, discard{}, wal.Config{})
+	srv := New(k, "srv", acceptAll{}, log, Config{})
+	table := perEntry(func() {
+		k.Go("fill", func() {
+			for i := 0; i < n; i++ {
+				tx := top(uint32(i + 1))
+				if err := srv.Write(tx, tid.TID{}, key(i), value(i)); err != nil {
+					t.Error(err)
+					break
+				}
+				srv.CommitFamily(tx.Family)
+				if i%100 == 99 {
+					log.Force(math.MaxUint64) //nolint:errcheck // discard never fails
+				}
+			}
+			log.Force(math.MaxUint64) //nolint:errcheck // discard never fails
+			k.Stop()
+		})
+		k.RunUntil(time.Hour)
+	})
+	if _, w := srv.OpCounts(); w != n {
+		t.Fatalf("%d writes, want %d", w, n)
+	}
+	var ref map[string][]byte
+	mapped := perEntry(func() {
+		ref = make(map[string][]byte)
+		for i := 0; i < n; i++ {
+			ref[key(i)] = value(i)
+		}
+	})
+	runtime.KeepAlive(ref)
+	runtime.KeepAlive(srv)
+	if table > mapped-8 {
+		t.Errorf("the object table retains %.1f B per object, a map[string][]byte %.1f B: want at least 8 B less", table, mapped)
+	}
+	t.Logf("B per object: table %.1f, map[string][]byte %.1f", table, mapped)
 }

@@ -304,7 +304,7 @@ func lost(state []byte, forced []*wal.Record) (what string, refused bool) {
 		return fmt.Sprintf("recovered %d of the %d forced records", kept, len(forced)), false
 	}
 	for _, r := range forced {
-		if r.Type == wal.RecUpdate && !bytes.Equal(a.Data[r.Server][r.Key], r.New) {
+		if r.Type == wal.RecUpdate && a.Data[r.Server][r.Key] != string(r.New) {
 			return fmt.Sprintf("forced update %s/%s not redone", r.Server, r.Key), false
 		}
 	}

@@ -87,7 +87,9 @@ type Record struct {
 	// to an aborted subtree.
 	Parent tid.TID
 
-	// Update fields.
+	// Update fields. A nil Old means the key did not exist before the
+	// update, a nil New that the update deleted it; an empty non-nil
+	// value is a present empty one, and the codec keeps the difference.
 	Server string
 	Key    string
 	Old    []byte
@@ -156,8 +158,8 @@ func appendRecord(dst []byte, r *Record) []byte {
 	b = binary.BigEndian.AppendUint64(b, uint64(r.Parent.Seq))
 	b = appendString(b, r.Server)
 	b = appendString(b, r.Key)
-	b = appendBytes(b, r.Old)
-	b = appendBytes(b, r.New)
+	b = appendValue(b, r.Old)
+	b = appendValue(b, r.New)
 	b = binary.BigEndian.AppendUint32(b, uint32(r.Coordinator))
 	b = binary.BigEndian.AppendUint16(b, uint16(len(r.Sites)))
 	for _, s := range r.Sites {
@@ -257,8 +259,8 @@ func unmarshal(b []byte) (*Record, error) {
 	r.Parent.Seq = tid.Seq(d.u64())
 	r.Server = string(d.bytes())
 	r.Key = string(d.bytes())
-	r.Old = d.bytes()
-	r.New = d.bytes()
+	r.Old = d.value()
+	r.New = d.value()
 	r.Coordinator = tid.SiteID(d.u32())
 	for i, n := 0, int(d.u16()); i < n; i++ {
 		r.Sites = append(r.Sites, tid.SiteID(d.u32()))
@@ -322,7 +324,18 @@ func appendString(b []byte, s string) []byte {
 	return append(b, s...)
 }
 
-func appendBytes(b, p []byte) []byte {
+// emptyValue is the length an UPDATE record writes for an Old or New
+// value that is present but empty. Length 0 stays the absent value
+// (nil), so every record without an empty value encodes as it always
+// has, and recovery can tell a committed empty write from a delete.
+const emptyValue = 0xFFFFFFFF
+
+// appendValue appends an Old or New value: nil as length 0, a present
+// empty value as emptyValue, anything else as its length and bytes.
+func appendValue(b, p []byte) []byte {
+	if p != nil && len(p) == 0 {
+		return binary.BigEndian.AppendUint32(b, emptyValue)
+	}
 	b = binary.BigEndian.AppendUint32(b, uint32(len(p)))
 	return append(b, p...)
 }
@@ -386,4 +399,14 @@ func (d *recDecoder) bytes() []byte {
 	out := make([]byte, n)
 	copy(out, d.take(n))
 	return out
+}
+
+// value decodes what appendValue wrote: nil for length 0, a non-nil
+// empty slice for emptyValue.
+func (d *recDecoder) value() []byte {
+	if len(d.buf) >= 4 && binary.BigEndian.Uint32(d.buf) == emptyValue {
+		d.take(4)
+		return []byte{}
+	}
+	return d.bytes()
 }
