@@ -4,12 +4,12 @@
 # detector, a short pass over the fault-injection torture suite, a
 # bounded systematic chaos sweep for the commitment protocols, the
 # Paxos Commit conformance gate, a short fuzz of every parser hostile
-# or hand-written bytes reach, and the benchmark module's own vet and
-# self-tests.
+# or hand-written bytes reach, one iteration of every Go benchmark, and
+# the benchmark module's own vet and self-tests.
 
 GO ?= go
 
-.PHONY: all build test check fmt vet lint race torture crashstates chaos paxos fuzz perf perf-compare perf-pairs frozen golden bench cluster netem loadgen
+.PHONY: all build test check fmt vet lint race torture crashstates chaos paxos fuzz benchsmoke perf perf-compare perf-pairs frozen golden bench cluster netem loadgen
 
 all: build
 
@@ -116,6 +116,12 @@ fuzz:
 	$(GO) test ./internal/chaos -run '^$$' -fuzz FuzzDecodeSchedule -fuzztime 3s
 	$(GO) test ./internal/netem -run '^$$' -fuzz FuzzDecodeSchedule -fuzztime 3s
 	$(GO) test ./internal/shardmap -run '^$$' -fuzz FuzzUnmarshal -fuzztime 3s
+
+# Every in-tree Go benchmark, once each: not a measurement, but a
+# benchmark that panics or no longer compiles against its package
+# fails here instead of the next time someone measures with it.
+benchsmoke:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 # cmd/camelot-perf is a module of its own (BENCHMARK.json's contract),
 # so `go build/vet/test ./...` never compile it; its wal.Store wrappers
@@ -289,5 +295,5 @@ netem:
 		-retry-cap 800ms -max-retry 12000 -json > netem-report.json
 	@echo "wrote netem-report.json"
 
-check: fmt vet build lint race torture chaos paxos fuzz perf
+check: fmt vet build lint race torture chaos paxos fuzz benchsmoke perf
 	@echo "check: OK"

@@ -154,7 +154,6 @@ func (c *Client) Do(req Request) (Response, error) {
 		if err := c.conn.SetDeadline(deadline); err != nil {
 			return Response{}, c.poison(req.Op, err)
 		}
-		defer c.conn.SetDeadline(time.Time{}) //nolint:errcheck // best-effort reset on a live conn
 	}
 	if _, err := c.conn.Write(c.line); err != nil {
 		return Response{}, c.poison(req.Op, err)

@@ -17,6 +17,7 @@ package lockmgr
 
 import (
 	"errors"
+	"slices"
 	"time"
 
 	"camelot/internal/rt"
@@ -46,6 +47,12 @@ func (m Mode) String() string {
 var ErrTimeout = errors.New("lockmgr: lock wait timed out")
 
 // Manager is one data server's lock table.
+//
+// A key's lock is deleted with its last holder and waiter, and a
+// transaction's key list with its release or its commit into its
+// parent. The key→lock map itself is replaced when it empties after
+// having grown past its first table, since a Go map never gives back
+// the table it grew.
 type Manager struct {
 	r    rt.Runtime
 	mu   rt.Mutex
@@ -53,14 +60,32 @@ type Manager struct {
 
 	locks  map[string]*lock
 	parent map[tid.TID]tid.TID // nested-transaction tree
-	held   map[tid.TID]map[string]bool
+	// held lists the keys each transaction holds, each key once, in
+	// the order it first came to hold it.
+	held map[tid.TID][]string
+	// peak is the most locks the current locks map has held at once.
+	peak int
 
 	waits     int
 	waitTotal time.Duration
 }
 
+// smallTable is the most locks a map holds in its first table (one
+// eight-slot bucket or group); an emptied map that never held more
+// is kept, so a table serving one small transaction after another
+// allocates no map memory at all.
+const smallTable = 8
+
+type holder struct {
+	t    tid.TID
+	mode Mode
+}
+
 type lock struct {
-	holders map[tid.TID]Mode
+	// holders is backed by one until a second transaction shares the
+	// lock, so an uncontended lock is this one allocation.
+	holders []holder
+	one     [1]holder
 	// waiters is FIFO; each entry is re-examined on every release or
 	// inheritance event.
 	waiters []*waiter
@@ -73,13 +98,31 @@ type waiter struct {
 	timeout bool
 }
 
+// indexOf returns the index of t among l's holders, or -1.
+func (l *lock) indexOf(t tid.TID) int {
+	for i := range l.holders {
+		if l.holders[i].t == t {
+			return i
+		}
+	}
+	return -1
+}
+
+// drop removes holder t from l and returns the mode it held.
+func (l *lock) drop(t tid.TID) Mode {
+	i := l.indexOf(t)
+	mode := l.holders[i].mode
+	l.holders = slices.Delete(l.holders, i, i+1)
+	return mode
+}
+
 // New returns an empty lock manager.
 func New(r rt.Runtime) *Manager {
 	m := &Manager{
 		r:      r,
 		locks:  make(map[string]*lock),
 		parent: make(map[tid.TID]tid.TID),
-		held:   make(map[tid.TID]map[string]bool),
+		held:   make(map[tid.TID][]string),
 	}
 	m.mu = r.NewMutex()
 	m.cond = r.NewCond(m.mu)
@@ -103,8 +146,10 @@ func (m *Manager) Acquire(t tid.TID, key string, mode Mode, timeout time.Duratio
 
 	l := m.locks[key]
 	if l == nil {
-		l = &lock{holders: make(map[tid.TID]Mode)}
+		l = &lock{}
+		l.holders = l.one[:0]
 		m.locks[key] = l
+		m.peak = max(m.peak, len(m.locks))
 	}
 	// A new request may be granted immediately only if nothing is
 	// queued ahead of it, so a waiting exclusive request is not
@@ -112,8 +157,7 @@ func (m *Manager) Acquire(t tid.TID, key string, mode Mode, timeout time.Duratio
 	// from a transaction that already holds the lock (re-entry or
 	// upgrade) jump the queue, the standard escape from the
 	// upgrade-behind-own-waiter deadlock.
-	_, alreadyHolds := l.holders[t]
-	if (len(l.waiters) == 0 || alreadyHolds) && m.grantableLocked(l, t, mode) {
+	if (len(l.waiters) == 0 || l.indexOf(t) >= 0) && m.grantableLocked(l, t, mode) {
 		m.grantLocked(l, t, key, mode)
 		return nil
 	}
@@ -150,14 +194,17 @@ func (m *Manager) Acquire(t tid.TID, key string, mode Mode, timeout time.Duratio
 func (m *Manager) Release(t tid.TID) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for key := range m.held[t] {
-		if l := m.locks[key]; l != nil {
-			delete(l.holders, t)
-			m.promoteLocked(l, key)
-			if len(l.holders) == 0 && len(l.waiters) == 0 {
-				delete(m.locks, key)
-			}
+	for _, key := range m.held[t] {
+		l := m.locks[key]
+		l.drop(t)
+		m.promoteLocked(l, key)
+		if len(l.holders) == 0 && len(l.waiters) == 0 {
+			delete(m.locks, key)
 		}
+	}
+	if len(m.locks) == 0 && m.peak > smallTable {
+		m.locks = make(map[string]*lock)
+		m.peak = 0
 	}
 	delete(m.held, t)
 	delete(m.parent, t)
@@ -168,20 +215,9 @@ func (m *Manager) Release(t tid.TID) {
 func (m *Manager) OnChildCommit(child, parent tid.TID) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for key := range m.held[child] {
+	for _, key := range m.held[child] {
 		l := m.locks[key]
-		if l == nil {
-			continue
-		}
-		childMode := l.holders[child]
-		delete(l.holders, child)
-		if cur, ok := l.holders[parent]; !ok || childMode > cur {
-			l.holders[parent] = childMode
-		}
-		if m.held[parent] == nil {
-			m.held[parent] = make(map[string]bool)
-		}
-		m.held[parent][key] = true
+		m.grantLocked(l, parent, key, l.drop(child))
 		m.promoteLocked(l, key)
 	}
 	delete(m.held, child)
@@ -203,8 +239,10 @@ func (m *Manager) Holds(t tid.TID, key string) (Mode, bool) {
 	if l == nil {
 		return 0, false
 	}
-	mode, ok := l.holders[t]
-	return mode, ok
+	if i := l.indexOf(t); i >= 0 {
+		return l.holders[i].mode, true
+	}
+	return 0, false
 }
 
 // Waits reports how many lock requests have blocked and their total
@@ -220,12 +258,12 @@ func (m *Manager) Waits() (int, time.Duration) {
 // every conflicting holder must be t itself (upgrade) or an ancestor
 // of t.
 func (m *Manager) grantableLocked(l *lock, t tid.TID, mode Mode) bool {
-	for h, hm := range l.holders {
-		if h == t {
+	for _, h := range l.holders {
+		if h.t == t {
 			continue
 		}
-		if mode == Exclusive || hm == Exclusive {
-			if !m.isAncestorLocked(h, t) {
+		if mode == Exclusive || h.mode == Exclusive {
+			if !m.isAncestorLocked(h.t, t) {
 				return false
 			}
 		}
@@ -248,14 +286,16 @@ func (m *Manager) isAncestorLocked(a, t tid.TID) bool {
 	}
 }
 
+// grantLocked makes t a holder of key in mode, or raises the mode it
+// already holds there; a transaction's first hold on key lists key
+// under it.
 func (m *Manager) grantLocked(l *lock, t tid.TID, key string, mode Mode) {
-	if cur, ok := l.holders[t]; !ok || mode > cur {
-		l.holders[t] = mode
+	if i := l.indexOf(t); i >= 0 {
+		l.holders[i].mode = max(l.holders[i].mode, mode)
+		return
 	}
-	if m.held[t] == nil {
-		m.held[t] = make(map[string]bool)
-	}
-	m.held[t][key] = true
+	l.holders = append(l.holders, holder{t: t, mode: mode})
+	m.held[t] = append(m.held[t], key)
 }
 
 // promoteLocked grants queued waiters that have become eligible,
