@@ -212,6 +212,7 @@ func (c *Client) Ping() (camelot.SiteID, error) {
 // SetPeers installs the deployment's site-id -> UDP-address map.
 func (c *Client) SetPeers(peers map[camelot.SiteID]string) error {
 	m := make(map[string]string, len(peers))
+	//lint:ordered map construction; insertion order is unobservable
 	for id, addr := range peers {
 		m[strconv.FormatUint(uint64(id), 10)] = addr
 	}

@@ -29,6 +29,7 @@ import (
 	"sync"
 
 	"camelot/camelot"
+	"camelot/internal/det"
 	"camelot/internal/server"
 	"camelot/internal/tid"
 	"camelot/internal/wire"
@@ -210,7 +211,7 @@ func (s *Server) handle(req Request) Response {
 		return Response{OK: true, Site: uint32(n.ID())}
 
 	case OpPeers:
-		for k, addr := range req.Peers {
+		for _, k := range det.SortedKeys(req.Peers) {
 			id, err := strconv.ParseUint(k, 10, 32)
 			if err != nil {
 				return Response{Err: fmt.Sprintf("bad site id %q", k)}
@@ -218,7 +219,7 @@ func (s *Server) handle(req Request) Response {
 			if camelot.SiteID(id) == n.ID() {
 				continue
 			}
-			if err := n.AddPeer(camelot.SiteID(id), addr); err != nil {
+			if err := n.AddPeer(camelot.SiteID(id), req.Peers[k]); err != nil {
 				return Response{Err: err.Error()}
 			}
 		}

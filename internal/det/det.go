@@ -1,6 +1,5 @@
-// Package det holds the canonical sorted-iteration helpers for the
-// deterministic packages (internal/core, internal/sim, internal/wal,
-// internal/transport, internal/trace, camelot).
+// Package det holds the canonical sorted-iteration helpers for every
+// library package the simulation runs.
 //
 // Go's map iteration order is deliberately randomized, so a `for
 // range` over a map whose visit order reaches anything observable — a
@@ -8,7 +7,7 @@
 // simulation replay. That is exactly the bug class the deterministic-
 // replay test caught in core/messaging.go's retry fan-out. The
 // camelot-lint maprange analyzer flags every map range in the
-// deterministic packages; the approved fixes are to route the keys
+// library packages; the approved fixes are to route the keys
 // through this package or to justify the site with a
 // `//lint:ordered <why>` comment when the loop is provably
 // order-insensitive.
@@ -23,7 +22,7 @@ import (
 )
 
 // SortedKeys returns m's keys in ascending order. It is the canonical
-// way for a deterministic package to iterate a map with an ordered
+// way for a library package to iterate a map with an ordered
 // key type:
 //
 //	for _, s := range det.SortedKeys(f.remoteSites) { ... }

@@ -54,6 +54,7 @@ func (s *Snapshot) clone() *Snapshot {
 		Outcomes:       s.Outcomes.Clone(),
 		MaxLocalFamily: s.MaxLocalFamily,
 	}
+	//lint:ordered map copy; insertion order is unobservable
 	for srv, kv := range s.Data {
 		out.Data[srv] = maps.Clone(kv)
 	}

@@ -13,7 +13,7 @@
 //
 // Analyzers:
 //
-//   - maprange:  no `for range` over maps in deterministic packages
+//   - maprange:  no `for range` over maps in library packages
 //     unless the keys go through internal/det or the site carries a
 //     `//lint:ordered <why>` justification;
 //   - walltime:  no wall-clock reads or global math/rand in simulated

@@ -6,7 +6,7 @@ import (
 )
 
 // MapRange flags `for range` statements over maps. Go randomizes map
-// iteration order per run, so in the deterministic packages any loop
+// iteration order per run, so in any package the simulator runs, a loop
 // whose visit order can reach an observable effect — a datagram send,
 // a future wake-up, a trace event — breaks byte-identical replay.
 // This is the bug class the deterministic-replay test caught in
@@ -19,7 +19,7 @@ import (
 // then-sort).
 var MapRange = &Analyzer{
 	Name: "maprange",
-	Doc:  "flag nondeterministic map iteration in deterministic packages",
+	Doc:  "flag nondeterministic map iteration in library packages",
 	Run:  runMapRange,
 }
 

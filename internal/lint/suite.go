@@ -16,31 +16,13 @@ var Analyzers = []*Analyzer{MapRange, WallTime, RawGo, TracePair, LockOrder, Enu
 // the subset happens to exclude).
 var ModuleAnalyzers = []*ModuleAnalyzer{KindSurface, RecSurface}
 
-// deterministicPkgs are the packages whose execution must replay
-// byte-identically under the simulation kernel: the protocol core,
-// the kernel itself, the log, the simulated network, the trace layer,
-// the public assembly that wires them together, and the workload
-// planners (a seed names one workload). internal/det is
-// deliberately absent — it is the one sanctioned home for raw map
-// ranges.
-var deterministicPkgs = map[string]bool{
-	"camelot/camelot":            true,
-	"camelot/internal/core":      true,
-	"camelot/internal/sim":       true,
-	"camelot/internal/wal":       true,
-	"camelot/internal/transport": true,
-	"camelot/internal/trace":     true,
-	"camelot/internal/chaos":     true,
-	"camelot/internal/oracle":    true,
-	"camelot/internal/shardmap":  true,
-	"camelot/internal/load":      true,
-	"camelot/internal/workload":  true,
-}
-
 // InScope reports whether the analyzer applies to the package. The
 // scope rules are the repository's determinism policy:
 //
-//   - maprange guards the deterministic packages listed above;
+//   - maprange covers every library package — each one is linked into
+//     the simulator, whose replay must be byte-identical — except
+//     internal/det (the one sanctioned range site) and internal/lint
+//     (host-side; it sorts its own findings);
 //   - walltime covers every library package — only internal/rt (the
 //     real-runtime adapter) and the host-side binaries under cmd/ and
 //     examples/ may touch the wall clock;
@@ -56,7 +38,9 @@ var deterministicPkgs = map[string]bool{
 func InScope(a *Analyzer, pkgPath string) bool {
 	switch a {
 	case MapRange:
-		return deterministicPkgs[pkgPath]
+		return inLibrary(pkgPath) &&
+			pkgPath != "camelot/internal/det" &&
+			pkgPath != "camelot/internal/lint"
 	case WallTime:
 		return inLibrary(pkgPath) && pkgPath != "camelot/internal/rt"
 	case RawGo:
@@ -82,14 +66,20 @@ type Module struct {
 }
 
 // LoadModule parses and type-checks every library package of the
-// module rooted at modRoot, sharing one loader (one FileSet, one
-// memo) across the whole set: a package type-checked as somebody's
-// dependency is never type-checked again as an analysis target.
+// module rooted at modRoot.
 func LoadModule(modRoot, modPath string) (*Module, error) {
 	pkgPaths, err := ModulePackages(modRoot, modPath)
 	if err != nil {
 		return nil, err
 	}
+	return loadPackages(modRoot, modPath, pkgPaths)
+}
+
+// loadPackages parses and type-checks the library packages among
+// pkgPaths through one shared loader (one FileSet, one memo): a
+// package type-checked as somebody's dependency is never
+// type-checked again as an analysis target.
+func loadPackages(modRoot, modPath string, pkgPaths []string) (*Module, error) {
 	loader := NewLoader(Root{Prefix: modPath, Dir: modRoot})
 	mod := &Module{Path: modPath}
 	for _, path := range pkgPaths {
@@ -107,7 +97,23 @@ func LoadModule(modRoot, modPath string) (*Module, error) {
 
 // Run runs the scoped per-package suite and every module analyzer
 // over the loaded view, returning findings sorted by position.
-func (m *Module) Run() ([]Diagnostic, error) {
+func (m *Module) Run() ([]Diagnostic, error) { return m.run(ModuleAnalyzers) }
+
+// RunPackages runs the scoped per-package suite over the named
+// packages of the module rooted at modRoot. Module analyzers are
+// deliberately skipped: their absence checks are only meaningful over
+// the whole module.
+func RunPackages(modRoot, modPath string, pkgPaths []string) ([]Diagnostic, error) {
+	mod, err := loadPackages(modRoot, modPath, pkgPaths)
+	if err != nil {
+		return nil, err
+	}
+	return mod.run(nil)
+}
+
+// run runs the scoped per-package suite, then the given module
+// analyzers, and sorts the findings by position.
+func (m *Module) run(module []*ModuleAnalyzer) ([]Diagnostic, error) {
 	var diags []Diagnostic
 	for _, pkg := range m.Pkgs {
 		for _, a := range Analyzers {
@@ -119,40 +125,9 @@ func (m *Module) Run() ([]Diagnostic, error) {
 			}
 		}
 	}
-	for _, ma := range ModuleAnalyzers {
+	for _, ma := range module {
 		if err := AnalyzeModule(ma, m.Pkgs, &diags); err != nil {
 			return nil, err
-		}
-	}
-	sortDiagnostics(diags)
-	return diags, nil
-}
-
-// RunPackages runs the scoped per-package suite over the named
-// packages of the module rooted at modRoot. Module analyzers are
-// deliberately skipped: their absence checks are only meaningful over
-// the whole module.
-func RunPackages(modRoot, modPath string, pkgPaths []string) ([]Diagnostic, error) {
-	loader := NewLoader(Root{Prefix: modPath, Dir: modRoot})
-	var diags []Diagnostic
-	for _, path := range pkgPaths {
-		var wanted []*Analyzer
-		for _, a := range Analyzers {
-			if InScope(a, path) {
-				wanted = append(wanted, a)
-			}
-		}
-		if len(wanted) == 0 {
-			continue
-		}
-		pkg, err := loader.Load(path)
-		if err != nil {
-			return nil, err
-		}
-		for _, a := range wanted {
-			if err := Analyze(a, pkg, &diags); err != nil {
-				return nil, err
-			}
 		}
 	}
 	sortDiagnostics(diags)

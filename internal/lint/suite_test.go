@@ -40,9 +40,17 @@ func TestScope(t *testing.T) {
 	}{
 		{lint.MapRange, "camelot/internal/core", true},
 		{lint.MapRange, "camelot/internal/sim", true},
-		{lint.MapRange, "camelot/internal/det", false}, // the sanctioned range site
-		{lint.MapRange, "camelot/internal/exp", false},
+		{lint.MapRange, "camelot/internal/det", false},  // the sanctioned range site
+		{lint.MapRange, "camelot/internal/lint", false}, // host-side; sorts its own findings
+		{lint.MapRange, "camelot/internal/exp", true},
 		{lint.MapRange, "camelot/internal/workload", true}, // a seed names one workload
+		{lint.MapRange, "camelot/internal/server", true},
+		{lint.MapRange, "camelot/internal/recman", true},
+		{lint.MapRange, "camelot/internal/lockmgr", true},
+		{lint.MapRange, "camelot/internal/diskman", true},
+		{lint.MapRange, "camelot/internal/ctl", true},
+		{lint.MapRange, "camelot/internal/wire", true},
+		{lint.MapRange, "camelot/cmd/camelot-trace", false},
 		{lint.WallTime, "camelot/internal/core", true},
 		{lint.WallTime, "camelot/internal/exp", true},
 		{lint.WallTime, "camelot/internal/rt", false}, // the real-runtime adapter

@@ -229,6 +229,34 @@ func TestFIFONoStarvationOfExclusiveWaiter(t *testing.T) {
 	})
 }
 
+// TestTimedOutWaiterPromotesQueue: when the head of a lock's queue
+// times out, a waiter behind it that is compatible with the holders
+// is granted at once, not at the holders' next release.
+func TestTimedOutWaiterPromotesQueue(t *testing.T) {
+	withSim(t, func(k *sim.Kernel, m *Manager) {
+		m.Acquire(txn(1), "a", Shared, 0)
+		var xErr error
+		var sGranted time.Duration
+		k.Go("x-waiter", func() { xErr = m.Acquire(txn(2), "a", Exclusive, 10*time.Millisecond) })
+		k.Sleep(time.Millisecond)
+		k.Go("s-waiter", func() {
+			if err := m.Acquire(txn(3), "a", Shared, time.Second); err != nil {
+				t.Errorf("s-waiter: %v", err)
+			}
+			sGranted = time.Duration(k.Now())
+		})
+		k.Sleep(100 * time.Millisecond)
+		m.Release(txn(1))
+		k.Sleep(time.Millisecond)
+		if xErr != ErrTimeout {
+			t.Errorf("x-waiter = %v, want ErrTimeout", xErr)
+		}
+		if sGranted != 10*time.Millisecond {
+			t.Errorf("s-waiter granted at %v, want 10ms (when the X request ahead of it timed out)", sGranted)
+		}
+	})
+}
+
 func TestReleaseCleansUpState(t *testing.T) {
 	withSim(t, func(k *sim.Kernel, m *Manager) {
 		for i := uint32(1); i <= 50; i++ {

@@ -104,7 +104,10 @@ func (m *refManager) Acquire(t tid.TID, key string, mode Mode, timeout time.Dura
 	}
 	m.waitTotal += m.r.Now() - start
 	if !w.granted {
+		// The timed-out request may have been all that held back
+		// the compatible waiters queued behind it.
 		m.removeWaiterLocked(l, w)
+		m.promoteLocked(l, key)
 		return ErrTimeout
 	}
 	return nil

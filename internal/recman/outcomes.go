@@ -105,9 +105,11 @@ func (t *OutcomeTable) store(key, old, w uint64) {
 
 // each calls fn for every word the table holds, in no fixed order.
 func (t *OutcomeTable) each(fn func(key, w uint64)) {
+	//lint:ordered every caller is per key: Range sorts what it collects, Merge and Drop store each key alone
 	for key, w := range t.words {
 		fn(key, w)
 	}
+	//lint:ordered as above
 	for key := range t.lone {
 		fn(key, t.load(key))
 	}

@@ -189,9 +189,11 @@ func Analyze(site tid.SiteID, image map[string]map[string]string, records []*wal
 		}
 		d.AbortIntent = d.AbortIntent || abortIntent[top]
 	}
+	//lint:ordered each call touches only its own family's in-doubt entry
 	for top, rec := range prepared {
 		consider(top, rec, false)
 	}
+	//lint:ordered each call touches only its own family's in-doubt entry
 	for top, rec := range replicated {
 		consider(top, rec, true)
 	}
@@ -224,6 +226,7 @@ func Analyze(site tid.SiteID, image map[string]map[string]string, records []*wal
 			d.Promised = p.Ballot
 		}
 	}
+	//lint:ordered each call touches only its own family's in-doubt entry
 	for top, rec := range paxPrepared {
 		considerPaxos(top, rec, true)
 	}
@@ -231,9 +234,11 @@ func Analyze(site tid.SiteID, image map[string]map[string]string, records []*wal
 	// restarted acceptor must keep refusing lower ballots, or a late
 	// ballot-0 vote could contradict an abort decided on the strength
 	// of this site's empty phase-1b answer.
+	//lint:ordered each call touches only its own family's in-doubt entry
 	for top, rec := range paxPromise {
 		considerPaxos(top, rec, false)
 	}
+	//lint:ordered each call touches only its own family's in-doubt entry
 	for top, rec := range paxAccepted {
 		considerPaxos(top, rec, false)
 		if d := indoubtSet[top]; d != nil {
@@ -279,6 +284,7 @@ func Analyze(site tid.SiteID, image map[string]map[string]string, records []*wal
 		// Otherwise: loser by presumed abort; discard.
 	}
 
+	//lint:ordered collect-then-sort; the sort at the end fixes the order
 	for _, d := range indoubtSet {
 		a.InDoubt = append(a.InDoubt, *d)
 	}

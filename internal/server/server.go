@@ -16,6 +16,7 @@ package server
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"camelot/internal/lockmgr"
@@ -86,13 +87,25 @@ type Server struct {
 	cfg   Config
 
 	mu       rt.Mutex
+	joinDone rt.Cond // a join's answer arrived
 	data     map[string]string
-	undo     map[tid.FamilyID][]undoEntry
-	joined   map[tid.FamilyID]map[tid.TID]bool
-	parentOf map[tid.TID]tid.TID
-	indoubt  map[tid.FamilyID]bool // recovered prepared families
+	families map[tid.FamilyID]*family
 	reads    int
 	writes   int
+}
+
+// family is all the server keeps for one transaction family, from
+// its first operation here to its end (DESIGN §3.8).
+type family struct {
+	members []member // in join order
+	undo    []undoEntry
+	indoubt bool // recovered prepared: votes Yes with no undo
+}
+
+// member is one of the family's transactions at this server.
+type member struct {
+	t, parent tid.TID
+	joining   bool // the transaction manager has not answered yet
 }
 
 type undoEntry struct {
@@ -114,12 +127,10 @@ func New(r rt.Runtime, name string, tm Joiner, log *wal.Log, cfg Config) *Server
 		locks:    lockmgr.New(r),
 		cfg:      cfg,
 		data:     make(map[string]string),
-		undo:     make(map[tid.FamilyID][]undoEntry),
-		joined:   make(map[tid.FamilyID]map[tid.TID]bool),
-		parentOf: make(map[tid.TID]tid.TID),
-		indoubt:  make(map[tid.FamilyID]bool),
+		families: make(map[tid.FamilyID]*family),
 	}
 	s.mu = r.NewMutex()
+	s.joinDone = r.NewCond(s.mu)
 	return s
 }
 
@@ -129,13 +140,9 @@ func (s *Server) Name() string { return s.name }
 // Read returns key's value as seen by t, under a shared lock. parent
 // is t's parent for nested transactions (zero TID otherwise).
 func (s *Server) Read(t, parent tid.TID, key string) ([]byte, error) {
-	if err := s.join(t, parent); err != nil {
+	if err := s.acquire(t, parent, key, lockmgr.Shared); err != nil {
 		return nil, err
 	}
-	if err := s.acquire(t, key, lockmgr.Shared); err != nil {
-		return nil, err
-	}
-	s.chargeCPU()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	v, ok := s.data[key]
@@ -150,20 +157,16 @@ func (s *Server) Read(t, parent tid.TID, key string) ([]byte, error) {
 // reporting the old and new value to the log (durable no later than
 // the family's prepare or commit force).
 func (s *Server) Write(t, parent tid.TID, key string, val []byte) error {
-	if err := s.join(t, parent); err != nil {
+	if err := s.acquire(t, parent, key, lockmgr.Exclusive); err != nil {
 		return err
 	}
-	if err := s.acquire(t, key, lockmgr.Exclusive); err != nil {
-		return err
-	}
-	s.chargeCPU()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	v := string(val)
 	rec := &wal.Record{
 		Type:   wal.RecUpdate,
 		TID:    t,
-		Parent: s.parentOf[t],
+		Parent: parent,
 		Server: s.name,
 		Key:    key,
 		// Bytes of the log's own, never nil (a nil New is a delete to
@@ -178,7 +181,8 @@ func (s *Server) Write(t, parent tid.TID, key string, val []byte) error {
 	if _, err := s.log.Append(rec); err != nil {
 		return fmt.Errorf("server %s: log update: %w", s.name, err)
 	}
-	s.undo[t.Family] = append(s.undo[t.Family], undoEntry{t: t, key: key, old: old, had: had})
+	fam := s.familyLocked(t.Family)
+	fam.undo = append(fam.undo, undoEntry{t: t, key: key, old: old, had: had})
 	s.data[key] = v
 	s.writes++
 	return nil
@@ -188,101 +192,87 @@ func (s *Server) Write(t, parent tid.TID, key string, val []byte) error {
 func (s *Server) Vote(f tid.FamilyID) wire.Vote {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if len(s.undo[f]) == 0 && !s.indoubt[f] {
-		return wire.VoteReadOnly
+	if fam := s.families[f]; fam != nil && (len(fam.undo) > 0 || fam.indoubt) {
+		return wire.VoteYes
 	}
-	return wire.VoteYes
+	return wire.VoteReadOnly
 }
 
 // CommitFamily implements Participant: updates are already in place,
-// so committing clears undo state and drops every lock the family
-// holds (Figure 1 step 11).
-func (s *Server) CommitFamily(f tid.FamilyID) {
-	s.mu.Lock()
-	txns := s.familyTxnsLocked(f)
-	delete(s.undo, f)
-	delete(s.joined, f)
-	delete(s.indoubt, f)
-	s.mu.Unlock()
-	s.dropLocks(txns)
-}
+// so committing forgets the family and drops every lock it holds
+// (Figure 1 step 11).
+func (s *Server) CommitFamily(f tid.FamilyID) { s.end(f, false) }
 
 // AbortFamily implements Participant: undo in reverse order, then
 // drop locks.
-func (s *Server) AbortFamily(f tid.FamilyID) {
+func (s *Server) AbortFamily(f tid.FamilyID) { s.end(f, true) }
+
+// end forgets family f, undoing its updates first if it aborted, and
+// drops its members' locks.
+func (s *Server) end(f tid.FamilyID, abort bool) {
 	s.mu.Lock()
-	entries := s.undo[f]
-	for i := len(entries) - 1; i >= 0; i-- {
-		s.applyUndoLocked(entries[i])
+	fam := s.families[f]
+	delete(s.families, f)
+	if fam == nil {
+		s.mu.Unlock()
+		return
 	}
-	txns := s.familyTxnsLocked(f)
-	delete(s.undo, f)
-	delete(s.joined, f)
-	delete(s.indoubt, f)
+	for i := len(fam.undo) - 1; abort && i >= 0; i-- {
+		s.applyUndoLocked(fam.undo[i])
+	}
 	s.mu.Unlock()
-	s.dropLocks(txns)
+	s.dropLocks(fam.members)
 }
 
 // CommitChild implements Participant: the child's undo entries are
-// re-tagged to the parent and its locks are inherited.
+// re-tagged to the parent, which takes the child's place among the
+// members, and its locks are inherited.
 func (s *Server) CommitChild(child, parent tid.TID) {
 	s.mu.Lock()
-	entries := s.undo[child.Family]
-	for i := range entries {
-		if entries[i].t == child {
-			entries[i].t = parent
+	if fam := s.families[child.Family]; fam != nil {
+		for i := range fam.undo {
+			if fam.undo[i].t == child {
+				fam.undo[i].t = parent
+			}
+		}
+		if i := fam.index(child); i >= 0 {
+			if fam.index(parent) >= 0 {
+				fam.members = slices.Delete(fam.members, i, i+1)
+			} else {
+				fam.members[i] = member{t: parent}
+			}
 		}
 	}
-	if j := s.joined[child.Family]; j != nil {
-		delete(j, child)
-		j[parent] = true
-	}
-	delete(s.parentOf, child)
 	s.mu.Unlock()
 	s.locks.OnChildCommit(child, parent)
 }
 
 // AbortChild implements Participant: undo the child's and its
-// descendants' updates in reverse order and release their locks.
+// descendants' updates in reverse order and release their locks, in
+// join order.
 func (s *Server) AbortChild(child tid.TID) {
 	s.mu.Lock()
-	doomed := map[tid.TID]bool{child: true}
-	// Descendants: any txn whose ancestry chain reaches child.
-	for t := range s.parentOf {
-		for cur := t; ; {
-			p, ok := s.parentOf[cur]
-			if !ok {
-				break
-			}
-			if doomed[p] {
-				doomed[t] = true
-				break
-			}
-			cur = p
+	fam := s.families[child.Family]
+	if fam == nil {
+		s.mu.Unlock()
+		return
+	}
+	var victims []member
+	for _, m := range fam.members {
+		if fam.descends(m.t, child) {
+			victims = append(victims, m)
 		}
 	}
-	f := child.Family
-	var kept []undoEntry
-	entries := s.undo[f]
-	for i := len(entries) - 1; i >= 0; i-- {
-		if doomed[entries[i].t] {
-			s.applyUndoLocked(entries[i])
+	doomed := func(t tid.TID) bool {
+		return slices.ContainsFunc(victims, func(m member) bool { return m.t == t })
+	}
+	for i := len(fam.undo) - 1; i >= 0; i-- {
+		if doomed(fam.undo[i].t) {
+			s.applyUndoLocked(fam.undo[i])
 		}
 	}
-	for _, e := range entries {
-		if !doomed[e.t] {
-			kept = append(kept, e)
-		}
-	}
-	s.undo[f] = kept
-	var victims []tid.TID
-	for t := range doomed {
-		victims = append(victims, t)
-		if j := s.joined[f]; j != nil {
-			delete(j, t)
-		}
-		delete(s.parentOf, t)
-	}
+	fam.undo = slices.DeleteFunc(fam.undo, func(e undoEntry) bool { return doomed(e.t) })
+	fam.members = slices.DeleteFunc(fam.members, func(m member) bool { return doomed(m.t) })
 	s.mu.Unlock()
 	s.dropLocks(victims)
 }
@@ -300,16 +290,14 @@ func (s *Server) Install(data map[string]string) {
 // transaction after a crash from its UPDATE records, in log order: its
 // updates are re-applied, its undo information reinstalled, and its
 // write locks re-taken, so the eventual CommitFamily or AbortFamily
-// behaves exactly as if the crash had not happened.
+// behaves exactly as if the crash had not happened. It is called once
+// per in-doubt family, on a freshly recovered server.
 func (s *Server) Reacquire(t tid.TID, updates []*wal.Record) {
 	s.mu.Lock()
-	s.indoubt[t.Family] = true
-	if s.joined[t.Family] == nil {
-		s.joined[t.Family] = make(map[tid.TID]bool)
-	}
-	s.joined[t.Family][t] = true
+	fam := &family{members: []member{{t: t}}, indoubt: true}
+	s.families[t.Family] = fam
 	for _, u := range updates {
-		s.undo[t.Family] = append(s.undo[t.Family], undoEntry{
+		fam.undo = append(fam.undo, undoEntry{
 			t: t, key: u.Key, old: string(u.Old), had: u.Old != nil,
 		})
 		s.data[u.Key] = string(u.New)
@@ -345,35 +333,55 @@ func (s *Server) OpCounts() (reads, writes int) {
 func (s *Server) Locks() *lockmgr.Manager { return s.locks }
 
 // join registers t with the local transaction manager on its first
-// operation at this server (Figure 1 step 4).
+// operation at this server (Figure 1 step 4). t becomes a member of
+// its family's record only once the manager accepts it, so an
+// operation retried after a refused join asks again. One join per
+// transaction is in flight at a time: a concurrent operation of t
+// waits for its answer.
 func (s *Server) join(t, parent tid.TID) error {
 	s.mu.Lock()
-	fam := s.joined[t.Family]
-	already := fam != nil && fam[t]
-	if !already {
-		if fam == nil {
-			fam = make(map[tid.TID]bool)
-			s.joined[t.Family] = fam
+	fam := s.families[t.Family]
+	for i := fam.index(t); i >= 0; i = fam.index(t) {
+		if !fam.members[i].joining {
+			s.mu.Unlock()
+			return nil
 		}
-		fam[t] = true
-		if !parent.IsZero() {
-			s.parentOf[t] = parent
-			s.locks.SetParent(t, parent)
-		}
+		s.joinDone.Wait()
+		fam = s.families[t.Family]
 	}
+	fam = s.familyLocked(t.Family)
+	fam.members = append(fam.members, member{t: t, parent: parent, joining: true})
 	s.mu.Unlock()
-	if already {
-		return nil
-	}
 	// Joining is a synchronous IPC to the transaction manager.
 	rt.Charge(s.r, s.cfg.Kernel, s.cfg.Params.LocalIPC+s.cfg.Params.KernelCPU)
-	return s.tm.Join(t, parent, s)
+	err := s.tm.Join(t, parent, s)
+	s.mu.Lock()
+	fam = s.families[t.Family]
+	switch i := fam.index(t); {
+	case i < 0: // the family ended meanwhile
+	case err == nil:
+		fam.members[i].joining = false
+		if !parent.IsZero() {
+			s.locks.SetParent(t, parent)
+		}
+	default:
+		fam.members = slices.Delete(fam.members, i, i+1)
+		if len(fam.members) == 0 && len(fam.undo) == 0 {
+			delete(s.families, t.Family)
+		}
+	}
+	s.joinDone.Broadcast()
+	s.mu.Unlock()
+	return err
 }
 
-func (s *Server) acquire(t tid.TID, key string, mode lockmgr.Mode) error {
-	if s.cfg.Params.GetLock > 0 {
-		s.r.Sleep(s.cfg.Params.GetLock)
+// acquire is every operation's prologue: t joins on its first
+// operation here, takes key in mode, and the server's CPU is charged.
+func (s *Server) acquire(t, parent tid.TID, key string, mode lockmgr.Mode) error {
+	if err := s.join(t, parent); err != nil {
+		return err
 	}
+	rt.Charge(s.r, nil, s.cfg.Params.GetLock)
 	timeout := s.cfg.LockTimeout
 	if timeout <= 0 {
 		timeout = 10 * time.Second
@@ -381,13 +389,8 @@ func (s *Server) acquire(t tid.TID, key string, mode lockmgr.Mode) error {
 	if err := s.locks.Acquire(t, key, mode, timeout); err != nil {
 		return fmt.Errorf("%w: %s %s/%s", ErrLockTimeout, t, s.name, key)
 	}
+	rt.Charge(s.r, nil, s.cfg.Params.ServerCPU)
 	return nil
-}
-
-func (s *Server) chargeCPU() {
-	if s.cfg.Params.ServerCPU > 0 {
-		s.r.Sleep(s.cfg.Params.ServerCPU)
-	}
 }
 
 func (s *Server) applyUndoLocked(e undoEntry) {
@@ -398,20 +401,41 @@ func (s *Server) applyUndoLocked(e undoEntry) {
 	}
 }
 
-func (s *Server) familyTxnsLocked(f tid.FamilyID) []tid.TID {
-	var out []tid.TID
-	for t := range s.joined[f] {
-		out = append(out, t)
-		delete(s.parentOf, t)
+// familyLocked returns f's record, making it on f's first use.
+func (s *Server) familyLocked(f tid.FamilyID) *family {
+	fam := s.families[f]
+	if fam == nil {
+		fam = &family{}
+		s.families[f] = fam
 	}
-	return out
+	return fam
 }
 
-func (s *Server) dropLocks(txns []tid.TID) {
-	for _, t := range txns {
-		if s.cfg.Params.DropLock > 0 {
-			s.r.Sleep(s.cfg.Params.DropLock)
+// index returns the position of t among the members, or -1; a nil
+// record has none.
+func (fam *family) index(t tid.TID) int {
+	if fam == nil {
+		return -1
+	}
+	return slices.IndexFunc(fam.members, func(m member) bool { return m.t == t })
+}
+
+// descends reports whether t is a or descends from it through the
+// parents the members joined with.
+func (fam *family) descends(t, a tid.TID) bool {
+	for t != a {
+		i := fam.index(t)
+		if i < 0 {
+			return false
 		}
-		s.locks.Release(t)
+		t = fam.members[i].parent
+	}
+	return true
+}
+
+func (s *Server) dropLocks(members []member) {
+	for _, m := range members {
+		rt.Charge(s.r, nil, s.cfg.Params.DropLock)
+		s.locks.Release(m.t)
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"camelot/internal/params"
 	"camelot/internal/recman"
 	"camelot/internal/sim"
 	"camelot/internal/tid"
@@ -105,6 +106,86 @@ func TestJoinRefusalFailsOperation(t *testing.T) {
 			t.Fatal("Write succeeded though join was refused")
 		}
 	})
+}
+
+// TestRetryAfterRefusedJoinAsksAgain is the regression test for a
+// transaction marked joined before the transaction manager answered:
+// after a refused join, a retry of the same write skipped the join,
+// installed its value, kept its lock and voted Yes for a family the
+// manager never heard of.
+func TestRetryAfterRefusedJoinAsksAgain(t *testing.T) {
+	f := newFixture()
+	f.tm.fail = true
+	f.run(t, func() {
+		tx := top(1)
+		for try := 1; try <= 2; try++ {
+			if err := f.srv.Write(tx, tid.TID{}, "a", []byte("1")); err == nil {
+				t.Errorf("try %d: Write succeeded though the join was refused", try)
+			}
+		}
+		if _, ok := f.srv.Peek("a"); ok {
+			t.Error("a write whose join was refused installed its value")
+		}
+		if f.srv.Locks().HoldsAny(tx) {
+			t.Error("a transaction whose join was refused holds locks")
+		}
+		if v := f.srv.Vote(tx.Family); v != wire.VoteReadOnly {
+			t.Errorf("vote = %v after refused joins, want READ-ONLY", v)
+		}
+		f.tm.fail = false
+		if err := f.srv.Write(tx, tid.TID{}, "a", []byte("1")); err != nil {
+			t.Errorf("Write after the manager accepts: %v", err)
+		}
+		if len(f.tm.joins) != 1 {
+			t.Errorf("%d joins recorded, want 1", len(f.tm.joins))
+		}
+	})
+}
+
+// slowJoiner answers a join after a virtual-time delay, so two
+// operations of one transaction can overlap its join.
+type slowJoiner struct {
+	k     *sim.Kernel
+	joins int
+	fail  bool
+}
+
+func (j *slowJoiner) Join(t, parent tid.TID, p Participant) error {
+	j.k.Sleep(time.Millisecond)
+	j.joins++
+	if j.fail {
+		return errors.New("join refused")
+	}
+	return nil
+}
+
+// TestConcurrentOperationsShareOneJoin: a second operation of a
+// transaction whose join is in flight waits for that join's answer
+// instead of asking at the same time. After an acceptance it goes on
+// with no join of its own; after a refusal it asks again, and is
+// refused too.
+func TestConcurrentOperationsShareOneJoin(t *testing.T) {
+	for _, fail := range []bool{false, true} {
+		k := sim.New(1)
+		tm := &slowJoiner{k: k, fail: fail}
+		srv := New(k, "srv", tm, wal.Open(k, wal.NewMemStore(), wal.Config{}), Config{})
+		var errs [2]error
+		var done [2]time.Duration
+		for i, key := range []string{"a", "b"} {
+			k.Go("op "+key, func() {
+				errs[i] = srv.Write(top(1), tid.TID{}, key, []byte("v"))
+				done[i] = time.Duration(k.Now())
+			})
+		}
+		k.RunUntil(time.Minute)
+		want := [2]time.Duration{time.Millisecond, time.Millisecond}
+		if fail {
+			want[1] = 2 * time.Millisecond // its own join, after the first was refused
+		}
+		if done != want || (errs[0] == nil) == fail || (errs[1] == nil) == fail || (!fail && tm.joins != 1) {
+			t.Errorf("refused=%v: operations done at %v with %v, %d joins; want done at %v", fail, done, errs, tm.joins, want)
+		}
+	}
 }
 
 func TestVoteReflectsUpdates(t *testing.T) {
@@ -263,6 +344,44 @@ func TestChildAbortCascadesToDescendants(t *testing.T) {
 			t.Error("grandchild write survived child abort")
 		}
 	})
+}
+
+// TestChildAbortReleasesInJoinOrder: aborting a child releases its
+// own locks and then its grandchild's, in the order the two joined,
+// with the lock-drop cost charged between releases. A blocked waiter
+// on each key sees that order as its grant time, on every seed.
+func TestChildAbortReleasesInJoinOrder(t *testing.T) {
+	const drop = time.Millisecond
+	for seed := int64(1); seed <= 100; seed++ {
+		k := sim.New(seed)
+		log := wal.Open(k, wal.NewMemStore(), wal.Config{})
+		p := params.Params{DropLock: drop}
+		srv := New(k, "srv", &fakeJoiner{}, log, Config{LockTimeout: time.Second, Params: p})
+		parent := top(1)
+		child := tid.TID{Family: parent.Family, Seq: tid.MakeSeq(1, 1)}
+		grand := tid.TID{Family: parent.Family, Seq: tid.MakeSeq(1, 2)}
+		var granted [2]time.Duration
+		k.Go("test", func() {
+			srv.Write(child, parent, "c", []byte("1")) //nolint:errcheck
+			srv.Write(grand, child, "g", []byte("2"))  //nolint:errcheck
+			for i, key := range []string{"c", "g"} {
+				k.Go("waiter "+key, func() {
+					if err := srv.Write(top(uint32(2+i)), tid.TID{}, key, []byte("w")); err != nil {
+						t.Errorf("seed %d: waiter on %s: %v", seed, key, err)
+					}
+					granted[i] = time.Duration(k.Now())
+				})
+			}
+			k.Sleep(10 * time.Millisecond)
+			srv.AbortChild(child)
+			k.Sleep(10 * time.Millisecond)
+			k.Stop()
+		})
+		k.RunUntil(time.Minute)
+		if want := [2]time.Duration{10*time.Millisecond + drop, 10*time.Millisecond + 2*drop}; granted != want {
+			t.Errorf("seed %d: waiters on the child's and the grandchild's keys granted at %v, want %v", seed, granted, want)
+		}
+	}
 }
 
 func TestInstallReplacesState(t *testing.T) {
@@ -494,4 +613,33 @@ func TestObjectTableIsCompact(t *testing.T) {
 		t.Errorf("the object table retains %.1f B per object, a map[string][]byte %.1f B: want at least 8 B less", table, mapped)
 	}
 	t.Logf("B per object: table %.1f, map[string][]byte %.1f", table, mapped)
+}
+
+// TestFlatTransactionAllocs pins what a flat transaction's one write
+// and commit allocate at the server, on a server that has run before:
+// the value, the log record and its copies of the old and new value,
+// the family's record, its member and undo lists, and the lock.
+func TestFlatTransactionAllocs(t *testing.T) {
+	k := sim.New(1)
+	srv := New(k, "srv", acceptAll{}, wal.Open(k, discard{}, wal.Config{}), Config{})
+	n := uint32(0)
+	cycle := func() {
+		n++
+		tx := top(n)
+		if err := srv.Write(tx, tid.TID{}, "a", []byte("value")); err != nil {
+			t.Error(err)
+		}
+		srv.CommitFamily(tx.Family)
+	}
+	var allocs float64
+	k.Go("test", func() {
+		cycle()
+		allocs = testing.AllocsPerRun(100, cycle)
+		k.Stop()
+	})
+	k.RunUntil(time.Minute)
+	t.Logf("a flat Write + CommitFamily allocates %v times", allocs)
+	if allocs > 9 {
+		t.Errorf("a flat Write + CommitFamily allocates %v times, want ≤ 9", allocs)
+	}
 }
