@@ -95,7 +95,11 @@ paxos:
 	$(GO) test ./cmd/camelot-cluster -run 'TestClusterPaxosSmoke|TestClusterNBMidCommitKill'
 
 # A short fuzz of the decoders hostile or hand-written bytes reach.
-# Arbitrary bytes as the log's final block must never panic recovery
+# Arbitrary bytes as a datagram, the first thing a hostile network
+# hands any parser, must never panic the wire decoder, and a message it
+# accepts must re-encode and decode to itself; its seeds reach a
+# datagram of exactly wire.MaxDatagram bytes. Arbitrary bytes as the
+# log's final block must never panic recovery
 # and never yield a record whose frame does not check out; a record body
 # sealed with its checksum must never panic the record decoder, and one
 # it accepts must re-encode to the same bytes; arbitrary bytes as a ctl
@@ -109,6 +113,7 @@ paxos:
 # equal value; they are seeded from the checked-in schedules. (The seed
 # corpora alone run in `make test`.)
 fuzz:
+	$(GO) test ./internal/wire -run '^$$' -fuzz FuzzUnmarshal -fuzztime 3s
 	$(GO) test ./internal/wal -run '^$$' -fuzz FuzzBlockFrames -fuzztime 5s
 	$(GO) test ./internal/wal -run '^$$' -fuzz FuzzRecord -fuzztime 3s
 	$(GO) test ./internal/ctl -run '^$$' -fuzz FuzzRequestLine -fuzztime 3s

@@ -1,7 +1,9 @@
 package core_test
 
 import (
+	"cmp"
 	"errors"
+	"fmt"
 	"slices"
 	"testing"
 	"time"
@@ -286,6 +288,92 @@ func TestAckPath(t *testing.T) {
 				}
 			})
 		})
+	}
+}
+
+// A batch larger than one datagram holds leaves in pieces that each fit
+// (wire.AckRoom): a ride takes what its datagram has room for, and the
+// rest stays under the batch's deadline, which sends it as full
+// KCommitAck datagrams. Site 2 owes coordinator 3 the acks of 300
+// families at once; every ack arrives exactly once, no datagram
+// outgrows wire.MaxDatagram, and none leaves later than one full hold
+// after the batch opened.
+func TestAckBatchLargerThanOneDatagram(t *testing.T) {
+	const owed = 300
+	full := wire.AckRoom(&wire.Msg{Kind: wire.KCommitAck})
+	for _, v := range ackVariants() {
+		for _, ride := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/ride=%v", v.name, ride), func(t *testing.T) {
+				h, got := ackSubject(t)
+				type departure struct {
+					at  time.Duration
+					msg *wire.Msg
+				}
+				var left []departure
+				h.net.SetShaper(func(from, to tid.SiteID, payload any, _ bool) transport.Shape {
+					if msg, ok := payload.(*wire.Msg); ok && from == 2 {
+						left = append(left, departure{h.k.Now(), msg})
+					}
+					return transport.Shape{}
+				})
+				h.run(t, func() {
+					s := h.sites[2]
+					var txns []tid.TID
+					for n := uint32(1); n <= owed; n++ {
+						txn := tid.Top(tid.MakeFamily(3, n))
+						if err := s.m.Join(txn, tid.TID{}, s.part); err != nil {
+							t.Fatal(err)
+						}
+						s.m.Deliver(requestFrom3(v.p, txn, []tid.SiteID{3}, wire.VoteYes))
+						txns = append(txns, txn)
+					}
+					h.k.Sleep(10 * time.Millisecond)
+					opened, before := h.k.Now(), len(left)
+					for _, txn := range txns {
+						s.m.Deliver(v.outcomeFrom3(txn))
+					}
+					h.k.Sleep(30 * time.Millisecond) // every lazy commit record is durable
+					if ride {
+						reply := &wire.Msg{Kind: wire.KAbort, TID: tid.Top(tid.MakeFamily(3, 999))}
+						s.m.Deliver(&wire.Msg{Kind: wire.KInquire, TID: reply.TID, From: 3, To: 2})
+						h.k.Sleep(5 * time.Millisecond)
+						if last := left[len(left)-1].msg; last.Kind != wire.KAbort || len(last.AckTIDs) != wire.AckRoom(reply) {
+							t.Fatalf("the answer to the inquiry was a %v carrying %d acks, want a %v carrying %d",
+								last.Kind, len(last.AckTIDs), wire.KAbort, wire.AckRoom(reply))
+						}
+					}
+					h.k.Sleep(3 * ackHold)
+
+					var acked []tid.TID
+					for _, d := range left[before:] {
+						if n := wire.EncodedSize(d.msg); n > wire.MaxDatagram {
+							t.Errorf("a %d-byte %v left, over the %d-byte limit", n, d.msg.Kind, wire.MaxDatagram)
+						}
+						if acks := acksIn([]*wire.Msg{d.msg}); len(acks) > 0 {
+							acked = append(acked, acks...)
+							if held, bound := d.at-opened, ackHold+21*time.Millisecond; held > bound {
+								t.Errorf("%d acks left %v after the batch opened, want at most %v", len(acks), held, bound)
+							}
+						}
+					}
+					slices.SortFunc(acked, func(a, b tid.TID) int { return cmp.Compare(a.Family, b.Family) })
+					if !slices.Equal(acked, txns) {
+						t.Errorf("%d acks left for %d owed, want each exactly once", len(acked), owed)
+					}
+					if recv := acksIn(*got); len(recv) != owed {
+						t.Errorf("coordinator 3 received %d acks, want %d", len(recv), owed)
+					}
+					st := s.m.Stats()
+					if st.AcksPiggybacked+st.AcksStandalone != owed {
+						t.Errorf("acks: %d piggybacked + %d standalone, want %d", st.AcksPiggybacked, st.AcksStandalone, owed)
+					}
+					if rest := owed - st.AcksPiggybacked; (rest+full-1)/full != countKind(kindsFrom(*got, 2), wire.KCommitAck) {
+						t.Errorf("%d standalone acks left in %d COMMIT-ACK datagrams, want them %d to a datagram",
+							rest, countKind(kindsFrom(*got, 2), wire.KCommitAck), full)
+					}
+				})
+			})
+		}
 	}
 }
 

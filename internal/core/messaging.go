@@ -21,7 +21,10 @@ type ackBatch struct {
 }
 
 // send transmits one datagram. Delayed commit-acks owed to the same
-// site ride it (§3.2's piggybacking), which calls off their deadline.
+// site ride it (§3.2's piggybacking), as many as fit one datagram
+// (wire.AckRoom). A ride that takes the whole batch calls off its
+// deadline; the rest of a larger batch stays under it and leaves by the
+// next datagram or the deadline, whichever comes first.
 // Sequence stamping and the ack batches live under the ack component
 // lock; callers may hold a family lock (family → component is the
 // sanctioned order) but no caller may take a family lock while ackMu
@@ -29,20 +32,28 @@ type ackBatch struct {
 func (m *Manager) send(to tid.SiteID, msg *wire.Msg) {
 	msg.From = m.cfg.Site
 	msg.To = to
-	var riding *ackBatch
+	var done *ackBatch
+	rode := 0
 	m.lockAttributed(m.ackMu, lockClassAcks)
 	m.seq++
 	msg.Seq = m.seq
-	if msg.Kind != wire.KCommitAck {
-		if riding = m.pendingAcks[to]; riding != nil {
-			msg.AckTIDs = riding.tids
+	if b := m.pendingAcks[to]; b != nil && msg.Kind != wire.KCommitAck {
+		rode = min(wire.AckRoom(msg), len(b.tids))
+		if rode == len(b.tids) {
 			delete(m.pendingAcks, to)
+			done = b
+		}
+		if rode > 0 {
+			msg.AckTIDs = b.tids[:rode:rode]
+			b.tids = b.tids[rode:]
 		}
 	}
 	m.ackMu.Unlock()
-	if riding != nil {
-		riding.deadline.Stop()
-		m.tr.Count(m.cfg.Site, trace.AcksPiggybacked, len(riding.tids))
+	if done != nil {
+		done.deadline.Stop()
+	}
+	if rode > 0 {
+		m.tr.Count(m.cfg.Site, trace.AcksPiggybacked, rode)
 	}
 	m.net.Send(m.cfg.Site, to, msg)
 }
@@ -109,8 +120,9 @@ func (m *Manager) queueAck(coordinator tid.SiteID, t tid.TID) {
 	m.ackMu.Unlock()
 }
 
-// flushAcks is batch b's deadline: if no datagram to the site has taken
-// the batch, it goes as one KCommitAck of its own.
+// flushAcks is batch b's deadline: whatever of the batch no datagram to
+// the site has taken goes as KCommitAck datagrams of its own, each as
+// full as one datagram holds.
 func (m *Manager) flushAcks(to tid.SiteID, b *ackBatch) {
 	if m.isClosed() {
 		return
@@ -123,7 +135,12 @@ func (m *Manager) flushAcks(to tid.SiteID, b *ackBatch) {
 	delete(m.pendingAcks, to)
 	m.ackMu.Unlock()
 	m.tr.Count(m.cfg.Site, trace.AcksStandalone, len(b.tids))
-	m.send(to, &wire.Msg{Kind: wire.KCommitAck, AckTIDs: b.tids})
+	for tids := b.tids; len(tids) > 0; {
+		msg := &wire.Msg{Kind: wire.KCommitAck, AckTIDs: tids[:0]}
+		n := min(wire.AckRoom(msg), len(tids))
+		msg.AckTIDs, tids = tids[:n:n], tids[n:]
+		m.send(to, msg)
+	}
 }
 
 // ackNow acknowledges t to the site that just re-sent its outcome: the

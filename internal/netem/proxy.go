@@ -7,10 +7,12 @@ import (
 	"time"
 )
 
-// maxDatagram bounds proxied reads. It matches wire.MaxDatagram plus
-// one byte of truncation slack, but the proxy deliberately does not
-// import the wire package: it forwards opaque bytes, so a framing
-// change can never desynchronize emulation from transport.
+// maxDatagram bounds proxied reads: any UDP payload IPv4 carries, and
+// one byte more. It is far above wire.MaxDatagram on purpose: the proxy
+// forwards opaque bytes, oversize ones included, and leaves it to the
+// receiver to drop and count them. It deliberately does not import the
+// wire package, so a framing change can never desynchronize emulation
+// from transport.
 const maxDatagram = 64*1024 + 1
 
 // Proxy interposes the emulator on a real loopback cluster. For each

@@ -177,69 +177,42 @@ func (p *UDPPeer) sendBatch(tos []tid.SiteID, buf []byte, m *wire.Msg) bool {
 	return true
 }
 
-// recvSlots is the batched reader's receive memory, sized to the
-// traffic rather than to the largest legal datagram: recvBatchSize
-// private heads of slotSize bytes, which the protocols' datagrams fit,
-// and one spill buffer of wire.MaxDatagram+1 bytes. Each slot's iovec
-// pair is its own head followed by the spill's tail (spill[slotSize:]),
-// so any legal datagram still lands whole, and one byte beyond the
-// legal maximum still shows as truncation: 80 KiB a peer, against
-// recvBatchSize×64 KiB for a full-size buffer per slot.
-//
-// The tail is shared. The kernel fills the slots in arrival order, so
-// of the datagrams one call brings that overflow their heads, only the
-// last keeps its tail; an earlier one is dropped and counted like any
-// other loss, and the protocols' retry masks it.
+// recvSlots is the batched reader's receive memory: recvBatchSize
+// slots of wire.MaxDatagram+1 bytes each, one iovec per slot. Every
+// legal datagram lands whole in its own slot, and one that fills the
+// slot cannot be legal (the kernel truncated it): 12 KiB a peer.
 type recvSlots struct {
-	heads []byte
-	spill []byte
-	iovs  []syscall.Iovec
-	hdrs  []mmsghdr
+	bufs []byte
+	iovs []syscall.Iovec
+	hdrs []mmsghdr
 }
 
 func newRecvSlots() *recvSlots {
 	s := &recvSlots{
-		heads: make([]byte, recvBatchSize*slotSize),
-		spill: make([]byte, wire.MaxDatagram+1),
-		iovs:  make([]syscall.Iovec, 2*recvBatchSize),
-		hdrs:  make([]mmsghdr, recvBatchSize),
+		bufs: make([]byte, recvBatchSize*(wire.MaxDatagram+1)),
+		iovs: make([]syscall.Iovec, recvBatchSize),
+		hdrs: make([]mmsghdr, recvBatchSize),
 	}
-	tail := s.spill[slotSize:]
 	for i := range s.hdrs {
-		head, iov := s.head(i), s.iovs[2*i:2*i+2]
-		iov[0].Base = &head[0]
-		iov[0].SetLen(len(head))
-		iov[1].Base = &tail[0]
-		iov[1].SetLen(len(tail))
-		s.hdrs[i].hdr.Iov = &iov[0]
-		s.hdrs[i].hdr.Iovlen = 2
+		slot := s.slot(i)
+		s.iovs[i].Base = &slot[0]
+		s.iovs[i].SetLen(len(slot))
+		s.hdrs[i].hdr.Iov = &s.iovs[i]
+		s.hdrs[i].hdr.Iovlen = 1
 	}
 	return s
 }
 
-func (s *recvSlots) head(i int) []byte { return s.heads[i*slotSize : (i+1)*slotSize] }
+func (s *recvSlots) slot(i int) []byte {
+	const n = wire.MaxDatagram + 1
+	return s.bufs[i*n : (i+1)*n]
+}
 
 // deliver hands the got datagrams of the last recvmmsg call to p in
-// arrival order. The one overflowing datagram that kept its tail is
-// made whole by copying its head in front of the tail.
+// arrival order; p drops and counts one that filled its slot.
 func (s *recvSlots) deliver(p *UDPPeer, got int) {
-	last := -1
 	for i := 0; i < got; i++ {
-		if s.hdrs[i].n > slotSize {
-			last = i
-		}
-	}
-	for i := 0; i < got; i++ {
-		n := int(s.hdrs[i].n)
-		switch {
-		case n <= slotSize:
-			p.deliver(s.head(i)[:n])
-		case i == last:
-			copy(s.spill, s.head(i))
-			p.deliver(s.spill[:n])
-		default:
-			p.drop(0, nil, "spill overwritten by a later datagram of the same recvmmsg")
-		}
+		p.deliver(s.slot(i)[:s.hdrs[i].n])
 	}
 }
 

@@ -4,6 +4,7 @@ package transport
 
 import (
 	"fmt"
+	"net"
 	"reflect"
 	"testing"
 
@@ -109,12 +110,38 @@ func sizedMsg(t *testing.T, n int, fam uint32) *wire.Msg {
 	return m
 }
 
-// TestSlotBoundarySizes sends datagrams on either side of the
-// receive slot's private room and the largest legal one, one at a
-// time, through both read paths: each arrives whole and field-exact,
-// and nothing is dropped.
+// rawSend writes b to p's socket as one datagram, bypassing the
+// send-side size check.
+func rawSend(t *testing.T, p *UDPPeer, b []byte) {
+	t.Helper()
+	src, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer src.Close()
+	addr, err := net.ResolveUDPAddr("udp", p.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := src.WriteToUDP(b, addr); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSlotBoundarySizes sends datagrams on either side of the largest
+// legal one, one at a time, through both read paths: the legal ones
+// arrive whole and field-exact; one byte more, or the largest datagram
+// IPv4 carries, fills the receive slot and is dropped and counted.
 func TestSlotBoundarySizes(t *testing.T) {
-	sizes := []int{slotSize - 1, slotSize, slotSize + 1, 3 * slotSize, wire.MaxDatagram}
+	sizes := []struct {
+		n     int
+		legal bool
+	}{
+		{wire.MaxDatagram - 1, true},
+		{wire.MaxDatagram + 1, false},
+		{wire.MaxDatagram, true},
+		{65507, false},
+	}
 	for _, portable := range []bool{false, true} {
 		t.Run(fmt.Sprintf("portable=%v", portable), func(t *testing.T) {
 			was := mmsgDisabled.Load()
@@ -123,34 +150,39 @@ func TestSlotBoundarySizes(t *testing.T) {
 			}
 			mmsgDisabled.Store(portable)
 			defer mmsgDisabled.Store(was)
-			a, b := newTestPeer(t, 1), newTestPeer(t, 2)
-			connect(t, a, b, 1, 2)
+			p := newTestPeer(t, 2)
 			var got collector
-			b.SetHandler(got.handle)
-			for i, n := range sizes {
-				want := sizedMsg(t, n, uint32(i+1))
-				a.Send(1, 2, want)
-				waitFor(t, fmt.Sprintf("the %d-byte datagram", n), func() bool { return got.len() == i+1 })
-				if m := got.all()[i]; !reflect.DeepEqual(m, want) {
-					t.Fatalf("%d-byte datagram arrived changed", n)
+			p.SetHandler(got.handle)
+			var recv, dropped int
+			for i, sz := range sizes {
+				want := sizedMsg(t, sz.n, uint32(i+1))
+				rawSend(t, p, wire.Marshal(want))
+				if sz.legal {
+					recv++
+				} else {
+					dropped++
+				}
+				waitFor(t, fmt.Sprintf("the %d-byte datagram", sz.n), func() bool {
+					_, r, d := p.Stats()
+					return r == recv && d == dropped
+				})
+				if ms := got.all(); sz.legal && !reflect.DeepEqual(ms[len(ms)-1], want) {
+					t.Fatalf("%d-byte datagram arrived changed", sz.n)
 				}
 			}
-			if _, recv, dropped := b.Stats(); recv != len(sizes) || dropped != 0 {
-				t.Fatalf("received %d / dropped %d, want %d / 0", recv, dropped, len(sizes))
+			if got.len() != recv {
+				t.Fatalf("handled %d datagrams, want %d", got.len(), recv)
 			}
 		})
 	}
 }
 
-// TestSpillKeepsLastOverflow plays the kernel's side of one recvmmsg
-// call that brings four datagrams — small, overflowing, small,
-// overflowing — into the shared-spill slots. The small ones and the
-// last overflowing one are delivered whole; the first overflowing one
-// lost its tail to the second, so it is a counted, logged drop. The two
-// overflowing ones are the same size and differ only in their acks, so
-// the stale head over the later tail would still decode: a corrupt
-// delivery, not a decode failure, is what the drop prevents.
-func TestSpillKeepsLastOverflow(t *testing.T) {
+// TestOversizeInBatchDropsAlone plays the kernel's side of one
+// recvmmsg call that brings four datagrams — small, one that filled
+// its slot, small, and one of exactly wire.MaxDatagram bytes. The
+// oversize one is a counted, logged drop; the legal ones behind it
+// arrive whole.
+func TestOversizeInBatchDropsAlone(t *testing.T) {
 	var logged int
 	p := newLoggingPeer(t, 2, func(string, ...any) { logged++ })
 	var got collector
@@ -158,18 +190,13 @@ func TestSpillKeepsLastOverflow(t *testing.T) {
 
 	batch := []*wire.Msg{
 		sizedMsg(t, 200, 1),
-		sizedMsg(t, 3*slotSize, 2),
+		sizedMsg(t, 3*wire.MaxDatagram, 2),
 		sizedMsg(t, 300, 3),
-		sizedMsg(t, 3*slotSize, 4),
+		sizedMsg(t, wire.MaxDatagram, 4),
 	}
 	s := newRecvSlots()
 	for i, m := range batch {
-		b := wire.Marshal(m)
-		copy(s.head(i), b)
-		if len(b) > slotSize {
-			copy(s.spill[slotSize:], b[slotSize:])
-		}
-		s.hdrs[i].n = uint32(len(b))
+		s.hdrs[i].n = uint32(copy(s.slot(i), wire.Marshal(m)))
 	}
 	s.deliver(p, len(batch))
 

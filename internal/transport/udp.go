@@ -19,21 +19,13 @@ import (
 // arrivals beyond the bound are counted as drops like any other loss.
 const backlogCap = 128
 
-// slotSize is room for every datagram the protocols send short of a
-// very large piggybacked-ack batch: wire's fixed 75-byte header plus a
-// few site ids, votes or ack TIDs (wire.EncodedSize; 2048 bytes hold
-// 123 acks). The send pool's buffers start at it, and the batched
-// reader gives each recvmmsg slot this much room of its own; a larger
-// legal datagram continues into a shared spill buffer.
-const slotSize = 2048
-
 // bufPool recycles send-side datagram buffers. A buffer crosses into
 // the kernel synchronously inside WriteToUDP/sendmmsg, so it can be
 // recycled as soon as the send call returns; once the pool's buffers
 // have grown to the traffic's working size, marshaling a datagram
 // allocates nothing (wire.AppendDatagram into the recycled slice).
 var bufPool = sync.Pool{New: func() any {
-	b := make([]byte, 0, slotSize)
+	b := make([]byte, 0, wire.MaxDatagram)
 	return &b
 }}
 

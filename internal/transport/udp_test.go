@@ -248,12 +248,11 @@ func TestFanoutReaddressesPerDestination(t *testing.T) {
 	}
 }
 
-// TestReceiveMemoryPerPeer pins what a peer's reader holds live: its
-// receive slots are sized to the traffic (slotSize each, plus one
-// full-size spill), not one largest-legal-datagram buffer per
-// recvmmsg slot, which cost 512 KiB a peer.
+// TestReceiveMemoryPerPeer pins what a peer's reader holds live: one
+// wire.MaxDatagram+1 slot per recvmmsg slot, about 12 KiB, and no
+// buffer sized for a datagram larger than the limit.
 func TestReceiveMemoryPerPeer(t *testing.T) {
-	const peers, limit = 8, 128 << 10
+	const peers, limit = 8, 16 << 10
 	src, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
 	if err != nil {
 		t.Fatal(err)

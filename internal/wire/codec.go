@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 
 	"camelot/internal/tid"
 )
@@ -20,16 +21,19 @@ var (
 	ErrOversize = errors.New("wire: message exceeds MaxDatagram")
 )
 
-// MaxDatagram is the largest legal encoded message: the maximum UDP
-// payload over IPv4 (65535 - 20 IP - 8 UDP). Anything larger cannot
-// leave the sending socket in one piece, so the limit is enforced at
-// marshal/send time where the error can still name the message,
+// MaxDatagram is the largest legal encoded message: the UDP payload of
+// one 1500-byte Ethernet frame (1500 - 20 IP - 8 UDP), so no datagram
+// is IP-fragmented on a real LAN, and a receiver holds any legal one
+// whole in a buffer of MaxDatagram+1 bytes (the extra byte shows
+// truncation). Every message a transaction of up to 32 participants
+// produces fits with room for piggybacked acks to spare (AckRoom);
+// the ack batches split to fit. Anything larger is refused at
+// marshal/send time, where the error can still name the message,
 // rather than discovered as silent truncation at the receiver.
-const MaxDatagram = 65507
+const MaxDatagram = 1472
 
-// maxSlice bounds decoded slice lengths so a corrupt length prefix
-// cannot force a huge allocation.
-const maxSlice = 1 << 16
+// ackSize is the encoded size of one piggybacked ack TID.
+const ackSize = 16
 
 // headerSize is the encoded size of every fixed field laid down by
 // AppendMarshal: Kind (1) + TID (16) + Parent (16) + From/To (8) +
@@ -46,9 +50,17 @@ func EncodedSize(m *Msg) int {
 	return headerSize +
 		4*len(m.Sites) +
 		5*len(m.Votes) +
-		16*len(m.AckTIDs) +
+		ackSize*len(m.AckTIDs) +
 		4*len(m.Acceptors) +
 		13*len(m.Accepted)
+}
+
+// AckRoom is how many more ack TIDs m can carry and still encode
+// within MaxDatagram; zero or less when there is no room. A sender
+// attaches at most this many of the acks it owes (§3.2's
+// piggybacking) and leaves the rest for the next datagram.
+func AckRoom(m *Msg) int {
+	return (MaxDatagram - EncodedSize(m)) / ackSize
 }
 
 // Marshal encodes m into a self-describing byte string. The buffer is
@@ -175,10 +187,8 @@ func UnmarshalInto(m *Msg, data []byte) error {
 	m.To = tid.SiteID(d.u32())
 	m.Seq = d.u64()
 	m.Flags = d.u8()
-	nSites := int(d.u16())
-	if nSites > maxSlice {
-		return ErrShort
-	}
+	nSites := d.count(4)
+	m.Sites = slices.Grow(m.Sites, nSites)
 	for i := 0; i < nSites; i++ {
 		m.Sites = append(m.Sites, tid.SiteID(d.u32()))
 	}
@@ -187,34 +197,26 @@ func UnmarshalInto(m *Msg, data []byte) error {
 	m.Vote = Vote(d.u8())
 	m.Outcome = Outcome(d.u8())
 	m.State = NBState(d.u8())
-	nVotes := int(d.u16())
-	if nVotes > maxSlice {
-		return ErrShort
-	}
+	nVotes := d.count(5)
+	m.Votes = slices.Grow(m.Votes, nVotes)
 	for i := 0; i < nVotes; i++ {
 		sv := SiteVote{Site: tid.SiteID(d.u32()), Vote: Vote(d.u8())}
 		m.Votes = append(m.Votes, sv)
 	}
-	nAcks := int(d.u16())
-	if nAcks > maxSlice {
-		return ErrShort
-	}
+	nAcks := d.count(ackSize)
+	m.AckTIDs = slices.Grow(m.AckTIDs, nAcks)
 	for i := 0; i < nAcks; i++ {
 		t := tid.TID{Family: tid.FamilyID(d.u64()), Seq: tid.Seq(d.u64())}
 		m.AckTIDs = append(m.AckTIDs, t)
 	}
 	m.Ballot = d.u64()
-	nAcceptors := int(d.u16())
-	if nAcceptors > maxSlice {
-		return ErrShort
-	}
+	nAcceptors := d.count(4)
+	m.Acceptors = slices.Grow(m.Acceptors, nAcceptors)
 	for i := 0; i < nAcceptors; i++ {
 		m.Acceptors = append(m.Acceptors, tid.SiteID(d.u32()))
 	}
-	nAccepted := int(d.u16())
-	if nAccepted > maxSlice {
-		return ErrShort
-	}
+	nAccepted := d.count(13)
+	m.Accepted = slices.Grow(m.Accepted, nAccepted)
 	for i := 0; i < nAccepted; i++ {
 		a := PaxosAccepted{Site: tid.SiteID(d.u32()), Ballot: d.u64(), Vote: Vote(d.u8())}
 		m.Accepted = append(m.Accepted, a)
@@ -245,6 +247,20 @@ func (d *decoder) take(n int) []byte {
 	out := d.buf[:n]
 	d.buf = d.buf[n:]
 	return out
+}
+
+// count reads a list's u16 length prefix and checks that the bytes
+// left can hold that many elements of size bytes each, so a hostile
+// prefix cannot make the decoder allocate for elements that are not
+// there. A list that cannot fit reads as zero long and fails the
+// decode with ErrShort.
+func (d *decoder) count(size int) int {
+	n := int(d.u16())
+	if n*size > len(d.buf) {
+		d.err = ErrShort
+		return 0
+	}
+	return n
 }
 
 func (d *decoder) u8() uint8 {

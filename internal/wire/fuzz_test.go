@@ -18,6 +18,7 @@ func FuzzUnmarshal(f *testing.F) {
 		Sites: []tid.SiteID{1, 2, 3}, CommitQuorum: 2, AbortQuorum: 2,
 		Votes: []SiteVote{{Site: 1, Vote: VoteYes}},
 	}))
+	f.Add(Marshal(maxLegalMsg())) // exactly MaxDatagram bytes
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := Unmarshal(data)
 		if err != nil {
