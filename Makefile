@@ -98,7 +98,11 @@ paxos:
 # Arbitrary bytes as a datagram, the first thing a hostile network
 # hands any parser, must never panic the wire decoder, and a message it
 # accepts must re-encode and decode to itself; its seeds reach a
-# datagram of exactly wire.MaxDatagram bytes. Arbitrary bytes as the
+# datagram of exactly wire.MaxDatagram bytes. The data server's
+# object table is fuzzed against a map: a ctl key is hostile bytes,
+# and the length prefix packed before it in its entry is decoded on
+# every lookup, so set, get and remove sequences over arbitrary keys
+# must leave the table agreeing with the map. Arbitrary bytes as the
 # log's final block must never panic recovery
 # and never yield a record whose frame does not check out; a record body
 # sealed with its checksum must never panic the record decoder, and one
@@ -114,6 +118,7 @@ paxos:
 # corpora alone run in `make test`.)
 fuzz:
 	$(GO) test ./internal/wire -run '^$$' -fuzz FuzzUnmarshal -fuzztime 3s
+	$(GO) test ./internal/server -run '^$$' -fuzz FuzzObjectTable -fuzztime 3s
 	$(GO) test ./internal/wal -run '^$$' -fuzz FuzzBlockFrames -fuzztime 5s
 	$(GO) test ./internal/wal -run '^$$' -fuzz FuzzRecord -fuzztime 3s
 	$(GO) test ./internal/ctl -run '^$$' -fuzz FuzzRequestLine -fuzztime 3s

@@ -4,13 +4,15 @@
 // and participates in commitment by joining transactions at its local
 // transaction manager (Figure 1, steps 4–6 and 8–11 of the paper).
 //
-// Objects are byte-string values named by keys, held as immutable Go
-// strings: a value is copied on its way in (Write, which also gives
-// the log record bytes of its own) and on its way out (Read, Peek),
-// and never in between. Updates are applied
-// in place under exclusive locks with the old value retained for
-// undo, which together with the write-ahead update records gives the
-// usual steal/no-force recovery discipline.
+// Objects are byte-string values named by keys. The object table
+// holds each one as a single immutable Go string, its packed entry:
+// the key's length, the key and the value. A value is copied on its
+// way in (Write packs it into a new entry, and gives the log record
+// bytes of its own) and on its way out (Read, Peek), and never in
+// between. Updates are applied in place under exclusive locks with
+// the old entry retained for undo, which together with the
+// write-ahead update records gives the usual steal/no-force recovery
+// discipline.
 package server
 
 import (
@@ -88,7 +90,7 @@ type Server struct {
 
 	mu       rt.Mutex
 	joinDone rt.Cond // a join's answer arrived
-	data     map[string]string
+	data     table
 	families map[tid.FamilyID]*family
 	reads    int
 	writes   int
@@ -111,8 +113,7 @@ type member struct {
 type undoEntry struct {
 	t   tid.TID
 	key string
-	old string
-	had bool // whether the key existed before
+	old string // the key's entry before, "" if it had none
 }
 
 // New creates a server. It becomes usable for operations immediately;
@@ -126,7 +127,7 @@ func New(r rt.Runtime, name string, tm Joiner, log *wal.Log, cfg Config) *Server
 		log:      log,
 		locks:    lockmgr.New(r),
 		cfg:      cfg,
-		data:     make(map[string]string),
+		data:     newTable(0),
 		families: make(map[tid.FamilyID]*family),
 	}
 	s.mu = r.NewMutex()
@@ -145,7 +146,7 @@ func (s *Server) Read(t, parent tid.TID, key string) ([]byte, error) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	v, ok := s.data[key]
+	v, ok := s.data.get(key)
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrNoSuchKey, key)
 	}
@@ -162,7 +163,8 @@ func (s *Server) Write(t, parent tid.TID, key string, val []byte) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	v := string(val)
+	e := pack(key, val)
+	_, v := split(e)
 	rec := &wal.Record{
 		Type:   wal.RecUpdate,
 		TID:    t,
@@ -174,16 +176,17 @@ func (s *Server) Write(t, parent tid.TID, key string, val []byte) error {
 		// and the caller may reuse val before then.
 		New: []byte(v),
 	}
-	old, had := s.data[key]
-	if had {
-		rec.Old = []byte(old)
+	undo := undoEntry{t: t, key: key, old: s.data.put(e)}
+	if undo.old != "" {
+		_, ov := split(undo.old)
+		rec.Old = []byte(ov)
 	}
 	if _, err := s.log.Append(rec); err != nil {
+		s.applyUndoLocked(undo)
 		return fmt.Errorf("server %s: log update: %w", s.name, err)
 	}
 	fam := s.familyLocked(t.Family)
-	fam.undo = append(fam.undo, undoEntry{t: t, key: key, old: old, had: had})
-	s.data[key] = v
+	fam.undo = append(fam.undo, undo)
 	s.writes++
 	return nil
 }
@@ -277,13 +280,17 @@ func (s *Server) AbortChild(child tid.TID) {
 	s.dropLocks(victims)
 }
 
-// Install replaces the server's committed state with data, which the
-// server takes ownership of; the recovery process calls it after
-// replaying the log.
+// Install replaces the server's committed state with a copy of data;
+// the recovery process calls it after replaying the log.
 func (s *Server) Install(data map[string]string) {
+	t := newTable(len(data))
+	//lint:ordered an entry's slot is never observable, whatever order filled the table
+	for k, v := range data {
+		t.put(pack(k, v))
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.data = data
+	s.data = t
 }
 
 // Reacquire restores an in-doubt (prepared but unresolved)
@@ -297,10 +304,12 @@ func (s *Server) Reacquire(t tid.TID, updates []*wal.Record) {
 	fam := &family{members: []member{{t: t}}, indoubt: true}
 	s.families[t.Family] = fam
 	for _, u := range updates {
-		fam.undo = append(fam.undo, undoEntry{
-			t: t, key: u.Key, old: string(u.Old), had: u.Old != nil,
-		})
-		s.data[u.Key] = string(u.New)
+		undo := undoEntry{t: t, key: u.Key}
+		if u.Old != nil {
+			undo.old = pack(u.Key, u.Old)
+		}
+		fam.undo = append(fam.undo, undo)
+		s.data.put(pack(u.Key, u.New))
 	}
 	s.mu.Unlock()
 	for _, u := range updates {
@@ -315,7 +324,7 @@ func (s *Server) Reacquire(t tid.TID, updates []*wal.Record) {
 func (s *Server) Peek(key string) ([]byte, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	v, ok := s.data[key]
+	v, ok := s.data.get(key)
 	if !ok {
 		return nil, false
 	}
@@ -394,10 +403,10 @@ func (s *Server) acquire(t, parent tid.TID, key string, mode lockmgr.Mode) error
 }
 
 func (s *Server) applyUndoLocked(e undoEntry) {
-	if e.had {
-		s.data[e.key] = e.old
+	if e.old != "" {
+		s.data.put(e.old)
 	} else {
-		delete(s.data, e.key)
+		s.data.remove(e.key)
 	}
 }
 
