@@ -299,18 +299,29 @@ func TestFaultFreeRunNeverRetransmits(t *testing.T) {
 		txns = 60
 	}
 	// run pushes n transactions through commit and reports how many
-	// datagrams the sites re-sent meanwhile.
+	// datagrams the sites re-sent meanwhile, with the round's wall time
+	// and its slowest commit: a host that stalled the process shows in
+	// them, and a timer that fires too early does not.
 	run := func(label string, n int, commit func(tx TID, i int)) string {
 		before := ackTraffic(nodes).Retransmits
+		start := time.Now()
+		var slowest time.Duration
 		for i := 0; i < n; i++ {
-			commit(writeAtEach(t, m, pair, fmt.Sprintf("%s.%d", label, i)), i)
+			tx := writeAtEach(t, m, pair, fmt.Sprintf("%s.%d", label, i))
+			began := time.Now()
+			commit(tx, i)
+			slowest = max(slowest, time.Since(began))
 			if i%20 == 19 {
 				time.Sleep(ackWait())
 			}
 		}
 		time.Sleep(ackWait())
-		if r := ackTraffic(nodes).Retransmits - before; r != 0 {
-			return fmt.Sprintf("%d datagrams retransmitted in %d fault-free transactions", r, n)
+		r := ackTraffic(nodes).Retransmits - before
+		took := fmt.Sprintf("%d transactions in %v, the slowest commit %v, against a %v ack wait",
+			n, time.Since(start).Round(time.Millisecond), slowest.Round(time.Microsecond), ackWait())
+		t.Logf("%s: %d retransmitted; %s", label, r, took)
+		if r != 0 {
+			return fmt.Sprintf("%d datagrams retransmitted (%s)", r, took)
 		}
 		return ""
 	}

@@ -5,14 +5,14 @@
 // transaction manager (Figure 1, steps 4–6 and 8–11 of the paper).
 //
 // Objects are byte-string values named by keys. The object table
-// holds each one as a single immutable Go string, its packed entry:
-// the key's length, the key and the value. A value is copied on its
-// way in (Write packs it into a new entry, and gives the log record
-// bytes of its own) and on its way out (Read, Peek), and never in
-// between. Updates are applied in place under exclusive locks with
-// the old entry retained for undo, which together with the
-// write-ahead update records gives the usual steal/no-force recovery
-// discipline.
+// keeps each one as an entry, the key's and value's lengths, the key
+// and the value, written into a chunk of its byte arena and located by
+// one 8-byte slot word. A value is copied on its way in (Write writes
+// it into the arena, and gives the log record bytes of its own) and on
+// its way out (Read, Peek). Updates are applied in place under
+// exclusive locks with the old value retained for undo, the same bytes
+// the update record logs, which together with the write-ahead update
+// records gives the usual steal/no-force recovery discipline.
 package server
 
 import (
@@ -113,7 +113,7 @@ type member struct {
 type undoEntry struct {
 	t   tid.TID
 	key string
-	old string // the key's entry before, "" if it had none
+	old []byte // the key's value before, nil if it had none; its update record's Old
 }
 
 // New creates a server. It becomes usable for operations immediately;
@@ -151,7 +151,7 @@ func (s *Server) Read(t, parent tid.TID, key string) ([]byte, error) {
 		return nil, fmt.Errorf("%w: %q", ErrNoSuchKey, key)
 	}
 	s.reads++
-	return []byte(v), nil
+	return present(v), nil
 }
 
 // Write sets key to val on behalf of t under an exclusive lock,
@@ -163,23 +163,21 @@ func (s *Server) Write(t, parent tid.TID, key string, val []byte) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	e := pack(key, val)
-	_, v := split(e)
+	undo := undoEntry{t: t, key: key}
+	if old, ok := put(&s.data, key, val); ok {
+		undo.old = present(old)
+	}
 	rec := &wal.Record{
 		Type:   wal.RecUpdate,
 		TID:    t,
 		Parent: parent,
 		Server: s.name,
 		Key:    key,
+		Old:    undo.old,
 		// Bytes of the log's own, never nil (a nil New is a delete to
 		// recovery): the record is encoded only at the family's force,
 		// and the caller may reuse val before then.
-		New: []byte(v),
-	}
-	undo := undoEntry{t: t, key: key, old: s.data.put(e)}
-	if undo.old != "" {
-		_, ov := split(undo.old)
-		rec.Old = []byte(ov)
+		New: present(val),
 	}
 	if _, err := s.log.Append(rec); err != nil {
 		s.applyUndoLocked(undo)
@@ -280,13 +278,14 @@ func (s *Server) AbortChild(child tid.TID) {
 	s.dropLocks(victims)
 }
 
-// Install replaces the server's committed state with a copy of data;
-// the recovery process calls it after replaying the log.
+// Install replaces the server's committed state with a copy of data,
+// written into a fresh object table; the recovery process calls it
+// after replaying the log.
 func (s *Server) Install(data map[string]string) {
 	t := newTable(len(data))
-	//lint:ordered an entry's slot is never observable, whatever order filled the table
+	//lint:ordered an entry's slot and place in the arena are never observable, whatever order filled the table
 	for k, v := range data {
-		t.put(pack(k, v))
+		put(&t, k, v)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -304,12 +303,8 @@ func (s *Server) Reacquire(t tid.TID, updates []*wal.Record) {
 	fam := &family{members: []member{{t: t}}, indoubt: true}
 	s.families[t.Family] = fam
 	for _, u := range updates {
-		undo := undoEntry{t: t, key: u.Key}
-		if u.Old != nil {
-			undo.old = pack(u.Key, u.Old)
-		}
-		fam.undo = append(fam.undo, undo)
-		s.data.put(pack(u.Key, u.New))
+		fam.undo = append(fam.undo, undoEntry{t: t, key: u.Key, old: u.Old})
+		put(&s.data, u.Key, u.New)
 	}
 	s.mu.Unlock()
 	for _, u := range updates {
@@ -328,7 +323,7 @@ func (s *Server) Peek(key string) ([]byte, bool) {
 	if !ok {
 		return nil, false
 	}
-	return []byte(v), true
+	return present(v), true
 }
 
 // OpCounts reports reads and writes served.
@@ -403,12 +398,16 @@ func (s *Server) acquire(t, parent tid.TID, key string, mode lockmgr.Mode) error
 }
 
 func (s *Server) applyUndoLocked(e undoEntry) {
-	if e.old != "" {
-		s.data.put(e.old)
+	if e.old != nil {
+		put(&s.data, e.key, e.old)
 	} else {
 		s.data.remove(e.key)
 	}
 }
+
+// present returns a copy of a value, non-nil even when empty: nil
+// means absent to the log and to undo.
+func present(v []byte) []byte { return append([]byte{}, v...) }
 
 // familyLocked returns f's record, making it on f's first use.
 func (s *Server) familyLocked(f tid.FamilyID) *family {

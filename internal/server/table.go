@@ -3,29 +3,55 @@ package server
 import (
 	"encoding/binary"
 	"hash/maphash"
-	"strings"
 )
 
-// table is a server's object table: an open-addressed hash table whose
-// slots are strings, each "" (free) or one entry. An entry is the
-// object's key and value packed into one string,
+// table is a server's object table: an open-addressed hash table of
+// 8-byte slot words over an arena of entries. An entry is one object,
+// its key and value written back to back into a byte chunk,
 //
-//	uvarint(len(key)) | key | value
+//	uvarint(len(key)) | uvarint(len(val)) | key | val
 //
-// so an object costs its entry and one 16-byte slot, and the table
-// keeps no key string of its own. The slot array's length is a power
-// of two, probing is linear, and the array doubles before its load
-// passes 3/4. A removal shifts the entries after it back, so there are
-// no tombstones and every entry is reachable from its home slot
-// without crossing a free one. Nothing iterates the table, so where
-// an entry sits is never observable.
+// and a slot word is 0 (free) or locates one entry:
+//
+//	tag (16 bits) | chunk index + 1 (32 bits) | offset in the chunk (16 bits)
+//
+// where the tag is the top 16 bits of the key's hash, so a probe reads
+// the arena only when a slot's tag matches. The slot array's length is
+// a power of two, probing is linear, and the array doubles before its
+// load passes 3/4. A removal shifts the words after it back, so there
+// are no tombstones and every entry is reachable from its home slot
+// without crossing a free one.
+//
+// The arena is a list of chunkSize-byte chunks, filled in order; an
+// entry longer than bigEntry gets a chunk of its own size. Entries are
+// never written over: an overwrite writes a new entry and a removal
+// forgets one, and the bytes they leave behind are dead. So is the
+// unused tail of a chunk the next entry did not fit. When the dead
+// bytes exceed half the live ones plus one chunk, the table copies its
+// live entries into fresh chunks, so the arena never holds more than
+// 3/2 of its live bytes plus two chunks. Nothing iterates the table,
+// so where an entry sits is never observable.
 type table struct {
-	slots []string
-	n     int // occupied slots
-	seed  maphash.Seed
+	slots  []uint64
+	n      int // occupied slots
+	chunks [][]byte
+	cur    int // the chunk entries are filled into
+	used   int // bytes of chunks[cur] filled; chunkSize when there is none
+	live   int // bytes of the entries the slots locate
+	dead   int // bytes of chunks neither live nor free in chunks[cur]
+	seed   maphash.Seed
 }
 
-const minSlots = 8
+const (
+	minSlots  = 8
+	chunkSize = 16 << 10
+	bigEntry  = chunkSize / 8 // a longer entry gets a chunk of its own
+
+	offBits  = 16 // chunkSize offsets fit
+	tagShift = 48
+	offMask  = 1<<offBits - 1
+	locMask  = 1<<tagShift - 1 // a word without its tag
+)
 
 // newTable returns an empty table with room for n entries.
 func newTable(n int) table {
@@ -33,123 +59,169 @@ func newTable(n int) table {
 	for n*4 > size*3 {
 		size *= 2
 	}
-	return table{slots: make([]string, size), seed: maphash.MakeSeed()}
+	return table{slots: make([]uint64, size), used: chunkSize, seed: maphash.MakeSeed()}
 }
 
-// pack returns key and val as one entry, in one allocation.
-func pack[V string | []byte](key string, val V) string {
-	var pre [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(pre[:], uint64(len(key)))
-	var b strings.Builder
-	b.Grow(n + len(key) + len(val))
-	b.Write(pre[:n])
-	b.WriteString(key)
-	switch v := any(val).(type) {
-	case string:
-		b.WriteString(v)
-	case []byte:
-		b.Write(v)
-	}
-	return b.String()
+// hash is key's hash under the table's seed: its low bits pick the
+// home slot, its top 16 the tag.
+func (t *table) hash(key string) uint64 { return maphash.String(t.seed, key) }
+
+// entry returns the entry w locates, its key and its value, views
+// into its chunk.
+func (t *table) entry(w uint64) (e, key, val []byte) {
+	b := t.chunks[int(w&locMask>>offBits)-1][w&offMask:]
+	kl, n := binary.Uvarint(b)
+	vl, m := binary.Uvarint(b[n:])
+	k := n + m
+	v := k + int(kl)
+	end := v + int(vl)
+	return b[:end], b[k:v], b[v:end:end]
 }
 
-// split returns an entry's key and value, substrings of e.
-func split(e string) (key, val string) {
-	n, i := 0, 0
-	for shift := 0; ; shift += 7 {
-		b := e[i]
-		i++
-		n |= int(b&0x7f) << shift
-		if b < 0x80 {
-			break
-		}
-	}
-	return e[i : i+n], e[i+n:]
+// home is the first probe slot of the entry w locates.
+func (t *table) home(w uint64) int {
+	_, k, _ := t.entry(w)
+	return int(maphash.Bytes(t.seed, k) & uint64(len(t.slots)-1))
 }
 
-// home is key's first probe slot.
-func (t *table) home(key string) int {
-	return int(maphash.String(t.seed, key) & uint64(len(t.slots)-1))
-}
-
-// find returns key's slot and true, or the free slot that ends its
-// probe sequence and false.
-func (t *table) find(key string) (int, bool) {
+// find returns the slot of the key hashing to h and true, or the free
+// slot that ends its probe sequence and false.
+func (t *table) find(key string, h uint64) (int, bool) {
 	mask := len(t.slots) - 1
-	for i := t.home(key); ; i = (i + 1) & mask {
-		e := t.slots[i]
-		if e == "" {
+	tag := h >> tagShift
+	for i := int(h) & mask; ; i = (i + 1) & mask {
+		w := t.slots[i]
+		if w == 0 {
 			return i, false
 		}
-		if len(key) < 0x80 {
-			// A one-byte length prefix: no decoding needed.
-			if len(e) > len(key) && e[0] == byte(len(key)) && e[1:1+len(key)] == key {
+		if w>>tagShift == tag {
+			if _, k, _ := t.entry(w); string(k) == key {
 				return i, true
 			}
-		} else if k, _ := split(e); k == key {
-			return i, true
 		}
 	}
 }
 
-// get returns key's value, a substring of its entry.
-func (t *table) get(key string) (string, bool) {
-	i, ok := t.find(key)
+// get returns key's value, a view into the arena that stays valid, and
+// unchanged, for as long as it is held.
+func (t *table) get(key string) ([]byte, bool) {
+	i, ok := t.find(key, t.hash(key))
 	if !ok {
-		return "", false
+		return nil, false
 	}
-	_, v := split(t.slots[i])
+	_, _, v := t.entry(t.slots[i])
 	return v, true
 }
 
-// put stores entry e under its key and returns the entry it replaced,
-// or "" if the key had none.
-func (t *table) put(e string) string {
-	key, _ := split(e)
-	i, ok := t.find(key)
+// put stores val under key in t and returns the value it replaced, a
+// view as get returns, and whether the key had one.
+func put[V string | []byte](t *table, key string, val V) ([]byte, bool) {
+	h := t.hash(key)
+	i, ok := t.find(key, h)
+	var pre [2 * binary.MaxVarintLen64]byte
+	p := binary.AppendUvarint(binary.AppendUvarint(pre[:0], uint64(len(key))), uint64(len(val)))
+	e, loc := t.alloc(len(p) + len(key) + len(val))
+	n := copy(e, p)
+	n += copy(e[n:], key)
+	copy(e[n:], val)
+	t.live += len(e)
+	w := h&^locMask | loc
+	var old []byte
 	if ok {
-		old := t.slots[i]
-		t.slots[i] = e
-		return old
+		_, _, old = t.entry(t.slots[i])
+		t.forget(t.slots[i])
+		t.slots[i] = w
+	} else {
+		if (t.n+1)*4 > len(t.slots)*3 {
+			t.grow()
+			i, _ = t.find(key, h)
+		}
+		t.slots[i] = w
+		t.n++
 	}
-	if (t.n+1)*4 > len(t.slots)*3 {
-		t.grow()
-		i, _ = t.find(key)
-	}
-	t.slots[i] = e
-	t.n++
-	return ""
+	t.compactIfWasteful()
+	return old, ok
 }
 
 // remove deletes key's entry, if any, closing the gap it leaves: each
-// entry after it in the run whose home is not cyclically in (gap, j]
+// word after it in the run whose home is not cyclically in (gap, j]
 // moves back into the gap, which moves to where it was.
 func (t *table) remove(key string) {
-	gap, ok := t.find(key)
+	gap, ok := t.find(key, t.hash(key))
 	if !ok {
 		return
 	}
+	t.forget(t.slots[gap])
 	mask := len(t.slots) - 1
-	for j := (gap + 1) & mask; t.slots[j] != ""; j = (j + 1) & mask {
-		k, _ := split(t.slots[j])
-		if h := t.home(k); (j-h)&mask >= (j-gap)&mask {
+	for j := (gap + 1) & mask; t.slots[j] != 0; j = (j + 1) & mask {
+		if h := t.home(t.slots[j]); (j-h)&mask >= (j-gap)&mask {
 			t.slots[gap] = t.slots[j]
 			gap = j
 		}
 	}
-	t.slots[gap] = ""
+	t.slots[gap] = 0
 	t.n--
+	t.compactIfWasteful()
 }
 
-// grow doubles the slot array and re-places every entry.
+// forget counts the entry w locates as dead.
+func (t *table) forget(w uint64) {
+	e, _, _ := t.entry(w)
+	t.live -= len(e)
+	t.dead += len(e)
+}
+
+// alloc returns n fresh bytes of the arena and their location, a slot
+// word without its tag. A chunk the bytes do not fit is left, and its
+// unused tail counted dead.
+func (t *table) alloc(n int) ([]byte, uint64) {
+	if n > bigEntry {
+		t.chunks = append(t.chunks, make([]byte, n))
+		return t.chunks[len(t.chunks)-1], uint64(len(t.chunks)) << offBits
+	}
+	if t.used+n > chunkSize {
+		t.dead += chunkSize - t.used
+		t.chunks = append(t.chunks, make([]byte, chunkSize))
+		t.cur, t.used = len(t.chunks)-1, 0
+	}
+	off := t.used
+	t.used += n
+	return t.chunks[t.cur][off:t.used:t.used], uint64(t.cur+1)<<offBits | uint64(off)
+}
+
+// compactIfWasteful copies the live entries into fresh chunks when the
+// dead bytes exceed half the live ones plus a chunk. A compaction
+// leaves only chunk tails dead, under an eighth of a chunk each, so the
+// next one is at least a third of the live bytes of churn away.
+func (t *table) compactIfWasteful() {
+	if t.dead <= t.live/2+chunkSize {
+		return
+	}
+	old := *t
+	t.chunks, t.used, t.live, t.dead = nil, chunkSize, 0, 0
+	for i, w := range t.slots {
+		if w != 0 {
+			e, _, _ := old.entry(w)
+			f, loc := t.alloc(len(e))
+			copy(f, e)
+			t.live += len(f)
+			t.slots[i] = w&^locMask | loc
+		}
+	}
+}
+
+// grow doubles the slot array and re-places every word.
 func (t *table) grow() {
 	old := t.slots
-	t.slots = make([]string, 2*len(old))
-	for _, e := range old {
-		if e != "" {
-			k, _ := split(e)
-			i, _ := t.find(k)
-			t.slots[i] = e
+	t.slots = make([]uint64, 2*len(old))
+	mask := len(t.slots) - 1
+	for _, w := range old {
+		if w != 0 {
+			i := t.home(w)
+			for t.slots[i] != 0 {
+				i = (i + 1) & mask
+			}
+			t.slots[i] = w
 		}
 	}
 }
