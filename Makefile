@@ -115,12 +115,14 @@ paxos:
 # Arbitrary bytes as a datagram, the first thing a hostile network
 # hands any parser, must never panic the wire decoder, and a message it
 # accepts must re-encode and decode to itself; its seeds reach a
-# datagram of exactly wire.MaxDatagram bytes. The data server's
-# object table is fuzzed against a map: a ctl key is hostile bytes, an
-# entry's two length prefixes are decoded from the arena whenever a
-# probe's tag matches, and overwrites and removals compact the arena,
-# so set, get and remove sequences over arbitrary keys, and values
-# longer than a chunk, must leave the table agreeing with the map. Arbitrary bytes as the
+# datagram of exactly wire.MaxDatagram bytes. The object table
+# (internal/segment, every server's and every image's segment) is
+# fuzzed against a map: a ctl key is hostile bytes, an entry's two
+# length prefixes are decoded from the arena whenever a probe's tag
+# matches, overwrites and removals compact the arena, and a clone
+# shares every chunk with its original, so set, get, remove and clone
+# sequences over arbitrary keys, and values longer than a chunk, must
+# leave each table agreeing with its own map. Arbitrary bytes as the
 # log's final block must never panic recovery
 # and never yield a record whose frame does not check out; a record body
 # sealed with its checksum must never panic the record decoder, and one
@@ -136,7 +138,7 @@ paxos:
 # corpora alone run in `make test`.)
 fuzz:
 	$(GO) test ./internal/wire -run '^$$' -fuzz FuzzUnmarshal -fuzztime 3s
-	$(GO) test ./internal/server -run '^$$' -fuzz FuzzObjectTable -fuzztime 3s
+	$(GO) test ./internal/segment -run '^$$' -fuzz FuzzObjectTable -fuzztime 3s
 	$(GO) test ./internal/wal -run '^$$' -fuzz FuzzBlockFrames -fuzztime 5s
 	$(GO) test ./internal/wal -run '^$$' -fuzz FuzzRecord -fuzztime 3s
 	$(GO) test ./internal/ctl -run '^$$' -fuzz FuzzRequestLine -fuzztime 3s

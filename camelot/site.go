@@ -78,7 +78,7 @@ func (s *site) recover() error {
 	}
 
 	// Install the recovered image (page base + redone tail) into each
-	// server, which copies it into its object table.
+	// server, which takes its segment over.
 	for _, name := range det.SortedKeys(a.Data) {
 		s.servers[name].Install(a.Data[name])
 	}

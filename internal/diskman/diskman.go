@@ -5,10 +5,11 @@
 // protocol. Also, it is the only process that can write into the
 // log" (paper §2). In this reproduction the write-ahead discipline
 // and group commit live in internal/wal; this package adds the disk
-// copy of the data segments: a checkpoint has the recovery process
-// redo the durable log onto the page image (recman.Analyze, the one
-// place log and image combine), records the outcomes it absorbed, and
-// truncates the log prefix those pages now cover. Recovery then
+// copy of the data segments, one segment.Segment per server: a
+// checkpoint has the recovery process redo the durable log onto a
+// clone of the page image (recman.Analyze, the one place log and image
+// combine), records the outcomes it absorbed, and truncates the log
+// prefix those pages now cover. Recovery then
 // starts from the page image instead of replaying history from the
 // beginning of time.
 //
@@ -21,10 +22,11 @@ package diskman
 
 import (
 	"fmt"
-	"maps"
 	"sync"
 
+	"camelot/internal/det"
 	"camelot/internal/recman"
+	"camelot/internal/segment"
 	"camelot/internal/tid"
 	"camelot/internal/wal"
 	"camelot/internal/wire"
@@ -34,8 +36,8 @@ import (
 // segments of its servers plus the protocol facts that truncated log
 // records used to carry.
 type Snapshot struct {
-	// Data is the committed image, per server per key.
-	Data map[string]map[string]string
+	// Data is the committed image, one segment per server.
+	Data map[string]*segment.Segment
 	// Outcomes are the resolved top-level outcomes the image absorbed,
 	// by family — still needed to answer presumed-abort inquiries and
 	// non-blocking status requests for old transactions.
@@ -45,18 +47,17 @@ type Snapshot struct {
 	MaxLocalFamily uint32
 }
 
-// clone copies a snapshot's maps, so that neither copy's owner sees
-// the other's changes; the values are immutable strings and are
-// shared.
+// clone copies a snapshot, so that neither copy's owner sees the
+// other's changes; each segment's clone shares its chunks, which no
+// segment writes again.
 func (s *Snapshot) clone() *Snapshot {
 	out := &Snapshot{
-		Data:           make(map[string]map[string]string, len(s.Data)),
+		Data:           make(map[string]*segment.Segment, len(s.Data)),
 		Outcomes:       s.Outcomes.Clone(),
 		MaxLocalFamily: s.MaxLocalFamily,
 	}
-	//lint:ordered map copy; insertion order is unobservable
-	for srv, kv := range s.Data {
-		out.Data[srv] = maps.Clone(kv)
+	for _, srv := range det.SortedKeys(s.Data) {
+		out.Data[srv] = s.Data[srv].Clone()
 	}
 	return out
 }
@@ -71,7 +72,7 @@ type PageStore struct {
 
 // NewPageStore returns an empty store.
 func NewPageStore() *PageStore {
-	return &PageStore{snap: &Snapshot{Data: make(map[string]map[string]string)}}
+	return &PageStore{snap: &Snapshot{Data: make(map[string]*segment.Segment)}}
 }
 
 // Read returns a copy of the current image.
@@ -81,11 +82,12 @@ func (ps *PageStore) Read() *Snapshot {
 	return ps.snap.clone()
 }
 
-// write atomically replaces the image.
+// write atomically replaces the image with s, which it takes over:
+// the caller must not change s afterwards.
 func (ps *PageStore) write(s *Snapshot) {
 	ps.mu.Lock()
 	defer ps.mu.Unlock()
-	ps.snap = s.clone()
+	ps.snap = s
 }
 
 // Outcome answers, from the durable image alone, how a family the

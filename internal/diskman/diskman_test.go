@@ -5,11 +5,16 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
 
+	"camelot/internal/det"
 	"camelot/internal/recman"
+	"camelot/internal/segment"
+	"camelot/internal/server"
 	"camelot/internal/sim"
 	"camelot/internal/tid"
 	"camelot/internal/wal"
@@ -17,6 +22,32 @@ import (
 )
 
 func top(n uint32) tid.TID { return tid.Top(tid.MakeFamily(1, n)) }
+
+// value returns key's value in server srv's segment of data; a server
+// without a segment holds no key.
+func value(data map[string]*segment.Segment, srv, key string) (string, bool) {
+	if data[srv] == nil {
+		return "", false
+	}
+	v, ok := data[srv].Get(key)
+	return string(v), ok
+}
+
+// wantData fails t unless each of want's keys has its value in server
+// srv's segment of data, and each of absent's keys is absent.
+func wantData(t *testing.T, data map[string]*segment.Segment, want map[string]string, absent ...string) {
+	t.Helper()
+	for _, k := range det.SortedKeys(want) {
+		if got, ok := value(data, "srv", k); !ok || got != want[k] {
+			t.Errorf("%.12s = %.12q, %v; want %.12q", k, got, ok, want[k])
+		}
+	}
+	for _, k := range absent {
+		if got, ok := value(data, "srv", k); ok {
+			t.Errorf("%.12s = %.12q, want absent", k, got)
+		}
+	}
+}
 
 // buildLog writes records into a fresh log over a MemStore, forcing
 // at every protocol record the way a transaction manager does: each
@@ -94,12 +125,8 @@ func TestCheckpointAbsorbsResolvedAndTruncates(t *testing.T) {
 		t.Errorf("%d records left after full checkpoint", len(recs))
 	}
 	snap := ps.Read()
-	if string(snap.Data["srv"]["a"]) != "1" {
-		t.Errorf("image a = %q", snap.Data["srv"]["a"])
-	}
-	if _, ok := snap.Data["srv"]["b"]; ok {
-		t.Error("aborted update in image")
-	}
+	// The aborted update is not in the image.
+	wantData(t, snap.Data, map[string]string{"a": "1"}, "b")
 	want := map[tid.FamilyID]wire.Outcome{top(1).Family: wire.OutcomeCommit, top(2).Family: wire.OutcomeAbort}
 	if got := outcomesOf(&snap.Outcomes); !reflect.DeepEqual(got, want) {
 		t.Errorf("outcomes = %v, want %v", got, want)
@@ -107,9 +134,9 @@ func TestCheckpointAbsorbsResolvedAndTruncates(t *testing.T) {
 }
 
 // TestAnalyzeOverReadLeavesImage pins that PageStore.Read hands out
-// maps of its own: recovery redoes the log onto the image it read
+// segments of its own: recovery redoes the log onto the image it read
 // (recman.Analyze takes ownership of it), and the stored image, which
-// shares the values, must not see those writes and deletes.
+// shares the chunks, must not see those writes and deletes.
 func TestAnalyzeOverReadLeavesImage(t *testing.T) {
 	log := buildLog(t, []*wal.Record{
 		upd(top(1), "a", "1"),
@@ -124,10 +151,11 @@ func TestAnalyzeOverReadLeavesImage(t *testing.T) {
 		upd(top(2), "b", "2"),
 		{Type: wal.RecCommit, TID: top(2)},
 	})
-	want := map[string]map[string]string{"srv": {"a": "1"}}
-	if got := ps.Read().Data; !reflect.DeepEqual(got, want) {
-		t.Fatalf("stored image = %v after Analyze over a read copy, want %v", got, want)
+	got := ps.Read().Data
+	if len(got) != 1 {
+		t.Fatalf("stored image holds %d servers after Analyze over a read copy, want srv alone", len(got))
 	}
+	wantData(t, got, map[string]string{"a": "1"}, "b")
 }
 
 func TestInDoubtTransactionPinsTruncation(t *testing.T) {
@@ -163,13 +191,8 @@ func TestInDoubtTransactionPinsTruncation(t *testing.T) {
 	if len(a.InDoubt) != 1 {
 		t.Fatalf("InDoubt = %v", a.InDoubt)
 	}
-	data := a.Data
-	if string(data["srv"]["a"]) != "1" || string(data["srv"]["b"]) != "2" {
-		t.Fatalf("recovered data = %v", data["srv"])
-	}
-	if _, ok := data["srv"]["x"]; ok {
-		t.Error("in-doubt update leaked into recovered image")
-	}
+	// The in-doubt update is not in the recovered image.
+	wantData(t, a.Data, map[string]string{"a": "1", "b": "2"}, "x")
 }
 
 // A cut that lands inside a block is rounded down to the block's
@@ -212,13 +235,9 @@ func TestCheckpointCutInsideBlockRoundsDown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data := a.Data
-	if got := string(data["srv"]["a"]); got != "2" {
-		t.Errorf("a = %q after replaying the overlap, want the later committed value 2", got)
-	}
-	if _, ok := data["srv"]["x"]; ok {
-		t.Error("in-doubt update leaked into the recovered image")
-	}
+	// a holds the later committed value after the overlap's replay, and
+	// the in-doubt update is not in the recovered image.
+	wantData(t, a.Data, map[string]string{"a": "2"}, "x")
 	if len(a.InDoubt) != 1 {
 		t.Errorf("InDoubt = %v, want the prepared family", a.InDoubt)
 	}
@@ -261,9 +280,7 @@ func TestDeleteAcrossCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := a.Data["srv"]["a"]; ok {
-		t.Fatal("key deleted after checkpoint still present in recovered image")
-	}
+	wantData(t, a.Data, nil, "a")
 }
 
 func TestSuccessiveCheckpointsAccumulate(t *testing.T) {
@@ -290,11 +307,7 @@ func TestSuccessiveCheckpointsAccumulate(t *testing.T) {
 	if truncated != 6 {
 		t.Errorf("cumulative truncated records = %d, want 6", truncated)
 	}
-	for round := 1; round <= 3; round++ {
-		if _, ok := snap.Data["srv"][fmt.Sprintf("k%d", round)]; !ok {
-			t.Errorf("k%d missing from image", round)
-		}
-	}
+	wantData(t, snap.Data, map[string]string{"k1": "v", "k2": "v", "k3": "v"})
 	if got := snap.Outcomes.Len(); got != 3 {
 		t.Errorf("absorbed outcomes = %d, want 3", got)
 	}
@@ -383,18 +396,18 @@ func TestCheckpointEquivalenceProperty(t *testing.T) {
 				ok = false
 				return
 			}
-			got := a.Data
-			// Normalize: empty maps vs missing maps.
-			norm := func(m map[string]map[string]string) map[string]string {
+			// Every key the history names has one value, or none, on
+			// both paths; a server without a segment holds no key.
+			norm := func(data map[string]*segment.Segment) map[string]string {
 				out := make(map[string]string)
-				for srv, kv := range m {
-					for key, v := range kv {
-						out[srv+"/"+key] = v
+				for _, r := range history {
+					if v, ok := value(data, r.Server, r.Key); ok {
+						out[r.Server+"/"+r.Key] = v
 					}
 				}
 				return out
 			}
-			ok = reflect.DeepEqual(norm(want), norm(got))
+			ok = reflect.DeepEqual(norm(want), norm(a.Data))
 		})
 		k.RunUntil(time.Minute)
 		return ok
@@ -402,6 +415,152 @@ func TestCheckpointEquivalenceProperty(t *testing.T) {
 	if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// acceptAll is a transaction manager that lets every transaction join.
+type acceptAll struct{}
+
+func (acceptAll) Join(t, parent tid.TID, p server.Participant) error { return nil }
+
+// TestServerCannotWriteIntoTheImage: a server recovered from the page
+// image shares the image's chunks, and so does every clone of the
+// image a later checkpoint or recovery redoes the log onto. None of
+// them may write a byte another can reach. After a checkpoint, a server
+// is recovered from the image and churns: overwrites, aborted
+// overwrites and inserts (an insert's undo removes it), a value longer
+// than a chunk, and enough overwrites to compact, with a second
+// checkpoint after its first families and a recovery from the image
+// at the end. The server reads its own values after every family, the
+// image recovered over an empty log reads exactly what the second
+// checkpoint absorbed, and the image with the log's tail redone reads
+// what the server does.
+func TestServerCannotWriteIntoTheImage(t *testing.T) {
+	const chunk = 16 << 10 // the segment package's chunk size
+	k := sim.New(1)
+	ps := NewPageStore()
+	k.Go("test", func() {
+		defer k.Stop()
+		log := wal.Open(k, wal.NewMemStore(), wal.Config{})
+		defer log.Close()
+		model := make(map[string]string) // what the server must read
+		var named []string               // every key written, in order
+		for i := 0; i < 10; i++ {
+			key := "k" + strconv.Itoa(i)
+			log.Append(upd(top(1), key, "v"+strconv.Itoa(i))) //nolint:errcheck // checked by the force
+			model[key] = "v" + strconv.Itoa(i)
+			named = append(named, key)
+		}
+		log.Append(&wal.Record{Type: wal.RecCommit, TID: top(1)}) //nolint:errcheck // checked by the force
+		if err := log.Force(math.MaxUint64); err != nil {
+			t.Error(err)
+			return
+		}
+		if _, err := Checkpoint(1, log, ps); err != nil {
+			t.Error(err)
+			return
+		}
+		a, err := Recover(1, log, ps)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		srv := server.New(k, "srv", acceptAll{}, log, server.Config{})
+		srv.Install(a.Data["srv"])
+
+		// check fails t unless srv reads model's value of every named key.
+		check := func(when string) bool {
+			for _, key := range named {
+				v, ok := srv.Peek(key)
+				if want, in := model[key]; ok != in || string(v) != want {
+					t.Errorf("%s: the server reads %.12s = %.12q, %v; want %.12q, %v", when, key, v, ok, want, in)
+					return false
+				}
+			}
+			return true
+		}
+		// family runs one family of writes, key and value in turn, and
+		// commits or aborts it.
+		n := uint32(1)
+		family := func(commit bool, kv ...string) bool {
+			n++
+			tx := top(n)
+			for i := 0; i < len(kv); i += 2 {
+				if err := srv.Write(tx, tid.TID{}, kv[i], []byte(kv[i+1])); err != nil {
+					t.Error(err)
+					return false
+				}
+				named = append(named, kv[i])
+			}
+			outcome := &wal.Record{Type: wal.RecAbort, TID: tx}
+			if commit {
+				outcome.Type = wal.RecCommit
+			}
+			if _, err := log.Append(outcome); err != nil {
+				t.Error(err)
+				return false
+			}
+			if err := log.Force(math.MaxUint64); err != nil {
+				t.Error(err)
+				return false
+			}
+			if commit {
+				srv.CommitFamily(tx.Family)
+				for i := 0; i < len(kv); i += 2 {
+					model[kv[i]] = kv[i+1]
+				}
+			} else {
+				srv.AbortFamily(tx.Family)
+			}
+			return check(fmt.Sprintf("after family %d", n))
+		}
+
+		if !family(false, "k0", "aborted") ||
+			!family(false, "new", "inserted") ||
+			!family(true, "k1", "committed after the image") {
+			return
+		}
+		if _, err := Checkpoint(1, log, ps); err != nil {
+			t.Error(err)
+			return
+		}
+		image := make(map[string]string, len(model))
+		for key, v := range model {
+			image[key] = v
+		}
+		if !check("after the second checkpoint") ||
+			!family(true, "big", strings.Repeat("b", chunk+1), "k3", "three") ||
+			!family(false, "big", strings.Repeat("B", chunk+100), "k4", "aborted", "gone", "x") ||
+			!family(true, "k5", "") {
+			return
+		}
+		for i := 0; i < 200; i++ {
+			if !family(i%10 != 9, "k2", strings.Repeat(strconv.Itoa(i%10), 200)) {
+				return
+			}
+		}
+
+		empty := wal.Open(k, wal.NewMemStore(), wal.Config{})
+		defer empty.Close()
+		for _, over := range []struct {
+			name string
+			log  *wal.Log
+			want map[string]string
+		}{{"the image alone", empty, image}, {"the image and the log's tail", log, model}} {
+			a, err := Recover(1, over.log, ps)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			for _, key := range named {
+				v, ok := value(a.Data, "srv", key)
+				if want, in := over.want[key]; ok != in || v != want {
+					t.Errorf("recovered from %s: %.12s = %.12q, %v; want %.12q, %v", over.name, key, v, ok, want, in)
+				}
+			}
+		}
+		check("after the recoveries")
+	})
+	k.RunUntil(time.Hour)
 }
 
 // outcomesOf lists a table's outcomes as a map, for comparison.

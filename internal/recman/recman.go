@@ -10,8 +10,9 @@
 // order, on top of the disk manager's checkpoint image:
 //
 //   - updates of committed families (excluding aborted nested
-//     subtrees) are redone onto the image, which becomes the servers'
-//     recovered state;
+//     subtrees) are redone onto the image, one segment.Segment per
+//     server, which the servers then take over as their recovered
+//     state;
 //   - updates of aborted or never-resolved families are discarded —
 //     presumed abort means no record implies abort;
 //   - prepared or intent-replicated transactions without an outcome —
@@ -27,6 +28,7 @@ import (
 	"cmp"
 	"slices"
 
+	"camelot/internal/segment"
 	"camelot/internal/tid"
 	"camelot/internal/wal"
 	"camelot/internal/wire"
@@ -72,10 +74,10 @@ type CoordResume struct {
 
 // Analysis is the result of scanning one site's log.
 type Analysis struct {
-	// Data is the recovered committed state, per server per key: the
-	// image Analyze was given with the log's committed updates redone
-	// onto it.
-	Data map[string]map[string]string
+	// Data is the recovered committed state, one segment per server:
+	// the image Analyze was given with the log's committed updates
+	// redone onto it.
+	Data map[string]*segment.Segment
 	// InDoubt lists transactions this site must resolve via protocol.
 	InDoubt []InDoubt
 	// Resume lists coordinator decisions to re-drive.
@@ -93,12 +95,12 @@ type Analysis struct {
 
 // Analyze scans records (in LSN order, as wal.Log.Records returns
 // them) for the given site, redoing committed updates onto image — the
-// checkpoint image the records continue, per server per key. Analyze
-// takes ownership of image and returns it as Data; nil means an empty
-// image.
-func Analyze(site tid.SiteID, image map[string]map[string]string, records []*wal.Record) *Analysis {
+// checkpoint image the records continue, one segment per server.
+// Analyze takes ownership of image and returns it as Data; nil means
+// an empty image.
+func Analyze(site tid.SiteID, image map[string]*segment.Segment, records []*wal.Record) *Analysis {
 	if image == nil {
-		image = make(map[string]map[string]string)
+		image = make(map[string]*segment.Segment)
 	}
 	a := &Analysis{Data: image}
 
@@ -266,15 +268,15 @@ func Analyze(site tid.SiteID, image map[string]map[string]string, records []*wal
 			continue
 		}
 		if a.Outcomes.Get(top.Family) == wire.OutcomeCommit {
-			m := a.Data[u.Server]
-			if m == nil {
-				m = make(map[string]string)
-				a.Data[u.Server] = m
+			seg := a.Data[u.Server]
+			if seg == nil {
+				seg = segment.New(0)
+				a.Data[u.Server] = seg
 			}
 			if u.New == nil {
-				delete(m, u.Key)
+				seg.Remove(u.Key)
 			} else {
-				m[u.Key] = string(u.New)
+				seg.Put(u.Key, u.New)
 			}
 			continue
 		}

@@ -3,6 +3,8 @@ package recman
 import (
 	"testing"
 
+	"camelot/internal/det"
+	"camelot/internal/segment"
 	"camelot/internal/tid"
 	"camelot/internal/wal"
 	"camelot/internal/wire"
@@ -18,6 +20,41 @@ func upd(t tid.TID, key, old, new_ string) *wal.Record {
 	return r
 }
 
+// value returns key's value in server srv's segment of data; a server
+// without a segment holds no key.
+func value(data map[string]*segment.Segment, srv, key string) (string, bool) {
+	if data[srv] == nil {
+		return "", false
+	}
+	v, ok := data[srv].Get(key)
+	return string(v), ok
+}
+
+// image returns a checkpoint image of one server, srv, holding kv.
+func image(kv map[string]string) map[string]*segment.Segment {
+	seg := segment.New(len(kv))
+	for _, k := range det.SortedKeys(kv) {
+		seg.Put(k, []byte(kv[k]))
+	}
+	return map[string]*segment.Segment{"srv": seg}
+}
+
+// wantData fails t unless each of want's keys has its value in server
+// srv's segment of data, and each of absent's keys is absent.
+func wantData(t *testing.T, data map[string]*segment.Segment, want map[string]string, absent ...string) {
+	t.Helper()
+	for _, k := range det.SortedKeys(want) {
+		if v, ok := value(data, "srv", k); !ok || v != want[k] {
+			t.Errorf("%s = %q, %v; want %q", k, v, ok, want[k])
+		}
+	}
+	for _, k := range absent {
+		if v, ok := value(data, "srv", k); ok {
+			t.Errorf("%s = %q, want absent", k, v)
+		}
+	}
+}
+
 func TestCommittedUpdatesAreRedone(t *testing.T) {
 	recs := []*wal.Record{
 		upd(top(1), "a", "", "1"),
@@ -25,9 +62,7 @@ func TestCommittedUpdatesAreRedone(t *testing.T) {
 		{Type: wal.RecCommit, TID: top(1)},
 	}
 	a := Analyze(1, nil, recs)
-	if string(a.Data["srv"]["a"]) != "1" || string(a.Data["srv"]["b"]) != "2" {
-		t.Fatalf("Data = %v", a.Data)
-	}
+	wantData(t, a.Data, map[string]string{"a": "1", "b": "2"})
 	if len(a.InDoubt) != 0 {
 		t.Fatalf("InDoubt = %v, want none", a.InDoubt)
 	}
@@ -38,9 +73,7 @@ func TestUncommittedUpdatesArePresumedAborted(t *testing.T) {
 		upd(top(1), "a", "", "1"), // no outcome record at all
 	}
 	a := Analyze(1, nil, recs)
-	if len(a.Data["srv"]) != 0 {
-		t.Fatalf("loser's update redone: %v", a.Data)
-	}
+	wantData(t, a.Data, nil, "a")
 }
 
 func TestExplicitAbortDiscardsUpdates(t *testing.T) {
@@ -49,9 +82,7 @@ func TestExplicitAbortDiscardsUpdates(t *testing.T) {
 		{Type: wal.RecAbort, TID: top(1)},
 	}
 	a := Analyze(1, nil, recs)
-	if len(a.Data["srv"]) != 0 {
-		t.Fatalf("aborted update redone: %v", a.Data)
-	}
+	wantData(t, a.Data, nil, "a")
 	if got := a.Outcomes.Get(top(1).Family); got != wire.OutcomeAbort {
 		t.Errorf("outcome = %v, want abort", got)
 	}
@@ -65,9 +96,7 @@ func TestLastWriterWinsInLSNOrder(t *testing.T) {
 		{Type: wal.RecCommit, TID: top(2)},
 	}
 	a := Analyze(1, nil, recs)
-	if string(a.Data["srv"]["a"]) != "2" {
-		t.Fatalf("a = %q, want \"2\"", a.Data["srv"]["a"])
-	}
+	wantData(t, a.Data, map[string]string{"a": "2"})
 }
 
 func TestPreparedTransactionIsInDoubt(t *testing.T) {
@@ -88,9 +117,7 @@ func TestPreparedTransactionIsInDoubt(t *testing.T) {
 		t.Fatalf("in-doubt updates = %v", d.Updates)
 	}
 	// In-doubt data must NOT be in the committed image.
-	if len(a.Data["srv"]) != 0 {
-		t.Fatalf("in-doubt update leaked into Data: %v", a.Data)
-	}
+	wantData(t, a.Data, nil, "a")
 }
 
 func TestPreparedThenCommittedIsNotInDoubt(t *testing.T) {
@@ -104,9 +131,7 @@ func TestPreparedThenCommittedIsNotInDoubt(t *testing.T) {
 	if len(a.InDoubt) != 0 {
 		t.Fatalf("resolved transaction still in doubt: %v", a.InDoubt)
 	}
-	if string(a.Data["srv"]["a"]) != "v" {
-		t.Fatalf("committed update not redone")
-	}
+	wantData(t, a.Data, map[string]string{"a": "v"})
 }
 
 func TestNonBlockingInDoubtCarriesQuorumState(t *testing.T) {
@@ -228,16 +253,9 @@ func TestAbortedChildSubtreeExcluded(t *testing.T) {
 		{Type: wal.RecCommit, TID: parent},
 	}
 	a := Analyze(1, nil, recs)
-	data := a.Data["srv"]
-	if string(data["p"]) != "1" {
-		t.Errorf("parent update lost: %v", data)
-	}
-	if _, ok := data["c"]; ok {
-		t.Error("aborted child's update redone")
-	}
-	if _, ok := data["g"]; ok {
-		t.Error("aborted child's descendant update redone")
-	}
+	// The parent's update stays; the aborted child's and its
+	// descendant's are not redone.
+	wantData(t, a.Data, map[string]string{"p": "1"}, "c", "g")
 	if got := a.Outcomes.Get(parent.Family); got != wire.OutcomeCommit {
 		t.Errorf("family outcome = %v, want commit: a nested abort dooms only its subtree", got)
 	}
@@ -265,9 +283,7 @@ func TestCommittedChildIncludedWithFamily(t *testing.T) {
 		{Type: wal.RecCommit, TID: parent},
 	}
 	a := Analyze(1, nil, recs)
-	if string(a.Data["srv"]["c"]) != "2" {
-		t.Fatalf("committed child's update not redone: %v", a.Data)
-	}
+	wantData(t, a.Data, map[string]string{"c": "2"})
 }
 
 func TestDeleteRedo(t *testing.T) {
@@ -280,33 +296,21 @@ func TestDeleteRedo(t *testing.T) {
 		{Type: wal.RecCommit, TID: top(2)},
 	}
 	a := Analyze(1, nil, recs)
-	if _, ok := a.Data["srv"]["a"]; ok {
-		t.Fatalf("deleted key present: %v", a.Data)
-	}
-	if v, ok := a.Data["srv"]["e"]; !ok || v != "" {
-		t.Fatalf("committed empty value: %q, %v; want present and empty", v, ok)
-	}
+	wantData(t, a.Data, map[string]string{"e": ""}, "a")
 }
 
 // The log continues a checkpoint image: its committed updates land on
 // top of the image, deletions included, and keys it never touches keep
 // the image's value.
 func TestRedoOntoImage(t *testing.T) {
-	image := map[string]map[string]string{"srv": {"a": "old", "b": "keep"}}
 	recs := []*wal.Record{
 		{Type: wal.RecUpdate, TID: top(1), Server: "srv", Key: "a", Old: []byte("old")}, // delete
 		upd(top(1), "c", "", "new"),
 		{Type: wal.RecCommit, TID: top(1)},
 		upd(top(2), "b", "keep", "lost"), // presumed aborted
 	}
-	a := Analyze(1, image, recs)
-	data := a.Data["srv"]
-	if _, ok := data["a"]; ok {
-		t.Errorf("key deleted by the log still in the image: %v", data)
-	}
-	if string(data["b"]) != "keep" || string(data["c"]) != "new" || len(data) != 2 {
-		t.Errorf("Data = %v, want b=keep c=new", data)
-	}
+	a := Analyze(1, image(map[string]string{"a": "old", "b": "keep"}), recs)
+	wantData(t, a.Data, map[string]string{"b": "keep", "c": "new"}, "a")
 }
 
 func TestEmptyLog(t *testing.T) {

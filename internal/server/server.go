@@ -4,12 +4,11 @@
 // and participates in commitment by joining transactions at its local
 // transaction manager (Figure 1, steps 4–6 and 8–11 of the paper).
 //
-// Objects are byte-string values named by keys. The object table
-// keeps each one as an entry, the key's and value's lengths, the key
-// and the value, written into a chunk of its byte arena and located by
-// one 8-byte slot word. A value is copied on its way in (Write writes
-// it into the arena, and gives the log record bytes of its own) and on
-// its way out (Read, Peek). Updates are applied in place under
+// Objects are byte-string values named by keys, held in one
+// segment.Segment, the server's recoverable segment: recovery hands it
+// over whole (Install). A value is copied on its way in (Write writes
+// it into the segment, and gives the log record bytes of its own) and
+// on its way out (Read, Peek). Updates are applied in place under
 // exclusive locks with the old value retained for undo, the same bytes
 // the update record logs, which together with the write-ahead update
 // records gives the usual steal/no-force recovery discipline.
@@ -24,6 +23,7 @@ import (
 	"camelot/internal/lockmgr"
 	"camelot/internal/params"
 	"camelot/internal/rt"
+	"camelot/internal/segment"
 	"camelot/internal/tid"
 	"camelot/internal/wal"
 	"camelot/internal/wire"
@@ -90,7 +90,7 @@ type Server struct {
 
 	mu       rt.Mutex
 	joinDone rt.Cond // a join's answer arrived
-	data     table
+	data     *segment.Segment
 	families map[tid.FamilyID]*family
 	reads    int
 	writes   int
@@ -127,7 +127,7 @@ func New(r rt.Runtime, name string, tm Joiner, log *wal.Log, cfg Config) *Server
 		log:      log,
 		locks:    lockmgr.New(r),
 		cfg:      cfg,
-		data:     newTable(0),
+		data:     segment.New(0),
 		families: make(map[tid.FamilyID]*family),
 	}
 	s.mu = r.NewMutex()
@@ -146,7 +146,7 @@ func (s *Server) Read(t, parent tid.TID, key string) ([]byte, error) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	v, ok := s.data.get(key)
+	v, ok := s.data.Get(key)
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrNoSuchKey, key)
 	}
@@ -164,7 +164,7 @@ func (s *Server) Write(t, parent tid.TID, key string, val []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	undo := undoEntry{t: t, key: key}
-	if old, ok := put(&s.data, key, val); ok {
+	if old, ok := s.data.Put(key, val); ok {
 		undo.old = present(old)
 	}
 	rec := &wal.Record{
@@ -278,18 +278,13 @@ func (s *Server) AbortChild(child tid.TID) {
 	s.dropLocks(victims)
 }
 
-// Install replaces the server's committed state with a copy of data,
-// written into a fresh object table; the recovery process calls it
-// after replaying the log.
-func (s *Server) Install(data map[string]string) {
-	t := newTable(len(data))
-	//lint:ordered an entry's slot and place in the arena are never observable, whatever order filled the table
-	for k, v := range data {
-		put(&t, k, v)
-	}
+// Install replaces the server's committed state with data, the
+// segment the recovery process redid the log onto; the server takes
+// it over without a copy.
+func (s *Server) Install(data *segment.Segment) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.data = t
+	s.data = data
 }
 
 // Reacquire restores an in-doubt (prepared but unresolved)
@@ -304,7 +299,7 @@ func (s *Server) Reacquire(t tid.TID, updates []*wal.Record) {
 	s.families[t.Family] = fam
 	for _, u := range updates {
 		fam.undo = append(fam.undo, undoEntry{t: t, key: u.Key, old: u.Old})
-		put(&s.data, u.Key, u.New)
+		s.data.Put(u.Key, u.New)
 	}
 	s.mu.Unlock()
 	for _, u := range updates {
@@ -319,7 +314,7 @@ func (s *Server) Reacquire(t tid.TID, updates []*wal.Record) {
 func (s *Server) Peek(key string) ([]byte, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	v, ok := s.data.get(key)
+	v, ok := s.data.Get(key)
 	if !ok {
 		return nil, false
 	}
@@ -399,9 +394,9 @@ func (s *Server) acquire(t, parent tid.TID, key string, mode lockmgr.Mode) error
 
 func (s *Server) applyUndoLocked(e undoEntry) {
 	if e.old != nil {
-		put(&s.data, e.key, e.old)
+		s.data.Put(e.key, e.old)
 	} else {
-		s.data.remove(e.key)
+		s.data.Remove(e.key)
 	}
 }
 

@@ -16,6 +16,7 @@ import (
 	"camelot/internal/params"
 	"camelot/internal/recman"
 	"camelot/internal/rt"
+	"camelot/internal/segment"
 	"camelot/internal/sim"
 	"camelot/internal/tid"
 	"camelot/internal/wal"
@@ -64,6 +65,19 @@ func (f *fixture) run(t *testing.T, fn func()) {
 }
 
 func top(n uint32) tid.TID { return tid.Top(tid.MakeFamily(1, n)) }
+
+// image returns a segment holding kv, as recovery hands one to Install.
+func image(kv map[string]string) *segment.Segment {
+	seg := segment.New(len(kv))
+	for _, k := range det.SortedKeys(kv) {
+		seg.Put(k, []byte(kv[k]))
+	}
+	return seg
+}
+
+// chunkSize is the segment package's chunk size: an entry longer than
+// an eighth of it gets a chunk of its own size.
+const chunkSize = 16 << 10
 
 func TestWriteThenReadSameTransaction(t *testing.T) {
 	f := newFixture()
@@ -275,7 +289,7 @@ func TestAbortUndoesInReverseOrder(t *testing.T) {
 func TestFailedWriteChangesNothing(t *testing.T) {
 	f := newFixture()
 	f.run(t, func() {
-		f.srv.Install(map[string]string{"a": "1"})
+		f.srv.Install(image(map[string]string{"a": "1"}))
 		f.log.Close()
 		for _, key := range []string{"a", "b"} {
 			if err := f.srv.Write(top(1), tid.TID{}, key, []byte("2")); !errors.Is(err, wal.ErrClosed) {
@@ -417,7 +431,7 @@ func TestInstallReplacesState(t *testing.T) {
 	f := newFixture()
 	f.run(t, func() {
 		f.srv.Write(top(1), tid.TID{}, "junk", []byte("x")) //nolint:errcheck
-		f.srv.Install(map[string]string{"a": "1", "b": "2"})
+		f.srv.Install(image(map[string]string{"a": "1", "b": "2"}))
 		if _, ok := f.srv.Peek("junk"); ok {
 			t.Error("pre-install state survived Install")
 		}
@@ -425,6 +439,23 @@ func TestInstallReplacesState(t *testing.T) {
 			t.Errorf("a = %q after Install", v)
 		}
 	})
+}
+
+// TestInstallAllocs: Install takes the recovered segment over, and
+// copies nothing.
+func TestInstallAllocs(t *testing.T) {
+	f := newFixture()
+	seg := image(map[string]string{"a": "1", "b": "2"})
+	var allocs float64
+	f.run(t, func() {
+		allocs = testing.AllocsPerRun(100, func() { f.srv.Install(seg) })
+		if v, _ := f.srv.Peek("b"); string(v) != "2" {
+			t.Errorf("b = %q after Install, want \"2\"", v)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("Install allocates %v times, want 0", allocs)
+	}
 }
 
 func TestReacquireRestoresInDoubtState(t *testing.T) {
@@ -524,7 +555,7 @@ func TestReadCopiesDoNotAlias(t *testing.T) {
 func TestInDoubtAbortRestoresEmptyValue(t *testing.T) {
 	f := newFixture()
 	f.run(t, func() {
-		f.srv.Install(map[string]string{"k": ""})
+		f.srv.Install(image(map[string]string{"k": ""}))
 		tx := top(1)
 		if err := f.srv.Write(tx, tid.TID{}, "k", []byte("x")); err != nil {
 			t.Error(err)
@@ -549,7 +580,7 @@ func TestInDoubtAbortRestoresEmptyValue(t *testing.T) {
 			return
 		}
 		re := New(f.k, "srv", f.tm, f.log, Config{LockTimeout: 100 * time.Millisecond})
-		re.Install(map[string]string{"k": ""})
+		re.Install(image(map[string]string{"k": ""}))
 		re.Reacquire(tx, a.InDoubt[0].Updates["srv"])
 		if v, _ := re.Peek("k"); string(v) != "x" {
 			t.Errorf("k = %q in doubt, want \"x\"", v)
@@ -719,9 +750,9 @@ func TestOverwriteChurnStaysCompact(t *testing.T) {
 			t.Fatalf("%s = %x, %v after the churn; want %x", objectKey(i), v, ok, objectValue(want[i]))
 		}
 	}
-	churned.mu.Lock()
-	bound := uint64(churned.data.live/2 + 2*chunkSize)
-	churned.mu.Unlock()
+	// An object's entry is its two length bytes, its key and its value.
+	live := n * (2 + len(objectKey(0)) + len(objectValue(0)))
+	bound := uint64(live/2 + 2*chunkSize)
 	t.Logf("%d objects: %d B retained fresh, %d B after %d rounds of overwrites; bound %d B more", n, freshHeap, churnedHeap, rounds, bound)
 	if churnedHeap > freshHeap+bound {
 		t.Errorf("%d objects overwritten %d times retain %d B, a fresh fill %d B: want at most %d B more", n, rounds, churnedHeap, freshHeap, bound)

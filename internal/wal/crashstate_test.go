@@ -304,7 +304,14 @@ func lost(state []byte, forced []*wal.Record) (what string, refused bool) {
 		return fmt.Sprintf("recovered %d of the %d forced records", kept, len(forced)), false
 	}
 	for _, r := range forced {
-		if r.Type == wal.RecUpdate && a.Data[r.Server][r.Key] != string(r.New) {
+		if r.Type != wal.RecUpdate {
+			continue
+		}
+		seg := a.Data[r.Server]
+		if seg == nil {
+			return fmt.Sprintf("forced update %s/%s not redone: its server has no segment", r.Server, r.Key), false
+		}
+		if v, ok := seg.Get(r.Key); !ok || !bytes.Equal(v, r.New) {
 			return fmt.Sprintf("forced update %s/%s not redone", r.Server, r.Key), false
 		}
 	}
