@@ -134,8 +134,12 @@ paxos:
 # is encoding/json's bytes and decodes back to itself. The fault and
 # layout parsers — chaos/v1 and netem/v1 schedules, the shardmap/v1
 # map — must never panic, and whatever they accept must re-encode and decode to an
-# equal value; they are seeded from the checked-in schedules. (The seed
-# corpora alone run in `make test`.)
+# equal value; they are seeded from the checked-in schedules. A data
+# server driven by arbitrary nested-transaction programs must agree
+# with the Moss reference model (internal/server/moss_test.go) on every
+# value, every lock and the image recovery rebuilds from its log; it is
+# seeded with the remote-grandparent abort and the abort-then-recover
+# shapes. (The seed corpora alone run in `make test`.)
 fuzz:
 	$(GO) test ./internal/wire -run '^$$' -fuzz FuzzUnmarshal -fuzztime 3s
 	$(GO) test ./internal/segment -run '^$$' -fuzz FuzzObjectTable -fuzztime 3s
@@ -146,6 +150,7 @@ fuzz:
 	$(GO) test ./internal/chaos -run '^$$' -fuzz FuzzDecodeSchedule -fuzztime 3s
 	$(GO) test ./internal/netem -run '^$$' -fuzz FuzzDecodeSchedule -fuzztime 3s
 	$(GO) test ./internal/shardmap -run '^$$' -fuzz FuzzUnmarshal -fuzztime 3s
+	$(GO) test ./internal/server -run '^$$' -fuzz FuzzMoss -fuzztime 3s
 
 # Every in-tree Go benchmark, once each: not a measurement, but a
 # benchmark that panics or no longer compiles against its package

@@ -9,7 +9,6 @@ import (
 	"camelot/internal/rt"
 	"camelot/internal/server"
 	"camelot/internal/shardmap"
-	"camelot/internal/tid"
 	"camelot/internal/trace"
 	"camelot/internal/transport"
 	"camelot/internal/wal"
@@ -202,12 +201,12 @@ func (n *RealNode) ShardMap() *shardmap.Map { return n.cfg.ShardMap }
 // then AddSites + Commit at the coordinator. A key this site does not
 // cover fails with ErrNoShard or ErrWrongSite.
 func (n *RealNode) WriteKey(t TID, key string, val []byte) error {
-	return n.set.Write(t, tid.TID{}, key, val)
+	return n.set.Write(t, nil, key, val)
 }
 
 // ReadKey routes key to its local shard server and reads it under t.
 func (n *RealNode) ReadKey(t TID, key string) ([]byte, error) {
-	return n.set.Read(t, tid.TID{}, key)
+	return n.set.Read(t, nil, key)
 }
 
 // PeekKey returns the committed value of key from its local shard

@@ -15,9 +15,9 @@ import (
 // directly, and remote calls travel the communication-manager path
 // whose responses carry the site lists the commit protocols need.
 type Tx struct {
-	node   *Node
-	id     TID
-	parent TID
+	node *Node
+	id   TID
+	anc  []TID // ancestors, outermost first; nil at top level
 }
 
 // ID returns the transaction identifier.
@@ -30,14 +30,14 @@ func (tx *Tx) Read(serverName, key string) ([]byte, error) {
 	}
 	if srv, ok := tx.node.comm.LocalServer(serverName); ok {
 		tx.chargeLocalOp()
-		return srv.Read(tx.id, tx.parent, key)
+		return srv.Read(tx.id, tx.anc, key)
 	}
 	site, ok := tx.node.cluster.names.Lookup(serverName)
 	if !ok {
 		return nil, fmt.Errorf("camelot: unknown server %q", serverName)
 	}
 	return tx.node.comm.Call(site, &commman.Request{
-		TID: tx.id, Parent: tx.parent, Server: serverName, Op: commman.OpRead, Key: key,
+		TID: tx.id, Anc: tx.anc, Server: serverName, Op: commman.OpRead, Key: key,
 	})
 }
 
@@ -49,14 +49,14 @@ func (tx *Tx) Write(serverName, key string, value []byte) error {
 	}
 	if srv, ok := tx.node.comm.LocalServer(serverName); ok {
 		tx.chargeLocalOp()
-		return srv.Write(tx.id, tx.parent, key, value)
+		return srv.Write(tx.id, tx.anc, key, value)
 	}
 	site, ok := tx.node.cluster.names.Lookup(serverName)
 	if !ok {
 		return fmt.Errorf("camelot: unknown server %q", serverName)
 	}
 	_, err := tx.node.comm.Call(site, &commman.Request{
-		TID: tx.id, Parent: tx.parent, Server: serverName, Op: commman.OpWrite,
+		TID: tx.id, Anc: tx.anc, Server: serverName, Op: commman.OpWrite,
 		Key: key, Value: value,
 	})
 	return err
@@ -106,11 +106,11 @@ func (tx *Tx) Child() (*Tx, error) {
 	if tx.node.crashed {
 		return nil, ErrCrashed
 	}
-	c, err := tx.node.tm.BeginChild(tx.id)
+	c, anc, err := tx.node.tm.BeginChild(tx.id)
 	if err != nil {
 		return nil, err
 	}
-	return &Tx{node: tx.node, id: c, parent: tx.id}, nil
+	return &Tx{node: tx.node, id: c, anc: anc}, nil
 }
 
 // Commit commits with default options: optimized presumed-abort

@@ -50,7 +50,7 @@ type Request struct {
 	Call   uint64
 	Origin tid.SiteID
 	TID    tid.TID
-	Parent tid.TID
+	Anc    []tid.TID // TID's ancestor chain, outermost first
 	Server string
 	Op     Op
 	Key    string
@@ -213,14 +213,14 @@ func (m *Manager) HandleRequest(req *Request) {
 	} else {
 		switch req.Op {
 		case OpRead:
-			v, err := srv.Read(req.TID, req.Parent, req.Key)
+			v, err := srv.Read(req.TID, req.Anc, req.Key)
 			if err != nil {
 				resp.Err = err.Error()
 			} else {
 				resp.Value = v
 			}
 		case OpWrite:
-			if err := srv.Write(req.TID, req.Parent, req.Key, req.Value); err != nil {
+			if err := srv.Write(req.TID, req.Anc, req.Key, req.Value); err != nil {
 				resp.Err = err.Error()
 			}
 		default:

@@ -29,7 +29,7 @@ func (r *recordingTracker) AddSites(t tid.TID, sites []tid.SiteID) {
 
 type acceptAll struct{}
 
-func (acceptAll) Join(t, parent tid.TID, p srv.Participant) error { return nil }
+func (acceptAll) Join(t tid.TID, anc []tid.TID, p srv.Participant) error { return nil }
 
 type rig struct {
 	k       *sim.Kernel

@@ -66,7 +66,7 @@ func (v ackVariant) prepareAt2(t *testing.T, h *harness, n uint32) tid.TID {
 	t.Helper()
 	txn := tid.Top(tid.MakeFamily(3, n))
 	s := h.sites[2]
-	if err := s.m.Join(txn, tid.TID{}, s.part); err != nil {
+	if err := s.m.Join(txn, nil, s.part); err != nil {
 		t.Fatal(err)
 	}
 	s.m.Deliver(requestFrom3(v.p, txn, []tid.SiteID{3}, wire.VoteYes))
@@ -321,7 +321,7 @@ func TestAckBatchLargerThanOneDatagram(t *testing.T) {
 					var txns []tid.TID
 					for n := uint32(1); n <= owed; n++ {
 						txn := tid.Top(tid.MakeFamily(3, n))
-						if err := s.m.Join(txn, tid.TID{}, s.part); err != nil {
+						if err := s.m.Join(txn, nil, s.part); err != nil {
 							t.Fatal(err)
 						}
 						s.m.Deliver(requestFrom3(v.p, txn, []tid.SiteID{3}, wire.VoteYes))
@@ -466,7 +466,7 @@ func TestDuplicateCommitRacingTheFirstIsAppliedOnce(t *testing.T) {
 			h.run(t, func() {
 				txn = tid.Top(tid.MakeFamily(3, 1))
 				s := h.sites[2]
-				if err := s.m.Join(txn, tid.TID{}, part); err != nil {
+				if err := s.m.Join(txn, nil, part); err != nil {
 					t.Fatal(err)
 				}
 				s.m.Deliver(requestFrom3(p, txn, []tid.SiteID{3}, wire.VoteYes))

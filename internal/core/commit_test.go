@@ -92,7 +92,7 @@ func TestPhaseOneAtSubordinate(t *testing.T) {
 	}
 	join := func(t *testing.T, h *harness, txn tid.TID) *site {
 		s := h.sites[2]
-		if err := s.m.Join(txn, tid.TID{}, s.part); err != nil {
+		if err := s.m.Join(txn, nil, s.part); err != nil {
 			t.Fatal(err)
 		}
 		return s

@@ -33,6 +33,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"time"
 
 	"camelot/internal/det"
@@ -356,10 +357,9 @@ type family struct {
 
 // txn is one transaction within a family.
 type txn struct {
-	id      tid.TID
-	parent  tid.TID
-	sites   map[tid.SiteID]bool // remote sites this transaction touched
-	aborted bool
+	id    tid.TID
+	anc   []tid.TID           // ancestors, outermost first; nil at top level
+	sites map[tid.SiteID]bool // remote sites this transaction touched
 }
 
 // New starts a transaction manager. The caller (the site assembly)
@@ -513,19 +513,22 @@ func (m *Manager) Begin() (tid.TID, error) {
 }
 
 // BeginChild allocates a nested transaction under parent at this
-// site. Any site a family reaches may begin children.
-func (m *Manager) BeginChild(parent tid.TID) (tid.TID, error) {
+// site and returns it with its ancestor chain, outermost first: the
+// parent's chain and the parent. Every operation of the child carries
+// that chain. Any site a family reaches may begin children.
+func (m *Manager) BeginChild(parent tid.TID) (tid.TID, []tid.TID, error) {
 	m.chargeClientIPC()
-	fut := rt.NewFuture[tid.TID](m.r)
+	fut := rt.NewFuture[*txn](m.r)
 	m.queue.Put(func() {
 		fam := m.lockFamily(parent.Family)
 		if fam == nil {
-			fut.Set(tid.TID{})
+			fut.Set(nil)
 			return
 		}
 		defer m.unlockFamily(fam)
-		if fam.txns[parent] == nil {
-			fut.Set(tid.TID{})
+		ptx := fam.txns[parent]
+		if ptx == nil {
+			fut.Set(nil)
 			return
 		}
 		m.lockAttributed(m.idMu, lockClassIDs)
@@ -533,24 +536,25 @@ func (m *Manager) BeginChild(parent tid.TID) (tid.TID, error) {
 		seq := tid.MakeSeq(m.cfg.Site, m.nextChild)
 		m.idMu.Unlock()
 		t := tid.TID{Family: parent.Family, Seq: seq}
-		fam.txns[t] = &txn{id: t, parent: parent, sites: make(map[tid.SiteID]bool)}
-		fut.Set(t)
+		tx := &txn{id: t, anc: append(slices.Clip(ptx.anc), parent), sites: make(map[tid.SiteID]bool)}
+		fam.txns[t] = tx
+		fut.Set(tx)
 	})
-	t, ok := fut.WaitTimeout(time.Minute)
-	if !ok || t.IsZero() {
-		if !ok {
-			return tid.TID{}, ErrClosed
-		}
-		return tid.TID{}, fmt.Errorf("%w: parent %s", ErrUnknownTransaction, parent)
+	tx, ok := fut.WaitTimeout(time.Minute)
+	if !ok {
+		return tid.TID{}, nil, ErrClosed
 	}
-	return t, nil
+	if tx == nil {
+		return tid.TID{}, nil, fmt.Errorf("%w: parent %s", ErrUnknownTransaction, parent)
+	}
+	return tx.id, tx.anc, nil
 }
 
 // Join registers p as a participant in t's family at this site
 // (Figure 1 step 4). Data servers call it on the first operation a
 // transaction performs there; at subordinate sites it also creates
 // the family descriptor that the commit protocols will find.
-func (m *Manager) Join(t, parent tid.TID, p server.Participant) error {
+func (m *Manager) Join(t tid.TID, anc []tid.TID, p server.Participant) error {
 	fut := rt.NewFuture[error](m.r)
 	m.queue.Put(func() {
 		if m.isClosed() {
@@ -566,7 +570,7 @@ func (m *Manager) Join(t, parent tid.TID, p server.Participant) error {
 			return
 		}
 		if fam.txns[t] == nil {
-			fam.txns[t] = &txn{id: t, parent: parent, sites: make(map[tid.SiteID]bool)}
+			fam.txns[t] = &txn{id: t, anc: anc, sites: make(map[tid.SiteID]bool)}
 		}
 		fam.participants[p.Name()] = p
 		// A remote family that joins here might be orphaned: if the

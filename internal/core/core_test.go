@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -35,7 +36,7 @@ func (p *fakePart) Name() string                { return p.name }
 func (p *fakePart) Vote(tid.FamilyID) wire.Vote { p.asked++; return p.vote }
 func (p *fakePart) CommitFamily(tid.FamilyID)   { p.commits++ }
 func (p *fakePart) AbortFamily(tid.FamilyID)    { p.aborts++ }
-func (p *fakePart) CommitChild(c, pa tid.TID)   { p.childC++ }
+func (p *fakePart) CommitChild(c tid.TID)       { p.childC++ }
 func (p *fakePart) AbortChild(c tid.TID)        { p.childA++ }
 
 // site bundles one manager with its log and a default participant.
@@ -139,11 +140,11 @@ func (h *harness) beginAt(t *testing.T, coord tid.SiteID, subs ...tid.SiteID) ti
 	if err != nil {
 		t.Fatalf("Begin: %v", err)
 	}
-	if err := s1.m.Join(txn, tid.TID{}, s1.part); err != nil {
+	if err := s1.m.Join(txn, nil, s1.part); err != nil {
 		t.Fatalf("local join: %v", err)
 	}
 	for _, sub := range subs {
-		if err := h.sites[sub].m.Join(txn, tid.TID{}, h.sites[sub].part); err != nil {
+		if err := h.sites[sub].m.Join(txn, nil, h.sites[sub].part); err != nil {
 			t.Fatalf("join at %v: %v", sub, err)
 		}
 	}
@@ -528,7 +529,7 @@ func TestJoinAfterCommitStartedFails(t *testing.T) {
 		})
 		h.k.Sleep(time.Millisecond) // coordinator is mid-phase-one
 		late := &fakePart{name: "late", vote: wire.VoteYes}
-		err := h.sites[1].m.Join(txn, tid.TID{}, late)
+		err := h.sites[1].m.Join(txn, nil, late)
 		if err == nil {
 			t.Error("Join at the coordinator after commitment began succeeded")
 		}
@@ -553,9 +554,48 @@ func TestAbortUnknownTransaction(t *testing.T) {
 func TestBeginChildUnknownParentFails(t *testing.T) {
 	h := newHarness(t, 1)
 	h.run(t, func() {
-		_, err := h.sites[1].m.BeginChild(tid.Top(tid.MakeFamily(1, 777)))
+		_, _, err := h.sites[1].m.BeginChild(tid.Top(tid.MakeFamily(1, 777)))
 		if !errors.Is(err, core.ErrUnknownTransaction) {
 			t.Errorf("BeginChild(unknown) = %v, want ErrUnknownTransaction", err)
+		}
+	})
+}
+
+// TestRemoteMergeKeepsTheChain: C (top → G → P → C) joins at site 2
+// and commits into P, which site 2 meets only through that merge. Site
+// 2 must know P with P's own chain, so a child begun there under P gets
+// the full chain, and G's abort forgets both.
+func TestRemoteMergeKeepsTheChain(t *testing.T) {
+	h := newHarness(t, 2)
+	h.run(t, func() {
+		m1, m2 := h.sites[1].m, h.sites[2].m
+		top, _ := m1.Begin()
+		g, _, _ := m1.BeginChild(top)
+		p, _, _ := m1.BeginChild(g)
+		c, anc, err := m1.BeginChild(p)
+		if err != nil || !slices.Equal(anc, []tid.TID{top, g, p}) {
+			t.Fatalf("BeginChild(P) = %v, %v, %v; want the chain [top G P]", c, anc, err)
+		}
+		if err := m2.Join(c, anc, h.sites[2].part); err != nil {
+			t.Fatal(err)
+		}
+		m1.AddSites(c, []tid.SiteID{2})
+		if _, err := m1.Commit(c, core.Options{}); err != nil {
+			t.Fatalf("commit C into P: %v", err)
+		}
+		h.k.Sleep(10 * time.Millisecond) // CHILD-COMMIT reaches site 2
+		d, anc, err := m2.BeginChild(p)
+		if err != nil || !slices.Equal(anc, []tid.TID{top, g, p}) {
+			t.Fatalf("site 2 BeginChild(P) = %v, %v, %v; want the chain [top G P]", d, anc, err)
+		}
+		if err := m1.Abort(g); err != nil {
+			t.Fatalf("abort G: %v", err)
+		}
+		h.k.Sleep(10 * time.Millisecond) // CHILD-ABORT reaches site 2
+		for _, x := range []tid.TID{p, d} {
+			if _, _, err := m2.BeginChild(x); !errors.Is(err, core.ErrUnknownTransaction) {
+				t.Errorf("site 2 BeginChild(%v) after G's abort = %v, want ErrUnknownTransaction", x, err)
+			}
 		}
 	})
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"camelot/internal/det"
 	"camelot/internal/rt"
@@ -21,54 +22,48 @@ func newResultFuture[T any](m *Manager) *rt.Future[T] { return rt.NewFuture[T](m
 // unresolved child simply keeps its locks (a lost CHILD-COMMIT makes
 // the parent wait, never misbehave).
 
-// commitChild merges a committed nested transaction into its parent.
+// commitChild merges a committed nested transaction into its parent,
+// the last of its chain.
 func (m *Manager) commitChild(child tid.TID) (wire.Outcome, error) {
-	type result struct {
-		err   error
-		sites []tid.SiteID
-		par   tid.TID
-	}
-	done := newResultFuture[result](m)
+	done := newResultFuture[error](m)
 	m.queue.Put(func() {
 		f := m.lockFamily(child.Family)
 		if f == nil {
-			done.Set(result{err: fmt.Errorf("%w: %s", ErrUnknownTransaction, child)})
+			done.Set(fmt.Errorf("%w: %s", ErrUnknownTransaction, child))
 			return
 		}
 		tx := f.txns[child]
-		if tx == nil || tx.aborted {
+		if tx == nil {
 			m.unlockFamily(f)
-			done.Set(result{err: fmt.Errorf("%w: %s", ErrUnknownTransaction, child)})
+			done.Set(fmt.Errorf("%w: %s", ErrUnknownTransaction, child))
 			return
 		}
-		parent := tx.parent
-		ptx := f.txns[parent]
-		if ptx != nil {
+		parent := tid.Parent(tx.anc)
+		if ptx := f.txns[parent]; ptx != nil {
 			//lint:ordered set union; insertion order is unobservable
 			for s := range tx.sites {
 				ptx.sites[s] = true
 			}
 		}
-		// Sorted so the notification fan-out below is replay-stable.
-		sites := det.SortedKeys(tx.sites)
 		delete(f.txns, child)
 		parts := m.participants(f)
-		// Notify remote sites the child touched.
-		for _, s := range sites {
+		// Notify remote sites the child touched, sorted so the fan-out
+		// is replay-stable.
+		for _, s := range det.SortedKeys(tx.sites) {
 			m.send(s, &wire.Msg{Kind: wire.KChildCommit, TID: child, Parent: parent})
 		}
 		m.unlockFamily(f)
 		for _, p := range parts {
-			p.CommitChild(child, parent)
+			p.CommitChild(child)
 		}
-		done.Set(result{par: parent, sites: sites})
+		done.Set(nil)
 	})
-	res, ok := done.WaitTimeout(m.cfg.RetryInterval * 600)
+	err, ok := done.WaitTimeout(m.cfg.RetryInterval * 600)
 	if !ok {
 		return wire.OutcomeUnknown, ErrClosed
 	}
-	if res.err != nil {
-		return wire.OutcomeAbort, res.err
+	if err != nil {
+		return wire.OutcomeAbort, err
 	}
 	return wire.OutcomeCommit, nil
 }
@@ -83,23 +78,13 @@ func (m *Manager) abortChild(child tid.TID) error {
 			done.Set(fmt.Errorf("%w: %s", ErrUnknownTransaction, child))
 			return
 		}
-		tx := f.txns[child]
-		if tx == nil {
+		if f.txns[child] == nil {
 			m.unlockFamily(f)
 			done.Set(fmt.Errorf("%w: %s", ErrUnknownTransaction, child))
 			return
 		}
-		tx.aborted = true
 		// Collect the sites of the whole doomed subtree known here.
-		sites := make(map[tid.SiteID]bool)
-		doomed := m.subtree(f, child)
-		for _, d := range doomed {
-			//lint:ordered set union; insertion order is unobservable
-			for s := range d.sites {
-				sites[s] = true
-			}
-			delete(f.txns, d.id)
-		}
+		sites := dropSubtree(f, child)
 		parts := m.participants(f)
 		for _, s := range det.SortedKeys(sites) {
 			m.send(s, &wire.Msg{Kind: wire.KChildAbort, TID: child})
@@ -117,38 +102,36 @@ func (m *Manager) abortChild(child tid.TID) error {
 	return err
 }
 
-// subtree returns child and every descendant tracked at this site,
-// child first (f's lock held).
-func (m *Manager) subtree(f *family, child tid.TID) []*txn {
-	var out []*txn
-	if tx := f.txns[child]; tx != nil {
-		out = append(out, tx)
-	}
-	changed := true
-	in := map[tid.TID]bool{child: true}
-	for changed {
-		changed = false
-		//lint:ordered fixed-point set computation; callers treat the subtree as a set
-		for id, tx := range f.txns {
-			if !in[id] && in[tx.parent] {
-				in[id] = true
-				out = append(out, tx)
-				changed = true
+// dropSubtree forgets child and every transaction with child in its
+// chain, and returns the union of the sites they touched (f's lock
+// held).
+func dropSubtree(f *family, child tid.TID) map[tid.SiteID]bool {
+	sites := make(map[tid.SiteID]bool)
+	//lint:ordered set removal and union; insertion order is unobservable
+	for id, tx := range f.txns {
+		if id == child || slices.Contains(tx.anc, child) {
+			//lint:ordered set union; insertion order is unobservable
+			for s := range tx.sites {
+				sites[s] = true
 			}
+			delete(f.txns, id)
 		}
 	}
-	return out
+	return sites
 }
 
-// onChildCommit applies a remote child's merge at this site.
+// onChildCommit applies a remote child's merge at this site: the
+// parent, the last of the chain the child joined with, takes its
+// place.
 func (m *Manager) onChildCommit(msg *wire.Msg) {
 	f := m.lockFamily(msg.TID.Family)
 	if f == nil {
 		return
 	}
-	if tx := f.txns[msg.TID]; tx != nil {
-		if ptx := f.txns[msg.Parent]; ptx == nil {
-			f.txns[msg.Parent] = &txn{id: msg.Parent, sites: tx.sites}
+	if tx := f.txns[msg.TID]; tx != nil && len(tx.anc) > 0 {
+		parent := tid.Parent(tx.anc)
+		if ptx := f.txns[parent]; ptx == nil {
+			f.txns[parent] = &txn{id: parent, anc: tx.anc[:len(tx.anc)-1], sites: tx.sites}
 		} else {
 			//lint:ordered set union; insertion order is unobservable
 			for s := range tx.sites {
@@ -160,7 +143,7 @@ func (m *Manager) onChildCommit(msg *wire.Msg) {
 	parts := m.participants(f)
 	m.unlockFamily(f)
 	for _, p := range parts {
-		p.CommitChild(msg.TID, msg.Parent)
+		p.CommitChild(msg.TID)
 	}
 }
 
@@ -170,9 +153,7 @@ func (m *Manager) onChildAbort(msg *wire.Msg) {
 	if f == nil {
 		return
 	}
-	for _, d := range m.subtree(f, msg.TID) {
-		delete(f.txns, d.id)
-	}
+	dropSubtree(f, msg.TID)
 	parts := m.participants(f)
 	m.unlockFamily(f)
 	for _, p := range parts {

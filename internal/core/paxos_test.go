@@ -247,7 +247,7 @@ func TestPaxosTakeoverBallotDisablesFold(t *testing.T) {
 		txn := tid.Top(tid.MakeFamily(3, 1))
 		lists := []tid.SiteID{2, 3}
 		s := h.sites[2]
-		if err := s.m.Join(txn, tid.TID{}, s.part); err != nil {
+		if err := s.m.Join(txn, nil, s.part); err != nil {
 			t.Fatal(err)
 		}
 		s.m.Deliver(&wire.Msg{

@@ -355,7 +355,7 @@ func (b boundParticipant) Name() string                { return b.p.Name() }
 func (b boundParticipant) Vote(tid.FamilyID) wire.Vote { return b.p.Vote(b.f) }
 func (b boundParticipant) CommitFamily(tid.FamilyID)   { b.p.CommitFamily(b.f) }
 func (b boundParticipant) AbortFamily(tid.FamilyID)    { b.p.AbortFamily(b.f) }
-func (b boundParticipant) CommitChild(c, p tid.TID)    { b.p.CommitChild(c, p) }
+func (b boundParticipant) CommitChild(c tid.TID)       { b.p.CommitChild(c) }
 func (b boundParticipant) AbortChild(c tid.TID)        { b.p.AbortChild(c) }
 
 // releaseLocal tells local servers to apply or undo and drop locks

@@ -124,10 +124,10 @@ func TestCommitOverLossyUDPMaskedByRetry(t *testing.T) {
 		if err != nil {
 			t.Fatalf("txn %d: Begin: %v", i, err)
 		}
-		if err := m1.Join(txn, tid.TID{}, part1); err != nil {
+		if err := m1.Join(txn, nil, part1); err != nil {
 			t.Fatalf("txn %d: join 1: %v", i, err)
 		}
-		if err := m2.Join(txn, tid.TID{}, part2); err != nil {
+		if err := m2.Join(txn, nil, part2); err != nil {
 			t.Fatalf("txn %d: join 2: %v", i, err)
 		}
 		m1.AddSites(txn, []tid.SiteID{2})

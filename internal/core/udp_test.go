@@ -28,7 +28,7 @@ func (p *atomicPart) Name() string                { return p.name }
 func (p *atomicPart) Vote(tid.FamilyID) wire.Vote { return p.vote }
 func (p *atomicPart) CommitFamily(tid.FamilyID)   { p.commits.Add(1) }
 func (p *atomicPart) AbortFamily(tid.FamilyID)    { p.aborts.Add(1) }
-func (p *atomicPart) CommitChild(c, pa tid.TID)   {}
+func (p *atomicPart) CommitChild(c tid.TID)       {}
 func (p *atomicPart) AbortChild(c tid.TID)        {}
 
 // TestTwoPhaseCommitOverRealUDP runs the full presumed-abort protocol
@@ -85,10 +85,10 @@ func TestTwoPhaseCommitOverRealUDP(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Begin: %v", err)
 	}
-	if err := m1.Join(txn, tid.TID{}, p1); err != nil {
+	if err := m1.Join(txn, nil, p1); err != nil {
 		t.Fatalf("join 1: %v", err)
 	}
-	if err := m2.Join(txn, tid.TID{}, p2); err != nil {
+	if err := m2.Join(txn, nil, p2); err != nil {
 		t.Fatalf("join 2: %v", err)
 	}
 	m1.AddSites(txn, []tid.SiteID{2})
@@ -124,8 +124,8 @@ func TestTwoPhaseCommitOverRealUDP(t *testing.T) {
 	// An aborted one: the remote participant votes No.
 	p2.vote = wire.VoteNo
 	txn2, _ := m1.Begin()
-	m1.Join(txn2, tid.TID{}, p1) //nolint:errcheck
-	m2.Join(txn2, tid.TID{}, p2) //nolint:errcheck
+	m1.Join(txn2, nil, p1) //nolint:errcheck
+	m2.Join(txn2, nil, p2) //nolint:errcheck
 	m1.AddSites(txn2, []tid.SiteID{2})
 	if _, err := m1.Commit(txn2, core.Options{}); err == nil {
 		t.Fatal("commit succeeded despite a No vote over UDP")
@@ -181,7 +181,7 @@ func TestNonBlockingCommitOverRealUDP(t *testing.T) {
 		t.Fatal(err)
 	}
 	for id := tid.SiteID(1); id <= 3; id++ {
-		if err := mgrs[id].Join(txn, tid.TID{}, parts[id]); err != nil {
+		if err := mgrs[id].Join(txn, nil, parts[id]); err != nil {
 			t.Fatalf("join %d: %v", id, err)
 		}
 	}

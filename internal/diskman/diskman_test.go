@@ -420,7 +420,7 @@ func TestCheckpointEquivalenceProperty(t *testing.T) {
 // acceptAll is a transaction manager that lets every transaction join.
 type acceptAll struct{}
 
-func (acceptAll) Join(t, parent tid.TID, p server.Participant) error { return nil }
+func (acceptAll) Join(t tid.TID, anc []tid.TID, p server.Participant) error { return nil }
 
 // TestServerCannotWriteIntoTheImage: a server recovered from the page
 // image shares the image's chunks, and so does every clone of the
@@ -485,7 +485,7 @@ func TestServerCannotWriteIntoTheImage(t *testing.T) {
 			n++
 			tx := top(n)
 			for i := 0; i < len(kv); i += 2 {
-				if err := srv.Write(tx, tid.TID{}, kv[i], []byte(kv[i+1])); err != nil {
+				if err := srv.Write(tx, nil, kv[i], []byte(kv[i+1])); err != nil {
 					t.Error(err)
 					return false
 				}

@@ -15,8 +15,7 @@ import (
 
 // table is the exported surface Manager and the reference model share.
 type table interface {
-	SetParent(child, parent tid.TID)
-	Acquire(t tid.TID, key string, mode Mode, timeout time.Duration) error
+	Acquire(t tid.TID, key string, mode Mode, timeout time.Duration, anc ...tid.TID) error
 	Release(t tid.TID)
 	OnChildCommit(child, parent tid.TID)
 	HoldsAny(t tid.TID) bool
@@ -74,8 +73,18 @@ func TestDifferentialRandomSequences(t *testing.T) {
 
 		var all []tid.TID               // every transaction begun, in order
 		live := []tid.TID{}             // begun and not yet committed or released
-		parent := map[tid.TID]tid.TID{} // nested ones only
+		parent := map[tid.TID]tid.TID{} // live nested ones only
 		next := uint32(0)
+		// chain is the ancestry the reference knows of t, outermost
+		// first: it forgets an ended transaction's edge, and so does
+		// the chain handed to Manager.
+		chain := func(t tid.TID) []tid.TID {
+			var anc []tid.TID
+			for p, ok := parent[t]; ok; p, ok = parent[p] {
+				anc = append([]tid.TID{p}, anc...)
+			}
+			return anc
+		}
 		begin := func() tid.TID {
 			next++
 			if len(live) == 0 || rng.Intn(3) == 0 {
@@ -86,14 +95,13 @@ func TestDifferentialRandomSequences(t *testing.T) {
 			p := live[rng.Intn(len(live))]
 			c := child(p, next)
 			parent[c] = p
-			for _, m := range both {
-				m.SetParent(c, p)
-			}
+			want.SetParent(c, p)
 			all, live = append(all, c), append(live, c)
 			return c
 		}
 		end := func(t tid.TID) {
 			live = slices.DeleteFunc(live, func(x tid.TID) bool { return x == t })
+			delete(parent, t)
 		}
 
 		for step := 0; step < 150; step++ {
@@ -111,7 +119,7 @@ func TestDifferentialRandomSequences(t *testing.T) {
 				if rng.Intn(2) == 0 {
 					mode = Exclusive
 				}
-				e1 := got.Acquire(tx, key, mode, 0)
+				e1 := got.Acquire(tx, key, mode, 0, chain(tx)...)
 				e2 := want.Acquire(tx, key, mode, 0)
 				op = fmt.Sprintf("Acquire(%v, %s, %v)", tx, key, mode)
 				if e1 != e2 {
@@ -147,9 +155,9 @@ func TestDifferentialRandomSequences(t *testing.T) {
 		for _, tx := range all {
 			got.Release(tx)
 		}
-		if len(got.locks) != 0 || len(got.held) != 0 || len(got.parent) != 0 {
-			t.Fatalf("seed %d: %d locks, %d key lists, %d parents left after every release",
-				seed, len(got.locks), len(got.held), len(got.parent))
+		if len(got.locks) != 0 || len(got.held) != 0 {
+			t.Fatalf("seed %d: %d locks, %d key lists left after every release",
+				seed, len(got.locks), len(got.held))
 		}
 	}
 }

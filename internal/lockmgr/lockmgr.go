@@ -2,7 +2,9 @@
 // servers use to serialize access to their objects, with the
 // nested-transaction (Moss model) inheritance rules Camelot's
 // transaction model requires: a transaction may acquire a lock whose
-// conflicting holders are all its ancestors, and a committing child's
+// conflicting holders are all its ancestors — the chain its request
+// carries, outermost first, as the transaction manager built it when
+// the transaction began — and a committing child's
 // locks are inherited by its parent ("anti-inheritance" releases them
 // on abort).
 //
@@ -58,8 +60,7 @@ type Manager struct {
 	mu   rt.Mutex
 	cond rt.Cond
 
-	locks  map[string]*lock
-	parent map[tid.TID]tid.TID // nested-transaction tree
+	locks map[string]*lock
 	// held lists the keys each transaction holds, each key once, in
 	// the order it first came to hold it.
 	held map[tid.TID][]string
@@ -93,6 +94,7 @@ type lock struct {
 
 type waiter struct {
 	t       tid.TID
+	anc     []tid.TID // t's ancestors, outermost first
 	mode    Mode
 	granted bool
 	timeout bool
@@ -119,28 +121,21 @@ func (l *lock) drop(t tid.TID) Mode {
 // New returns an empty lock manager.
 func New(r rt.Runtime) *Manager {
 	m := &Manager{
-		r:      r,
-		locks:  make(map[string]*lock),
-		parent: make(map[tid.TID]tid.TID),
-		held:   make(map[tid.TID][]string),
+		r:     r,
+		locks: make(map[string]*lock),
+		held:  make(map[tid.TID][]string),
 	}
 	m.mu = r.NewMutex()
 	m.cond = r.NewCond(m.mu)
 	return m
 }
 
-// SetParent records that child is a nested transaction of parent, for
-// ancestry checks and inheritance.
-func (m *Manager) SetParent(child, parent tid.TID) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.parent[child] = parent
-}
-
-// Acquire obtains key in mode for t, blocking up to timeout. Lock
-// upgrades (S held, X requested) are granted in place when
-// permissible. A zero timeout never blocks.
-func (m *Manager) Acquire(t tid.TID, key string, mode Mode, timeout time.Duration) error {
+// Acquire obtains key in mode for t, blocking up to timeout. anc is
+// t's ancestor chain, outermost first (none for a top-level
+// transaction): a conflicting holder is granted past only if it is
+// among them. Lock upgrades (S held, X requested) are granted in
+// place when permissible. A zero timeout never blocks.
+func (m *Manager) Acquire(t tid.TID, key string, mode Mode, timeout time.Duration, anc ...tid.TID) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 
@@ -157,7 +152,7 @@ func (m *Manager) Acquire(t tid.TID, key string, mode Mode, timeout time.Duratio
 	// from a transaction that already holds the lock (re-entry or
 	// upgrade) jump the queue, the standard escape from the
 	// upgrade-behind-own-waiter deadlock.
-	if (len(l.waiters) == 0 || l.indexOf(t) >= 0) && m.grantableLocked(l, t, mode) {
+	if (len(l.waiters) == 0 || l.indexOf(t) >= 0) && grantable(l, t, anc, mode) {
 		m.grantLocked(l, t, key, mode)
 		return nil
 	}
@@ -165,7 +160,7 @@ func (m *Manager) Acquire(t tid.TID, key string, mode Mode, timeout time.Duratio
 		return ErrTimeout
 	}
 
-	w := &waiter{t: t, mode: mode}
+	w := &waiter{t: t, anc: anc, mode: mode}
 	l.waiters = append(l.waiters, w)
 	start := m.r.Now()
 	timer := m.r.After(timeout, func() {
@@ -210,7 +205,6 @@ func (m *Manager) Release(t tid.TID) {
 		m.peak = 0
 	}
 	delete(m.held, t)
-	delete(m.parent, t)
 }
 
 // OnChildCommit transfers every lock held by child to parent, the
@@ -224,7 +218,6 @@ func (m *Manager) OnChildCommit(child, parent tid.TID) {
 		m.promoteLocked(l, key)
 	}
 	delete(m.held, child)
-	delete(m.parent, child)
 }
 
 // HoldsAny reports whether t currently holds any lock.
@@ -257,36 +250,16 @@ func (m *Manager) Waits() (int, time.Duration) {
 	return m.waits, m.waitTotal
 }
 
-// grantableLocked reports whether t may take key in mode right now:
-// every conflicting holder must be t itself (upgrade) or an ancestor
-// of t.
-func (m *Manager) grantableLocked(l *lock, t tid.TID, mode Mode) bool {
+// grantable reports whether t, with ancestors anc, may take l in mode
+// right now: every conflicting holder must be t itself (upgrade) or
+// one of anc.
+func grantable(l *lock, t tid.TID, anc []tid.TID, mode Mode) bool {
 	for _, h := range l.holders {
-		if h.t == t {
-			continue
-		}
-		if mode == Exclusive || h.mode == Exclusive {
-			if !m.isAncestorLocked(h.t, t) {
-				return false
-			}
+		if h.t != t && (mode == Exclusive || h.mode == Exclusive) && !slices.Contains(anc, h.t) {
+			return false
 		}
 	}
 	return true
-}
-
-// isAncestorLocked reports whether a is a proper ancestor of t in the
-// nested-transaction tree.
-func (m *Manager) isAncestorLocked(a, t tid.TID) bool {
-	for {
-		p, ok := m.parent[t]
-		if !ok {
-			return false
-		}
-		if p == a {
-			return true
-		}
-		t = p
-	}
 }
 
 // grantLocked makes t a holder of key in mode, or raises the mode it
@@ -312,7 +285,7 @@ func (m *Manager) promoteLocked(l *lock, key string) {
 			l.waiters = l.waiters[1:]
 			continue
 		}
-		if !m.grantableLocked(l, w.t, w.mode) {
+		if !grantable(l, w.t, w.anc, w.mode) {
 			break
 		}
 		m.grantLocked(l, w.t, key, w.mode)

@@ -116,13 +116,11 @@ func TestChildMayAcquireAncestorsLock(t *testing.T) {
 		parent := txn(1)
 		c := child(parent, 1)
 		gc := child(parent, 2)
-		m.SetParent(c, parent)
-		m.SetParent(gc, c)
 		m.Acquire(parent, "a", Exclusive, 0)
-		if err := m.Acquire(c, "a", Exclusive, 0); err != nil {
+		if err := m.Acquire(c, "a", Exclusive, 0, parent); err != nil {
 			t.Errorf("child over parent's X lock: %v", err)
 		}
-		if err := m.Acquire(gc, "a", Exclusive, 0); err != nil {
+		if err := m.Acquire(gc, "a", Exclusive, 0, parent, c); err != nil {
 			t.Errorf("grandchild over ancestors' X locks: %v", err)
 		}
 		// An unrelated transaction must still be blocked.
@@ -136,10 +134,8 @@ func TestSiblingsConflict(t *testing.T) {
 	withSim(t, func(k *sim.Kernel, m *Manager) {
 		parent := txn(1)
 		c1, c2 := child(parent, 1), child(parent, 2)
-		m.SetParent(c1, parent)
-		m.SetParent(c2, parent)
-		m.Acquire(c1, "a", Exclusive, 0)
-		if err := m.Acquire(c2, "a", Exclusive, 0); err != ErrTimeout {
+		m.Acquire(c1, "a", Exclusive, 0, parent)
+		if err := m.Acquire(c2, "a", Exclusive, 0, parent); err != ErrTimeout {
 			t.Errorf("sibling acquired sibling's X lock: %v", err)
 		}
 	})
@@ -149,9 +145,7 @@ func TestChildCommitInheritsLocks(t *testing.T) {
 	withSim(t, func(k *sim.Kernel, m *Manager) {
 		parent := txn(1)
 		c1, c2 := child(parent, 1), child(parent, 2)
-		m.SetParent(c1, parent)
-		m.SetParent(c2, parent)
-		m.Acquire(c1, "a", Exclusive, 0)
+		m.Acquire(c1, "a", Exclusive, 0, parent)
 		m.OnChildCommit(c1, parent)
 		if mode, held := m.Holds(parent, "a"); !held || mode != Exclusive {
 			t.Errorf("parent holds (%v, %v) after child commit, want (X, true)", mode, held)
@@ -160,7 +154,7 @@ func TestChildCommitInheritsLocks(t *testing.T) {
 			t.Error("committed child still holds locks")
 		}
 		// The sibling, as a child of the new holder, may now acquire.
-		if err := m.Acquire(c2, "a", Exclusive, 0); err != nil {
+		if err := m.Acquire(c2, "a", Exclusive, 0, parent); err != nil {
 			t.Errorf("sibling after inheritance: %v", err)
 		}
 	})
@@ -170,8 +164,7 @@ func TestChildAbortReleasesLocks(t *testing.T) {
 	withSim(t, func(k *sim.Kernel, m *Manager) {
 		parent := txn(1)
 		c := child(parent, 1)
-		m.SetParent(c, parent)
-		m.Acquire(c, "a", Exclusive, 0)
+		m.Acquire(c, "a", Exclusive, 0, parent)
 		m.Release(c) // abort: anti-inheritance
 		if err := m.Acquire(txn(2), "a", Exclusive, 0); err != nil {
 			t.Errorf("lock not free after child abort: %v", err)
@@ -183,9 +176,8 @@ func TestInheritanceKeepsStrongerMode(t *testing.T) {
 	withSim(t, func(k *sim.Kernel, m *Manager) {
 		parent := txn(1)
 		c := child(parent, 1)
-		m.SetParent(c, parent)
 		m.Acquire(parent, "a", Exclusive, 0)
-		m.Acquire(c, "a", Shared, 0)
+		m.Acquire(c, "a", Shared, 0, parent)
 		m.OnChildCommit(c, parent)
 		if mode, _ := m.Holds(parent, "a"); mode != Exclusive {
 			t.Errorf("parent downgraded to %v by inheriting child's S lock", mode)

@@ -9,8 +9,9 @@ import (
 
 // refManager is the lock table as it was before the holders went
 // inline: a map of holders per lock and a set of keys per transaction.
-// It is kept, unchanged but for its names, as the reference model the
-// differential tests hold Manager to: both must grant, refuse, queue
+// It is kept, unchanged but for its names and an ignored ancestor
+// chain on Acquire (it learns ancestry edge by edge from SetParent), as
+// the reference model the differential tests hold Manager to: both must grant, refuse, queue
 // and hand over every request alike.
 type refManager struct {
 	r    rt.Runtime
@@ -63,7 +64,7 @@ func (m *refManager) SetParent(child, parent tid.TID) {
 // Acquire obtains key in mode for t, blocking up to timeout. Lock
 // upgrades (S held, X requested) are granted in place when
 // permissible. A zero timeout never blocks.
-func (m *refManager) Acquire(t tid.TID, key string, mode Mode, timeout time.Duration) error {
+func (m *refManager) Acquire(t tid.TID, key string, mode Mode, timeout time.Duration, _ ...tid.TID) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 

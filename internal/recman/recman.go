@@ -9,10 +9,12 @@
 // Recovery is a single analysis pass over the durable log in LSN
 // order, on top of the disk manager's checkpoint image:
 //
-//   - updates of committed families (excluding aborted nested
-//     subtrees) are redone onto the image, one segment.Segment per
-//     server, which the servers then take over as their recovered
-//     state;
+//   - updates of committed families are redone onto the image in LSN
+//     order, one segment.Segment per server, which the servers then
+//     take over as their recovered state; an aborted nested
+//     transaction's updates are followed in the log by the
+//     compensation records its server wrote as it undid them, so
+//     redoing in order leaves them undone with no ancestry at all;
 //   - updates of aborted or never-resolved families are discarded —
 //     presumed abort means no record implies abort;
 //   - prepared or intent-replicated transactions without an outcome —
@@ -105,8 +107,6 @@ func Analyze(site tid.SiteID, image map[string]*segment.Segment, records []*wal.
 	a := &Analysis{Data: image}
 
 	var updates []*wal.Record
-	parentOf := make(map[tid.TID]tid.TID)
-	aborted := make(map[tid.TID]bool) // top-level and nested
 	prepared := make(map[tid.TID]*wal.Record)
 	replicated := make(map[tid.TID]*wal.Record)
 	abortIntent := make(map[tid.TID]bool)
@@ -124,9 +124,6 @@ func Analyze(site tid.SiteID, image map[string]*segment.Segment, records []*wal.
 		switch r.Type {
 		case wal.RecUpdate:
 			updates = append(updates, r)
-			if !r.Parent.IsZero() {
-				parentOf[r.TID] = r.Parent
-			}
 		case wal.RecPrepare:
 			prepared[r.TID.TopLevel()] = r
 		case wal.RecNBReplicate:
@@ -155,8 +152,7 @@ func Analyze(site tid.SiteID, image map[string]*segment.Segment, records []*wal.
 				commitProtocol[top] = wire.NonBlocking
 			}
 		case wal.RecAbort:
-			// A nested abort dooms that subtree only.
-			aborted[r.TID] = true
+			// A nested abort is no outcome: its undo is in the log.
 			if r.TID.IsTop() {
 				a.Outcomes.Set(r.TID.Family, wire.OutcomeAbort)
 			}
@@ -264,9 +260,6 @@ func Analyze(site tid.SiteID, image map[string]*segment.Segment, records []*wal.
 	// in-doubt updates.
 	for _, u := range updates {
 		top := u.TID.TopLevel()
-		if doomedByAncestry(u.TID, parentOf, aborted) {
-			continue
-		}
 		if a.Outcomes.Get(top.Family) == wire.OutcomeCommit {
 			seg := a.Data[u.Server]
 			if seg == nil {
@@ -313,18 +306,4 @@ func Analyze(site tid.SiteID, image map[string]*segment.Segment, records []*wal.
 	// repeat.
 	slices.SortFunc(a.InDoubt, func(x, y InDoubt) int { return cmp.Compare(x.TID.Family, y.TID.Family) })
 	return a
-}
-
-// doomedByAncestry reports whether t or any ancestor was aborted.
-func doomedByAncestry(t tid.TID, parentOf map[tid.TID]tid.TID, aborted map[tid.TID]bool) bool {
-	for {
-		if aborted[t] {
-			return true
-		}
-		p, ok := parentOf[t]
-		if !ok {
-			return false
-		}
-		t = p
-	}
 }

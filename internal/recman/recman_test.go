@@ -241,6 +241,11 @@ func TestLocalOnlyCommitNeedsNoResume(t *testing.T) {
 	}
 }
 
+// TestAbortedChildSubtreeExcluded: the log an aborted subtree leaves
+// is the one a server writes — the child's and the grandchild's
+// updates, then, as AbortChild undoes them in reverse, a compensation
+// record for each — and no nested abort record. Redone in order under
+// the parent's commit, it leaves only the parent's value.
 func TestAbortedChildSubtreeExcluded(t *testing.T) {
 	parent := top(1)
 	child := tid.TID{Family: parent.Family, Seq: tid.MakeSeq(1, 1)}
@@ -248,13 +253,17 @@ func TestAbortedChildSubtreeExcluded(t *testing.T) {
 	recs := []*wal.Record{
 		upd(parent, "p", "", "1"),
 		{Type: wal.RecUpdate, TID: child, Parent: parent, Server: "srv", Key: "c", New: []byte("2")},
+		{Type: wal.RecUpdate, TID: child, Parent: parent, Server: "srv", Key: "p", Old: []byte("1"), New: []byte("c")},
 		{Type: wal.RecUpdate, TID: grand, Parent: child, Server: "srv", Key: "g", New: []byte("3")},
-		{Type: wal.RecAbort, TID: child}, // nested abort
+		// AbortChild(child)'s compensation, newest update first.
+		{Type: wal.RecUpdate, TID: grand, Server: "srv", Key: "g", Old: []byte("3")},
+		{Type: wal.RecUpdate, TID: child, Server: "srv", Key: "p", Old: []byte("c"), New: []byte("1")},
+		{Type: wal.RecUpdate, TID: child, Server: "srv", Key: "c", Old: []byte("2")},
 		{Type: wal.RecCommit, TID: parent},
 	}
 	a := Analyze(1, nil, recs)
 	// The parent's update stays; the aborted child's and its
-	// descendant's are not redone.
+	// descendant's are redone and then undone.
 	wantData(t, a.Data, map[string]string{"p": "1"}, "c", "g")
 	if got := a.Outcomes.Get(parent.Family); got != wire.OutcomeCommit {
 		t.Errorf("family outcome = %v, want commit: a nested abort dooms only its subtree", got)

@@ -42,8 +42,9 @@ var (
 // "may I join?" call of Figure 1 step 4.
 type Joiner interface {
 	// Join registers p as a participant in t's family at this site.
-	// parent is the zero TID for top-level transactions.
-	Join(t, parent tid.TID, p Participant) error
+	// anc is t's ancestor chain, outermost first; nil for a top-level
+	// transaction.
+	Join(t tid.TID, anc []tid.TID, p Participant) error
 }
 
 // Participant is what the transaction manager asks of a joined
@@ -61,8 +62,9 @@ type Participant interface {
 	// AbortFamily undoes the family's updates and drops its locks.
 	AbortFamily(f tid.FamilyID)
 	// CommitChild merges a committed nested transaction into its
-	// parent (locks and undo responsibility transfer).
-	CommitChild(child, parent tid.TID)
+	// parent, the last of the chain it joined with (locks and undo
+	// responsibility transfer).
+	CommitChild(child tid.TID)
 	// AbortChild undoes a nested transaction and its descendants
 	// without disturbing the rest of the family.
 	AbortChild(child tid.TID)
@@ -106,8 +108,9 @@ type family struct {
 
 // member is one of the family's transactions at this server.
 type member struct {
-	t, parent tid.TID
-	joining   bool // the transaction manager has not answered yet
+	t       tid.TID
+	anc     []tid.TID // t's ancestors, outermost first
+	joining bool      // the transaction manager has not answered yet
 }
 
 type undoEntry struct {
@@ -138,10 +141,11 @@ func New(r rt.Runtime, name string, tm Joiner, log *wal.Log, cfg Config) *Server
 // Name returns the server's registered name.
 func (s *Server) Name() string { return s.name }
 
-// Read returns key's value as seen by t, under a shared lock. parent
-// is t's parent for nested transactions (zero TID otherwise).
-func (s *Server) Read(t, parent tid.TID, key string) ([]byte, error) {
-	if err := s.acquire(t, parent, key, lockmgr.Shared); err != nil {
+// Read returns key's value as seen by t, under a shared lock. anc is
+// t's ancestor chain, outermost first (nil for a top-level
+// transaction).
+func (s *Server) Read(t tid.TID, anc []tid.TID, key string) ([]byte, error) {
+	if err := s.acquire(t, anc, key, lockmgr.Shared); err != nil {
 		return nil, err
 	}
 	s.mu.Lock()
@@ -157,8 +161,8 @@ func (s *Server) Read(t, parent tid.TID, key string) ([]byte, error) {
 // Write sets key to val on behalf of t under an exclusive lock,
 // reporting the old and new value to the log (durable no later than
 // the family's prepare or commit force).
-func (s *Server) Write(t, parent tid.TID, key string, val []byte) error {
-	if err := s.acquire(t, parent, key, lockmgr.Exclusive); err != nil {
+func (s *Server) Write(t tid.TID, anc []tid.TID, key string, val []byte) error {
+	if err := s.acquire(t, anc, key, lockmgr.Exclusive); err != nil {
 		return err
 	}
 	s.mu.Lock()
@@ -170,7 +174,7 @@ func (s *Server) Write(t, parent tid.TID, key string, val []byte) error {
 	rec := &wal.Record{
 		Type:   wal.RecUpdate,
 		TID:    t,
-		Parent: parent,
+		Parent: tid.Parent(anc),
 		Server: s.name,
 		Key:    key,
 		Old:    undo.old,
@@ -180,7 +184,7 @@ func (s *Server) Write(t, parent tid.TID, key string, val []byte) error {
 		New: present(val),
 	}
 	if _, err := s.log.Append(rec); err != nil {
-		s.applyUndoLocked(undo)
+		s.setLocked(key, undo.old)
 		return fmt.Errorf("server %s: log update: %w", s.name, err)
 	}
 	fam := s.familyLocked(t.Family)
@@ -219,38 +223,43 @@ func (s *Server) end(f tid.FamilyID, abort bool) {
 		return
 	}
 	for i := len(fam.undo) - 1; abort && i >= 0; i-- {
-		s.applyUndoLocked(fam.undo[i])
+		s.setLocked(fam.undo[i].key, fam.undo[i].old)
 	}
 	s.mu.Unlock()
 	s.dropLocks(fam.members)
 }
 
 // CommitChild implements Participant: the child's undo entries are
-// re-tagged to the parent, which takes the child's place among the
-// members, and its locks are inherited.
-func (s *Server) CommitChild(child, parent tid.TID) {
+// re-tagged to its parent, which takes the child's place among the
+// members with the chain cut by one, and its locks are inherited.
+func (s *Server) CommitChild(child tid.TID) {
 	s.mu.Lock()
-	if fam := s.families[child.Family]; fam != nil {
-		for i := range fam.undo {
-			if fam.undo[i].t == child {
-				fam.undo[i].t = parent
-			}
+	fam := s.families[child.Family]
+	i := fam.index(child)
+	if i < 0 || len(fam.members[i].anc) == 0 {
+		s.mu.Unlock()
+		return
+	}
+	anc := fam.members[i].anc
+	parent := anc[len(anc)-1]
+	for j := range fam.undo {
+		if fam.undo[j].t == child {
+			fam.undo[j].t = parent
 		}
-		if i := fam.index(child); i >= 0 {
-			if fam.index(parent) >= 0 {
-				fam.members = slices.Delete(fam.members, i, i+1)
-			} else {
-				fam.members[i] = member{t: parent}
-			}
-		}
+	}
+	if fam.index(parent) >= 0 {
+		fam.members = slices.Delete(fam.members, i, i+1)
+	} else {
+		fam.members[i] = member{t: parent, anc: anc[:len(anc)-1]}
 	}
 	s.mu.Unlock()
 	s.locks.OnChildCommit(child, parent)
 }
 
-// AbortChild implements Participant: undo the child's and its
-// descendants' updates in reverse order and release their locks, in
-// join order.
+// AbortChild implements Participant: undo the updates of the child
+// and of every member with the child in its chain, in reverse order,
+// and release their locks, in join order. Each undo is logged as an
+// update of its own, so redoing the log in order needs no ancestry.
 func (s *Server) AbortChild(child tid.TID) {
 	s.mu.Lock()
 	fam := s.families[child.Family]
@@ -260,7 +269,7 @@ func (s *Server) AbortChild(child tid.TID) {
 	}
 	var victims []member
 	for _, m := range fam.members {
-		if fam.descends(m.t, child) {
+		if m.t == child || slices.Contains(m.anc, child) {
 			victims = append(victims, m)
 		}
 	}
@@ -269,7 +278,7 @@ func (s *Server) AbortChild(child tid.TID) {
 	}
 	for i := len(fam.undo) - 1; i >= 0; i-- {
 		if doomed(fam.undo[i].t) {
-			s.applyUndoLocked(fam.undo[i])
+			s.compensateLocked(fam.undo[i])
 		}
 	}
 	fam.undo = slices.DeleteFunc(fam.undo, func(e undoEntry) bool { return doomed(e.t) })
@@ -299,7 +308,7 @@ func (s *Server) Reacquire(t tid.TID, updates []*wal.Record) {
 	s.families[t.Family] = fam
 	for _, u := range updates {
 		fam.undo = append(fam.undo, undoEntry{t: t, key: u.Key, old: u.Old})
-		s.data.Put(u.Key, u.New)
+		s.setLocked(u.Key, u.New)
 	}
 	s.mu.Unlock()
 	for _, u := range updates {
@@ -337,7 +346,7 @@ func (s *Server) Locks() *lockmgr.Manager { return s.locks }
 // operation retried after a refused join asks again. One join per
 // transaction is in flight at a time: a concurrent operation of t
 // waits for its answer.
-func (s *Server) join(t, parent tid.TID) error {
+func (s *Server) join(t tid.TID, anc []tid.TID) error {
 	s.mu.Lock()
 	fam := s.families[t.Family]
 	for i := fam.index(t); i >= 0; i = fam.index(t) {
@@ -349,20 +358,17 @@ func (s *Server) join(t, parent tid.TID) error {
 		fam = s.families[t.Family]
 	}
 	fam = s.familyLocked(t.Family)
-	fam.members = append(fam.members, member{t: t, parent: parent, joining: true})
+	fam.members = append(fam.members, member{t: t, anc: anc, joining: true})
 	s.mu.Unlock()
 	// Joining is a synchronous IPC to the transaction manager.
 	rt.Charge(s.r, s.cfg.Kernel, s.cfg.Params.LocalIPC+s.cfg.Params.KernelCPU)
-	err := s.tm.Join(t, parent, s)
+	err := s.tm.Join(t, anc, s)
 	s.mu.Lock()
 	fam = s.families[t.Family]
 	switch i := fam.index(t); {
 	case i < 0: // the family ended meanwhile
 	case err == nil:
 		fam.members[i].joining = false
-		if !parent.IsZero() {
-			s.locks.SetParent(t, parent)
-		}
 	default:
 		fam.members = slices.Delete(fam.members, i, i+1)
 		if len(fam.members) == 0 && len(fam.undo) == 0 {
@@ -376,8 +382,8 @@ func (s *Server) join(t, parent tid.TID) error {
 
 // acquire is every operation's prologue: t joins on its first
 // operation here, takes key in mode, and the server's CPU is charged.
-func (s *Server) acquire(t, parent tid.TID, key string, mode lockmgr.Mode) error {
-	if err := s.join(t, parent); err != nil {
+func (s *Server) acquire(t tid.TID, anc []tid.TID, key string, mode lockmgr.Mode) error {
+	if err := s.join(t, anc); err != nil {
 		return err
 	}
 	rt.Charge(s.r, nil, s.cfg.Params.GetLock)
@@ -385,18 +391,35 @@ func (s *Server) acquire(t, parent tid.TID, key string, mode lockmgr.Mode) error
 	if timeout <= 0 {
 		timeout = 10 * time.Second
 	}
-	if err := s.locks.Acquire(t, key, mode, timeout); err != nil {
+	if err := s.locks.Acquire(t, key, mode, timeout, anc...); err != nil {
 		return fmt.Errorf("%w: %s %s/%s", ErrLockTimeout, t, s.name, key)
 	}
 	rt.Charge(s.r, nil, s.cfg.Params.ServerCPU)
 	return nil
 }
 
-func (s *Server) applyUndoLocked(e undoEntry) {
-	if e.old != nil {
-		s.data.Put(e.key, e.old)
+// compensateLocked undoes e and logs the undo as an update of e's
+// transaction, lazily like any update: Old is the value the undo
+// replaces, New the one it puts back (nil: the key is removed). The
+// record is durable by the family's next prepare or commit force, so
+// a committed family's log redone in order ends at the undone value.
+func (s *Server) compensateLocked(e undoEntry) {
+	var cur []byte
+	if v, ok := s.data.Get(e.key); ok {
+		cur = present(v)
+	}
+	s.setLocked(e.key, e.old)
+	// Append fails only on a closed log, which forces nothing more of
+	// this family: its commit can no longer become durable here.
+	s.log.Append(&wal.Record{Type: wal.RecUpdate, TID: e.t, Server: s.name, Key: e.key, Old: cur, New: e.old}) //nolint:errcheck
+}
+
+// setLocked sets key to v, or removes key if v is nil.
+func (s *Server) setLocked(key string, v []byte) {
+	if v != nil {
+		s.data.Put(key, v)
 	} else {
-		s.data.Remove(e.key)
+		s.data.Remove(key)
 	}
 }
 
@@ -421,19 +444,6 @@ func (fam *family) index(t tid.TID) int {
 		return -1
 	}
 	return slices.IndexFunc(fam.members, func(m member) bool { return m.t == t })
-}
-
-// descends reports whether t is a or descends from it through the
-// parents the members joined with.
-func (fam *family) descends(t, a tid.TID) bool {
-	for t != a {
-		i := fam.index(t)
-		if i < 0 {
-			return false
-		}
-		t = fam.members[i].parent
-	}
-	return true
 }
 
 func (s *Server) dropLocks(members []member) {

@@ -29,7 +29,7 @@ type fakeJoiner struct {
 	fail  bool
 }
 
-func (j *fakeJoiner) Join(t, parent tid.TID, p Participant) error {
+func (j *fakeJoiner) Join(t tid.TID, anc []tid.TID, p Participant) error {
 	if j.fail {
 		return errors.New("join refused")
 	}
@@ -83,10 +83,10 @@ func TestWriteThenReadSameTransaction(t *testing.T) {
 	f := newFixture()
 	f.run(t, func() {
 		tx := top(1)
-		if err := f.srv.Write(tx, tid.TID{}, "a", []byte("v")); err != nil {
+		if err := f.srv.Write(tx, nil, "a", []byte("v")); err != nil {
 			t.Fatalf("Write: %v", err)
 		}
-		got, err := f.srv.Read(tx, tid.TID{}, "a")
+		got, err := f.srv.Read(tx, nil, "a")
 		if err != nil || !bytes.Equal(got, []byte("v")) {
 			t.Fatalf("Read = %q, %v", got, err)
 		}
@@ -96,7 +96,7 @@ func TestWriteThenReadSameTransaction(t *testing.T) {
 func TestReadMissingKey(t *testing.T) {
 	f := newFixture()
 	f.run(t, func() {
-		_, err := f.srv.Read(top(1), tid.TID{}, "nope")
+		_, err := f.srv.Read(top(1), nil, "nope")
 		if !errors.Is(err, ErrNoSuchKey) {
 			t.Fatalf("Read(missing) = %v, want ErrNoSuchKey", err)
 		}
@@ -107,9 +107,9 @@ func TestFirstOperationJoinsExactlyOnce(t *testing.T) {
 	f := newFixture()
 	f.run(t, func() {
 		tx := top(1)
-		f.srv.Write(tx, tid.TID{}, "a", []byte("1")) //nolint:errcheck
-		f.srv.Write(tx, tid.TID{}, "b", []byte("2")) //nolint:errcheck
-		f.srv.Read(tx, tid.TID{}, "a")               //nolint:errcheck
+		f.srv.Write(tx, nil, "a", []byte("1")) //nolint:errcheck
+		f.srv.Write(tx, nil, "b", []byte("2")) //nolint:errcheck
+		f.srv.Read(tx, nil, "a")               //nolint:errcheck
 		if len(f.tm.joins) != 1 {
 			t.Fatalf("joined %d times, want 1", len(f.tm.joins))
 		}
@@ -120,7 +120,7 @@ func TestJoinRefusalFailsOperation(t *testing.T) {
 	f := newFixture()
 	f.tm.fail = true
 	f.run(t, func() {
-		if err := f.srv.Write(top(1), tid.TID{}, "a", []byte("1")); err == nil {
+		if err := f.srv.Write(top(1), nil, "a", []byte("1")); err == nil {
 			t.Fatal("Write succeeded though join was refused")
 		}
 	})
@@ -137,7 +137,7 @@ func TestRetryAfterRefusedJoinAsksAgain(t *testing.T) {
 	f.run(t, func() {
 		tx := top(1)
 		for try := 1; try <= 2; try++ {
-			if err := f.srv.Write(tx, tid.TID{}, "a", []byte("1")); err == nil {
+			if err := f.srv.Write(tx, nil, "a", []byte("1")); err == nil {
 				t.Errorf("try %d: Write succeeded though the join was refused", try)
 			}
 		}
@@ -151,7 +151,7 @@ func TestRetryAfterRefusedJoinAsksAgain(t *testing.T) {
 			t.Errorf("vote = %v after refused joins, want READ-ONLY", v)
 		}
 		f.tm.fail = false
-		if err := f.srv.Write(tx, tid.TID{}, "a", []byte("1")); err != nil {
+		if err := f.srv.Write(tx, nil, "a", []byte("1")); err != nil {
 			t.Errorf("Write after the manager accepts: %v", err)
 		}
 		if len(f.tm.joins) != 1 {
@@ -168,7 +168,7 @@ type slowJoiner struct {
 	fail  bool
 }
 
-func (j *slowJoiner) Join(t, parent tid.TID, p Participant) error {
+func (j *slowJoiner) Join(t tid.TID, anc []tid.TID, p Participant) error {
 	j.k.Sleep(time.Millisecond)
 	j.joins++
 	if j.fail {
@@ -191,7 +191,7 @@ func TestConcurrentOperationsShareOneJoin(t *testing.T) {
 		var done [2]time.Duration
 		for i, key := range []string{"a", "b"} {
 			k.Go("op "+key, func() {
-				errs[i] = srv.Write(top(1), tid.TID{}, key, []byte("v"))
+				errs[i] = srv.Write(top(1), nil, key, []byte("v"))
 				done[i] = time.Duration(k.Now())
 			})
 		}
@@ -211,10 +211,10 @@ func TestVoteReflectsUpdates(t *testing.T) {
 	f.run(t, func() {
 		reader := top(1)
 		writer := top(2)
-		f.srv.Write(top(3), tid.TID{}, "a", []byte("seed")) //nolint:errcheck
+		f.srv.Write(top(3), nil, "a", []byte("seed")) //nolint:errcheck
 		f.srv.CommitFamily(top(3).Family)
-		f.srv.Read(reader, tid.TID{}, "a")              //nolint:errcheck
-		f.srv.Write(writer, tid.TID{}, "b", []byte("")) //nolint:errcheck
+		f.srv.Read(reader, nil, "a")              //nolint:errcheck
+		f.srv.Write(writer, nil, "b", []byte("")) //nolint:errcheck
 		if v := f.srv.Vote(reader.Family); v != wire.VoteReadOnly {
 			t.Errorf("reader vote = %v, want READ-ONLY", v)
 		}
@@ -228,9 +228,9 @@ func TestUpdatesAreLoggedWithOldAndNewValues(t *testing.T) {
 	f := newFixture()
 	f.run(t, func() {
 		tx := top(1)
-		f.srv.Write(tx, tid.TID{}, "a", []byte("v1")) //nolint:errcheck
-		f.srv.Write(tx, tid.TID{}, "a", []byte("v2")) //nolint:errcheck
-		f.log.Force(math.MaxUint64)                   //nolint:errcheck
+		f.srv.Write(tx, nil, "a", []byte("v1")) //nolint:errcheck
+		f.srv.Write(tx, nil, "a", []byte("v2")) //nolint:errcheck
+		f.log.Force(math.MaxUint64)             //nolint:errcheck
 		recs, _ := f.log.Records()
 		if len(recs) != 2 {
 			t.Fatalf("%d update records, want 2", len(recs))
@@ -251,12 +251,12 @@ func TestAbortRestoresPriorValues(t *testing.T) {
 	f := newFixture()
 	f.run(t, func() {
 		setup := top(1)
-		f.srv.Write(setup, tid.TID{}, "a", []byte("old")) //nolint:errcheck
+		f.srv.Write(setup, nil, "a", []byte("old")) //nolint:errcheck
 		f.srv.CommitFamily(setup.Family)
 
 		tx := top(2)
-		f.srv.Write(tx, tid.TID{}, "a", []byte("new")) //nolint:errcheck
-		f.srv.Write(tx, tid.TID{}, "b", []byte("ins")) //nolint:errcheck
+		f.srv.Write(tx, nil, "a", []byte("new")) //nolint:errcheck
+		f.srv.Write(tx, nil, "b", []byte("ins")) //nolint:errcheck
 		f.srv.AbortFamily(tx.Family)
 
 		if v, _ := f.srv.Peek("a"); string(v) != "old" {
@@ -275,7 +275,7 @@ func TestAbortUndoesInReverseOrder(t *testing.T) {
 		// Three writes to the same key; undo must restore the
 		// original absence.
 		for _, v := range []string{"1", "2", "3"} {
-			f.srv.Write(tx, tid.TID{}, "k", []byte(v)) //nolint:errcheck
+			f.srv.Write(tx, nil, "k", []byte(v)) //nolint:errcheck
 		}
 		f.srv.AbortFamily(tx.Family)
 		if _, ok := f.srv.Peek("k"); ok {
@@ -292,7 +292,7 @@ func TestFailedWriteChangesNothing(t *testing.T) {
 		f.srv.Install(image(map[string]string{"a": "1"}))
 		f.log.Close()
 		for _, key := range []string{"a", "b"} {
-			if err := f.srv.Write(top(1), tid.TID{}, key, []byte("2")); !errors.Is(err, wal.ErrClosed) {
+			if err := f.srv.Write(top(1), nil, key, []byte("2")); !errors.Is(err, wal.ErrClosed) {
 				t.Errorf("Write(%s) on a closed log = %v, want wal.ErrClosed", key, err)
 			}
 		}
@@ -313,10 +313,10 @@ func TestCommitReleasesLocks(t *testing.T) {
 	f := newFixture()
 	f.run(t, func() {
 		tx := top(1)
-		f.srv.Write(tx, tid.TID{}, "a", []byte("1")) //nolint:errcheck
+		f.srv.Write(tx, nil, "a", []byte("1")) //nolint:errcheck
 		f.srv.CommitFamily(tx.Family)
 		// Another family can now take the lock immediately.
-		if err := f.srv.Write(top(2), tid.TID{}, "a", []byte("2")); err != nil {
+		if err := f.srv.Write(top(2), nil, "a", []byte("2")); err != nil {
 			t.Fatalf("lock not released by commit: %v", err)
 		}
 		if f.srv.Locks().HoldsAny(tx) {
@@ -328,8 +328,8 @@ func TestCommitReleasesLocks(t *testing.T) {
 func TestLockTimeoutSurfacesAsError(t *testing.T) {
 	f := newFixture()
 	f.run(t, func() {
-		f.srv.Write(top(1), tid.TID{}, "a", []byte("1")) //nolint:errcheck
-		err := f.srv.Write(top(2), tid.TID{}, "a", []byte("2"))
+		f.srv.Write(top(1), nil, "a", []byte("1")) //nolint:errcheck
+		err := f.srv.Write(top(2), nil, "a", []byte("2"))
 		if !errors.Is(err, ErrLockTimeout) {
 			t.Fatalf("conflicting write = %v, want ErrLockTimeout", err)
 		}
@@ -341,9 +341,9 @@ func TestChildCommitMergesUndoAndLocks(t *testing.T) {
 	f.run(t, func() {
 		parent := top(1)
 		child := tid.TID{Family: parent.Family, Seq: tid.MakeSeq(1, 1)}
-		f.srv.Write(parent, tid.TID{}, "p", []byte("1")) //nolint:errcheck
-		f.srv.Write(child, parent, "c", []byte("2"))     //nolint:errcheck
-		f.srv.CommitChild(child, parent)
+		f.srv.Write(parent, nil, "p", []byte("1"))              //nolint:errcheck
+		f.srv.Write(child, []tid.TID{parent}, "c", []byte("2")) //nolint:errcheck
+		f.srv.CommitChild(child)
 		// Aborting the parent must now undo the child's write too.
 		f.srv.AbortFamily(parent.Family)
 		if _, ok := f.srv.Peek("c"); ok {
@@ -357,8 +357,8 @@ func TestChildAbortLeavesParentUpdates(t *testing.T) {
 	f.run(t, func() {
 		parent := top(1)
 		child := tid.TID{Family: parent.Family, Seq: tid.MakeSeq(1, 1)}
-		f.srv.Write(parent, tid.TID{}, "p", []byte("1")) //nolint:errcheck
-		f.srv.Write(child, parent, "c", []byte("2"))     //nolint:errcheck
+		f.srv.Write(parent, nil, "p", []byte("1"))              //nolint:errcheck
+		f.srv.Write(child, []tid.TID{parent}, "c", []byte("2")) //nolint:errcheck
 		f.srv.AbortChild(child)
 		if _, ok := f.srv.Peek("c"); ok {
 			t.Error("child write visible after child abort")
@@ -376,9 +376,9 @@ func TestChildAbortCascadesToDescendants(t *testing.T) {
 		parent := top(1)
 		child := tid.TID{Family: parent.Family, Seq: tid.MakeSeq(1, 1)}
 		grand := tid.TID{Family: parent.Family, Seq: tid.MakeSeq(1, 2)}
-		f.srv.Write(parent, tid.TID{}, "p", []byte("1")) //nolint:errcheck
-		f.srv.Write(child, parent, "c", []byte("2"))     //nolint:errcheck
-		f.srv.Write(grand, child, "g", []byte("3"))      //nolint:errcheck
+		f.srv.Write(parent, nil, "p", []byte("1"))                     //nolint:errcheck
+		f.srv.Write(child, []tid.TID{parent}, "c", []byte("2"))        //nolint:errcheck
+		f.srv.Write(grand, []tid.TID{parent, child}, "g", []byte("3")) //nolint:errcheck
 		f.srv.AbortChild(child)
 		if _, ok := f.srv.Peek("c"); ok {
 			t.Error("child write survived")
@@ -405,11 +405,11 @@ func TestChildAbortReleasesInJoinOrder(t *testing.T) {
 		grand := tid.TID{Family: parent.Family, Seq: tid.MakeSeq(1, 2)}
 		var granted [2]time.Duration
 		k.Go("test", func() {
-			srv.Write(child, parent, "c", []byte("1")) //nolint:errcheck
-			srv.Write(grand, child, "g", []byte("2"))  //nolint:errcheck
+			srv.Write(child, []tid.TID{parent}, "c", []byte("1"))        //nolint:errcheck
+			srv.Write(grand, []tid.TID{parent, child}, "g", []byte("2")) //nolint:errcheck
 			for i, key := range []string{"c", "g"} {
 				k.Go("waiter "+key, func() {
-					if err := srv.Write(top(uint32(2+i)), tid.TID{}, key, []byte("w")); err != nil {
+					if err := srv.Write(top(uint32(2+i)), nil, key, []byte("w")); err != nil {
 						t.Errorf("seed %d: waiter on %s: %v", seed, key, err)
 					}
 					granted[i] = time.Duration(k.Now())
@@ -430,7 +430,7 @@ func TestChildAbortReleasesInJoinOrder(t *testing.T) {
 func TestInstallReplacesState(t *testing.T) {
 	f := newFixture()
 	f.run(t, func() {
-		f.srv.Write(top(1), tid.TID{}, "junk", []byte("x")) //nolint:errcheck
+		f.srv.Write(top(1), nil, "junk", []byte("x")) //nolint:errcheck
 		f.srv.Install(image(map[string]string{"a": "1", "b": "2"}))
 		if _, ok := f.srv.Peek("junk"); ok {
 			t.Error("pre-install state survived Install")
@@ -470,7 +470,7 @@ func TestReacquireRestoresInDoubtState(t *testing.T) {
 		if v, _ := f.srv.Peek("a"); string(v) != "new" {
 			t.Errorf("a = %q, want in-doubt \"new\"", v)
 		}
-		if err := f.srv.Write(top(2), tid.TID{}, "a", []byte("x")); !errors.Is(err, ErrLockTimeout) {
+		if err := f.srv.Write(top(2), nil, "a", []byte("x")); !errors.Is(err, ErrLockTimeout) {
 			t.Errorf("in-doubt key not locked: %v", err)
 		}
 		// The vote reflects the in-doubt updates.
@@ -488,6 +488,37 @@ func TestReacquireRestoresInDoubtState(t *testing.T) {
 	})
 }
 
+// TestReacquireRedoesCompensation: an in-doubt family whose child
+// aborted comes back from its records in log order, the child's
+// compensation records included — a nil New removes the key — and an
+// abort then undoes them all backwards.
+func TestReacquireRedoesCompensation(t *testing.T) {
+	f := newFixture()
+	f.run(t, func() {
+		tx := top(1)
+		child := tid.TID{Family: tx.Family, Seq: tid.MakeSeq(1, 1)}
+		f.srv.Reacquire(tx, []*wal.Record{
+			{Type: wal.RecUpdate, TID: tx, Server: "srv", Key: "a", New: []byte("p")},
+			{Type: wal.RecUpdate, TID: child, Server: "srv", Key: "a", Old: []byte("p"), New: []byte("c")},
+			{Type: wal.RecUpdate, TID: child, Server: "srv", Key: "b", New: []byte("c")},
+			{Type: wal.RecUpdate, TID: child, Server: "srv", Key: "b", Old: []byte("c")},
+			{Type: wal.RecUpdate, TID: child, Server: "srv", Key: "a", Old: []byte("c"), New: []byte("p")},
+		})
+		if v, _ := f.srv.Peek("a"); string(v) != "p" {
+			t.Errorf("a = %q after reacquire, want the parent's \"p\"", v)
+		}
+		if v, ok := f.srv.Peek("b"); ok {
+			t.Errorf("b = %q after reacquire, want absent", v)
+		}
+		f.srv.AbortFamily(tx.Family)
+		for _, key := range []string{"a", "b"} {
+			if v, ok := f.srv.Peek(key); ok {
+				t.Errorf("%s = %q after in-doubt abort, want absent", key, v)
+			}
+		}
+	})
+}
+
 func TestReacquireThenCommit(t *testing.T) {
 	f := newFixture()
 	f.run(t, func() {
@@ -497,7 +528,7 @@ func TestReacquireThenCommit(t *testing.T) {
 		if v, _ := f.srv.Peek("a"); string(v) != "v" {
 			t.Errorf("a = %q after in-doubt commit, want \"v\"", v)
 		}
-		if err := f.srv.Write(top(2), tid.TID{}, "a", []byte("x")); err != nil {
+		if err := f.srv.Write(top(2), nil, "a", []byte("x")); err != nil {
 			t.Errorf("lock not released after in-doubt commit: %v", err)
 		}
 	})
@@ -507,8 +538,8 @@ func TestSnapshotAndOpCounts(t *testing.T) {
 	f := newFixture()
 	f.run(t, func() {
 		tx := top(1)
-		f.srv.Write(tx, tid.TID{}, "a", []byte("1")) //nolint:errcheck
-		f.srv.Read(tx, tid.TID{}, "a")               //nolint:errcheck
+		f.srv.Write(tx, nil, "a", []byte("1")) //nolint:errcheck
+		f.srv.Read(tx, nil, "a")               //nolint:errcheck
 		f.srv.CommitFamily(tx.Family)
 		if v, ok := f.srv.Peek("a"); !ok || string(v) != "1" {
 			t.Errorf("Peek(a) = %q, %v; want 1", v, ok)
@@ -528,14 +559,14 @@ func TestReadCopiesDoNotAlias(t *testing.T) {
 	f.run(t, func() {
 		tx := top(1)
 		buf := []byte("abc")
-		f.srv.Write(tx, tid.TID{}, "a", buf) //nolint:errcheck
+		f.srv.Write(tx, nil, "a", buf) //nolint:errcheck
 		buf[0] = 'W'
 		if v, _ := f.srv.Peek("a"); string(v) != "abc" {
 			t.Errorf("a = %q after the writer changed its buffer, want \"abc\"", v)
 		}
-		got, _ := f.srv.Read(tx, tid.TID{}, "a")
+		got, _ := f.srv.Read(tx, nil, "a")
 		got[0] = 'X'
-		if again, _ := f.srv.Read(tx, tid.TID{}, "a"); string(again) != "abc" {
+		if again, _ := f.srv.Read(tx, nil, "a"); string(again) != "abc" {
 			t.Errorf("a = %q after a reader changed Read's slice: Read returned aliased storage", again)
 		}
 		peeked, _ := f.srv.Peek("a")
@@ -557,7 +588,7 @@ func TestInDoubtAbortRestoresEmptyValue(t *testing.T) {
 	f.run(t, func() {
 		f.srv.Install(image(map[string]string{"k": ""}))
 		tx := top(1)
-		if err := f.srv.Write(tx, tid.TID{}, "k", []byte("x")); err != nil {
+		if err := f.srv.Write(tx, nil, "k", []byte("x")); err != nil {
 			t.Error(err)
 			return
 		}
@@ -604,7 +635,7 @@ func liveHeap() uint64 {
 // retains no per-transaction state outside the server.
 type acceptAll struct{}
 
-func (acceptAll) Join(t, parent tid.TID, p Participant) error { return nil }
+func (acceptAll) Join(t tid.TID, anc []tid.TID, p Participant) error { return nil }
 
 // discard is a log device that keeps nothing: the heap a fill leaves
 // behind is the server's.
@@ -625,7 +656,7 @@ func commitEach(t *testing.T, k *sim.Kernel, log *wal.Log, srv *Server, n int, w
 		for i := 0; i < n; i++ {
 			tx := top(uint32(i + 1))
 			key, val := write(i)
-			if err := srv.Write(tx, tid.TID{}, key, val); err != nil {
+			if err := srv.Write(tx, nil, key, val); err != nil {
 				t.Error(err)
 				return
 			}
@@ -771,7 +802,7 @@ func TestFlatTransactionAllocs(t *testing.T) {
 	cycle := func() {
 		n++
 		tx := top(n)
-		if err := srv.Write(tx, tid.TID{}, "a", []byte("value")); err != nil {
+		if err := srv.Write(tx, nil, "a", []byte("value")); err != nil {
 			t.Error(err)
 		}
 		srv.CommitFamily(tx.Family)
@@ -822,18 +853,18 @@ func TestRestartThroughTheTable(t *testing.T) {
 		step := func(err error) { errs = errors.Join(errs, err) }
 		logged := func(_ uint64, err error) { step(err) }
 		committed, indoubt, aborted := top(1), top(2), top(3)
-		step(srv.Write(committed, tid.TID{}, "empty", nil))
-		step(srv.Write(committed, tid.TID{}, long, []byte("long")))
-		step(srv.Write(committed, tid.TID{}, "twice", []byte("before")))
-		step(srv.Write(committed, tid.TID{}, "big", []byte(big)))
+		step(srv.Write(committed, nil, "empty", nil))
+		step(srv.Write(committed, nil, long, []byte("long")))
+		step(srv.Write(committed, nil, "twice", []byte("before")))
+		step(srv.Write(committed, nil, "big", []byte(big)))
 		logged(log.Append(&wal.Record{Type: wal.RecCommit, TID: committed}))
 		srv.CommitFamily(committed.Family)
-		step(srv.Write(indoubt, tid.TID{}, "twice", []byte("one")))
-		step(srv.Write(indoubt, tid.TID{}, "twice", []byte("two")))
-		step(srv.Write(indoubt, tid.TID{}, "inserted", []byte("new")))
-		step(srv.Write(indoubt, tid.TID{}, "big", []byte(bigger)))
+		step(srv.Write(indoubt, nil, "twice", []byte("one")))
+		step(srv.Write(indoubt, nil, "twice", []byte("two")))
+		step(srv.Write(indoubt, nil, "inserted", []byte("new")))
+		step(srv.Write(indoubt, nil, "big", []byte(bigger)))
 		logged(log.Append(&wal.Record{Type: wal.RecPrepare, TID: indoubt, Coordinator: 2}))
-		step(srv.Write(aborted, tid.TID{}, "gone", []byte("x")))
+		step(srv.Write(aborted, nil, "gone", []byte("x")))
 		srv.AbortFamily(aborted.Family)
 		step(log.Force(math.MaxUint64))
 		if errs != nil {

@@ -71,21 +71,21 @@ func (ss *Set) route(key string) (*Server, error) {
 }
 
 // Write routes key to its local shard server and writes it under t.
-func (ss *Set) Write(t, parent tid.TID, key string, val []byte) error {
+func (ss *Set) Write(t tid.TID, anc []tid.TID, key string, val []byte) error {
 	srv, err := ss.route(key)
 	if err != nil {
 		return err
 	}
-	return srv.Write(t, parent, key, val)
+	return srv.Write(t, anc, key, val)
 }
 
 // Read routes key to its local shard server and reads it under t.
-func (ss *Set) Read(t, parent tid.TID, key string) ([]byte, error) {
+func (ss *Set) Read(t tid.TID, anc []tid.TID, key string) ([]byte, error) {
 	srv, err := ss.route(key)
 	if err != nil {
 		return nil, err
 	}
-	return srv.Read(t, parent, key)
+	return srv.Read(t, anc, key)
 }
 
 // Peek returns the committed value of key from its local shard

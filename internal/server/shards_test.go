@@ -89,10 +89,10 @@ func TestSetRoutesByKey(t *testing.T) {
 	f.run(t, func() {
 		key := localKey(t, f.m, 1, "w")
 		tx := top(1)
-		if err := f.set.Write(tx, tid.TID{}, key, []byte("v")); err != nil {
+		if err := f.set.Write(tx, nil, key, []byte("v")); err != nil {
 			t.Fatalf("Write(%q): %v", key, err)
 		}
-		got, err := f.set.Read(tx, tid.TID{}, key)
+		got, err := f.set.Read(tx, nil, key)
 		if err != nil || !bytes.Equal(got, []byte("v")) {
 			t.Fatalf("Read = %q, %v", got, err)
 		}
@@ -116,11 +116,11 @@ func TestSetRejectsWrongSite(t *testing.T) {
 	f := newShardFixture(t)
 	f.run(t, func() {
 		key := localKey(t, f.m, 2, "w") // homes at site 2; the set is site 1's
-		err := f.set.Write(top(1), tid.TID{}, key, []byte("v"))
+		err := f.set.Write(top(1), nil, key, []byte("v"))
 		if !errors.Is(err, ErrWrongSite) {
 			t.Fatalf("Write(foreign key) = %v, want ErrWrongSite", err)
 		}
-		if _, err := f.set.Read(top(1), tid.TID{}, key); !errors.Is(err, ErrWrongSite) {
+		if _, err := f.set.Read(top(1), nil, key); !errors.Is(err, ErrWrongSite) {
 			t.Fatalf("Read(foreign key) = %v, want ErrWrongSite", err)
 		}
 		if _, _, err := f.set.Peek(key); !errors.Is(err, ErrWrongSite) {
@@ -149,7 +149,7 @@ func TestSetRejectsUnplacedShard(t *testing.T) {
 	}
 
 	k.Go("test", func() {
-		if err := set.Write(top(1), tid.TID{}, uncovered, []byte("v")); !errors.Is(err, ErrNoShard) {
+		if err := set.Write(top(1), nil, uncovered, []byte("v")); !errors.Is(err, ErrNoShard) {
 			t.Errorf("Write(uncovered key) = %v, want ErrNoShard", err)
 		}
 		if _, _, err := set.Peek(uncovered); !errors.Is(err, ErrNoShard) {
@@ -184,11 +184,11 @@ func TestSetShardsHaveIndependentLockManagers(t *testing.T) {
 			t.Fatal("no key found on the sibling shard")
 		}
 		t1, t2 := top(1), top(2)
-		if err := f.set.Write(t1, tid.TID{}, k0, []byte("v")); err != nil {
+		if err := f.set.Write(t1, nil, k0, []byte("v")); err != nil {
 			t.Fatal(err)
 		}
 		// t2 writes the sibling shard while t1 still holds its lock.
-		if err := f.set.Write(t2, tid.TID{}, k1, []byte("v")); err != nil {
+		if err := f.set.Write(t2, nil, k1, []byte("v")); err != nil {
 			t.Fatalf("sibling-shard write blocked: %v", err)
 		}
 		if f.shard(f.m.ShardOf(k0)).Locks() == f.shard(f.m.ShardOf(k1)).Locks() {

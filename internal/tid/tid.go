@@ -80,3 +80,13 @@ func (t TID) String() string {
 	}
 	return fmt.Sprintf("%s/%d.%d", t.Family, uint32(t.Seq>>32), uint32(t.Seq))
 }
+
+// Parent returns the parent named by anc, a transaction's ancestor
+// chain (outermost first): its last element, or the zero TID for a
+// top-level transaction's empty chain.
+func Parent(anc []TID) TID {
+	if len(anc) == 0 {
+		return TID{}
+	}
+	return anc[len(anc)-1]
+}

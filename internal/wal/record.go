@@ -82,9 +82,9 @@ type Record struct {
 	LSN  uint64
 	Type RecType
 	TID  tid.TID
-	// Parent links a nested transaction to its parent; recovery uses
-	// the resulting chains to decide whether an update record belongs
-	// to an aborted subtree.
+	// Parent is a nested writer's parent. It is written but not
+	// read: an aborted child's updates are followed in the log by
+	// their compensation records, so recovery needs no ancestry.
 	Parent tid.TID
 
 	// Update fields. A nil Old means the key did not exist before the

@@ -271,8 +271,9 @@ func (p *Protocol) UnmarshalText(text []byte) (err error) {
 type Msg struct {
 	Kind Kind
 	TID  tid.TID
-	// Parent is the parent transaction for nested-resolution
-	// messages (KChildCommit).
+	// Parent is the committing child's parent on KChildCommit. It is
+	// written but not read: a receiver takes the parent from the
+	// ancestor chain the child joined with.
 	Parent tid.TID
 	From   tid.SiteID
 	To     tid.SiteID
