@@ -239,7 +239,9 @@ perf-pairs:
 # gain quotes: this one says the simulated behaviour did not move, that
 # one that the measured numbers did not. The 2pc chaos run is the full
 # sweep: the 60-point samples reach no checkpoint point, so it is the
-# one run that injects a fault at the checkpoint's truncation.
+# one run that injects a fault at the checkpoint's truncation. The three
+# camelot-trace fault runs crash a site mid-commit and restart it: each
+# restores an in-doubt family and applies its outcome after recovery.
 FROZEN = $(wildcard cmd/camelot-trace/testdata internal/exp/testdata internal/chaos/testdata \
 	internal/load/testdata)
 FROZEN_DIR = .frozen
@@ -249,6 +251,8 @@ FROZEN_RUNS = \
 	'camelot-trace -protocol paxos' \
 	'camelot-trace -loss 0.25' \
 	'camelot-trace -protocol nb -fault crash-coordinator -heal-after 2s' \
+	'camelot-trace -protocol 2pc -fault crash-sub -heal-after 2s' \
+	'camelot-trace -protocol paxos -fault crash-coordinator -heal-after 2s' \
 	'camelot-chaos -protocol 2pc' \
 	'camelot-chaos -points 60 -protocol nb' \
 	'camelot-chaos -points 60 -protocol paxos' \

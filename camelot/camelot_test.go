@@ -194,6 +194,40 @@ func TestDistributedAbortUndoesEverywhere(t *testing.T) {
 	})
 }
 
+// TestAbortAfterCommitIsRefused: abort-transaction reports success only
+// for a family that is aborted, or will be under presumed abort. After a
+// commit it must refuse, both while the coordinator still awaits the
+// subordinate's acknowledgement and once it has forgotten the family,
+// and the committed writes stay.
+func TestAbortAfterCommitIsRefused(t *testing.T) {
+	runSim(t, fastConfig(), func(k *sim.Kernel, c *Cluster) {
+		tx, _ := c.Node(1).Begin()
+		if err := tx.Write("srv1", "x", []byte("1")); err != nil {
+			t.Fatalf("local write: %v", err)
+		}
+		if err := tx.Write("srv2", "y", []byte("2")); err != nil {
+			t.Fatalf("remote write: %v", err)
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatalf("Commit: %v", err)
+		}
+		if err := tx.Abort(); err == nil {
+			t.Error("Abort right after the commit returned nil")
+		}
+		k.Sleep(500 * time.Millisecond) // acks drain; the coordinator forgets
+		if err := tx.Abort(); err == nil {
+			t.Error("Abort of the forgotten committed family returned nil")
+		}
+		k.Sleep(500 * time.Millisecond)
+		if v, _ := c.Node(1).Server("srv1").Peek("x"); string(v) != "1" {
+			t.Errorf("site 1: x = %q after the refused aborts, want \"1\"", v)
+		}
+		if v, _ := c.Node(2).Server("srv2").Peek("y"); string(v) != "2" {
+			t.Errorf("site 2: y = %q after the refused aborts, want \"2\"", v)
+		}
+	})
+}
+
 func TestDistributedReadOnlySitesSkipPhaseTwo(t *testing.T) {
 	runSim(t, fastConfig(), func(k *sim.Kernel, c *Cluster) {
 		seed(t, c.Node(2), "srv2", "y", "1")

@@ -50,6 +50,72 @@ func TestCheckpointTruncatesAndRecoverySurvives(t *testing.T) {
 	})
 }
 
+// TestRecoveredServerSharesNoBytesWithCheckpoint: a server recovered
+// from the page image shares the image's chunks, and so does the copy of
+// the image the next checkpoint redoes the log onto. Neither may write a
+// byte the other reads. The site checkpoints, crashes and recovers, so
+// its server adopts a clone of the image; it then commits overwrites and
+// an insert, and aborts a write the checkpoint's redo never repeats,
+// checkpoints again, commits more and crashes and recovers again. After
+// each step every key reads its last committed value.
+func TestRecoveredServerSharesNoBytesWithCheckpoint(t *testing.T) {
+	runSim(t, fastConfig(), func(k *sim.Kernel, c *Cluster) {
+		n := c.Node(1)
+		want := make(map[string]string)
+		var keys []string
+		commit := func(key, val string) {
+			seed(t, n, "srv1", key, val)
+			if _, ok := want[key]; !ok {
+				keys = append(keys, key)
+			}
+			want[key] = val
+		}
+		check := func(when string) {
+			for _, key := range keys {
+				if v, ok := n.Server("srv1").Peek(key); !ok || string(v) != want[key] {
+					t.Errorf("%s: %s = %q (%v), want %q", when, key, v, ok, want[key])
+				}
+			}
+		}
+		checkpoint := func() {
+			k.Sleep(100 * time.Millisecond) // lazy records reach the disk
+			if _, err := n.Checkpoint(); err != nil {
+				t.Fatalf("Checkpoint: %v", err)
+			}
+		}
+		restart := func() {
+			n.Crash()
+			if err := n.Recover(); err != nil {
+				t.Fatalf("Recover: %v", err)
+			}
+			k.Sleep(200 * time.Millisecond)
+		}
+
+		for i := 0; i < 10; i++ {
+			commit(fmt.Sprintf("k%d", i), fmt.Sprintf("v%d", i))
+		}
+		checkpoint()
+		restart()
+		check("after the first recovery")
+
+		tx, _ := n.Begin()
+		if err := tx.Write("srv1", "k0", []byte("aborted after the image")); err != nil {
+			t.Fatalf("Write: %v", err)
+		}
+		if err := tx.Abort(); err != nil {
+			t.Fatalf("Abort: %v", err)
+		}
+		commit("k1", "committed after the image")
+		commit("new", "inserted after the image")
+		check("after the writes")
+		checkpoint()
+		check("after the second checkpoint")
+		commit("k2", "committed after the second checkpoint")
+		restart()
+		check("after the second recovery")
+	})
+}
+
 func TestCheckpointWithInFlightDistributedTransaction(t *testing.T) {
 	runSim(t, fastConfig(), func(k *sim.Kernel, c *Cluster) {
 		seed(t, c.Node(1), "srv1", "old", "v")

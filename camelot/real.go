@@ -188,8 +188,8 @@ func (n *RealNode) Commit(t TID, opts Options) (wire.Outcome, error) {
 	return n.tm.Commit(t, opts)
 }
 
-// Abort aborts t.
-func (n *RealNode) Abort(t TID) { n.tm.Abort(t) }
+// Abort aborts t. It fails once t's commitment has begun.
+func (n *RealNode) Abort(t TID) error { return n.tm.Abort(t) }
 
 // ShardMap returns the site's shard map.
 func (n *RealNode) ShardMap() *shardmap.Map { return n.cfg.ShardMap }

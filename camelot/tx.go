@@ -131,7 +131,8 @@ func (tx *Tx) CommitWith(opts Options) error {
 }
 
 // Abort aborts the transaction (top-level: the abort protocol;
-// nested: subtree undo).
+// nested: subtree undo). A top-level transaction whose commitment has
+// begun is not aborted, and Abort says so.
 func (tx *Tx) Abort() error {
 	if tx.node.crashed {
 		return ErrCrashed

@@ -4,6 +4,7 @@ import (
 	"slices"
 	"time"
 
+	"camelot/internal/det"
 	"camelot/internal/tid"
 	"camelot/internal/trace"
 	"camelot/internal/wal"
@@ -143,7 +144,7 @@ func (m *Manager) beginCommit(f *family) {
 	}
 	f.ph = phPreparing
 	m.tr.PhaseBegin(m.cfg.Site, tid.Top(f.id), "prepare")
-	m.fanout(sortedSites(f.remoteSites), m.prepareMsg(f), f.opts.Multicast)
+	m.fanout(det.SortedKeys(f.remoteSites), m.prepareMsg(f), f.opts.Multicast)
 	if f.opts.Protocol == wire.Paxos {
 		// The vote request was also the leader's ballot-0 2a (prepareMsg):
 		// only the co-located acceptor is left to tell.
@@ -157,7 +158,7 @@ func (m *Manager) beginCommit(f *family) {
 // allSites is every site of the transaction in site order, this one
 // included (f's lock held).
 func (m *Manager) allSites(f *family) []tid.SiteID {
-	sites := append(sortedSites(f.remoteSites), m.cfg.Site)
+	sites := append(det.SortedKeys(f.remoteSites), m.cfg.Site)
 	slices.Sort(sites)
 	return sites
 }
@@ -231,7 +232,7 @@ func (m *Manager) onPrepare(msg *wire.Msg, p wire.Protocol) {
 	parts := m.participants(f)
 	m.unlockFamily(f)
 
-	vote := m.voteRound(parts, opts)
+	vote := m.voteRound(parts, f.id, opts)
 
 	live := m.relockFamily(f)
 	if vote == wire.VoteNo {
@@ -381,7 +382,7 @@ func (m *Manager) onVote(msg *wire.Msg, p wire.Protocol) {
 	} else if p == wire.NonBlocking {
 		m.nbBeginReplication(f) // change 3
 	} else {
-		m.decideCommit(f, sortedSites(f.updateSubs), nil)
+		m.decideCommit(f, det.SortedKeys(f.updateSubs), nil)
 	}
 }
 
@@ -464,7 +465,7 @@ func (m *Manager) decideCommit(f *family, notify, tell []tid.SiteID) {
 // held.
 func (m *Manager) abortFamily(f *family) {
 	var notify []tid.SiteID
-	for _, s := range sortedSites(f.remoteSites) {
+	for _, s := range det.SortedKeys(f.remoteSites) {
 		if v := f.votes[s]; v != wire.VoteNo && v != wire.VoteReadOnly {
 			notify = append(notify, s)
 		}
@@ -527,6 +528,6 @@ func (m *Manager) end(f *family) {
 // retryOutcome is one timer-driven round of the notify phase: re-send
 // the outcome to the sites that have not acknowledged (f's lock held).
 func (m *Manager) retryOutcome(f *family) {
-	m.retryFanout(f, sortedSites(f.acksPending), m.outcomeMsg(f), "outcome")
+	m.retryFanout(f, det.SortedKeys(f.acksPending), m.outcomeMsg(f), "outcome")
 	m.reschedule(f, m.cfg.RetryInterval)
 }

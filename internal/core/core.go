@@ -34,6 +34,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"strings"
 	"time"
 
 	"camelot/internal/det"
@@ -283,7 +284,7 @@ type family struct {
 	ph    phase
 	coord bool // this site began the family
 
-	participants map[string]server.Participant
+	participants []server.Participant // joined here, one per name, in name order
 	txns         map[tid.TID]*txn
 
 	// Coordinator state.
@@ -572,7 +573,7 @@ func (m *Manager) Join(t tid.TID, anc []tid.TID, p server.Participant) error {
 		if fam.txns[t] == nil {
 			fam.txns[t] = &txn{id: t, anc: anc, sites: make(map[tid.SiteID]bool)}
 		}
-		fam.participants[p.Name()] = p
+		fam.join(p)
 		// A remote family that joins here might be orphaned: if the
 		// operation's response is lost, the coordinator never learns
 		// this site participates and its abort protocol will miss us.
@@ -588,6 +589,19 @@ func (m *Manager) Join(t tid.TID, anc []tid.TID, p server.Participant) error {
 		return ErrClosed
 	}
 	return err
+}
+
+// join adds p at its name's place in the participant list; a second
+// join under the same name replaces the entry (f's lock held).
+func (f *family) join(p server.Participant) {
+	i, found := slices.BinarySearchFunc(f.participants, p.Name(), func(q server.Participant, name string) int {
+		return strings.Compare(q.Name(), name)
+	})
+	if found {
+		f.participants[i] = p
+		return
+	}
+	f.participants = slices.Insert(f.participants, i, p)
 }
 
 // AddSites records that t spread to the given remote sites — the

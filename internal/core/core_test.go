@@ -619,3 +619,125 @@ func TestPiggybackedAcksLetCoordinatorForget(t *testing.T) {
 		}
 	})
 }
+
+// TestCommitAllocs pins what a commit allocates on the simulation
+// kernel, the transaction manager's share and the kernel's and log's
+// under it: a one-server local commit at its coordinator, and a
+// two-site commit's subordinate side, driven by a sink standing in for
+// the coordinator. Each takes two snapshots of the family's
+// participants, with the lock dropped around the calls they make; a
+// snapshot is one allocation. The bounds leave room for the race
+// detector's own allocations.
+func TestCommitAllocs(t *testing.T) {
+	t.Run("local", func(t *testing.T) {
+		h := newHarness(t, 1)
+		s := h.sites[1]
+		cycle := func() {
+			txn, err := s.m.Begin()
+			if err == nil {
+				err = s.m.Join(txn, nil, s.part)
+			}
+			if err == nil {
+				_, err = s.m.Commit(txn, core.Options{})
+			}
+			if err != nil {
+				t.Error(err)
+			}
+		}
+		var allocs float64
+		h.run(t, func() {
+			cycle()
+			allocs = testing.AllocsPerRun(100, cycle)
+		})
+		if allocs > 56 {
+			t.Errorf("a one-server local commit allocates %v times, want ≤ 56", allocs)
+		}
+	})
+	t.Run("subordinate", func(t *testing.T) {
+		h := newHarness(t, 0)
+		s := h.addSite(2)
+		h.net.Register(3, func(transport.Datagram) {})
+		n := uint32(0)
+		cycle := func() {
+			n++
+			txn := tid.Top(tid.MakeFamily(3, n))
+			if err := s.m.Join(txn, nil, s.part); err != nil {
+				t.Error(err)
+			}
+			s.m.Deliver(&wire.Msg{Kind: wire.KPrepare, TID: txn, From: 3, To: 2})
+			h.k.Sleep(5 * time.Millisecond)
+			s.m.Deliver(&wire.Msg{Kind: wire.KCommit, TID: txn, From: 3, To: 2})
+			h.k.Sleep(5 * time.Millisecond)
+		}
+		var allocs float64
+		h.run(t, func() {
+			cycle()
+			allocs = testing.AllocsPerRun(100, cycle)
+		})
+		if s.part.commits != 102 {
+			t.Errorf("participant commits = %d, want 102", s.part.commits)
+		}
+		if allocs > 88 {
+			t.Errorf("a two-site commit's subordinate side allocates %v times, want ≤ 88", allocs)
+		}
+	})
+}
+
+// loggingPart is a fakePart that also notes each vote request and
+// outcome it gets, with its name, in a log shared by several.
+type loggingPart struct {
+	fakePart
+	log *[]string
+}
+
+func (p *loggingPart) Vote(f tid.FamilyID) wire.Vote {
+	*p.log = append(*p.log, "vote "+p.name)
+	return p.fakePart.Vote(f)
+}
+
+func (p *loggingPart) CommitFamily(f tid.FamilyID) {
+	*p.log = append(*p.log, "commit "+p.name)
+	p.fakePart.CommitFamily(f)
+}
+
+// TestParticipantsVisitedInNameOrder: servers that join in reverse name
+// order are asked to vote, and told the outcome, in name order, and a
+// server that two transactions of the family joined is asked once.
+func TestParticipantsVisitedInNameOrder(t *testing.T) {
+	h := newHarness(t, 1)
+	h.run(t, func() {
+		m := h.sites[1].m
+		var log []string
+		part := func(name string) *loggingPart {
+			return &loggingPart{fakePart: fakePart{name: name, vote: wire.VoteYes}, log: &log}
+		}
+		c, b, a := part("srvC"), part("srvB"), part("srvA")
+		txn, err := m.Begin()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range []*loggingPart{c, b, a} {
+			if err := m.Join(txn, nil, p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		child, anc, err := m.BeginChild(txn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Join(child, anc, b); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.Commit(child, core.Options{}); err != nil {
+			t.Fatalf("child commit: %v", err)
+		}
+		if _, err := m.Commit(txn, core.Options{}); err != nil {
+			t.Fatalf("Commit: %v", err)
+		}
+		h.k.Sleep(50 * time.Millisecond) // the release runs on its own thread
+		want := []string{"vote srvA", "vote srvB", "vote srvC", "commit srvA", "commit srvB", "commit srvC"}
+		if !slices.Equal(log, want) {
+			t.Errorf("calls %q, want %q", log, want)
+		}
+	})
+}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"camelot/internal/rt"
-	"camelot/internal/server"
 	"camelot/internal/tid"
 	"camelot/internal/trace"
 	"camelot/internal/wire"
@@ -145,13 +144,12 @@ func (m *Manager) lockAttributed(mu rt.Mutex, class trace.Counter) {
 // table; callers publish it through the familyTable.
 func (m *Manager) newFamily(id tid.FamilyID) *family {
 	fam := &family{
-		id:           id,
-		participants: make(map[string]server.Participant),
-		txns:         make(map[tid.TID]*txn),
-		remoteSites:  make(map[tid.SiteID]bool),
-		votes:        make(map[tid.SiteID]wire.Vote),
-		updateSubs:   make(map[tid.SiteID]bool),
-		acksPending:  make(map[tid.SiteID]bool),
+		id:          id,
+		txns:        make(map[tid.TID]*txn),
+		remoteSites: make(map[tid.SiteID]bool),
+		votes:       make(map[tid.SiteID]wire.Vote),
+		updateSubs:  make(map[tid.SiteID]bool),
+		acksPending: make(map[tid.SiteID]bool),
 	}
 	fam.mu = m.r.NewMutex()
 	return fam

@@ -4,6 +4,7 @@ import (
 	"slices"
 	"time"
 
+	"camelot/internal/det"
 	"camelot/internal/rt"
 	"camelot/internal/tid"
 	"camelot/internal/trace"
@@ -229,7 +230,7 @@ func (m *Manager) tick(id tid.FamilyID) {
 			return
 		}
 		var missing []tid.SiteID
-		for _, s := range sortedSites(f.remoteSites) {
+		for _, s := range det.SortedKeys(f.remoteSites) {
 			if _, voted := f.votes[s]; !voted || (f.paxosIsAcceptor(s) && !f.pax2b[s]) {
 				missing = append(missing, s)
 			}
@@ -247,7 +248,7 @@ func (m *Manager) tick(id tid.FamilyID) {
 			return
 		}
 		var missing []tid.SiteID
-		for _, s := range sortedSites(f.replTargets) {
+		for _, s := range det.SortedKeys(f.replTargets) {
 			if !f.replAcks[s] {
 				missing = append(missing, s)
 			}

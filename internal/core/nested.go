@@ -10,9 +10,6 @@ import (
 	"camelot/internal/wire"
 )
 
-// newResultFuture builds a future on the manager's runtime.
-func newResultFuture[T any](m *Manager) *rt.Future[T] { return rt.NewFuture[T](m.r) }
-
 // Nested transactions (Moss model). Committing a child merges its
 // locks, updates, and site set into the parent at every site the
 // child touched; aborting a child undoes its subtree everywhere
@@ -25,7 +22,7 @@ func newResultFuture[T any](m *Manager) *rt.Future[T] { return rt.NewFuture[T](m
 // commitChild merges a committed nested transaction into its parent,
 // the last of its chain.
 func (m *Manager) commitChild(child tid.TID) (wire.Outcome, error) {
-	done := newResultFuture[error](m)
+	done := rt.NewFuture[error](m.r)
 	m.queue.Put(func() {
 		f := m.lockFamily(child.Family)
 		if f == nil {
@@ -71,7 +68,7 @@ func (m *Manager) commitChild(child tid.TID) (wire.Outcome, error) {
 // abortChild undoes a nested transaction and its descendants at every
 // site it touched.
 func (m *Manager) abortChild(child tid.TID) error {
-	done := newResultFuture[error](m)
+	done := rt.NewFuture[error](m.r)
 	m.queue.Put(func() {
 		f := m.lockFamily(child.Family)
 		if f == nil {

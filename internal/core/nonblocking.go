@@ -1,6 +1,7 @@
 package core
 
 import (
+	"camelot/internal/det"
 	"camelot/internal/tid"
 	"camelot/internal/trace"
 	"camelot/internal/wal"
@@ -64,7 +65,7 @@ func (m *Manager) nbBeginReplication(f *family) {
 	f.ph = phReplicating
 	f.attempts, f.backoffN = 0, 0
 	m.tr.PhaseBegin(m.cfg.Site, tid.Top(f.id), "replicate")
-	m.fanout(sortedSites(f.replTargets), m.replicateMsg(f), f.opts.Multicast)
+	m.fanout(det.SortedKeys(f.replTargets), m.replicateMsg(f), f.opts.Multicast)
 	m.schedule(f, m.cfg.RetryInterval)
 	m.nbCheckCommitQuorum(f)
 }
@@ -106,7 +107,7 @@ func (m *Manager) nbCheckCommitQuorum(f *family) {
 	// Notify the replication targets, which include every update
 	// subordinate. Read-only sites that were not targets have already
 	// released and forgotten.
-	m.decideCommit(f, sortedSites(f.replTargets), nil)
+	m.decideCommit(f, det.SortedKeys(f.replTargets), nil)
 }
 
 // --- subordinate side ---

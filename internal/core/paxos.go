@@ -345,7 +345,7 @@ func (m *Manager) paxosDecide(f *family, commit bool, exclude tid.SiteID) {
 		m.commitAndForget(f, roAcceptors)
 		return
 	}
-	m.decideCommit(f, sortedSites(f.updateSubs), roAcceptors)
+	m.decideCommit(f, det.SortedKeys(f.updateSubs), roAcceptors)
 }
 
 // paxosLastVoter reports whether this site's Yes is the last value its

@@ -64,7 +64,7 @@ func (m *Manager) resume(t tid.TID, rebuild func(*family)) {
 // state alone, active.
 func (m *Manager) restoreInDoubt(f *family, d recman.InDoubt, parts []server.Participant) {
 	for _, p := range parts {
-		f.participants[p.Name()] = p
+		f.join(p)
 	}
 	f.opts.Protocol = d.Protocol
 	f.nbSites, f.commitQuorum, f.abortQuorum, f.nbVotes = d.Sites, d.CommitQuorum, d.AbortQuorum, d.Votes

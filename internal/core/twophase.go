@@ -2,8 +2,8 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
-	"camelot/internal/det"
 	"camelot/internal/rt"
 	"camelot/internal/server"
 	"camelot/internal/tid"
@@ -50,29 +50,34 @@ func (m *Manager) Commit(t tid.TID, opts Options) (wire.Outcome, error) {
 // the abort protocol, which "can operate with incomplete knowledge
 // about which sites are involved": known remote sites are notified,
 // and any site missed will learn the outcome by presumed-abort
-// inquiry.
+// inquiry. It returns nil only when the family is aborted, or will be
+// under presumed abort; once commitment has begun it refuses.
 func (m *Manager) Abort(t tid.TID) error {
 	m.chargeClientIPC()
 	if !t.IsTop() {
 		return m.abortChild(t)
 	}
-	fut := rt.NewFuture[wire.Outcome](m.r)
+	fut := rt.NewFuture[bool](m.r)
 	m.queue.Put(func() {
 		f := m.lockFamily(t.Family)
 		if f == nil {
-			fut.Set(wire.OutcomeAbort)
+			// Forgotten or never known here: aborted, or presumed so,
+			// unless the resolved outcomes remember a commit.
+			fut.Set(m.resolvedOutcome(t.Family) != wire.OutcomeCommit)
 			return
 		}
 		defer m.unlockFamily(f)
-		if f.ph != phActive {
-			fut.Set(wire.OutcomeAbort)
-			return
+		if f.ph == phActive {
+			m.abortFamily(f)
 		}
-		m.abortFamily(f)
-		fut.Set(wire.OutcomeAbort)
+		fut.Set(f.ph == phAborted)
 	})
-	if _, ok := fut.WaitTimeout(m.cfg.RetryInterval * 600); !ok {
+	aborted, ok := fut.WaitTimeout(m.cfg.RetryInterval * 600)
+	if !ok {
 		return ErrClosed
+	}
+	if !aborted {
+		return fmt.Errorf("core: abort after commitment began for %s", t)
 	}
 	return nil
 }
@@ -95,7 +100,7 @@ func (m *Manager) commitTop(t tid.TID, opts Options, fut *rt.Future[wire.Outcome
 
 	// Phase one, local half: ask each local server whether it is
 	// willing to commit (Figure 1 step 8).
-	local := m.voteRound(parts, opts)
+	local := m.voteRound(parts, f.id, opts)
 
 	live := m.relockFamily(f)
 	defer m.unlockFamily(f)
@@ -304,7 +309,7 @@ func (m *Manager) localAbort(f *family) {
 
 // voteRound performs the local half of phase one: one IPC round to
 // the joined servers, combining their votes.
-func (m *Manager) voteRound(parts []server.Participant, opts Options) wire.Vote {
+func (m *Manager) voteRound(parts []server.Participant, fid tid.FamilyID, opts Options) wire.Vote {
 	if len(parts) == 0 {
 		if opts.DisableReadOnlyOpt {
 			return wire.VoteYes
@@ -317,7 +322,7 @@ func (m *Manager) voteRound(parts []server.Participant, opts Options) wire.Vote 
 	rt.Charge(m.r, m.cfg.Kernel, m.cfg.Params.LocalIPCServer+m.cfg.Params.KernelCPU)
 	combined := wire.VoteReadOnly
 	for _, p := range parts {
-		switch p.Vote(0) { // family filled in by wrapper below
+		switch p.Vote(fid) {
 		case wire.VoteNo:
 			return wire.VoteNo
 		case wire.VoteYes:
@@ -333,30 +338,11 @@ func (m *Manager) voteRound(parts []server.Participant, opts Options) wire.Vote 
 	return combined
 }
 
-// participants snapshots the family's joined servers as closures
-// bound to the family id, so vote rounds and releases can run without
-// holding the family lock.
+// participants snapshots the family's joined servers in name order,
+// so vote rounds and releases can run without holding the family lock.
 func (m *Manager) participants(f *family) []server.Participant {
-	out := make([]server.Participant, 0, len(f.participants))
-	for _, name := range det.SortedKeys(f.participants) {
-		out = append(out, boundParticipant{p: f.participants[name], f: f.id})
-	}
-	return out
+	return slices.Clone(f.participants)
 }
-
-// boundParticipant pins a participant to one family so callers do not
-// thread the family id everywhere.
-type boundParticipant struct {
-	p server.Participant
-	f tid.FamilyID
-}
-
-func (b boundParticipant) Name() string                { return b.p.Name() }
-func (b boundParticipant) Vote(tid.FamilyID) wire.Vote { return b.p.Vote(b.f) }
-func (b boundParticipant) CommitFamily(tid.FamilyID)   { b.p.CommitFamily(b.f) }
-func (b boundParticipant) AbortFamily(tid.FamilyID)    { b.p.AbortFamily(b.f) }
-func (b boundParticipant) CommitChild(c tid.TID)       { b.p.CommitChild(c) }
-func (b boundParticipant) AbortChild(c tid.TID)        { b.p.AbortChild(c) }
 
 // releaseLocal tells local servers to apply or undo and drop locks
 // (Figure 1 step 11). The call is one-way — it is not on the
@@ -391,8 +377,4 @@ func optionsFromFlags(fl uint8) Options {
 		ImmediateAck:       fl&wire.FlagImmediateAck != 0,
 		DisableReadOnlyOpt: fl&wire.FlagNoReadOnlyOpt != 0,
 	}
-}
-
-func sortedSites(set map[tid.SiteID]bool) []tid.SiteID {
-	return det.SortedKeys(set)
 }

@@ -260,7 +260,9 @@ func (s *Server) handle(req Request) Response {
 		return resp
 
 	case OpAbort:
-		n.Abort(t)
+		if err := n.Abort(t); err != nil {
+			return Response{Err: err.Error()}
+		}
 		return Response{OK: true}
 
 	case OpOutcome:

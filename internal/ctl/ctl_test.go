@@ -151,6 +151,29 @@ func TestCtlRefusesUnknownProtocol(t *testing.T) {
 	}
 }
 
+// TestCtlAbortAfterCommitFails: the abort op answers OK only for a
+// transaction it aborted; after a commit it carries the refusal, and
+// the committed value stays.
+func TestCtlAbortAfterCommitFails(t *testing.T) {
+	_, c := startShardedNode(t, 1, shardmap.Default(1))
+	bt, err := c.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.WriteKey(bt, "k", []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.CommitWith(bt, ""); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Abort(bt); err == nil {
+		t.Error("Abort after the commit answered OK")
+	}
+	if v, ok, err := c.PeekKey("k"); err != nil || !ok || string(v) != "v" {
+		t.Errorf("PeekKey after the refused abort = %q, present %v, err %v", v, ok, err)
+	}
+}
+
 // TestCtlReadOfAbsentKeyIsTyped: a read the site served, of a key with
 // no value, comes back as ErrNoSuchKey — the class a prober needs to
 // tell "absent" from "could not take the lock" — and not as either
