@@ -240,8 +240,12 @@ perf-pairs:
 # one that the measured numbers did not. The 2pc chaos run is the full
 # sweep: the 60-point samples reach no checkpoint point, so it is the
 # one run that injects a fault at the checkpoint's truncation. The three
-# camelot-trace fault runs crash a site mid-commit and restart it: each
+# camelot-trace crash runs crash a site mid-commit and restart it: each
 # restores an in-doubt family and applies its outcome after recovery.
+# The two isolate-sub runs cut a subordinate off and heal it: under nb
+# two sites promote and two force abort intents (the promoted
+# coordinator's status and pledge tallies), under paxos the coordinator
+# re-asks for votes round after round (its vote and 2b tallies).
 FROZEN = $(wildcard cmd/camelot-trace/testdata internal/exp/testdata internal/chaos/testdata \
 	internal/load/testdata)
 FROZEN_DIR = .frozen
@@ -253,6 +257,8 @@ FROZEN_RUNS = \
 	'camelot-trace -protocol nb -fault crash-coordinator -heal-after 2s' \
 	'camelot-trace -protocol 2pc -fault crash-sub -heal-after 2s' \
 	'camelot-trace -protocol paxos -fault crash-coordinator -heal-after 2s' \
+	'camelot-trace -protocol nb -fault isolate-sub -heal-after 2s' \
+	'camelot-trace -protocol paxos -fault isolate-sub -heal-after 2s' \
 	'camelot-chaos -protocol 2pc' \
 	'camelot-chaos -points 60 -protocol nb' \
 	'camelot-chaos -points 60 -protocol paxos' \

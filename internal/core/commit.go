@@ -4,7 +4,6 @@ import (
 	"slices"
 	"time"
 
-	"camelot/internal/det"
 	"camelot/internal/tid"
 	"camelot/internal/trace"
 	"camelot/internal/wal"
@@ -102,7 +101,7 @@ func (f *family) answer(out wire.Outcome) {
 // Called and returns with f's lock held; the lock is released around
 // the coordinator's own prepare force, where the protocol has one.
 func (m *Manager) beginCommit(f *family) {
-	f.votes[m.cfg.Site] = f.localVote
+	f.setVote(m.cfg.Site, f.localVote)
 	ownPrepare := false
 	switch f.opts.Protocol {
 	case wire.TwoPhase:
@@ -117,15 +116,12 @@ func (m *Manager) beginCommit(f *family) {
 		// abort after its coordinator dies.
 		f.commitQuorum = len(f.nbSites)/2 + 1
 		f.abortQuorum = len(f.nbSites) - f.commitQuorum + 1
-		f.replAcks = make(map[tid.SiteID]bool)
-		f.replTargets = make(map[tid.SiteID]bool)
 		// Change 5: the coordinator prepares before sending the prepare
 		// message.
 		ownPrepare = f.localVote == wire.VoteYes
 	case wire.Paxos:
 		f.nbSites = m.allSites(f)
 		f.paxAcceptors = paxosAcceptorSet(m.cfg.Site, f.nbSites, f.opts.PaxosF)
-		m.ensurePaxos(f)
 		// Durable own vote before it can be accepted elsewhere. At F=0 the
 		// only acceptor is this site, whose batched accepted record
 		// subsumes the vote — eliding the separate force here is what
@@ -144,7 +140,7 @@ func (m *Manager) beginCommit(f *family) {
 	}
 	f.ph = phPreparing
 	m.tr.PhaseBegin(m.cfg.Site, tid.Top(f.id), "prepare")
-	m.fanout(det.SortedKeys(f.remoteSites), m.prepareMsg(f), f.opts.Multicast)
+	m.fanout(f.remoteSites, m.prepareMsg(f), f.opts.Multicast)
 	if f.opts.Protocol == wire.Paxos {
 		// The vote request was also the leader's ballot-0 2a (prepareMsg):
 		// only the co-located acceptor is left to tell.
@@ -158,7 +154,7 @@ func (m *Manager) beginCommit(f *family) {
 // allSites is every site of the transaction in site order, this one
 // included (f's lock held).
 func (m *Manager) allSites(f *family) []tid.SiteID {
-	sites := append(det.SortedKeys(f.remoteSites), m.cfg.Site)
+	sites := append(slices.Clip(f.remoteSites), m.cfg.Site)
 	slices.Sort(sites)
 	return sites
 }
@@ -225,10 +221,7 @@ func (m *Manager) onPrepare(msg *wire.Msg, p wire.Protocol) {
 	// absent fields are zero.
 	f.nbSites, f.paxAcceptors = msg.Sites, msg.Acceptors
 	f.commitQuorum, f.abortQuorum = int(msg.CommitQuorum), int(msg.AbortQuorum)
-	if p == wire.Paxos {
-		m.ensurePaxos(f)
-		f.paxVoting = true
-	}
+	f.paxVoting = p == wire.Paxos
 	parts := m.participants(f)
 	m.unlockFamily(f)
 
@@ -358,7 +351,7 @@ func (m *Manager) onVote(msg *wire.Msg, p wire.Protocol) {
 	if p == wire.Paxos && msg.Vote != wire.VoteNo {
 		return // Yes and ReadOnly reach a Paxos leader through the acceptors
 	}
-	f.votes[msg.From] = msg.Vote
+	f.setVote(msg.From, msg.Vote)
 	if msg.Vote == wire.VoteNo {
 		if p == wire.Paxos {
 			// A No never reaches the acceptors — the RM is the sole
@@ -371,9 +364,8 @@ func (m *Manager) onVote(msg *wire.Msg, p wire.Protocol) {
 		}
 		return
 	}
-	//lint:ordered pure membership test; no effect depends on visit order
-	for s := range f.remoteSites {
-		if _, ok := f.votes[s]; !ok {
+	for _, s := range f.remoteSites {
+		if _, ok := f.vote(s); !ok {
 			return // still waiting
 		}
 	}
@@ -382,7 +374,7 @@ func (m *Manager) onVote(msg *wire.Msg, p wire.Protocol) {
 	} else if p == wire.NonBlocking {
 		m.nbBeginReplication(f) // change 3
 	} else {
-		m.decideCommit(f, det.SortedKeys(f.updateSubs), nil)
+		m.decideCommit(f, f.updateSubs, nil)
 	}
 }
 
@@ -392,13 +384,13 @@ func (m *Manager) onVote(msg *wire.Msg, p wire.Protocol) {
 // which needs no second phase and no log writes (f's lock held).
 func (m *Manager) tallyVotes(f *family) (readOnly bool) {
 	m.tr.PhaseEnd(m.cfg.Site, tid.Top(f.id), "prepare")
-	//lint:ordered set construction; insertion order is unobservable
-	for s, v := range f.votes {
-		if s != m.cfg.Site && v == wire.VoteYes {
-			f.updateSubs[s] = true
+	for _, sv := range f.votes {
+		if sv.Site != m.cfg.Site && sv.Vote == wire.VoteYes {
+			f.updateSubs = unionSites(f.updateSubs, sv.Site)
 		}
 	}
-	return len(f.updateSubs) == 0 && f.votes[m.cfg.Site] == wire.VoteReadOnly && !f.opts.DisableReadOnlyOpt
+	own, _ := f.vote(m.cfg.Site)
+	return len(f.updateSubs) == 0 && own == wire.VoteReadOnly && !f.opts.DisableReadOnlyOpt
 }
 
 // --- decision ---
@@ -444,9 +436,7 @@ func (m *Manager) decideCommit(f *family, notify, tell []tid.SiteID) {
 	if spec.answerFirst {
 		f.answer(wire.OutcomeCommit)
 	}
-	for _, s := range notify {
-		f.acksPending[s] = true
-	}
+	f.acksPending = unionSites(f.acksPending, notify...)
 	if len(notify) > 0 {
 		m.tr.PhaseBegin(m.cfg.Site, top, "notify")
 	}
@@ -465,8 +455,8 @@ func (m *Manager) decideCommit(f *family, notify, tell []tid.SiteID) {
 // held.
 func (m *Manager) abortFamily(f *family) {
 	var notify []tid.SiteID
-	for _, s := range det.SortedKeys(f.remoteSites) {
-		if v := f.votes[s]; v != wire.VoteNo && v != wire.VoteReadOnly {
+	for _, s := range f.remoteSites {
+		if v, _ := f.vote(s); v != wire.VoteNo && v != wire.VoteReadOnly {
 			notify = append(notify, s)
 		}
 	}
@@ -491,9 +481,7 @@ func (m *Manager) decideAbort(f *family, notify []tid.SiteID, acked bool) {
 	f.answer(wire.OutcomeAbort)
 	msg := &wire.Msg{Kind: wire.KAbort, TID: top}
 	if acked {
-		for _, s := range notify {
-			f.acksPending[s] = true
-		}
+		f.acksPending = unionSites(f.acksPending, notify...)
 		msg = m.outcomeMsg(f)
 	}
 	m.fanout(notify, msg, f.opts.Multicast)
@@ -528,6 +516,6 @@ func (m *Manager) end(f *family) {
 // retryOutcome is one timer-driven round of the notify phase: re-send
 // the outcome to the sites that have not acknowledged (f's lock held).
 func (m *Manager) retryOutcome(f *family) {
-	m.retryFanout(f, det.SortedKeys(f.acksPending), m.outcomeMsg(f), "outcome")
+	m.retryFanout(f, f.acksPending, m.outcomeMsg(f), "outcome")
 	m.reschedule(f, m.cfg.RetryInterval)
 }

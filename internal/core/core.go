@@ -287,11 +287,12 @@ type family struct {
 	participants []server.Participant // joined here, one per name, in name order
 	txns         map[tid.TID]*txn
 
-	// Coordinator state.
-	remoteSites map[tid.SiteID]bool
-	votes       map[tid.SiteID]wire.Vote
-	updateSubs  map[tid.SiteID]bool
-	acksPending map[tid.SiteID]bool
+	// Coordinator state. Sets of sites and per-site values are slices
+	// in site order (sites.go).
+	remoteSites []tid.SiteID
+	votes       []wire.SiteVote // phase-one answers, this site's included
+	updateSubs  []tid.SiteID
+	acksPending []tid.SiteID
 	result      *rt.Future[wire.Outcome]
 	localVote   wire.Vote // this site's own phase-one vote (either role)
 
@@ -300,8 +301,8 @@ type family struct {
 	commitQuorum int
 	abortQuorum  int
 	nbVotes      []wire.SiteVote
-	replAcks     map[tid.SiteID]bool // coordinator: who has forced intent
-	replTargets  map[tid.SiteID]bool
+	replAcks     []tid.SiteID // coordinator: who has forced intent
+	replTargets  []tid.SiteID
 
 	// Subordinate state.
 	prepared bool
@@ -318,22 +319,22 @@ type family struct {
 
 	// Promotion (a subordinate acting as coordinator, §3.3 change 2).
 	promoted     bool
-	statusResp   map[tid.SiteID]wire.NBState
-	abortIntents map[tid.SiteID]bool
+	statusResp   []siteStatus
+	abortIntents []tid.SiteID
 
 	// Paxos Commit state (paxos.go). The acceptor role lives inside
 	// the family descriptor — every acceptor is also a participant —
 	// so it shares the family lock with the RM and leader roles.
-	paxAcceptors []tid.SiteID                        // the transaction's shared acceptor set
-	paxPromised  uint64                              // acceptor: highest promised ballot
-	paxAcc       map[tid.SiteID]wire.PaxosAccepted   // acceptor: per-instance accepted state
-	paxAccForced bool                                // acceptor: accepted record durable
-	pax2b        map[tid.SiteID]bool                 // leader: acceptors confirmed this round
-	pax1b        map[tid.SiteID][]wire.PaxosAccepted // takeover leader: phase-1b replies
-	paxBallot    uint64                              // takeover leader: ballot being driven
-	paxNack      uint64                              // highest rival ballot seen in a nack
-	paxRound     uint32                              // takeover ballot round counter
-	paxStage     uint8                               // takeover: 0 idle, 1 awaiting 1b, 2 awaiting 2b
+	paxAcceptors []tid.SiteID         // the transaction's shared acceptor set
+	paxPromised  uint64               // acceptor: highest promised ballot
+	paxAcc       []wire.PaxosAccepted // acceptor: per-instance accepted state
+	paxAccForced bool                 // acceptor: accepted record durable
+	pax2b        []tid.SiteID         // leader: acceptors confirmed this round
+	pax1b        []promise            // takeover leader: phase-1b replies
+	paxBallot    uint64               // takeover leader: ballot being driven
+	paxNack      uint64               // highest rival ballot seen in a nack
+	paxRound     uint32               // takeover ballot round counter
+	paxStage     uint8                // takeover: 0 idle, 1 awaiting 1b, 2 awaiting 2b
 	// paxAcceptorOnly marks a family descriptor created by an acceptor
 	// message (2a/1a) rather than by Join: the site serves its acceptor
 	// role but its volatile RM state is gone, so it must answer No to a
@@ -359,8 +360,8 @@ type family struct {
 // txn is one transaction within a family.
 type txn struct {
 	id    tid.TID
-	anc   []tid.TID           // ancestors, outermost first; nil at top level
-	sites map[tid.SiteID]bool // remote sites this transaction touched
+	anc   []tid.TID    // ancestors, outermost first; nil at top level
+	sites []tid.SiteID // remote sites this transaction touched
 }
 
 // New starts a transaction manager. The caller (the site assembly)
@@ -501,7 +502,7 @@ func (m *Manager) Begin() (tid.TID, error) {
 		t := tid.Top(f)
 		fam, _ := m.lockOrCreateFamily(f) // id is fresh: always created
 		fam.coord = true
-		fam.txns[t] = &txn{id: t, sites: make(map[tid.SiteID]bool)}
+		fam.txns[t] = &txn{id: t}
 		m.tr.Count(m.cfg.Site, trace.Begun, 1)
 		m.unlockFamily(fam)
 		fut.Set(t)
@@ -537,7 +538,7 @@ func (m *Manager) BeginChild(parent tid.TID) (tid.TID, []tid.TID, error) {
 		seq := tid.MakeSeq(m.cfg.Site, m.nextChild)
 		m.idMu.Unlock()
 		t := tid.TID{Family: parent.Family, Seq: seq}
-		tx := &txn{id: t, anc: append(slices.Clip(ptx.anc), parent), sites: make(map[tid.SiteID]bool)}
+		tx := &txn{id: t, anc: append(slices.Clip(ptx.anc), parent)}
 		fam.txns[t] = tx
 		fut.Set(tx)
 	})
@@ -571,7 +572,7 @@ func (m *Manager) Join(t tid.TID, anc []tid.TID, p server.Participant) error {
 			return
 		}
 		if fam.txns[t] == nil {
-			fam.txns[t] = &txn{id: t, anc: anc, sites: make(map[tid.SiteID]bool)}
+			fam.txns[t] = &txn{id: t, anc: anc}
 		}
 		fam.join(p)
 		// A remote family that joins here might be orphaned: if the
@@ -617,9 +618,9 @@ func (m *Manager) AddSites(t tid.TID, sites []tid.SiteID) {
 		if s == m.cfg.Site {
 			continue
 		}
-		fam.remoteSites[s] = true
+		fam.remoteSites = unionSites(fam.remoteSites, s)
 		if tx := fam.txns[t]; tx != nil {
-			tx.sites[s] = true
+			tx.sites = unionSites(tx.sites, s)
 		}
 	}
 }

@@ -143,16 +143,7 @@ func (m *Manager) lockAttributed(mu rt.Mutex, class trace.Counter) {
 // newFamily builds a level-two descriptor. It is not yet in the
 // table; callers publish it through the familyTable.
 func (m *Manager) newFamily(id tid.FamilyID) *family {
-	fam := &family{
-		id:          id,
-		txns:        make(map[tid.TID]*txn),
-		remoteSites: make(map[tid.SiteID]bool),
-		votes:       make(map[tid.SiteID]wire.Vote),
-		updateSubs:  make(map[tid.SiteID]bool),
-		acksPending: make(map[tid.SiteID]bool),
-	}
-	fam.mu = m.r.NewMutex()
-	return fam
+	return &family{id: id, txns: make(map[tid.TID]*txn), mu: m.r.NewMutex()}
 }
 
 // lockFamily returns id's descriptor with its lock held, or nil if no

@@ -4,7 +4,6 @@ import (
 	"slices"
 	"time"
 
-	"camelot/internal/det"
 	"camelot/internal/rt"
 	"camelot/internal/tid"
 	"camelot/internal/trace"
@@ -230,8 +229,8 @@ func (m *Manager) tick(id tid.FamilyID) {
 			return
 		}
 		var missing []tid.SiteID
-		for _, s := range det.SortedKeys(f.remoteSites) {
-			if _, voted := f.votes[s]; !voted || (f.paxosIsAcceptor(s) && !f.pax2b[s]) {
+		for _, s := range f.remoteSites {
+			if _, voted := f.vote(s); !voted || (f.paxosIsAcceptor(s) && !slices.Contains(f.pax2b, s)) {
 				missing = append(missing, s)
 			}
 		}
@@ -248,8 +247,8 @@ func (m *Manager) tick(id tid.FamilyID) {
 			return
 		}
 		var missing []tid.SiteID
-		for _, s := range det.SortedKeys(f.replTargets) {
-			if !f.replAcks[s] {
+		for _, s := range f.replTargets {
+			if !slices.Contains(f.replAcks, s) {
 				missing = append(missing, s)
 			}
 		}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"slices"
 
-	"camelot/internal/det"
 	"camelot/internal/rt"
 	"camelot/internal/tid"
 	"camelot/internal/wire"
@@ -37,16 +36,12 @@ func (m *Manager) commitChild(child tid.TID) (wire.Outcome, error) {
 		}
 		parent := tid.Parent(tx.anc)
 		if ptx := f.txns[parent]; ptx != nil {
-			//lint:ordered set union; insertion order is unobservable
-			for s := range tx.sites {
-				ptx.sites[s] = true
-			}
+			ptx.sites = unionSites(ptx.sites, tx.sites...)
 		}
 		delete(f.txns, child)
 		parts := m.participants(f)
-		// Notify remote sites the child touched, sorted so the fan-out
-		// is replay-stable.
-		for _, s := range det.SortedKeys(tx.sites) {
+		// Notify remote sites the child touched.
+		for _, s := range tx.sites {
 			m.send(s, &wire.Msg{Kind: wire.KChildCommit, TID: child, Parent: parent})
 		}
 		m.unlockFamily(f)
@@ -83,7 +78,7 @@ func (m *Manager) abortChild(child tid.TID) error {
 		// Collect the sites of the whole doomed subtree known here.
 		sites := dropSubtree(f, child)
 		parts := m.participants(f)
-		for _, s := range det.SortedKeys(sites) {
+		for _, s := range sites {
 			m.send(s, &wire.Msg{Kind: wire.KChildAbort, TID: child})
 		}
 		m.unlockFamily(f)
@@ -102,15 +97,11 @@ func (m *Manager) abortChild(child tid.TID) error {
 // dropSubtree forgets child and every transaction with child in its
 // chain, and returns the union of the sites they touched (f's lock
 // held).
-func dropSubtree(f *family, child tid.TID) map[tid.SiteID]bool {
-	sites := make(map[tid.SiteID]bool)
+func dropSubtree(f *family, child tid.TID) (sites []tid.SiteID) {
 	//lint:ordered set removal and union; insertion order is unobservable
 	for id, tx := range f.txns {
 		if id == child || slices.Contains(tx.anc, child) {
-			//lint:ordered set union; insertion order is unobservable
-			for s := range tx.sites {
-				sites[s] = true
-			}
+			sites = unionSites(sites, tx.sites...)
 			delete(f.txns, id)
 		}
 	}
@@ -130,10 +121,7 @@ func (m *Manager) onChildCommit(msg *wire.Msg) {
 		if ptx := f.txns[parent]; ptx == nil {
 			f.txns[parent] = &txn{id: parent, anc: tx.anc[:len(tx.anc)-1], sites: tx.sites}
 		} else {
-			//lint:ordered set union; insertion order is unobservable
-			for s := range tx.sites {
-				ptx.sites[s] = true
-			}
+			ptx.sites = unionSites(ptx.sites, tx.sites...)
 		}
 		delete(f.txns, msg.TID)
 	}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"camelot/internal/det"
 	"camelot/internal/tid"
 	"camelot/internal/trace"
 	"camelot/internal/wal"
@@ -34,21 +33,19 @@ func (m *Manager) nbBeginReplication(f *family) {
 	}
 	f.nbVotes = f.nbVotes[:0]
 	for _, s := range f.nbSites {
-		f.nbVotes = append(f.nbVotes, wire.SiteVote{Site: s, Vote: f.votes[s]})
+		v, _ := f.vote(s)
+		f.nbVotes = append(f.nbVotes, wire.SiteVote{Site: s, Vote: v})
 	}
 
 	// Pick replication targets: update subordinates first, read-only
 	// subordinates only as quorum filler.
-	//lint:ordered set copy; insertion order is unobservable
-	for s := range f.updateSubs {
-		f.replTargets[s] = true
-	}
+	f.replTargets = unionSites(f.replTargets, f.updateSubs...)
 	for _, s := range f.nbSites {
 		if len(f.replTargets)+1 >= f.commitQuorum { // +1: the coordinator's own record
 			break
 		}
-		if s != m.cfg.Site && !f.replTargets[s] {
-			f.replTargets[s] = true
+		if s != m.cfg.Site {
+			f.replTargets = unionSites(f.replTargets, s)
 		}
 	}
 
@@ -61,11 +58,11 @@ func (m *Manager) nbBeginReplication(f *family) {
 		return
 	}
 	f.nbState = wire.NBReplicated
-	f.replAcks[m.cfg.Site] = true
+	f.replAcks = unionSites(f.replAcks, m.cfg.Site)
 	f.ph = phReplicating
 	f.attempts, f.backoffN = 0, 0
 	m.tr.PhaseBegin(m.cfg.Site, tid.Top(f.id), "replicate")
-	m.fanout(det.SortedKeys(f.replTargets), m.replicateMsg(f), f.opts.Multicast)
+	m.fanout(f.replTargets, m.replicateMsg(f), f.opts.Multicast)
 	m.schedule(f, m.cfg.RetryInterval)
 	m.nbCheckCommitQuorum(f)
 }
@@ -91,7 +88,7 @@ func (m *Manager) onNBReplicateAck(msg *wire.Msg) {
 	if f.ph != phReplicating {
 		return
 	}
-	f.replAcks[msg.From] = true
+	f.replAcks = unionSites(f.replAcks, msg.From)
 	m.nbCheckCommitQuorum(f)
 }
 
@@ -107,7 +104,7 @@ func (m *Manager) nbCheckCommitQuorum(f *family) {
 	// Notify the replication targets, which include every update
 	// subordinate. Read-only sites that were not targets have already
 	// released and forgotten.
-	m.decideCommit(f, det.SortedKeys(f.replTargets), nil)
+	m.decideCommit(f, f.replTargets, nil)
 }
 
 // --- subordinate side ---

@@ -33,7 +33,6 @@ import (
 	"slices"
 	"sort"
 
-	"camelot/internal/det"
 	"camelot/internal/tid"
 	"camelot/internal/trace"
 	"camelot/internal/wal"
@@ -59,21 +58,9 @@ func (f *family) paxosIsAcceptor(s tid.SiteID) bool { return slices.Contains(f.p
 // acceptor's batch, which is then no longer the batch on the log (f's
 // lock held).
 func (f *family) paxosTake(a wire.PaxosAccepted) {
-	f.paxAcc[a.Site] = a
+	f.paxAcc = putSite(f.paxAcc, a, acceptedSite)
 	f.paxGen++
 	f.paxAccForced = false
-}
-
-// ensurePaxos marks f as a Paxos family and allocates its acceptor
-// maps (f's lock held).
-func (m *Manager) ensurePaxos(f *family) {
-	f.opts.Protocol = wire.Paxos
-	if f.paxAcc == nil {
-		f.paxAcc = make(map[tid.SiteID]wire.PaxosAccepted)
-	}
-	if f.pax2b == nil {
-		f.pax2b = make(map[tid.SiteID]bool)
-	}
 }
 
 // paxosLeaderSite maps a ballot to the site acting as leader for it:
@@ -127,13 +114,7 @@ func (m *Manager) paxosCastVote(f *family, vote wire.Vote) bool {
 // the site and acceptor lists so an acceptor that has never heard of
 // the transaction is still self-sufficient (f's lock held).
 func (m *Manager) paxosSend2a(f *family, vote wire.Vote, except tid.SiteID) {
-	var remotes []tid.SiteID
-	for _, a := range f.paxAcceptors {
-		if a != m.cfg.Site && a != except {
-			remotes = append(remotes, a)
-		}
-	}
-	m.fanout(remotes, &wire.Msg{
+	m.fanout(withoutSites(f.paxAcceptors, m.cfg.Site, except), &wire.Msg{
 		Kind: wire.KPaxos2a, TID: tid.Top(f.id),
 		Votes:     []wire.SiteVote{{Site: m.cfg.Site, Vote: vote}},
 		Sites:     f.nbSites,
@@ -146,12 +127,11 @@ func (m *Manager) paxosSend2a(f *family, vote wire.Vote, except tid.SiteID) {
 // the accepted-record force). Returns false if the family died during
 // the force.
 func (m *Manager) paxosAccept(f *family, ballot uint64, votes []wire.SiteVote) bool {
-	m.ensurePaxos(f)
 	if ballot < f.paxPromised {
 		return true
 	}
 	for _, sv := range votes {
-		cur, ok := f.paxAcc[sv.Site]
+		cur, ok := lookup(f.paxAcc, sv.Site, acceptedSite)
 		if ok && (ballot < cur.Ballot || (ballot == cur.Ballot && cur.Vote == sv.Vote)) {
 			continue
 		}
@@ -171,7 +151,7 @@ func (m *Manager) paxosAcceptorFlush(f *family) bool {
 		return true
 	}
 	for _, s := range f.nbSites {
-		if _, ok := f.paxAcc[s]; !ok {
+		if _, ok := lookup(f.paxAcc, s, acceptedSite); !ok {
 			return true // batch incomplete; wait for the rest
 		}
 	}
@@ -213,7 +193,7 @@ func (m *Manager) paxosAcceptorFlush(f *family) bool {
 func paxosBatch(f *family) (ballot uint64, votes []wire.SiteVote) {
 	votes = make([]wire.SiteVote, 0, len(f.nbSites))
 	for _, s := range f.nbSites {
-		a := f.paxAcc[s]
+		a, _ := lookup(f.paxAcc, s, acceptedSite)
 		if a.Ballot > ballot {
 			ballot = a.Ballot
 		}
@@ -287,9 +267,9 @@ func (m *Manager) paxosMerge2b(f *family, from tid.SiteID, ballot uint64, votes 
 		return
 	}
 	for _, sv := range votes {
-		f.votes[sv.Site] = sv.Vote
+		f.setVote(sv.Site, sv.Vote)
 	}
-	f.pax2b[from] = true
+	f.pax2b = unionSites(f.pax2b, from)
 	m.paxosCheckDecide(f)
 }
 
@@ -304,7 +284,7 @@ func (m *Manager) paxosCheckDecide(f *family) {
 	}
 	commit := true
 	for _, s := range f.nbSites {
-		if v := f.votes[s]; v != wire.VoteYes && v != wire.VoteReadOnly {
+		if v, _ := f.vote(s); v != wire.VoteYes && v != wire.VoteReadOnly {
 			commit = false
 			break
 		}
@@ -323,13 +303,7 @@ func (m *Manager) paxosCheckDecide(f *family) {
 func (m *Manager) paxosDecide(f *family, commit bool, exclude tid.SiteID) {
 	f.paxStage = 0
 	if !commit {
-		var notify []tid.SiteID
-		for _, s := range f.nbSites {
-			if s != m.cfg.Site && s != exclude {
-				notify = append(notify, s)
-			}
-		}
-		m.decideAbort(f, notify, false)
+		m.decideAbort(f, withoutSites(f.nbSites, m.cfg.Site, exclude), false)
 		return
 	}
 	readOnly := m.tallyVotes(f)
@@ -337,7 +311,7 @@ func (m *Manager) paxosDecide(f *family, commit bool, exclude tid.SiteID) {
 	// tell them the outcome fire-and-forget so they can forget too.
 	var roAcceptors []tid.SiteID
 	for _, a := range f.paxAcceptors {
-		if a != m.cfg.Site && f.votes[a] == wire.VoteReadOnly {
+		if v, _ := f.vote(a); a != m.cfg.Site && v == wire.VoteReadOnly {
 			roAcceptors = append(roAcceptors, a)
 		}
 	}
@@ -345,7 +319,7 @@ func (m *Manager) paxosDecide(f *family, commit bool, exclude tid.SiteID) {
 		m.commitAndForget(f, roAcceptors)
 		return
 	}
-	m.decideCommit(f, det.SortedKeys(f.updateSubs), roAcceptors)
+	m.decideCommit(f, f.updateSubs, roAcceptors)
 }
 
 // paxosLastVoter reports whether this site's Yes is the last value its
@@ -360,7 +334,7 @@ func (m *Manager) paxosLastVoter(f *family) bool {
 		if s == m.cfg.Site {
 			continue
 		}
-		if a, ok := f.paxAcc[s]; !ok || a.Ballot != 0 {
+		if a, ok := lookup(f.paxAcc, s, acceptedSite); !ok || a.Ballot != 0 {
 			return false
 		}
 	}
@@ -391,7 +365,7 @@ func (m *Manager) onPaxos2a(msg *wire.Msg) {
 	if f.ph == phCommitted || f.ph == phAborted {
 		return
 	}
-	m.ensurePaxos(f)
+	f.opts.Protocol = wire.Paxos
 	if len(f.nbSites) == 0 {
 		f.nbSites = msg.Sites
 	}
@@ -430,7 +404,7 @@ func (m *Manager) onPaxos2b(msg *wire.Msg) {
 	if f.opts.Protocol != wire.Paxos {
 		return
 	}
-	if _, have := f.paxAcc[msg.From]; !have && msg.Ballot == 0 && f.paxosIsAcceptor(m.cfg.Site) {
+	if _, have := lookup(f.paxAcc, msg.From, acceptedSite); !have && msg.Ballot == 0 && f.paxosIsAcceptor(m.cfg.Site) {
 		// A ballot-0 2b is its sender's 2a: only RM s proposes at ballot
 		// 0 in instance s, so the value the sender's acceptor reports
 		// for the sender's own instance is the sender's vote. A last
@@ -463,21 +437,14 @@ func (m *Manager) paxosPromote(f *family) {
 	f.paxRound = round
 	f.paxBallot = paxosBallot(round, m.cfg.Site)
 	f.paxStage = 1
-	f.pax1b = make(map[tid.SiteID][]wire.PaxosAccepted)
-	f.pax2b = make(map[tid.SiteID]bool)
+	f.pax1b, f.pax2b = f.pax1b[:0], f.pax2b[:0]
 	f.attempts, f.backoffN = 0, 0
 	if f.paxosIsAcceptor(m.cfg.Site) {
 		if !m.paxosPromiseLocal(f) {
 			return
 		}
 	}
-	var remotes []tid.SiteID
-	for _, a := range f.paxAcceptors {
-		if a != m.cfg.Site {
-			remotes = append(remotes, a)
-		}
-	}
-	m.fanout(remotes, &wire.Msg{
+	m.fanout(withoutSites(f.paxAcceptors, m.cfg.Site), &wire.Msg{
 		Kind: wire.KPaxos1a, TID: tid.Top(f.id), Ballot: f.paxBallot,
 		Sites: f.nbSites, Acceptors: f.paxAcceptors,
 	}, f.opts.Multicast)
@@ -498,11 +465,7 @@ func (m *Manager) paxosPromiseLocal(f *family) bool {
 		return false
 	}
 	if f.paxStage == 1 && f.paxBallot == b {
-		var acc []wire.PaxosAccepted
-		for _, s := range det.SortedKeys(f.paxAcc) {
-			acc = append(acc, f.paxAcc[s])
-		}
-		f.pax1b[m.cfg.Site] = acc
+		f.pax1b = putSite(f.pax1b, promise{m.cfg.Site, slices.Clone(f.paxAcc)}, promiseSite)
 	}
 	return true
 }
@@ -534,7 +497,7 @@ func (m *Manager) onPaxos1a(msg *wire.Msg) {
 	if f.ph == phCommitted || f.ph == phAborted {
 		return
 	}
-	m.ensurePaxos(f)
+	f.opts.Protocol = wire.Paxos
 	if len(f.nbSites) == 0 {
 		f.nbSites = msg.Sites
 	}
@@ -562,12 +525,8 @@ func (m *Manager) onPaxos1a(msg *wire.Msg) {
 			return
 		}
 	}
-	var acc []wire.PaxosAccepted
-	for _, s := range det.SortedKeys(f.paxAcc) {
-		acc = append(acc, f.paxAcc[s])
-	}
 	m.send(msg.From, &wire.Msg{
-		Kind: wire.KPaxos1b, TID: msg.TID, Ballot: msg.Ballot, Accepted: acc,
+		Kind: wire.KPaxos1b, TID: msg.TID, Ballot: msg.Ballot, Accepted: slices.Clone(f.paxAcc),
 	})
 }
 
@@ -588,7 +547,7 @@ func (m *Manager) onPaxos1b(msg *wire.Msg) {
 		}
 		return
 	}
-	f.pax1b[msg.From] = msg.Accepted
+	f.pax1b = putSite(f.pax1b, promise{msg.From, msg.Accepted}, promiseSite)
 	m.paxosCheck1bQuorum(f)
 }
 
@@ -605,8 +564,8 @@ func (m *Manager) paxosCheck1bQuorum(f *family) {
 	for _, s := range f.nbSites {
 		v := wire.VoteNo
 		var best uint64
-		for _, from := range det.SortedKeys(f.pax1b) {
-			for _, a := range f.pax1b[from] {
+		for _, p := range f.pax1b {
+			for _, a := range p.accepted {
 				if a.Site == s && (a.Ballot > best || (a.Ballot == best && v == wire.VoteNo)) {
 					// Equal-ballot entries carry identical values — one
 					// proposer per ballot — so any of them will do.
@@ -616,10 +575,10 @@ func (m *Manager) paxosCheck1bQuorum(f *family) {
 			}
 		}
 		chosen = append(chosen, wire.SiteVote{Site: s, Vote: v})
-		f.votes[s] = v
+		f.setVote(s, v)
 	}
 	f.paxStage = 2
-	f.pax2b = make(map[tid.SiteID]bool)
+	f.pax2b = f.pax2b[:0]
 	f.attempts, f.backoffN = 0, 0
 	if f.paxosIsAcceptor(m.cfg.Site) {
 		if !m.paxosAccept(f, f.paxBallot, chosen) {
@@ -630,13 +589,7 @@ func (m *Manager) paxosCheck1bQuorum(f *family) {
 			return
 		}
 	}
-	var remotes []tid.SiteID
-	for _, a := range f.paxAcceptors {
-		if a != m.cfg.Site {
-			remotes = append(remotes, a)
-		}
-	}
-	m.fanout(remotes, &wire.Msg{
+	m.fanout(withoutSites(f.paxAcceptors, m.cfg.Site), &wire.Msg{
 		Kind: wire.KPaxos2a, TID: tid.Top(f.id), Ballot: f.paxBallot,
 		Votes: chosen, Sites: f.nbSites, Acceptors: f.paxAcceptors,
 	}, f.opts.Multicast)
@@ -657,10 +610,8 @@ func (m *Manager) paxosRetryTakeover(f *family) {
 	case 1:
 		var missing []tid.SiteID
 		for _, a := range f.paxAcceptors {
-			if a != m.cfg.Site {
-				if _, ok := f.pax1b[a]; !ok {
-					missing = append(missing, a)
-				}
+			if _, ok := lookup(f.pax1b, a, promiseSite); a != m.cfg.Site && !ok {
+				missing = append(missing, a)
 			}
 		}
 		m.retryFanout(f, missing, &wire.Msg{
@@ -671,11 +622,12 @@ func (m *Manager) paxosRetryTakeover(f *family) {
 	case 2:
 		chosen := make([]wire.SiteVote, 0, len(f.nbSites))
 		for _, s := range f.nbSites {
-			chosen = append(chosen, wire.SiteVote{Site: s, Vote: f.votes[s]})
+			v, _ := f.vote(s)
+			chosen = append(chosen, wire.SiteVote{Site: s, Vote: v})
 		}
 		var missing []tid.SiteID
 		for _, a := range f.paxAcceptors {
-			if a != m.cfg.Site && !f.pax2b[a] {
+			if a != m.cfg.Site && !slices.Contains(f.pax2b, a) {
 				missing = append(missing, a)
 			}
 		}

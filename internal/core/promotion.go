@@ -25,10 +25,9 @@ func (m *Manager) promote(f *family) {
 	if !f.promoted {
 		f.promoted = true
 		m.tr.Count(m.cfg.Site, trace.Promotions, 1)
-		f.statusResp = map[tid.SiteID]wire.NBState{m.cfg.Site: f.nbState}
-		f.abortIntents = make(map[tid.SiteID]bool)
+		f.statusResp = []siteStatus{{m.cfg.Site, f.nbState}}
 		if f.nbState == wire.NBAbortIntent {
-			f.abortIntents[m.cfg.Site] = true
+			f.abortIntents = []tid.SiteID{m.cfg.Site}
 		}
 	}
 	m.promotionSweep(f)
@@ -37,13 +36,7 @@ func (m *Manager) promote(f *family) {
 // promotionSweep (re)broadcasts the status inquiry of an undecided
 // promoted coordinator and re-arms the retry timer (f's lock held).
 func (m *Manager) promotionSweep(f *family) {
-	var others []tid.SiteID
-	for _, s := range f.nbSites {
-		if s != m.cfg.Site {
-			others = append(others, s)
-		}
-	}
-	m.retryFanout(f, others, &wire.Msg{Kind: wire.KNBStatusReq, TID: tid.Top(f.id)}, "status")
+	m.retryFanout(f, withoutSites(f.nbSites, m.cfg.Site), &wire.Msg{Kind: wire.KNBStatusReq, TID: tid.Top(f.id)}, "status")
 	m.reschedule(f, m.cfg.RetryInterval)
 }
 
@@ -95,7 +88,7 @@ func (m *Manager) onNBStatusResp(msg *wire.Msg) {
 	if !f.promoted || f.ph == phCommitted || f.ph == phAborted {
 		return
 	}
-	f.statusResp[msg.From] = msg.State
+	f.statusResp = putSite(f.statusResp, siteStatus{msg.From, msg.State}, statusSite)
 	if len(f.nbVotes) == 0 && len(msg.Votes) > 0 {
 		f.nbVotes = msg.Votes
 	}
@@ -103,7 +96,7 @@ func (m *Manager) onNBStatusResp(msg *wire.Msg) {
 		f.nbSites = msg.Sites
 	}
 	if msg.State == wire.NBAbortIntent {
-		f.abortIntents[msg.From] = true
+		f.abortIntents = unionSites(f.abortIntents, msg.From)
 	}
 	m.evaluatePromotion(f)
 }
@@ -112,9 +105,8 @@ func (m *Manager) onNBStatusResp(msg *wire.Msg) {
 // lock held).
 func (m *Manager) evaluatePromotion(f *family) {
 	replicated, anyCommitted, anyAborted := 0, false, false
-	//lint:ordered commutative aggregation; counts and flags only
 	for _, st := range f.statusResp {
-		switch st {
+		switch st.state {
 		case wire.NBCommitted:
 			anyCommitted = true
 		case wire.NBAborted:
@@ -150,15 +142,15 @@ func (m *Manager) evaluatePromotion(f *family) {
 // (the lock is released around the local force).
 func (m *Manager) solicitAbortIntents(f *family) {
 	// Write our own abort-intent record first (once).
-	if f.nbState == wire.NBPrepared && !f.abortIntents[m.cfg.Site] {
+	if f.nbState == wire.NBPrepared && !slices.Contains(f.abortIntents, m.cfg.Site) {
 		live, err := m.forceRecord(f, &wal.Record{Type: wal.RecNBAbortIntent, TID: tid.Top(f.id), Sites: f.nbSites})
 		if !live {
 			return
 		}
 		if err == nil {
 			f.nbState = wire.NBAbortIntent
-			f.abortIntents[m.cfg.Site] = true
-			f.statusResp[m.cfg.Site] = wire.NBAbortIntent
+			f.abortIntents = unionSites(f.abortIntents, m.cfg.Site)
+			f.statusResp = putSite(f.statusResp, siteStatus{m.cfg.Site, wire.NBAbortIntent}, statusSite)
 		}
 		if len(f.abortIntents) >= f.abortQuorum {
 			m.driveOutcome(f, wire.OutcomeAbort)
@@ -167,10 +159,11 @@ func (m *Manager) solicitAbortIntents(f *family) {
 	}
 	var targets []tid.SiteID
 	for _, s := range f.nbSites {
-		if s == m.cfg.Site || f.abortIntents[s] {
+		if s == m.cfg.Site || slices.Contains(f.abortIntents, s) {
 			continue
 		}
-		switch f.statusResp[s] {
+		st, _ := lookup(f.statusResp, s, statusSite)
+		switch st.state {
 		case wire.NBReplicated, wire.NBCommitted, wire.NBAborted:
 			// May not or need not join the abort quorum.
 		case wire.NBPrepared, wire.NBAbortIntent:
@@ -241,8 +234,8 @@ func (m *Manager) onNBAbortIntentAck(msg *wire.Msg) {
 	if !f.promoted || f.ph == phCommitted || f.ph == phAborted {
 		return
 	}
-	f.abortIntents[msg.From] = true
-	f.statusResp[msg.From] = wire.NBAbortIntent
+	f.abortIntents = unionSites(f.abortIntents, msg.From)
+	f.statusResp = putSite(f.statusResp, siteStatus{msg.From, wire.NBAbortIntent}, statusSite)
 	if len(f.abortIntents) >= f.abortQuorum {
 		m.driveOutcome(f, wire.OutcomeAbort)
 	}
@@ -252,13 +245,7 @@ func (m *Manager) onNBAbortIntentAck(msg *wire.Msg) {
 // coordinator: the skeleton's decision and notify phase, with every
 // other site owed the outcome (f's lock held).
 func (m *Manager) driveOutcome(f *family, outcome wire.Outcome) {
-	var others []tid.SiteID
-	for _, s := range f.nbSites {
-		if s != m.cfg.Site {
-			others = append(others, s)
-		}
-	}
-	slices.Sort(others)
+	others := withoutSites(f.nbSites, m.cfg.Site)
 	if outcome == wire.OutcomeCommit {
 		m.decideCommit(f, others, nil)
 	} else {

@@ -70,9 +70,8 @@ func (m *Manager) restoreInDoubt(f *family, d recman.InDoubt, parts []server.Par
 	f.nbSites, f.commitQuorum, f.abortQuorum, f.nbVotes = d.Sites, d.CommitQuorum, d.AbortQuorum, d.Votes
 	f.paxAcceptors, f.paxPromised, f.paxAccForced = d.Acceptors, d.Promised, d.AccForced
 	if d.Protocol == wire.Paxos {
-		m.ensurePaxos(f)
 		for _, a := range d.Accepted {
-			f.paxAcc[a.Site] = a
+			f.paxAcc = putSite(f.paxAcc, a, acceptedSite)
 		}
 		if !d.Prepared {
 			// No vote of its own was ever durable: volatile RM state is
@@ -105,8 +104,6 @@ func restoreCoordinator(f *family, r recman.CoordResume) {
 	f.coord = true
 	f.ph = phCommitted
 	f.opts.Protocol = r.Protocol
-	for _, s := range r.UpdateSubs {
-		f.acksPending[s] = true
-		f.updateSubs[s] = true
-	}
+	f.acksPending = unionSites(f.acksPending, r.UpdateSubs...)
+	f.updateSubs = unionSites(f.updateSubs, r.UpdateSubs...)
 }

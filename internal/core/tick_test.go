@@ -97,7 +97,6 @@ func under(p wire.Protocol, acceptors ...tid.SiteID) setup {
 		}
 		if p == wire.Paxos {
 			f.paxAcceptors = acceptors
-			m.ensurePaxos(f)
 		}
 	}
 }
@@ -106,8 +105,8 @@ func under(p wire.Protocol, acceptors ...tid.SiteID) setup {
 // site 2's; no acceptor has confirmed anything.
 func collecting(m *Manager, f *family) {
 	f.coord, f.ph, f.localVote = true, phPreparing, wire.VoteYes
-	f.remoteSites = map[tid.SiteID]bool{2: true, 3: true}
-	f.votes = map[tid.SiteID]wire.Vote{1: wire.VoteYes, 2: wire.VoteYes}
+	f.remoteSites = []tid.SiteID{2, 3}
+	f.votes = []wire.SiteVote{{Site: 1, Vote: wire.VoteYes}, {Site: 2, Vote: wire.VoteYes}}
 }
 
 func gaveUp(m *Manager, f *family) { f.attempts = voteRetries }
@@ -123,8 +122,7 @@ func replicated(m *Manager, f *family) { f.ph, f.nbState = phReplicated, wire.NB
 
 func promoted(m *Manager, f *family) {
 	f.promoted = true
-	f.statusResp = map[tid.SiteID]wire.NBState{1: f.nbState}
-	f.abortIntents = make(map[tid.SiteID]bool)
+	f.statusResp = []siteStatus{{1, f.nbState}}
 }
 
 // takingOver: a Paxos takeover leader at round 1 in the given stage,
@@ -133,8 +131,8 @@ func takingOver(stage uint8) setup {
 	return func(m *Manager, f *family) {
 		f.promoted, f.paxStage = true, stage
 		f.paxBallot = paxosBallot(1, 1)
-		f.pax1b = map[tid.SiteID][]wire.PaxosAccepted{2: nil}
-		f.pax2b = map[tid.SiteID]bool{3: true}
+		f.pax1b = []promise{{site: 2}}
+		f.pax2b = []tid.SiteID{3}
 	}
 }
 
@@ -182,7 +180,7 @@ func stepRows() []stepRow {
 			stepRow{
 				name: p.String() + "/decided with acks owed", fam: ownFamily,
 				setup: all(under(p, allSites...), func(m *Manager, f *family) {
-					f.coord, f.ph, f.acksPending = true, phCommitted, map[tid.SiteID]bool{2: true}
+					f.coord, f.ph, f.acksPending = true, phCommitted, []tid.SiteID{2}
 				}),
 				want: to(outcome, 2), ph: phCommitted, delta: counts{retransmits: 1},
 			},

@@ -155,10 +155,11 @@ func (m *Manager) onCommitAck(from tid.SiteID, t tid.TID) {
 		return
 	}
 	defer m.unlockFamily(f)
-	if !f.acksPending[from] {
+	i, owed := slices.BinarySearch(f.acksPending, from)
+	if !owed {
 		return
 	}
-	delete(f.acksPending, from)
+	f.acksPending = slices.Delete(f.acksPending, i, i+1)
 	if len(f.acksPending) == 0 {
 		m.end(f)
 	}

@@ -52,7 +52,9 @@
 // <justification>` comment (alias `//lint:ordered` for maprange) on
 // the offending line or the line above suppresses the report. A bare
 // directive with no justification text is itself a violation — the
-// escape hatch exists to record *why* a site is exempt.
+// escape hatch exists to record *why* a site is exempt — and so is a
+// directive of a per-package analyzer that suppressed nothing in its
+// run: the exemption it records is stale.
 package lint
 
 import (
@@ -61,6 +63,7 @@ import (
 	"go/token"
 	"go/types"
 	"regexp"
+	"slices"
 	"strings"
 )
 
@@ -100,13 +103,16 @@ type Pass struct {
 	Info  *types.Info
 
 	diags      *[]Diagnostic
-	directives map[string]map[int][]directive // filename → line → directives
+	directives []directive // in source order; nil until first needed
 }
 
 type directive struct {
 	keyword       string
 	justification string
 	pos           token.Pos
+	file          string
+	line          int
+	used          bool // it suppressed a finding
 }
 
 // directiveRE matches the camelot-lint escape hatch. The justification
@@ -127,7 +133,7 @@ func (p *Pass) buildDirectives() {
 	if p.directives != nil {
 		return
 	}
-	p.directives = make(map[string]map[int][]directive)
+	p.directives = []directive{}
 	for _, f := range p.Files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
@@ -136,13 +142,9 @@ func (p *Pass) buildDirectives() {
 					continue
 				}
 				pos := p.Fset.Position(c.Pos())
-				byLine := p.directives[pos.Filename]
-				if byLine == nil {
-					byLine = make(map[int][]directive)
-					p.directives[pos.Filename] = byLine
-				}
-				byLine[pos.Line] = append(byLine[pos.Line],
-					directive{keyword: m[1], justification: m[2], pos: c.Pos()})
+				p.directives = append(p.directives, directive{
+					keyword: m[1], justification: m[2], pos: c.Pos(), file: pos.Filename, line: pos.Line,
+				})
 			}
 		}
 	}
@@ -152,29 +154,40 @@ func (p *Pass) buildDirectives() {
 // justified //lint:<keyword> directive on the same line or the line
 // immediately above. A directive matching the keyword but lacking a
 // justification does not suppress; instead it is reported once, so an
-// empty escape hatch cannot silently accumulate.
+// empty escape hatch cannot silently accumulate. Either way the
+// directive is marked used, and reportUnused skips it.
 func (p *Pass) allowed(pos token.Pos, keywords ...string) bool {
 	p.buildDirectives()
 	where := p.Fset.Position(pos)
-	byLine := p.directives[where.Filename]
-	if byLine == nil {
-		return false
-	}
 	for _, line := range []int{where.Line, where.Line - 1} {
-		for _, d := range byLine[line] {
-			for _, kw := range keywords {
-				if d.keyword != kw {
-					continue
-				}
-				if d.justification == "" {
-					p.Reportf(d.pos, "//lint:%s directive needs a justification (say why this site is exempt)", kw)
-					return true // suppress the underlying report; the bare directive is the finding
-				}
-				return true
+		for i := range p.directives {
+			d := &p.directives[i]
+			if d.file != where.Filename || d.line != line || !slices.Contains(keywords, d.keyword) {
+				continue
 			}
+			d.used = true
+			if d.justification == "" {
+				p.Reportf(d.pos, "//lint:%s directive needs a justification (say why this site is exempt)", d.keyword)
+			}
+			return true // a bare directive still suppresses: it is the finding
 		}
 	}
 	return false
+}
+
+// reportUnused reports every directive of the pass's analyzer that
+// suppressed nothing in its run.
+func (p *Pass) reportUnused() {
+	p.buildDirectives()
+	for _, d := range p.directives {
+		owner := d.keyword
+		if owner == "ordered" { // maprange's alias
+			owner = "maprange"
+		}
+		if !d.used && owner == p.Analyzer.Name {
+			p.Reportf(d.pos, "//lint:%s directive suppresses nothing here; delete it", d.keyword)
+		}
+	}
 }
 
 // pkgNameOf resolves an identifier to the import path of the package

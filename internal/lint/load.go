@@ -184,7 +184,8 @@ func (l *Loader) Load(path string) (*Package, error) {
 }
 
 // Analyze runs one analyzer over one loaded package, appending
-// findings to diags.
+// findings to diags: the analyzer's own, then every //lint: directive
+// of its keyword that suppressed none of them.
 func Analyze(a *Analyzer, pkg *Package, diags *[]Diagnostic) error {
 	pass := &Pass{
 		Analyzer: a,
@@ -195,7 +196,11 @@ func Analyze(a *Analyzer, pkg *Package, diags *[]Diagnostic) error {
 		Info:     pkg.Info,
 		diags:    diags,
 	}
-	return a.Run(pass)
+	if err := a.Run(pass); err != nil {
+		return err
+	}
+	pass.reportUnused()
+	return nil
 }
 
 // ModulePackages enumerates every package directory under the module

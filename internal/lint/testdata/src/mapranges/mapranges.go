@@ -58,3 +58,17 @@ func wrongKeyword(m map[string]int) {
 		_ = k
 	}
 }
+
+// A directive that suppresses a finding is used (sum, union above);
+// one that suppresses nothing is stale, whichever keyword it uses.
+func sliceSum(xs []int) int {
+	total := 0
+	/* want "suppresses nothing" */ //lint:ordered a slice range needs no exemption
+	for _, v := range xs {
+		total += v
+	}
+	for _, v := range xs { /* want "suppresses nothing" */ //lint:maprange nor under the analyzer's own name
+		total += v
+	}
+	return total
+}

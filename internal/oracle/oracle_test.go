@@ -20,7 +20,7 @@ func (v *fakeView) OutcomeOf(tid.FamilyID) (wire.Outcome, error) { return wire.O
 func (v *fakeView) Probe() error                                 { return nil }
 func viewsOf(m map[camelot.SiteID][]string) map[camelot.SiteID]SiteView {
 	out := make(map[camelot.SiteID]SiteView, len(m))
-	for site, keys := range m { //lint:ordered test fixture construction; map order does not reach any output
+	for site, keys := range m {
 		fv := &fakeView{keys: make(map[string]bool)}
 		for _, k := range keys {
 			fv.keys[k] = true

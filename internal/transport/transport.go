@@ -41,7 +41,8 @@ type Sender interface {
 	// Send queues one unreliable datagram.
 	Send(from, to tid.SiteID, payload any)
 	// Multicast delivers one payload to every site in tos with a
-	// single send.
+	// single send. Neither fan-out keeps tos past the call: the
+	// transaction manager hands it lists it goes on editing.
 	Multicast(from tid.SiteID, tos []tid.SiteID, payload any)
 	// SendAll unicasts payload to each site in tos serially.
 	SendAll(from tid.SiteID, tos []tid.SiteID, payload any)
