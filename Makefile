@@ -10,7 +10,7 @@
 
 GO ?= go
 
-.PHONY: all build test check fmt vet lint race noswissmap torture crashstates chaos paxos fuzz benchsmoke perf perf-compare perf-pairs frozen golden bench cluster netem loadgen
+.PHONY: all build test check fmt vet lint race noswissmap torture crashstates chaos paxos fuzz benchsmoke perf perf-compare perf-pairs frozen golden bench cluster netem loadgen groupcommit
 
 all: build
 
@@ -312,6 +312,26 @@ loadgen:
 		-protocols 2pc,nb,paxos -duration 1s -sessions 64 -seed 1 \
 		> loadgen-report.json
 	@echo "wrote loadgen-report.json"
+
+# Group commit across transactions (EXPERIMENTS.md R6) as one command.
+# camelot-perf keeps its WALs on /dev/shm and runs two sessions, so it
+# cannot show forces shared between transactions. This offers 6000
+# ops/s for 1 s to a freshly booted real 3-site cluster per protocol,
+# each site's WAL in the default temp dir (a disk under /tmp), once
+# with 1 client session and once with 16. groupcommit-report.json is a
+# JSON array of the two camelot-load/v1 reports, 1 session first. Read
+# each row as device writes per op = wal_device_writes ÷ ops: at 1
+# session no two commits overlap, so it is each protocol's force
+# budget, exactly 2 / 4 / 3 for 2pc / nb / paxos; at 16 it falls below
+# that by as much as concurrent commits shared a device write, and
+# goodput says what the cluster sustained meanwhile.
+groupcommit:
+	sep='['; for s in 1 16; do \
+		echo "$$sep"; sep=','; \
+		$(GO) run ./cmd/camelot-bench -loadgen -json -rates 6000 -duration 1s \
+			-sessions $$s -protocols 2pc,nb,paxos || exit 1; \
+	done > groupcommit-report.json; echo ']' >> groupcommit-report.json
+	@echo "wrote groupcommit-report.json"
 
 # A real multi-process cluster on loopback — one driver, two fault
 # plans. This is the built-in plan: spawn camelot-node daemons under

@@ -47,6 +47,49 @@ func TestStartRealNodeRequiresShardMap(t *testing.T) {
 	}
 }
 
+// TestClosedRealNodeFailsAtOnce pins that a call into a closed node's
+// transaction manager fails with core.ErrClosed at once, instead of
+// waiting out the timeout of a request no thread will take.
+func TestClosedRealNodeFailsAtOnce(t *testing.T) {
+	cfg := DefaultRealConfig(1)
+	cfg.WALPath = filepath.Join(t.TempDir(), "wal")
+	n, err := StartRealNode(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := n.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	tx, err := n.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := n.Close(); err != nil {
+		t.Fatal(err)
+	}
+	calls := []struct {
+		name string
+		call func() error
+	}{
+		{"Begin", func() error { _, err := n.Begin(); return err }},
+		{"WriteKey", func() error { return n.WriteKey(tx, "k", []byte("v")) }},
+		{"Commit", func() error { _, err := n.Commit(tx, Options{}); return err }},
+		{"Abort", func() error { return n.Abort(tx) }},
+	}
+	for _, c := range calls {
+		done := make(chan error, 1)
+		go func() { done <- c.call() }()
+		select {
+		case err := <-done:
+			if !errors.Is(err, core.ErrClosed) {
+				t.Errorf("%s after Close = %v, want core.ErrClosed", c.name, err)
+			}
+		case <-time.After(time.Second):
+			t.Errorf("%s after Close still blocked after 1s", c.name)
+		}
+	}
+}
+
 // TestDefaultRealConfigServesKeyspace checks that a lone node booted
 // from DefaultRealConfig alone — no map installed by the caller —
 // serves the routed data path and the oracle's probe.

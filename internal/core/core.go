@@ -259,6 +259,7 @@ type phase uint8
 const (
 	phActive      phase = iota // operations running
 	phPreparing                // coordinator: waiting for votes
+	phIntent                   // NB coordinator: every vote in, forcing its replication record
 	phReplicating              // NB coordinator: waiting for replicate acks
 	phPrepared                 // subordinate: prepared, awaiting outcome
 	phReplicated               // NB subordinate: commit intent forced
@@ -494,7 +495,7 @@ func (m *Manager) chargeClientIPC() {
 func (m *Manager) Begin() (tid.TID, error) {
 	m.chargeClientIPC()
 	fut := rt.NewFuture[tid.TID](m.r)
-	m.queue.Put(func() {
+	if !m.queue.Put(func() {
 		m.lockAttributed(m.idMu, lockClassIDs)
 		m.nextFamily++
 		f := tid.MakeFamily(m.cfg.Site, m.nextFamily)
@@ -506,7 +507,9 @@ func (m *Manager) Begin() (tid.TID, error) {
 		m.tr.Count(m.cfg.Site, trace.Begun, 1)
 		m.unlockFamily(fam)
 		fut.Set(t)
-	})
+	}) {
+		return tid.TID{}, ErrClosed
+	}
 	t, ok := fut.WaitTimeout(time.Minute)
 	if !ok {
 		return tid.TID{}, ErrClosed
@@ -521,7 +524,7 @@ func (m *Manager) Begin() (tid.TID, error) {
 func (m *Manager) BeginChild(parent tid.TID) (tid.TID, []tid.TID, error) {
 	m.chargeClientIPC()
 	fut := rt.NewFuture[*txn](m.r)
-	m.queue.Put(func() {
+	if !m.queue.Put(func() {
 		fam := m.lockFamily(parent.Family)
 		if fam == nil {
 			fut.Set(nil)
@@ -541,7 +544,9 @@ func (m *Manager) BeginChild(parent tid.TID) (tid.TID, []tid.TID, error) {
 		tx := &txn{id: t, anc: append(slices.Clip(ptx.anc), parent)}
 		fam.txns[t] = tx
 		fut.Set(tx)
-	})
+	}) {
+		return tid.TID{}, nil, ErrClosed
+	}
 	tx, ok := fut.WaitTimeout(time.Minute)
 	if !ok {
 		return tid.TID{}, nil, ErrClosed
@@ -558,7 +563,7 @@ func (m *Manager) BeginChild(parent tid.TID) (tid.TID, []tid.TID, error) {
 // the family descriptor that the commit protocols will find.
 func (m *Manager) Join(t tid.TID, anc []tid.TID, p server.Participant) error {
 	fut := rt.NewFuture[error](m.r)
-	m.queue.Put(func() {
+	if !m.queue.Put(func() {
 		if m.isClosed() {
 			fut.Set(ErrClosed)
 			return
@@ -584,7 +589,9 @@ func (m *Manager) Join(t tid.TID, anc []tid.TID, p server.Participant) error {
 			m.schedule(fam, 4*m.cfg.InquireInterval)
 		}
 		fut.Set(nil)
-	})
+	}) {
+		return ErrClosed
+	}
 	err, ok := fut.WaitTimeout(time.Minute)
 	if !ok {
 		return ErrClosed

@@ -413,6 +413,31 @@ func TestNonBlockingCommitRecordsAtEverySite(t *testing.T) {
 	})
 }
 
+// A duplicated NB-VOTE can reach the coordinator while its replication
+// force has the family lock released. Vote collection is over by then:
+// the replication phase runs once, so each site forces one NB-REPLICATE.
+func TestDuplicateNBVoteReplicatesOnce(t *testing.T) {
+	h := newHarness(t, 2)
+	h.net.SetShaper(func(_, _ tid.SiteID, payload any, _ bool) transport.Shape {
+		if msg, ok := payload.(*wire.Msg); ok && msg.Kind == wire.KNBVote {
+			return transport.Shape{Dup: 1}
+		}
+		return transport.Shape{}
+	})
+	h.run(t, func() {
+		txn := h.beginDistributed(t, 2)
+		if _, err := h.sites[1].m.Commit(txn, core.Options{Protocol: wire.NonBlocking}); err != nil {
+			t.Fatalf("NB Commit: %v", err)
+		}
+		h.k.Sleep(300 * time.Millisecond)
+		for id := tid.SiteID(1); id <= 2; id++ {
+			if n := countRecords(t, h.sites[id].log, wal.RecNBReplicate); n != 1 {
+				t.Errorf("site %d forced %d NB-REPLICATE records, want 1", id, n)
+			}
+		}
+	})
+}
+
 func TestNonBlockingAbortOnNoVote(t *testing.T) {
 	h := newHarness(t, 3)
 	h.run(t, func() {

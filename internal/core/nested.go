@@ -22,7 +22,7 @@ import (
 // the last of its chain.
 func (m *Manager) commitChild(child tid.TID) (wire.Outcome, error) {
 	done := rt.NewFuture[error](m.r)
-	m.queue.Put(func() {
+	if !m.queue.Put(func() {
 		f := m.lockFamily(child.Family)
 		if f == nil {
 			done.Set(fmt.Errorf("%w: %s", ErrUnknownTransaction, child))
@@ -49,7 +49,9 @@ func (m *Manager) commitChild(child tid.TID) (wire.Outcome, error) {
 			p.CommitChild(child)
 		}
 		done.Set(nil)
-	})
+	}) {
+		return wire.OutcomeUnknown, ErrClosed
+	}
 	err, ok := done.WaitTimeout(m.cfg.RetryInterval * 600)
 	if !ok {
 		return wire.OutcomeUnknown, ErrClosed
@@ -64,7 +66,7 @@ func (m *Manager) commitChild(child tid.TID) (wire.Outcome, error) {
 // site it touched.
 func (m *Manager) abortChild(child tid.TID) error {
 	done := rt.NewFuture[error](m.r)
-	m.queue.Put(func() {
+	if !m.queue.Put(func() {
 		f := m.lockFamily(child.Family)
 		if f == nil {
 			done.Set(fmt.Errorf("%w: %s", ErrUnknownTransaction, child))
@@ -86,7 +88,9 @@ func (m *Manager) abortChild(child tid.TID) error {
 			p.AbortChild(child)
 		}
 		done.Set(nil)
-	})
+	}) {
+		return ErrClosed
+	}
 	err, ok := done.WaitTimeout(m.cfg.RetryInterval * 600)
 	if !ok {
 		return ErrClosed

@@ -31,7 +31,12 @@ func (m *Manager) nbBeginReplication(f *family) {
 		m.abortFamily(f)
 		return
 	}
-	f.nbVotes = f.nbVotes[:0]
+	// Vote collection is over: a duplicated vote arriving while the
+	// force below has the lock released must not start replication
+	// again.
+	f.ph = phIntent
+	// A fresh slice: the NB-REPLICATE messages carry this one.
+	f.nbVotes = make([]wire.SiteVote, 0, len(f.nbSites))
 	for _, s := range f.nbSites {
 		v, _ := f.vote(s)
 		f.nbVotes = append(f.nbVotes, wire.SiteVote{Site: s, Vote: v})

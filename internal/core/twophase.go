@@ -29,7 +29,9 @@ func (m *Manager) Commit(t tid.TID, opts Options) (wire.Outcome, error) {
 		return wire.OutcomeAbort, fmt.Errorf("%w: %s: %v", ErrAborted, t, err)
 	}
 	fut := rt.NewFuture[wire.Outcome](m.r)
-	m.queue.Put(func() { m.commitTop(t, opts, fut) })
+	if !m.queue.Put(func() { m.commitTop(t, opts, fut) }) {
+		return wire.OutcomeUnknown, ErrClosed
+	}
 	out, ok := fut.WaitTimeout(m.cfg.RetryInterval * 600)
 	if !ok {
 		return wire.OutcomeUnknown, ErrClosed
@@ -58,7 +60,7 @@ func (m *Manager) Abort(t tid.TID) error {
 		return m.abortChild(t)
 	}
 	fut := rt.NewFuture[bool](m.r)
-	m.queue.Put(func() {
+	if !m.queue.Put(func() {
 		f := m.lockFamily(t.Family)
 		if f == nil {
 			// Forgotten or never known here: aborted, or presumed so,
@@ -71,7 +73,9 @@ func (m *Manager) Abort(t tid.TID) error {
 			m.abortFamily(f)
 		}
 		fut.Set(f.ph == phAborted)
-	})
+	}) {
+		return ErrClosed
+	}
 	aborted, ok := fut.WaitTimeout(m.cfg.RetryInterval * 600)
 	if !ok {
 		return ErrClosed

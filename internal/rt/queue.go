@@ -20,16 +20,19 @@ func NewQueue[T any](r Runtime) *Queue[T] {
 	return q
 }
 
-// Put appends v and wakes one waiter. Put on a closed queue is a
-// no-op so racing producers need no shutdown coordination.
-func (q *Queue[T]) Put(v T) {
+// Put appends v, wakes one waiter and reports true. On a closed queue
+// it drops v and reports false, so racing producers need no shutdown
+// coordination, and a caller about to wait for v's effect can fail at
+// once instead.
+func (q *Queue[T]) Put(v T) bool {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.closed {
-		return
+		return false
 	}
 	q.items = append(q.items, v)
 	q.cond.Signal()
+	return true
 }
 
 // Get blocks until an item is available or the queue is closed. The

@@ -37,6 +37,25 @@ func TestQueueDoesNotPinDeliveredItems(t *testing.T) {
 	}
 }
 
+// Put on a closed queue refuses the item and says so: the caller can
+// fail at once instead of waiting for work no thread will take.
+func TestPutOnClosedQueueReportsRefusal(t *testing.T) {
+	q := NewQueue[int](Real())
+	if !q.Put(1) {
+		t.Fatal("Put on an open queue reported refusal")
+	}
+	q.Close()
+	if q.Put(2) {
+		t.Fatal("Put on a closed queue reported success")
+	}
+	if v, ok := q.Get(); !ok || v != 1 {
+		t.Fatalf("Get = %d, %v; want the item queued before Close", v, ok)
+	}
+	if v, ok := q.Get(); ok {
+		t.Fatalf("Get = %d after the drain; the refused item was queued", v)
+	}
+}
+
 var queueSink func()
 
 // BenchmarkQueueDrain times filling the queue with a backlog of n

@@ -384,7 +384,7 @@ func TestDamagedFrameInNonFinalBlockIsCorruption(t *testing.T) {
 }
 
 // slowStore holds every Append for a fixed stretch of virtual time and
-// counts the calls: the device the log's writer parks forcers behind.
+// counts the calls: the device a forcer parks the others behind.
 type slowStore struct {
 	*MemStore
 	k       *sim.Kernel

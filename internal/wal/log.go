@@ -3,6 +3,7 @@ package wal
 import (
 	"errors"
 	"fmt"
+	"math"
 	"time"
 
 	"camelot/internal/rt"
@@ -43,8 +44,10 @@ type Config struct {
 
 // Log is one site's stable-storage log. Appends are buffered; Force
 // makes everything up to an LSN durable; WaitDurable observes
-// durability without demanding a device write. A single writer
-// thread owns the device, which is where group commit happens.
+// durability without demanding a device write. The log owns no writer
+// thread: a forcing thread that finds the device idle issues the write
+// itself, and forcers that arrive while it is busy wait for it and then
+// share the next one (group commit, §3.5).
 type Log struct {
 	r     rt.Runtime
 	store Store
@@ -57,13 +60,13 @@ type Log struct {
 	oldest   rt.Time   // append time of buffered[0]
 	nextLSN  uint64    // next LSN to assign
 	durable  uint64    // highest durable LSN
-	reqs     []uint64  // pending force targets, FIFO
+	writing  bool      // a device write is in flight
 	closed   bool
 	err      error // the device error that fail-stopped the log, if one did
 }
 
 // pending is a buffered record and its encoded size, computed once at
-// Append for both the tracer and the writer's batch buffer.
+// Append for both the tracer and the device write's block.
 type pending struct {
 	rec  *Record
 	size int
@@ -77,7 +80,6 @@ func Open(r rt.Runtime, store Store, cfg Config) *Log {
 	l := &Log{r: r, store: store, cfg: cfg, nextLSN: 1}
 	l.mu = r.NewMutex()
 	l.cond = r.NewCond(l.mu)
-	r.Go("wal-writer", l.writer)
 	if cfg.FlushInterval > 0 {
 		r.Go("wal-flusher", l.flusher)
 	}
@@ -104,29 +106,33 @@ func (l *Log) Append(rec *Record) (uint64, error) {
 	return rec.LSN, nil
 }
 
-// Force blocks until every record with LSN ≤ lsn is durable, issuing
-// a device write if needed; an lsn past the end forces everything
-// appended so far. This is the 15 ms primitive on the critical path of
-// every update commit.
+// Force blocks until every record with LSN ≤ lsn is durable; an lsn
+// past the end forces everything appended so far. This is the 15 ms
+// primitive on the critical path of every update commit. A forcer that
+// finds the device idle issues the write itself — with group commit it
+// carries everything appended so far, without it the records up to lsn
+// — and one that finds a write in flight waits for it.
 func (l *Log) Force(lsn uint64) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if lsn >= l.nextLSN {
 		lsn = l.nextLSN - 1
 	}
-	if lsn <= l.durable {
-		return nil
-	}
-	if l.closed {
-		return ErrClosed
-	}
-	l.reqs = append(l.reqs, lsn)
-	l.cond.Broadcast()
 	for l.durable < lsn {
 		if l.closed {
 			return ErrClosed
 		}
-		l.cond.Wait()
+		if l.writing {
+			l.cond.Wait()
+			continue
+		}
+		target := lsn
+		if l.cfg.GroupCommit {
+			target = l.nextLSN - 1
+		}
+		if err := l.write(target); err != nil {
+			return err
+		}
 	}
 	return nil
 }
@@ -289,10 +295,11 @@ func (l *Log) Truncate(n int) (int, error) {
 	return dropped, nil
 }
 
-// Close stops the writer and flusher threads and fails all pending
-// and future operations. It does not force buffered records: closing
-// is a crash as far as durability is concerned, which is what the
-// failure experiments need.
+// Close stops the flusher thread and fails all pending and future
+// operations; a force whose device write is in flight fails when the
+// write returns. It does not force buffered records: closing is a
+// crash as far as durability is concerned, which is what the failure
+// experiments need.
 func (l *Log) Close() {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -303,65 +310,46 @@ func (l *Log) Close() {
 	l.cond.Broadcast()
 }
 
-// writer is the single thread that owns the log device.
-func (l *Log) writer() {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	for {
-		for len(l.reqs) == 0 && !l.closed {
-			l.cond.Wait()
-		}
-		if l.closed {
-			return
-		}
-		var target uint64
-		if l.cfg.GroupCommit {
-			// Group commit: one write covers every pending request
-			// and everything appended so far.
-			target = l.nextLSN - 1
-			l.reqs = l.reqs[:0]
-		} else {
-			target = l.reqs[0]
-			l.reqs = l.reqs[1:]
-		}
-		if target <= l.durable {
-			continue // an earlier write already covered this request
-		}
-		// Collect the batch: buffered records with LSN ≤ target.
-		n, bytes := 0, 0
-		for n < len(l.buffered) && l.buffered[n].rec.LSN <= target {
-			bytes += l.buffered[n].size
-			n++
-		}
-		batch := l.buffered[:n]
-
-		// The device write happens outside the lock so appends and
-		// new force requests can accumulate — that accumulation is
-		// precisely what group commit harvests.
-		l.mu.Unlock()
-		if l.cfg.ForceLatency > 0 {
-			l.r.Sleep(l.cfg.ForceLatency)
-		}
-		// One block per device write, sized exactly and dropped after
-		// the write: a preload-sized batch must not stay pinned.
-		block := make([]byte, 0, bytes+frameHeader*n)
-		for _, p := range batch {
-			block = appendFrame(block, p.rec, p.size)
-		}
-		err := l.appendBlock(block, n, bytes)
-		l.mu.Lock()
-		if err != nil {
-			l.err = err
-			l.closed = true
-			l.cond.Broadcast()
-			return
-		}
-		l.buffered = l.buffered[n:]
-		if target > l.durable {
-			l.durable = target
-		}
-		l.cond.Broadcast()
+// write makes the buffered records with LSN ≤ target durable with one
+// device write. Called with l.mu held and no write in flight; the lock
+// is released around the write itself so appends and new forces can
+// accumulate — that accumulation is precisely what the next write
+// harvests as group commit. A refused write fail-stops the log. It
+// returns ErrClosed if the log was closed or fail-stopped by the time
+// the write returned.
+func (l *Log) write(target uint64) error {
+	n, bytes := 0, 0
+	for n < len(l.buffered) && l.buffered[n].rec.LSN <= target {
+		bytes += l.buffered[n].size
+		n++
 	}
+	batch := l.buffered[:n]
+	l.writing = true
+	l.mu.Unlock()
+	if l.cfg.ForceLatency > 0 {
+		l.r.Sleep(l.cfg.ForceLatency)
+	}
+	// One block per device write, sized exactly and dropped after the
+	// write: a preload-sized batch must not stay pinned.
+	block := make([]byte, 0, bytes+frameHeader*n)
+	for _, p := range batch {
+		block = appendFrame(block, p.rec, p.size)
+	}
+	err := l.appendBlock(block, n, bytes)
+	l.mu.Lock()
+	l.writing = false
+	l.cond.Broadcast()
+	if err != nil {
+		l.err = err
+		l.closed = true
+	} else {
+		l.buffered = l.buffered[n:]
+		l.durable = target
+	}
+	if l.closed {
+		return ErrClosed
+	}
+	return nil
 }
 
 // flusher periodically forces the log tail so lazy records become
@@ -369,19 +357,21 @@ func (l *Log) writer() {
 // records that have aged a full interval are flushed, so the timer
 // never races a transaction that is about to force its own tail —
 // records on their way to an imminent force ride that force instead.
+// The flusher forces like any other thread, and its ticks stay a fixed
+// interval apart however long its write took.
 func (l *Log) flusher() {
-	for {
-		l.r.Sleep(l.cfg.FlushInterval)
+	for next := l.r.Now() + l.cfg.FlushInterval; ; next += l.cfg.FlushInterval {
+		l.r.Sleep(next - l.r.Now())
 		l.mu.Lock()
-		if l.closed {
-			l.mu.Unlock()
+		closed := l.closed
+		aged := len(l.buffered) > 0 && l.r.Now()-l.oldest >= l.cfg.FlushInterval
+		l.mu.Unlock()
+		if closed {
 			return
 		}
-		if len(l.buffered) > 0 && l.r.Now()-l.oldest >= l.cfg.FlushInterval {
+		if aged {
 			l.cfg.Trace.LogFlush(l.cfg.Site)
-			l.reqs = append(l.reqs, l.nextLSN-1)
-			l.cond.Broadcast()
+			l.Force(math.MaxUint64) //nolint:errcheck // a failed write closed the log, which the next tick sees
 		}
-		l.mu.Unlock()
 	}
 }

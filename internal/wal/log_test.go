@@ -23,7 +23,7 @@ func testTID(n uint32) tid.TID { return tid.Top(tid.MakeFamily(1, n)) }
 // marshal encodes one record as a frame's payload: body ‖ CRC32.
 func marshal(r *Record) []byte { return appendRecord(nil, r) }
 
-// block frames recs the way the log's writer does for one device write.
+// block frames recs the way the log does for one device write.
 func block(recs ...*Record) []byte {
 	var b []byte
 	for _, r := range recs {
