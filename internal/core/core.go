@@ -27,6 +27,9 @@
 // waiting"); no thread is tied to a transaction; synchronous log
 // forces hold the thread that issued them, which is why throughput
 // with one thread collapses unless the log batches (Figures 4, 5).
+// A client call may run on its caller's thread instead, under a slot
+// borrowed from the same pool (rt.Pool.Call), so at most Threads
+// inputs are in progress at once, whoever runs them.
 package core
 
 import (
@@ -217,7 +220,7 @@ type Manager struct {
 	net transport.Sender
 	tr  *trace.Collector
 
-	queue *rt.Queue[func()]
+	pool *rt.Pool
 
 	// fams is the level-one table of family descriptors.
 	fams *familyTable
@@ -385,16 +388,13 @@ func New(r rt.Runtime, cfg Config, log *wal.Log, net transport.Sender) *Manager 
 	m.ackMu = r.NewMutex()
 	m.resMu = r.NewMutex()
 	m.lifeMu = r.NewMutex()
-	m.queue = rt.NewQueue[func()](r)
-	for i := 0; i < cfg.Threads; i++ {
-		m.r.Go(fmt.Sprintf("tranman%d-worker%d", cfg.Site, i), m.worker)
-	}
+	m.pool = rt.NewPool(r, fmt.Sprintf("tranman%d-worker", cfg.Site), cfg.Threads, m.chargeCPU)
 	return m
 }
 
-// Deliver hands an inbound datagram to the thread pool.
+// Deliver posts an inbound datagram to the thread pool.
 func (m *Manager) Deliver(msg *wire.Msg) {
-	m.queue.Put(func() { m.handle(msg) })
+	m.pool.Post(func() { m.handle(msg) })
 }
 
 // Stats returns a snapshot of protocol counters.
@@ -419,8 +419,9 @@ func (m *Manager) ackWaitInterval() time.Duration {
 	return m.cfg.RetryInterval
 }
 
-// QueueDepth reports requests waiting for a pool thread.
-func (m *Manager) QueueDepth() int { return m.queue.Len() }
+// QueueDepth reports inputs waiting for a pool thread. A client call
+// run on its caller's thread never waits there.
+func (m *Manager) QueueDepth() int { return m.pool.Len() }
 
 // OutcomeOf reports this site's durable knowledge of family f's fate:
 // the resolved-outcome memory, falling back to the checkpoint-image
@@ -462,20 +463,7 @@ func (m *Manager) Close() {
 		}
 		m.unlockFamily(f)
 	}
-	m.queue.Close()
-}
-
-// worker is one pool thread: wait for any input, process it, resume
-// waiting (§3.4).
-func (m *Manager) worker() {
-	for {
-		fn, ok := m.queue.Get()
-		if !ok {
-			return
-		}
-		m.chargeCPU()
-		fn()
-	}
+	m.pool.Close()
 }
 
 func (m *Manager) chargeCPU() {
@@ -495,7 +483,7 @@ func (m *Manager) chargeClientIPC() {
 func (m *Manager) Begin() (tid.TID, error) {
 	m.chargeClientIPC()
 	fut := rt.NewFuture[tid.TID](m.r)
-	if !m.queue.Put(func() {
+	if !m.pool.Call(func() {
 		m.lockAttributed(m.idMu, lockClassIDs)
 		m.nextFamily++
 		f := tid.MakeFamily(m.cfg.Site, m.nextFamily)
@@ -524,7 +512,7 @@ func (m *Manager) Begin() (tid.TID, error) {
 func (m *Manager) BeginChild(parent tid.TID) (tid.TID, []tid.TID, error) {
 	m.chargeClientIPC()
 	fut := rt.NewFuture[*txn](m.r)
-	if !m.queue.Put(func() {
+	if !m.pool.Call(func() {
 		fam := m.lockFamily(parent.Family)
 		if fam == nil {
 			fut.Set(nil)
@@ -563,7 +551,7 @@ func (m *Manager) BeginChild(parent tid.TID) (tid.TID, []tid.TID, error) {
 // the family descriptor that the commit protocols will find.
 func (m *Manager) Join(t tid.TID, anc []tid.TID, p server.Participant) error {
 	fut := rt.NewFuture[error](m.r)
-	if !m.queue.Put(func() {
+	if !m.pool.Call(func() {
 		if m.isClosed() {
 			fut.Set(ErrClosed)
 			return

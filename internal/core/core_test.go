@@ -53,11 +53,12 @@ type harness struct {
 	netTr *trace.Collector // the network's ledger: every site's datagrams
 	sites map[tid.SiteID]*site
 	// wrapStore, if set, interposes on the stable store of sites added
-	// after it; ackFlush and ackWait, if set, replace their
-	// AckFlushInterval and AckWait.
+	// after it; ackFlush, ackWait and threads, if set, replace their
+	// AckFlushInterval, AckWait and Threads.
 	wrapStore func(wal.Store) wal.Store
 	ackFlush  time.Duration
 	ackWait   time.Duration
+	threads   int
 }
 
 func newHarness(t *testing.T, n int) *harness {
@@ -80,12 +81,16 @@ func (h *harness) addSite(id tid.SiteID) *site {
 	if h.ackFlush > 0 {
 		ackFlush = h.ackFlush
 	}
+	threads := 4
+	if h.threads > 0 {
+		threads = h.threads
+	}
 	log := wal.Open(h.k, store, wal.Config{
 		GroupCommit: true, ForceLatency: time.Millisecond, FlushInterval: 10 * time.Millisecond,
 	})
 	m := core.New(h.k, core.Config{
 		Site:             id,
-		Threads:          4,
+		Threads:          threads,
 		Params:           params.Fast(),
 		RetryInterval:    20 * time.Millisecond,
 		InquireInterval:  30 * time.Millisecond,
@@ -206,6 +211,64 @@ func TestLocalCommitForcesOneRecord(t *testing.T) {
 		}
 		if n := countRecords(t, s.log, wal.RecPrepare); n != 0 {
 			t.Errorf("local transaction wrote %d prepare records", n)
+		}
+	})
+}
+
+// votePart is a fakePart that notes when it was asked to vote.
+type votePart struct {
+	*fakePart
+	now     func() time.Duration
+	votedAt time.Duration
+}
+
+func (p *votePart) Vote(f tid.FamilyID) wire.Vote {
+	p.votedAt = p.now()
+	return p.fakePart.Vote(f)
+}
+
+// A local commit draws on the pool's slots like any other input
+// (Figure 4's one-thread serialization): at a site whose only slot a
+// datagram handler holds in the middle of a log force, a local commit
+// issued then runs only once that force has returned — its vote
+// round, and so its own force, come after.
+func TestLocalCommitWaitsForTheOnlySlot(t *testing.T) {
+	h := newHarness(t, 1)
+	h.threads = 1
+	hook := &hookStore{suffix: "PREPARE"}
+	h.wrapStore = func(s wal.Store) wal.Store {
+		hook.Store = s
+		return hook
+	}
+	s2 := h.addSite(2)
+	voter := &votePart{fakePart: &fakePart{name: "local", vote: wire.VoteYes}, now: h.k.Now}
+	h.run(t, func() {
+		local, err := s2.m.Begin()
+		if err != nil {
+			t.Fatalf("Begin: %v", err)
+		}
+		if err := s2.m.Join(local, nil, voter); err != nil {
+			t.Fatalf("Join: %v", err)
+		}
+		dist := h.beginDistributed(t, 2)
+		var forceReturned time.Duration
+		var localOut wire.Outcome
+		var localErr error
+		hook.during = func() { // on site 2's only pool thread, mid-force
+			h.k.Go("client", func() { localOut, localErr = s2.m.Commit(local, core.Options{}) })
+			h.k.Sleep(5 * time.Millisecond) // the device write, still in flight
+			forceReturned = h.k.Now()
+		}
+		if out, err := h.sites[1].m.Commit(dist, core.Options{}); err != nil || out != wire.OutcomeCommit {
+			t.Fatalf("distributed Commit = %v, %v", out, err)
+		}
+		h.k.Sleep(50 * time.Millisecond)
+		if localErr != nil || localOut != wire.OutcomeCommit {
+			t.Fatalf("local Commit = %v, %v", localOut, localErr)
+		}
+		if forceReturned == 0 || voter.votedAt < forceReturned {
+			t.Fatalf("local commit voted at %v, before the handler's force returned at %v",
+				voter.votedAt, forceReturned)
 		}
 	})
 }

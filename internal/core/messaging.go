@@ -113,7 +113,7 @@ func (m *Manager) queueAck(coordinator tid.SiteID, t tid.TID) {
 		b = &ackBatch{}
 		m.pendingAcks[coordinator] = b
 		b.deadline = m.r.After(m.cfg.AckFlushInterval, func() {
-			m.queue.Put(func() { m.flushAcks(coordinator, b) })
+			m.pool.Post(func() { m.flushAcks(coordinator, b) })
 		})
 	}
 	b.tids = append(b.tids, t)
@@ -160,7 +160,7 @@ func (m *Manager) schedule(f *family, d time.Duration) {
 	}
 	id := f.id
 	f.timer = m.r.After(d, func() {
-		m.queue.Put(func() { m.tick(id) })
+		m.pool.Post(func() { m.tick(id) })
 	})
 }
 

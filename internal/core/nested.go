@@ -22,7 +22,7 @@ import (
 // the last of its chain.
 func (m *Manager) commitChild(child tid.TID) (wire.Outcome, error) {
 	done := rt.NewFuture[error](m.r)
-	if !m.queue.Put(func() {
+	if !m.pool.Call(func() {
 		f := m.lockFamily(child.Family)
 		if f == nil {
 			done.Set(fmt.Errorf("%w: %s", ErrUnknownTransaction, child))
@@ -66,7 +66,7 @@ func (m *Manager) commitChild(child tid.TID) (wire.Outcome, error) {
 // site it touched.
 func (m *Manager) abortChild(child tid.TID) error {
 	done := rt.NewFuture[error](m.r)
-	if !m.queue.Put(func() {
+	if !m.pool.Call(func() {
 		f := m.lockFamily(child.Family)
 		if f == nil {
 			done.Set(fmt.Errorf("%w: %s", ErrUnknownTransaction, child))

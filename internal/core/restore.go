@@ -45,7 +45,7 @@ func (m *Manager) Restore(a *recman.Analysis, parts map[tid.TID][]server.Partici
 
 // resume rebuilds one family on a pool thread and hands it to tick.
 func (m *Manager) resume(t tid.TID, rebuild func(*family)) {
-	m.queue.Put(func() {
+	m.pool.Post(func() {
 		f, _ := m.lockOrCreateFamily(t.Family)
 		rebuild(f)
 		m.unlockFamily(f)

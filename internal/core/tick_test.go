@@ -316,7 +316,7 @@ func TestStalledFamilyStep(t *testing.T) {
 					f, _ := r.m.lockOrCreateFamily(row.fam)
 					row.setup(r.m, f)
 					r.m.unlockFamily(f)
-					r.m.queue.Put(func() { r.m.tick(row.fam) })
+					r.m.pool.Post(func() { r.m.tick(row.fam) })
 				}
 				r.k.Sleep(10 * time.Millisecond) // the step, and no retry timer yet
 				after = r.m.Stats()

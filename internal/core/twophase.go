@@ -29,7 +29,16 @@ func (m *Manager) Commit(t tid.TID, opts Options) (wire.Outcome, error) {
 		return wire.OutcomeAbort, fmt.Errorf("%w: %s: %v", ErrAborted, t, err)
 	}
 	fut := rt.NewFuture[wire.Outcome](m.r)
-	if !m.queue.Put(func() { m.commitTop(t, opts, fut) }) {
+	in := func() { m.commitTop(t, opts, fut) }
+	// A family no remote site has joined commits with one force, which
+	// its caller may run itself. A distributed commit is posted: sending
+	// the prepare fan-out from the caller's thread made it slower
+	// (EXPERIMENTS.md R29).
+	issue := m.pool.Call
+	if m.remote(t.Family) {
+		issue = m.pool.Post
+	}
+	if !issue(in) {
 		return wire.OutcomeUnknown, ErrClosed
 	}
 	out, ok := fut.WaitTimeout(m.cfg.RetryInterval * 600)
@@ -59,8 +68,11 @@ func (m *Manager) Abort(t tid.TID) error {
 	if !t.IsTop() {
 		return m.abortChild(t)
 	}
+	// Posted: the undo at the local servers runs on a drop-locks thread
+	// (releaseLocal), and an Abort run on its caller's thread would
+	// return before that thread ran (DESIGN.md §3.4).
 	fut := rt.NewFuture[bool](m.r)
-	if !m.queue.Put(func() {
+	if !m.pool.Post(func() {
 		f := m.lockFamily(t.Family)
 		if f == nil {
 			// Forgotten or never known here: aborted, or presumed so,
@@ -86,8 +98,20 @@ func (m *Manager) Abort(t tid.TID) error {
 	return nil
 }
 
+// remote reports whether any remote site has joined family id here:
+// the test commitTop makes to pick commitLocal, made before the input
+// is issued.
+func (m *Manager) remote(id tid.FamilyID) bool {
+	f := m.lockFamily(id)
+	if f == nil {
+		return false
+	}
+	defer m.unlockFamily(f)
+	return len(f.remoteSites) > 0
+}
+
 // commitTop is the coordinator's commit-transaction entry, running on
-// a pool thread.
+// a pool slot: a pool thread's, or its caller's for a local family.
 func (m *Manager) commitTop(t tid.TID, opts Options, fut *rt.Future[wire.Outcome]) {
 	f := m.lockFamily(t.Family)
 	if f == nil || !f.coord || f.ph != phActive || m.isClosed() {

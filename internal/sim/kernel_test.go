@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -304,34 +305,148 @@ func TestSpawnFromThread(t *testing.T) {
 	}
 }
 
-func TestQueueOnSimKernel(t *testing.T) {
+// TestPoolOnSimKernel: inputs posted across virtual time run on the
+// pool's thread in the order they were posted, and Close lets the
+// thread drain and exit.
+func TestPoolOnSimKernel(t *testing.T) {
 	k := New(1)
-	q := rt.NewQueue[int](k)
+	p := rt.NewPool(k, "pool", 1, nil)
 	var got []int
-	k.Go("consumer", func() {
-		for {
-			v, ok := q.Get()
-			if !ok {
-				return
-			}
-			got = append(got, v)
-		}
-	})
 	k.Go("producer", func() {
 		for i := 0; i < 5; i++ {
 			k.Sleep(time.Millisecond)
-			q.Put(i)
+			p.Post(func() { got = append(got, i) })
 		}
-		q.Close()
+		p.Close()
 	})
 	k.Run()
+	if msg := k.Deadlocked(); msg != "" {
+		t.Fatal(msg)
+	}
 	if len(got) != 5 {
-		t.Fatalf("consumed %v, want 5 items", got)
+		t.Fatalf("ran %v, want 5 inputs", got)
 	}
 	for i, v := range got {
 		if v != i {
 			t.Fatalf("got[%d] = %d, want %d (FIFO violated)", i, v, i)
 		}
+	}
+}
+
+// Pool threads and borrowing callers draw on one slot count: six
+// threads posting and calling inputs that sleep, staggered so that
+// calls come while both slots are busy and nothing is queued, never
+// have more than two inputs in progress on a pool of two, and fill
+// both.
+func TestPoolBoundsInputsInProgressOnSimKernel(t *testing.T) {
+	k := New(1)
+	p := rt.NewPool(k, "pool", 2, nil)
+	now, most, ran := 0, 0, 0
+	input := func() {
+		now++
+		most = max(most, now)
+		k.Sleep(time.Millisecond)
+		now--
+		ran++
+	}
+	for g := 0; g < 6; g++ {
+		k.Go(fmt.Sprint("caller", g), func() {
+			k.Sleep(time.Duration(g) * 300 * time.Microsecond)
+			for i := 0; i < 5; i++ {
+				if (g+i)%2 == 0 {
+					p.Post(input)
+				} else {
+					p.Call(input)
+				}
+				k.Sleep(250 * time.Microsecond)
+			}
+		})
+	}
+	k.Run()
+	if ran != 30 || most != 2 {
+		t.Fatalf("ran %d inputs, at most %d at once; want 30, 2", ran, most)
+	}
+}
+
+// current tracks the name of the thread the kernel last resumed.
+func current(k *Kernel) *string {
+	var name string
+	k.SetHooks(Hooks{ThreadSwitch: func(n string, _ time.Duration) { name = n }})
+	return &name
+}
+
+// A Call made while an input is queued runs after it, on a pool
+// thread, even with a slot free: the thread the Post woke has not
+// taken its input yet.
+func TestPoolCallQueuesBehindQueuedInputOnSimKernel(t *testing.T) {
+	k := New(1)
+	on := current(k)
+	p := rt.NewPool(k, "pool", 2, nil)
+	var ran []string
+	k.Go("client", func() {
+		k.Sleep(time.Millisecond) // the pool threads wait for input
+		p.Post(func() { ran = append(ran, "A") })
+		p.Call(func() { ran = append(ran, "B on "+*on) })
+		if len(ran) != 0 {
+			t.Errorf("Call ran %v ahead of the queued input", ran)
+		}
+	})
+	k.Run()
+	if len(ran) != 2 || ran[0] != "A" || !strings.HasPrefix(ran[1], "B on pool") {
+		t.Fatalf("ran %q, want A, then B on a pool thread", ran)
+	}
+}
+
+// A Call on an idle pool runs its input, enter included, on the
+// calling thread and resumes no pool thread.
+func TestPoolCallOnIdlePoolOnSimKernel(t *testing.T) {
+	k := New(1)
+	on, counting, resumed := "", false, 0
+	k.SetHooks(Hooks{ThreadSwitch: func(n string, _ time.Duration) {
+		on = n
+		if counting && strings.HasPrefix(n, "pool") {
+			resumed++
+		}
+	}})
+	p := rt.NewPool(k, "pool", 2, func() { k.Sleep(time.Millisecond) })
+	var ranOn string
+	var ranAt rt.Time
+	k.Go("client", func() {
+		k.Sleep(time.Millisecond) // the pool threads wait for input
+		counting = true
+		p.Call(func() { ranOn, ranAt = on, k.Now() })
+		counting = false
+	})
+	k.Run()
+	if ranOn != "client" || ranAt != 2*time.Millisecond || resumed != 0 {
+		t.Fatalf("input ran on %q at %v, %d pool-thread resumes; want client, 2ms, 0", ranOn, ranAt, resumed)
+	}
+}
+
+// Close drains the queue: a Call queued before it still runs, and the
+// pool threads exit. A Post or Call on the closed pool reports refusal
+// at once and never runs.
+func TestPoolCloseOnSimKernel(t *testing.T) {
+	k := New(1)
+	p := rt.NewPool(k, "pool", 1, nil)
+	var ran []string
+	k.Go("client", func() {
+		p.Post(func() { k.Sleep(5 * time.Millisecond) }) // holds the only slot
+		if !p.Call(func() { ran = append(ran, "queued") }) {
+			t.Error("Call on an open pool reported refusal")
+		}
+		p.Close()
+		if p.Post(func() { ran = append(ran, "posted late") }) ||
+			p.Call(func() { ran = append(ran, "called late") }) {
+			t.Error("a closed pool accepted an input")
+		}
+	})
+	k.Run()
+	if msg := k.Deadlocked(); msg != "" {
+		t.Fatal(msg)
+	}
+	if len(ran) != 1 || ran[0] != "queued" {
+		t.Fatalf("ran %q, want the Call queued before Close alone", ran)
 	}
 }
 
